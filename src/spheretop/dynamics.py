@@ -354,12 +354,18 @@ def integrate(
     contains exact hits of the sample times; otherwise every accepted step is
     recorded.  The projection hook runs after accepted steps only when
     ``cfg.projection`` is on.  Raises :class:`SingularityError` when the step
-    size underflows or the potential reports a collision.
+    size underflows, the potential reports a collision, or the state, the
+    initial slope or an error estimate is NaN or infinite; raises
+    ``ValueError`` unless ``t_end > t0``.
     """
+    if not t_end > t0:
+        raise ValueError(f"t_end = {t_end!r} must exceed t0 = {t0!r}")
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     do_project = cfg.projection and project is not None
     y = tuple(float(c) for c in y0)
     t = t0
+    if not all(math.isfinite(c) for c in y):
+        raise SingularityError(t, f"non-finite initial state at t = {t!r}")
     traj = Trajectory(ts=[t0], ys=[y])
     next_sample = t0 + sample_dt if sample_dt is not None else None
 
@@ -367,6 +373,8 @@ def integrate(
         k1 = rhs(t, y)
     except CollisionError as exc:
         raise SingularityError(t, f"collision at t = {t!r}: {exc}") from exc
+    if not all(math.isfinite(c) for c in k1):
+        raise SingularityError(t, f"non-finite vector field at t = {t!r}")
     h_ctrl = _initial_step(rhs, t, y, k1, atol, rtol, cfg.max_step)
     err_prev = 1.0
     eps_end = 1e-12 * max(1.0, abs(t_end))
@@ -406,6 +414,8 @@ def integrate(
             q = ee / sc
             acc += q * q
         err = math.sqrt(acc / len(y))
+        if err != err:
+            raise SingularityError(t, f"NaN error estimate at t = {t!r}")
 
         if err <= 1.0:
             t += h

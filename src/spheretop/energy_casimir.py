@@ -129,15 +129,19 @@ def _potential_spec(pot: Potential) -> tuple[str, float]:
     raise ValueError("surface workers support the named potential kinds only")
 
 
+def _try_sample(theta, tau, m, pot, family, phi1, classify) -> tuple:
+    """(sample, None), or (None, failure record) when the sample raises."""
+    try:
+        return ec_sample(theta, tau, m, pot, family=family, phi1=phi1, classify=classify), None
+    except Exception as exc:  # per-sample failures are data, not fatal
+        return None, (theta, tau, f"{type(exc).__name__}: {exc}")
+
+
 def _surface_worker(args) -> tuple[int, tuple | None, tuple | None]:
     idx, family, theta, tau, m1, m2, pkind, pextra, phi1, classify = args
     m = MassParams(m1, m2)
-    pot = _POT_SPECS[pkind](m, pextra)
-    try:
-        s = ec_sample(theta, tau, m, pot, family=family, phi1=phi1, classify=classify)
-        return idx, s, None
-    except Exception as exc:  # per-sample failures are data, not fatal
-        return idx, None, (theta, tau, f"{type(exc).__name__}: {exc}")
+    return (idx, *_try_sample(theta, tau, m, _POT_SPECS[pkind](m, pextra),
+                              family, phi1, classify))
 
 
 def default_workers() -> int:
@@ -163,7 +167,9 @@ def ec_surface(
     theta (supply ``phi1_range``).  Failures of individual samples are
     collected, not raised.  Sample evaluation is independent per grid node;
     with ``workers`` > 1 (default from SPHERETOP_WORKERS) a process pool is
-    used and results are reassembled in grid order.
+    used and results are reassembled in grid order.  The pool rebuilds the
+    potential from its name, so it takes the gravitational and linear kinds
+    only; the serial path takes any ``Potential``.
     """
     n_a, n_b = grid
     taus = np.linspace(tau_range[0], tau_range[1], n_b)
@@ -173,27 +179,22 @@ def ec_surface(
         firsts = [(math.pi / 2, p) for p in np.linspace(*phi1_range, n_a)]
     else:
         firsts = [(t, phi1) for t in np.linspace(theta_range[0], theta_range[1], n_a)]
-    pkind, pextra = _potential_spec(pot)
-    jobs = []
-    idx = 0
-    for theta, p1 in firsts:
-        for tau in taus:
-            jobs.append((idx, family, float(theta), float(tau),
-                         m.m1, m.m2, pkind, pextra, p1, classify))
-            idx += 1
+    nodes = [(float(theta), p1, float(tau)) for theta, p1 in firsts for tau in taus]
 
     workers = default_workers() if workers is None else workers
-    results: list = [None] * len(jobs)
     if workers > 1:
         import multiprocessing as mp
 
+        pkind, pextra = _potential_spec(pot)
+        jobs = [(i, family, theta, tau, m.m1, m.m2, pkind, pextra, p1, classify)
+                for i, (theta, p1, tau) in enumerate(nodes)]
+        results: list = [None] * len(jobs)
         with mp.get_context("fork").Pool(workers) as pool:
             for i, s, err in pool.imap_unordered(_surface_worker, jobs, chunksize=64):
                 results[i] = (s, err)
     else:
-        for job in jobs:
-            i, s, err = _surface_worker(job)
-            results[i] = (s, err)
+        results = [_try_sample(theta, tau, m, pot, family, p1, classify)
+                   for theta, p1, tau in nodes]
 
     samples, failures = [], []
     for s, err in results:

@@ -63,7 +63,15 @@ class RelativeEquilibrium:
     potential: Potential
     state: PhaseState
     isosceles: bool = False
-    phi1_branches: tuple[float, ...] = ()
+
+    @property
+    def phi1_branches(self) -> tuple[float, ...]:
+        """Every position-angle branch at this theta; a diagnostic computed on
+        access, empty for the kinds without a unique branch."""
+        if self.kind not in (KIND_ACUTE, KIND_OBTUSE):
+            return ()
+        f = self.potential.f(math.cos(self.theta))
+        return phi_branches(self.theta, self.masses, attractive=f > 0)
 
     def to_json_dict(self) -> dict:
         return {
@@ -104,21 +112,22 @@ def phi_branches(theta: float, m: MassParams, attractive: bool) -> tuple[float, 
 
     sgn = 1.0 if attractive else -1.0
     grid = np.linspace(lo + 1e-12, hi - 1e-12, 721)
-    vals = [h(p) for p in grid]
+    vals = m.m1 * np.sin(2 * grid) - m.m2 * np.sin(2 * theta - 2 * grid)
+    zero = vals[:-1] == 0.0
     roots = []
-    for a, b, va, vb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
-        if va == 0.0:
-            roots.append(a)
-        elif va * vb < 0.0:
-            x0, x1v, f0, f1 = a, b, va, vb
-            for _ in range(80):
-                mid = 0.5 * (x0 + x1v)
-                fm = h(mid)
-                if f0 * fm <= 0.0:
-                    x1v, f1 = mid, fm
-                else:
-                    x0, f0 = mid, fm
-            roots.append(0.5 * (x0 + x1v))
+    for i in np.flatnonzero(zero | (vals[:-1] * vals[1:] < 0.0)):
+        if zero[i]:
+            roots.append(grid[i])
+            continue
+        x0, x1v, f0 = grid[i], grid[i + 1], vals[i]
+        for _ in range(80):
+            mid = 0.5 * (x0 + x1v)
+            fm = h(mid)
+            if f0 * fm <= 0.0:
+                x1v = mid
+            else:
+                x0, f0 = mid, fm
+        roots.append(0.5 * (x0 + x1v))
     out = []
     for p in roots:
         if sgn * math.sin(2 * p) > 1e-12 and sgn * math.sin(2 * (theta - p)) > 1e-12:
@@ -202,7 +211,8 @@ def solve_re(
     return _solve_generic(theta, eta_mag, m, pot, f)
 
 
-def _solve_generic(theta, eta_mag, m, pot, f) -> RelativeEquilibrium:
+def _generic_angles(theta, eta_mag, m, f) -> tuple[float, ...]:
+    """(y, x1, x2, xi, phi1, phi2) of an acute or obtuse RE from the closed forms."""
     y = f * math.sin(theta) / (2.0 * eta_mag)
     x1, x2 = _closed_form_x(theta, eta_mag, m, y)
     u1, u2 = x1 + m.m1 * eta_mag, x2 + m.m2 * eta_mag
@@ -214,6 +224,11 @@ def _solve_generic(theta, eta_mag, m, pot, f) -> RelativeEquilibrium:
             or abs(m.m2 * xi * math.cos(2 * phi2) - u2) > _CONSISTENCY_TOL * scale
             or abs(m.m2 * xi * math.sin(2 * phi2) - y) > _CONSISTENCY_TOL * scale):
         raise RuntimeError("reconstruction of the position angles is inconsistent")
+    return y, x1, x2, xi, phi1, phi2
+
+
+def _solve_generic(theta, eta_mag, m, pot, f) -> RelativeEquilibrium:
+    y, x1, x2, xi, phi1, phi2 = _generic_angles(theta, eta_mag, m, f)
     zeta = m.m1 * math.sin(2 * phi1)
     kind = KIND_ACUTE if theta < math.pi / 2 else KIND_OBTUSE
     iso = m.equal and (abs(phi1 - theta / 2) <= 1e-9
@@ -222,7 +237,6 @@ def _solve_generic(theta, eta_mag, m, pot, f) -> RelativeEquilibrium:
         kind=kind, theta=theta, phi1=phi1, phi2=phi2,
         xi_mag=xi, eta_mag=eta_mag, x1=x1, x2=x2, y=y, zeta=zeta,
         masses=m, potential=pot, state=_PLACEHOLDER, isosceles=iso,
-        phi1_branches=phi_branches(theta, m, attractive=f > 0),
     )
     return replace(re, state=reconstruct_re(re))
 
@@ -298,7 +312,19 @@ def lever_residual(re: RelativeEquilibrium) -> float:
 
 
 def zeta_of(theta: float, m: MassParams, pot: Potential) -> float:
-    """The branch constant zeta = m1 sin 2phi1, a function of theta only."""
+    """The branch constant zeta = m1 sin 2phi1, a function of theta only.
+
+    Acute and obtuse thetas take the closed forms at eta = 1 without building
+    the RE; every other case goes through ``solve_re``, so both routes give
+    its value and raise its errors.
+    """
+    if (0 <= theta <= math.pi
+            and min(abs(theta), abs(theta - math.pi)) > _SINGULAR_TOL
+            and abs(theta - math.pi / 2) > _RIGHT_ANGLE_TOL):
+        f = pot.f(math.cos(theta))
+        if f != 0.0:
+            phi1 = _generic_angles(theta, 1.0, m, f)[4]
+            return m.m1 * math.sin(2 * phi1)
     return solve_re(theta, 1.0, m, pot).zeta
 
 

@@ -39,6 +39,13 @@ class TestSimulate:
         assert code == 3
         assert "singularity encountered at t" in capsys.readouterr().err
 
+    def test_negative_horizon_rejected(self, tmp_path, capsys):
+        out = tmp_path / "back.csv"
+        code = run(["simulate", "--scenario", "re-acute-demo", "--T", "-5", "--out", out])
+        assert code == 4
+        assert "t_end" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

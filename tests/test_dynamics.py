@@ -232,6 +232,50 @@ class TestIntegrator:
         with pytest.raises(ValueError):
             FlowConfig(rel_tol=0.0)
 
+    def test_horizon_must_follow_the_start(self):
+        for t_end in (-5.0, 0.0, float("nan")):
+            with pytest.raises(ValueError):
+                integrate(lambda t, y: (1.0,), (0.0,), t_end)
+        with pytest.raises(ValueError):
+            integrate(lambda t, y: (1.0,), (0.0,), 1.0, t0=2.0)
+
+    def test_non_finite_input_is_named(self):
+        for y0 in ((float("nan"), 0.0), (0.0, float("inf"))):
+            with pytest.raises(SingularityError, match="non-finite initial state"):
+                integrate(lambda t, y: (0.0, 0.0), y0, 1.0)
+        with pytest.raises(SingularityError, match="non-finite vector field"):
+            integrate(lambda t, y: (float("inf"),), (1.0,), 1.0)
+
+    def test_nan_error_estimate_is_named(self):
+        def rhs(t, y):  # finite at the start, NaN at every later stage
+            return (1.0,) if t == 0.0 else (float("nan"),)
+
+        with pytest.raises(SingularityError, match="NaN error estimate") as err:
+            integrate(rhs, (1.0,), 1.0)
+        assert err.value.time == 0.0
+
+    def test_nan_field_cannot_hang(self):
+        # this call used to loop forever; a subprocess keeps a regression
+        # from hanging the suite
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import spheretop
+
+        code = ("from spheretop.dynamics import SingularityError, integrate\n"
+                "try:\n"
+                "    integrate(lambda t, y: (float('nan'),), (1.0,), 1.0)\n"
+                "except SingularityError as exc:\n"
+                "    print(exc)\n")
+        src = str(Path(spheretop.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        assert "non-finite vector field" in done.stdout
+
 
 class TestTopEquivalence:
     def test_two_body_and_altered_top_share_the_reduced_flow(self, rng):

@@ -119,6 +119,16 @@ class TestSurface:
                        workers=2, **kw)
         assert [s.H for s in a.samples] == [s.H for s in b.samples]
 
+    def test_serial_surface_takes_a_custom_potential(self):
+        custom = Potential.custom(v=lambda r: r, f=lambda r: -1.0, fprime=lambda r: 0.0)
+        args = ("isosceles", (0.5, 2.5), (-0.5, 0.5), (3, 3), M11)
+        got = ec_surface(*args, custom, workers=1)
+        expect = ec_surface(*args, Potential.linear(1.0), workers=1)
+        assert not got.failures and len(got.samples) == 9
+        assert got.samples == expect.samples
+        with pytest.raises(ValueError):  # the pool rebuilds named potentials only
+            ec_surface(*args, custom, workers=2)
+
     def test_right_angled_surface(self):
         res = ec_surface("rightAngled", (0, 0), (-0.4, 0.4), (5, 3), M11, GRAV11,
                          phi1_range=(0.3, 1.2), classify=False)

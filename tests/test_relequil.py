@@ -19,6 +19,8 @@ from spheretop.phase_space import (
     momentum_right,
 )
 from spheretop.quaternion import Quaternion, inner_product
+from spheretop import relequil
+from spheretop.energy_casimir import ec_sample
 from spheretop.reduction import hilbert_map, left_reduce
 from spheretop.relequil import (
     NoSolutionError,
@@ -29,7 +31,9 @@ from spheretop.relequil import (
     solve_re,
     solve_re_linear_system,
     verify_re_fixed_point,
+    zeta_of,
 )
+from spheretop.stability import fold_locus
 
 M11 = MassParams(1.0, 1.0)
 M32 = MassParams(3.0, 2.0)
@@ -252,3 +256,97 @@ class TestErrors:
     def test_theta_range(self):
         with pytest.raises(ValueError):
             solve_re(-0.1, 1.0, M11, grav(M11))
+
+
+def scalar_phi_branches(theta, m, attractive):
+    """The point-by-point branch scan, kept as the oracle for ``phi_branches``."""
+    if attractive:
+        lo, hi = max(0.0, theta - math.pi / 2), min(theta, math.pi / 2)
+    else:
+        lo, hi = max(-math.pi / 2, theta - math.pi), min(0.0, theta - math.pi / 2)
+    if hi <= lo:
+        return ()
+
+    def h(p):
+        return m.m1 * math.sin(2 * p) - m.m2 * math.sin(2 * theta - 2 * p)
+
+    sgn = 1.0 if attractive else -1.0
+    grid = np.linspace(lo + 1e-12, hi - 1e-12, 721)
+    vals = [h(p) for p in grid]
+    roots = []
+    for a, b, va, vb in zip(grid[:-1], grid[1:], vals[:-1], vals[1:]):
+        if va == 0.0:
+            roots.append(a)
+        elif va * vb < 0.0:
+            x0, x1v, f0 = a, b, va
+            for _ in range(80):
+                mid = 0.5 * (x0 + x1v)
+                fm = h(mid)
+                if f0 * fm <= 0.0:
+                    x1v = mid
+                else:
+                    x0, f0 = mid, fm
+            roots.append(0.5 * (x0 + x1v))
+    return tuple(float(p) for p in roots
+                 if sgn * math.sin(2 * p) > 1e-12 and sgn * math.sin(2 * (theta - p)) > 1e-12)
+
+
+class TestHotPath:
+    """The sweep path computes zeta in closed form and scans branches only on
+    request; both must reproduce the full construction exactly."""
+
+    def test_vectorised_scan_matches_the_scalar_oracle(self):
+        rng = np.random.default_rng(20190401)
+        thetas = np.concatenate([rng.uniform(0.0, math.pi, 60),
+                                 [0.3, math.pi / 4, math.pi / 2, 2.0, math.pi - 1e-9]])
+        for theta in thetas:
+            for m in (M11, M32, MassParams(1.0, 7.0)):
+                for attractive in (True, False):
+                    expect = scalar_phi_branches(float(theta), m, attractive)
+                    got = phi_branches(float(theta), m, attractive)
+                    assert got == expect, (theta, m, attractive)
+                    assert all(type(p) is float for p in got)
+
+    def test_zeta_of_is_the_solved_zeta(self):
+        rng = np.random.default_rng(7)
+        for m in (M11, M32):
+            for pot in (grav(m), Potential.linear(1.0)):
+                for theta in rng.uniform(0.05, math.pi - 0.05, 40):
+                    theta = float(theta)
+                    if abs(theta - math.pi / 2) < 1e-6:
+                        continue
+                    assert zeta_of(theta, m, pot) == solve_re(theta, 1.0, m, pot).zeta
+        # the right-angled and singular cases still go through solve_re
+        lin = Potential.linear(1.0)
+        assert zeta_of(math.pi / 2, M11, grav(M11)) == solve_re(
+            math.pi / 2, 1.0, M11, grav(M11)).zeta
+        assert zeta_of(0.0, M11, lin) == solve_re(0.0, 1.0, M11, lin).zeta == 0.0
+
+    def test_zeta_of_keeps_the_solver_errors(self):
+        dead = Potential.custom(v=lambda r: 1.0, f=lambda r: 0.0)
+        for args, exc in (((math.pi / 2, M32, grav(M32)), NoSolutionError),
+                          ((1.0, M11, dead), NoSolutionError),
+                          ((-0.1, M11, grav(M11)), ValueError),
+                          ((math.pi + 0.1, M11, grav(M11)), ValueError),
+                          ((0.0, M11, grav(M11)), CollisionError)):
+            with pytest.raises(exc):
+                solve_re(args[0], 1.0, *args[1:])
+            with pytest.raises(exc):
+                zeta_of(*args)
+
+    def test_sweeps_never_scan_branches(self, monkeypatch):
+        scan = phi_branches
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("branch scan on the hot path")
+
+        monkeypatch.setattr(relequil, "phi_branches", refuse)
+        re = solve_re(2.2, 1.0, M32, grav(M32))
+        ec_sample(2.2, 0.5, M32, grav(M32))
+        assert fold_locus(1.7, M32) is not None
+        with pytest.raises(AssertionError):
+            re.phi1_branches
+        monkeypatch.setattr(relequil, "phi_branches", scan)
+        assert re.phi1_branches == (re.phi1,)
+        assert re.to_json_dict()["phi1_branches"] == [re.phi1]
+        assert solve_re(math.pi / 2, 1.0, M11, grav(M11)).phi1_branches == ()

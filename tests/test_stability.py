@@ -276,6 +276,13 @@ class TestFold:
         with pytest.raises(ValueError):
             fold_locus(1.0, M32)
 
+    def test_certificate_is_free_of_the_step_error(self):
+        # a plain central difference leaves a determinant of order fd_step^2
+        # (1.05e-6 here); the extrapolated columns do not
+        res = fold_locus(1.755432857409167, M32)
+        assert abs(res.c0) < 1e-8
+        assert res.jacobian_det < 1e-6
+
 
 class TestIndependenceOfTheExtraIntegral:
     def test_stacked_rows_have_rank_two(self):
