@@ -21,6 +21,7 @@ from . import energy_casimir as ec
 from . import stability as stab
 from .dynamics import (
     FlowConfig,
+    HamiltonianKind,
     SingularityError,
     integrate,
     invariants_point,
@@ -35,7 +36,6 @@ from .dynamics import (
     reduced_to_vec,
     state_to_vec,
     trajectory_csv,
-    vec_to_reduced,
     vec_to_state,
 )
 from .phase_space import (
@@ -48,6 +48,7 @@ from .phase_space import (
 )
 from .quaternion import Quaternion
 from .reduction import (
+    INVARIANT_CSV_COLUMNS,
     all_casimirs,
     hilbert_map,
     left_reduce,
@@ -59,7 +60,7 @@ from .relequil import NoSolutionError, lever_residual, solve_re, verify_re_fixed
 _STATE_LABELS = ("g1w", "g1x", "g1y", "g1z", "p1w", "p1x", "p1y", "p1z",
                  "g2w", "g2x", "g2y", "g2z", "p2w", "p2x", "p2y", "p2z")
 _REDUCED_LABELS = ("A1x", "A1y", "A1z", "A2x", "A2y", "A2z", "gw", "gx", "gy", "gz")
-_POINT_LABELS = ("k11", "k12", "k13", "k22", "k23", "k33", "r", "delta")
+_POINT_LABELS = INVARIANT_CSV_COLUMNS
 
 
 def _parse_potential(spec: str, masses: MassParams) -> Potential:
@@ -95,14 +96,14 @@ def _write_manifest(out_path: str, command: str, cfg: dict) -> None:
 
 
 def _masses_potential(cfg: dict) -> tuple[MassParams, Potential, float | None, float | None]:
-    """Resolve masses and potential; 'lagrange' maps to equal masses 1/alpha
-    with the linear potential, returning (alpha, gamma) as well."""
+    """Resolve masses and potential; 'lagrange' maps to the top's equivalent
+    two-body problem, returning (alpha, gamma) as well."""
     if cfg["potential"] == "lagrange":
         alpha, gamma = cfg["alpha"], cfg["gamma"]
         if alpha is None or gamma is None:
             raise ValueError("potential 'lagrange' requires --alpha and --gamma")
-        m = MassParams(1.0 / alpha, 1.0 / alpha)
-        return m, Potential.linear(gamma), alpha, gamma
+        m, pot = HamiltonianKind.lagrange(alpha, gamma).equivalent_two_body()
+        return m, pot, alpha, gamma
     m = MassParams(cfg["m1"], cfg["m2"])
     return m, _parse_potential(cfg["potential"], m), None, None
 
@@ -146,11 +147,11 @@ _SIMULATE_DEFAULTS = {
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _SIMULATE_DEFAULTS)
-    scenario_params: dict = {}
     if cfg["scenario"]:
+        # the scenario's parameters are defaults: the config file and the flags
+        # override them, and the manifest records what ran
         state, scenario_params = _builtin_scenario(cfg["scenario"], cfg["seed"])
-        for key, val in scenario_params.items():
-            cfg[key] = val
+        cfg = _resolve(args, {**_SIMULATE_DEFAULTS, **scenario_params})
     elif cfg["state"]:
         with open(cfg["state"]) as fh:
             state = PhaseState.from_json_dict(json.load(fh))
@@ -158,26 +159,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError("simulate needs --state or --scenario")
     state.validate()
     m, pot, _, _ = _masses_potential(cfg)
+    if cfg["scenario"] == "re-acute-demo":
+        for key, agrees in (("m1", m.m1 == 1.0), ("m2", m.m2 == 1.0),
+                            ("potential", pot.kind == "gravitational")):
+            if not agrees:
+                raise ValueError(f"--{key} contradicts scenario 're-acute-demo', "
+                                 "a relative equilibrium of m1 = m2 = 1 under grav")
 
     space = cfg["space"]
     if space == "full":
         y0, rhs, labels = state_to_vec(state), make_state_rhs(m, pot), _STATE_LABELS
-        project = project_state
-        funcs = dict(invariants_state(m, pot))
-        funcs["C1"] = lambda v: (vec_to_state(v).g1.inverse()
-                                 * vec_to_state(v).g2).norm2()
+        project, funcs = project_state, invariants_state(m, pot)
     elif space in ("left", "right"):
         rs = left_reduce(state) if space == "left" else right_reduce(state)
         y0, rhs, labels = reduced_to_vec(rs), make_reduced_rhs(m, pot, rs.side), _REDUCED_LABELS
-        project = project_reduced
-        funcs = dict(invariants_reduced(m, pot))
-        side = rs.side
-        funcs["C3"] = lambda v: all_casimirs(hilbert_map(vec_to_reduced(v, side))).C3
+        project, funcs = project_reduced, invariants_reduced(m, pot)
     elif space == "invariants":
         pt = hilbert_map(left_reduce(state))
         y0, rhs, labels = point_to_vec(pt), make_invariant_rhs(m, pot), _POINT_LABELS
-        project = None
-        funcs = dict(invariants_point(m, pot))
+        project, funcs = None, invariants_point(m, pot)
     else:
         raise ValueError(f"unknown space {space!r}")
 
@@ -225,15 +225,12 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     else:
         raise ValueError("reduce needs --state or --trajectory")
 
-    lines = ["t,k11,k12,k13,k22,k23,k33,delta,r,C1,C2,C3,stratum"]
+    lines = [",".join(("t", *INVARIANT_CSV_COLUMNS, "C1", "C2", "C3", "stratum"))]
     for t, s in states:
         pt = hilbert_map(left_reduce(s))
         cas = all_casimirs(pt)
-        lines.append(
-            f"{t!r},{pt.k11!r},{pt.k12!r},{pt.k13!r},{pt.k22!r},{pt.k23!r},"
-            f"{pt.k33!r},{pt.delta!r},{pt.r!r},{cas.C1!r},{cas.C2!r},{cas.C3!r},"
-            f"{stratum_classify(pt)}"
-        )
+        cells = map(repr, (t, *pt.as_tuple(), cas.C1, cas.C2, cas.C3))
+        lines.append(",".join((*cells, stratum_classify(pt))))
     out = cfg["out"]
     Path(out).write_text("\n".join(lines) + "\n")
     _write_manifest(out, "reduce", cfg)

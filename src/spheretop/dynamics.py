@@ -6,6 +6,15 @@ Flat vector layouts used by the integrator:
 * invariant variety (8):    ``(k11, k12, k13, k22, k23, k33, r, delta)``
 * unreduced (16):           ``g1, p1, g2, p2`` components in (w, x, y, z) order
 
+Each equation has one definition.  The flat closures ``make_state_rhs``,
+``make_reduced_rhs`` (both sides) and ``make_invariant_rhs`` define the vector
+fields; ``rhs_left``, ``rhs_right`` and ``rhs_full_reduced`` are adapters that
+convert a typed state to the flat vector, call the closure and wrap the
+result.  :meth:`HamiltonianKind.reduced_hamiltonian` defines the value and the
+gradient of each reduced Hamiltonian; ``evaluate_reduced_hamiltonian``,
+``poisson.hamiltonian_gradient`` and the ``"H"`` entries of the
+``invariants_*`` dicts read it.
+
 The integrator is an embedded Dormand-Prince 5(4) pair with PI step-size
 control.  Conservation is monitored, never enforced: the optional projection
 hook renormalises group components and re-orthogonalises momenta after
@@ -30,6 +39,7 @@ from .reduction import (
     casimir_C2_invariant,
     casimir_C3,
     casimir_C2_direct,
+    hilbert_map,
 )
 
 KIND_TWO_BODY = "two_body"
@@ -86,6 +96,28 @@ class HamiltonianKind:
         if not (0.0 < alpha <= 2.0):
             raise ValueError("alpha must lie in (0, 2]")
 
+    def reduced_hamiltonian(self) -> tuple[Callable, Callable]:
+        """``(value, gradient)`` of the reduced Hamiltonian of this kind.
+
+        ``value(a, b, ab, r)`` takes a = |A1|^2, b = |A2|^2, ab = <A1, A2> and
+        r = Re gD; ``gradient(p)`` is dH/dx at an InvariantPoint over the
+        generators in the order (k11, k12, k13, k22, k23, k33, r, delta).
+        """
+        if self.tag == KIND_TWO_BODY:
+            m1, m2, pot = self.masses.m1, self.masses.m2, self.potential
+            return (lambda a, b, ab, r: a / (2.0 * m1) + b / (2.0 * m2) + pot.v(r),
+                    lambda p: (0.5 / m1, 0.0, 0.0, 0.5 / m2, 0.0, 0.0, -pot.f(p.r), 0.0))
+        al, g = self.alpha, self.gamma
+        if self.tag == KIND_LAGRANGE:
+            c, cab = (1.0 + al) / 4.0, (1.0 - al) / 2.0
+            return (lambda a, b, ab, r: c * (a + b) + cab * ab + g * r,
+                    lambda p: (c, cab, 0.0, c, 0.0, 0.0, g, 0.0))
+        if self.tag == KIND_LAGRANGE_ALTERED:
+            c = al / 2.0
+            return (lambda a, b, ab, r: c * (a + b) + g * r,
+                    lambda p: (c, 0.0, 0.0, c, 0.0, 0.0, g, 0.0))
+        raise ValueError(f"unknown hamiltonian kind {self.tag!r}")
+
     def equivalent_two_body(self) -> tuple[MassParams, Potential]:
         """Equal masses 1/alpha with the linear potential: generates the same
         fully reduced flow as either spinning-top Hamiltonian."""
@@ -96,8 +128,17 @@ class HamiltonianKind:
 
 
 # ---------------------------------------------------------------------------
-# right-hand sides (domain-typed)
+# typed adapters over the flat vector fields below
 # ---------------------------------------------------------------------------
+
+def _reduced_field(
+    rs: ReducedState, m: MassParams, pot: Potential, side: str
+) -> tuple[ImaginaryQuaternion, ImaginaryQuaternion, Quaternion]:
+    if rs.side != side:
+        raise ValueError(f"rhs_{side} requires a {side}-reduced state")
+    v = make_reduced_rhs(m, pot, side)(0.0, reduced_to_vec(rs))
+    return ImaginaryQuaternion(*v[0:3]), ImaginaryQuaternion(*v[3:6]), Quaternion(*v[6:10])
+
 
 def rhs_left(
     rs: ReducedState, m: MassParams, pot: Potential
@@ -107,13 +148,7 @@ def rhs_left(
     A1' = +f(r) Im(gD),  A2' = -f(r) Im(gD),
     gD' = -(A1/m1) gD + gD (A2/m2),  with r = Re gD.
     """
-    if rs.side != SIDE_LEFT:
-        raise ValueError("rhs_left requires a left-reduced state")
-    f = pot.f(rs.gD.w)
-    gbar = rs.gD.imag()
-    gdot = (quat_mul(rs.gD, (1.0 / m.m2) * rs.A2.as_quaternion())
-            - quat_mul((1.0 / m.m1) * rs.A1.as_quaternion(), rs.gD))
-    return f * gbar, (-f) * gbar, gdot
+    return _reduced_field(rs, m, pot, SIDE_LEFT)
 
 
 def rhs_right(
@@ -124,13 +159,7 @@ def rhs_right(
     A1' = -f(r) Im(gD),  A2' = +f(r) Im(gD),
     gD' = +(A1/m1) gD - gD (A2/m2).
     """
-    if rs.side != SIDE_RIGHT:
-        raise ValueError("rhs_right requires a right-reduced state")
-    f = pot.f(rs.gD.w)
-    gbar = rs.gD.imag()
-    gdot = (quat_mul((1.0 / m.m1) * rs.A1.as_quaternion(), rs.gD)
-            - quat_mul(rs.gD, (1.0 / m.m2) * rs.A2.as_quaternion()))
-    return (-f) * gbar, f * gbar, gdot
+    return _reduced_field(rs, m, pot, SIDE_RIGHT)
 
 
 def rhs_full_reduced(pt: InvariantPoint, m: MassParams, pot: Potential) -> tuple[float, ...]:
@@ -138,19 +167,7 @@ def rhs_full_reduced(pt: InvariantPoint, m: MassParams, pot: Potential) -> tuple
 
     Returned in the vector order (k11, k12, k13, k22, k23, k33, r, delta).
     """
-    f = pot.f(pt.r)
-    m1, m2 = m.m1, m.m2
-    return (
-        2.0 * f * pt.k13,
-        f * (pt.k23 - pt.k13),
-        f * pt.k33 - pt.r * (pt.k11 / m1 - pt.k12 / m2) - pt.delta / m2,
-        -2.0 * f * pt.k23,
-        -f * pt.k33 - pt.r * (pt.k12 / m1 - pt.k22 / m2) + pt.delta / m1,
-        2.0 * pt.r * (pt.k23 / m2 - pt.k13 / m1),
-        pt.k13 / m1 - pt.k23 / m2,
-        (pt.k12 * pt.k13 - pt.k11 * pt.k23) / m1
-        + (pt.k13 * pt.k22 - pt.k12 * pt.k23) / m2,
-    )
+    return make_invariant_rhs(m, pot)(0.0, pt.as_tuple())
 
 
 def reconstruct_rhs(g1: Quaternion, R1: ImaginaryQuaternion, m1: float) -> Quaternion:
@@ -158,24 +175,18 @@ def reconstruct_rhs(g1: Quaternion, R1: ImaginaryQuaternion, m1: float) -> Quate
     return quat_mul(g1, (1.0 / m1) * R1.as_quaternion())
 
 
+def _hamiltonian_args(x) -> tuple[float, float, float, float]:
+    """(|A1|^2, |A2|^2, <A1, A2>, Re gD) of a ReducedState or InvariantPoint."""
+    if isinstance(x, ReducedState):
+        return x.A1.norm2(), x.A2.norm2(), x.A1.dot(x.A2), x.gD.w
+    if isinstance(x, InvariantPoint):
+        return x.k11, x.k22, x.k12, x.r
+    raise TypeError("expected ReducedState or InvariantPoint")
+
+
 def evaluate_reduced_hamiltonian(kind: HamiltonianKind, x) -> float:
     """Reduced Hamiltonian of the given kind at a ReducedState or InvariantPoint."""
-    if isinstance(x, ReducedState):
-        a, b = x.A1.norm2(), x.A2.norm2()
-        ab = x.A1.dot(x.A2)
-        r = x.gD.w
-    elif isinstance(x, InvariantPoint):
-        a, b, ab, r = x.k11, x.k22, x.k12, x.r
-    else:
-        raise TypeError("expected ReducedState or InvariantPoint")
-    if kind.tag == KIND_TWO_BODY:
-        return a / (2.0 * kind.masses.m1) + b / (2.0 * kind.masses.m2) + kind.potential.v(r)
-    if kind.tag == KIND_LAGRANGE:
-        return ((1.0 + kind.alpha) / 4.0 * (a + b)
-                + (1.0 - kind.alpha) / 2.0 * ab + kind.gamma * r)
-    if kind.tag == KIND_LAGRANGE_ALTERED:
-        return kind.alpha / 2.0 * (a + b) + kind.gamma * r
-    raise ValueError(f"unknown hamiltonian kind {kind.tag!r}")
+    return kind.reduced_hamiltonian()[0](*_hamiltonian_args(x))
 
 
 # ---------------------------------------------------------------------------
@@ -470,26 +481,21 @@ def drift_summary(traj: Trajectory, funcs: dict) -> dict:
 
 
 def invariants_reduced(m: MassParams, pot: Potential) -> dict:
-    """H, C1, C2 as functions of a flat reduced vector."""
-    def ham(v):
-        rs = vec_to_reduced(v)
-        return (rs.A1.norm2() / (2.0 * m.m1) + rs.A2.norm2() / (2.0 * m.m2)
-                + pot.v(rs.gD.w))
-
+    """H, C1, C2 and C3 as functions of a flat reduced vector (either side)."""
+    ham = HamiltonianKind.two_body(m, pot).reduced_hamiltonian()[0]
     return {
-        "H": ham,
+        "H": lambda v: ham(*_hamiltonian_args(vec_to_reduced(v))),
         "C1": lambda v: v[6] ** 2 + v[7] ** 2 + v[8] ** 2 + v[9] ** 2,
         "C2": lambda v: casimir_C2_direct(vec_to_reduced(v)),
+        "C3": lambda v: casimir_C3(hilbert_map(vec_to_reduced(v))),
     }
 
 
 def invariants_point(m: MassParams, pot: Potential) -> dict:
     """H, all three Casimirs, and the variety defect on flat invariant vectors."""
-    def ham(v):
-        return v[0] / (2.0 * m.m1) + v[3] / (2.0 * m.m2) + pot.v(v[6])
-
+    ham = HamiltonianKind.two_body(m, pot).reduced_hamiltonian()[0]
     return {
-        "H": ham,
+        "H": lambda v: ham(v[0], v[3], v[1], v[6]),
         "C1": lambda v: v[5] + v[6] ** 2,
         "C2": lambda v: casimir_C2_invariant(vec_to_point(v)),
         "C3": lambda v: casimir_C3(vec_to_point(v)),
@@ -498,12 +504,18 @@ def invariants_point(m: MassParams, pot: Potential) -> dict:
 
 
 def invariants_state(m: MassParams, pot: Potential) -> dict:
+    """H, C2, C3 and the Casimir C1 = |g1^{-1} g2|^2 on flat unreduced vectors."""
     from .phase_space import hamiltonian_2body, momentum_left, momentum_right
+
+    def c1(v):
+        s = vec_to_state(v)
+        return (s.g1.inverse() * s.g2).norm2()
 
     return {
         "H": lambda v: hamiltonian_2body(vec_to_state(v), m, pot),
         "C2": lambda v: momentum_left(vec_to_state(v)).norm2(),
         "C3": lambda v: momentum_right(vec_to_state(v)).norm2(),
+        "C1": c1,
     }
 
 

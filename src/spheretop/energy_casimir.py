@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import io
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,10 +143,6 @@ def _surface_worker(args) -> tuple[int, tuple | None, tuple | None]:
                               family, phi1, classify))
 
 
-def default_workers() -> int:
-    return int(os.environ.get("SPHERETOP_WORKERS", "1"))
-
-
 def ec_surface(
     family: str,
     theta_range: tuple[float, float],
@@ -166,8 +161,8 @@ def ec_surface(
     For the right-angled family the first grid axis runs over phi1 instead of
     theta (supply ``phi1_range``).  Failures of individual samples are
     collected, not raised.  Sample evaluation is independent per grid node;
-    with ``workers`` > 1 (default from SPHERETOP_WORKERS) a process pool is
-    used and results are reassembled in grid order.  The pool rebuilds the
+    with ``workers`` > 1 a process pool is used and results are reassembled
+    in grid order; ``None`` or 1 means serial.  The pool rebuilds the
     potential from its name, so it takes the gravitational and linear kinds
     only; the serial path takes any ``Potential``.
     """
@@ -181,8 +176,7 @@ def ec_surface(
         firsts = [(t, phi1) for t in np.linspace(theta_range[0], theta_range[1], n_a)]
     nodes = [(float(theta), p1, float(tau)) for theta, p1 in firsts for tau in taus]
 
-    workers = default_workers() if workers is None else workers
-    if workers > 1:
+    if workers is not None and workers > 1:
         import multiprocessing as mp
 
         pkind, pextra = _potential_spec(pot)

@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .dynamics import HamiltonianKind, KIND_LAGRANGE, KIND_LAGRANGE_ALTERED, KIND_TWO_BODY
+from .dynamics import HamiltonianKind
 from .quaternion import ImaginaryQuaternion, Quaternion, inner_product, quat_mul
-from .reduction import InvariantPoint, ReducedState, SIDE_LEFT
+from .reduction import INVARIANT_CSV_COLUMNS, InvariantPoint, ReducedState, SIDE_LEFT
 
-GENERATORS = ("k11", "k12", "k13", "k22", "k23", "k33", "r", "delta")
+GENERATORS = INVARIANT_CSV_COLUMNS
 
 
 class OffVarietyError(ValueError):
@@ -158,26 +158,7 @@ def integral_I_gradient(alpha: float, gamma: float) -> Callable[[InvariantPoint]
 
 def hamiltonian_gradient(kind: HamiltonianKind) -> Callable[[InvariantPoint], tuple]:
     """Analytic gradient over the generators for the named Hamiltonians."""
-    if kind.tag == KIND_TWO_BODY:
-        m1, m2 = kind.masses.m1, kind.masses.m2
-        pot = kind.potential
-
-        def grad(p: InvariantPoint) -> tuple[float, ...]:
-            return (0.5 / m1, 0.0, 0.0, 0.5 / m2, 0.0, 0.0, -pot.f(p.r), 0.0)
-    elif kind.tag == KIND_LAGRANGE:
-        a, g = kind.alpha, kind.gamma
-
-        def grad(p: InvariantPoint) -> tuple[float, ...]:
-            return ((1.0 + a) / 4.0, (1.0 - a) / 2.0, 0.0,
-                    (1.0 + a) / 4.0, 0.0, 0.0, g, 0.0)
-    elif kind.tag == KIND_LAGRANGE_ALTERED:
-        a, g = kind.alpha, kind.gamma
-
-        def grad(p: InvariantPoint) -> tuple[float, ...]:
-            return (a / 2.0, 0.0, 0.0, a / 2.0, 0.0, 0.0, g, 0.0)
-    else:
-        raise ValueError(f"unknown hamiltonian kind {kind.tag!r}")
-    return grad
+    return kind.reduced_hamiltonian()[1]
 
 
 def casimir_gradient(name: str) -> Callable[[InvariantPoint], tuple]:

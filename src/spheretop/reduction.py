@@ -7,13 +7,20 @@ conjugation action lands on a semialgebraic variety in R^8 coordinatised by
 the pairwise inner products ``k_ij`` of ``(A1, A2, Im gD)``, the determinant
 ``delta`` and the real part ``r`` of ``gD``.  The variety is cut out by
 ``delta^2 = det(k_ij)`` and the Cauchy-Schwarz inequalities.
+
+The field order of :class:`InvariantPoint`, ``(k11, k12, k13, k22, k23, k33,
+r, delta)``, is the one order of the eight invariants: ``as_tuple`` /
+``from_tuple``, :data:`INVARIANT_CSV_COLUMNS`, ``poisson.GENERATORS``, the
+flat 8-vector of the integrator and the invariant columns of every CSV
+follow it.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 from .phase_space import PhaseState
 from .quaternion import ImaginaryQuaternion, Quaternion, quat_mul
@@ -26,8 +33,6 @@ STRATUM_SO2 = "so2_isotropy"
 STRATUM_FULL = "full_isotropy"
 
 C2_AGREEMENT_TOL = 1e-10
-
-INVARIANT_CSV_COLUMNS = ("k11", "k12", "k13", "k22", "k23", "k33", "delta", "r")
 
 
 @dataclass(frozen=True)
@@ -45,9 +50,12 @@ class ReducedState:
     side: str = SIDE_LEFT
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class InvariantPoint:
-    """A point of the fully reduced semialgebraic variety in R^8."""
+    """A point of the fully reduced semialgebraic variety in R^8.
+
+    Keyword-only, so that no call can depend on the field order.
+    """
 
     k11: float
     k12: float
@@ -55,17 +63,15 @@ class InvariantPoint:
     k22: float
     k23: float
     k33: float
-    delta: float
     r: float
+    delta: float
 
     def as_tuple(self) -> tuple[float, ...]:
-        return (self.k11, self.k12, self.k13, self.k22, self.k23,
-                self.k33, self.r, self.delta)
+        return _invariant_values(self)
 
     @classmethod
     def from_tuple(cls, v) -> "InvariantPoint":
-        k11, k12, k13, k22, k23, k33, r, delta = v
-        return cls(k11, k12, k13, k22, k23, k33, delta, r)
+        return cls(**dict(zip(INVARIANT_CSV_COLUMNS, v, strict=True)))
 
     def gram_det(self) -> float:
         return (self.k11 * (self.k22 * self.k33 - self.k23 * self.k23)
@@ -90,6 +96,10 @@ class InvariantPoint:
                 raise ValueError("Cauchy-Schwarz inequality violated")
         if abs(self.variety_defect()) > tol * scale ** 3:
             raise ValueError("point violates delta^2 = det(k_ij)")
+
+
+INVARIANT_CSV_COLUMNS = tuple(f.name for f in fields(InvariantPoint))
+_invariant_values = attrgetter(*INVARIANT_CSV_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -195,8 +205,8 @@ def hilbert_map(rs: ReducedState) -> InvariantPoint:
         k22=v2.dot(v2),
         k23=v2.dot(v3),
         k33=v3.dot(v3),
-        delta=v1.cross(v2).dot(v3),
         r=rs.gD.w,
+        delta=v1.cross(v2).dot(v3),
     )
 
 
@@ -256,6 +266,5 @@ def invariant_csv_rows(points) -> str:
     buf = io.StringIO()
     buf.write(",".join(INVARIANT_CSV_COLUMNS) + "\n")
     for pt in points:
-        buf.write(f"{pt.k11!r},{pt.k12!r},{pt.k13!r},{pt.k22!r},"
-                  f"{pt.k23!r},{pt.k33!r},{pt.delta!r},{pt.r!r}\n")
+        buf.write(",".join(map(repr, pt.as_tuple())) + "\n")
     return buf.getvalue()

@@ -1,9 +1,15 @@
+import dataclasses
 import json
 import math
+from pathlib import Path
 
 import numpy as np
+import pytest
 
+from spheretop import cli
 from spheretop.cli import main
+from spheretop.poisson import GENERATORS
+from spheretop.reduction import INVARIANT_CSV_COLUMNS, InvariantPoint
 
 
 def run(args):
@@ -62,6 +68,26 @@ class TestSimulate:
         manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
         assert manifest["config"]["seed"] == 3
         assert manifest["config"]["out"] == str(out)
+        assert manifest["config"]["potential"] == "linear:0.5"
+
+    def test_flag_overrides_scenario_parameters(self, tmp_path):
+        runs = {}
+        for i, pot in enumerate(("linear:1.0", "linear:5")):
+            out = tmp_path / f"run{i}.csv"
+            assert run(["simulate", "--scenario", "random", "--seed", "3", "--T", "1",
+                        "--potential", pot, "--out", out]) == 0
+            manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+            assert manifest["config"]["potential"] == pot
+            runs[pot] = out.read_text()
+        assert runs["linear:1.0"] != runs["linear:5"]
+
+    def test_contradicting_the_re_scenario_fails(self, tmp_path, capsys):
+        for flag, val in (("--m1", 3), ("--potential", "linear:1.0")):
+            out = tmp_path / "demo.csv"
+            assert run(["simulate", "--scenario", "re-acute-demo", "--T", "1",
+                        flag, val, "--out", out]) == 4
+            assert flag in capsys.readouterr().err
+            assert not out.exists()
 
     def test_unknown_config_keys_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -120,6 +146,28 @@ class TestReduce:
             assert np.allclose(a[col], b[col], atol=1e-6), col
 
 
+def test_one_invariant_order(tmp_path):
+    order = tuple(f.name for f in dataclasses.fields(InvariantPoint))
+    assert order == ("k11", "k12", "k13", "k22", "k23", "k33", "r", "delta")
+    assert GENERATORS == cli._POINT_LABELS == INVARIANT_CSV_COLUMNS == order
+    with pytest.raises(TypeError):
+        InvariantPoint(0, 0, 0, 0, 0, 0, 0, 1.0)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({
+        "g1": [1, 0, 0, 0], "p1": [0, 0.4, 0.1, 0],
+        "g2": [0, 0, 1, 0], "p2": [0, 0.2, 0, -0.3],
+    }))
+    full, inv, red = tmp_path / "full.csv", tmp_path / "inv.csv", tmp_path / "red.csv"
+    for space, out in (("full", full), ("invariants", inv)):
+        assert run(["simulate", "--state", state, "--space", space, "--T", "1",
+                    "--potential", "linear:1.0", "--out", out]) == 0
+    assert run(["reduce", "--trajectory", full, "--potential", "linear:1.0",
+                "--out", red]) == 0
+    for path in (inv, red):
+        header = path.read_text().splitlines()[0].split(",")
+        assert tuple(c for c in header if c in order) == order, path.name
+
+
 class TestClassify:
     def test_re_record(self, capsys):
         assert run(["re", "--theta", 1.0, "--eta", 1, "--m1", 1, "--m2", 1,
@@ -139,6 +187,13 @@ class TestClassify:
         record = json.loads(capsys.readouterr().out)
         assert record["classification"] == "linearly_unstable"
         assert record["zero_count"] == 4
+
+    def test_lagrange_alpha_outside_its_range_is_rejected(self, capsys):
+        for alpha in (0, 3):
+            assert run(["stability", "--potential", "lagrange", "--alpha", alpha,
+                        "--gamma", 1, "--theta", 0.3]) == 4
+            captured = capsys.readouterr()
+            assert "alpha" in captured.err and captured.out == ""
 
     def test_stability_acute_two_body(self, capsys):
         assert run(["stability", "--theta", 0.9, "--eta", 1.2, "--m1", 3,

@@ -84,7 +84,7 @@ class TestReducedVectorField:
 
 class TestInvariantVectorField:
     def test_pole_is_static(self):
-        pt = InvariantPoint(0, 0, 0, 0, 0, 0, 0, 1.0)
+        pt = InvariantPoint(k11=0, k12=0, k13=0, k22=0, k23=0, k33=0, r=1.0, delta=0)
         assert rhs_full_reduced(pt, M11, LIN) == pytest.approx((0,) * 8)
 
     def test_force_free_drift(self):
@@ -111,6 +111,20 @@ class TestInvariantVectorField:
             assert np.allclose(fd, direct, atol=1e-6)
 
 
+def test_typed_fields_are_the_flat_closures(rng):
+    m = MassParams(1.3, 0.7)
+    pot = Potential.gravitational(m)
+    for _ in range(20):
+        rs = random_reduced_state(rng)
+        for side, typed in (("left", rhs_left), ("right", rhs_right)):
+            sided = ReducedState(A1=rs.A1, A2=rs.A2, gD=rs.gD, side=side)
+            a1, a2, g = typed(sided, m, pot)
+            flat = make_reduced_rhs(m, pot, side)(0.0, reduced_to_vec(sided))
+            assert a1.components() + a2.components() + g.components() == flat
+        pt = hilbert_map(rs)
+        assert rhs_full_reduced(pt, m, pot) == make_invariant_rhs(m, pot)(0.0, point_to_vec(pt))
+
+
 class TestReconstruction:
     def test_zero_momentum(self):
         assert reconstruct_rhs(ONE, imag(0, 0, 0), 1.0).norm() == 0.0
@@ -131,13 +145,13 @@ class TestReconstruction:
 
 class TestReducedHamiltonians:
     def test_two_body_rest(self):
-        pt = InvariantPoint(0, 0, 0, 0, 0, 0, 0, 1.0)
+        pt = InvariantPoint(k11=0, k12=0, k13=0, k22=0, k23=0, k33=0, r=1.0, delta=0)
         kind = HamiltonianKind.two_body(M11, LIN)
         assert evaluate_reduced_hamiltonian(kind, pt) == pytest.approx(1.0)
 
     def test_altered_form_substitution(self):
         # alpha/2 (k11+k22) + gamma r at k11=k22=1, r=0 and alpha=2 is 2
-        pt = InvariantPoint(1.0, 0.0, 0, 1.0, 0, 0, 0, 0.0)
+        pt = InvariantPoint(k11=1.0, k12=0.0, k13=0, k22=1.0, k23=0, k33=0, r=0.0, delta=0)
         kind = HamiltonianKind.lagrange_altered(2.0, 1.0)
         assert evaluate_reduced_hamiltonian(kind, pt) == pytest.approx(2.0)
 

@@ -225,7 +225,7 @@ class TestJacobiIdentity:
 
 class TestExtraIntegral:
     def test_zero_point(self):
-        pt = InvariantPoint(0, 0, 0, 0, 0, 0, 0, 1.0)
+        pt = InvariantPoint(k11=0, k12=0, k13=0, k22=0, k23=0, k33=0, r=1.0, delta=0)
         assert integral_I(pt, 2.0, 1.0) == 0.0
 
     def test_substitution(self):

@@ -195,11 +195,11 @@ class TestHilbertMap:
 
 class TestThirdCasimir:
     def test_zero_point(self):
-        pt = InvariantPoint(0, 0, 0, 0, 0, 0, 0, 1.0)
+        pt = InvariantPoint(k11=0, k12=0, k13=0, k22=0, k23=0, k33=0, r=1.0, delta=0)
         assert casimir_C3(pt) == 0.0
 
     def test_opposite_momenta_leaf(self):
-        pt = InvariantPoint(1.0, -1.0, 0, 1.0, 0, 0, 0, 1.0)
+        pt = InvariantPoint(k11=1.0, k12=-1.0, k13=0, k22=1.0, k23=0, k33=0, r=1.0, delta=0)
         assert casimir_C3(pt) == pytest.approx(0.0)
 
     def test_pipeline_matches_momentum(self):
@@ -220,7 +220,7 @@ class TestThirdCasimir:
 
 class TestStrata:
     def test_poles_have_full_isotropy(self):
-        pt = InvariantPoint(0, 0, 0, 0, 0, 0, 0, 1.0)
+        pt = InvariantPoint(k11=0, k12=0, k13=0, k22=0, k23=0, k33=0, r=1.0, delta=0)
         assert stratum_classify(pt) == "full_isotropy"
 
     def test_cocircular_states_have_so2(self):
@@ -298,5 +298,5 @@ def test_csv_emission_column_order(rng):
     assert len(text.splitlines()) == 4
     first = [float(c) for c in text.splitlines()[1].split(",")]
     assert first[0] == pytest.approx(pts[0].k11)
-    assert first[6] == pytest.approx(pts[0].delta)
-    assert first[7] == pytest.approx(pts[0].r)
+    assert first[6] == pytest.approx(pts[0].r)
+    assert first[7] == pytest.approx(pts[0].delta)
