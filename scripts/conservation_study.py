@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Drift of the conserved quantities against integrator tolerance.
 
-Integrates one generic trajectory on the translation-reduced space and on
-the invariant variety to T = 100 over a range of tolerances and prints the
+Draws one generic phase-space state, reduces it, and integrates the same
+trajectory on the unreduced space, the translation-reduced space and the
+invariant variety to T = 100 over a range of tolerances, printing the
 observed relative drifts.  Conservation is monitored, never enforced, so the
 drift should track the tolerance until it hits the floating-point floor.
 """
@@ -18,32 +19,35 @@ from spheretop.dynamics import (
     integrate,
     invariants_point,
     invariants_reduced,
+    invariants_state,
     make_invariant_rhs,
     make_reduced_rhs,
+    make_state_rhs,
     point_to_vec,
     reduced_to_vec,
-    vec_to_reduced,
+    state_to_vec,
 )
-from spheretop.phase_space import MassParams, Potential
-from spheretop.reduction import hilbert_map
+from spheretop.phase_space import MassParams, Potential, random_phase_state
+from spheretop.reduction import hilbert_map, left_reduce
 
 
 def main(seed: str = "3") -> int:
     rng = np.random.default_rng(int(seed))
     m = MassParams(1.0, 1.4)
     pot = Potential.linear(0.9)
-    g = rng.normal(size=4)
-    g /= np.linalg.norm(g)
-    y0 = tuple(rng.normal(scale=0.5, size=6)) + tuple(g)
-    pt0 = point_to_vec(hilbert_map(vec_to_reduced(y0)))
+    state = random_phase_state(rng, momentum_scale=0.5)
+    rs = left_reduce(state)
+    levels = (
+        ("full", make_state_rhs(m, pot), state_to_vec(state), invariants_state(m, pot)),
+        ("reduced", make_reduced_rhs(m, pot), reduced_to_vec(rs), invariants_reduced(m, pot)),
+        ("invariant", make_invariant_rhs(m, pot), point_to_vec(hilbert_map(rs)),
+         invariants_point(m, pot)),
+    )
 
     print(f"{'tol':>8} {'space':>10} {'steps':>7} {'sec':>6}  drift per invariant")
     for tol in (1e-6, 1e-8, 1e-10, 1e-12):
         cfg = FlowConfig(rel_tol=tol, abs_tol=tol)
-        for label, rhs, start, funcs in (
-            ("reduced", make_reduced_rhs(m, pot), y0, invariants_reduced(m, pot)),
-            ("invariant", make_invariant_rhs(m, pot), pt0, invariants_point(m, pot)),
-        ):
+        for label, rhs, start, funcs in levels:
             t0 = time.perf_counter()
             traj = integrate(rhs, start, 100.0, cfg, sample_dt=5.0)
             dt = time.perf_counter() - t0

@@ -12,6 +12,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from .dynamics import (
     FlowConfig,
     HamiltonianKind,
     SingularityError,
+    drift_summary,
     integrate,
     invariants_point,
     invariants_reduced,
@@ -34,6 +36,7 @@ from .dynamics import (
     project_reduced,
     project_state,
     reduced_to_vec,
+    sample_columns,
     state_to_vec,
     trajectory_csv,
     vec_to_state,
@@ -89,8 +92,10 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     return cfg
 
 
-def _write_manifest(out_path: str, command: str, cfg: dict) -> None:
+def _write_manifest(out_path: str, command: str, cfg: dict, run: dict | None = None) -> None:
     manifest = {"command": command, "version": __version__, "config": cfg}
+    if run is not None:
+        manifest["run"] = run
     path = Path(str(out_path) + ".manifest.json")
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -183,19 +188,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     flow_cfg = FlowConfig(rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"],
                           projection=bool(cfg["projection"]))
+    start = time.perf_counter()
     try:
         traj = integrate(rhs, y0, cfg["T"], flow_cfg,
                          sample_dt=cfg["sample_dt"], project=project)
     except SingularityError as exc:
         print(f"singularity encountered at t = {exc.time}", file=sys.stderr)
         return 3
+    integrated = time.perf_counter()
 
+    # each invariant is evaluated once per row; the CSV and the drift read it
     out = cfg["out"]
-    Path(out).write_text(trajectory_csv(traj, labels, extras=funcs))
-    from .dynamics import drift_summary
-    drift = {f"drift_{k}": v for k, v in drift_summary(traj, funcs).items()}
+    columns = sample_columns(traj, funcs)
+    Path(out).write_text(trajectory_csv(traj, labels, columns=columns))
+    drift = {f"drift_{k}": v for k, v in drift_summary(traj, columns=columns).items()}
     Path(out + ".drift.json").write_text(json.dumps(drift, indent=2, sort_keys=True) + "\n")
-    _write_manifest(out, "simulate", cfg)
+    run = {"steps_accepted": traj.n_accepted, "steps_rejected": traj.n_rejected,
+           "rhs_evals": traj.rhs_evals,
+           "wall_s": {"integrate": integrated - start, "write": time.perf_counter() - integrated}}
+    _write_manifest(out, "simulate", cfg, run)
     print(json.dumps(drift, sort_keys=True))
     return 0
 
@@ -212,7 +223,8 @@ _REDUCE_DEFAULTS = {
 
 def cmd_reduce(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _REDUCE_DEFAULTS)
-    m, pot, _, _ = _masses_potential(cfg)
+    # the invariants, Casimirs and strata do not depend on the masses or the
+    # potential, so those flags are accepted and echoed but not resolved
     states: list[tuple[float, PhaseState]] = []
     if cfg["state"]:
         with open(cfg["state"]) as fh:

@@ -277,24 +277,57 @@ def make_state_rhs(m: MassParams, pot: Potential) -> Callable:
 
     Positions move with g_i' = p_i / m_i; the momentum equations follow from
     p_i = g_i A_i and the reduced flow of the frame momenta A_i.
+
+    With gL = g1^{-1} g2 and r_i = g_i^{-1} p_i:
+    p1' = (p1 r1)/m1 + f(Re gL) g1 Im(gL),  p2' = (p2 r2)/m2 - f(Re gL) g2 Im(gL).
+    Each Hamilton product is written out term by term, including the terms
+    multiplied by the zero real part of Im(gL), so that every component,
+    signed zeros included, is the one the quaternion operations give.
     """
     im1, im2 = 1.0 / m.m1, 1.0 / m.m2
     force = pot.f
 
     def rhs(t, s):
-        g1 = Quaternion(*s[0:4])
-        p1 = Quaternion(*s[4:8])
-        g2 = Quaternion(*s[8:12])
-        p2 = Quaternion(*s[12:16])
-        gL = quat_mul(g1.inverse(), g2)
-        f = force(gL.w)
-        gbar = gL.imag().as_quaternion()
-        r1 = quat_mul(g1.inverse(), p1)
-        r2 = quat_mul(g2.inverse(), p2)
-        p1dot = im1 * quat_mul(p1, r1) + f * quat_mul(g1, gbar)
-        p2dot = im2 * quat_mul(p2, r2) - f * quat_mul(g2, gbar)
-        return ((im1 * p1).components() + p1dot.components()
-                + (im2 * p2).components() + p2dot.components())
+        g1w, g1x, g1y, g1z, p1w, p1x, p1y, p1z, g2w, g2x, g2y, g2z, p2w, p2x, p2y, p2z = s
+        # g1^{-1}, gL = g1^{-1} g2 and the force
+        n1 = g1w * g1w + g1x * g1x + g1y * g1y + g1z * g1z
+        aw, ax, ay, az = g1w / n1, -g1x / n1, -g1y / n1, -g1z / n1
+        lw = aw * g2w - ax * g2x - ay * g2y - az * g2z
+        lx = aw * g2x + ax * g2w + ay * g2z - az * g2y
+        ly = aw * g2y - ax * g2z + ay * g2w + az * g2x
+        lz = aw * g2z + ax * g2y - ay * g2x + az * g2w
+        f = force(lw)
+        # r1 = g1^{-1} p1 and r2 = g2^{-1} p2
+        r1w = aw * p1w - ax * p1x - ay * p1y - az * p1z
+        r1x = aw * p1x + ax * p1w + ay * p1z - az * p1y
+        r1y = aw * p1y - ax * p1z + ay * p1w + az * p1x
+        r1z = aw * p1z + ax * p1y - ay * p1x + az * p1w
+        n2 = g2w * g2w + g2x * g2x + g2y * g2y + g2z * g2z
+        bw, bx, by, bz = g2w / n2, -g2x / n2, -g2y / n2, -g2z / n2
+        r2w = bw * p2w - bx * p2x - by * p2y - bz * p2z
+        r2x = bw * p2x + bx * p2w + by * p2z - bz * p2y
+        r2y = bw * p2y - bx * p2z + by * p2w + bz * p2x
+        r2z = bw * p2z + bx * p2y - by * p2x + bz * p2w
+        return (
+            p1w * im1, p1x * im1, p1y * im1, p1z * im1,
+            im1 * (p1w * r1w - p1x * r1x - p1y * r1y - p1z * r1z)
+            + f * (g1w * 0.0 - g1x * lx - g1y * ly - g1z * lz),
+            im1 * (p1w * r1x + p1x * r1w + p1y * r1z - p1z * r1y)
+            + f * (g1w * lx + g1x * 0.0 + g1y * lz - g1z * ly),
+            im1 * (p1w * r1y - p1x * r1z + p1y * r1w + p1z * r1x)
+            + f * (g1w * ly - g1x * lz + g1y * 0.0 + g1z * lx),
+            im1 * (p1w * r1z + p1x * r1y - p1y * r1x + p1z * r1w)
+            + f * (g1w * lz + g1x * ly - g1y * lx + g1z * 0.0),
+            p2w * im2, p2x * im2, p2y * im2, p2z * im2,
+            im2 * (p2w * r2w - p2x * r2x - p2y * r2y - p2z * r2z)
+            - f * (g2w * 0.0 - g2x * lx - g2y * ly - g2z * lz),
+            im2 * (p2w * r2x + p2x * r2w + p2y * r2z - p2z * r2y)
+            - f * (g2w * lx + g2x * 0.0 + g2y * lz - g2z * ly),
+            im2 * (p2w * r2y - p2x * r2z + p2y * r2w + p2z * r2x)
+            - f * (g2w * ly - g2x * lz + g2y * 0.0 + g2z * lx),
+            im2 * (p2w * r2z + p2x * r2y - p2y * r2x + p2z * r2w)
+            - f * (g2w * lz + g2x * ly - g2y * lx + g2z * 0.0),
+        )
 
     return rhs
 
@@ -340,13 +373,18 @@ class Trajectory:
     ys: list = field(default_factory=list)
     n_accepted: int = 0
     n_rejected: int = 0
+    projected: bool = False
 
     @property
     def final(self):
         return self.ys[-1]
 
-    def rows(self):
-        return zip(self.ts, self.ys)
+    @property
+    def rhs_evals(self) -> int:
+        """Vector-field evaluations the run made: the initial slope, six per
+        attempted step, and one more per accepted step after a projection."""
+        return (1 + 6 * (self.n_accepted + self.n_rejected)
+                + (self.n_accepted if self.projected else 0))
 
 
 def integrate(
@@ -377,7 +415,7 @@ def integrate(
     t = t0
     if not all(math.isfinite(c) for c in y):
         raise SingularityError(t, f"non-finite initial state at t = {t!r}")
-    traj = Trajectory(ts=[t0], ys=[y])
+    traj = Trajectory(ts=[t0], ys=[y], projected=do_project)
     next_sample = t0 + sample_dt if sample_dt is not None else None
 
     try:
@@ -397,18 +435,19 @@ def integrate(
         if h < _MIN_STEP_FACTOR * max(1.0, abs(t)):
             raise SingularityError(t, f"step size underflow at t = {t!r}")
         try:
-            y2 = tuple(yi + h * (_A21 * a) for yi, a in zip(y, k1))
+            # stage vectors are throwaway lists; only ynew is stored
+            y2 = [yi + h * (_A21 * a) for yi, a in zip(y, k1)]
             k2 = rhs(t + _C2 * h, y2)
-            y3 = tuple(yi + h * (_A31 * a + _A32 * b) for yi, a, b in zip(y, k1, k2))
+            y3 = [yi + h * (_A31 * a + _A32 * b) for yi, a, b in zip(y, k1, k2)]
             k3 = rhs(t + _C3 * h, y3)
-            y4 = tuple(yi + h * (_A41 * a + _A42 * b + _A43 * c)
-                       for yi, a, b, c in zip(y, k1, k2, k3))
+            y4 = [yi + h * (_A41 * a + _A42 * b + _A43 * c)
+                  for yi, a, b, c in zip(y, k1, k2, k3)]
             k4 = rhs(t + _C4 * h, y4)
-            y5 = tuple(yi + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                       for yi, a, b, c, d in zip(y, k1, k2, k3, k4))
+            y5 = [yi + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
+                  for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
             k5 = rhs(t + _C5 * h, y5)
-            y6 = tuple(yi + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                       for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5))
+            y6 = [yi + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
+                  for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)]
             k6 = rhs(t + h, y6)
             ynew = tuple(yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
                          for yi, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6))
@@ -469,15 +508,28 @@ def _initial_step(rhs, t, y, k1, atol, rtol, max_step) -> float:
 # drift diagnostics and trajectory output
 # ---------------------------------------------------------------------------
 
+def sample_columns(traj: Trajectory, funcs: dict) -> dict:
+    """Each function evaluated once at every recorded sample, by name."""
+    return {name: [fn(y) for y in traj.ys] for name, fn in funcs.items()}
+
+
+def _column_drift(values: Sequence[float]) -> float:
+    v0 = values[0]
+    return max(abs(v - v0) for v in values) / max(1.0, abs(v0))
+
+
 def relative_drift(traj: Trajectory, fn: Callable) -> float:
     """max_t |Q(t) - Q(0)| / max(1, |Q(0)|) over the recorded samples."""
-    v0 = fn(traj.ys[0])
-    scale = max(1.0, abs(v0))
-    return max(abs(fn(y) - v0) for y in traj.ys) / scale
+    return _column_drift([fn(y) for y in traj.ys])
 
 
-def drift_summary(traj: Trajectory, funcs: dict) -> dict:
-    return {name: relative_drift(traj, fn) for name, fn in funcs.items()}
+def drift_summary(traj: Trajectory, funcs: dict | None = None, *,
+                  columns: dict | None = None) -> dict:
+    """Relative drift per quantity, from the functions or from the
+    :func:`sample_columns` already evaluated on ``traj``."""
+    if columns is None:
+        columns = sample_columns(traj, funcs)
+    return {name: _column_drift(values) for name, values in columns.items()}
 
 
 def invariants_reduced(m: MassParams, pot: Potential) -> dict:
@@ -519,13 +571,14 @@ def invariants_state(m: MassParams, pot: Potential) -> dict:
     }
 
 
-def trajectory_csv(traj: Trajectory, labels: Sequence[str], extras: dict | None = None) -> str:
-    """CSV text with time, state components and any extra column functions."""
-    extras = extras or {}
+def trajectory_csv(traj: Trajectory, labels: Sequence[str], extras: dict | None = None, *,
+                   columns: dict | None = None) -> str:
+    """CSV text with time, state components and extra columns, given as
+    functions of the state or as :func:`sample_columns` of ``traj``."""
+    if columns is None:
+        columns = sample_columns(traj, extras or {})
     buf = io.StringIO()
-    buf.write(",".join(["t", *labels, *extras.keys()]) + "\n")
-    for t, y in traj.rows():
-        cells = [repr(t)] + [repr(c) for c in y]
-        cells += [repr(fn(y)) for fn in extras.values()]
-        buf.write(",".join(cells) + "\n")
+    buf.write(",".join(["t", *labels, *columns]) + "\n")
+    for t, y, *extra in zip(traj.ts, traj.ys, *columns.values()):
+        buf.write(",".join(map(repr, (t, *y, *extra))) + "\n")
     return buf.getvalue()

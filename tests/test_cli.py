@@ -8,6 +8,7 @@ import pytest
 
 from spheretop import cli
 from spheretop.cli import main
+from spheretop.dynamics import drift_summary, trajectory_csv
 from spheretop.poisson import GENERATORS
 from spheretop.reduction import INVARIANT_CSV_COLUMNS, InvariantPoint
 
@@ -94,6 +95,73 @@ class TestSimulate:
         cfg.write_text(json.dumps({"scenari": "random"}))
         assert run(["simulate", "--config", cfg, "--out", tmp_path / "x.csv"]) == 4
 
+    LABELS = {"full": cli._STATE_LABELS, "left": cli._REDUCED_LABELS,
+              "right": cli._REDUCED_LABELS, "invariants": cli._POINT_LABELS}
+
+    @staticmethod
+    def _record_run(monkeypatch):
+        """Spy on the next simulate run: its trajectory, its vector-field
+        calls, its invariant functions and the calls of each."""
+        seen = {"rhs_calls": 0, "calls": {}}
+        real_integrate = cli.integrate
+
+        def integrate(rhs, *args, **kwargs):
+            def counted(t, y):
+                seen["rhs_calls"] += 1
+                return rhs(t, y)
+
+            seen["traj"] = real_integrate(counted, *args, **kwargs)
+            return seen["traj"]
+
+        def counting(factory):
+            def make(m, pot):
+                seen["funcs"] = factory(m, pot)
+                seen["calls"] = dict.fromkeys(seen["funcs"], 0)
+
+                def wrap(name, fn):
+                    def counted(y):
+                        seen["calls"][name] += 1
+                        return fn(y)
+                    return counted
+
+                return {name: wrap(name, fn) for name, fn in seen["funcs"].items()}
+            return make
+
+        monkeypatch.setattr(cli, "integrate", integrate)
+        for name in ("invariants_state", "invariants_reduced", "invariants_point"):
+            monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
+        return seen
+
+    @pytest.mark.parametrize("space", ["full", "left", "right", "invariants"])
+    def test_each_invariant_is_evaluated_once_per_row(self, tmp_path, monkeypatch, space):
+        seen = self._record_run(monkeypatch)
+        out = tmp_path / "run.csv"
+        assert run(["simulate", "--scenario", "random", "--seed", "5", "--space", space,
+                    "--T", "2", "--out", out]) == 0
+        traj, funcs = seen["traj"], seen["funcs"]
+        assert len(traj.ys) == 21
+        assert seen["calls"] == {name: len(traj.ys) for name in funcs}
+        # the one-pass output is what evaluating twice used to give
+        assert out.read_text() == trajectory_csv(traj, self.LABELS[space], extras=funcs)
+        drift = json.loads(Path(str(out) + ".drift.json").read_text())
+        assert drift == {f"drift_{k}": v for k, v in drift_summary(traj, funcs).items()}
+
+    @pytest.mark.parametrize("space, projection", [
+        ("full", False), ("full", True), ("left", True), ("invariants", True)])
+    def test_manifest_counts_the_run(self, tmp_path, monkeypatch, space, projection):
+        seen = self._record_run(monkeypatch)
+        out = tmp_path / "run.csv"
+        assert run(["simulate", "--scenario", "random", "--seed", "5", "--space", space,
+                    "--T", "2", "--out", out, *(["--projection"] if projection else [])]) == 0
+        record = json.loads(Path(str(out) + ".manifest.json").read_text())["run"]
+        traj = seen["traj"]
+        assert (record["steps_accepted"], record["steps_rejected"]) == \
+            (traj.n_accepted, traj.n_rejected)
+        assert traj.n_accepted > 0
+        assert record["rhs_evals"] == seen["rhs_calls"]
+        assert set(record["wall_s"]) == {"integrate", "write"}
+        assert all(v >= 0.0 for v in record["wall_s"].values())
+
 
 class TestReduce:
     def test_cocircular_trajectory_is_so2(self, tmp_path):
@@ -124,6 +192,19 @@ class TestReduce:
         assert run(["reduce", "--state", state, "--potential", "linear:1.0",
                     "--out", out]) == 0
         assert out.read_text().strip().splitlines()[1].split(",")[-1] == "free"
+
+    def test_masses_and_potential_do_not_matter(self, tmp_path):
+        # reduce used to resolve the potential it never uses, so 'lagrange'
+        # without --alpha/--gamma exited 4
+        full = tmp_path / "full.csv"
+        assert run(["simulate", "--scenario", "random", "--seed", "2", "--space", "full",
+                    "--T", "1", "--out", full]) == 0
+        lag, grav = tmp_path / "lag.csv", tmp_path / "grav.csv"
+        assert run(["reduce", "--trajectory", full, "--potential", "lagrange",
+                    "--out", lag]) == 0
+        assert run(["reduce", "--trajectory", full, "--potential", "grav",
+                    "--out", grav]) == 0
+        assert lag.read_bytes() == grav.read_bytes()
 
     def test_round_trip_matches_invariant_integration(self, tmp_path):
         state = tmp_path / "state.json"

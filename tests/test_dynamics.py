@@ -28,6 +28,7 @@ from spheretop.dynamics import (
     vec_to_state,
 )
 from spheretop.phase_space import (
+    CollisionError,
     MassParams,
     PhaseState,
     Potential,
@@ -35,7 +36,7 @@ from spheretop.phase_space import (
     momentum_right,
     random_phase_state,
 )
-from spheretop.quaternion import I, J, K, ONE, Quaternion, inner_product
+from spheretop.quaternion import I, J, K, ONE, Quaternion, inner_product, quat_mul
 from spheretop.reduction import (
     InvariantPoint,
     ReducedState,
@@ -123,6 +124,99 @@ def test_typed_fields_are_the_flat_closures(rng):
             assert a1.components() + a2.components() + g.components() == flat
         pt = hilbert_map(rs)
         assert rhs_full_reduced(pt, m, pot) == make_invariant_rhs(m, pot)(0.0, point_to_vec(pt))
+
+
+def quaternion_state_rhs(m, pot):
+    """The unreduced field composed from Quaternion operations: the oracle
+    for the flat closure, which must give the same floats bit for bit."""
+    im1, im2 = 1.0 / m.m1, 1.0 / m.m2
+    force = pot.f
+
+    def rhs(t, s):
+        g1 = Quaternion(*s[0:4])
+        p1 = Quaternion(*s[4:8])
+        g2 = Quaternion(*s[8:12])
+        p2 = Quaternion(*s[12:16])
+        gL = quat_mul(g1.inverse(), g2)
+        f = force(gL.w)
+        gbar = gL.imag().as_quaternion()
+        r1 = quat_mul(g1.inverse(), p1)
+        r2 = quat_mul(g2.inverse(), p2)
+        p1dot = im1 * quat_mul(p1, r1) + f * quat_mul(g1, gbar)
+        p2dot = im2 * quat_mul(p2, r2) - f * quat_mul(g2, gbar)
+        return ((im1 * p1).components() + p1dot.components()
+                + (im2 * p2).components() + p2dot.components())
+
+    return rhs
+
+
+class TestUnreducedVectorField:
+    M = MassParams(1.3, 0.7)
+    POTENTIALS = {
+        "grav": Potential.gravitational(M),
+        "linear": Potential.linear(0.8),
+        "custom": Potential.custom(v=lambda r: r ** 3, f=lambda r: -3.0 * r * r),
+    }
+
+    @staticmethod
+    def _states(rng, n):
+        """Unit-sphere states and, like the integrator's stage vectors,
+        states pushed off the sphere and off the tangent spaces."""
+        for i in range(n):
+            v = state_to_vec(random_phase_state(rng, momentum_scale=1.5))
+            if i % 2:
+                v = tuple(c * (1.0 + 1e-3 * e) for c, e in zip(v, rng.normal(size=16)))
+            yield v
+
+    @staticmethod
+    def _signed_zero_states(rng, n):
+        """Positions at +-1, +-i, +-j, +-k and zero momenta, every zero with a
+        random sign: here the sign of a zero output depends on the zero terms
+        of the Hamilton products."""
+        for _ in range(n):
+            v = [math.copysign(0.0, s) for s in rng.choice((-1.0, 1.0), size=16)]
+            for block in (0, 8):
+                k = block + int(rng.integers(4))
+                v[k] = math.copysign(1.0, v[k])
+            yield tuple(v)
+
+    @pytest.mark.parametrize("name", sorted(POTENTIALS))
+    def test_flat_field_matches_the_quaternion_oracle(self, rng, name):
+        pot = self.POTENTIALS[name]
+        flat, oracle = make_state_rhs(self.M, pot), quaternion_state_rhs(self.M, pot)
+        compared = 0
+        for s in (*self._states(rng, 1200), *self._signed_zero_states(rng, 2000)):
+            try:
+                want = oracle(0.0, s)
+            except CollisionError:
+                with pytest.raises(CollisionError):
+                    flat(0.0, s)
+                continue
+            got = flat(0.0, s)
+            assert got == want, s
+            # == treats -0.0 and 0.0 as equal; the signs must agree too
+            assert [math.copysign(1.0, c) for c in got] == \
+                [math.copysign(1.0, c) for c in want], s
+            compared += 1
+        assert compared >= 1000
+
+    def test_both_fields_name_a_collision(self):
+        pot = self.POTENTIALS["grav"]
+        g2 = Quaternion(math.cos(1e-6), math.sin(1e-6), 0.0, 0.0)
+        s = state_to_vec(PhaseState(g1=ONE, p1=J, g2=g2, p2=Quaternion(0.0, 0.0, 0.0, 1.0)))
+        for field in (make_state_rhs(self.M, pot), quaternion_state_rhs(self.M, pot)):
+            with pytest.raises(CollisionError):
+                field(0.0, s)
+
+    @pytest.mark.parametrize("name", ["grav", "linear"])
+    def test_integrate_gives_the_same_trajectory(self, rng, name):
+        pot = self.POTENTIALS[name]
+        y0 = state_to_vec(random_phase_state(rng, momentum_scale=0.6))
+        a = integrate(make_state_rhs(self.M, pot), y0, 5.0, sample_dt=0.5)
+        b = integrate(quaternion_state_rhs(self.M, pot), y0, 5.0, sample_dt=0.5)
+        assert a.ts == b.ts and a.ys == b.ys
+        assert (a.n_accepted, a.n_rejected) == (b.n_accepted, b.n_rejected)
+        assert a.n_accepted > 0
 
 
 class TestReconstruction:
@@ -245,6 +339,19 @@ class TestIntegrator:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FlowConfig(rel_tol=0.0)
+
+    @pytest.mark.parametrize("projection", [False, True])
+    def test_rhs_evals_counts_every_evaluation(self, projection):
+        calls = []
+
+        def pulse(t, y):  # sharp enough to make the controller reject a step
+            calls.append(t)
+            return (1.0 / (0.01 + (t - 3.0) ** 2),)
+
+        cfg = FlowConfig(rel_tol=1e-8, abs_tol=1e-8, projection=projection)
+        traj = integrate(pulse, (0.0,), 10.0, cfg, project=lambda y: y)
+        assert traj.n_rejected > 0
+        assert traj.rhs_evals == len(calls)
 
     def test_horizon_must_follow_the_start(self):
         for t_end in (-5.0, 0.0, float("nan")):
