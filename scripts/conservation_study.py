@@ -25,6 +25,7 @@ from spheretop.dynamics import (
     make_state_rhs,
     point_to_vec,
     reduced_to_vec,
+    sample_columns,
     state_to_vec,
 )
 from spheretop.phase_space import MassParams, Potential, random_phase_state
@@ -51,7 +52,7 @@ def main(seed: str = "3") -> int:
             t0 = time.perf_counter()
             traj = integrate(rhs, start, 100.0, cfg, sample_dt=5.0)
             dt = time.perf_counter() - t0
-            drifts = drift_summary(traj, funcs)
+            drifts = drift_summary(sample_columns(traj, funcs))
             pretty = "  ".join(f"{k}={v:.1e}" for k, v in drifts.items())
             print(f"{tol:8.0e} {label:>10} {traj.n_accepted:7d} {dt:6.2f}  {pretty}")
     return 0

@@ -186,12 +186,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         raise ValueError(f"unknown space {space!r}")
 
-    flow_cfg = FlowConfig(rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"],
-                          projection=bool(cfg["projection"]))
+    flow_cfg = FlowConfig(rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"])
     start = time.perf_counter()
     try:
-        traj = integrate(rhs, y0, cfg["T"], flow_cfg,
-                         sample_dt=cfg["sample_dt"], project=project)
+        traj = integrate(rhs, y0, cfg["T"], flow_cfg, sample_dt=cfg["sample_dt"],
+                         project=project if cfg["projection"] else None)
     except SingularityError as exc:
         print(f"singularity encountered at t = {exc.time}", file=sys.stderr)
         return 3
@@ -200,8 +199,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     # each invariant is evaluated once per row; the CSV and the drift read it
     out = cfg["out"]
     columns = sample_columns(traj, funcs)
-    Path(out).write_text(trajectory_csv(traj, labels, columns=columns))
-    drift = {f"drift_{k}": v for k, v in drift_summary(traj, columns=columns).items()}
+    Path(out).write_text(trajectory_csv(traj, labels, columns))
+    drift = {f"drift_{k}": v for k, v in drift_summary(columns).items()}
     Path(out + ".drift.json").write_text(json.dumps(drift, indent=2, sort_keys=True) + "\n")
     run = {"steps_accepted": traj.n_accepted, "steps_rejected": traj.n_rejected,
            "rhs_evals": traj.rhs_evals,
@@ -268,35 +267,39 @@ _RE_DEFAULTS = {
 }
 
 
-def cmd_re(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _RE_DEFAULTS)
+def _solve_from(cfg: dict, command: str):
+    """The RE the config names, with the top's (alpha, gamma) or Nones."""
     if cfg["theta"] is None:
-        raise ValueError("re needs --theta")
-    m, pot, _, _ = _masses_potential(cfg)
-    re = solve_re(cfg["theta"], cfg["eta"], m, pot,
-                  phi1=cfg["phi1"], xi_mag=cfg["xi"])
-    record = re.to_json_dict()
-    record["lever_residual"] = lever_residual(re)
-    record["fixed_point_residual"] = verify_re_fixed_point(re)
-    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    if cfg["out"]:
-        Path(cfg["out"]).write_text(text)
-        _write_manifest(cfg["out"], "re", cfg)
-    else:
-        sys.stdout.write(text)
-    return 0
-
-
-_STABILITY_DEFAULTS = dict(_RE_DEFAULTS)
-
-
-def cmd_stability(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _STABILITY_DEFAULTS)
-    if cfg["theta"] is None:
-        raise ValueError("stability needs --theta")
+        raise ValueError(f"{command} needs --theta")
     m, pot, alpha, gamma = _masses_potential(cfg)
     re = solve_re(cfg["theta"], cfg["eta"], m, pot,
                   phi1=cfg["phi1"], xi_mag=cfg["xi"])
+    return re, alpha, gamma
+
+
+def _write_record(cfg: dict, command: str, record: dict) -> None:
+    """The JSON record to ``out`` with a manifest, or to stdout."""
+    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    if cfg["out"]:
+        Path(cfg["out"]).write_text(text)
+        _write_manifest(cfg["out"], command, cfg)
+    else:
+        sys.stdout.write(text)
+
+
+def cmd_re(args: argparse.Namespace) -> int:
+    cfg = _resolve(args, _RE_DEFAULTS)
+    re, _, _ = _solve_from(cfg, "re")
+    record = re.to_json_dict()
+    record["lever_residual"] = lever_residual(re)
+    record["fixed_point_residual"] = verify_re_fixed_point(re)
+    _write_record(cfg, "re", record)
+    return 0
+
+
+def cmd_stability(args: argparse.Namespace) -> int:
+    cfg = _resolve(args, _RE_DEFAULTS)
+    re, alpha, gamma = _solve_from(cfg, "stability")
     report = stab.linearize(re)
     record = {
         "kind": re.kind,
@@ -305,18 +308,13 @@ def cmd_stability(args: argparse.Namespace) -> int:
         "zero_count": report.zero_count,
         "classification": report.classification,
     }
-    if pot.kind == "gravitational":
+    if re.potential.kind == "gravitational":
         c0, c2 = stab.charpoly_2body(re)
         record["charpoly"] = {"c0": c0, "c2": c2}
     elif alpha is not None:
         c0, c2 = stab.charpoly_lagrange(re, alpha, gamma)
         record["charpoly"] = {"c0": c0, "c2": c2}
-    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-    if cfg["out"]:
-        Path(cfg["out"]).write_text(text)
-        _write_manifest(cfg["out"], "stability", cfg)
-    else:
-        sys.stdout.write(text)
+    _write_record(cfg, "stability", record)
     return 0
 
 
@@ -400,21 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trajectory")
     p.set_defaults(fn=cmd_reduce)
 
-    p = sub.add_parser("re", help="classify a relative equilibrium")
-    _add_common(p)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--phi1", type=float)
-    p.add_argument("--xi", type=float)
-    p.set_defaults(fn=cmd_re)
-
-    p = sub.add_parser("stability", help="linearise at an RE and classify")
-    _add_common(p)
-    p.add_argument("--theta", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--phi1", type=float)
-    p.add_argument("--xi", type=float)
-    p.set_defaults(fn=cmd_stability)
+    for name, fn, help_ in (("re", cmd_re, "classify a relative equilibrium"),
+                            ("stability", cmd_stability, "linearise at an RE and classify")):
+        p = sub.add_parser(name, help=help_)
+        _add_common(p)
+        for flag in ("--theta", "--eta", "--phi1", "--xi"):
+            p.add_argument(flag, type=float)
+        p.set_defaults(fn=fn)
 
     p = sub.add_parser("ec-surface", help="sample an energy-Casimir bifurcation surface")
     _add_common(p)

@@ -16,10 +16,12 @@ gradient of each reduced Hamiltonian; ``evaluate_reduced_hamiltonian``,
 ``invariants_*`` dicts read it.
 
 The integrator is an embedded Dormand-Prince 5(4) pair with PI step-size
-control.  Conservation is monitored, never enforced: the optional projection
-hook renormalises group components and re-orthogonalises momenta after
-accepted steps but is off by default so that drift stays a meaningful
-diagnostic.
+control.  Conservation is monitored, never enforced: ``integrate`` runs a
+projection hook (renormalise group components, re-orthogonalise momenta)
+after accepted steps only when it is given one, so that by default drift
+stays a meaningful diagnostic.  ``sample_columns`` evaluates the conserved
+quantities once per sample; ``trajectory_csv`` and ``drift_summary`` read
+those columns.
 """
 
 from __future__ import annotations
@@ -59,8 +61,6 @@ class SingularityError(RuntimeError):
 class FlowConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-10
-    max_step: float = math.inf
-    projection: bool = False
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
@@ -393,30 +393,28 @@ def integrate(
     t_end: float,
     cfg: FlowConfig = FlowConfig(),
     *,
-    t0: float = 0.0,
     sample_dt: float | None = None,
     project: Callable | None = None,
 ) -> Trajectory:
-    """Integrate ``y' = rhs(t, y)`` from t0 to t_end and record samples.
+    """Integrate ``y' = rhs(t, y)`` from 0 to t_end and record samples.
 
     With ``sample_dt`` set, accepted steps are clipped so the trajectory
     contains exact hits of the sample times; otherwise every accepted step is
-    recorded.  The projection hook runs after accepted steps only when
-    ``cfg.projection`` is on.  Raises :class:`SingularityError` when the step
-    size underflows, the potential reports a collision, or the state, the
-    initial slope or an error estimate is NaN or infinite; raises
-    ``ValueError`` unless ``t_end > t0``.
+    recorded.  The ``project`` hook, when given, runs after every accepted
+    step.  Raises :class:`SingularityError` when the step size underflows,
+    the potential reports a collision, or the state, the initial slope or an
+    error estimate is NaN or infinite; raises ``ValueError`` unless
+    ``t_end > 0``.
     """
-    if not t_end > t0:
-        raise ValueError(f"t_end = {t_end!r} must exceed t0 = {t0!r}")
+    if not t_end > 0.0:
+        raise ValueError(f"t_end = {t_end!r} must be positive")
     atol, rtol = cfg.abs_tol, cfg.rel_tol
-    do_project = cfg.projection and project is not None
     y = tuple(float(c) for c in y0)
-    t = t0
+    t = 0.0
     if not all(math.isfinite(c) for c in y):
         raise SingularityError(t, f"non-finite initial state at t = {t!r}")
-    traj = Trajectory(ts=[t0], ys=[y], projected=do_project)
-    next_sample = t0 + sample_dt if sample_dt is not None else None
+    traj = Trajectory(ts=[t], ys=[y], projected=project is not None)
+    next_sample = sample_dt
 
     try:
         k1 = rhs(t, y)
@@ -424,12 +422,12 @@ def integrate(
         raise SingularityError(t, f"collision at t = {t!r}: {exc}") from exc
     if not all(math.isfinite(c) for c in k1):
         raise SingularityError(t, f"non-finite vector field at t = {t!r}")
-    h_ctrl = _initial_step(rhs, t, y, k1, atol, rtol, cfg.max_step)
+    h_ctrl = _initial_step(y, k1, atol, rtol)
     err_prev = 1.0
     eps_end = 1e-12 * max(1.0, abs(t_end))
 
     while t < t_end - eps_end:
-        h = min(h_ctrl, cfg.max_step, t_end - t)
+        h = min(h_ctrl, t_end - t)
         if next_sample is not None and t + h > next_sample:
             h = next_sample - t
         if h < _MIN_STEP_FACTOR * max(1.0, abs(t)):
@@ -471,7 +469,7 @@ def integrate(
             t += h
             y = ynew
             k1 = k7
-            if do_project:
+            if project is not None:
                 y = project(y)
                 try:
                     k1 = rhs(t, y)
@@ -496,12 +494,11 @@ def integrate(
     return traj
 
 
-def _initial_step(rhs, t, y, k1, atol, rtol, max_step) -> float:
+def _initial_step(y, k1, atol, rtol) -> float:
     sc = [atol + rtol * abs(yi) for yi in y]
     d0 = math.sqrt(sum((yi / s) ** 2 for yi, s in zip(y, sc)) / len(y))
     d1 = math.sqrt(sum((ki / s) ** 2 for ki, s in zip(k1, sc)) / len(y))
-    h = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    return min(h, max_step)
+    return 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
 
 
 # ---------------------------------------------------------------------------
@@ -513,23 +510,11 @@ def sample_columns(traj: Trajectory, funcs: dict) -> dict:
     return {name: [fn(y) for y in traj.ys] for name, fn in funcs.items()}
 
 
-def _column_drift(values: Sequence[float]) -> float:
-    v0 = values[0]
-    return max(abs(v - v0) for v in values) / max(1.0, abs(v0))
-
-
-def relative_drift(traj: Trajectory, fn: Callable) -> float:
-    """max_t |Q(t) - Q(0)| / max(1, |Q(0)|) over the recorded samples."""
-    return _column_drift([fn(y) for y in traj.ys])
-
-
-def drift_summary(traj: Trajectory, funcs: dict | None = None, *,
-                  columns: dict | None = None) -> dict:
-    """Relative drift per quantity, from the functions or from the
-    :func:`sample_columns` already evaluated on ``traj``."""
-    if columns is None:
-        columns = sample_columns(traj, funcs)
-    return {name: _column_drift(values) for name, values in columns.items()}
+def drift_summary(columns: dict) -> dict:
+    """max_t |Q(t) - Q(0)| / max(1, |Q(0)|) for each of the
+    :func:`sample_columns`, by name."""
+    return {name: max(abs(v - vals[0]) for v in vals) / max(1.0, abs(vals[0]))
+            for name, vals in columns.items()}
 
 
 def invariants_reduced(m: MassParams, pot: Potential) -> dict:
@@ -571,12 +556,9 @@ def invariants_state(m: MassParams, pot: Potential) -> dict:
     }
 
 
-def trajectory_csv(traj: Trajectory, labels: Sequence[str], extras: dict | None = None, *,
-                   columns: dict | None = None) -> str:
-    """CSV text with time, state components and extra columns, given as
-    functions of the state or as :func:`sample_columns` of ``traj``."""
-    if columns is None:
-        columns = sample_columns(traj, extras or {})
+def trajectory_csv(traj: Trajectory, labels: Sequence[str], columns: dict) -> str:
+    """CSV text with time, state components and the :func:`sample_columns`
+    of ``traj``."""
     buf = io.StringIO()
     buf.write(",".join(["t", *labels, *columns]) + "\n")
     for t, y, *extra in zip(traj.ts, traj.ys, *columns.values()):

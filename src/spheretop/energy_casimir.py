@@ -116,18 +116,6 @@ def _sample_from_re(
     )
 
 
-_POT_SPECS = {"gravitational": lambda m, extra: Potential.gravitational(m),
-              "linear": lambda m, extra: Potential.linear(extra)}
-
-
-def _potential_spec(pot: Potential) -> tuple[str, float]:
-    if pot.kind == "gravitational":
-        return ("gravitational", 0.0)
-    if pot.kind == "linear":
-        return ("linear", pot.gamma)
-    raise ValueError("surface workers support the named potential kinds only")
-
-
 def _try_sample(theta, tau, m, pot, family, phi1, classify) -> tuple:
     """(sample, None), or (None, failure record) when the sample raises."""
     try:
@@ -136,11 +124,20 @@ def _try_sample(theta, tau, m, pot, family, phi1, classify) -> tuple:
         return None, (theta, tau, f"{type(exc).__name__}: {exc}")
 
 
-def _surface_worker(args) -> tuple[int, tuple | None, tuple | None]:
-    idx, family, theta, tau, m1, m2, pkind, pextra, phi1, classify = args
-    m = MassParams(m1, m2)
-    return (idx, *_try_sample(theta, tau, m, _POT_SPECS[pkind](m, pextra),
-                              family, phi1, classify))
+# (m, pot, family, classify), set by _init_worker in each forked pool worker;
+# fork copies the arguments, so a Potential of any kind needs no pickling
+_WORKER_ARGS: tuple = ()
+
+
+def _init_worker(shared: tuple) -> None:
+    global _WORKER_ARGS
+    _WORKER_ARGS = shared
+
+
+def _surface_worker(node) -> tuple[int, tuple | None, tuple | None]:
+    idx, theta, phi1, tau = node
+    m, pot, family, classify = _WORKER_ARGS
+    return (idx, *_try_sample(theta, tau, m, pot, family, phi1, classify))
 
 
 def ec_surface(
@@ -151,7 +148,6 @@ def ec_surface(
     m: MassParams,
     pot: Potential,
     *,
-    phi1: float | None = None,
     phi1_range: tuple[float, float] | None = None,
     classify: bool = True,
     workers: int | None = None,
@@ -162,9 +158,8 @@ def ec_surface(
     theta (supply ``phi1_range``).  Failures of individual samples are
     collected, not raised.  Sample evaluation is independent per grid node;
     with ``workers`` > 1 a process pool is used and results are reassembled
-    in grid order; ``None`` or 1 means serial.  The pool rebuilds the
-    potential from its name, so it takes the gravitational and linear kinds
-    only; the serial path takes any ``Potential``.
+    in grid order; ``None`` or 1 means serial.  The pool is forked, so its
+    workers share the caller's masses and ``Potential``, whatever its kind.
     """
     n_a, n_b = grid
     taus = np.linspace(tau_range[0], tau_range[1], n_b)
@@ -173,17 +168,16 @@ def ec_surface(
             raise ValueError("rightAngled surfaces need phi1_range")
         firsts = [(math.pi / 2, p) for p in np.linspace(*phi1_range, n_a)]
     else:
-        firsts = [(t, phi1) for t in np.linspace(theta_range[0], theta_range[1], n_a)]
+        firsts = [(t, None) for t in np.linspace(theta_range[0], theta_range[1], n_a)]
     nodes = [(float(theta), p1, float(tau)) for theta, p1 in firsts for tau in taus]
 
     if workers is not None and workers > 1:
         import multiprocessing as mp
 
-        pkind, pextra = _potential_spec(pot)
-        jobs = [(i, family, theta, tau, m.m1, m.m2, pkind, pextra, p1, classify)
-                for i, (theta, p1, tau) in enumerate(nodes)]
+        jobs = [(i, *node) for i, node in enumerate(nodes)]
         results: list = [None] * len(jobs)
-        with mp.get_context("fork").Pool(workers) as pool:
+        with mp.get_context("fork").Pool(workers, initializer=_init_worker,
+                                         initargs=((m, pot, family, classify),)) as pool:
             for i, s, err in pool.imap_unordered(_surface_worker, jobs, chunksize=64):
                 results[i] = (s, err)
     else:

@@ -117,7 +117,6 @@ def table_flow(
     h_grad: Callable[[InvariantPoint], tuple[float, ...]] | tuple[float, ...],
     at: InvariantPoint,
     allow_off_variety: bool = False,
-    variety_tol: float = 1e-8,
 ) -> tuple[float, ...]:
     """Hamiltonian flow assembled from the structure table.
 
@@ -129,7 +128,7 @@ def table_flow(
     """
     if not allow_off_variety:
         try:
-            at.validate(tol=variety_tol)
+            at.validate()
         except ValueError as exc:
             raise OffVarietyError(str(exc)) from exc
     grads = h_grad(at) if callable(h_grad) else h_grad

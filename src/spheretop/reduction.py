@@ -172,21 +172,20 @@ def casimir_C2_invariant(pt: InvariantPoint) -> float:
             - 4.0 * pt.r * pt.delta)
 
 
-def casimirs(rs: ReducedState, check: bool = True) -> CasimirValues:
+def casimirs(rs: ReducedState) -> CasimirValues:
     """The two Casimirs C1 = |gD|^2 and C2 = |A1 gD + gD A2|^2.
 
-    With ``check`` the quadratic-invariant expression for C2 is evaluated as
-    well and required to agree with the direct product formula; disagreement
-    signals an implementation fault, not bad input.
+    The quadratic-invariant expression for C2 is evaluated as well and
+    required to agree with the direct product formula; disagreement signals
+    an implementation fault, not bad input.
     """
     c1 = rs.gD.norm2()
     c2 = casimir_C2_direct(rs)
-    if check:
-        c2_inv = casimir_C2_invariant(hilbert_map(rs))
-        scale = max(1.0, abs(c2))
-        if abs(c2 - c2_inv) > C2_AGREEMENT_TOL * scale:
-            raise RuntimeError(
-                f"C2 routes disagree: direct {c2!r} vs invariant {c2_inv!r}")
+    c2_inv = casimir_C2_invariant(hilbert_map(rs))
+    scale = max(1.0, abs(c2))
+    if abs(c2 - c2_inv) > C2_AGREEMENT_TOL * scale:
+        raise RuntimeError(
+            f"C2 routes disagree: direct {c2!r} vs invariant {c2_inv!r}")
     return CasimirValues(C1=c1, C2=c2)
 
 

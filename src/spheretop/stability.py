@@ -34,6 +34,7 @@ from .relequil import RelativeEquilibrium, re_from_tau
 
 ZERO_EIG_TOL = 1e-8
 REAL_PART_TOL = 1e-8
+FD_STEP = 1e-5  # smaller step of the fold certificate's extrapolated differences
 
 STABLE = "linearly_stable"
 UNSTABLE = "linearly_unstable"
@@ -74,19 +75,13 @@ def jacobian_full_reduced(pt: InvariantPoint, m: MassParams, pot: Potential) -> 
     ], dtype=float)
 
 
-def linearize(
-    re: RelativeEquilibrium,
-    m: MassParams | None = None,
-    pot: Potential | None = None,
-) -> LinearizationReport:
+def linearize(re: RelativeEquilibrium) -> LinearizationReport:
     """Linearise the fully reduced flow at a relative equilibrium."""
-    m = m or re.masses
-    pot = pot or re.potential
     pt = hilbert_map(left_reduce(re.state))
     scale = max(1.0, abs(pt.k11), abs(pt.k22), abs(pt.k33))
     if max(abs(pt.k13), abs(pt.k23)) > 1e-8 * scale:
         raise ValueError("not a relative equilibrium: k13, k23 must vanish")
-    matrix = jacobian_full_reduced(pt, m, pot)
+    matrix = jacobian_full_reduced(pt, re.masses, re.potential)
     eigs = np.linalg.eigvals(matrix)
     zero_count = int(np.sum(np.abs(eigs) < ZERO_EIG_TOL * max(1.0, np.abs(eigs).max())))
     return LinearizationReport(
@@ -97,19 +92,15 @@ def linearize(
     )
 
 
-def classify_stability_eigs(
-    eigs: np.ndarray,
-    zero_tol: float = ZERO_EIG_TOL,
-    re_tol: float = REAL_PART_TOL,
-) -> str:
+def classify_stability_eigs(eigs: np.ndarray) -> str:
     """Stable: four structural zeros plus a nonzero imaginary quartet;
     unstable: any eigenvalue with positive real part; degenerate otherwise."""
     scale = max(1.0, float(np.abs(eigs).max()))
-    if np.any(eigs.real > re_tol * scale):
+    if np.any(eigs.real > REAL_PART_TOL * scale):
         return UNSTABLE
-    zeros = np.abs(eigs) < zero_tol * scale
+    zeros = np.abs(eigs) < ZERO_EIG_TOL * scale
     rest = eigs[~zeros]
-    if int(zeros.sum()) == 4 and np.all(np.abs(rest.real) <= re_tol * scale):
+    if int(zeros.sum()) == 4 and np.all(np.abs(rest.real) <= REAL_PART_TOL * scale):
         return STABLE
     return DEGENERATE
 
@@ -230,8 +221,6 @@ def fold_locus(
     m: MassParams,
     *,
     tau_max: float = 8.0,
-    n_scan: int = 160,
-    fd_step: float = 1e-5,
 ) -> FoldResult | None:
     """Locate the stability fold of the obtuse gravitational family at theta.
 
@@ -240,7 +229,7 @@ def fold_locus(
     carries the normalised determinant of the finite-difference Jacobian of
     (|lambda|^2, |rho|^2) with respect to (theta, tau), which vanishes on the
     fold; each column is a Richardson-extrapolated central difference with
-    steps ``fd_step`` and ``2 * fd_step``.  Returns None when c0 has no zero,
+    steps ``FD_STEP`` and ``2 * FD_STEP``.  Returns None when c0 has no zero,
     as happens for equal masses.
     """
     if not (math.pi / 2 < theta < math.pi):
@@ -250,7 +239,7 @@ def fold_locus(
     def c0_of_tau(tau: float) -> float:
         return charpoly_2body(re_from_tau(theta, tau, m, pot))[0]
 
-    taus = np.linspace(0.0, tau_max, n_scan)
+    taus = np.linspace(0.0, tau_max, 160)
     vals = [c0_of_tau(t) for t in taus]
     bracket = None
     for a, b, va, vb in zip(taus[:-1], taus[1:], vals[:-1], vals[1:]):
@@ -278,15 +267,15 @@ def fold_locus(
         """Derivative of the momenta along (e_th, e_ta).
 
         A plain central difference would leave a determinant of order
-        fd_step^2 on the fold, so two are Richardson-extrapolated.  The
-        smaller step is fd_step itself: rounding noise, not step error,
+        FD_STEP^2 on the fold, so two are Richardson-extrapolated.  The
+        smaller step is FD_STEP itself: rounding noise, not step error,
         limits the certificate where the |rho|^2 gradient nearly vanishes.
         """
         def central(h: float) -> np.ndarray:
             return (momenta(theta + h * e_th, tau_star + h * e_ta)
                     - momenta(theta - h * e_th, tau_star - h * e_ta)) / (2 * h)
 
-        return (4.0 * central(fd_step) - central(2 * fd_step)) / 3.0
+        return (4.0 * central(FD_STEP) - central(2 * FD_STEP)) / 3.0
 
     jac = np.column_stack([derivative(1.0, 0.0), derivative(0.0, 1.0)])
     norms = np.linalg.norm(jac, axis=1)

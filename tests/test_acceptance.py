@@ -23,6 +23,7 @@ from spheretop.dynamics import (
     point_to_vec,
     reduced_to_vec,
     rhs_full_reduced,
+    sample_columns,
     state_to_vec,
     vec_to_point,
     vec_to_reduced,
@@ -111,11 +112,11 @@ def _conservation_worker(args):
                              + (y[2] + y[5]) ** 2)
     funcs["variety"] = lambda y: hilbert_map(vec_to_reduced(y)).variety_defect()
     traj_l = integrate(make_reduced_rhs(CONS_MASSES, pot), y0, 100.0, sample_dt=5.0)
-    drifts = drift_summary(traj_l, funcs)
+    drifts = drift_summary(sample_columns(traj_l, funcs))
 
     pt0 = point_to_vec(hilbert_map(vec_to_reduced(y0)))
     traj_p = integrate(make_invariant_rhs(CONS_MASSES, pot), pt0, 100.0, sample_dt=5.0)
-    drifts_p = drift_summary(traj_p, invariants_point(CONS_MASSES, pot))
+    drifts_p = drift_summary(sample_columns(traj_p, invariants_point(CONS_MASSES, pot)))
     return max(*drifts.values(), *drifts_p.values())
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from spheretop import cli
 from spheretop.cli import main
-from spheretop.dynamics import drift_summary, trajectory_csv
+from spheretop.dynamics import drift_summary, sample_columns, trajectory_csv
 from spheretop.poisson import GENERATORS
 from spheretop.reduction import INVARIANT_CSV_COLUMNS, InvariantPoint
 
@@ -142,9 +142,11 @@ class TestSimulate:
         assert len(traj.ys) == 21
         assert seen["calls"] == {name: len(traj.ys) for name in funcs}
         # the one-pass output is what evaluating twice used to give
-        assert out.read_text() == trajectory_csv(traj, self.LABELS[space], extras=funcs)
+        assert out.read_text() == trajectory_csv(traj, self.LABELS[space],
+                                                 sample_columns(traj, funcs))
         drift = json.loads(Path(str(out) + ".drift.json").read_text())
-        assert drift == {f"drift_{k}": v for k, v in drift_summary(traj, funcs).items()}
+        assert drift == {f"drift_{k}": v
+                         for k, v in drift_summary(sample_columns(traj, funcs)).items()}
 
     @pytest.mark.parametrize("space, projection", [
         ("full", False), ("full", True), ("left", True), ("invariants", True)])

@@ -126,8 +126,23 @@ class TestSurface:
         expect = ec_surface(*args, Potential.linear(1.0), workers=1)
         assert not got.failures and len(got.samples) == 9
         assert got.samples == expect.samples
-        with pytest.raises(ValueError):  # the pool rebuilds named potentials only
-            ec_surface(*args, custom, workers=2)
+        assert ec_surface(*args, custom, workers=2) == got
+
+    def test_pool_agrees_with_serial_on_a_classified_linear_sheet(self):
+        args = ("isosceles", (0.3, 2.8), (-1.0, 1.0), (6, 5), M11, Potential.linear(1.0))
+        serial = ec_surface(*args, workers=1)
+        assert len(serial.samples) == 30
+        assert {s.stability for s in serial.samples} <= {
+            "linearly_stable", "linearly_unstable", "degenerate"}
+        assert all(s.stability for s in serial.samples)
+        assert ec_surface(*args, workers=2) == serial
+
+    def test_pool_agrees_with_serial_on_gauge_flipped_nodes(self):
+        args = ("rightAngled", (0, 0), (-0.4, 0.4), (7, 3), M11, GRAV11)
+        serial = ec_surface(*args, phi1_range=(-1.2, 1.2))
+        flipped = [s.gauge_flipped for s in serial.samples]
+        assert any(flipped) and not all(flipped)
+        assert ec_surface(*args, phi1_range=(-1.2, 1.2), workers=2) == serial
 
     def test_right_angled_surface(self):
         res = ec_surface("rightAngled", (0, 0), (-0.4, 0.4), (5, 3), M11, GRAV11,

@@ -131,7 +131,7 @@ class TestCasimirs:
 
     def test_both_routes_small_example(self):
         rs = ReducedState(A1=imag(1, 0, 0), A2=imag(0, 1, 0), gD=ONE)
-        vals = casimirs(rs, check=True)
+        vals = casimirs(rs)
         assert vals.C2 == pytest.approx(2.0)
         # invariant-formula side: (0+1)(1+1) + 0 + 0 - 0
         assert casimir_C2_invariant(hilbert_map(rs)) == pytest.approx(2.0)
