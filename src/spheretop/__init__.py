@@ -33,14 +33,12 @@ from .phase_space import (
     momentum_left,
     momentum_right,
     sjamaar_slice_check,
-    verify_cospherical_identity,
 )
 from .reduction import (
     CasimirValues,
     InvariantPoint,
     ReducedState,
     casimir_C3,
-    casimirs,
     degenerate_leaf_sample,
     hilbert_map,
     left_reduce,
@@ -81,7 +79,6 @@ from .stability import (
     LinearizationReport,
     charpoly_2body,
     charpoly_lagrange,
-    classify_stability,
     closed_form_eigs_2body,
     closed_form_eigs_lagrange,
     fold_locus,

@@ -404,10 +404,12 @@ def integrate(
     step.  Raises :class:`SingularityError` when the step size underflows,
     the potential reports a collision, or the state, the initial slope or an
     error estimate is NaN or infinite; raises ``ValueError`` unless
-    ``t_end > 0``.
+    ``t_end`` and ``sample_dt`` (when given) are positive and finite.
     """
-    if not t_end > 0.0:
-        raise ValueError(f"t_end = {t_end!r} must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end = {t_end!r} must be positive and finite")
+    if sample_dt is not None and not 0.0 < sample_dt < math.inf:
+        raise ValueError(f"sample_dt = {sample_dt!r} must be positive and finite")
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     y = tuple(float(c) for c in y0)
     t = 0.0

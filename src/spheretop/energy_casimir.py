@@ -25,7 +25,7 @@ from .phase_space import (
     momentum_left,
     momentum_right,
 )
-from .relequil import RelativeEquilibrium, solve_re, zeta_of
+from .relequil import RelativeEquilibrium, re_from_tau, solve_re
 from . import stability as _stability
 
 EC_CSV_COLUMNS = ("family", "theta", "tau", "H", "lam2", "rho2", "stability")
@@ -70,28 +70,21 @@ def ec_sample(
     phi1: float | None = None,
     classify: bool = True,
 ) -> ECSample:
-    """One point of the energy-Casimir surface at family coordinates (theta, tau)."""
+    """One point of the energy-Casimir surface at family coordinates (theta, tau).
+
+    The RE comes from ``re_from_tau``.  On the right-angled family a phi1
+    whose zeta has the wrong sign for the force is first moved a quarter
+    turn, and the sample is marked ``gauge_flipped``.
+    """
     gauge_flipped = False
-    if abs(theta - math.pi / 2) <= 1e-9:
-        if phi1 is None:
-            raise ValueError("the right-angled family needs phi1")
-        f = pot.f(0.0)
-        zeta = m.m1 * math.sin(2 * phi1)
-        if f * zeta < 0:
-            # reflect the gauge instead of silently flipping a sign: shifting
-            # the position angle by a quarter turn lands on the branch whose
-            # zeta sign matches the force
-            phi1 = phi1 - math.copysign(math.pi / 2, phi1)
-            zeta = -zeta
-            gauge_flipped = True
-    else:
-        f = pot.f(math.cos(theta))
-        zeta = zeta_of(theta, m, pot)
-    ratio = f * math.sin(theta) / zeta
-    if ratio <= 0:
-        raise ValueError("degenerate family coordinates: f sin(theta)/zeta <= 0")
-    eta = math.sqrt(ratio / (2.0 * math.exp(tau)))
-    re = solve_re(theta, eta, m, pot, phi1=phi1)
+    if (phi1 is not None and abs(theta - math.pi / 2) <= 1e-9
+            and pot.f(0.0) * math.sin(2 * phi1) < 0):
+        # reflect the gauge instead of silently flipping a sign: shifting
+        # the position angle by a quarter turn lands on the branch whose
+        # zeta sign matches the force
+        phi1 = phi1 - math.copysign(math.pi / 2, phi1)
+        gauge_flipped = True
+    re = re_from_tau(theta, tau, m, pot, phi1=phi1)
     return _sample_from_re(re, family, tau, classify, gauge_flipped)
 
 
@@ -160,7 +153,11 @@ def ec_surface(
     with ``workers`` > 1 a process pool is used and results are reassembled
     in grid order; ``None`` or 1 means serial.  The pool is forked, so its
     workers share the caller's masses and ``Potential``, whatever its kind.
+    A non-finite range endpoint raises ``ValueError`` before any node is sampled.
     """
+    ends = (*theta_range, *tau_range, *(phi1_range or ()))
+    if not all(math.isfinite(v) for v in ends):
+        raise ValueError(f"surface ranges must be finite, got {ends!r}")
     n_a, n_b = grid
     taus = np.linspace(tau_range[0], tau_range[1], n_b)
     if family == FAMILY_RIGHT_ANGLED:
@@ -215,12 +212,6 @@ def singular_thread(
         re = solve_re(theta, 0.0, m, pot, xi_mag=float(c))
         out.append(_sample_from_re(re, family, 0.0, classify))
     return out
-
-
-def thread_detachment_point(alpha: float, gamma: float) -> float:
-    """|R|^2 at which the upright thread's spin quartet changes reality:
-    2 gamma / alpha (gyroscopic stabilisation threshold)."""
-    return 2.0 * gamma / alpha
 
 
 def ec_csv(samples) -> str:

@@ -202,17 +202,6 @@ def classify_point(s: PhaseState, tol: float = COPLANARITY_TOL) -> str:
     return POINT_GENERIC
 
 
-def verify_cospherical_identity(s: PhaseState) -> tuple[float, float]:
-    """Return (|lambda|^2 - |rho|^2, 2<L1,L2> - 2<R1,R2>); the two agree."""
-    l1 = quat_mul(s.p1, s.g1.inverse())
-    l2 = quat_mul(s.p2, s.g2.inverse())
-    r1 = quat_mul(s.g1.inverse(), s.p1)
-    r2 = quat_mul(s.g2.inverse(), s.p2)
-    lhs = (l1 + l2).norm2() - (r1 + r2).norm2()
-    rhs = 2.0 * inner_product(l1, l2) - 2.0 * inner_product(r1, r2)
-    return lhs, rhs
-
-
 def sjamaar_slice_check(
     s: PhaseState, tol: float = UNIT_NORM_TOL
 ) -> tuple[ImaginaryQuaternion, ImaginaryQuaternion, ImaginaryQuaternion]:

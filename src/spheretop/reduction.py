@@ -17,7 +17,6 @@ follow it.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
@@ -31,8 +30,6 @@ SIDE_RIGHT = "right"
 STRATUM_FREE = "free"
 STRATUM_SO2 = "so2_isotropy"
 STRATUM_FULL = "full_isotropy"
-
-C2_AGREEMENT_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -104,11 +101,11 @@ _invariant_values = attrgetter(*INVARIANT_CSV_COLUMNS)
 
 @dataclass(frozen=True)
 class CasimirValues:
-    """Values of the Casimirs; C3 is defined on the fully reduced space only."""
+    """Values of the three Casimirs at a point of the fully reduced space."""
 
     C1: float
     C2: float
-    C3: float | None = None
+    C3: float
 
 
 def left_reduce(s: PhaseState) -> ReducedState:
@@ -170,23 +167,6 @@ def casimir_C2_invariant(pt: InvariantPoint) -> float:
             + 2.0 * pt.k12 * (pt.r * pt.r - pt.k33)
             + 4.0 * pt.k13 * pt.k23
             - 4.0 * pt.r * pt.delta)
-
-
-def casimirs(rs: ReducedState) -> CasimirValues:
-    """The two Casimirs C1 = |gD|^2 and C2 = |A1 gD + gD A2|^2.
-
-    The quadratic-invariant expression for C2 is evaluated as well and
-    required to agree with the direct product formula; disagreement signals
-    an implementation fault, not bad input.
-    """
-    c1 = rs.gD.norm2()
-    c2 = casimir_C2_direct(rs)
-    c2_inv = casimir_C2_invariant(hilbert_map(rs))
-    scale = max(1.0, abs(c2))
-    if abs(c2 - c2_inv) > C2_AGREEMENT_TOL * scale:
-        raise RuntimeError(
-            f"C2 routes disagree: direct {c2!r} vs invariant {c2_inv!r}")
-    return CasimirValues(C1=c1, C2=c2)
 
 
 def hilbert_map(rs: ReducedState) -> InvariantPoint:
@@ -258,12 +238,3 @@ def degenerate_leaf_sample(lam_mag: float, k13: float, theta: float) -> float:
     if s == 0.0:
         raise ValueError("sample requires sin(theta) != 0")
     return (lam_mag * lam_mag + 4.0 * k13 * k13) / (4.0 * s * s)
-
-
-def invariant_csv_rows(points) -> str:
-    """CSV text for a sequence of InvariantPoints; fixed column order."""
-    buf = io.StringIO()
-    buf.write(",".join(INVARIANT_CSV_COLUMNS) + "\n")
-    for pt in points:
-        buf.write(",".join(map(repr, pt.as_tuple())) + "\n")
-    return buf.getvalue()

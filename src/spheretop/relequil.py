@@ -192,7 +192,10 @@ def solve_re(
     rates are free (``xi_mag`` defaults to zero there).  At theta = pi/2 the
     masses must be equal and the free line parameter is exposed as ``phi1``;
     elsewhere ``phi1``/``xi_mag`` must be left unset, as they are determined.
+    A NaN or infinite theta or rate raises ``ValueError``.
     """
+    if not all(map(math.isfinite, (theta, eta_mag, 0.0 if xi_mag is None else xi_mag))):
+        raise ValueError("theta, eta_mag and xi_mag must be finite")
     if theta < 0 or theta > math.pi:
         raise ValueError("theta must lie in [0, pi]")
     if min(abs(theta), abs(theta - math.pi)) <= _SINGULAR_TOL:

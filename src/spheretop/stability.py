@@ -30,7 +30,7 @@ from scipy.optimize import brentq
 
 from .phase_space import MassParams, Potential, momentum_left, momentum_right
 from .reduction import InvariantPoint, hilbert_map, left_reduce
-from .relequil import RelativeEquilibrium, re_from_tau
+from .relequil import KIND_RIGHT_ANGLED, RelativeEquilibrium, re_from_tau
 
 ZERO_EIG_TOL = 1e-8
 REAL_PART_TOL = 1e-8
@@ -105,10 +105,6 @@ def classify_stability_eigs(eigs: np.ndarray) -> str:
     return DEGENERATE
 
 
-def classify_stability(report: LinearizationReport) -> str:
-    return classify_stability_eigs(report.eigenvalues)
-
-
 def _k_diag(re: RelativeEquilibrium) -> tuple[float, float]:
     return re.x1 ** 2 + re.y ** 2, re.x2 ** 2 + re.y ** 2
 
@@ -144,31 +140,11 @@ def closed_form_eigs_2body(
     return (z, -z), (w, -w)
 
 
-def z_radicand_identity(re: RelativeEquilibrium) -> tuple[float, float]:
-    """Both sides of the closed form for c2/2 at a gravitational RE.
-
-    c2/2 = k11/m1^2 + k22/m2^2 + (m1+m2) cot(th) csc^2(th)
-         = (16 eta^4 cos^2 th sin^6 th + m1^2 + m2^2 + 2 m1 m2 cos 2 th)
-           / (8 eta^2 sin^6 th cos^2 th),
-
-    manifestly positive, so the z-quartet is always imaginary and nonzero.
-    """
-    k11, k22 = _k_diag(re)
-    m1, m2 = re.masses.m1, re.masses.m2
-    th, eta = re.theta, re.eta_mag
-    lhs = (k11 / m1 ** 2 + k22 / m2 ** 2
-           + (m1 + m2) * math.cos(th) / math.sin(th) ** 3)
-    num = (16.0 * eta ** 4 * math.cos(th) ** 2 * math.sin(th) ** 6
-           + m1 * m1 + m2 * m2 + 2.0 * m1 * m2 * math.cos(2 * th))
-    rhs = num / (8.0 * eta ** 2 * math.sin(th) ** 6 * math.cos(th) ** 2)
-    return lhs, rhs
-
-
 def charpoly_lagrange(re: RelativeEquilibrium, alpha: float, gamma: float) -> tuple[float, float]:
     """(c0, c2) of the nonzero quartet for the constant-force potential."""
     k11, k22 = _k_diag(re)
     th = re.theta
-    if abs(th - math.pi / 2) <= 1e-9:
+    if re.kind == KIND_RIGHT_ANGLED:
         c2 = 2.0 * alpha ** 2 * (k11 + k22)
         c0 = alpha ** 4 * (k11 - k22) ** 2
         return c0, c2
@@ -187,7 +163,7 @@ def closed_form_eigs_lagrange(
     """Eigenvalue quartet of the spinning-top linearisation."""
     k11, k22 = _k_diag(re)
     th = re.theta
-    if abs(th - math.pi / 2) <= 1e-9:
+    if re.kind == KIND_RIGHT_ANGLED:
         t2a = -alpha ** 2 * (math.sqrt(k11) + math.sqrt(k22)) ** 2
         t2b = -alpha ** 2 * (math.sqrt(k11) - math.sqrt(k22)) ** 2
     else:
@@ -196,17 +172,6 @@ def closed_form_eigs_lagrange(
     a = complex(t2a) ** 0.5
     b = complex(t2b) ** 0.5
     return (a, -a), (b, -b)
-
-
-def spin_identity(re: RelativeEquilibrium, alpha: float, gamma: float) -> tuple[float, float]:
-    """Both sides of 4 a^2 |R|^2 - 8 a g cos th = 4 eta^2 + a^2 g^2/eta^2 - 4 a g cos th,
-    the positivity statement behind the hanging-top quartet being imaginary."""
-    k11, _ = _k_diag(re)
-    th, eta = re.theta, re.eta_mag
-    lhs = 4.0 * alpha ** 2 * k11 - 8.0 * alpha * gamma * math.cos(th)
-    rhs = (4.0 * eta ** 2 + alpha ** 2 * gamma ** 2 / eta ** 2
-           - 4.0 * alpha * gamma * math.cos(th))
-    return lhs, rhs
 
 
 @dataclass(frozen=True)

@@ -53,6 +53,15 @@ class TestSimulate:
         assert "t_end" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_horizon_or_sample_step_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        for flag, val in (("--T", "inf"), ("--sample-dt", "nan"), ("--sample-dt", "-1")):
+            flags = {"--T": 1, flag: val}
+            assert run(["simulate", "--scenario", "re-acute-demo",
+                        *(a for kv in flags.items() for a in kv), "--out", out]) == 4
+            assert "must be positive and finite" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):
@@ -278,6 +287,14 @@ class TestClassify:
             captured = capsys.readouterr()
             assert "alpha" in captured.err and captured.out == ""
 
+    def test_non_finite_numbers_exit_4(self, capsys):
+        for cmd, flag, val in (("re", "--theta", "nan"), ("re", "--eta", "nan"),
+                               ("re", "--eta", "inf"), ("stability", "--theta", "nan")):
+            flags = {"--theta": 1.0, "--eta": 1.0, flag: val}
+            assert run([cmd, *(a for kv in flags.items() for a in kv)]) == 4, (cmd, flag)
+            captured = capsys.readouterr()
+            assert "must be finite" in captured.err and captured.out == ""
+
     def test_stability_acute_two_body(self, capsys):
         assert run(["stability", "--theta", 0.9, "--eta", 1.2, "--m1", 3,
                     "--m2", 2, "--potential", "grav"]) == 0
@@ -288,6 +305,12 @@ class TestClassify:
 
 
 class TestSurfaceCommand:
+    def test_non_finite_range_exits_4(self, tmp_path, capsys):
+        out = tmp_path / "surf.csv"
+        assert run(["ec-surface", "--tau-min", "nan", "--grid", 3, 3, "--out", out]) == 4
+        assert "must be finite" in capsys.readouterr().err
+        assert not out.exists() and not Path(str(out) + ".failures.json").exists()
+
     def test_grid_rows_and_plot_script(self, tmp_path, capsys):
         out = tmp_path / "surf.csv"
         assert run(["ec-surface", "--family", "isosceles", "--m1", 1, "--m2", 1,

@@ -357,9 +357,14 @@ class TestIntegrator:
         assert traj.rhs_evals == len(calls)
 
     def test_horizon_must_follow_the_start(self):
-        for t_end in (-5.0, 0.0, float("nan")):
+        for t_end in (-5.0, 0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 integrate(lambda t, y: (1.0,), (0.0,), t_end)
+
+    def test_sample_step_must_be_positive_and_finite(self):
+        for dt in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="sample_dt"):
+                integrate(lambda t, y: (1.0,), (0.0,), 1.0, sample_dt=dt)
 
     def test_non_finite_input_is_named(self):
         for y0 in ((float("nan"), 0.0), (0.0, float("inf"))):

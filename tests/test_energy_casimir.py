@@ -9,7 +9,6 @@ from spheretop.energy_casimir import (
     ec_sample,
     ec_surface,
     singular_thread,
-    thread_detachment_point,
 )
 from spheretop.phase_space import (
     MassParams,
@@ -144,6 +143,23 @@ class TestSurface:
         assert any(flipped) and not all(flipped)
         assert ec_surface(*args, phi1_range=(-1.2, 1.2), workers=2) == serial
 
+    def test_non_finite_range_rejected_before_sampling(self, monkeypatch):
+        from spheretop import energy_casimir
+
+        def refuse(*args):
+            raise AssertionError("a node was sampled")
+
+        monkeypatch.setattr(energy_casimir, "_try_sample", refuse)
+        nan = float("nan")
+        for kw in (dict(theta_range=(0.5, nan), tau_range=(-0.5, 0.5)),
+                   dict(theta_range=(0.5, 2.0), tau_range=(nan, 0.5)),
+                   dict(theta_range=(0.5, 2.0), tau_range=(-0.5, float("inf")))):
+            with pytest.raises(ValueError, match="must be finite"):
+                ec_surface("isosceles", grid=(3, 3), m=M11, pot=GRAV11, **kw)
+        with pytest.raises(ValueError, match="must be finite"):
+            ec_surface("rightAngled", (0, 0), (-0.4, 0.4), (3, 3), M11, GRAV11,
+                       phi1_range=(nan, 1.2))
+
     def test_right_angled_surface(self):
         res = ec_surface("rightAngled", (0, 0), (-0.4, 0.4), (5, 3), M11, GRAV11,
                          phi1_range=(0.3, 1.2), classify=False)
@@ -172,8 +188,7 @@ class TestLagrangeThreads:
     def test_detachment_where_the_spin_quartet_changes_reality(self):
         alpha, gamma = 2.0, 1.0
         m = MassParams(1 / alpha, 1 / alpha)
-        kstar = thread_detachment_point(alpha, gamma)
-        assert kstar == pytest.approx(1.0)
+        kstar = 2.0 * gamma / alpha  # the gyroscopic threshold |R|^2 = 2 gamma / alpha
         pot = Potential.linear(gamma)
         cs, reality = [], []
         for c in np.linspace(0.2, 4.0, 25):

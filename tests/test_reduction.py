@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from conftest import (
 from hypothesis import given
 from hypothesis import strategies as st
 
+from spheretop import cli
 from spheretop.phase_space import (
     PhaseState,
     classify_point,
@@ -28,10 +30,8 @@ from spheretop.reduction import (
     casimir_C2_direct,
     casimir_C2_invariant,
     casimir_C3,
-    casimirs,
     degenerate_leaf_sample,
     hilbert_map,
-    invariant_csv_rows,
     left_reduce,
     orbit_diffeo,
     orbit_diffeo_inverse,
@@ -110,7 +110,7 @@ class TestOrbitDiffeo:
         for _ in range(100):
             rs = random_reduced_state(rng)
             first, _, _ = orbit_diffeo(rs)
-            assert first.norm2() == pytest.approx(casimirs(rs).C2, rel=1e-10)
+            assert first.norm2() == pytest.approx(casimir_C2_direct(rs), rel=1e-10)
 
     def test_round_trip(self, rng):
         for _ in range(100):
@@ -126,20 +126,19 @@ class TestOrbitDiffeo:
 
 class TestCasimirs:
     def test_trivial_point(self):
-        vals = casimirs(ReducedState(A1=imag(0, 0, 0), A2=imag(0, 0, 0), gD=ONE))
-        assert (vals.C1, vals.C2) == pytest.approx((1.0, 0.0))
+        rs = ReducedState(A1=imag(0, 0, 0), A2=imag(0, 0, 0), gD=ONE)
+        assert (rs.gD.norm2(), casimir_C2_direct(rs)) == pytest.approx((1.0, 0.0))
 
     def test_both_routes_small_example(self):
         rs = ReducedState(A1=imag(1, 0, 0), A2=imag(0, 1, 0), gD=ONE)
-        vals = casimirs(rs)
-        assert vals.C2 == pytest.approx(2.0)
+        assert casimir_C2_direct(rs) == pytest.approx(2.0)
         # invariant-formula side: (0+1)(1+1) + 0 + 0 - 0
         assert casimir_C2_invariant(hilbert_map(rs)) == pytest.approx(2.0)
 
     def test_commutator_example(self):
         # C2 = |i j - j i|^2 = |2k|^2
         rs = ReducedState(A1=imag(1, 0, 0), A2=imag(-1, 0, 0), gD=J)
-        assert casimirs(rs).C2 == pytest.approx(4.0)
+        assert casimir_C2_direct(rs) == pytest.approx(4.0)
 
     def test_lemma_on_random_states(self, rng):
         # includes non-unit group parts
@@ -213,7 +212,7 @@ class TestThirdCasimir:
             rs = left_reduce(s)
             lam2 = momentum_left(s).norm2()
             rho2 = momentum_right(s).norm2()
-            assert abs(casimirs(rs).C2 - lam2) <= 1e-10 * max(1.0, lam2)
+            assert abs(casimir_C2_direct(rs) - lam2) <= 1e-10 * max(1.0, lam2)
             c3 = casimir_C3(hilbert_map(rs))
             assert abs(c3 - rho2) <= 1e-10 * max(1.0, rho2)
 
@@ -290,13 +289,13 @@ class TestDegenerateLeaves:
                     pt.k11, rel=1e-8)
 
 
-def test_csv_emission_column_order(rng):
-    pts = [hilbert_map(random_reduced_state(rng)) for _ in range(3)]
-    text = invariant_csv_rows(pts)
-    header = text.splitlines()[0]
-    assert header == ",".join(INVARIANT_CSV_COLUMNS)
-    assert len(text.splitlines()) == 4
-    first = [float(c) for c in text.splitlines()[1].split(",")]
-    assert first[0] == pytest.approx(pts[0].k11)
-    assert first[6] == pytest.approx(pts[0].r)
-    assert first[7] == pytest.approx(pts[0].delta)
+def test_csv_emission_column_order(rng, tmp_path):
+    s = random_phase_state(rng)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(s.to_json_dict()))
+    out = tmp_path / "inv.csv"
+    assert cli.main(["reduce", "--state", str(state), "--out", str(out)]) == 0
+    header, row = out.read_text().splitlines()
+    assert header.split(",")[1:9] == list(INVARIANT_CSV_COLUMNS)
+    pt = hilbert_map(left_reduce(s))
+    assert [float(c) for c in row.split(",")[1:9]] == list(pt.as_tuple())

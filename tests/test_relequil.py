@@ -257,6 +257,15 @@ class TestErrors:
         with pytest.raises(ValueError):
             solve_re(-0.1, 1.0, M11, grav(M11))
 
+    def test_non_finite_numbers_rejected(self):
+        lin = Potential.linear(1.0)
+        for bad in (math.nan, math.inf, -math.inf):
+            for args, kw in (((bad, 1.0, M11, grav(M11)), {}),
+                             ((1.0, bad, M11, grav(M11)), {}),
+                             ((0.0, 1.0, M11, lin), {"xi_mag": bad})):
+                with pytest.raises(ValueError, match="finite"):
+                    solve_re(*args, **kw)
+
 
 def scalar_phi_branches(theta, m, attractive):
     """The point-by-point branch scan, kept as the oracle for ``phi_branches``."""

@@ -11,14 +11,12 @@ from spheretop.relequil import re_from_tau, solve_re
 from spheretop.stability import (
     charpoly_2body,
     charpoly_lagrange,
-    classify_stability,
+    classify_stability_eigs,
     closed_form_eigs_2body,
     closed_form_eigs_lagrange,
     fold_locus,
     jacobian_full_reduced,
     linearize,
-    spin_identity,
-    z_radicand_identity,
 )
 
 M11 = MassParams(1.0, 1.0)
@@ -134,9 +132,15 @@ class TestGravitationalSpectra:
                 re = solve_re(float(theta), 1.0, m, grav(m))
                 (z, _), _ = closed_form_eigs_2body(re)
                 assert abs(z.real) < 1e-12 and abs(z.imag) > 1e-8
-                lhs, rhs = z_radicand_identity(re)
-                assert lhs == pytest.approx(rhs, rel=1e-10)
-                assert lhs > 0.0  # c2/2 > 0: the z-pair cannot degenerate
+                # the paper's closed form of c2/2 in eta, manifestly positive,
+                # so the z-pair cannot degenerate
+                th, eta, m1, m2 = theta, re.eta_mag, m.m1, m.m2
+                paper = ((16.0 * eta ** 4 * math.cos(th) ** 2 * math.sin(th) ** 6
+                          + m1 * m1 + m2 * m2 + 2.0 * m1 * m2 * math.cos(2 * th))
+                         / (8.0 * eta ** 2 * math.sin(th) ** 6 * math.cos(th) ** 2))
+                half_c2 = charpoly_2body(re)[1] / 2.0
+                assert half_c2 == pytest.approx(paper, rel=1e-10)
+                assert half_c2 > 0.0
 
     def test_acute_all_imaginary_stable(self):
         for theta in (0.5, 0.9, 1.3):
@@ -219,9 +223,13 @@ class TestLagrangeSpectra:
         for theta in (1.9, 2.3, 2.8):
             for eta in (0.5, 1.0, 2.0):
                 re = solve_re(theta, eta, m, pot)
-                lhs, rhs = spin_identity(re, alpha, gamma)
-                assert lhs == pytest.approx(rhs, rel=1e-10)
-                assert lhs > 0.0
+                # the second pair squares to -(4 a^2 |R|^2 - 8 a g cos th), which
+                # the paper writes as 4 eta^2 + a^2 g^2/eta^2 - 4 a g cos th > 0
+                _, (b, _) = closed_form_eigs_lagrange(re, alpha, gamma)
+                paper = (4.0 * eta ** 2 + alpha ** 2 * gamma ** 2 / eta ** 2
+                         - 4.0 * alpha * gamma * math.cos(theta))
+                assert -(b * b).real == pytest.approx(paper, rel=1e-10)
+                assert -(b * b).real > 0.0
                 rep = linearize(re)
                 assert np.all(np.abs(rep.eigenvalues.real) < 1e-8)
                 assert rep.classification == "linearly_stable"
@@ -319,7 +327,6 @@ class TestIndependenceOfTheExtraIntegral:
 
 
 def test_classification_thresholds():
-    from spheretop.stability import classify_stability_eigs
     eigs = np.array([0, 0, 0, 0, 1e-12 + 1j, -1e-12 - 1j, 2j, -2j])
     assert classify_stability_eigs(eigs) == "linearly_stable"
     assert classify_stability_eigs(np.array([0, 0, 0, 0, 0.1, -0.1, 1j, -1j])) == "linearly_unstable"
@@ -329,4 +336,4 @@ def test_classification_thresholds():
 def test_report_round_trip():
     re = solve_re(0.8, 1.0, M32, grav(M32))
     rep = linearize(re)
-    assert classify_stability(rep) == rep.classification == "linearly_stable"
+    assert classify_stability_eigs(rep.eigenvalues) == rep.classification == "linearly_stable"
