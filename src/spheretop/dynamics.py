@@ -63,8 +63,8 @@ class FlowConfig:
     abs_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
+            raise ValueError("tolerances must be finite and positive")
 
 
 @dataclass(frozen=True)

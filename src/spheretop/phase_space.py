@@ -43,8 +43,8 @@ class MassParams:
     m2: float
 
     def __post_init__(self):
-        if not (self.m1 > 0 and self.m2 > 0):
-            raise ValueError("masses must be strictly positive")
+        if not (0 < self.m1 < math.inf and 0 < self.m2 < math.inf):
+            raise ValueError("masses must be finite and strictly positive")
 
     @property
     def equal(self) -> bool:
@@ -87,6 +87,8 @@ class Potential:
 
     @classmethod
     def linear(cls, gamma: float) -> "Potential":
+        if not math.isfinite(gamma):
+            raise ValueError("gamma must be finite")
         return cls(
             kind="linear",
             v=lambda r: gamma * r,

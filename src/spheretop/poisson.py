@@ -43,14 +43,10 @@ def lie_poisson_bracket(
     f_grad: Callable[[ReducedState], GradientTriple],
     g_grad: Callable[[ReducedState], GradientTriple],
     at: ReducedState,
-    sign: int | None = None,
 ) -> float:
-    """Evaluate {f, g} at a reduced state from the two gradient fields.
-
-    The sign defaults to the one matching ``at.side``.
-    """
-    if sign is None:
-        sign = 1 if at.side == SIDE_LEFT else -1
+    """Evaluate {f, g} at a reduced state from the two gradient fields, with
+    the sign that matches ``at.side``."""
+    sign = 1 if at.side == SIDE_LEFT else -1
     df = f_grad(at)
     dg = g_grad(at)
     a1 = at.A1.as_quaternion()

@@ -124,11 +124,6 @@ class ImaginaryQuaternion:
         self.y = float(y)
         self.z = float(z)
 
-    @classmethod
-    def from_components(cls, c) -> "ImaginaryQuaternion":
-        x, y, z = c
-        return cls(x, y, z)
-
     def components(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
 

@@ -15,9 +15,14 @@ gravitational and the constant-force (spinning top) potentials:
   t^4 (t^4 + 2 a^2 (k11 + k22) t^2 + a^4 (k11 - k22)^2)
 
 For unequal masses the w-quartet of the gravitational problem changes from
-imaginary to real across a fold in the obtuse family, located by the root of
-c0 in cosh(tau) and corroborated by the degeneracy of the momentum pair as a
-function of the family coordinates.
+imaginary to real across a fold in the obtuse family.  Along the family at
+fixed theta, k11/m1^2 and k22/m2^2 each equal (f sin th/zeta) cosh(tau) plus a
+term free of tau, so c0 is affine in cosh(tau):
+
+  c0(tau) = c0(0) + 4 (m1+m2) f cos(th) / (zeta sin^2 th) (cosh(tau) - 1).
+
+The fold is its root, found from two evaluations of c0 and corroborated by the
+degeneracy of the momentum pair as a function of the family coordinates.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .phase_space import MassParams, Potential, momentum_left, momentum_right
 from .reduction import InvariantPoint, hilbert_map, left_reduce
@@ -189,13 +193,15 @@ def fold_locus(
 ) -> FoldResult | None:
     """Locate the stability fold of the obtuse gravitational family at theta.
 
-    Searches for the zero of c0 as a function of cosh(tau) (c0 is even in
-    tau; the positive representative is returned).  The returned record also
-    carries the normalised determinant of the finite-difference Jacobian of
-    (|lambda|^2, |rho|^2) with respect to (theta, tau), which vanishes on the
-    fold; each column is a Richardson-extrapolated central difference with
-    steps ``FD_STEP`` and ``2 * FD_STEP``.  Returns None when c0 has no zero,
-    as happens for equal masses.
+    c0 is affine in cosh(tau) (see the module docstring), so its zero is the
+    root of the chord through c0(0) and c0(tau_max): two evaluations, no
+    search.  ``tau_max`` bounds the window [0, tau_max] in which the root is
+    sought; c0 is even in tau and the positive root is returned.  The record
+    also carries the normalised determinant of the finite-difference Jacobian
+    of (|lambda|^2, |rho|^2) with respect to (theta, tau), which vanishes on
+    the fold; each column is a Richardson-extrapolated central difference with
+    steps ``FD_STEP`` and ``2 * FD_STEP``.  Returns None when c0 keeps one
+    sign on the window, as happens for equal masses.
     """
     if not (math.pi / 2 < theta < math.pi):
         raise ValueError("the fold lives in the obtuse family")
@@ -204,25 +210,10 @@ def fold_locus(
     def c0_of_tau(tau: float) -> float:
         return charpoly_2body(re_from_tau(theta, tau, m, pot))[0]
 
-    taus = np.linspace(0.0, tau_max, 160)
-    vals = [c0_of_tau(t) for t in taus]
-    bracket = None
-    for a, b, va, vb in zip(taus[:-1], taus[1:], vals[:-1], vals[1:]):
-        if va == 0.0:
-            bracket = (a, a)
-            break
-        if va * vb < 0.0:
-            bracket = (a, b)
-            break
-    if bracket is None:
+    c0_zero, c0_max = c0_of_tau(0.0), c0_of_tau(tau_max)
+    if c0_zero * c0_max > 0.0:
         return None
-    if bracket[0] == bracket[1]:
-        tau_star = bracket[0]
-    else:
-        ua, ub = math.cosh(bracket[0]), math.cosh(bracket[1])
-        u_star = brentq(lambda u: c0_of_tau(math.acosh(u)), ua, ub,
-                        xtol=1e-14, rtol=8.9e-16)
-        tau_star = math.acosh(u_star)
+    tau_star = math.acosh(1.0 + c0_zero * (math.cosh(tau_max) - 1.0) / (c0_zero - c0_max))
 
     def momenta(th: float, ta: float) -> np.ndarray:
         s = re_from_tau(th, ta, m, pot).state

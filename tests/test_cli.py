@@ -55,11 +55,15 @@ class TestSimulate:
 
     def test_non_finite_horizon_or_sample_step_rejected(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
-        for flag, val in (("--T", "inf"), ("--sample-dt", "nan"), ("--sample-dt", "-1")):
+        for flag, val, message in (("--T", "inf", "must be positive and finite"),
+                                   ("--sample-dt", "nan", "must be positive and finite"),
+                                   ("--sample-dt", "-1", "must be positive and finite"),
+                                   ("--rel-tol", "nan", "must be finite"),
+                                   ("--abs-tol", "inf", "must be finite")):
             flags = {"--T": 1, flag: val}
             assert run(["simulate", "--scenario", "re-acute-demo",
                         *(a for kv in flags.items() for a in kv), "--out", out]) == 4
-            assert "must be positive and finite" in capsys.readouterr().err
+            assert message in capsys.readouterr().err, flag
             assert not out.exists()
 
     def test_deterministic_output(self, tmp_path):
@@ -288,10 +292,15 @@ class TestClassify:
             assert "alpha" in captured.err and captured.out == ""
 
     def test_non_finite_numbers_exit_4(self, capsys):
-        for cmd, flag, val in (("re", "--theta", "nan"), ("re", "--eta", "nan"),
-                               ("re", "--eta", "inf"), ("stability", "--theta", "nan")):
-            flags = {"--theta": 1.0, "--eta": 1.0, flag: val}
-            assert run([cmd, *(a for kv in flags.items() for a in kv)]) == 4, (cmd, flag)
+        for cmd, *extra in (("re", "--theta", "nan"), ("re", "--eta", "nan"),
+                            ("re", "--eta", "inf"), ("stability", "--theta", "nan"),
+                            ("re", "--m1", "inf"),
+                            ("re", "--m2", "inf", "--potential", "linear:1"),
+                            ("re", "--potential", "linear:nan"),
+                            ("re", "--potential", "lagrange", "--alpha", "2",
+                             "--gamma", "nan")):
+            flags = {"--theta": 1.0, "--eta": 1.0, **dict(zip(extra[::2], extra[1::2]))}
+            assert run([cmd, *(a for kv in flags.items() for a in kv)]) == 4, (cmd, extra)
             captured = capsys.readouterr()
             assert "must be finite" in captured.err and captured.out == ""
 
@@ -322,3 +331,20 @@ class TestSurfaceCommand:
         assert len(rows) == 101
         assert (tmp_path / "surf.csv.plot.py").exists()
         assert (tmp_path / "surf.csv.manifest.json").exists()
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so modules other tests imported cannot hide a
+    # dependency that the package itself pulls in at start-up
+    import os
+    import subprocess
+    import sys
+
+    code = ("import sys\n"
+            "import spheretop, spheretop.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -341,6 +341,9 @@ class TestIntegrator:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             FlowConfig(rel_tol=0.0)
+        for bad in ({"rel_tol": math.nan}, {"abs_tol": math.inf}):
+            with pytest.raises(ValueError, match="must be finite"):
+                FlowConfig(**bad)
 
     @pytest.mark.parametrize("projection", [False, True])
     def test_rhs_evals_counts_every_evaluation(self, projection):

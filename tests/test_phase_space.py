@@ -47,6 +47,8 @@ class TestTypes:
     def test_masses_positive(self):
         with pytest.raises(ValueError):
             MassParams(1.0, 0.0)
+        with pytest.raises(ValueError, match="must be finite"):
+            MassParams(math.inf, 1.0)
 
     def test_json_round_trip(self, rng):
         s = random_phase_state(rng)

@@ -7,7 +7,7 @@ from spheretop.dynamics import point_to_vec, rhs_full_reduced
 from spheretop.phase_space import MassParams, Potential
 from spheretop.poisson import integral_I_gradient, table_flow
 from spheretop.reduction import InvariantPoint, hilbert_map, left_reduce
-from spheretop.relequil import re_from_tau, solve_re
+from spheretop.relequil import re_from_tau, solve_re, zeta_of
 from spheretop.stability import (
     charpoly_2body,
     charpoly_lagrange,
@@ -290,6 +290,43 @@ class TestFold:
         res = fold_locus(1.755432857409167, M32)
         assert abs(res.c0) < 1e-8
         assert res.jacobian_det < 1e-6
+
+    @pytest.mark.parametrize("masses", [(3.0, 2.0), (2.0, 3.0), (1.0, 7.0), (1.0, 1.0)])
+    def test_c0_is_affine_in_cosh_tau(self, masses):
+        # on the family k11/m1^2 and k22/m2^2 are (f sin th/zeta) cosh(tau)
+        # plus terms free of tau, so only the cross term of c0 moves
+        m = MassParams(*masses)
+        pot = grav(m)
+        taus = np.linspace(0.0, 8.0, 9)
+        for theta in (1.6, 1.7, 2.0, 2.5):
+            f = pot.f(math.cos(theta))
+            s = (4 * (m.m1 + m.m2) * f * math.cos(theta)
+                 / (zeta_of(theta, m, pot) * math.sin(theta) ** 2))
+            c0 = np.array([charpoly_2body(re_from_tau(theta, t, m, pot))[0] for t in taus])
+            affine = c0[0] + s * (np.cosh(taus) - 1.0)
+            assert np.max(np.abs(c0 - affine)) <= 1e-12 * np.max(np.abs(c0)), theta
+
+    @pytest.mark.parametrize("masses", [(3.0, 2.0), (2.0, 3.0), (1.0, 7.0)])
+    def test_fold_matches_a_bisection_on_the_sign_of_c0(self, masses):
+        m = MassParams(*masses)
+        pot = grav(m)
+        for theta in (1.6, 1.7, 2.0, 2.5):
+            def c0(tau):
+                return charpoly_2body(re_from_tau(theta, tau, m, pot))[0]
+
+            res = fold_locus(theta, m)
+            lo, hi, c_lo = 0.0, 8.0, c0(0.0)
+            if c_lo * c0(hi) > 0.0:
+                assert res is None, theta
+                continue
+            while lo < 0.5 * (lo + hi) < hi:
+                mid = 0.5 * (lo + hi)
+                c_mid = c0(mid)
+                if c_lo * c_mid <= 0.0:
+                    hi = mid
+                else:
+                    lo, c_lo = mid, c_mid
+            assert res.tau == pytest.approx(lo, rel=1e-12), theta
 
 
 class TestIndependenceOfTheExtraIntegral:
