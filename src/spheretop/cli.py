@@ -13,6 +13,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -341,12 +342,14 @@ def cmd_ec_surface(args: argparse.Namespace) -> int:
     phi1_range = None
     if cfg["phi1_min"] is not None and cfg["phi1_max"] is not None:
         phi1_range = (cfg["phi1_min"], cfg["phi1_max"])
+    start = time.perf_counter()
     result = ec.ec_surface(
         family, theta_range, (cfg["tau_min"], cfg["tau_max"]),
         tuple(cfg["grid"]), m, pot,
         phi1_range=phi1_range, classify=bool(cfg["classify"]),
         workers=cfg["workers"],
     )
+    sampled = time.perf_counter()
     out = cfg["out"]
     Path(out).write_text(ec.ec_csv(result.samples))
     if result.failures:
@@ -354,7 +357,11 @@ def cmd_ec_surface(args: argparse.Namespace) -> int:
             json.dumps([list(f) for f in result.failures], indent=2) + "\n")
     if cfg["plot_script"]:
         Path(out + ".plot.py").write_text(ec.PLOT_SCRIPT)
-    _write_manifest(out, "ec-surface", cfg)
+    # each failure record's message starts with its exception type
+    run = {"samples": len(result.samples),
+           "failures": dict(Counter(msg.partition(":")[0] for _, _, msg in result.failures)),
+           "wall_s": {"sample": sampled - start, "write": time.perf_counter() - sampled}}
+    _write_manifest(out, "ec-surface", cfg, run)
     print(f"wrote {len(result.samples)} samples, {len(result.failures)} failures")
     return 0
 

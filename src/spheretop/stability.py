@@ -21,8 +21,14 @@ term free of tau, so c0 is affine in cosh(tau):
 
   c0(tau) = c0(0) + 4 (m1+m2) f cos(th) / (zeta sin^2 th) (cosh(tau) - 1).
 
-The fold is its root, found from two evaluations of c0 and corroborated by the
-degeneracy of the momentum pair as a function of the family coordinates.
+The fold is its root, found from two evaluations of c0, and it is certified
+where (|lambda|^2, |rho|^2) stops being a chart of (theta, tau).  With
+M = m1 + m2, S = m1 cos 2phi1 + m2 cos 2phi2 and zeta = m1 sin 2phi1 these norms
+are eta^2 a^2 and eta^2 b^2, where a = M e^tau - S and b = M - e^tau S.  Along
+the branch dS/dth = -2 zeta, dln(eta^2)/dtau = -1 and dln(eta^2)/dth = g with
+g = -sin th f'(cos th)/f + cot th - 2 m1 m2 cos 2phi1 cos 2phi2/(S zeta), so the
+exact Jacobian has the rows eta^2 a (g a + 4 zeta, M e^tau + S) and
+eta^2 b (g b + 4 e^tau zeta, -(M + e^tau S)).
 """
 
 from __future__ import annotations
@@ -32,13 +38,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import MassParams, Potential, momentum_left, momentum_right
+from .phase_space import MassParams, Potential
 from .reduction import InvariantPoint, hilbert_map, left_reduce
 from .relequil import KIND_RIGHT_ANGLED, RelativeEquilibrium, re_from_tau
 
 ZERO_EIG_TOL = 1e-8
 REAL_PART_TOL = 1e-8
-FD_STEP = 1e-5  # smaller step of the fold certificate's extrapolated differences
 
 STABLE = "linearly_stable"
 UNSTABLE = "linearly_unstable"
@@ -185,23 +190,28 @@ class FoldResult:
     jacobian_det: float
 
 
-def fold_locus(
-    theta: float,
-    m: MassParams,
-    *,
-    tau_max: float = 8.0,
-) -> FoldResult | None:
+def _momentum_jacobian_det(re: RelativeEquilibrium, tau: float) -> float:
+    """Row-normalised exact fold certificate at an acute or obtuse RE."""
+    m1, m2 = re.masses.m1, re.masses.m2
+    big_m, e, zeta = m1 + m2, math.exp(tau), re.zeta
+    cos1, cos2 = math.cos(2 * re.phi1), math.cos(2 * re.phi2)
+    s = m1 * cos1 + m2 * cos2
+    r, sin_th = math.cos(re.theta), math.sin(re.theta)
+    g = (-sin_th * re.potential.fprime(r) / re.potential.f(r) + r / sin_th
+         - 2 * m1 * m2 * cos1 * cos2 / (s * zeta))
+    u = (g * (big_m * e - s) + 4 * zeta, big_m * e + s)
+    v = (g * (big_m - e * s) + 4 * e * zeta, -(big_m + e * s))
+    return abs(u[0] * v[1] - u[1] * v[0]) / (math.hypot(*u) * math.hypot(*v))
+
+
+def fold_locus(theta: float, m: MassParams, *, tau_max: float = 8.0) -> FoldResult | None:
     """Locate the stability fold of the obtuse gravitational family at theta.
 
-    c0 is affine in cosh(tau) (see the module docstring), so its zero is the
-    root of the chord through c0(0) and c0(tau_max): two evaluations, no
-    search.  ``tau_max`` bounds the window [0, tau_max] in which the root is
-    sought; c0 is even in tau and the positive root is returned.  The record
-    also carries the normalised determinant of the finite-difference Jacobian
-    of (|lambda|^2, |rho|^2) with respect to (theta, tau), which vanishes on
-    the fold; each column is a Richardson-extrapolated central difference with
-    steps ``FD_STEP`` and ``2 * FD_STEP``.  Returns None when c0 keeps one
-    sign on the window, as happens for equal masses.
+    The fold is the root of the chord through c0(0) and c0(tau_max), c0 being
+    affine in cosh(tau); c0 is even in tau and the positive root is returned.
+    The record carries c0 and the exact certificate of the module docstring
+    there, from three RE solves in all.  Returns None when c0 keeps one sign
+    on [0, tau_max], as happens for equal masses.
     """
     if not (math.pi / 2 < theta < math.pi):
         raise ValueError("the fold lives in the obtuse family")
@@ -214,26 +224,6 @@ def fold_locus(
     if c0_zero * c0_max > 0.0:
         return None
     tau_star = math.acosh(1.0 + c0_zero * (math.cosh(tau_max) - 1.0) / (c0_zero - c0_max))
-
-    def momenta(th: float, ta: float) -> np.ndarray:
-        s = re_from_tau(th, ta, m, pot).state
-        return np.array([momentum_left(s).norm2(), momentum_right(s).norm2()])
-
-    def derivative(e_th: float, e_ta: float) -> np.ndarray:
-        """Derivative of the momenta along (e_th, e_ta).
-
-        A plain central difference would leave a determinant of order
-        FD_STEP^2 on the fold, so two are Richardson-extrapolated.  The
-        smaller step is FD_STEP itself: rounding noise, not step error,
-        limits the certificate where the |rho|^2 gradient nearly vanishes.
-        """
-        def central(h: float) -> np.ndarray:
-            return (momenta(theta + h * e_th, tau_star + h * e_ta)
-                    - momenta(theta - h * e_th, tau_star - h * e_ta)) / (2 * h)
-
-        return (4.0 * central(FD_STEP) - central(2 * FD_STEP)) / 3.0
-
-    jac = np.column_stack([derivative(1.0, 0.0), derivative(0.0, 1.0)])
-    norms = np.linalg.norm(jac, axis=1)
-    det_norm = abs(float(np.linalg.det(jac))) / float(norms[0] * norms[1])
-    return FoldResult(tau=tau_star, c0=c0_of_tau(tau_star), jacobian_det=det_norm)
+    re_star = re_from_tau(theta, tau_star, m, pot)
+    return FoldResult(tau=tau_star, c0=charpoly_2body(re_star)[0],
+                      jacobian_det=_momentum_jacobian_det(re_star, tau_star))

@@ -320,6 +320,38 @@ class TestSurfaceCommand:
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists() and not Path(str(out) + ".failures.json").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--family", "obtuse", "--theta-max", 1.0], "obtuse surfaces need theta"),
+        (["--family", "acute", "--theta-min", 1.7], "acute surfaces need theta"),
+        (["--grid", 0, 5], "grid dimensions must be at least 1"),
+        (["--grid", -3, 5], "grid dimensions must be at least 1"),
+    ])
+    def test_bad_range_or_grid_exits_4(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "surf.csv"
+        assert run(["ec-surface", "--m1", 3, "--m2", 2, *flags, "--out", out]) == 4
+        assert message in capsys.readouterr().err
+        assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+
+    def test_manifest_counts_samples_and_failures(self, tmp_path):
+        out = tmp_path / "clean.csv"
+        assert run(["ec-surface", "--theta-min", 0.4, "--theta-max", 2.6, "--grid", 4, 3,
+                    "--no-classify", "--out", out]) == 0
+        record = json.loads(Path(str(out) + ".manifest.json").read_text())["run"]
+        assert (record["samples"], record["failures"]) == (12, {})
+        assert set(record["wall_s"]) == {"sample", "write"}
+        assert all(v >= 0.0 for v in record["wall_s"].values())
+
+        # right-angled REs need equal masses, so every node fails
+        out = tmp_path / "unequal.csv"
+        assert run(["ec-surface", "--family", "rightAngled", "--m1", 1, "--m2", 2,
+                    "--phi1-min", 0.3, "--phi1-max", 1.2, "--grid", 3, 2,
+                    "--out", out]) == 0
+        record = json.loads(Path(str(out) + ".manifest.json").read_text())["run"]
+        assert (record["samples"], record["failures"]) == (0, {"NoSolutionError": 6})
+        failures = json.loads(Path(str(out) + ".failures.json").read_text())
+        assert len(failures) == 6
+        assert all(msg.startswith("NoSolutionError: ") for _, _, msg in failures)
+
     def test_grid_rows_and_plot_script(self, tmp_path, capsys):
         out = tmp_path / "surf.csv"
         assert run(["ec-surface", "--family", "isosceles", "--m1", 1, "--m2", 1,

@@ -143,22 +143,46 @@ class TestSurface:
         assert any(flipped) and not all(flipped)
         assert ec_surface(*args, phi1_range=(-1.2, 1.2), workers=2) == serial
 
-    def test_non_finite_range_rejected_before_sampling(self, monkeypatch):
+    @pytest.fixture
+    def no_sampling(self, monkeypatch):
         from spheretop import energy_casimir
 
         def refuse(*args):
             raise AssertionError("a node was sampled")
 
         monkeypatch.setattr(energy_casimir, "_try_sample", refuse)
+
+    def test_non_finite_range_rejected_before_sampling(self, no_sampling):
         nan = float("nan")
-        for kw in (dict(theta_range=(0.5, nan), tau_range=(-0.5, 0.5)),
-                   dict(theta_range=(0.5, 2.0), tau_range=(nan, 0.5)),
-                   dict(theta_range=(0.5, 2.0), tau_range=(-0.5, float("inf")))):
-            with pytest.raises(ValueError, match="must be finite"):
-                ec_surface("isosceles", grid=(3, 3), m=M11, pot=GRAV11, **kw)
+        theta, tau = (0.5, 2.0), (-0.5, 0.5)
+        for theta_range, tau_range, grid, match in (
+                ((0.5, nan), tau, (3, 3), "must be finite"),
+                (theta, (nan, 0.5), (3, 3), "must be finite"),
+                (theta, (-0.5, float("inf")), (3, 3), "must be finite"),
+                (theta, tau, (0, 5), "at least 1"),
+                (theta, tau, (3, -3), "at least 1")):
+            with pytest.raises(ValueError, match=match):
+                ec_surface("isosceles", theta_range, tau_range, grid, M11, GRAV11)
         with pytest.raises(ValueError, match="must be finite"):
             ec_surface("rightAngled", (0, 0), (-0.4, 0.4), (3, 3), M11, GRAV11,
                        phi1_range=(nan, 1.2))
+
+    def test_family_theta_range_stays_in_its_half(self, no_sampling):
+        # the CLI clips an obtuse --theta-max 1.0 to (pi/2 + 0.05, 1.0)
+        for family, theta_range in (("obtuse", (math.pi / 2 + 0.05, 1.0)),
+                                    ("obtuse", (1.0, 2.0)),
+                                    ("obtuse", (1.7, math.pi)),
+                                    ("acute", (1.7, math.pi / 2 - 0.05)),
+                                    ("acute", (0.0, 1.0)),
+                                    ("acute", (0.5, math.pi / 2))):
+            with pytest.raises(ValueError, match=f"{family} surfaces need theta"):
+                ec_surface(family, theta_range, (-0.5, 0.5), (3, 3), M32, GRAV32)
+
+    def test_family_theta_range_inside_its_half_is_sampled(self):
+        for family, theta_range in (("obtuse", (2.0, 1.7)), ("acute", (0.5, 1.2))):
+            res = ec_surface(family, theta_range, (-0.5, 0.5), (3, 3), M32, GRAV32,
+                             classify=False)
+            assert len(res.samples) == 9 and not res.failures
 
     def test_right_angled_surface(self):
         res = ec_surface("rightAngled", (0, 0), (-0.4, 0.4), (5, 3), M11, GRAV11,

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from spheretop.dynamics import point_to_vec, rhs_full_reduced
-from spheretop.phase_space import MassParams, Potential
+from spheretop.phase_space import MassParams, Potential, momentum_left, momentum_right
 from spheretop.poisson import integral_I_gradient, table_flow
 from spheretop.reduction import InvariantPoint, hilbert_map, left_reduce
 from spheretop.relequil import re_from_tau, solve_re, zeta_of
 from spheretop.stability import (
+    _momentum_jacobian_det,
     charpoly_2body,
     charpoly_lagrange,
     classify_stability_eigs,
@@ -327,6 +328,78 @@ class TestFold:
                 else:
                     lo, c_lo = mid, c_mid
             assert res.tau == pytest.approx(lo, rel=1e-12), theta
+
+    @pytest.mark.parametrize("masses", [(3.0, 2.0), (1.0, 7.0), (1.0, 1.0)])
+    def test_momentum_norms_have_the_closed_forms(self, masses):
+        # |lambda|^2 = (M xi - eta S)^2, |rho|^2 = (M eta - xi S)^2 on both
+        # families: the sine terms cancel because m1 sin 2phi1 = m2 sin 2phi2
+        m = MassParams(*masses)
+        pot = grav(m)
+        big_m = m.m1 + m.m2
+        for theta in (0.6, 1.2, 2.0, 2.6):
+            for tau in np.linspace(-1.0, 1.0, 5):
+                re = re_from_tau(theta, float(tau), m, pot)
+                s = m.m1 * math.cos(2 * re.phi1) + m.m2 * math.cos(2 * re.phi2)
+                lam2 = (big_m * re.xi_mag - re.eta_mag * s) ** 2
+                rho2 = (big_m * re.eta_mag - re.xi_mag * s) ** 2
+                assert momentum_left(re.state).norm2() == pytest.approx(lam2, rel=1e-12)
+                assert momentum_right(re.state).norm2() == pytest.approx(rho2, rel=1e-12)
+
+    @pytest.mark.parametrize("masses", [(3.0, 2.0), (2.0, 3.0), (1.0, 7.0)])
+    def test_exact_jacobian_matches_mpmath_derivatives(self, masses):
+        import mpmath as mp
+
+        m = MassParams(*masses)
+        pot = grav(m)
+        m1, m2 = mp.mpf(m.m1), mp.mpf(m.m2)
+
+        def norms(theta, tau, phi_guess):
+            # the branch m1 sin 2phi1 = m2 sin 2(theta - phi1), the rate
+            # 2 e^tau eta^2 = f sin(theta)/zeta with f = m1 m2 (1 - cos^2)^(-3/2),
+            # xi = e^tau eta, and the closed-form momentum norms
+            phi1 = mp.findroot(lambda p: m1 * mp.sin(2 * p) - m2 * mp.sin(2 * (theta - p)),
+                               phi_guess)
+            zeta = m1 * mp.sin(2 * phi1)
+            s = m1 * mp.cos(2 * phi1) + m2 * mp.cos(2 * (theta - phi1))
+            f = m1 * m2 * (1 - mp.cos(theta) ** 2) ** mp.mpf(-1.5)
+            eta2 = f * mp.sin(theta) / (2 * mp.exp(tau) * zeta)
+            e = mp.exp(tau)
+            return eta2 * ((m1 + m2) * e - s) ** 2, eta2 * ((m1 + m2) - e * s) ** 2
+
+        with mp.workdps(30):
+            for theta in (1.65, 1.9, 2.3, 2.8):
+                for tau in (-1.0, 0.2, 1.5):
+                    re = re_from_tau(theta, tau, m, pot)
+                    jac = [[mp.diff(lambda th, ta: norms(th, ta, re.phi1)[i], (theta, tau), order)
+                            for order in ((1, 0), (0, 1))] for i in (0, 1)]
+                    det = abs(jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0])
+                    expect = det / (mp.norm(jac[0]) * mp.norm(jac[1]))
+                    got = _momentum_jacobian_det(re, tau)
+                    assert abs(got - expect) <= 1e-10 * expect, (theta, tau)
+
+    def test_certificate_holds_next_to_the_degenerate_fold_point(self):
+        # at theta* the gradient of |rho|^2 vanishes on the fold and the
+        # normalised determinant is 0/0; the finite-difference certificate
+        # read >= 1e-6 within a few 1e-6 of it
+        theta_star = 1.755586255062735
+        for theta in theta_star + np.linspace(-6e-6, 6e-6, 241):
+            if abs(theta - theta_star) <= 1e-9:
+                continue
+            res = fold_locus(float(theta), M32)
+            assert res.jacobian_det < 1e-6, theta
+
+    def test_fold_solves_three_res(self, monkeypatch):
+        from spheretop import stability
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return re_from_tau(*args, **kwargs)
+
+        monkeypatch.setattr(stability, "re_from_tau", counting)
+        assert fold_locus(1.7, M32) is not None
+        assert len(calls) == 3
 
 
 class TestIndependenceOfTheExtraIntegral:
