@@ -146,7 +146,7 @@ def _builtin_scenario(name: str, seed: int) -> tuple[PhaseState, dict]:
 _SIMULATE_DEFAULTS = {
     "state": None, "scenario": None, "space": "left", "m1": 1.0, "m2": 1.0,
     "potential": "grav", "alpha": None, "gamma": None, "T": 10.0,
-    "rel_tol": 1e-10, "abs_tol": 1e-10, "projection": False,
+    "rel_tol": FlowConfig.rel_tol, "abs_tol": FlowConfig.abs_tol, "projection": False,
     "sample_dt": 0.1, "seed": 0, "out": "trajectory.csv",
 }
 
@@ -204,7 +204,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     drift = {f"drift_{k}": v for k, v in drift_summary(columns).items()}
     Path(out + ".drift.json").write_text(json.dumps(drift, indent=2, sort_keys=True) + "\n")
     run = {"steps_accepted": traj.n_accepted, "steps_rejected": traj.n_rejected,
-           "rhs_evals": traj.rhs_evals,
+           "step_min": traj.step_min, "step_max": traj.step_max, "rhs_evals": traj.rhs_evals,
            "wall_s": {"integrate": integrated - start, "write": time.perf_counter() - integrated}}
     _write_manifest(out, "simulate", cfg, run)
     print(json.dumps(drift, sort_keys=True))

@@ -15,17 +15,24 @@ gradient of each reduced Hamiltonian; ``evaluate_reduced_hamiltonian``,
 ``poisson.hamiltonian_gradient`` and the ``"H"`` entries of the
 ``invariants_*`` dicts read it.
 
-The integrator is an embedded Dormand-Prince 5(4) pair with PI step-size
-control.  Conservation is monitored, never enforced: ``integrate`` runs a
-projection hook (renormalise group components, re-orthogonalise momenta)
-after accepted steps only when it is given one, so that by default drift
-stays a meaningful diagnostic.  ``sample_columns`` evaluates the conserved
-quantities once per sample; ``trajectory_csv`` and ``drift_summary`` read
-those columns.
+The integrator is the Dormand-Prince 8(5,3) pair DOP853 (Hairer, Norsett &
+Wanner, Solving Ordinary Differential Equations I, 2nd ed., sec. II.10):
+twelve stages, an eighth-order solution, and Hairer's error estimate
+err = h sum(e5^2) / sqrt((sum(e5^2) + 0.01 sum(e3^2)) n) from the
+fifth- and third-order embedded solutions, weighted per component by
+abs_tol + rel_tol max(|y|, |y_new|).  A step is accepted when err <= 1,
+and the next step is h 0.9 err^(-1/8), clamped to [0.2 h, 10 h].  Both
+tolerances default to 1e-12 (:class:`FlowConfig`).  Conservation is
+monitored, never enforced: ``integrate`` runs a projection hook (renormalise
+group components, re-orthogonalise momenta) after accepted steps only when
+it is given one, so that by default drift stays a meaningful diagnostic.
+``sample_columns`` evaluates the conserved quantities once per sample;
+``trajectory_csv`` and ``drift_summary`` read those columns.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from dataclasses import dataclass, field
@@ -59,8 +66,8 @@ class SingularityError(RuntimeError):
 
 @dataclass(frozen=True)
 class FlowConfig:
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-10
+    rel_tol: float = 1e-12
+    abs_tol: float = 1e-12
 
     def __post_init__(self):
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
@@ -351,18 +358,98 @@ def project_state(v: Sequence[float]) -> tuple[float, ...]:
 
 
 # ---------------------------------------------------------------------------
-# embedded Runge-Kutta 5(4) with PI step control
+# Dormand-Prince 8(5,3) with error-proportional step control
 # ---------------------------------------------------------------------------
 
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = 9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
-                                -17253 / 339200, 22 / 525, -1 / 40)
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+# The DOP853 tableau of Hairer, Norsett & Wanner, Solving Ordinary
+# Differential Equations I, 2nd ed., sec. II.10, with the indices of the
+# text: stage i is evaluated at t + c_i h from sum_j a_ij k_j (every a_ij not
+# written here is zero, and c_12 = 1); the eighth-order solution has the
+# weights b_i, the fifth-order error estimate the weights e_i, and the
+# third-order error estimate is sum_i b_i k_i - sum_i bh_i k_i.
+_C2 = 0.526001519587677318785587544488e-01
+_C3 = 0.789002279381515978178381316732e-01
+_C4 = 0.118350341907227396726757197510
+_C5 = 0.281649658092772603273242802490
+_C6 = 0.333333333333333333333333333333
+_C7 = 0.25
+_C8 = 0.307692307692307692307692307692
+_C9 = 0.651282051282051282051282051282
+_C10 = 0.6
+_C11 = 0.857142857142857142857142857142
+
+_A2_1 = 5.26001519587677318785587544488e-2
+_A3_1 = 1.97250569845378994544595329183e-2
+_A3_2 = 5.91751709536136983633785987549e-2
+_A4_1 = 2.95875854768068491816892993775e-2
+_A4_3 = 8.87627564304205475450678981324e-2
+_A5_1 = 2.41365134159266685502369798665e-1
+_A5_3 = -8.84549479328286085344864962717e-1
+_A5_4 = 9.24834003261792003115737966543e-1
+_A6_1 = 3.7037037037037037037037037037e-2
+_A6_4 = 1.70828608729473871279604482173e-1
+_A6_5 = 1.25467687566822425016691814123e-1
+_A7_1 = 3.7109375e-2
+_A7_4 = 1.70252211019544039314978060272e-1
+_A7_5 = 6.02165389804559606850219397283e-2
+_A7_6 = -1.7578125e-2
+_A8_1 = 3.70920001185047927108779319836e-2
+_A8_4 = 1.70383925712239993810214054705e-1
+_A8_5 = 1.07262030446373284651809199168e-1
+_A8_6 = -1.53194377486244017527936158236e-2
+_A8_7 = 8.27378916381402288758473766002e-3
+_A9_1 = 6.24110958716075717114429577812e-1
+_A9_4 = -3.36089262944694129406857109825
+_A9_5 = -8.68219346841726006818189891453e-1
+_A9_6 = 2.75920996994467083049415600797e1
+_A9_7 = 2.01540675504778934086186788979e1
+_A9_8 = -4.34898841810699588477366255144e1
+_A10_1 = 4.77662536438264365890433908527e-1
+_A10_4 = -2.48811461997166764192642586468
+_A10_5 = -5.90290826836842996371446475743e-1
+_A10_6 = 2.12300514481811942347288949897e1
+_A10_7 = 1.52792336328824235832596922938e1
+_A10_8 = -3.32882109689848629194453265587e1
+_A10_9 = -2.03312017085086261358222928593e-2
+_A11_1 = -9.3714243008598732571704021658e-1
+_A11_4 = 5.18637242884406370830023853209
+_A11_5 = 1.09143734899672957818500254654
+_A11_6 = -8.14978701074692612513997267357
+_A11_7 = -1.85200656599969598641566180701e1
+_A11_8 = 2.27394870993505042818970056734e1
+_A11_9 = 2.49360555267965238987089396762
+_A11_10 = -3.0467644718982195003823669022
+_A12_1 = 2.27331014751653820792359768449
+_A12_4 = -1.05344954667372501984066689879e1
+_A12_5 = -2.00087205822486249909675718444
+_A12_6 = -1.79589318631187989172765950534e1
+_A12_7 = 2.79488845294199600508499808837e1
+_A12_8 = -2.85899827713502369474065508674
+_A12_9 = -8.87285693353062954433549289258
+_A12_10 = 1.23605671757943030647266201528e1
+_A12_11 = 6.43392746015763530355970484046e-1
+
+_B1 = 5.42937341165687622380535766363e-2
+_B6 = 4.45031289275240888144113950566
+_B7 = 1.89151789931450038304281599044
+_B8 = -5.8012039600105847814672114227
+_B9 = 3.1116436695781989440891606237e-1
+_B10 = -1.52160949662516078556178806805e-1
+_B11 = 2.01365400804030348374776537501e-1
+_B12 = 4.47106157277725905176885569043e-2
+
+_BH1 = 0.244094488188976377952755905512
+_BH9 = 0.733846688281611857341361741547
+_BH12 = 0.220588235294117647058823529412e-1
+
+_E1 = 0.1312004499419488073250102996e-1
+_E6 = -0.1225156446376204440720569753e+1
+_E7 = -0.4957589496572501915214079952
+_E8 = 0.1664377182454986536961530415e+1
+_E9 = -0.3503288487499736816886487290
+_E10 = 0.3341791187130174790297318841
+_E11 = 0.8192320648511571246570742613e-1
+_E12 = -0.2235530786388629525884427845e-1
 
 _MIN_STEP_FACTOR = 1e-13
 
@@ -373,7 +460,8 @@ class Trajectory:
     ys: list = field(default_factory=list)
     n_accepted: int = 0
     n_rejected: int = 0
-    projected: bool = False
+    step_min: float = math.inf
+    step_max: float = 0.0
 
     @property
     def final(self):
@@ -381,10 +469,10 @@ class Trajectory:
 
     @property
     def rhs_evals(self) -> int:
-        """Vector-field evaluations the run made: the initial slope, six per
-        attempted step, and one more per accepted step after a projection."""
-        return (1 + 6 * (self.n_accepted + self.n_rejected)
-                + (self.n_accepted if self.projected else 0))
+        """Vector-field evaluations the run made: the initial slope, eleven
+        per attempted step, and the slope at the new state (after the
+        projection, when there is one) per accepted step."""
+        return 1 + 11 * (self.n_accepted + self.n_rejected) + self.n_accepted
 
 
 def integrate(
@@ -412,10 +500,11 @@ def integrate(
         raise ValueError(f"sample_dt = {sample_dt!r} must be positive and finite")
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     y = tuple(float(c) for c in y0)
+    n = len(y)
     t = 0.0
     if not all(math.isfinite(c) for c in y):
         raise SingularityError(t, f"non-finite initial state at t = {t!r}")
-    traj = Trajectory(ts=[t], ys=[y], projected=project is not None)
+    traj = Trajectory(ts=[t], ys=[y])
     next_sample = sample_dt
 
     try:
@@ -425,7 +514,6 @@ def integrate(
     if not all(math.isfinite(c) for c in k1):
         raise SingularityError(t, f"non-finite vector field at t = {t!r}")
     h_ctrl = _initial_step(y, k1, atol, rtol)
-    err_prev = 1.0
     eps_end = 1e-12 * max(1.0, abs(t_end))
 
     while t < t_end - eps_end:
@@ -435,49 +523,78 @@ def integrate(
         if h < _MIN_STEP_FACTOR * max(1.0, abs(t)):
             raise SingularityError(t, f"step size underflow at t = {t!r}")
         try:
-            # stage vectors are throwaway lists; only ynew is stored
-            y2 = [yi + h * (_A21 * a) for yi, a in zip(y, k1)]
-            k2 = rhs(t + _C2 * h, y2)
-            y3 = [yi + h * (_A31 * a + _A32 * b) for yi, a, b in zip(y, k1, k2)]
-            k3 = rhs(t + _C3 * h, y3)
-            y4 = [yi + h * (_A41 * a + _A42 * b + _A43 * c)
-                  for yi, a, b, c in zip(y, k1, k2, k3)]
-            k4 = rhs(t + _C4 * h, y4)
-            y5 = [yi + h * (_A51 * a + _A52 * b + _A53 * c + _A54 * d)
-                  for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
-            k5 = rhs(t + _C5 * h, y5)
-            y6 = [yi + h * (_A61 * a + _A62 * b + _A63 * c + _A64 * d + _A65 * e)
-                  for yi, a, b, c, d, e in zip(y, k1, k2, k3, k4, k5)]
-            k6 = rhs(t + h, y6)
-            ynew = tuple(yi + h * (_B1 * a + _B3 * c + _B4 * d + _B5 * e + _B6 * f)
-                         for yi, a, c, d, e, f in zip(y, k1, k3, k4, k5, k6))
-            k7 = rhs(t + h, ynew)
+            # stage vectors are throwaway lists; xj is a component of the stage k_j
+            k2 = rhs(t + _C2 * h, [yi + h * (_A2_1 * x1) for yi, x1 in zip(y, k1)])
+            k3 = rhs(t + _C3 * h, [yi + h * (_A3_1 * x1 + _A3_2 * x2)
+                                   for yi, x1, x2 in zip(y, k1, k2)])
+            k4 = rhs(t + _C4 * h, [yi + h * (_A4_1 * x1 + _A4_3 * x3)
+                                   for yi, x1, x3 in zip(y, k1, k3)])
+            k5 = rhs(t + _C5 * h, [yi + h * (_A5_1 * x1 + _A5_3 * x3 + _A5_4 * x4)
+                                   for yi, x1, x3, x4 in zip(y, k1, k3, k4)])
+            k6 = rhs(t + _C6 * h, [yi + h * (_A6_1 * x1 + _A6_4 * x4 + _A6_5 * x5)
+                                   for yi, x1, x4, x5 in zip(y, k1, k4, k5)])
+            k7 = rhs(t + _C7 * h, [yi + h * (_A7_1 * x1 + _A7_4 * x4 + _A7_5 * x5
+                                             + _A7_6 * x6)
+                                   for yi, x1, x4, x5, x6 in zip(y, k1, k4, k5, k6)])
+            k8 = rhs(t + _C8 * h, [yi + h * (_A8_1 * x1 + _A8_4 * x4 + _A8_5 * x5
+                                             + _A8_6 * x6 + _A8_7 * x7)
+                                   for yi, x1, x4, x5, x6, x7 in zip(y, k1, k4, k5, k6, k7)])
+            k9 = rhs(t + _C9 * h, [yi + h * (_A9_1 * x1 + _A9_4 * x4 + _A9_5 * x5
+                                             + _A9_6 * x6 + _A9_7 * x7 + _A9_8 * x8)
+                                   for yi, x1, x4, x5, x6, x7, x8
+                                   in zip(y, k1, k4, k5, k6, k7, k8)])
+            k10 = rhs(t + _C10 * h, [yi + h * (_A10_1 * x1 + _A10_4 * x4 + _A10_5 * x5
+                                               + _A10_6 * x6 + _A10_7 * x7 + _A10_8 * x8
+                                               + _A10_9 * x9)
+                                     for yi, x1, x4, x5, x6, x7, x8, x9
+                                     in zip(y, k1, k4, k5, k6, k7, k8, k9)])
+            k11 = rhs(t + _C11 * h, [yi + h * (_A11_1 * x1 + _A11_4 * x4 + _A11_5 * x5
+                                               + _A11_6 * x6 + _A11_7 * x7 + _A11_8 * x8
+                                               + _A11_9 * x9 + _A11_10 * x10)
+                                     for yi, x1, x4, x5, x6, x7, x8, x9, x10
+                                     in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
+            k12 = rhs(t + h, [yi + h * (_A12_1 * x1 + _A12_4 * x4 + _A12_5 * x5
+                                        + _A12_6 * x6 + _A12_7 * x7 + _A12_8 * x8
+                                        + _A12_9 * x9 + _A12_10 * x10 + _A12_11 * x11)
+                              for yi, x1, x4, x5, x6, x7, x8, x9, x10, x11
+                              in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
         except CollisionError as exc:
             raise SingularityError(t, f"collision near t = {t!r}: {exc}") from exc
 
-        # weighted RMS error of the embedded pair
-        acc = 0.0
-        for yi, yn, a, c, d, e, f, g in zip(y, ynew, k1, k3, k4, k5, k6, k7):
-            ee = h * (_E1 * a + _E3 * c + _E4 * d + _E5 * e + _E6 * f + _E7 * g)
+        # the eighth-order solution and the weighted sums of squares of the
+        # fifth- (e5) and third-order (e3) error estimates
+        ynew = []
+        e5sq = e3sq = 0.0
+        for yi, x1, x6, x7, x8, x9, x10, x11, x12 in zip(y, k1, k6, k7, k8, k9, k10, k11, k12):
+            d = (_B1 * x1 + _B6 * x6 + _B7 * x7 + _B8 * x8 + _B9 * x9 + _B10 * x10
+                 + _B11 * x11 + _B12 * x12)
+            yn = yi + h * d
+            ynew.append(yn)
             ay, an = abs(yi), abs(yn)
             sc = atol + rtol * (ay if ay > an else an)
-            q = ee / sc
-            acc += q * q
-        err = math.sqrt(acc / len(y))
+            e5 = (_E1 * x1 + _E6 * x6 + _E7 * x7 + _E8 * x8 + _E9 * x9 + _E10 * x10
+                  + _E11 * x11 + _E12 * x12) / sc
+            e3 = (d - _BH1 * x1 - _BH9 * x9 - _BH12 * x12) / sc
+            e5sq += e5 * e5
+            e3sq += e3 * e3
+        # Hairer's estimate: the fifth-order error, damped where the
+        # third-order one says the step is far outside its asymptotic range
+        err = 0.0 if e5sq == e3sq == 0.0 else h * e5sq / math.sqrt((e5sq + 0.01 * e3sq) * n)
         if err != err:
             raise SingularityError(t, f"NaN error estimate at t = {t!r}")
 
         if err <= 1.0:
             t += h
-            y = ynew
-            k1 = k7
+            y = tuple(ynew)
             if project is not None:
                 y = project(y)
-                try:
-                    k1 = rhs(t, y)
-                except CollisionError as exc:
-                    raise SingularityError(t, f"collision at t = {t!r}: {exc}") from exc
+            try:
+                k1 = rhs(t, y)
+            except CollisionError as exc:
+                raise SingularityError(t, f"collision at t = {t!r}: {exc}") from exc
             traj.n_accepted += 1
+            traj.step_min = min(traj.step_min, h)
+            traj.step_max = max(traj.step_max, h)
             record = sample_dt is None
             if next_sample is not None and t >= next_sample - 1e-14 * max(1.0, abs(t)):
                 record = True
@@ -485,14 +602,11 @@ def integrate(
             if record or t >= t_end - eps_end:
                 traj.ts.append(t)
                 traj.ys.append(y)
-            fac = 5.0 if err == 0.0 else 0.9 * err ** -0.14 * err_prev ** 0.08
-            if err > 0.0:
-                err_prev = err
-            if h >= h_ctrl:  # keep the controller's belief when the step was clipped
-                h_ctrl = h * min(5.0, max(0.2, fac))
+            if h >= h_ctrl:  # keep the controller's step when this one was clipped
+                h_ctrl = h * (10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125))
         else:
             traj.n_rejected += 1
-            h_ctrl = h * max(0.2, 0.9 * err ** -0.2)
+            h_ctrl = h * max(0.2, 0.9 * err ** -0.125)
     return traj
 
 
@@ -508,8 +622,12 @@ def _initial_step(y, k1, atol, rtol) -> float:
 # ---------------------------------------------------------------------------
 
 def sample_columns(traj: Trajectory, funcs: dict) -> dict:
-    """Each function evaluated once at every recorded sample, by name."""
-    return {name: [fn(y) for y in traj.ys] for name, fn in funcs.items()}
+    """Each function evaluated once at every recorded sample, by name.
+
+    The functions run row by row, so those of one row can share work on it.
+    """
+    rows = [[fn(y) for fn in funcs.values()] for y in traj.ys]
+    return dict(zip(funcs, map(list, zip(*rows))))
 
 
 def drift_summary(columns: dict) -> dict:
@@ -520,13 +638,17 @@ def drift_summary(columns: dict) -> dict:
 
 
 def invariants_reduced(m: MassParams, pot: Potential) -> dict:
-    """H, C1, C2 and C3 as functions of a flat reduced vector (either side)."""
+    """H, C1, C2 and C3 as functions of a flat reduced vector (either side).
+
+    Like those of :func:`invariants_state`, they share one typed state per row.
+    """
     ham = HamiltonianKind.two_body(m, pot).reduced_hamiltonian()[0]
+    state = functools.lru_cache(maxsize=1)(vec_to_reduced)
     return {
-        "H": lambda v: ham(*_hamiltonian_args(vec_to_reduced(v))),
+        "H": lambda v: ham(*_hamiltonian_args(state(v))),
         "C1": lambda v: v[6] ** 2 + v[7] ** 2 + v[8] ** 2 + v[9] ** 2,
-        "C2": lambda v: casimir_C2_direct(vec_to_reduced(v)),
-        "C3": lambda v: casimir_C3(hilbert_map(vec_to_reduced(v))),
+        "C2": lambda v: casimir_C2_direct(state(v)),
+        "C3": lambda v: casimir_C3(hilbert_map(state(v))),
     }
 
 
@@ -543,18 +665,19 @@ def invariants_point(m: MassParams, pot: Potential) -> dict:
 
 
 def invariants_state(m: MassParams, pot: Potential) -> dict:
-    """H, C2, C3 and the Casimir C1 = |g1^{-1} g2|^2 on flat unreduced vectors."""
+    """H, C2, C3 and the Casimir C1 = |g1^{-1} g2|^2 on flat unreduced vectors.
+
+    The four share the typed state of the latest vector, so a row that
+    :func:`sample_columns` evaluates builds it once.
+    """
     from .phase_space import hamiltonian_2body, momentum_left, momentum_right
 
-    def c1(v):
-        s = vec_to_state(v)
-        return (s.g1.inverse() * s.g2).norm2()
-
+    state = functools.lru_cache(maxsize=1)(vec_to_state)
     return {
-        "H": lambda v: hamiltonian_2body(vec_to_state(v), m, pot),
-        "C2": lambda v: momentum_left(vec_to_state(v)).norm2(),
-        "C3": lambda v: momentum_right(vec_to_state(v)).norm2(),
-        "C1": c1,
+        "H": lambda v: hamiltonian_2body(state(v), m, pot),
+        "C2": lambda v: momentum_left(state(v)).norm2(),
+        "C3": lambda v: momentum_right(state(v)).norm2(),
+        "C1": lambda v: (state(v).g1.inverse() * state(v).g2).norm2(),
     }
 
 

@@ -342,13 +342,12 @@ def re_from_tau(
     """Pick the RE with rate asymmetry tau, where 2 e^tau eta^2 = f sin(theta)/zeta.
 
     Under this reparameterisation xi = e^tau eta, so tau = 0 is the simple
-    rotation.  At theta = pi/2 the family coordinate phi1 must be supplied.
+    rotation.  At theta = pi/2 the family coordinate phi1 may be supplied;
+    without it the RE is the isosceles one that ``solve_re`` picks.
     """
     if abs(theta - math.pi / 2) <= _RIGHT_ANGLE_TOL:
-        if phi1 is None:
-            raise ValueError("the right-angled family needs phi1")
         f = pot.f(0.0)
-        zeta = m.m1 * math.sin(2 * phi1)
+        zeta = zeta_of(theta, m, pot) if phi1 is None else m.m1 * math.sin(2 * phi1)
     else:
         f = pot.f(math.cos(theta))
         zeta = zeta_of(theta, m, pot)

@@ -174,6 +174,14 @@ class TestSimulate:
             (traj.n_accepted, traj.n_rejected)
         assert traj.n_accepted > 0
         assert record["rhs_evals"] == seen["rhs_calls"]
+        # every accepted step lies inside one sample interval, and together
+        # the steps cover [0, T]
+        gaps = [b - a for a, b in zip(traj.ts, traj.ts[1:])]
+        assert (record["step_min"], record["step_max"]) == (traj.step_min, traj.step_max)
+        assert 0.0 < record["step_min"] <= min(gaps) * (1 + 1e-12)
+        assert record["step_min"] <= record["step_max"] <= max(gaps) * (1 + 1e-12)
+        assert record["step_min"] * traj.n_accepted <= 2.0 * (1 + 1e-12)
+        assert record["step_max"] * traj.n_accepted >= 2.0 * (1 - 1e-12)
         assert set(record["wall_s"]) == {"integrate", "write"}
         assert all(v >= 0.0 for v in record["wall_s"].values())
 
@@ -363,6 +371,15 @@ class TestSurfaceCommand:
         assert len(rows) == 101
         assert (tmp_path / "surf.csv.plot.py").exists()
         assert (tmp_path / "surf.csv.manifest.json").exists()
+
+    def test_isosceles_sheet_takes_the_isosceles_re_at_a_right_angle(self, tmp_path, capsys):
+        # the middle row of this grid is theta = pi/2
+        out = tmp_path / "surf.csv"
+        assert run(["ec-surface", "--grid", 3, 4, "--no-classify", "--out", out]) == 0
+        assert "wrote 12 samples, 0 failures" in capsys.readouterr().out
+        rows = out.read_text().strip().splitlines()[1:]
+        assert sum(float(r.split(",")[1]) == math.pi / 2 for r in rows) == 4
+        assert not Path(str(out) + ".failures.json").exists()
 
 
 def test_import_loads_no_scipy():

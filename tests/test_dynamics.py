@@ -293,7 +293,7 @@ class TestIntegrator:
         assert drift["C2"] < 1e-8
         # tightened-tolerance rerun agrees with the nominal run
         tight = integrate(make_reduced_rhs(m, LIN), reduced_to_vec(rs), 10.0,
-                          FlowConfig(rel_tol=1e-12, abs_tol=1e-12))
+                          FlowConfig(rel_tol=1e-13, abs_tol=1e-13))
         assert np.allclose(traj.final, tight.final, atol=1e-8)
 
     def test_commuting_square_short(self, rng):
@@ -405,6 +405,81 @@ class TestIntegrator:
                               env={**os.environ, "PYTHONPATH": src})
         assert done.returncode == 0, done.stderr
         assert "non-finite vector field" in done.stdout
+
+
+def _dop853_tableau():
+    """(c, A, b, bh, e) of the integrator as 0-based arrays, assembled from
+    the coefficients written out in ``dynamics`` (zero where none is)."""
+    from spheretop import dynamics
+
+    def coef(name):
+        return getattr(dynamics, name, 0.0)
+
+    c = np.array([0.0, *(coef(f"_C{i}") for i in range(2, 12)), 1.0])
+    A = np.array([[coef(f"_A{i}_{j}") for j in range(1, 13)] for i in range(1, 13)])
+    b, bh, e = (np.array([coef(f"_{w}{i}") for i in range(1, 13)]) for w in ("B", "BH", "E"))
+    return c, A, b, bh, e
+
+
+class TestDOP853Tableau:
+    def test_every_written_coefficient_is_in_the_tableau(self):
+        import re
+
+        from spheretop import dynamics
+
+        names = [n for n in vars(dynamics)
+                 if re.fullmatch(r"_(A\d+_\d+|BH?\d+|E\d+|C\d+)", n)]
+        c, A, b, bh, e = _dop853_tableau()
+        assert np.all(np.tril(A, -1) == A)  # explicit
+        assert len(names) == sum(np.count_nonzero(x) for x in (c[1:-1], A, b, bh, e))
+
+    def test_row_sums_are_the_nodes(self):
+        c, A, *_ = _dop853_tableau()
+        for ci, row in zip(c, A):
+            assert abs(math.fsum(row) - ci) <= 1e-14
+
+    def test_quadrature_conditions_to_order_eight(self):
+        c, _, b, *_ = _dop853_tableau()
+        for k in range(1, 9):
+            assert abs(math.fsum(b * c ** (k - 1)) - 1.0 / k) <= 1e-15, k
+
+    def test_error_weights_annihilate_constants(self):
+        _, _, b, bh, e = _dop853_tableau()
+        assert abs(math.fsum(e)) <= 1e-15
+        assert abs(math.fsum(b - bh)) <= 1e-15
+
+    def test_agrees_with_scipy(self):
+        coeffs = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+        c, A, b, bh, e = _dop853_tableau()
+        n = coeffs.N_STAGES
+        # scipy's error weights carry a thirteenth entry, for the slope at
+        # the new state, which both estimates leave out
+        assert coeffs.E3[n] == coeffs.E5[n] == 0.0
+        for ours, theirs in ((c, coeffs.C[:n]), (A, coeffs.A[:n, :n]), (b, coeffs.B),
+                             (b - bh, coeffs.E3[:n]), (e, coeffs.E5[:n])):
+            assert ours.shape == theirs.shape
+            assert np.all(np.abs(ours - theirs) <= 1e-15 * np.maximum(1.0, np.abs(theirs)))
+
+
+class TestInvariantColumns:
+    def test_full_level_columns_equal_the_typed_functions(self, rng):
+        from spheretop.dynamics import Trajectory, invariants_state
+        from spheretop.phase_space import hamiltonian_2body
+
+        m = MassParams(0.8, 1.9)
+        pot = Potential.gravitational(m)
+        states = [random_phase_state(rng, momentum_scale=0.7) for _ in range(50)]
+        traj = Trajectory(ts=list(range(len(states))), ys=[state_to_vec(s) for s in states])
+        cols = sample_columns(traj, invariants_state(m, pot))
+        typed = {"H": lambda s: hamiltonian_2body(s, m, pot),
+                 "C1": lambda s: (s.g1.inverse() * s.g2).norm2(),
+                 "C2": lambda s: momentum_left(s).norm2(),
+                 "C3": lambda s: momentum_right(s).norm2()}
+        assert set(cols) == set(typed)
+        for name, fn in typed.items():
+            for got, s in zip(cols[name], states):
+                want = fn(s)
+                assert abs(got - want) <= 1e-15 * abs(want), name
 
 
 class TestTopEquivalence:

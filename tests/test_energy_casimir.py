@@ -86,10 +86,12 @@ class TestSurface:
         assert not res.failures
 
     def test_failures_recorded_not_fatal(self):
-        # theta = pi/2 is right-angled and needs phi1: recorded as a failure
+        # theta = pi/2 is right-angled, which masses (3, 2) do not allow:
+        # recorded as a failure
         res = ec_surface("generic", (math.pi / 2, 2.5), (-0.5, 0.5), (3, 2),
                          M32, GRAV32, classify=False)
         assert len(res.failures) == 2
+        assert all(msg.startswith("NoSolutionError") for _, _, msg in res.failures)
         assert len(res.samples) == 4
 
     def test_tau_zero_slice_is_equal_momentum(self):

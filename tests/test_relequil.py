@@ -227,6 +227,17 @@ class TestInvariantRelations:
             assert inner_product(st.g1, st.g2) == pytest.approx(
                 math.cos(1.0), abs=1e-8)
 
+    def test_separation_angle_error_at_default_tolerances(self):
+        # 4.2e-10 is what the Dormand-Prince 5(4) integrator reached here at
+        # its 1e-10 default; the integrator and its default tolerance may
+        # change only together, and never to a less accurate pair
+        re = solve_re(1.0, 1.2, M11, grav(M11))
+        traj = integrate(make_state_rhs(M11, grav(M11)),
+                         state_to_vec(re.state), 10.0, sample_dt=1.0)
+        err = max(abs(inner_product(st.g1, st.g2) - math.cos(1.0))
+                  for st in map(vec_to_state, traj.ys))
+        assert err < 4.2e-10
+
 
 class TestReconstruction:
     def test_round_trip_through_parameters(self):
@@ -234,6 +245,16 @@ class TestReconstruction:
             rebuilt = reconstruct_re(re)
             for a, b in zip(state_to_vec(rebuilt), state_to_vec(re.state)):
                 assert a == pytest.approx(b, abs=1e-14)
+
+    def test_right_angle_without_phi1_is_the_isosceles_re(self):
+        for pot, phi1 in ((grav(M11), math.pi / 4), (Potential.linear(1.0), -math.pi / 4)):
+            for tau in (-1.0, 0.0, 2.0):
+                re = re_from_tau(math.pi / 2, tau, M11, pot)
+                assert re.isosceles and re.phi1 == phi1
+                assert re.xi_mag / re.eta_mag == pytest.approx(math.exp(tau), rel=1e-12)
+                assert verify_re_fixed_point(re) < 1e-10
+        with pytest.raises(NoSolutionError):
+            re_from_tau(math.pi / 2, 0.0, M32, grav(M32))
 
     def test_rates_parameterisation(self):
         re = re_from_tau(2.2, 0.8, M32, grav(M32))
