@@ -9,6 +9,7 @@ to its outputs so a run can be reproduced from the artifacts alone.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import sys
@@ -181,6 +182,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         y0, rhs, labels = reduced_to_vec(rs), make_reduced_rhs(m, pot, rs.side), _REDUCED_LABELS
         project, funcs = project_reduced, invariants_reduced(m, pot)
     elif space == "invariants":
+        if cfg["projection"]:
+            raise ValueError("--projection has no projector on the 8-d invariants level")
         pt = hilbert_map(left_reduce(state))
         y0, rhs, labels = point_to_vec(pt), make_invariant_rhs(m, pot), _POINT_LABELS
         project, funcs = None, invariants_point(m, pot)
@@ -230,10 +233,15 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         with open(cfg["state"]) as fh:
             states.append((0.0, PhaseState.from_json_dict(json.load(fh))))
     elif cfg["trajectory"]:
-        rows = _read_csv(cfg["trajectory"])
-        for row in rows:
-            vec = [row[label] for label in _STATE_LABELS]
-            states.append((row["t"], vec_to_state(vec)))
+        with open(cfg["trajectory"], newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = [c for c in ("t", *_STATE_LABELS) if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"trajectory {cfg['trajectory']} lacks the columns {missing}; "
+                                 "reduce needs a --space full trajectory")
+            for row in reader:
+                vec = [float(row[label]) for label in _STATE_LABELS]
+                states.append((float(row["t"]), vec_to_state(vec)))
     else:
         raise ValueError("reduce needs --state or --trajectory")
 
@@ -247,15 +255,6 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     Path(out).write_text("\n".join(lines) + "\n")
     _write_manifest(out, "reduce", cfg)
     return 0
-
-
-def _read_csv(path: str) -> list[dict]:
-    import csv
-
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [{k: float(v) if k != "stratum" else v for k, v in row.items()}
-                for row in reader]
 
 
 # ---------------------------------------------------------------------------

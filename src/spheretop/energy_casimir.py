@@ -153,9 +153,9 @@ def ec_surface(
     with ``workers`` > 1 a process pool is used and results are reassembled
     in grid order; ``None`` or 1 means serial.  The pool is forked, so its
     workers share the caller's masses and ``Potential``, whatever its kind.
-    A non-finite range endpoint, a grid dimension below 1, or an acute or
-    obtuse theta range that leaves its family's half of (0, pi) raises
-    ``ValueError`` before any node is sampled.
+    A non-finite range endpoint, a grid dimension or ``workers`` below 1, or
+    an acute or obtuse theta range that leaves its family's half of (0, pi)
+    raises ``ValueError`` before any node is sampled.
     """
     ends = (*theta_range, *tau_range, *(phi1_range or ()))
     if not all(math.isfinite(v) for v in ends):
@@ -163,6 +163,8 @@ def ec_surface(
     n_a, n_b = grid
     if min(n_a, n_b) < 1:
         raise ValueError(f"grid dimensions must be at least 1, got {tuple(grid)!r}")
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers!r}")
     half = {FAMILY_ACUTE: (0.0, math.pi / 2), FAMILY_OBTUSE: (math.pi / 2, math.pi)}.get(family)
     if half is not None and not all(half[0] < t < half[1] for t in theta_range):
         raise ValueError(f"{family} surfaces need theta in ({half[0]!r}, {half[1]!r}), "

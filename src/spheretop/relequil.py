@@ -93,12 +93,25 @@ class RelativeEquilibrium:
         }
 
 
-def phi_branches(theta: float, m: MassParams, attractive: bool) -> tuple[float, ...]:
-    """All position-angle branches solving m1 sin 2phi1 = m2 sin 2phi2.
+def _phi1(theta: float, m: MassParams, attractive: bool) -> float:
+    """The acute or obtuse position angle phi1, in closed form.
 
-    Scans the window compatible with the sign of the force.  Away from
-    theta = pi/2 a single root is expected, so callers flag any multiplicity
-    instead of silently picking one.
+    With phi2 = theta - phi1, m1 sin 2phi1 - m2 sin 2phi2 = R sin(2phi1 - a)
+    where tan a = m2 sin 2theta / (m1 + m2 cos 2theta).  The force's window
+    spans less than pi in 2phi1, so it holds at most one root, the one with
+    sin 2phi1 of the force's sign.
+    """
+    s2 = math.sin(2 * theta)
+    sigma = math.copysign(1.0, s2) * (1.0 if attractive else -1.0)
+    return 0.5 * math.atan2(sigma * m.m2 * s2, sigma * (m.m1 + m.m2 * math.cos(2 * theta)))
+
+
+def phi_branches(theta: float, m: MassParams, attractive: bool) -> tuple[float, ...]:
+    """Every position-angle branch solving m1 sin 2phi1 = m2 sin 2phi2.
+
+    The window compatible with the sign of the force holds at most one
+    branch, the closed form of ``_phi1``; an empty window or an angle that
+    does not keep both sines of the force's sign gives none.
     """
     if attractive:
         lo, hi = max(0.0, theta - math.pi / 2), min(theta, math.pi / 2)
@@ -106,40 +119,11 @@ def phi_branches(theta: float, m: MassParams, attractive: bool) -> tuple[float, 
         lo, hi = max(-math.pi / 2, theta - math.pi), min(0.0, theta - math.pi / 2)
     if hi <= lo:
         return ()
-
-    def h(p):
-        return m.m1 * math.sin(2 * p) - m.m2 * math.sin(2 * theta - 2 * p)
-
+    p = _phi1(theta, m, attractive)
     sgn = 1.0 if attractive else -1.0
-    grid = np.linspace(lo + 1e-12, hi - 1e-12, 721)
-    vals = m.m1 * np.sin(2 * grid) - m.m2 * np.sin(2 * theta - 2 * grid)
-    zero = vals[:-1] == 0.0
-    roots = []
-    for i in np.flatnonzero(zero | (vals[:-1] * vals[1:] < 0.0)):
-        if zero[i]:
-            roots.append(grid[i])
-            continue
-        x0, x1v, f0 = grid[i], grid[i + 1], vals[i]
-        for _ in range(80):
-            mid = 0.5 * (x0 + x1v)
-            fm = h(mid)
-            if f0 * fm <= 0.0:
-                x1v = mid
-            else:
-                x0, f0 = mid, fm
-        roots.append(0.5 * (x0 + x1v))
-    out = []
-    for p in roots:
-        if sgn * math.sin(2 * p) > 1e-12 and sgn * math.sin(2 * (theta - p)) > 1e-12:
-            out.append(float(p))
-    return tuple(out)
-
-
-def _closed_form_x(theta: float, eta: float, m: MassParams, y: float) -> tuple[float, float]:
-    cot2, csc2 = 1.0 / math.tan(2 * theta), 1.0 / math.sin(2 * theta)
-    x1 = y * (cot2 + (m.m1 / m.m2) * csc2) - m.m1 * eta
-    x2 = y * (cot2 + (m.m2 / m.m1) * csc2) - m.m2 * eta
-    return x1, x2
+    if sgn * math.sin(2 * p) > 1e-12 and sgn * math.sin(2 * (theta - p)) > 1e-12:
+        return (p,)
+    return ()
 
 
 def solve_re_linear_system(
@@ -208,63 +192,45 @@ def solve_re(
     if f == 0.0:
         raise NoSolutionError("the force vanishes at this separation")
     if abs(theta - math.pi / 2) <= _RIGHT_ANGLE_TOL:
-        return _solve_right_angled(eta_mag, m, pot, f, phi1)
+        if abs(m.m1 - m.m2) > 1e-12 * max(m.m1, m.m2):
+            raise NoSolutionError("right-angled relative equilibria require equal masses")
+        if phi1 is None:
+            phi1 = math.pi / 4 if f > 0 else -math.pi / 4
+        if f > 0 and not (0 < phi1 < math.pi / 2):
+            raise ValueError("attractive right-angled REs have phi1 in (0, pi/2)")
+        if f < 0 and not (-math.pi / 2 < phi1 < 0):
+            raise ValueError("repulsive right-angled REs have phi1 in (-pi/2, 0)")
+        return _planar_re(KIND_RIGHT_ANGLED, math.pi / 2, phi1, eta_mag, m, pot, f)
     if phi1 is not None:
         raise ValueError("phi1 is determined away from theta = pi/2")
-    return _solve_generic(theta, eta_mag, m, pot, f)
-
-
-def _generic_angles(theta, eta_mag, m, f) -> tuple[float, ...]:
-    """(y, x1, x2, xi, phi1, phi2) of an acute or obtuse RE from the closed forms."""
-    y = f * math.sin(theta) / (2.0 * eta_mag)
-    x1, x2 = _closed_form_x(theta, eta_mag, m, y)
-    u1, u2 = x1 + m.m1 * eta_mag, x2 + m.m2 * eta_mag
-    xi = math.hypot(u1, y) / m.m1
-    phi1 = 0.5 * math.atan2(y, u1)
-    phi2 = theta - phi1
-    scale = max(1.0, abs(x1), abs(x2), abs(y))
-    if (abs(math.hypot(u2, y) / m.m2 - xi) > _CONSISTENCY_TOL * scale
-            or abs(m.m2 * xi * math.cos(2 * phi2) - u2) > _CONSISTENCY_TOL * scale
-            or abs(m.m2 * xi * math.sin(2 * phi2) - y) > _CONSISTENCY_TOL * scale):
-        raise RuntimeError("reconstruction of the position angles is inconsistent")
-    return y, x1, x2, xi, phi1, phi2
-
-
-def _solve_generic(theta, eta_mag, m, pot, f) -> RelativeEquilibrium:
-    y, x1, x2, xi, phi1, phi2 = _generic_angles(theta, eta_mag, m, f)
-    zeta = m.m1 * math.sin(2 * phi1)
     kind = KIND_ACUTE if theta < math.pi / 2 else KIND_OBTUSE
-    iso = m.equal and (abs(phi1 - theta / 2) <= 1e-9
-                       or abs(phi1 - (theta - math.pi) / 2) <= 1e-9)
-    re = RelativeEquilibrium(
-        kind=kind, theta=theta, phi1=phi1, phi2=phi2,
-        xi_mag=xi, eta_mag=eta_mag, x1=x1, x2=x2, y=y, zeta=zeta,
-        masses=m, potential=pot, state=_PLACEHOLDER, isosceles=iso,
-    )
-    return replace(re, state=reconstruct_re(re))
+    return _planar_re(kind, theta, _phi1(theta, m, f > 0), eta_mag, m, pot, f)
 
 
-def _solve_right_angled(eta_mag, m, pot, f, phi1) -> RelativeEquilibrium:
-    if abs(m.m1 - m.m2) > 1e-12 * max(m.m1, m.m2):
-        raise NoSolutionError("right-angled relative equilibria require equal masses")
-    mm = m.m1
-    if phi1 is None:
-        phi1 = math.pi / 4 if f > 0 else -math.pi / 4
-    if f > 0 and not (0 < phi1 < math.pi / 2):
-        raise ValueError("attractive right-angled REs have phi1 in (0, pi/2)")
-    if f < 0 and not (-math.pi / 2 < phi1 < 0):
-        raise ValueError("repulsive right-angled REs have phi1 in (-pi/2, 0)")
-    y = f / (2.0 * eta_mag)
-    zeta = mm * math.sin(2 * phi1)
+def _planar_re(kind, theta, phi1, eta_mag, m, pot, f) -> RelativeEquilibrium:
+    """The acute, obtuse or right-angled RE with position angle phi1.
+
+    The rates follow from the balance zeta = m1 sin 2phi1 = m2 sin 2phi2 and
+    the lever relation 2 xi eta zeta = f sin(theta); the momenta are then
+    x_i = m_i (xi cos 2phi_i - eta) and y = f sin(theta) / (2 eta).  The RE is
+    isosceles when phi1 = theta/2 or (theta - pi)/2, for equal masses; at
+    theta = pi/2 the masses are equal to 1e-12 and (theta - pi)/2 = -theta/2.
+    """
+    phi2 = theta - phi1
+    zeta = m.m1 * math.sin(2 * phi1)
+    y = f * math.sin(theta) / (2.0 * eta_mag)
     xi = y / zeta
-    x1 = mm * (xi * math.cos(2 * phi1) - eta_mag)
-    x2 = -2.0 * mm * eta_mag - x1
-    theta = math.pi / 2
+    # xi > 0 rejects the branch of the wrong sign, which also balances
+    if not (abs(m.m2 * math.sin(2 * phi2) - zeta) <= _CONSISTENCY_TOL * max(m.m1, m.m2)
+            and xi > 0):
+        raise RuntimeError("the position angles do not balance the relative equilibrium")
     re = RelativeEquilibrium(
-        kind=KIND_RIGHT_ANGLED, theta=theta, phi1=phi1, phi2=theta - phi1,
-        xi_mag=xi, eta_mag=eta_mag, x1=x1, x2=x2, y=y, zeta=zeta,
-        masses=m, potential=pot, state=_PLACEHOLDER,
-        isosceles=abs(phi1 - theta / 2) <= 1e-9 or abs(phi1 + theta / 2) <= 1e-9,
+        kind=kind, theta=theta, phi1=phi1, phi2=phi2, xi_mag=xi, eta_mag=eta_mag,
+        x1=m.m1 * (xi * math.cos(2 * phi1) - eta_mag),
+        x2=m.m2 * (xi * math.cos(2 * phi2) - eta_mag),
+        y=y, zeta=zeta, masses=m, potential=pot, state=_PLACEHOLDER,
+        isosceles=(m.equal or kind == KIND_RIGHT_ANGLED)
+        and (abs(phi1 - theta / 2) <= 1e-9 or abs(phi1 - (theta - math.pi) / 2) <= 1e-9),
     )
     return replace(re, state=reconstruct_re(re))
 
@@ -317,17 +283,16 @@ def lever_residual(re: RelativeEquilibrium) -> float:
 def zeta_of(theta: float, m: MassParams, pot: Potential) -> float:
     """The branch constant zeta = m1 sin 2phi1, a function of theta only.
 
-    Acute and obtuse thetas take the closed forms at eta = 1 without building
-    the RE; every other case goes through ``solve_re``, so both routes give
-    its value and raise its errors.
+    Acute and obtuse thetas take the closed-form phi1 without building the
+    RE; every other case goes through ``solve_re``, so both routes give its
+    value and raise its errors.
     """
     if (0 <= theta <= math.pi
             and min(abs(theta), abs(theta - math.pi)) > _SINGULAR_TOL
             and abs(theta - math.pi / 2) > _RIGHT_ANGLE_TOL):
         f = pot.f(math.cos(theta))
         if f != 0.0:
-            phi1 = _generic_angles(theta, 1.0, m, f)[4]
-            return m.m1 * math.sin(2 * phi1)
+            return m.m1 * math.sin(2 * _phi1(theta, m, f > 0))
     return solve_re(theta, 1.0, m, pot).zeta
 
 

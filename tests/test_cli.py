@@ -53,6 +53,19 @@ class TestSimulate:
         assert "t_end" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_projection_on_the_invariants_level_exits_4(self, tmp_path, capsys):
+        # the 8-d level has no projector; the flag used to be ignored and
+        # recorded as on in the manifest
+        out = tmp_path / "inv.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"projection": True}))
+        for extra in (["--projection"], ["--config", cfg]):
+            assert run(["simulate", "--scenario", "random", "--space", "invariants",
+                        "--T", "1", "--out", out, *extra]) == 4
+            err = capsys.readouterr().err
+            assert "--projection" in err and "invariants level" in err
+            assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+
     def test_non_finite_horizon_or_sample_step_rejected(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         for flag, val, message in (("--T", "inf", "must be positive and finite"),
@@ -162,7 +175,7 @@ class TestSimulate:
                          for k, v in drift_summary(sample_columns(traj, funcs)).items()}
 
     @pytest.mark.parametrize("space, projection", [
-        ("full", False), ("full", True), ("left", True), ("invariants", True)])
+        ("full", False), ("full", True), ("left", True), ("invariants", False)])
     def test_manifest_counts_the_run(self, tmp_path, monkeypatch, space, projection):
         seen = self._record_run(monkeypatch)
         out = tmp_path / "run.csv"
@@ -228,6 +241,18 @@ class TestReduce:
         assert run(["reduce", "--trajectory", full, "--potential", "grav",
                     "--out", grav]) == 0
         assert lag.read_bytes() == grav.read_bytes()
+
+    def test_trajectory_without_the_state_columns_exits_4(self, tmp_path, capsys):
+        # a reduced-level trajectory used to fail with a bare KeyError
+        left = tmp_path / "left.csv"
+        assert run(["simulate", "--scenario", "random", "--space", "left", "--T", "1",
+                    "--out", left]) == 0
+        out = tmp_path / "inv.csv"
+        assert run(["reduce", "--trajectory", left, "--out", out]) == 4
+        err = capsys.readouterr().err
+        assert "'g1w'" in err and "'p2z'" in err and "'t'" not in err
+        assert "reduce needs a --space full trajectory" in err
+        assert not out.exists()
 
     def test_round_trip_matches_invariant_integration(self, tmp_path):
         state = tmp_path / "state.json"
@@ -333,6 +358,8 @@ class TestSurfaceCommand:
         (["--family", "acute", "--theta-min", 1.7], "acute surfaces need theta"),
         (["--grid", 0, 5], "grid dimensions must be at least 1"),
         (["--grid", -3, 5], "grid dimensions must be at least 1"),
+        (["--workers", 0], "workers must be at least 1"),
+        (["--workers", -3], "workers must be at least 1"),
     ])
     def test_bad_range_or_grid_exits_4(self, tmp_path, capsys, flags, message):
         out = tmp_path / "surf.csv"

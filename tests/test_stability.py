@@ -286,8 +286,9 @@ class TestFold:
             fold_locus(1.0, M32)
 
     def test_certificate_is_free_of_the_step_error(self):
-        # a plain central difference leaves a determinant of order fd_step^2
-        # (1.05e-6 here); the extrapolated columns do not
+        # 1.5e-4 below the degenerate fold point theta* = 1.755586255062735,
+        # where the gradient of |rho|^2 is small: a plain central difference
+        # read 1.05e-6 here, so this theta guards the closed-form certificate
         res = fold_locus(1.755432857409167, M32)
         assert abs(res.c0) < 1e-8
         assert res.jacobian_det < 1e-6
@@ -379,8 +380,9 @@ class TestFold:
 
     def test_certificate_holds_next_to_the_degenerate_fold_point(self):
         # at theta* the gradient of |rho|^2 vanishes on the fold and the
-        # normalised determinant is 0/0; the finite-difference certificate
-        # read >= 1e-6 within a few 1e-6 of it
+        # normalised determinant is 0/0; this +-6e-6 band is where a
+        # finite-difference certificate read >= 1e-6, while the closed form
+        # fails only within about 2e-10 of theta*, inside the skipped 1e-9
         theta_star = 1.755586255062735
         for theta in theta_star + np.linspace(-6e-6, 6e-6, 241):
             if abs(theta - theta_star) <= 1e-9:
