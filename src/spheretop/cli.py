@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -196,6 +197,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         traj = integrate(rhs, y0, cfg["T"], flow_cfg, sample_dt=cfg["sample_dt"],
                          project=project if cfg["projection"] else None)
     except SingularityError as exc:
+        _write_manifest(cfg["out"], "simulate", cfg, {"collision": {
+            "time": exc.time, "level": space, "message": str(exc)}})
         print(f"singularity encountered at t = {exc.time}", file=sys.stderr)
         return 3
     integrated = time.perf_counter()
@@ -357,7 +360,9 @@ def cmd_ec_surface(args: argparse.Namespace) -> int:
     if cfg["plot_script"]:
         Path(out + ".plot.py").write_text(ec.PLOT_SCRIPT)
     # each failure record's message starts with its exception type
+    n_nodes = len(result.samples) + len(result.failures)
     run = {"samples": len(result.samples),
+           "batch_nodes": n_nodes - result.scalar_nodes, "scalar_nodes": result.scalar_nodes,
            "failures": dict(Counter(msg.partition(":")[0] for _, _, msg in result.failures)),
            "wall_s": {"sample": sampled - start, "write": time.perf_counter() - sampled}}
     _write_manifest(out, "ec-surface", cfg, run)
@@ -431,8 +436,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# built by the first main call, not at import, and reused by every later one
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except SingularityError as exc:

@@ -218,21 +218,30 @@ def _planar_re(kind, theta, phi1, eta_mag, m, pot, f) -> RelativeEquilibrium:
     """
     phi2 = theta - phi1
     zeta = m.m1 * math.sin(2 * phi1)
-    y = f * math.sin(theta) / (2.0 * eta_mag)
-    xi = y / zeta
+    y, xi, x1, x2 = _planar_rates(f * math.sin(theta), zeta, eta_mag,
+                                  math.cos(2 * phi1), math.cos(2 * phi2), m)
     # xi > 0 rejects the branch of the wrong sign, which also balances
     if not (abs(m.m2 * math.sin(2 * phi2) - zeta) <= _CONSISTENCY_TOL * max(m.m1, m.m2)
             and xi > 0):
         raise RuntimeError("the position angles do not balance the relative equilibrium")
     re = RelativeEquilibrium(
         kind=kind, theta=theta, phi1=phi1, phi2=phi2, xi_mag=xi, eta_mag=eta_mag,
-        x1=m.m1 * (xi * math.cos(2 * phi1) - eta_mag),
-        x2=m.m2 * (xi * math.cos(2 * phi2) - eta_mag),
-        y=y, zeta=zeta, masses=m, potential=pot, state=_PLACEHOLDER,
+        x1=x1, x2=x2, y=y, zeta=zeta, masses=m, potential=pot, state=_PLACEHOLDER,
         isosceles=(m.equal or kind == KIND_RIGHT_ANGLED)
         and (abs(phi1 - theta / 2) <= 1e-9 or abs(phi1 - (theta - math.pi) / 2) <= 1e-9),
     )
     return replace(re, state=reconstruct_re(re))
+
+
+def _planar_rates(f_sin, zeta, eta, cos1, cos2, m: MassParams) -> tuple:
+    """(y, xi, x1, x2) of a planar RE from f sin(theta), zeta, eta and cos 2phi_i.
+
+    Pure arithmetic, so eta may be a float or an array; each entry takes the
+    same IEEE operations either way.
+    """
+    y = f_sin / (2.0 * eta)
+    xi = y / zeta
+    return y, xi, m.m1 * (xi * cos1 - eta), m.m2 * (xi * cos2 - eta)
 
 
 def _solve_singular(theta, eta_mag, m, pot, xi_mag) -> RelativeEquilibrium:
@@ -296,6 +305,22 @@ def zeta_of(theta: float, m: MassParams, pot: Potential) -> float:
     return solve_re(theta, 1.0, m, pot).zeta
 
 
+def _tau_ratio(theta: float, m: MassParams, pot: Potential, phi1: float | None) -> float:
+    """f sin(theta)/zeta, which equals 2 e^tau eta^2 along the row of ``re_from_tau``."""
+    if abs(theta - math.pi / 2) <= _RIGHT_ANGLE_TOL:
+        f = pot.f(0.0)
+        zeta = zeta_of(theta, m, pot) if phi1 is None else m.m1 * math.sin(2 * phi1)
+    else:
+        f = pot.f(math.cos(theta))
+        zeta = zeta_of(theta, m, pot)
+        if phi1 is not None:
+            raise ValueError("phi1 is determined away from theta = pi/2")
+    ratio = f * math.sin(theta) / zeta
+    if ratio <= 0:
+        raise ValueError("f sin(theta)/zeta must be positive for a real rate")
+    return ratio
+
+
 def re_from_tau(
     theta: float,
     tau: float,
@@ -310,19 +335,27 @@ def re_from_tau(
     rotation.  At theta = pi/2 the family coordinate phi1 may be supplied;
     without it the RE is the isosceles one that ``solve_re`` picks.
     """
-    if abs(theta - math.pi / 2) <= _RIGHT_ANGLE_TOL:
-        f = pot.f(0.0)
-        zeta = zeta_of(theta, m, pot) if phi1 is None else m.m1 * math.sin(2 * phi1)
-    else:
-        f = pot.f(math.cos(theta))
-        zeta = zeta_of(theta, m, pot)
-        if phi1 is not None:
-            raise ValueError("phi1 is determined away from theta = pi/2")
-    ratio = f * math.sin(theta) / zeta
-    if ratio <= 0:
-        raise ValueError("f sin(theta)/zeta must be positive for a real rate")
-    eta = math.sqrt(ratio / (2.0 * math.exp(tau)))
+    eta = math.sqrt(_tau_ratio(theta, m, pot, phi1) / (2.0 * math.exp(tau)))
     return solve_re(theta, eta, m, pot, phi1=phi1)
+
+
+def tau_row(theta: float, exp_tau: np.ndarray, m: MassParams, pot: Potential, *,
+            phi1: float | None = None) -> tuple:
+    """``re_from_tau`` along one row of a family sheet, with e^tau = ``exp_tau``.
+
+    Returns the row's RE at eta = 1, which fixes its angles and zeta, and the
+    arrays (eta, y, xi, x1, x2); entry k takes the IEEE operations of
+    ``re_from_tau`` at tau_k when ``exp_tau`` holds ``math.exp`` values.
+    Raises what the row raises at every tau; where ``re_from_tau`` raises at
+    one tau only, eta is zero or infinite or xi is not positive.
+    """
+    ratio = _tau_ratio(theta, m, pot, phi1)
+    re = solve_re(theta, 1.0, m, pot, phi1=phi1)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        eta = np.sqrt(ratio / (2.0 * exp_tau))
+        rates = _planar_rates(pot.f(math.cos(theta)) * math.sin(re.theta), re.zeta, eta,
+                              math.cos(2 * re.phi1), math.cos(2 * re.phi2), m)
+    return re, eta, *rates
 
 
 _PLACEHOLDER = PhaseState(

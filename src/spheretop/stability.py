@@ -60,15 +60,18 @@ class LinearizationReport:
     classification: str
 
 
-def jacobian_full_reduced(pt: InvariantPoint, m: MassParams, pot: Potential) -> np.ndarray:
-    """Analytic Jacobian of the fully reduced vector field at any point."""
+def jacobian_full_reduced(pt: InvariantPoint, m: MassParams, f, fp) -> np.ndarray:
+    """Analytic Jacobian of the fully reduced vector field, given f and f' at pt.r.
+
+    Shape-agnostic: when pt.k11 has shape S, and every other field and f, fp
+    are floats or arrays of that shape, the result has shape S + (8, 8); each
+    entry takes the IEEE operations of a single point.
+    """
     m1, m2 = m.m1, m.m2
-    f = pot.f(pt.r)
-    fp = pot.fprime(pt.r)
     k11, k12, k13 = pt.k11, pt.k12, pt.k13
     k22, k23, k33 = pt.k22, pt.k23, pt.k33
     r = pt.r
-    return np.array([
+    rows = [
         [0, 0, 2 * f, 0, 0, 0, 2 * fp * k13, 0],
         [0, 0, -f, 0, f, 0, fp * (k23 - k13), 0],
         [-r / m1, r / m2, 0, 0, 0, f,
@@ -81,7 +84,12 @@ def jacobian_full_reduced(pt: InvariantPoint, m: MassParams, pot: Potential) -> 
         [0, 0, 1 / m1, 0, -1 / m2, 0, 0, 0],
         [-k23 / m1, k13 / m1 - k23 / m2, k12 / m1 + k22 / m2,
          k13 / m2, -k11 / m1 - k12 / m2, 0, 0, 0],
-    ], dtype=float)
+    ]
+    shape = np.shape(k11)
+    if not shape:
+        return np.array(rows, dtype=float)
+    cells = np.stack(np.broadcast_arrays(*(v for row in rows for v in row)))
+    return np.moveaxis(cells.reshape((8, 8) + shape), (0, 1), (-2, -1))
 
 
 def linearize(re: RelativeEquilibrium) -> LinearizationReport:
@@ -90,28 +98,62 @@ def linearize(re: RelativeEquilibrium) -> LinearizationReport:
     scale = max(1.0, abs(pt.k11), abs(pt.k22), abs(pt.k33))
     if max(abs(pt.k13), abs(pt.k23)) > 1e-8 * scale:
         raise ValueError("not a relative equilibrium: k13, k23 must vanish")
-    matrix = jacobian_full_reduced(pt, re.masses, re.potential)
+    pot = re.potential
+    matrix = jacobian_full_reduced(pt, re.masses, pot.f(pt.r), pot.fprime(pt.r))
     eigs = np.linalg.eigvals(matrix)
-    zero_count = int(np.sum(np.abs(eigs) < ZERO_EIG_TOL * max(1.0, np.abs(eigs).max())))
+    classification, zero_count = _classify(eigs)
     return LinearizationReport(
         matrix=matrix,
         eigenvalues=eigs,
-        zero_count=zero_count,
-        classification=classify_stability_eigs(eigs),
+        zero_count=int(zero_count),
+        classification=classification,
     )
 
 
-def classify_stability_eigs(eigs: np.ndarray) -> str:
+def _scale(mod: np.ndarray) -> np.ndarray:
+    """The eigenvalue scale max(1, max |t|) of each spectrum, from the moduli."""
+    return np.maximum(1.0, mod.max(axis=-1, keepdims=True))
+
+
+def _classify(eigs: np.ndarray) -> tuple:
+    """``classify_stability_eigs`` and the count of zero eigenvalues."""
+    mod = np.abs(eigs)
+    scale = _scale(mod)
+    zeros = mod < ZERO_EIG_TOL * scale
+    cut = REAL_PART_TOL * scale
+    unstable = (eigs.real > cut).any(axis=-1)
+    n_zero = zeros.sum(axis=-1)
+    stable = (n_zero == 4) & (zeros | (np.abs(eigs.real) <= cut)).all(axis=-1)
+    codes = (2 * unstable + stable).tolist()  # unstable outranks stable
+    labels = (DEGENERATE, STABLE, UNSTABLE, UNSTABLE)
+    return labels[codes] if isinstance(codes, int) else [labels[c] for c in codes], n_zero
+
+
+def classify_stability_eigs(eigs: np.ndarray):
     """Stable: four structural zeros plus a nonzero imaginary quartet;
-    unstable: any eigenvalue with positive real part; degenerate otherwise."""
-    scale = max(1.0, float(np.abs(eigs).max()))
-    if np.any(eigs.real > REAL_PART_TOL * scale):
-        return UNSTABLE
-    zeros = np.abs(eigs) < ZERO_EIG_TOL * scale
-    rest = eigs[~zeros]
-    if int(zeros.sum()) == 4 and np.all(np.abs(rest.real) <= REAL_PART_TOL * scale):
-        return STABLE
-    return DEGENERATE
+    unstable: any eigenvalue with positive real part; degenerate otherwise.
+
+    Classifies along the last axis: one spectrum gives a str, a stack of
+    spectra a list of them.
+    """
+    return _classify(eigs)[0]
+
+
+def near_cut(eigs: np.ndarray) -> np.ndarray:
+    """Whether some eigenvalue's modulus or real part lies within three decades
+    of its cut in ``classify_stability_eigs``, along the last axis.
+
+    A rounding-size change of the Jacobian moves a double eigenvalue by about
+    the square root of the rounding, 1e-8, so only a label outside this band
+    is fixed by the matrix's exact value.
+    """
+    scale = _scale(np.abs(eigs))
+
+    def band(x, cut):
+        return (x >= 1e-3 * cut * scale) & (x <= 1e3 * cut * scale)
+
+    return np.any(band(np.abs(eigs), ZERO_EIG_TOL) | band(np.abs(eigs.real), REAL_PART_TOL),
+                  axis=-1)
 
 
 def _k_diag(re: RelativeEquilibrium) -> tuple[float, float]:

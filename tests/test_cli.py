@@ -45,6 +45,12 @@ class TestSimulate:
                     "--out", out])
         assert code == 3
         assert "singularity encountered at t" in capsys.readouterr().err
+        # no trajectory, but the manifest records where and when the run stopped
+        assert not out.exists()
+        record = json.loads(Path(str(out) + ".manifest.json").read_text())["run"]["collision"]
+        assert record["level"] == "left"
+        assert 0.0 < record["time"] < 50.0
+        assert record["message"].startswith("collision")
 
     def test_negative_horizon_rejected(self, tmp_path, capsys):
         out = tmp_path / "back.csv"
@@ -367,12 +373,23 @@ class TestSurfaceCommand:
         assert message in capsys.readouterr().err
         assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
 
+    @pytest.mark.parametrize("workers", [2.5, True])
+    def test_non_integer_workers_in_config_exits_4(self, tmp_path, capsys, workers):
+        # the flag is typed int; only a config file can carry another type
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"workers": workers}))
+        out = tmp_path / "surf.csv"
+        assert run(["ec-surface", "--config", cfg, "--grid", 3, 3, "--out", out]) == 4
+        assert "workers must be an integer" in capsys.readouterr().err
+        assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+
     def test_manifest_counts_samples_and_failures(self, tmp_path):
         out = tmp_path / "clean.csv"
         assert run(["ec-surface", "--theta-min", 0.4, "--theta-max", 2.6, "--grid", 4, 3,
                     "--no-classify", "--out", out]) == 0
         record = json.loads(Path(str(out) + ".manifest.json").read_text())["run"]
         assert (record["samples"], record["failures"]) == (12, {})
+        assert (record["batch_nodes"], record["scalar_nodes"]) == (12, 0)
         assert set(record["wall_s"]) == {"sample", "write"}
         assert all(v >= 0.0 for v in record["wall_s"].values())
 
@@ -383,6 +400,7 @@ class TestSurfaceCommand:
                     "--out", out]) == 0
         record = json.loads(Path(str(out) + ".manifest.json").read_text())["run"]
         assert (record["samples"], record["failures"]) == (0, {"NoSolutionError": 6})
+        assert (record["batch_nodes"], record["scalar_nodes"]) == (0, 6)
         failures = json.loads(Path(str(out) + ".failures.json").read_text())
         assert len(failures) == 6
         assert all(msg.startswith("NoSolutionError: ") for _, _, msg in failures)
@@ -424,3 +442,22 @@ def test_import_loads_no_scipy():
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_parser_is_built_on_first_use_and_reused():
+    # a fresh interpreter, so that no earlier test has built the parser
+    import os
+    import subprocess
+    import sys
+
+    code = ("import contextlib, io\n"
+            "from spheretop import cli\n"
+            "built = cli._parser.cache_info().currsize\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [cli.main(['re', '--theta', '1.0']) for _ in range(3)]\n"
+            "print(built, codes, cli._parser.cache_info().misses)\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "0 [0, 0, 0] 1"

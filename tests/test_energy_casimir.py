@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from spheretop import energy_casimir
 from spheretop.energy_casimir import (
     EC_CSV_COLUMNS,
     ec_csv,
@@ -152,6 +153,7 @@ class TestSurface:
         def refuse(*args):
             raise AssertionError("a node was sampled")
 
+        monkeypatch.setattr(energy_casimir, "_sample_block", refuse)
         monkeypatch.setattr(energy_casimir, "_try_sample", refuse)
 
     def test_non_finite_range_rejected_before_sampling(self, no_sampling):
@@ -191,6 +193,91 @@ class TestSurface:
                          phi1_range=(0.3, 1.2), classify=False)
         assert len(res.samples) == 15
         assert all(s.theta == pytest.approx(math.pi / 2) for s in res.samples)
+
+
+def _top():
+    alpha = 2.0  # the top's equivalent two-body problem: masses 1/alpha
+    return MassParams(1 / alpha, 1 / alpha), Potential.linear(1.0)
+
+
+class TestBatchParity:
+    """The batched sheet against ``ec_sample`` node by node: the same nodes,
+    labels, gauge flips and failure records, and the same values up to the
+    1e-12 the batch allows itself."""
+
+    SHEETS = {
+        "equal_isosceles": ("isosceles", (0.1, math.pi - 0.1), (-3.0, 3.0), (7, 6), M11, GRAV11,
+                            None),
+        "mass32_obtuse": ("obtuse", (1.65, 3.0), (-3.0, 3.0), (6, 7), M32, GRAV32, None),
+        "top_polar": ("isosceles", (0.1, math.pi - 0.1), (-3.0, 3.0), (5, 6), *_top(), None),
+        "equal_right_angled": ("rightAngled", (0, 0), (-3.0, 3.0), (6, 5), M11, GRAV11,
+                               (-1.2, 1.2)),
+        # exp(tau) underflows at -800 and overflows at 800, where re_from_tau
+        # raises; tau = 400 leaves eta about 1e-87
+        "extreme_tau": ("isosceles", (0.5, 2.5), (-800.0, 800.0), (3, 5), M11, GRAV11, None),
+        # the middle row is theta = pi/2, which masses (3, 2) do not allow
+        "mass32_generic": ("generic", (0.6, math.pi - 0.6), (-1.0, 1.0), (5, 4), M32, GRAV32,
+                           None),
+    }
+
+    @staticmethod
+    def _node_by_node(family, theta_range, tau_range, grid, m, pot, phi1_range):
+        samples, failures = [], []
+        for first in np.linspace(*(phi1_range or theta_range), grid[0]):
+            theta, phi1 = (math.pi / 2, float(first)) if phi1_range else (float(first), None)
+            for tau in np.linspace(*tau_range, grid[1]):
+                try:
+                    samples.append(ec_sample(theta, float(tau), m, pot, family=family,
+                                             phi1=phi1))
+                except Exception as exc:
+                    failures.append((theta, float(tau), f"{type(exc).__name__}: {exc}"))
+        return samples, tuple(failures)
+
+    @pytest.mark.parametrize("name", sorted(SHEETS))
+    def test_batch_matches_ec_sample(self, name):
+        family, theta_range, tau_range, grid, m, pot, phi1_range = self.SHEETS[name]
+        got = ec_surface(family, theta_range, tau_range, grid, m, pot, phi1_range=phi1_range)
+        samples, failures = self._node_by_node(*self.SHEETS[name])
+        assert got.failures == failures
+        assert len(got.samples) == len(samples)
+        for a, b in zip(got.samples, samples):
+            assert (a.theta, a.tau, a.stability, a.gauge_flipped) == (
+                b.theta, b.tau, b.stability, b.gauge_flipped)
+            for key in ("H", "lam2", "rho2", "xi_mag", "eta_mag", "phi1"):
+                x, y = getattr(a, key), getattr(b, key)
+                assert abs(x - y) <= 1e-12 * abs(y), (key, a, b)
+        if name in ("mass32_generic", "extreme_tau"):
+            assert got.failures and got.scalar_nodes == len(got.failures)
+        if name == "equal_right_angled":
+            flipped = [s.gauge_flipped for s in got.samples]
+            assert any(flipped) and not all(flipped)
+
+    def test_image_matches_the_reduced_state(self):
+        # the closed-form invariants the batch linearises at
+        for theta in (0.7, 2.2):
+            re = solve_re(theta, 0.9, M32, GRAV32)
+            image = energy_casimir._image(re.x1, re.x2, re.y, math.cos(theta), math.sin(theta))
+            pt = hilbert_map(left_reduce(re.state))
+            np.testing.assert_allclose(image.as_tuple(), pt.as_tuple(), rtol=1e-12, atol=1e-14)
+
+    def test_node_near_a_cut_takes_the_scalar_path(self):
+        # equal masses at theta -> pi/2: the w-pair of the quartet tends to a
+        # double zero, whose batch and scalar values differ by about 1e-8
+        theta = math.pi / 2 - 5e-10
+        res = ec_surface("isosceles", (theta, theta), (-1.0, 1.0), (1, 3), M11, GRAV11)
+        assert res.scalar_nodes == 3
+        assert [s.stability for s in res.samples] == [
+            ec_sample(theta, s.tau, M11, GRAV11).stability for s in res.samples]
+
+    def test_batched_csv_cells_are_plain_floats(self, tmp_path):
+        from spheretop.cli import main
+
+        out = tmp_path / "surf.csv"
+        assert main(["ec-surface", "--grid", "4", "3", "--out", str(out)]) == 0
+        for row in out.read_text().strip().splitlines()[1:]:
+            cells = row.split(",")
+            for cell in cells[1:6]:
+                assert cell == repr(float(cell)), row
 
 
 class TestLagrangeThreads:

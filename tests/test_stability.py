@@ -72,7 +72,7 @@ class TestLinearisation:
         for m, pot in ((M11, grav(M11)), (M32, Potential.linear(1.0))):
             re = solve_re(1.0 if m is M11 else 2.1, 1.1, m, pot)
             pt = hilbert_map(left_reduce(re.state))
-            analytic = jacobian_full_reduced(pt, m, pot)
+            analytic = jacobian_full_reduced(pt, m, pot.f(pt.r), pot.fprime(pt.r))
             h = 1e-6
             base = np.array(point_to_vec(pt))
             fd = np.zeros((8, 8))
