@@ -230,7 +230,8 @@ _REDUCE_DEFAULTS = {
 def cmd_reduce(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _REDUCE_DEFAULTS)
     # the invariants, Casimirs and strata do not depend on the masses or the
-    # potential, so those flags are accepted and echoed but not resolved
+    # potential; those flags are resolved only so that bad values fail
+    _masses_potential(cfg)
     states: list[tuple[float, PhaseState]] = []
     if cfg["state"]:
         with open(cfg["state"]) as fh:

@@ -22,7 +22,11 @@ err = h sum(e5^2) / sqrt((sum(e5^2) + 0.01 sum(e3^2)) n) from the
 fifth- and third-order embedded solutions, weighted per component by
 abs_tol + rel_tol max(|y|, |y_new|).  A step is accepted when err <= 1,
 and the next step is h 0.9 err^(-1/8), clamped to [0.2 h, 10 h].  Both
-tolerances default to 1e-12 (:class:`FlowConfig`).  Conservation is
+tolerances default to 1e-12 (:class:`FlowConfig`).  The tableau is
+written once, as the table ``_DOP853``; from it ``_dop853_step`` generates
+and compiles, once per state dimension and on first use, a straight-line
+step in which every component is an expression over locals, with the
+coefficients as exact literals.  Conservation is
 monitored, never enforced: ``integrate`` runs a projection hook (renormalise
 group components, re-orthogonalise momenta) after accepted steps only when
 it is given one, so that by default drift stays a meaningful diagnostic.
@@ -363,93 +367,63 @@ def project_state(v: Sequence[float]) -> tuple[float, ...]:
 
 # The DOP853 tableau of Hairer, Norsett & Wanner, Solving Ordinary
 # Differential Equations I, 2nd ed., sec. II.10, with the indices of the
-# text: stage i is evaluated at t + c_i h from sum_j a_ij k_j (every a_ij not
-# written here is zero, and c_12 = 1); the eighth-order solution has the
-# weights b_i, the fifth-order error estimate the weights e_i, and the
-# third-order error estimate is sum_i b_i k_i - sum_i bh_i k_i.
-_C2 = 0.526001519587677318785587544488e-01
-_C3 = 0.789002279381515978178381316732e-01
-_C4 = 0.118350341907227396726757197510
-_C5 = 0.281649658092772603273242802490
-_C6 = 0.333333333333333333333333333333
-_C7 = 0.25
-_C8 = 0.307692307692307692307692307692
-_C9 = 0.651282051282051282051282051282
-_C10 = 0.6
-_C11 = 0.857142857142857142857142857142
-
-_A2_1 = 5.26001519587677318785587544488e-2
-_A3_1 = 1.97250569845378994544595329183e-2
-_A3_2 = 5.91751709536136983633785987549e-2
-_A4_1 = 2.95875854768068491816892993775e-2
-_A4_3 = 8.87627564304205475450678981324e-2
-_A5_1 = 2.41365134159266685502369798665e-1
-_A5_3 = -8.84549479328286085344864962717e-1
-_A5_4 = 9.24834003261792003115737966543e-1
-_A6_1 = 3.7037037037037037037037037037e-2
-_A6_4 = 1.70828608729473871279604482173e-1
-_A6_5 = 1.25467687566822425016691814123e-1
-_A7_1 = 3.7109375e-2
-_A7_4 = 1.70252211019544039314978060272e-1
-_A7_5 = 6.02165389804559606850219397283e-2
-_A7_6 = -1.7578125e-2
-_A8_1 = 3.70920001185047927108779319836e-2
-_A8_4 = 1.70383925712239993810214054705e-1
-_A8_5 = 1.07262030446373284651809199168e-1
-_A8_6 = -1.53194377486244017527936158236e-2
-_A8_7 = 8.27378916381402288758473766002e-3
-_A9_1 = 6.24110958716075717114429577812e-1
-_A9_4 = -3.36089262944694129406857109825
-_A9_5 = -8.68219346841726006818189891453e-1
-_A9_6 = 2.75920996994467083049415600797e1
-_A9_7 = 2.01540675504778934086186788979e1
-_A9_8 = -4.34898841810699588477366255144e1
-_A10_1 = 4.77662536438264365890433908527e-1
-_A10_4 = -2.48811461997166764192642586468
-_A10_5 = -5.90290826836842996371446475743e-1
-_A10_6 = 2.12300514481811942347288949897e1
-_A10_7 = 1.52792336328824235832596922938e1
-_A10_8 = -3.32882109689848629194453265587e1
-_A10_9 = -2.03312017085086261358222928593e-2
-_A11_1 = -9.3714243008598732571704021658e-1
-_A11_4 = 5.18637242884406370830023853209
-_A11_5 = 1.09143734899672957818500254654
-_A11_6 = -8.14978701074692612513997267357
-_A11_7 = -1.85200656599969598641566180701e1
-_A11_8 = 2.27394870993505042818970056734e1
-_A11_9 = 2.49360555267965238987089396762
-_A11_10 = -3.0467644718982195003823669022
-_A12_1 = 2.27331014751653820792359768449
-_A12_4 = -1.05344954667372501984066689879e1
-_A12_5 = -2.00087205822486249909675718444
-_A12_6 = -1.79589318631187989172765950534e1
-_A12_7 = 2.79488845294199600508499808837e1
-_A12_8 = -2.85899827713502369474065508674
-_A12_9 = -8.87285693353062954433549289258
-_A12_10 = 1.23605671757943030647266201528e1
-_A12_11 = 6.43392746015763530355970484046e-1
-
-_B1 = 5.42937341165687622380535766363e-2
-_B6 = 4.45031289275240888144113950566
-_B7 = 1.89151789931450038304281599044
-_B8 = -5.8012039600105847814672114227
-_B9 = 3.1116436695781989440891606237e-1
-_B10 = -1.52160949662516078556178806805e-1
-_B11 = 2.01365400804030348374776537501e-1
-_B12 = 4.47106157277725905176885569043e-2
-
-_BH1 = 0.244094488188976377952755905512
-_BH9 = 0.733846688281611857341361741547
-_BH12 = 0.220588235294117647058823529412e-1
-
-_E1 = 0.1312004499419488073250102996e-1
-_E6 = -0.1225156446376204440720569753e+1
-_E7 = -0.4957589496572501915214079952
-_E8 = 0.1664377182454986536961530415e+1
-_E9 = -0.3503288487499736816886487290
-_E10 = 0.3341791187130174790297318841
-_E11 = 0.8192320648511571246570742613e-1
-_E12 = -0.2235530786388629525884427845e-1
+# text, written once: ``_dop853_step`` generates the step from it.  Stage i
+# is evaluated at t + c_i h from sum_j a_ij k_j, and "stages" maps i to
+# (c_i, {j: a_ij}) with every a_ij not written zero.  The eighth-order
+# solution has the weights b_i, the fifth-order error estimate the weights
+# e_i, and the third-order error estimate is sum_i b_i k_i - sum_i bh_i k_i.
+_DOP853 = {
+    "stages": {
+        2: (0.526001519587677318785587544488e-01, {1: 5.26001519587677318785587544488e-2}),
+        3: (0.789002279381515978178381316732e-01,
+            {1: 1.97250569845378994544595329183e-2, 2: 5.91751709536136983633785987549e-2}),
+        4: (0.118350341907227396726757197510,
+            {1: 2.95875854768068491816892993775e-2, 3: 8.87627564304205475450678981324e-2}),
+        5: (0.281649658092772603273242802490,
+            {1: 2.41365134159266685502369798665e-1, 3: -8.84549479328286085344864962717e-1,
+             4: 9.24834003261792003115737966543e-1}),
+        6: (0.333333333333333333333333333333,
+            {1: 3.7037037037037037037037037037e-2, 4: 1.70828608729473871279604482173e-1,
+             5: 1.25467687566822425016691814123e-1}),
+        7: (0.25,
+            {1: 3.7109375e-2, 4: 1.70252211019544039314978060272e-1,
+             5: 6.02165389804559606850219397283e-2, 6: -1.7578125e-2}),
+        8: (0.307692307692307692307692307692,
+            {1: 3.70920001185047927108779319836e-2, 4: 1.70383925712239993810214054705e-1,
+             5: 1.07262030446373284651809199168e-1, 6: -1.53194377486244017527936158236e-2,
+             7: 8.27378916381402288758473766002e-3}),
+        9: (0.651282051282051282051282051282,
+            {1: 6.24110958716075717114429577812e-1, 4: -3.36089262944694129406857109825,
+             5: -8.68219346841726006818189891453e-1, 6: 2.75920996994467083049415600797e1,
+             7: 2.01540675504778934086186788979e1, 8: -4.34898841810699588477366255144e1}),
+        10: (0.6,
+             {1: 4.77662536438264365890433908527e-1, 4: -2.48811461997166764192642586468,
+              5: -5.90290826836842996371446475743e-1, 6: 2.12300514481811942347288949897e1,
+              7: 1.52792336328824235832596922938e1, 8: -3.32882109689848629194453265587e1,
+              9: -2.03312017085086261358222928593e-2}),
+        11: (0.857142857142857142857142857142,
+             {1: -9.3714243008598732571704021658e-1, 4: 5.18637242884406370830023853209,
+              5: 1.09143734899672957818500254654, 6: -8.14978701074692612513997267357,
+              7: -1.85200656599969598641566180701e1, 8: 2.27394870993505042818970056734e1,
+              9: 2.49360555267965238987089396762, 10: -3.0467644718982195003823669022}),
+        12: (1.0,
+             {1: 2.27331014751653820792359768449, 4: -1.05344954667372501984066689879e1,
+              5: -2.00087205822486249909675718444, 6: -1.79589318631187989172765950534e1,
+              7: 2.79488845294199600508499808837e1, 8: -2.85899827713502369474065508674,
+              9: -8.87285693353062954433549289258, 10: 1.23605671757943030647266201528e1,
+              11: 6.43392746015763530355970484046e-1}),
+    },
+    "b": {1: 5.42937341165687622380535766363e-2, 6: 4.45031289275240888144113950566,
+          7: 1.89151789931450038304281599044, 8: -5.8012039600105847814672114227,
+          9: 3.1116436695781989440891606237e-1, 10: -1.52160949662516078556178806805e-1,
+          11: 2.01365400804030348374776537501e-1, 12: 4.47106157277725905176885569043e-2},
+    "bh": {1: 0.244094488188976377952755905512, 9: 0.733846688281611857341361741547,
+           12: 0.220588235294117647058823529412e-1},
+    "e": {1: 0.1312004499419488073250102996e-1, 6: -0.1225156446376204440720569753e+1,
+          7: -0.4957589496572501915214079952, 8: 0.1664377182454986536961530415e+1,
+          9: -0.3503288487499736816886487290, 10: 0.3341791187130174790297318841,
+          11: 0.8192320648511571246570742613e-1, 12: -0.2235530786388629525884427845e-1},
+}
 
 _MIN_STEP_FACTOR = 1e-13
 
@@ -492,7 +466,8 @@ def integrate(
     step.  Raises :class:`SingularityError` when the step size underflows,
     the potential reports a collision, or the state, the initial slope or an
     error estimate is NaN or infinite; raises ``ValueError`` unless
-    ``t_end`` and ``sample_dt`` (when given) are positive and finite.
+    ``t_end`` and ``sample_dt`` (when given) are positive and finite, and
+    when the vector field has another length than the state.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end = {t_end!r} must be positive and finite")
@@ -511,9 +486,12 @@ def integrate(
         k1 = rhs(t, y)
     except CollisionError as exc:
         raise SingularityError(t, f"collision at t = {t!r}: {exc}") from exc
+    if len(k1) != n:
+        raise ValueError(f"the vector field has {len(k1)} components for a state of {n}")
     if not all(math.isfinite(c) for c in k1):
         raise SingularityError(t, f"non-finite vector field at t = {t!r}")
     h_ctrl = _initial_step(y, k1, atol, rtol)
+    step = _dop853_step(n)
     eps_end = 1e-12 * max(1.0, abs(t_end))
 
     while t < t_end - eps_end:
@@ -523,60 +501,9 @@ def integrate(
         if h < _MIN_STEP_FACTOR * max(1.0, abs(t)):
             raise SingularityError(t, f"step size underflow at t = {t!r}")
         try:
-            # stage vectors are throwaway lists; xj is a component of the stage k_j
-            k2 = rhs(t + _C2 * h, [yi + h * (_A2_1 * x1) for yi, x1 in zip(y, k1)])
-            k3 = rhs(t + _C3 * h, [yi + h * (_A3_1 * x1 + _A3_2 * x2)
-                                   for yi, x1, x2 in zip(y, k1, k2)])
-            k4 = rhs(t + _C4 * h, [yi + h * (_A4_1 * x1 + _A4_3 * x3)
-                                   for yi, x1, x3 in zip(y, k1, k3)])
-            k5 = rhs(t + _C5 * h, [yi + h * (_A5_1 * x1 + _A5_3 * x3 + _A5_4 * x4)
-                                   for yi, x1, x3, x4 in zip(y, k1, k3, k4)])
-            k6 = rhs(t + _C6 * h, [yi + h * (_A6_1 * x1 + _A6_4 * x4 + _A6_5 * x5)
-                                   for yi, x1, x4, x5 in zip(y, k1, k4, k5)])
-            k7 = rhs(t + _C7 * h, [yi + h * (_A7_1 * x1 + _A7_4 * x4 + _A7_5 * x5
-                                             + _A7_6 * x6)
-                                   for yi, x1, x4, x5, x6 in zip(y, k1, k4, k5, k6)])
-            k8 = rhs(t + _C8 * h, [yi + h * (_A8_1 * x1 + _A8_4 * x4 + _A8_5 * x5
-                                             + _A8_6 * x6 + _A8_7 * x7)
-                                   for yi, x1, x4, x5, x6, x7 in zip(y, k1, k4, k5, k6, k7)])
-            k9 = rhs(t + _C9 * h, [yi + h * (_A9_1 * x1 + _A9_4 * x4 + _A9_5 * x5
-                                             + _A9_6 * x6 + _A9_7 * x7 + _A9_8 * x8)
-                                   for yi, x1, x4, x5, x6, x7, x8
-                                   in zip(y, k1, k4, k5, k6, k7, k8)])
-            k10 = rhs(t + _C10 * h, [yi + h * (_A10_1 * x1 + _A10_4 * x4 + _A10_5 * x5
-                                               + _A10_6 * x6 + _A10_7 * x7 + _A10_8 * x8
-                                               + _A10_9 * x9)
-                                     for yi, x1, x4, x5, x6, x7, x8, x9
-                                     in zip(y, k1, k4, k5, k6, k7, k8, k9)])
-            k11 = rhs(t + _C11 * h, [yi + h * (_A11_1 * x1 + _A11_4 * x4 + _A11_5 * x5
-                                               + _A11_6 * x6 + _A11_7 * x7 + _A11_8 * x8
-                                               + _A11_9 * x9 + _A11_10 * x10)
-                                     for yi, x1, x4, x5, x6, x7, x8, x9, x10
-                                     in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
-            k12 = rhs(t + h, [yi + h * (_A12_1 * x1 + _A12_4 * x4 + _A12_5 * x5
-                                        + _A12_6 * x6 + _A12_7 * x7 + _A12_8 * x8
-                                        + _A12_9 * x9 + _A12_10 * x10 + _A12_11 * x11)
-                              for yi, x1, x4, x5, x6, x7, x8, x9, x10, x11
-                              in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
+            ynew, e5sq, e3sq = step(rhs, t, h, y, k1, atol, rtol)
         except CollisionError as exc:
             raise SingularityError(t, f"collision near t = {t!r}: {exc}") from exc
-
-        # the eighth-order solution and the weighted sums of squares of the
-        # fifth- (e5) and third-order (e3) error estimates
-        ynew = []
-        e5sq = e3sq = 0.0
-        for yi, x1, x6, x7, x8, x9, x10, x11, x12 in zip(y, k1, k6, k7, k8, k9, k10, k11, k12):
-            d = (_B1 * x1 + _B6 * x6 + _B7 * x7 + _B8 * x8 + _B9 * x9 + _B10 * x10
-                 + _B11 * x11 + _B12 * x12)
-            yn = yi + h * d
-            ynew.append(yn)
-            ay, an = abs(yi), abs(yn)
-            sc = atol + rtol * (ay if ay > an else an)
-            e5 = (_E1 * x1 + _E6 * x6 + _E7 * x7 + _E8 * x8 + _E9 * x9 + _E10 * x10
-                  + _E11 * x11 + _E12 * x12) / sc
-            e3 = (d - _BH1 * x1 - _BH9 * x9 - _BH12 * x12) / sc
-            e5sq += e5 * e5
-            e3sq += e3 * e3
         # Hairer's estimate: the fifth-order error, damped where the
         # third-order one says the step is far outside its asymptotic range
         err = 0.0 if e5sq == e3sq == 0.0 else h * e5sq / math.sqrt((e5sq + 0.01 * e3sq) * n)
@@ -585,7 +512,7 @@ def integrate(
 
         if err <= 1.0:
             t += h
-            y = tuple(ynew)
+            y = ynew
             if project is not None:
                 y = project(y)
             try:
@@ -608,6 +535,45 @@ def integrate(
             traj.n_rejected += 1
             h_ctrl = h * max(0.2, 0.9 * err ** -0.125)
     return traj
+
+
+@functools.cache
+def _dop853_step(n: int) -> Callable:
+    """The DOP853 step for states of n components, generated from ``_DOP853``.
+
+    ``step(rhs, t, h, y, k1, atol, rtol)`` evaluates stages 2 to 12 and
+    returns the eighth-order solution and the sums of squares of the fifth-
+    and third-order error estimates, each component weighted by
+    atol + rtol max(|y|, |y_new|).  Its source is straight-line code: every
+    stage input, solution and error component is one expression over locals
+    that adds the tableau's terms left to right, with each coefficient as its
+    exact repr.  It is compiled once per n, on the first ``integrate`` of
+    that dimension.
+    """
+    def vec(name):  # the n locals of one vector, as a tuple display
+        return "".join(f"{name}_{i}, " for i in range(n))
+
+    def dot(w, i, sep=" + "):  # component i of sum_j w_j k_j
+        return sep.join(f"{wj!r} * k{j}_{i}" for j, wj in w.items())
+
+    tab = _DOP853
+    src = ["def step(rhs, t, h, y, k1, atol, rtol):", f"    {vec('y')}= y", f"    {vec('k1')}= k1"]
+    for s, (c, a) in tab["stages"].items():
+        at = "t + h" if c == 1.0 else f"t + {c!r} * h"
+        args = ", ".join(f"y_{i} + h * ({dot(a, i)})" for i in range(n))
+        src.append(f"    {vec(f'k{s}')}= rhs({at}, [{args}])")
+    for i in range(n):  # d: the weighted slope, s: the error scale
+        src += [f"    d_{i} = {dot(tab['b'], i)}",
+                f"    n_{i} = y_{i} + h * d_{i}",
+                f"    u_{i}, v_{i} = abs(y_{i}), abs(n_{i})",
+                f"    s_{i} = atol + rtol * (u_{i} if u_{i} > v_{i} else v_{i})",
+                f"    e_{i} = ({dot(tab['e'], i)}) / s_{i}",
+                f"    f_{i} = (d_{i} - {dot(tab['bh'], i, ' - ')}) / s_{i}"]
+    src.append(f"    return ({vec('n')}), {' + '.join(f'e_{i} * e_{i}' for i in range(n))}, "
+               f"{' + '.join(f'f_{i} * f_{i}' for i in range(n))}")
+    scope = {}
+    exec(compile("\n".join(src), f"<DOP853 step, n = {n}>", "exec"), scope)
+    return scope["step"]
 
 
 def _initial_step(y, k1, atol, rtol) -> float:

@@ -236,17 +236,29 @@ class TestReduce:
         assert out.read_text().strip().splitlines()[1].split(",")[-1] == "free"
 
     def test_masses_and_potential_do_not_matter(self, tmp_path):
-        # reduce used to resolve the potential it never uses, so 'lagrange'
-        # without --alpha/--gamma exited 4
         full = tmp_path / "full.csv"
         assert run(["simulate", "--scenario", "random", "--seed", "2", "--space", "full",
                     "--T", "1", "--out", full]) == 0
         lag, grav = tmp_path / "lag.csv", tmp_path / "grav.csv"
         assert run(["reduce", "--trajectory", full, "--potential", "lagrange",
-                    "--out", lag]) == 0
+                    "--alpha", "1.5", "--gamma", "0.5", "--out", lag]) == 0
         assert run(["reduce", "--trajectory", full, "--potential", "grav",
-                    "--out", grav]) == 0
+                    "--m1", "2.0", "--out", grav]) == 0
         assert lag.read_bytes() == grav.read_bytes()
+
+    @pytest.mark.parametrize("flags", [
+        ["--potential", "bogus"], ["--m1", "-1"], ["--m1", "nan"], ["--m2", "inf"],
+        ["--potential", "lagrange"], ["--potential", "lagrange", "--alpha", "1.0"],
+    ], ids=["potential", "negative-mass", "nan-mass", "inf-mass", "lagrange", "no-gamma"])
+    def test_bad_shared_flags_exit_4(self, tmp_path, capsys, flags):
+        # reduce used to echo these into its manifest and exit 0
+        full = tmp_path / "full.csv"
+        assert run(["simulate", "--scenario", "random", "--space", "full", "--T", "0.5",
+                    "--out", full]) == 0
+        out = tmp_path / "inv.csv"
+        assert run(["reduce", "--trajectory", full, *flags, "--out", out]) == 4
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_trajectory_without_the_state_columns_exits_4(self, tmp_path, capsys):
         # a reduced-level trajectory used to fail with a bare KeyError

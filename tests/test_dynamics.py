@@ -376,6 +376,12 @@ class TestIntegrator:
         with pytest.raises(SingularityError, match="non-finite vector field"):
             integrate(lambda t, y: (float("inf"),), (1.0,), 1.0)
 
+    @pytest.mark.parametrize("slope", [(1.0,), (1.0, 2.0, 3.0)], ids=["short", "long"])
+    def test_field_length_must_match_the_state(self, slope):
+        # zip used to drop the extra components, or the state's last ones
+        with pytest.raises(ValueError, match=f"has {len(slope)} components for a state of 2"):
+            integrate(lambda t, y: slope, (0.0, 5.0), 1.0)
+
     def test_nan_error_estimate_is_named(self):
         def rhs(t, y):  # finite at the start, NaN at every later stage
             return (1.0,) if t == 0.0 else (float("nan"),)
@@ -409,26 +415,27 @@ class TestIntegrator:
 
 def _dop853_tableau():
     """(c, A, b, bh, e) of the integrator as 0-based arrays, assembled from
-    the coefficients written out in ``dynamics`` (zero where none is)."""
-    from spheretop import dynamics
+    the table ``dynamics._DOP853`` (zero where it writes no entry)."""
+    from spheretop.dynamics import _DOP853
 
-    def coef(name):
-        return getattr(dynamics, name, 0.0)
-
-    c = np.array([0.0, *(coef(f"_C{i}") for i in range(2, 12)), 1.0])
-    A = np.array([[coef(f"_A{i}_{j}") for j in range(1, 13)] for i in range(1, 13)])
-    b, bh, e = (np.array([coef(f"_{w}{i}") for i in range(1, 13)]) for w in ("B", "BH", "E"))
+    stages = _DOP853["stages"]
+    c = np.array([0.0, *(stages[i][0] for i in range(2, 13))])
+    A = np.array([[stages[i][1].get(j, 0.0) if i in stages else 0.0 for j in range(1, 13)]
+                  for i in range(1, 13)])
+    b, bh, e = (np.array([_DOP853[w].get(i, 0.0) for i in range(1, 13)])
+                for w in ("b", "bh", "e"))
     return c, A, b, bh, e
 
 
 class TestDOP853Tableau:
     def test_every_written_coefficient_is_in_the_tableau(self):
-        import re
+        from spheretop.dynamics import _DOP853
 
-        from spheretop import dynamics
-
-        names = [n for n in vars(dynamics)
-                 if re.fullmatch(r"_(A\d+_\d+|BH?\d+|E\d+|C\d+)", n)]
+        # c_i of stages 2 to 11 (c_12 = 1 is not a coefficient), every a_ij,
+        # and the b, bh and e weights
+        names = [(i, j) for i, (_, a) in _DOP853["stages"].items() for j in a]
+        names += [i for i in _DOP853["stages"] if i < 12]
+        names += [(w, i) for w in ("b", "bh", "e") for i in _DOP853[w]]
         c, A, b, bh, e = _dop853_tableau()
         assert np.all(np.tril(A, -1) == A)  # explicit
         assert len(names) == sum(np.count_nonzero(x) for x in (c[1:-1], A, b, bh, e))
@@ -459,6 +466,113 @@ class TestDOP853Tableau:
                              (b - bh, coeffs.E3[:n]), (e, coeffs.E5[:n])):
             assert ours.shape == theirs.shape
             assert np.all(np.abs(ours - theirs) <= 1e-15 * np.maximum(1.0, np.abs(theirs)))
+
+
+def _comprehension_step(rhs, t, h, y, k1, atol, rtol):
+    """The DOP853 step as ``integrate`` took it before the step was generated:
+    one list comprehension per stage and one loop for the eighth-order
+    solution and the weighted error sums.  The reference for the generated
+    step, with the coefficients under their old module names."""
+    from types import SimpleNamespace
+
+    from spheretop.dynamics import _DOP853
+
+    names = {}
+    for i, (ci, a) in _DOP853["stages"].items():
+        names[f"C{i}"] = ci
+        names.update((f"A{i}_{j}", aij) for j, aij in a.items())
+    for w in ("b", "bh", "e"):
+        names.update((f"{w.upper()}{i}", v) for i, v in _DOP853[w].items())
+    K = SimpleNamespace(**names)
+
+    k2 = rhs(t + K.C2 * h, [yi + h * (K.A2_1 * x1) for yi, x1 in zip(y, k1)])
+    k3 = rhs(t + K.C3 * h, [yi + h * (K.A3_1 * x1 + K.A3_2 * x2)
+                            for yi, x1, x2 in zip(y, k1, k2)])
+    k4 = rhs(t + K.C4 * h, [yi + h * (K.A4_1 * x1 + K.A4_3 * x3)
+                            for yi, x1, x3 in zip(y, k1, k3)])
+    k5 = rhs(t + K.C5 * h, [yi + h * (K.A5_1 * x1 + K.A5_3 * x3 + K.A5_4 * x4)
+                            for yi, x1, x3, x4 in zip(y, k1, k3, k4)])
+    k6 = rhs(t + K.C6 * h, [yi + h * (K.A6_1 * x1 + K.A6_4 * x4 + K.A6_5 * x5)
+                            for yi, x1, x4, x5 in zip(y, k1, k4, k5)])
+    k7 = rhs(t + K.C7 * h, [yi + h * (K.A7_1 * x1 + K.A7_4 * x4 + K.A7_5 * x5
+                                      + K.A7_6 * x6)
+                            for yi, x1, x4, x5, x6 in zip(y, k1, k4, k5, k6)])
+    k8 = rhs(t + K.C8 * h, [yi + h * (K.A8_1 * x1 + K.A8_4 * x4 + K.A8_5 * x5
+                                      + K.A8_6 * x6 + K.A8_7 * x7)
+                            for yi, x1, x4, x5, x6, x7 in zip(y, k1, k4, k5, k6, k7)])
+    k9 = rhs(t + K.C9 * h, [yi + h * (K.A9_1 * x1 + K.A9_4 * x4 + K.A9_5 * x5
+                                      + K.A9_6 * x6 + K.A9_7 * x7 + K.A9_8 * x8)
+                            for yi, x1, x4, x5, x6, x7, x8
+                            in zip(y, k1, k4, k5, k6, k7, k8)])
+    k10 = rhs(t + K.C10 * h, [yi + h * (K.A10_1 * x1 + K.A10_4 * x4 + K.A10_5 * x5
+                                        + K.A10_6 * x6 + K.A10_7 * x7 + K.A10_8 * x8
+                                        + K.A10_9 * x9)
+                              for yi, x1, x4, x5, x6, x7, x8, x9
+                              in zip(y, k1, k4, k5, k6, k7, k8, k9)])
+    k11 = rhs(t + K.C11 * h, [yi + h * (K.A11_1 * x1 + K.A11_4 * x4 + K.A11_5 * x5
+                                        + K.A11_6 * x6 + K.A11_7 * x7 + K.A11_8 * x8
+                                        + K.A11_9 * x9 + K.A11_10 * x10)
+                              for yi, x1, x4, x5, x6, x7, x8, x9, x10
+                              in zip(y, k1, k4, k5, k6, k7, k8, k9, k10)])
+    k12 = rhs(t + h, [yi + h * (K.A12_1 * x1 + K.A12_4 * x4 + K.A12_5 * x5
+                                + K.A12_6 * x6 + K.A12_7 * x7 + K.A12_8 * x8
+                                + K.A12_9 * x9 + K.A12_10 * x10 + K.A12_11 * x11)
+                      for yi, x1, x4, x5, x6, x7, x8, x9, x10, x11
+                      in zip(y, k1, k4, k5, k6, k7, k8, k9, k10, k11)])
+
+    ynew = []
+    e5sq = e3sq = 0.0
+    for yi, x1, x6, x7, x8, x9, x10, x11, x12 in zip(y, k1, k6, k7, k8, k9, k10, k11, k12):
+        d = (K.B1 * x1 + K.B6 * x6 + K.B7 * x7 + K.B8 * x8 + K.B9 * x9 + K.B10 * x10
+             + K.B11 * x11 + K.B12 * x12)
+        yn = yi + h * d
+        ynew.append(yn)
+        ay, an = abs(yi), abs(yn)
+        sc = atol + rtol * (ay if ay > an else an)
+        e5 = (K.E1 * x1 + K.E6 * x6 + K.E7 * x7 + K.E8 * x8 + K.E9 * x9 + K.E10 * x10
+              + K.E11 * x11 + K.E12 * x12) / sc
+        e3 = (d - K.BH1 * x1 - K.BH9 * x9 - K.BH12 * x12) / sc
+        e5sq += e5 * e5
+        e3sq += e3 * e3
+    return ynew, e5sq, e3sq
+
+
+class TestGeneratedStep:
+    @staticmethod
+    def _field(n, calls):
+        """A nonlinear field that records every call's time and input."""
+        def rhs(t, y):
+            calls.append((t, tuple(y)))
+            return tuple(math.sin(t + y[i - 1]) * y[i] - 0.3 * y[(i + 1) % n] ** 2
+                         for i in range(n))
+        return rhs
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 10, 16])
+    def test_bit_equal_to_the_comprehension_step(self, n, rng):
+        import struct
+
+        from spheretop.dynamics import _dop853_step
+
+        def bits(*xs):
+            return struct.pack(f"{len(xs)}d", *xs)
+
+        atol = rtol = 1e-8
+        errs = []
+        for h in (1e-3, 0.02, 0.1, 0.5, 2.0):
+            t = float(rng.uniform(-1.0, 5.0))
+            y = (rng.normal(size=n) * 10.0 ** rng.uniform(-2.0, 1.0, size=n)).tolist()
+            k1 = self._field(n, [])(t, y)
+            got_calls, want_calls = [], []
+            ynew, e5sq, e3sq = _dop853_step(n)(self._field(n, got_calls), t, h, tuple(y),
+                                               k1, atol, rtol)
+            want = _comprehension_step(self._field(n, want_calls), t, h, y, k1, atol, rtol)
+            assert bits(*ynew, e5sq, e3sq) == bits(*want[0], *want[1:])
+            assert len(got_calls) == 11
+            assert [(bits(s), bits(*x)) for s, x in got_calls] == \
+                [(bits(s), bits(*x)) for s, x in want_calls]
+            errs.append(h * e5sq / math.sqrt((e5sq + 0.01 * e3sq) * n))
+        # the controller would accept the shortest step and reject the longest
+        assert errs[0] <= 1.0 < errs[-1]
 
 
 class TestInvariantColumns:
