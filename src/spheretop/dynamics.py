@@ -460,9 +460,9 @@ def integrate(
 ) -> Trajectory:
     """Integrate ``y' = rhs(t, y)`` from 0 to t_end and record samples.
 
-    With ``sample_dt`` set, accepted steps are clipped so the trajectory
-    contains exact hits of the sample times; otherwise every accepted step is
-    recorded.  The ``project`` hook, when given, runs after every accepted
+    With ``sample_dt`` set, accepted steps are clipped so that the trajectory
+    holds exactly the sample times i * sample_dt and t_end; otherwise every
+    accepted step is recorded.  Either way the last step ends at t_end.  The ``project`` hook, when given, runs after every accepted
     step.  Raises :class:`SingularityError` when the step size underflows,
     the potential reports a collision, or the state, the initial slope or an
     error estimate is NaN or infinite; raises ``ValueError`` unless
@@ -480,7 +480,6 @@ def integrate(
     if not all(math.isfinite(c) for c in y):
         raise SingularityError(t, f"non-finite initial state at t = {t!r}")
     traj = Trajectory(ts=[t], ys=[y])
-    next_sample = sample_dt
 
     try:
         k1 = rhs(t, y)
@@ -492,12 +491,16 @@ def integrate(
         raise SingularityError(t, f"non-finite vector field at t = {t!r}")
     h_ctrl = _initial_step(y, k1, atol, rtol)
     step = _dop853_step(n)
-    eps_end = 1e-12 * max(1.0, abs(t_end))
+    eps = 1e-12 * max(1.0, t_end)  # a step ending within eps of a stop ends on it
+    i = 1  # the next sample time is i * sample_dt
 
-    while t < t_end - eps_end:
-        h = min(h_ctrl, t_end - t)
-        if next_sample is not None and t + h > next_sample:
-            h = next_sample - t
+    while t < t_end:
+        # the next time to land on exactly: sample time i, or t_end, which
+        # also stands for a sample time within eps of it
+        stop = t_end if sample_dt is None or i * sample_dt >= t_end - eps else i * sample_dt
+        h, t_new = h_ctrl, t + h_ctrl
+        if t_new >= stop - eps:
+            h, t_new = stop - t, stop
         if h < _MIN_STEP_FACTOR * max(1.0, abs(t)):
             raise SingularityError(t, f"step size underflow at t = {t!r}")
         try:
@@ -511,7 +514,7 @@ def integrate(
             raise SingularityError(t, f"NaN error estimate at t = {t!r}")
 
         if err <= 1.0:
-            t += h
+            t = t_new
             y = ynew
             if project is not None:
                 y = project(y)
@@ -522,11 +525,9 @@ def integrate(
             traj.n_accepted += 1
             traj.step_min = min(traj.step_min, h)
             traj.step_max = max(traj.step_max, h)
-            record = sample_dt is None
-            if next_sample is not None and t >= next_sample - 1e-14 * max(1.0, abs(t)):
-                record = True
-                next_sample += sample_dt
-            if record or t >= t_end - eps_end:
+            if t == stop:
+                i += 1
+            if t == stop or sample_dt is None:
                 traj.ts.append(t)
                 traj.ys.append(y)
             if h >= h_ctrl:  # keep the controller's step when this one was clipped

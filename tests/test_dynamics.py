@@ -359,6 +359,17 @@ class TestIntegrator:
         assert traj.n_rejected > 0
         assert traj.rhs_evals == len(calls)
 
+    @pytest.mark.parametrize("t_end, dt", [(100.0, 0.01), (10.05, 0.1), (0.3, 1.0)])
+    def test_samples_sit_at_multiples_of_the_step_and_end_at_t_end(self, t_end, dt):
+        # the sample time used to be a running sum, which drifted from i * dt,
+        # and the run stopped within 1e-12 max(1, T) of T
+        traj = integrate(lambda t, y: (1.0,), (0.0,), t_end, sample_dt=dt)
+        assert traj.ts[:-1] == [i * dt for i in range(len(traj.ts) - 1)]
+        assert traj.ts[-1] == t_end
+        assert len(traj.ts) == math.ceil(t_end / dt) + 1
+        assert abs(traj.final[0] - t_end) <= 1e-13 * t_end
+        assert integrate(lambda t, y: (1.0,), (0.0,), t_end).ts[-1] == t_end
+
     def test_horizon_must_follow_the_start(self):
         for t_end in (-5.0, 0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
