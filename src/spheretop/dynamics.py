@@ -462,12 +462,13 @@ def integrate(
 
     With ``sample_dt`` set, accepted steps are clipped so that the trajectory
     holds exactly the sample times i * sample_dt and t_end; otherwise every
-    accepted step is recorded.  Either way the last step ends at t_end.  The ``project`` hook, when given, runs after every accepted
-    step.  Raises :class:`SingularityError` when the step size underflows,
-    the potential reports a collision, or the state, the initial slope or an
-    error estimate is NaN or infinite; raises ``ValueError`` unless
-    ``t_end`` and ``sample_dt`` (when given) are positive and finite, and
-    when the vector field has another length than the state.
+    accepted step is recorded.  Either way the last step ends at t_end.  The
+    ``project`` hook, when given, runs after every accepted step.  Raises
+    :class:`SingularityError` when the step size underflows, the potential
+    reports a collision, or the state, the initial slope or an error
+    estimate is NaN or infinite; raises ``ValueError`` unless ``t_end`` and
+    ``sample_dt`` (when given) are positive and finite, and when the vector
+    field has another length than the state.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end = {t_end!r} must be positive and finite")
