@@ -26,10 +26,10 @@ tolerances default to 1e-12 (:class:`FlowConfig`).  The tableau is
 written once, as the table ``_DOP853``; from it ``_dop853_step`` generates
 and compiles, once per state dimension and on first use, a straight-line
 step in which every component is an expression over locals, with the
-coefficients as exact literals.  Conservation is
-monitored, never enforced: ``integrate`` runs a projection hook (renormalise
-group components, re-orthogonalise momenta) after accepted steps only when
-it is given one, so that by default drift stays a meaningful diagnostic.
+coefficients as exact literals.  Conservation is monitored, never
+enforced: ``integrate`` runs a projection hook (renormalise group
+components, re-orthogonalise momenta) after accepted steps only when it is
+given one, so that by default drift stays a meaningful diagnostic.
 ``sample_columns`` evaluates the conserved quantities once per sample;
 ``trajectory_csv`` and ``drift_summary`` read those columns.
 """
@@ -558,19 +558,21 @@ def _dop853_step(n: int) -> Callable:
     def dot(w, i, sep=" + "):  # component i of sum_j w_j k_j
         return sep.join(f"{wj!r} * k{j}_{i}" for j, wj in w.items())
 
-    tab = _DOP853
     src = ["def step(rhs, t, h, y, k1, atol, rtol):", f"    {vec('y')}= y", f"    {vec('k1')}= k1"]
-    for s, (c, a) in tab["stages"].items():
+    for s, (c, a) in _DOP853["stages"].items():
         at = "t + h" if c == 1.0 else f"t + {c!r} * h"
         args = ", ".join(f"y_{i} + h * ({dot(a, i)})" for i in range(n))
         src.append(f"    {vec(f'k{s}')}= rhs({at}, [{args}])")
-    for i in range(n):  # d: the weighted slope, s: the error scale
-        src += [f"    d_{i} = {dot(tab['b'], i)}",
+    # d = sum_j b_j k_j, n = y_new, s the error scale, e and f the weighted
+    # fifth- and third-order errors
+    for i in range(n):
+        src += [f"    d_{i} = {dot(_DOP853['b'], i)}",
                 f"    n_{i} = y_{i} + h * d_{i}",
                 f"    u_{i}, v_{i} = abs(y_{i}), abs(n_{i})",
                 f"    s_{i} = atol + rtol * (u_{i} if u_{i} > v_{i} else v_{i})",
-                f"    e_{i} = ({dot(tab['e'], i)}) / s_{i}",
-                f"    f_{i} = (d_{i} - {dot(tab['bh'], i, ' - ')}) / s_{i}"]
+                f"    e_{i} = ({dot(_DOP853['e'], i)}) / s_{i}",
+                f"    f_{i} = (d_{i} - {dot(_DOP853['bh'], i, ' - ')}) / s_{i}"]
+    # each sum of squares starts at its first term: 0.0 + x is x for a square
     src.append(f"    return ({vec('n')}), {' + '.join(f'e_{i} * e_{i}' for i in range(n))}, "
                f"{' + '.join(f'f_{i} * f_{i}' for i in range(n))}")
     scope = {}
