@@ -305,18 +305,19 @@ def cmd_stability(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _RE_DEFAULTS)
     re, alpha, gamma = _solve_from(cfg, "stability")
     report = stab.linearize(re)
+    pt, pot = ec.re_image(re), re.potential
+    quartet = stab.quartet_spectrum(pt, re.masses, pot.f(pt.r), pot.fprime(pt.r))
     record = {
         "kind": re.kind,
         "theta": re.theta,
         "eigenvalues": [[float(e.real), float(e.imag)] for e in report.eigenvalues],
         "zero_count": report.zero_count,
         "classification": report.classification,
+        "spectrum_gap": stab.spectrum_gap(report.eigenvalues, quartet),
     }
-    if re.potential.kind == "gravitational":
-        c0, c2 = stab.charpoly_2body(re)
-        record["charpoly"] = {"c0": c0, "c2": c2}
-    elif alpha is not None:
-        c0, c2 = stab.charpoly_lagrange(re, alpha, gamma)
+    if re.potential.kind == "gravitational" or alpha is not None:
+        c0, c2 = (stab.charpoly_2body(re) if alpha is None
+                  else stab.charpoly_lagrange(re, alpha, gamma))
         record["charpoly"] = {"c0": c0, "c2": c2}
     _write_record(cfg, "stability", record)
     return 0

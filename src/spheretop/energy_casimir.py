@@ -12,11 +12,11 @@ momenta, with M = m1 + m2 and S = m1 cos 2phi1 + m2 cos 2phi2:
 the last two since lambda = (M xi - S eta) j and rho = (S xi - M eta) j once
 the balance m1 sin 2phi1 = m2 sin 2phi2 removes their k parts.  A sheet is
 sampled a grid row at a time: what depends on the row's theta (or phi1) comes
-from the scalar RE code once, and everything along tau is numpy arrays, up to
-one stack of Jacobians and one eigenvalue call.  A node the batch cannot vouch
-for goes through the scalar ``ec_sample``.  The resulting point clouds are the
-bifurcation surfaces of the problem; a fold shows up where samples with equal
-momentum pairs merge.
+from the scalar RE code once, and everything along tau is numpy arrays.  Every
+label, batched or scalar, comes from ``stability.quartet_spectrum`` at the
+closed-form image, with no 8x8 eigenvalue call.  The resulting point clouds
+are the bifurcation surfaces of the problem; a fold shows up where samples
+with equal momentum pairs merge.
 """
 
 from __future__ import annotations
@@ -106,6 +106,11 @@ def _image(x1, x2, y, cos_th: float, sin_th: float) -> InvariantPoint:
                           k23=0.0, k33=sin_th * sin_th, r=cos_th, delta=-y * (x1 + x2) * sin_th)
 
 
+def re_image(re: RelativeEquilibrium) -> InvariantPoint:
+    """The closed-form invariant image of an RE, where its sheet label is read."""
+    return _image(re.x1, re.x2, re.y, math.cos(re.theta), math.sin(re.theta))
+
+
 def _s_of(re: RelativeEquilibrium) -> float:
     return re.masses.m1 * math.cos(2 * re.phi1) + re.masses.m2 * math.cos(2 * re.phi2)
 
@@ -121,26 +126,18 @@ def _ec_values(pt: InvariantPoint, xi, eta, s: float, v: float, m: MassParams) -
 def _sample_from_re(
     re: RelativeEquilibrium, family: str, tau: float, classify: bool, gauge_flipped: bool = False
 ) -> ECSample:
+    pt, pot = re_image(re), re.potential
     label = ""
     if classify:
-        label = _stability.linearize(re).classification
-    cos_th = math.cos(re.theta)
-    pt = _image(re.x1, re.x2, re.y, cos_th, math.sin(re.theta))
-    H, lam2, rho2 = _ec_values(pt, re.xi_mag, re.eta_mag, _s_of(re),
-                               re.potential.v(cos_th), re.masses)
-    return ECSample(
-        family=family,
-        theta=re.theta,
-        tau=tau,
-        H=H,
-        lam2=lam2,
-        rho2=rho2,
-        stability=label,
-        xi_mag=re.xi_mag,
-        eta_mag=re.eta_mag,
-        phi1=re.phi1,
-        gauge_flipped=gauge_flipped,
-    )
+        with np.errstate(all="ignore"):  # a non-finite spectrum raises below
+            eigs = _stability.quartet_spectrum(pt, re.masses, pot.f(pt.r), pot.fprime(pt.r))
+        if not np.isfinite(eigs).all():
+            raise ValueError("the spectrum at the image of the RE is not finite")
+        label = _stability.classify_stability_eigs(eigs)
+    H, lam2, rho2 = _ec_values(pt, re.xi_mag, re.eta_mag, _s_of(re), pot.v(pt.r), re.masses)
+    return ECSample(family=family, theta=re.theta, tau=tau, H=H, lam2=lam2, rho2=rho2,
+                    stability=label, xi_mag=re.xi_mag, eta_mag=re.eta_mag, phi1=re.phi1,
+                    gauge_flipped=gauge_flipped)
 
 
 def _try_sample(theta, tau, m, pot, family, phi1, classify) -> tuple:
@@ -163,13 +160,9 @@ def _batch_row(theta, phi1, exp_tau, m, pot, classify) -> tuple:
 
 def _batch_nodes(batch: list, n_b: int, m: MassParams, classify: bool) -> list:
     """(H, lam2, rho2, xi, eta, label) of every node of the batched rows, in
-    order, or None for a node the scalar path must sample.
-
-    That is a node where ``re_from_tau`` raises (eta not positive and finite,
-    xi not positive), and when classifying a node with a non-finite Jacobian
-    or a spectrum near a cut of ``classify_stability_eigs`` (``near_cut``),
-    whose label could then depend on the batch's Jacobian, built from the
-    closed-form image, differing from the scalar one by rounding.
+    order, or None for a node the scalar path must sample: one where
+    ``re_from_tau`` raises (eta not positive and finite, xi not positive), or
+    when classifying one whose ``quartet_spectrum`` is not finite.
     """
     eta, y, xi, x1, x2 = (np.concatenate(a) for a in zip(*(b[2] for b in batch)))
     cos_th, sin_th, v, s, f, fp = np.repeat([b[3] for b in batch], n_b, axis=0).T
@@ -179,11 +172,9 @@ def _batch_nodes(batch: list, n_b: int, m: MassParams, classify: bool) -> list:
         values = _ec_values(pt, xi, eta, s, v, m)
         accept = np.isfinite(eta) & (eta > 0) & (xi > 0)
         if classify:
-            jac = _stability.jacobian_full_reduced(pt, m, f, fp)
-            accept &= np.isfinite(jac).all(axis=(-2, -1))
-            eigs = np.linalg.eigvals(jac[accept])
-            labels[accept] = _stability.classify_stability_eigs(eigs)
-            accept[accept] = ~_stability.near_cut(eigs)
+            eigs = _stability.quartet_spectrum(pt, m, f, fp)
+            accept &= np.isfinite(eigs).all(axis=-1)
+            labels[accept] = _stability.classify_stability_eigs(eigs[accept])
     columns = (a.tolist() for a in (*values, xi, eta, labels, accept))
     return [node if ok else None for *node, ok in zip(*columns)]
 
@@ -242,7 +233,7 @@ def _surface_worker(rows) -> tuple[list, int]:
     return _sample_block(rows, *_WORKER_ARGS)
 
 
-# the most grid nodes one batch holds: its Jacobian stack is 512 bytes a node
+# the most grid nodes one batch holds, each under a kilobyte of temporary arrays
 _BLOCK_NODES = 16384
 
 

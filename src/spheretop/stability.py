@@ -1,10 +1,13 @@
 """Linear stability of relative equilibria on the fully reduced space.
 
 The flow is linearised at the image of an RE, where the frame momenta are
-orthogonal to the relative position (k13 = k23 = 0).  Four eigenvalues of the
-8x8 Jacobian vanish structurally because the generic symplectic leaves are
-4-dimensional; the remaining quartet factors in closed form for both the
-gravitational and the constant-force (spinning top) potentials:
+orthogonal to the relative position (k13 = k23 = 0).  There the Jacobian J
+couples (k13, k23) only to the other six coordinates: permuted, it is
+[[0, B], [C, 0]], so det(t - J) = t^4 det(t^2 - CB), four exact zeros and the
+quartet t^4 + c2 t^2 + c0 with c0 = det CB, c2 = -tr CB for the 2x2 matrix
+CB.  Sheets are labelled from CB (``quartet_spectrum``); ``linearize`` takes
+the 8x8 ``eigvals``, the independent numerical route.  The quartet factors
+in closed form for the gravitational and constant-force (top) potentials:
 
 * gravitational:  t^4 (c0 + c2 t^2 + t^4)  with the quartet
   z^2 = -(sqrt(k11)/m1 + sqrt(k22)/m2)^2 - (m1+m2) cot(th) csc^2(th)
@@ -61,17 +64,12 @@ class LinearizationReport:
 
 
 def jacobian_full_reduced(pt: InvariantPoint, m: MassParams, f, fp) -> np.ndarray:
-    """Analytic Jacobian of the fully reduced vector field, given f and f' at pt.r.
-
-    Shape-agnostic: when pt.k11 has shape S, and every other field and f, fp
-    are floats or arrays of that shape, the result has shape S + (8, 8); each
-    entry takes the IEEE operations of a single point.
-    """
+    """Analytic Jacobian of the fully reduced vector field, given f and f' at pt.r."""
     m1, m2 = m.m1, m.m2
     k11, k12, k13 = pt.k11, pt.k12, pt.k13
     k22, k23, k33 = pt.k22, pt.k23, pt.k33
     r = pt.r
-    rows = [
+    return np.array([
         [0, 0, 2 * f, 0, 0, 0, 2 * fp * k13, 0],
         [0, 0, -f, 0, f, 0, fp * (k23 - k13), 0],
         [-r / m1, r / m2, 0, 0, 0, f,
@@ -84,12 +82,32 @@ def jacobian_full_reduced(pt: InvariantPoint, m: MassParams, f, fp) -> np.ndarra
         [0, 0, 1 / m1, 0, -1 / m2, 0, 0, 0],
         [-k23 / m1, k13 / m1 - k23 / m2, k12 / m1 + k22 / m2,
          k13 / m2, -k11 / m1 - k12 / m2, 0, 0, 0],
-    ]
-    shape = np.shape(k11)
-    if not shape:
-        return np.array(rows, dtype=float)
-    cells = np.stack(np.broadcast_arrays(*(v for row in rows for v in row)))
-    return np.moveaxis(cells.reshape((8, 8) + shape), (0, 1), (-2, -1))
+    ], dtype=float)
+
+
+def quartet_spectrum(pt: InvariantPoint, m: MassParams, f, fp) -> np.ndarray:
+    """The eight eigenvalues of ``jacobian_full_reduced`` at an RE image along
+    the last axis: four exact zeros, then +-sqrt(mu) for the roots mu of
+    mu^2 + c2 mu + c0 (pt.k13, pt.k23 unread).  With A = k11/m1^2, B = k22/m2^2,
+    M = 1/m1 + 1/m2, g = f r M, h = f' k33 M and e = 3g - h, CB gives
+    c2 = 5g - h + 2(A + B), c0 = (B - A)(B - A + e (m1 - m2)/(m1 + m2))
+    + g (4g - h + 2(A + B)) and c2^2 - 4 c0 = e^2 + 8 e (m1 A + m2 B)/(m1 + m2)
+    + 16 A B, free of the k^2 terms that cancel in its entries.  Scaled by
+    max(A + B, |g|, |h|), the larger root comes first, the other is c0/big.
+    Floats, or arrays of one shape S for a result of shape S + (8,).
+    """
+    m1, m2, big_m = m.m1, m.m2, 1 / m.m1 + 1 / m.m2
+    a, b, g, h = pt.k11 / m1 ** 2, pt.k22 / m2 ** 2, f * pt.r * big_m, fp * pt.k33 * big_m
+    s = np.maximum(np.maximum(a + b, abs(g)), np.maximum(abs(h), np.finfo(float).tiny))
+    a, b, g, h = a / s, b / s, g / s, h / s
+    e = 3 * g - h
+    c2 = 5 * g - h + 2 * (a + b)
+    c0 = (b - a) * (b - a + e * ((m1 - m2) / (m1 + m2))) + g * (4 * g - h + 2 * (a + b))
+    root = np.sqrt(np.asarray(e * e + 8 * e * (m1 * a + m2 * b) / (m1 + m2) + 16 * a * b, complex))
+    big = -0.5 * (c2 + np.where(c2 < 0, -root, root))
+    small = c0 / np.where(big != 0, big, 1.0)
+    t = np.sqrt(np.asarray(s))[..., None] * np.sqrt(np.stack([big, small], axis=-1))
+    return np.concatenate([np.zeros(t.shape[:-1] + (4,)), t, -t], axis=-1)
 
 
 def linearize(re: RelativeEquilibrium) -> LinearizationReport:
@@ -110,15 +128,10 @@ def linearize(re: RelativeEquilibrium) -> LinearizationReport:
     )
 
 
-def _scale(mod: np.ndarray) -> np.ndarray:
-    """The eigenvalue scale max(1, max |t|) of each spectrum, from the moduli."""
-    return np.maximum(1.0, mod.max(axis=-1, keepdims=True))
-
-
 def _classify(eigs: np.ndarray) -> tuple:
     """``classify_stability_eigs`` and the count of zero eigenvalues."""
     mod = np.abs(eigs)
-    scale = _scale(mod)
+    scale = np.maximum(1.0, mod.max(axis=-1, keepdims=True))  # max(1, max |t|)
     zeros = mod < ZERO_EIG_TOL * scale
     cut = REAL_PART_TOL * scale
     unstable = (eigs.real > cut).any(axis=-1)
@@ -129,6 +142,16 @@ def _classify(eigs: np.ndarray) -> tuple:
     return labels[codes] if isinstance(codes, int) else [labels[c] for c in codes], n_zero
 
 
+def spectrum_gap(a: np.ndarray, b: np.ndarray) -> float:
+    """The widest pair of a nearest-first matching of spectrum a to spectrum b,
+    over the scale max(1, max |a|); it bounds their multiset distance above."""
+    pool, worst = list(b), 0.0
+    for x in a:
+        j = int(np.argmin(np.abs(np.subtract(pool, x))))
+        worst = max(worst, float(abs(pool.pop(j) - x)))
+    return worst / max(1.0, float(np.abs(a).max()))
+
+
 def classify_stability_eigs(eigs: np.ndarray):
     """Stable: four structural zeros plus a nonzero imaginary quartet;
     unstable: any eigenvalue with positive real part; degenerate otherwise.
@@ -137,23 +160,6 @@ def classify_stability_eigs(eigs: np.ndarray):
     spectra a list of them.
     """
     return _classify(eigs)[0]
-
-
-def near_cut(eigs: np.ndarray) -> np.ndarray:
-    """Whether some eigenvalue's modulus or real part lies within three decades
-    of its cut in ``classify_stability_eigs``, along the last axis.
-
-    A rounding-size change of the Jacobian moves a double eigenvalue by about
-    the square root of the rounding, 1e-8, so only a label outside this band
-    is fixed by the matrix's exact value.
-    """
-    scale = _scale(np.abs(eigs))
-
-    def band(x, cut):
-        return (x >= 1e-3 * cut * scale) & (x <= 1e3 * cut * scale)
-
-    return np.any(band(np.abs(eigs), ZERO_EIG_TOL) | band(np.abs(eigs.real), REAL_PART_TOL),
-                  axis=-1)
 
 
 def _k_diag(re: RelativeEquilibrium) -> tuple[float, float]:

@@ -363,6 +363,17 @@ class TestClassify:
         eigs = [complex(a, b) for a, b in record["eigenvalues"]]
         assert sum(1 for e in eigs if abs(e) < 1e-8) == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["--theta", 2.2, "--m1", 3, "--m2", 2, "--potential", "grav"],
+        ["--theta", 0.3, "--potential", "lagrange", "--alpha", 2, "--gamma", 1],
+        ["--theta", math.pi / 2, "--phi1", 0.5, "--potential", "grav"],
+    ], ids=["grav", "lagrange", "right-angled"])
+    def test_stability_records_the_spectrum_gap(self, capsys, argv):
+        # linearize's eigvals against the structured spectrum the sheets use
+        assert run(["stability", *argv]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert 0.0 <= record["spectrum_gap"] < 1e-12
+
 
 class TestSurfaceCommand:
     def test_non_finite_range_exits_4(self, tmp_path, capsys):

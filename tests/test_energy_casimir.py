@@ -248,6 +248,8 @@ class TestBatchParity:
                 assert abs(x - y) <= 1e-12 * abs(y), (key, a, b)
         if name in ("mass32_generic", "extreme_tau"):
             assert got.failures and got.scalar_nodes == len(got.failures)
+        if name == "extreme_tau":  # tau = +-400 keeps a finite spectrum
+            assert {tau for _, tau, _ in got.failures} == {-800.0, 800.0}
         if name == "equal_right_angled":
             flipped = [s.gauge_flipped for s in got.samples]
             assert any(flipped) and not all(flipped)
@@ -260,14 +262,27 @@ class TestBatchParity:
             pt = hilbert_map(left_reduce(re.state))
             np.testing.assert_allclose(image.as_tuple(), pt.as_tuple(), rtol=1e-12, atol=1e-14)
 
-    def test_node_near_a_cut_takes_the_scalar_path(self):
-        # equal masses at theta -> pi/2: the w-pair of the quartet tends to a
-        # double zero, whose batch and scalar values differ by about 1e-8
-        theta = math.pi / 2 - 5e-10
+    @pytest.mark.parametrize("offset, label", [(5e-10, "degenerate"), (1e-8, "linearly_stable")],
+                             ids=["right-angled", "acute"])
+    def test_labels_next_to_the_right_angle_agree(self, offset, label):
+        # equal masses at theta -> pi/2: 5e-10 away the RE is the right-angled
+        # isosceles one, whose w pair is zero in closed form; 1e-8 away w is
+        # about 1.4e-4 i, an acute RE and so linearly stable (criterion 06)
+        theta = math.pi / 2 - offset
         res = ec_surface("isosceles", (theta, theta), (-1.0, 1.0), (1, 3), M11, GRAV11)
-        assert res.scalar_nodes == 3
-        assert [s.stability for s in res.samples] == [
-            ec_sample(theta, s.tau, M11, GRAV11).stability for s in res.samples]
+        assert res.scalar_nodes == 0 and len(res.samples) == 3
+        for s in res.samples:
+            assert s.stability == ec_sample(theta, s.tau, M11, GRAV11).stability == label
+
+    def test_node_with_a_non_finite_spectrum_is_a_failure(self):
+        # at tau = 709 k11 overflows off theta = pi/2; eigvals used to reject
+        # these nodes, and a label read from a NaN spectrum would mean nothing
+        res = ec_surface("isosceles", (0.5, 2.5), (600.0, 709.0), (3, 6), M11, GRAV11)
+        assert res.scalar_nodes == len(res.failures) == 2
+        assert all(tau == 709.0 and msg.endswith("not finite") for _, tau, msg in res.failures)
+        assert all(math.isfinite(s.H) for s in res.samples)
+        with pytest.raises(ValueError, match="spectrum .* not finite"):
+            ec_sample(0.5, 709.0, M11, GRAV11)
 
     def test_batched_csv_cells_are_plain_floats(self, tmp_path):
         from spheretop.cli import main

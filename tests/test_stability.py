@@ -8,6 +8,7 @@ from spheretop.phase_space import MassParams, Potential, momentum_left, momentum
 from spheretop.poisson import integral_I_gradient, table_flow
 from spheretop.reduction import InvariantPoint, hilbert_map, left_reduce
 from spheretop.relequil import re_from_tau, solve_re, zeta_of
+from spheretop import energy_casimir, stability
 from spheretop.stability import (
     _momentum_jacobian_det,
     charpoly_2body,
@@ -18,6 +19,8 @@ from spheretop.stability import (
     fold_locus,
     jacobian_full_reduced,
     linearize,
+    quartet_spectrum,
+    spectrum_gap,
 )
 
 M11 = MassParams(1.0, 1.0)
@@ -436,6 +439,102 @@ class TestIndependenceOfTheExtraIntegral:
         ])
         sv = np.linalg.svd(stacked, compute_uv=False)
         assert sv[1] > 1e-8 * sv[0]
+
+
+def _image_spectrum(re):
+    pot, pt = re.potential, energy_casimir.re_image(re)
+    return quartet_spectrum(pt, re.masses, pot.f(pt.r), pot.fprime(pt.r))
+
+
+class TestQuartetSpectrum:
+    """The structured spectrum the sheets label with, against ``linearize``."""
+
+    @pytest.fixture(scope="class")
+    def acceptance_grid(self):
+        from test_acceptance import _re_grid
+
+        return _re_grid()
+
+    def test_matches_linearize_on_the_acceptance_grid(self, acceptance_grid):
+        assert {re.kind for re in acceptance_grid} == {
+            "acute", "obtuse", "rightAngled", "singular0", "singularPi"}
+        for re in acceptance_grid:
+            rep, eigs = linearize(re), _image_spectrum(re)
+            assert eigs.shape == (8,) and (eigs[:4] == 0).all()
+            assert stability._classify(eigs)[1] == rep.zero_count
+            assert multiset_distance(rep.eigenvalues, eigs) <= 1e-12 * max(
+                1.0, np.abs(rep.eigenvalues).max())
+            assert spectrum_gap(rep.eigenvalues, eigs) <= 1e-12
+            assert classify_stability_eigs(eigs) == rep.classification
+
+    def test_block_invariants_are_the_closed_form_charpoly(self, acceptance_grid):
+        # c0 = det CB and c2 = -tr CB; c0 relative to c2^2, its size away
+        # from a fold
+        cases = [(re, charpoly_2body(re)) for re in acceptance_grid
+                 if re.potential.kind == "gravitational"]
+        for theta in (0.4, 1.0, 2.0, 2.7, math.pi / 2):
+            for alpha in (1.0, 2.0):
+                m, pot = MassParams(1 / alpha, 1 / alpha), Potential.linear(1.0)
+                re = solve_re(theta, 0.8, m, pot, phi1=-0.5 if theta == math.pi / 2 else None)
+                cases.append((re, charpoly_lagrange(re, alpha, 1.0)))
+        assert len(cases) > 100
+        for re, (c0, c2) in cases:
+            mu = _image_spectrum(re)[4:6] ** 2  # the two eigenvalues of CB
+            assert abs((mu[0] * mu[1]).real - c0) <= 1e-12 * max(abs(c0), c2 * c2)
+            assert abs(-(mu[0] + mu[1]).real - c2) <= 1e-12 * abs(c2)
+
+    def test_labels_hold_far_out_along_tau(self):
+        # far out along tau |z| outgrows |w| by eight decades; the entrywise
+        # det of CB loses the w pair to rounding there, the closed-form
+        # invariants keep linearize's labels
+        tiny = MassParams(0.01, 0.01)
+        for m, pot in ((M11, grav(M11)), (M32, grav(M32)), (tiny, grav(tiny)),
+                       (tiny, Potential.linear(1.0))):
+            for theta in (0.1, 0.7, 1.7, 2.6):
+                for tau in (-60.0, -45.0, -35.0, 35.0, 45.0, 60.0):
+                    re = re_from_tau(theta, tau, m, pot)
+                    assert (classify_stability_eigs(_image_spectrum(re))
+                            == linearize(re).classification), (m, pot.kind, theta, tau)
+
+    def test_custom_potential(self):
+        pot = Potential.custom(lambda r: -0.7 * r ** 3, lambda r: 2.1 * r * r,
+                               lambda r: 4.2 * r)
+        for theta, eta in ((0.6, 0.9), (2.3, 1.4), (1.2, 0.5)):
+            re = solve_re(theta, eta, M32, pot)
+            rep, eigs = linearize(re), _image_spectrum(re)
+            assert spectrum_gap(rep.eigenvalues, eigs) <= 1e-12
+            assert classify_stability_eigs(eigs) == rep.classification
+
+    def test_stacks_along_leading_axes(self):
+        res = [solve_re(t, 1.1, M32, grav(M32)) for t in (0.5, 1.2, 2.0, 2.6)]
+        pts = [energy_casimir.re_image(re) for re in res]
+        stacked = InvariantPoint.from_tuple(
+            [np.array(v).reshape(2, 2) for v in zip(*(p.as_tuple() for p in pts))])
+        f = np.array([grav(M32).f(p.r) for p in pts]).reshape(2, 2)
+        fp = np.array([grav(M32).fprime(p.r) for p in pts]).reshape(2, 2)
+        eigs = quartet_spectrum(stacked, M32, f, fp)
+        assert eigs.shape == (2, 2, 8)
+        np.testing.assert_array_equal(eigs.reshape(4, 8),
+                                      [_image_spectrum(re) for re in res])
+
+    def test_sheets_need_no_eigvals(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linalg.eigvals called on the sheet path")
+
+        monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        half = math.pi / 2
+        top = (MassParams(0.5, 0.5), Potential.linear(1.0))
+        for family, first, m, pot in (("isosceles", (0.1, math.pi - 0.1), M11, grav(M11)),
+                                      ("obtuse", (half + 0.1, math.pi - 0.1), M32, grav(M32)),
+                                      ("isosceles", (0.1, math.pi - 0.1), *top),
+                                      ("rightAngled", (0.08, half - 0.08), M11, grav(M11))):
+            kw = {"phi1_range": first} if family == "rightAngled" else {}
+            res = energy_casimir.ec_surface(family, first, (-3.0, 3.0), (5, 4), m, pot, **kw)
+            assert len(res.samples) == 20 and not res.failures
+            assert all(s.stability for s in res.samples)
+        assert energy_casimir.ec_sample(2.0, 0.3, M32, grav(M32)).stability
+        thread = energy_casimir.singular_thread((0.2, 2.0), 4, top[0], 1.0)
+        assert all(s.stability for s in thread)
 
 
 def test_classification_thresholds():
