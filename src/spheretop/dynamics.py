@@ -466,14 +466,17 @@ def integrate(
     ``project`` hook, when given, runs after every accepted step.  Raises
     :class:`SingularityError` when the step size underflows, the potential
     reports a collision, or the state, the initial slope or an error
-    estimate is NaN or infinite; raises ``ValueError`` unless ``t_end`` and
-    ``sample_dt`` (when given) are positive and finite, and when the vector
-    field has another length than the state.
+    estimate is NaN or infinite; raises ``ValueError`` unless ``t_end`` is
+    positive and finite and ``sample_dt`` (when given) finite and at least
+    1e-12 max(1, t_end), and when the vector field has another length than
+    the state.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end = {t_end!r} must be positive and finite")
-    if sample_dt is not None and not 0.0 < sample_dt < math.inf:
-        raise ValueError(f"sample_dt = {sample_dt!r} must be positive and finite")
+    eps = 1e-12 * max(1.0, t_end)  # a step ending within eps of a stop ends on it
+    if sample_dt is not None and not eps <= sample_dt < math.inf:
+        raise ValueError(f"sample_dt = {sample_dt!r} must be positive and finite, and at "
+                         f"least the landing tolerance 1e-12 max(1, t_end) = {eps!r}")
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     y = tuple(float(c) for c in y0)
     n = len(y)
@@ -492,7 +495,6 @@ def integrate(
         raise SingularityError(t, f"non-finite vector field at t = {t!r}")
     h_ctrl = _initial_step(y, k1, atol, rtol)
     step = _dop853_step(n)
-    eps = 1e-12 * max(1.0, t_end)  # a step ending within eps of a stop ends on it
     i = 1  # the next sample time is i * sample_dt
 
     while t < t_end:

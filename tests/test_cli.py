@@ -85,6 +85,16 @@ class TestSimulate:
             assert message in capsys.readouterr().err, flag
             assert not out.exists()
 
+    def test_sample_step_below_the_landing_tolerance_exits_4(self, tmp_path, capsys):
+        # it used to exit 3, reported as a singularity at t = 0.0
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--scenario", "random", "--T", "1", "--sample-dt", "1e-14",
+                    "--out", out]) == 4
+        err = capsys.readouterr().err
+        assert "sample_dt = 1e-14" in err and "landing tolerance" in err
+        assert "singularity" not in err
+        assert not out.exists()
+
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for out in (a, b):

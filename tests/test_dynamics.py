@@ -380,6 +380,23 @@ class TestIntegrator:
             with pytest.raises(ValueError, match="sample_dt"):
                 integrate(lambda t, y: (1.0,), (0.0,), 1.0, sample_dt=dt)
 
+    @pytest.mark.parametrize("t_end, dt", [(1.0, 1e-14), (1.0, 9.9e-13), (100.0, 5e-11)])
+    def test_sample_step_below_the_landing_tolerance_is_rejected(self, t_end, dt):
+        # below 1e-13 such a step used to trip the step-size underflow at
+        # t = 0, reported as a singularity; above it, to start t_end / dt
+        # steps, which the field cuts short should the check go
+        calls = []
+
+        def field(t, y):
+            calls.append(t)
+            if len(calls) > 100:
+                raise RuntimeError("integrate started stepping")
+            return (1.0,)
+
+        with pytest.raises(ValueError, match="sample_dt .* landing tolerance"):
+            integrate(field, (0.0,), t_end, sample_dt=dt)
+        assert not calls
+
     def test_non_finite_input_is_named(self):
         for y0 in ((float("nan"), 0.0), (0.0, float("inf"))):
             with pytest.raises(SingularityError, match="non-finite initial state"):
