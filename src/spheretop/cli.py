@@ -36,7 +36,6 @@ from .dynamics import (
     make_reduced_rhs,
     make_state_rhs,
     point_to_vec,
-    project_reduced,
     project_state,
     reduced_to_vec,
     sample_columns,
@@ -79,14 +78,44 @@ def _parse_potential(spec: str, masses: MassParams) -> Potential:
     raise ValueError(f"unknown potential {spec!r} (use grav or linear:<gamma>)")
 
 
+_KIND_NAMES = {float: "a number", int: "an integer", str: "a string", bool: "true or false"}
+
+
+def _check_config(parser: argparse.ArgumentParser, file_cfg: dict, defaults: dict) -> None:
+    """Reject a config-file value that its own flag could not have parsed to.
+
+    The kind, arity and choices of each key come from its flag's definition.
+    A float flag takes any JSON number, only a true/false flag takes a bool,
+    and null is accepted where the default is unset.
+    """
+    for action in parser._actions:
+        key, val = action.dest, file_cfg.get(action.dest)
+        if key not in file_cfg or (val is None and defaults[key] is None):
+            continue
+        kind = action.type or (str if action.const is None else type(action.const))
+        n = action.nargs if isinstance(action.nargs, int) and action.nargs else None
+        items = [val] if n is None else val if isinstance(val, list) and len(val) == n else [None]
+        if not all((kind is bool) == isinstance(v, bool)
+                   and isinstance(v, (int, float) if kind is float else kind)
+                   and (action.choices is None or v in action.choices) for v in items):
+            want = _KIND_NAMES[kind] if action.choices is None else f"one of {list(action.choices)}"
+            if n is not None:
+                want = f"a list of {n} values, each {want}"
+            raise ValueError(f"config {key} must be {want}, as for "
+                             f"{action.option_strings[0]}, got {val!r}")
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     cfg = dict(defaults)
     if getattr(args, "config", None):
         with open(args.config) as fh:
             file_cfg = json.load(fh)
+        if not isinstance(file_cfg, dict):
+            raise ValueError(f"config {args.config} must hold a JSON object")
         unknown = set(file_cfg) - set(defaults)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        _check_config(args.parser, file_cfg, defaults)
         cfg.update(file_cfg)
     for key in defaults:
         val = getattr(args, key, None)
@@ -175,27 +204,28 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                                  "a relative equilibrium of m1 = m2 = 1 under grav")
 
     space = cfg["space"]
+    # renormalising gD on the 10-d level moves r = Re gD and so V: H drifted
+    # worse with it than without
+    if cfg["projection"] and space != "full":
+        raise ValueError(f"--projection has no projector on the {space} level; "
+                         "only --space full has one")
     if space == "full":
         y0, rhs, labels = state_to_vec(state), make_state_rhs(m, pot), _STATE_LABELS
-        project, funcs = project_state, invariants_state(m, pot)
+        funcs = invariants_state(m, pot)
     elif space in ("left", "right"):
         rs = left_reduce(state) if space == "left" else right_reduce(state)
         y0, rhs, labels = reduced_to_vec(rs), make_reduced_rhs(m, pot, rs.side), _REDUCED_LABELS
-        project, funcs = project_reduced, invariants_reduced(m, pot)
-    elif space == "invariants":
-        if cfg["projection"]:
-            raise ValueError("--projection has no projector on the 8-d invariants level")
+        funcs = invariants_reduced(m, pot)
+    else:  # invariants, the last choice of --space
         pt = hilbert_map(left_reduce(state))
         y0, rhs, labels = point_to_vec(pt), make_invariant_rhs(m, pot), _POINT_LABELS
-        project, funcs = None, invariants_point(m, pot)
-    else:
-        raise ValueError(f"unknown space {space!r}")
+        funcs = invariants_point(m, pot)
 
     flow_cfg = FlowConfig(rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"])
     start = time.perf_counter()
     try:
         traj = integrate(rhs, y0, cfg["T"], flow_cfg, sample_dt=cfg["sample_dt"],
-                         project=project if cfg["projection"] else None)
+                         project=project_state if cfg["projection"] else None)
     except SingularityError as exc:
         _write_manifest(cfg["out"], "simulate", cfg, {"collision": {
             "time": exc.time, "level": space, "message": str(exc)}})
@@ -336,6 +366,10 @@ _EC_DEFAULTS = {
 
 def cmd_ec_surface(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _EC_DEFAULTS)
+    # --workers stays only because the benchmark passes --workers 1
+    if cfg["workers"] not in (None, 1):
+        raise ValueError(f"workers = {cfg['workers']!r}: ec-surface samples its sheets "
+                         "serially, so workers must be 1 or unset")
     m, pot, _, _ = _masses_potential(cfg)
     family = cfg["family"]
     theta_range = (cfg["theta_min"], cfg["theta_max"])
@@ -343,15 +377,14 @@ def cmd_ec_surface(args: argparse.Namespace) -> int:
         theta_range = (cfg["theta_min"], min(cfg["theta_max"], math.pi / 2 - 0.05))
     elif family == ec.FAMILY_OBTUSE:
         theta_range = (max(cfg["theta_min"], math.pi / 2 + 0.05), cfg["theta_max"])
-    phi1_range = None
-    if cfg["phi1_min"] is not None and cfg["phi1_max"] is not None:
-        phi1_range = (cfg["phi1_min"], cfg["phi1_max"])
+    phi1 = (cfg["phi1_min"], cfg["phi1_max"])
+    if phi1.count(None) == 1:
+        raise ValueError("--phi1-min and --phi1-max go together: set both or neither")
     start = time.perf_counter()
     result = ec.ec_surface(
         family, theta_range, (cfg["tau_min"], cfg["tau_max"]),
         tuple(cfg["grid"]), m, pot,
-        phi1_range=phi1_range, classify=bool(cfg["classify"]),
-        workers=cfg["workers"],
+        phi1_range=None if None in phi1 else phi1, classify=cfg["classify"],
     )
     sampled = time.perf_counter()
     out = cfg["out"]
@@ -377,6 +410,7 @@ def cmd_ec_surface(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    p.set_defaults(parser=p)  # whose flag definitions type the config file
     p.add_argument("--config", help="JSON config file; flags override its entries")
     p.add_argument("--m1", type=float)
     p.add_argument("--m2", type=float)

@@ -27,9 +27,9 @@ written once, as the table ``_DOP853``; from it ``_dop853_step`` generates
 and compiles, once per state dimension and on first use, a straight-line
 step in which every component is an expression over locals, with the
 coefficients as exact literals.  Conservation is monitored, never
-enforced: ``integrate`` runs a projection hook (renormalise group
-components, re-orthogonalise momenta) after accepted steps only when it is
-given one, so that by default drift stays a meaningful diagnostic.
+enforced: ``integrate`` runs a projection hook (``project_state`` on the
+16-d level) after accepted steps only when it is given one, so that by
+default drift stays a meaningful diagnostic.
 ``sample_columns`` evaluates the conserved quantities once per sample;
 ``trajectory_csv`` and ``drift_summary`` read those columns.
 """
@@ -343,12 +343,6 @@ def make_state_rhs(m: MassParams, pot: Potential) -> Callable:
     return rhs
 
 
-def project_reduced(v: Sequence[float]) -> tuple[float, ...]:
-    """Renormalise the group component to the unit sphere."""
-    n = math.sqrt(v[6] ** 2 + v[7] ** 2 + v[8] ** 2 + v[9] ** 2)
-    return tuple(v[:6]) + (v[6] / n, v[7] / n, v[8] / n, v[9] / n)
-
-
 def project_state(v: Sequence[float]) -> tuple[float, ...]:
     """Renormalise positions and re-orthogonalise momenta."""
     out = []
@@ -426,6 +420,8 @@ _DOP853 = {
 }
 
 _MIN_STEP_FACTOR = 1e-13
+# the most sample rows one run may ask for: every row is held in memory
+MAX_SAMPLE_ROWS = 10 ** 6
 
 
 @dataclass
@@ -467,9 +463,9 @@ def integrate(
     :class:`SingularityError` when the step size underflows, the potential
     reports a collision, or the state, the initial slope or an error
     estimate is NaN or infinite; raises ``ValueError`` unless ``t_end`` is
-    positive and finite and ``sample_dt`` (when given) finite and at least
-    1e-12 max(1, t_end), and when the vector field has another length than
-    the state.
+    positive and finite and ``sample_dt`` (when given) finite, at least
+    1e-12 max(1, t_end) and at least t_end / ``MAX_SAMPLE_ROWS``, and when
+    the vector field has another length than the state.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end = {t_end!r} must be positive and finite")
@@ -477,6 +473,9 @@ def integrate(
     if sample_dt is not None and not eps <= sample_dt < math.inf:
         raise ValueError(f"sample_dt = {sample_dt!r} must be positive and finite, and at "
                          f"least the landing tolerance 1e-12 max(1, t_end) = {eps!r}")
+    if sample_dt is not None and t_end / sample_dt > MAX_SAMPLE_ROWS:
+        raise ValueError(f"sample_dt = {sample_dt!r} asks for {t_end / sample_dt:.6g} sample "
+                         f"rows, more than the cap of {MAX_SAMPLE_ROWS}")
     atol, rtol = cfg.abs_tol, cfg.rel_tol
     y = tuple(float(c) for c in y0)
     n = len(y)

@@ -218,21 +218,6 @@ def _exp(t: float) -> float:
         return math.inf
 
 
-# (taus, exp_tau, m, pot, family, classify), set by _init_worker in each
-# forked pool worker; fork copies the arguments, so a Potential of any kind
-# needs no pickling
-_WORKER_ARGS: tuple = ()
-
-
-def _init_worker(shared: tuple) -> None:
-    global _WORKER_ARGS
-    _WORKER_ARGS = shared
-
-
-def _surface_worker(rows) -> tuple[list, int]:
-    return _sample_block(rows, *_WORKER_ARGS)
-
-
 # the most grid nodes one batch holds, each under a kilobyte of temporary arrays
 _BLOCK_NODES = 16384
 
@@ -247,20 +232,16 @@ def ec_surface(
     *,
     phi1_range: tuple[float, float] | None = None,
     classify: bool = True,
-    workers: int | None = None,
 ) -> SurfaceResult:
     """Rectangular sweep of the energy-Casimir map over a family.
 
     For the right-angled family the first grid axis runs over phi1 instead of
-    theta (supply ``phi1_range``).  Failures of individual samples are
-    collected, not raised.  Grid rows are sampled in batches of whole rows
-    (``_sample_block``); with ``workers`` > 1 a process pool samples
-    contiguous batches and they are reassembled in grid order; ``None`` or 1
-    means serial.  The pool is forked, so its workers share the caller's
-    masses and ``Potential``, whatever its kind.  A non-finite range
-    endpoint, a grid dimension below 1, a ``workers`` that is not an integer
-    or is below 1, or an acute or obtuse theta range that leaves its family's
-    half of (0, pi) raises ``ValueError`` before any node is sampled.
+    theta (supply ``phi1_range``; no other family takes one).  Failures of
+    individual samples are collected, not raised.  Grid rows are sampled in
+    order, in batches of whole rows (``_sample_block``).  A non-finite range
+    endpoint, a grid dimension below 1, a ``phi1_range`` on another family,
+    or an acute or obtuse theta range that leaves its family's half of
+    (0, pi) raises ``ValueError`` before any node is sampled.
     """
     ends = (*theta_range, *tau_range, *(phi1_range or ()))
     if not all(math.isfinite(v) for v in ends):
@@ -268,11 +249,6 @@ def ec_surface(
     n_a, n_b = grid
     if min(n_a, n_b) < 1:
         raise ValueError(f"grid dimensions must be at least 1, got {tuple(grid)!r}")
-    if workers is not None:
-        if isinstance(workers, bool) or not isinstance(workers, (int, np.integer)):
-            raise ValueError(f"workers must be an integer, got {workers!r}")
-        if workers < 1:
-            raise ValueError(f"workers must be at least 1, got {workers!r}")
     half = {FAMILY_ACUTE: (0.0, math.pi / 2), FAMILY_OBTUSE: (math.pi / 2, math.pi)}.get(family)
     if half is not None and not all(half[0] < t < half[1] for t in theta_range):
         raise ValueError(f"{family} surfaces need theta in ({half[0]!r}, {half[1]!r}), "
@@ -282,33 +258,22 @@ def ec_surface(
         if phi1_range is None:
             raise ValueError("rightAngled surfaces need phi1_range")
         rows = [(math.pi / 2, p) for p in np.linspace(*phi1_range, n_a).tolist()]
+    elif phi1_range is not None:
+        raise ValueError(f"phi1_range is for rightAngled surfaces only, not {family}")
     else:
         rows = [(t, None) for t in np.linspace(theta_range[0], theta_range[1], n_a).tolist()]
-    shared = (taus, np.array([_exp(t) for t in taus]), m, pot, family, classify)
-
-    pooled = workers is not None and workers > 1
+    exp_tau = np.array([_exp(t) for t in taus])
     per_block = max(1, _BLOCK_NODES // n_b)
-    if pooled:  # a block for each worker at least
-        per_block = min(per_block, -(-n_a // workers))
-    blocks = [rows[i:i + per_block] for i in range(0, n_a, per_block)]
-    if pooled:
-        import multiprocessing as mp
-
-        with mp.get_context("fork").Pool(workers, initializer=_init_worker,
-                                         initargs=(shared,)) as pool:
-            parts = pool.map(_surface_worker, blocks, chunksize=1)
-    else:
-        parts = [_sample_block(block, *shared) for block in blocks]
-
-    samples, failures = [], []
-    for results, _ in parts:
+    samples, failures, n_scalar = [], [], 0
+    for i in range(0, n_a, per_block):
+        results, n = _sample_block(rows[i:i + per_block], taus, exp_tau, m, pot, family, classify)
+        n_scalar += n
         for s, err in results:
             if s is not None:
                 samples.append(s)
             else:
                 failures.append(err)
-    return SurfaceResult(samples=tuple(samples), failures=tuple(failures),
-                         scalar_nodes=sum(n for _, n in parts))
+    return SurfaceResult(samples=tuple(samples), failures=tuple(failures), scalar_nodes=n_scalar)
 
 
 def singular_thread(

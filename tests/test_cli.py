@@ -60,17 +60,19 @@ class TestSimulate:
         assert not out.exists()
 
     def test_projection_on_the_invariants_level_exits_4(self, tmp_path, capsys):
-        # the 8-d level has no projector; the flag used to be ignored and
-        # recorded as on in the manifest
+        # only the 16-d level has a projector; on the 8-d level the flag used
+        # to be ignored and recorded as on in the manifest, and on the 10-d
+        # level renormalising gD made H drift worse
         out = tmp_path / "inv.csv"
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"projection": True}))
-        for extra in (["--projection"], ["--config", cfg]):
-            assert run(["simulate", "--scenario", "random", "--space", "invariants",
-                        "--T", "1", "--out", out, *extra]) == 4
-            err = capsys.readouterr().err
-            assert "--projection" in err and "invariants level" in err
-            assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+        for space in ("invariants", "left", "right"):
+            for extra in (["--projection"], ["--config", cfg]):
+                assert run(["simulate", "--scenario", "random", "--space", space,
+                            "--T", "1", "--out", out, *extra]) == 4
+                err = capsys.readouterr().err
+                assert "--projection" in err and f"{space} level" in err
+                assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
 
     def test_non_finite_horizon_or_sample_step_rejected(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -84,6 +86,16 @@ class TestSimulate:
                         *(a for kv in flags.items() for a in kv), "--out", out]) == 4
             assert message in capsys.readouterr().err, flag
             assert not out.exists()
+
+    def test_too_many_sample_rows_exit_4(self, tmp_path, capsys):
+        # every row is held in memory; 1e12 rows used to grow until the host
+        # ran out
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--scenario", "random", "--T", "1", "--sample-dt", "1e-12",
+                    "--out", out]) == 4
+        err = capsys.readouterr().err
+        assert "sample_dt = 1e-12" in err and "cap of 1000000" in err
+        assert not out.exists()
 
     def test_sample_step_below_the_landing_tolerance_exits_4(self, tmp_path, capsys):
         # it used to exit 3, reported as a singularity at t = 0.0
@@ -136,6 +148,40 @@ class TestSimulate:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"scenari": "random"}))
         assert run(["simulate", "--config", cfg, "--out", tmp_path / "x.csv"]) == 4
+
+    @pytest.mark.parametrize("entries, message", [
+        ({"T": "10"}, "config T must be a number"),
+        ({"T": None}, "config T must be a number"),
+        ({"seed": 1.5}, "config seed must be an integer"),
+        ({"sample_dt": True}, "config sample_dt must be a number"),
+        ({"projection": 1}, "config projection must be true or false"),
+        ({"space": "top"}, "config space must be one of"),
+        ({"potential": 1.0}, "config potential must be a string"),
+    ])
+    def test_config_value_of_the_wrong_type_exits_4(self, tmp_path, capsys, entries, message):
+        # a string T used to end in a TypeError traceback and exit 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--scenario", "random", "--config", cfg, "--out", out]) == 4
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_values_of_the_flag_types_run(self, tmp_path):
+        # an integer where a float flag is, and null where the default is unset
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"T": 1, "m1": 2, "alpha": None, "projection": True,
+                                   "space": "full", "seed": 4}))
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--scenario", "random", "--config", cfg, "--out", out]) == 0
+        assert json.loads(Path(str(out) + ".manifest.json").read_text())["config"]["T"] == 1
+
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1, 2]")
+        assert run(["simulate", "--scenario", "random", "--config", cfg,
+                    "--out", tmp_path / "x.csv"]) == 4
+        assert "must hold a JSON object" in capsys.readouterr().err
 
     LABELS = {"full": cli._STATE_LABELS, "left": cli._REDUCED_LABELS,
               "right": cli._REDUCED_LABELS, "invariants": cli._POINT_LABELS}
@@ -191,7 +237,7 @@ class TestSimulate:
                          for k, v in drift_summary(sample_columns(traj, funcs)).items()}
 
     @pytest.mark.parametrize("space, projection", [
-        ("full", False), ("full", True), ("left", True), ("invariants", False)])
+        ("full", False), ("full", True), ("left", False), ("invariants", False)])
     def test_manifest_counts_the_run(self, tmp_path, monkeypatch, space, projection):
         seen = self._record_run(monkeypatch)
         out = tmp_path / "run.csv"
@@ -397,8 +443,13 @@ class TestSurfaceCommand:
         (["--family", "acute", "--theta-min", 1.7], "acute surfaces need theta"),
         (["--grid", 0, 5], "grid dimensions must be at least 1"),
         (["--grid", -3, 5], "grid dimensions must be at least 1"),
-        (["--workers", 0], "workers must be at least 1"),
-        (["--workers", -3], "workers must be at least 1"),
+        (["--workers", 0], "samples its sheets serially"),
+        (["--workers", -3], "samples its sheets serially"),
+        (["--workers", 2], "samples its sheets serially"),
+        (["--family", "isosceles", "--phi1-min", 0.1, "--phi1-max", 0.5],
+         "phi1_range is for rightAngled surfaces only"),
+        (["--family", "rightAngled", "--phi1-min", 0.1], "set both or neither"),
+        (["--family", "rightAngled", "--phi1-max", 0.5], "set both or neither"),
     ])
     def test_bad_range_or_grid_exits_4(self, tmp_path, capsys, flags, message):
         out = tmp_path / "surf.csv"
@@ -415,6 +466,30 @@ class TestSurfaceCommand:
         assert run(["ec-surface", "--config", cfg, "--grid", 3, 3, "--out", out]) == 4
         assert "workers must be an integer" in capsys.readouterr().err
         assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+
+    @pytest.mark.parametrize("entries, message", [
+        ({"grid": [2.5, 3]}, "config grid must be a list of 2 values, each an integer"),
+        ({"grid": [3, 3, 3]}, "config grid must be a list of 2 values"),
+        ({"grid": 3}, "config grid must be a list of 2 values"),
+        ({"theta_min": "0.1"}, "config theta_min must be a number"),
+        ({"family": "cone"}, "config family must be one of"),
+        ({"classify": "no"}, "config classify must be true or false"),
+        ({"out": None}, "config out must be a string"),
+    ])
+    def test_config_value_of_the_wrong_type_exits_4(self, tmp_path, capsys, entries, message):
+        # a float in grid used to end in a TypeError traceback and exit 1
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entries))
+        out = tmp_path / "surf.csv"
+        assert run(["ec-surface", "--config", cfg, "--out", out]) == 4
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_workers_1_runs_the_sheet(self, tmp_path):
+        for workers in (["--workers", 1], []):
+            out = tmp_path / f"surf{len(workers)}.csv"
+            assert run(["ec-surface", "--grid", 3, 3, *workers, "--out", out]) == 0
+        assert (tmp_path / "surf0.csv").read_bytes() == (tmp_path / "surf2.csv").read_bytes()
 
     def test_manifest_counts_samples_and_failures(self, tmp_path):
         out = tmp_path / "clean.csv"

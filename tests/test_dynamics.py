@@ -16,7 +16,7 @@ from spheretop.dynamics import (
     make_reduced_rhs,
     make_state_rhs,
     point_to_vec,
-    project_reduced,
+    project_state,
     reconstruct_rhs,
     reduced_to_vec,
     rhs_full_reduced,
@@ -319,13 +319,17 @@ class TestIntegrator:
             assert np.allclose(momentum_right(st).components(), rho0, atol=1e-9)
 
     def test_projection_keeps_unit_norm(self, rng):
+        # a loose tolerance lets |g_i| and <g_i, p_i> drift where unprojected
         m = MassParams(1.0, 1.0)
-        rs = random_reduced_state(rng)
+        s = random_phase_state(rng)
         cfg = FlowConfig(rel_tol=1e-6, abs_tol=1e-6)
-        traj = integrate(make_reduced_rhs(m, LIN), reduced_to_vec(rs), 20.0, cfg,
-                         project=project_reduced)
-        gn = sum(c * c for c in traj.final[6:])
-        assert gn == pytest.approx(1.0, abs=1e-14)
+        traj = integrate(make_state_rhs(m, LIN), state_to_vec(s), 20.0, cfg, sample_dt=2.0,
+                         project=project_state)
+        for y in traj.ys:
+            st = vec_to_state(y)
+            for g, p in ((st.g1, st.p1), (st.g2, st.p2)):
+                assert g.norm() == pytest.approx(1.0, abs=1e-14)
+                assert abs(inner_product(g, p)) <= 1e-14 * max(1.0, p.norm())
 
     def test_singularity_reported_with_time(self):
         m = MassParams(1.0, 1.0)
@@ -394,6 +398,23 @@ class TestIntegrator:
             return (1.0,)
 
         with pytest.raises(ValueError, match="sample_dt .* landing tolerance"):
+            integrate(field, (0.0,), t_end, sample_dt=dt)
+        assert not calls
+
+    @pytest.mark.parametrize("t_end, dt", [(1.0, 1e-12), (1.0, 1e-7), (2.0, 1.999e-6),
+                                           (1e4, 1e-3)])
+    def test_too_many_sample_rows_are_rejected(self, t_end, dt):
+        # every row is kept, so 1e12 of them used to grow until the host ran
+        # out of memory; the field raises should integrate start stepping
+        calls = []
+
+        def field(t, y):
+            calls.append(t)
+            if len(calls) > 100:
+                raise RuntimeError("integrate started stepping")
+            return (1.0,)
+
+        with pytest.raises(ValueError, match=r"sample_dt .* more than the cap of 1000000"):
             integrate(field, (0.0,), t_end, sample_dt=dt)
         assert not calls
 

@@ -113,38 +113,13 @@ class TestSurface:
             if abs(tau - fold.tau) > 0.05:
                 assert label == expected, (tau, label)
 
-    def test_workers_agree_with_serial(self):
-        kw = dict(classify=False)
-        a = ec_surface("isosceles", (0.5, 2.0), (-0.5, 0.5), (4, 4), M11, GRAV11,
-                       workers=1, **kw)
-        b = ec_surface("isosceles", (0.5, 2.0), (-0.5, 0.5), (4, 4), M11, GRAV11,
-                       workers=2, **kw)
-        assert [s.H for s in a.samples] == [s.H for s in b.samples]
-
     def test_serial_surface_takes_a_custom_potential(self):
         custom = Potential.custom(v=lambda r: r, f=lambda r: -1.0, fprime=lambda r: 0.0)
         args = ("isosceles", (0.5, 2.5), (-0.5, 0.5), (3, 3), M11)
-        got = ec_surface(*args, custom, workers=1)
-        expect = ec_surface(*args, Potential.linear(1.0), workers=1)
+        got = ec_surface(*args, custom)
+        expect = ec_surface(*args, Potential.linear(1.0))
         assert not got.failures and len(got.samples) == 9
         assert got.samples == expect.samples
-        assert ec_surface(*args, custom, workers=2) == got
-
-    def test_pool_agrees_with_serial_on_a_classified_linear_sheet(self):
-        args = ("isosceles", (0.3, 2.8), (-1.0, 1.0), (6, 5), M11, Potential.linear(1.0))
-        serial = ec_surface(*args, workers=1)
-        assert len(serial.samples) == 30
-        assert {s.stability for s in serial.samples} <= {
-            "linearly_stable", "linearly_unstable", "degenerate"}
-        assert all(s.stability for s in serial.samples)
-        assert ec_surface(*args, workers=2) == serial
-
-    def test_pool_agrees_with_serial_on_gauge_flipped_nodes(self):
-        args = ("rightAngled", (0, 0), (-0.4, 0.4), (7, 3), M11, GRAV11)
-        serial = ec_surface(*args, phi1_range=(-1.2, 1.2))
-        flipped = [s.gauge_flipped for s in serial.samples]
-        assert any(flipped) and not all(flipped)
-        assert ec_surface(*args, phi1_range=(-1.2, 1.2), workers=2) == serial
 
     @pytest.fixture
     def no_sampling(self, monkeypatch):
@@ -170,6 +145,14 @@ class TestSurface:
         with pytest.raises(ValueError, match="must be finite"):
             ec_surface("rightAngled", (0, 0), (-0.4, 0.4), (3, 3), M11, GRAV11,
                        phi1_range=(nan, 1.2))
+
+    def test_phi1_range_on_another_family_rejected_before_sampling(self, no_sampling):
+        # it used to be ignored
+        for family, theta_range in (("generic", (0.5, 2.0)), ("isosceles", (0.5, 2.0)),
+                                    ("acute", (0.5, 1.2)), ("obtuse", (1.7, 2.0))):
+            with pytest.raises(ValueError, match=f"rightAngled surfaces only, not {family}"):
+                ec_surface(family, theta_range, (-0.5, 0.5), (3, 3), M32, GRAV32,
+                           phi1_range=(0.1, 0.5))
 
     def test_family_theta_range_stays_in_its_half(self, no_sampling):
         # the CLI clips an obtuse --theta-max 1.0 to (pi/2 + 0.05, 1.0)
