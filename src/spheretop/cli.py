@@ -35,30 +35,29 @@ from .dynamics import (
     make_invariant_rhs,
     make_reduced_rhs,
     make_state_rhs,
-    point_to_vec,
     project_state,
-    reduced_to_vec,
     sample_columns,
-    state_to_vec,
     trajectory_csv,
-    vec_to_state,
 )
 from .phase_space import (
     CollisionError,
     MassParams,
     PhaseState,
     Potential,
+    body_frame_vec,
     random_phase_state,
+    space_frame_vec,
+    state_to_vec,
     tangent_project,
 )
-from .quaternion import Quaternion
+from .quaternion import Quaternion, quat_dot_vec
 from .reduction import (
     INVARIANT_CSV_COLUMNS,
-    all_casimirs,
-    hilbert_map,
-    left_reduce,
-    right_reduce,
-    stratum_classify,
+    SIDE_LEFT,
+    SIDE_RIGHT,
+    casimirs_vec,
+    invariant_map,
+    stratum_vec,
 )
 from .relequil import NoSolutionError, lever_residual, solve_re, verify_re_fixed_point
 
@@ -132,6 +131,16 @@ def _write_manifest(out_path: str, command: str, cfg: dict, run: dict | None = N
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _check_out(cfg: dict) -> None:
+    """Fail before any work when ``--out`` names a directory or a file in a
+    missing directory."""
+    out = cfg["out"]
+    if out is not None and not Path(out).parent.is_dir():
+        raise ValueError(f"--out {out}: the directory {str(Path(out).parent)!r} does not exist")
+    if out is not None and Path(out).is_dir():
+        raise ValueError(f"--out {out} is a directory, not a file")
+
+
 def _masses_potential(cfg: dict) -> tuple[MassParams, Potential, float | None, float | None]:
     """Resolve masses and potential; 'lagrange' maps to the top's equivalent
     two-body problem, returning (alpha, gamma) as well."""
@@ -195,6 +204,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         raise ValueError("simulate needs --state or --scenario")
     state.validate()
+    _check_out(cfg)
     m, pot, _, _ = _masses_potential(cfg)
     if cfg["scenario"] == "re-acute-demo":
         for key, agrees in (("m1", m.m1 == 1.0), ("m2", m.m2 == 1.0),
@@ -209,16 +219,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if cfg["projection"] and space != "full":
         raise ValueError(f"--projection has no projector on the {space} level; "
                          "only --space full has one")
+    vec = state_to_vec(state)
     if space == "full":
-        y0, rhs, labels = state_to_vec(state), make_state_rhs(m, pot), _STATE_LABELS
+        y0, rhs, labels = vec, make_state_rhs(m, pot), _STATE_LABELS
         funcs = invariants_state(m, pot)
-    elif space in ("left", "right"):
-        rs = left_reduce(state) if space == "left" else right_reduce(state)
-        y0, rhs, labels = reduced_to_vec(rs), make_reduced_rhs(m, pot, rs.side), _REDUCED_LABELS
+    elif space == "left":
+        y0, rhs, labels = body_frame_vec(vec), make_reduced_rhs(m, pot, SIDE_LEFT), _REDUCED_LABELS
+        funcs = invariants_reduced(m, pot)
+    elif space == "right":
+        y0, rhs, labels = space_frame_vec(vec), make_reduced_rhs(m, pot, SIDE_RIGHT), _REDUCED_LABELS
         funcs = invariants_reduced(m, pot)
     else:  # invariants, the last choice of --space
-        pt = hilbert_map(left_reduce(state))
-        y0, rhs, labels = point_to_vec(pt), make_invariant_rhs(m, pot), _POINT_LABELS
+        y0, rhs, labels = invariant_map(vec), make_invariant_rhs(m, pot), _POINT_LABELS
         funcs = invariants_point(m, pot)
 
     flow_cfg = FlowConfig(rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"])
@@ -257,37 +269,63 @@ _REDUCE_DEFAULTS = {
 }
 
 
+def _trajectory_rows(path: str) -> list[tuple[float, list[float]]]:
+    """(t, state vector) of each row of a ``--space full`` trajectory CSV.
+
+    A row is rejected, by its t, when a cell is not a finite number or g1 or
+    g2 is zero; rows are not held to the unit-norm tolerance, since an
+    unprojected run drifts off it.
+    """
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in ("t", *_STATE_LABELS) if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"trajectory {path} lacks the columns {missing}; "
+                             "reduce needs a --space full trajectory")
+        for row in reader:
+            where = f"trajectory row t = {row['t']}"
+            try:
+                t, vec = float(row["t"]), [float(row[label]) for label in _STATE_LABELS]
+            except (TypeError, ValueError):  # a short row reads None
+                raise ValueError(f"{where} has a cell that is not a number") from None
+            if not all(map(math.isfinite, (t, *vec))):
+                raise ValueError(f"{where} has a non-finite cell")
+            if quat_dot_vec(vec[0:4], vec[0:4]) == 0.0 or quat_dot_vec(vec[8:12], vec[8:12]) == 0.0:
+                raise ValueError(f"{where} has g1 or g2 zero")
+            rows.append((t, vec))
+    return rows
+
+
 def cmd_reduce(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _REDUCE_DEFAULTS)
     # the invariants, Casimirs and strata do not depend on the masses or the
     # potential; those flags are resolved only so that bad values fail
     _masses_potential(cfg)
-    states: list[tuple[float, PhaseState]] = []
+    _check_out(cfg)
+    start = time.perf_counter()
     if cfg["state"]:
         with open(cfg["state"]) as fh:
-            states.append((0.0, PhaseState.from_json_dict(json.load(fh))))
+            state = PhaseState.from_json_dict(json.load(fh))
+        state.validate()
+        rows = [(0.0, state_to_vec(state))]
     elif cfg["trajectory"]:
-        with open(cfg["trajectory"], newline="") as fh:
-            reader = csv.DictReader(fh)
-            missing = [c for c in ("t", *_STATE_LABELS) if c not in (reader.fieldnames or ())]
-            if missing:
-                raise ValueError(f"trajectory {cfg['trajectory']} lacks the columns {missing}; "
-                                 "reduce needs a --space full trajectory")
-            for row in reader:
-                vec = [float(row[label]) for label in _STATE_LABELS]
-                states.append((float(row["t"]), vec_to_state(vec)))
+        rows = _trajectory_rows(cfg["trajectory"])
     else:
         raise ValueError("reduce needs --state or --trajectory")
+    read = time.perf_counter()
 
     lines = [",".join(("t", *INVARIANT_CSV_COLUMNS, "C1", "C2", "C3", "stratum"))]
-    for t, s in states:
-        pt = hilbert_map(left_reduce(s))
-        cas = all_casimirs(pt)
-        cells = map(repr, (t, *pt.as_tuple(), cas.C1, cas.C2, cas.C3))
-        lines.append(",".join((*cells, stratum_classify(pt))))
+    for t, vec in rows:
+        pt = invariant_map(vec)
+        cells = map(repr, (t, *pt, *casimirs_vec(pt)))
+        lines.append(",".join((*cells, stratum_vec(pt))))
+    reduced = time.perf_counter()
     out = cfg["out"]
     Path(out).write_text("\n".join(lines) + "\n")
-    _write_manifest(out, "reduce", cfg)
+    run = {"rows": len(rows), "wall_s": {"read": read - start, "reduce": reduced - read,
+                                         "write": time.perf_counter() - reduced}}
+    _write_manifest(out, "reduce", cfg, run)
     return 0
 
 
@@ -302,38 +340,44 @@ _RE_DEFAULTS = {
 
 
 def _solve_from(cfg: dict, command: str):
-    """The RE the config names, with the top's (alpha, gamma) or Nones."""
+    """The RE the config names, with the top's (alpha, gamma) or Nones, and
+    the time the solve took."""
     if cfg["theta"] is None:
         raise ValueError(f"{command} needs --theta")
     m, pot, alpha, gamma = _masses_potential(cfg)
+    _check_out(cfg)
+    start = time.perf_counter()
     re = solve_re(cfg["theta"], cfg["eta"], m, pot,
                   phi1=cfg["phi1"], xi_mag=cfg["xi"])
-    return re, alpha, gamma
+    return re, alpha, gamma, time.perf_counter() - start
 
 
-def _write_record(cfg: dict, command: str, record: dict) -> None:
-    """The JSON record to ``out`` with a manifest, or to stdout."""
+def _write_record(cfg: dict, command: str, record: dict, wall_s: dict) -> None:
+    """The JSON record to ``out``, with a manifest whose run record holds
+    ``wall_s``, or the record to stdout."""
     text = json.dumps(record, indent=2, sort_keys=True) + "\n"
     if cfg["out"]:
         Path(cfg["out"]).write_text(text)
-        _write_manifest(cfg["out"], command, cfg)
+        _write_manifest(cfg["out"], command, cfg, {"wall_s": wall_s})
     else:
         sys.stdout.write(text)
 
 
 def cmd_re(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _RE_DEFAULTS)
-    re, _, _ = _solve_from(cfg, "re")
+    re, _, _, solve_s = _solve_from(cfg, "re")
+    start = time.perf_counter()
     record = re.to_json_dict()
     record["lever_residual"] = lever_residual(re)
     record["fixed_point_residual"] = verify_re_fixed_point(re)
-    _write_record(cfg, "re", record)
+    _write_record(cfg, "re", record, {"solve": solve_s, "check": time.perf_counter() - start})
     return 0
 
 
 def cmd_stability(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _RE_DEFAULTS)
-    re, alpha, gamma = _solve_from(cfg, "stability")
+    re, alpha, gamma, solve_s = _solve_from(cfg, "stability")
+    start = time.perf_counter()
     report = stab.linearize(re)
     pt, pot = ec.re_image(re), re.potential
     quartet = stab.quartet_spectrum(pt, re.masses, pot.f(pt.r), pot.fprime(pt.r))
@@ -349,7 +393,8 @@ def cmd_stability(args: argparse.Namespace) -> int:
         c0, c2 = (stab.charpoly_2body(re) if alpha is None
                   else stab.charpoly_lagrange(re, alpha, gamma))
         record["charpoly"] = {"c0": c0, "c2": c2}
-    _write_record(cfg, "stability", record)
+    _write_record(cfg, "stability", record,
+                  {"solve": solve_s, "check": time.perf_counter() - start})
     return 0
 
 
@@ -366,6 +411,7 @@ _EC_DEFAULTS = {
 
 def cmd_ec_surface(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _EC_DEFAULTS)
+    _check_out(cfg)
     # --workers stays only because the benchmark passes --workers 1
     if cfg["workers"] not in (None, 1):
         raise ValueError(f"workers = {cfg['workers']!r}: ec-surface samples its sheets "

@@ -31,7 +31,9 @@ enforced: ``integrate`` runs a projection hook (``project_state`` on the
 16-d level) after accepted steps only when it is given one, so that by
 default drift stays a meaningful diagnostic.
 ``sample_columns`` evaluates the conserved quantities once per sample;
-``trajectory_csv`` and ``drift_summary`` read those columns.
+``trajectory_csv`` and ``drift_summary`` read those columns.  The
+``invariants_*`` dicts compute them on the flat vector of their level with
+the flat maps of ``phase_space`` and ``reduction``, building no typed state.
 """
 
 from __future__ import annotations
@@ -42,18 +44,40 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from .phase_space import CollisionError, MassParams, PhaseState, Potential
-from .quaternion import ImaginaryQuaternion, Quaternion, inner_product, quat_mul
+from .phase_space import (
+    CollisionError,
+    MassParams,
+    Potential,
+    hamiltonian_2body_vec,
+    momentum_left_vec,
+    momentum_right_vec,
+    two_body_energy,
+)
+from .quaternion import (
+    ImaginaryQuaternion,
+    Quaternion,
+    inner_product,
+    quat_dot_vec,
+    quat_inverse_vec,
+    quat_mul,
+    quat_mul_vec,
+)
 from .reduction import (
     InvariantPoint,
     ReducedState,
     SIDE_LEFT,
     SIDE_RIGHT,
-    casimir_C2_invariant,
-    casimir_C3,
-    casimir_C2_direct,
-    hilbert_map,
+    casimir_C2_direct_vec,
+    casimir_C2_invariant_vec,
+    casimir_C3_vec,
+    hilbert_vec,
+    reduced_to_vec,
+    variety_defect_vec,
 )
+
+# the flat encodings of the 16-d and 10-d levels, imported from here too
+from .phase_space import state_to_vec, vec_to_state  # noqa: F401
+from .reduction import vec_to_reduced  # noqa: F401
 
 KIND_TWO_BODY = "two_body"
 KIND_LAGRANGE = "lagrange"
@@ -115,9 +139,9 @@ class HamiltonianKind:
         generators in the order (k11, k12, k13, k22, k23, k33, r, delta).
         """
         if self.tag == KIND_TWO_BODY:
-            m1, m2, pot = self.masses.m1, self.masses.m2, self.potential
-            return (lambda a, b, ab, r: a / (2.0 * m1) + b / (2.0 * m2) + pot.v(r),
-                    lambda p: (0.5 / m1, 0.0, 0.0, 0.5 / m2, 0.0, 0.0, -pot.f(p.r), 0.0))
+            m, pot = self.masses, self.potential
+            return (lambda a, b, ab, r: two_body_energy(a, b, pot.v(r), m),
+                    lambda p: (0.5 / m.m1, 0.0, 0.0, 0.5 / m.m2, 0.0, 0.0, -pot.f(p.r), 0.0))
         al, g = self.alpha, self.gamma
         if self.tag == KIND_LAGRANGE:
             c, cab = (1.0 + al) / 4.0, (1.0 - al) / 2.0
@@ -186,50 +210,26 @@ def reconstruct_rhs(g1: Quaternion, R1: ImaginaryQuaternion, m1: float) -> Quate
     return quat_mul(g1, (1.0 / m1) * R1.as_quaternion())
 
 
-def _hamiltonian_args(x) -> tuple[float, float, float, float]:
-    """(|A1|^2, |A2|^2, <A1, A2>, Re gD) of a ReducedState or InvariantPoint."""
-    if isinstance(x, ReducedState):
-        return x.A1.norm2(), x.A2.norm2(), x.A1.dot(x.A2), x.gD.w
-    if isinstance(x, InvariantPoint):
-        return x.k11, x.k22, x.k12, x.r
-    raise TypeError("expected ReducedState or InvariantPoint")
-
-
 def evaluate_reduced_hamiltonian(kind: HamiltonianKind, x) -> float:
     """Reduced Hamiltonian of the given kind at a ReducedState or InvariantPoint."""
-    return kind.reduced_hamiltonian()[0](*_hamiltonian_args(x))
+    if isinstance(x, ReducedState):
+        p = hilbert_vec(reduced_to_vec(x))
+    elif isinstance(x, InvariantPoint):
+        p = x.as_tuple()
+    else:
+        raise TypeError("expected ReducedState or InvariantPoint")
+    return kind.reduced_hamiltonian()[0](p[0], p[3], p[1], p[6])
 
 
 # ---------------------------------------------------------------------------
 # flat-vector encodings and fast closures for the integrator
 # ---------------------------------------------------------------------------
 
-def reduced_to_vec(rs: ReducedState) -> tuple[float, ...]:
-    return rs.A1.components() + rs.A2.components() + rs.gD.components()
-
-def vec_to_reduced(v: Sequence[float], side: str = SIDE_LEFT) -> ReducedState:
-    return ReducedState(
-        A1=ImaginaryQuaternion(v[0], v[1], v[2]),
-        A2=ImaginaryQuaternion(v[3], v[4], v[5]),
-        gD=Quaternion(v[6], v[7], v[8], v[9]),
-        side=side,
-    )
-
 def point_to_vec(pt: InvariantPoint) -> tuple[float, ...]:
     return pt.as_tuple()
 
 def vec_to_point(v: Sequence[float]) -> InvariantPoint:
     return InvariantPoint.from_tuple(tuple(v))
-
-def state_to_vec(s: PhaseState) -> tuple[float, ...]:
-    return (s.g1.components() + s.p1.components()
-            + s.g2.components() + s.p2.components())
-
-def vec_to_state(v: Sequence[float]) -> PhaseState:
-    return PhaseState(
-        g1=Quaternion(*v[0:4]), p1=Quaternion(*v[4:8]),
-        g2=Quaternion(*v[8:12]), p2=Quaternion(*v[12:16]),
-    )
 
 
 def make_reduced_rhs(m: MassParams, pot: Potential, side: str = SIDE_LEFT) -> Callable:
@@ -608,19 +608,12 @@ def drift_summary(columns: dict) -> dict:
             for name, vals in columns.items()}
 
 
-def invariants_reduced(m: MassParams, pot: Potential) -> dict:
-    """H, C1, C2 and C3 as functions of a flat reduced vector (either side).
+# The sampled invariants of each level are functions of the flat vector, by
+# name.  The C1 columns keep the spellings of the quantities they sample:
+# ``x ** 2`` (libm's pow) and ``x * x`` differ in the last bit for some x.
 
-    Like those of :func:`invariants_state`, they share one typed state per row.
-    """
-    ham = HamiltonianKind.two_body(m, pot).reduced_hamiltonian()[0]
-    state = functools.lru_cache(maxsize=1)(vec_to_reduced)
-    return {
-        "H": lambda v: ham(*_hamiltonian_args(state(v))),
-        "C1": lambda v: v[6] ** 2 + v[7] ** 2 + v[8] ** 2 + v[9] ** 2,
-        "C2": lambda v: casimir_C2_direct(state(v)),
-        "C3": lambda v: casimir_C3(hilbert_map(state(v))),
-    }
+def _norm2(x: float, y: float, z: float) -> float:
+    return x * x + y * y + z * z
 
 
 def invariants_point(m: MassParams, pot: Potential) -> dict:
@@ -629,26 +622,37 @@ def invariants_point(m: MassParams, pot: Potential) -> dict:
     return {
         "H": lambda v: ham(v[0], v[3], v[1], v[6]),
         "C1": lambda v: v[5] + v[6] ** 2,
-        "C2": lambda v: casimir_C2_invariant(vec_to_point(v)),
-        "C3": lambda v: casimir_C3(vec_to_point(v)),
-        "variety": lambda v: vec_to_point(v).variety_defect(),
+        "C2": casimir_C2_invariant_vec,
+        "C3": casimir_C3_vec,
+        "variety": variety_defect_vec,
+    }
+
+
+def invariants_reduced(m: MassParams, pot: Potential) -> dict:
+    """H, C1, C2 and C3 as functions of a flat reduced vector (either side).
+
+    H and C3 read |A1|^2, |A2|^2 and <A1, A2> off the Hilbert map.
+    """
+    point_h = invariants_point(m, pot)["H"]
+    return {
+        "H": lambda v: point_h(hilbert_vec(v)),
+        "C1": lambda v: v[6] ** 2 + v[7] ** 2 + v[8] ** 2 + v[9] ** 2,
+        "C2": casimir_C2_direct_vec,
+        "C3": lambda v: casimir_C3_vec(hilbert_vec(v)),
     }
 
 
 def invariants_state(m: MassParams, pot: Potential) -> dict:
-    """H, C2, C3 and the Casimir C1 = |g1^{-1} g2|^2 on flat unreduced vectors.
+    """H, C2, C3 and the Casimir C1 = |g1^{-1} g2|^2 on flat unreduced vectors."""
+    def c1(v):
+        gL = quat_mul_vec(quat_inverse_vec(v[0:4]), v[8:12])
+        return quat_dot_vec(gL, gL)
 
-    The four share the typed state of the latest vector, so a row that
-    :func:`sample_columns` evaluates builds it once.
-    """
-    from .phase_space import hamiltonian_2body, momentum_left, momentum_right
-
-    state = functools.lru_cache(maxsize=1)(vec_to_state)
     return {
-        "H": lambda v: hamiltonian_2body(state(v), m, pot),
-        "C2": lambda v: momentum_left(state(v)).norm2(),
-        "C3": lambda v: momentum_right(state(v)).norm2(),
-        "C1": lambda v: (state(v).g1.inverse() * state(v).g2).norm2(),
+        "H": lambda v: hamiltonian_2body_vec(v, m, pot),
+        "C2": lambda v: _norm2(*momentum_left_vec(v)),
+        "C3": lambda v: _norm2(*momentum_right_vec(v)),
+        "C1": c1,
     }
 
 

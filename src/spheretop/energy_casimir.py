@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import MassParams, Potential
+from .phase_space import MassParams, Potential, two_body_energy
 from .reduction import InvariantPoint
 from .relequil import RelativeEquilibrium, re_from_tau, solve_re, tau_row
 from . import stability as _stability
@@ -120,7 +120,7 @@ def _ec_values(pt: InvariantPoint, xi, eta, s: float, v: float, m: MassParams) -
     big_m = m.m1 + m.m2
     lam = big_m * xi - s * eta
     rho = big_m * eta - s * xi
-    return pt.k11 / (2.0 * m.m1) + pt.k22 / (2.0 * m.m2) + v, lam * lam, rho * rho
+    return two_body_energy(pt.k11, pt.k22, v, m), lam * lam, rho * rho
 
 
 def _sample_from_re(

@@ -4,13 +4,18 @@ States are quadruples ``(g1, p1, g2, p2)`` of quaternions with the positions
 on the unit sphere and the momenta tangent to it.  The left/right momentum
 maps, the two-body and spinning-top Hamiltonians, and the classification of
 states by the subspace their four vectors span all live here.
+
+The momentum maps and the two-body Hamiltonian are defined once, on the flat
+16-vector of ``state_to_vec`` (the ``*_vec`` functions, with the body- and
+space-frame momenta they are built from); ``momentum_left``,
+``momentum_right`` and ``hamiltonian_2body`` wrap them for a PhaseState.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -19,7 +24,10 @@ from .quaternion import (
     Quaternion,
     UNIT_NORM_TOL,
     inner_product,
+    quat_dot_vec,
+    quat_inverse_vec,
     quat_mul,
+    quat_mul_vec,
 )
 
 COLLISION_MARGIN = 1e-9
@@ -121,6 +129,9 @@ class PhaseState:
     p2: Quaternion
 
     def validate(self, tol: float = UNIT_NORM_TOL) -> None:
+        # NaN fails no comparison below, so it is rejected first
+        if not all(map(math.isfinite, state_to_vec(self))):
+            raise ValueError("state components must be finite")
         for g in (self.g1, self.g2):
             if abs(g.norm2() - 1.0) > 2.0 * tol:
                 raise ValueError("positions must lie on the unit sphere")
@@ -142,18 +153,85 @@ class PhaseState:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PhaseState":
-        return cls(
-            g1=Quaternion.from_components(d["g1"]),
-            p1=Quaternion.from_components(d["p1"]),
-            g2=Quaternion.from_components(d["g2"]),
-            p2=Quaternion.from_components(d["p2"]),
-        )
+        """The state of a JSON object with four lists of four numbers; any
+        other shape raises ValueError, naming the entry."""
+        if not isinstance(d, dict):
+            raise ValueError("a state must be a JSON object with the keys g1, p1, g2, p2")
+        parts = {}
+        for key in ("g1", "p1", "g2", "p2"):
+            try:
+                parts[key] = Quaternion.from_components(d[key])
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(f"state entry {key} must be a list of four numbers, "
+                                 f"got {d.get(key)!r}") from None
+        return cls(**parts)
+
+
+def state_to_vec(s: PhaseState) -> tuple[float, ...]:
+    """The flat 16-vector g1, p1, g2, p2, each in (w, x, y, z) order."""
+    return (s.g1.components() + s.p1.components()
+            + s.g2.components() + s.p2.components())
+
+
+def vec_to_state(v: Sequence[float]) -> PhaseState:
+    return PhaseState(
+        g1=Quaternion(*v[0:4]), p1=Quaternion(*v[4:8]),
+        g2=Quaternion(*v[8:12]), p2=Quaternion(*v[12:16]),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the conserved quantities on flat 16-vectors; the typed functions wrap them
+# ---------------------------------------------------------------------------
+
+def body_frame_vec(v: Sequence[float]) -> tuple[float, ...]:
+    """(R1, R2, gL) of a flat state as ten floats: R_i = Im(g_i^{-1} p_i),
+    gL = g1^{-1} g2.  Left reduction and the right momentum read it."""
+    g1inv = quat_inverse_vec(v[0:4])
+    r1 = quat_mul_vec(g1inv, v[4:8])
+    r2 = quat_mul_vec(quat_inverse_vec(v[8:12]), v[12:16])
+    return r1[1:] + r2[1:] + quat_mul_vec(g1inv, v[8:12])
+
+
+def space_frame_vec(v: Sequence[float]) -> tuple[float, ...]:
+    """(L1, L2, gR) of a flat state as ten floats: L_i = Im(p_i g_i^{-1}),
+    gR = g1 g2^{-1}.  Right reduction and the left momentum read it."""
+    g2inv = quat_inverse_vec(v[8:12])
+    l1 = quat_mul_vec(v[4:8], quat_inverse_vec(v[0:4]))
+    l2 = quat_mul_vec(v[12:16], g2inv)
+    return l1[1:] + l2[1:] + quat_mul_vec(v[0:4], g2inv)
+
+
+def _total(frame: tuple[float, ...]) -> tuple[float, float, float]:
+    return frame[0] + frame[3], frame[1] + frame[4], frame[2] + frame[5]
+
+
+def momentum_left_vec(v: Sequence[float]) -> tuple[float, float, float]:
+    """Im(p1 g1^{-1} + p2 g2^{-1}) of a flat state."""
+    return _total(space_frame_vec(v))
+
+
+def momentum_right_vec(v: Sequence[float]) -> tuple[float, float, float]:
+    """Im(g1^{-1} p1 + g2^{-1} p2) of a flat state."""
+    return _total(body_frame_vec(v))
+
+
+def two_body_energy(a, b, v, m: MassParams):
+    """a/(2 m1) + b/(2 m2) + v: the two-body H from the squared momenta a, b
+    (|p_i|^2, |A_i|^2 or k_ii) and the potential's value; floats or arrays."""
+    return a / (2.0 * m.m1) + b / (2.0 * m.m2) + v
+
+
+def hamiltonian_2body_vec(v: Sequence[float], m: MassParams, pot: Potential) -> float:
+    """H of a flat state: |p_i|^2 and V at r = <g1, g2>."""
+    p1, p2 = v[4:8], v[12:16]
+    r = quat_dot_vec(v[0:4], v[8:12])
+    return two_body_energy(quat_dot_vec(p1, p1), quat_dot_vec(p2, p2), pot.v(r), m)
 
 
 def hamiltonian_2body(s: PhaseState, m: MassParams, pot: Potential) -> float:
     """Kinetic energy plus the interaction potential, H of the two-body flow."""
-    r = s.separation()
-    return s.p1.norm2() / (2.0 * m.m1) + s.p2.norm2() / (2.0 * m.m2) + pot.v(r)
+    return hamiltonian_2body_vec(state_to_vec(s), m, pot)
 
 
 def hamiltonian_lagrange(s: PhaseState, alpha: float, gamma: float) -> float:
@@ -172,14 +250,12 @@ def hamiltonian_lagrange(s: PhaseState, alpha: float, gamma: float) -> float:
 
 def momentum_left(s: PhaseState) -> ImaginaryQuaternion:
     """Total left momentum p1 g1^{-1} + p2 g2^{-1}, conserved along the flow."""
-    lam = quat_mul(s.p1, s.g1.inverse()) + quat_mul(s.p2, s.g2.inverse())
-    return lam.imag()
+    return ImaginaryQuaternion(*momentum_left_vec(state_to_vec(s)))
 
 
 def momentum_right(s: PhaseState) -> ImaginaryQuaternion:
     """Total right momentum g1^{-1} p1 + g2^{-1} p2, conserved along the flow."""
-    rho = quat_mul(s.g1.inverse(), s.p1) + quat_mul(s.g2.inverse(), s.p2)
-    return rho.imag()
+    return ImaginaryQuaternion(*momentum_right_vec(state_to_vec(s)))
 
 
 def classify_point(s: PhaseState, tol: float = COPLANARITY_TOL) -> str:

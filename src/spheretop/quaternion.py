@@ -86,10 +86,7 @@ class Quaternion:
         return math.sqrt(self.norm2())
 
     def inverse(self) -> "Quaternion":
-        n2 = self.norm2()
-        if n2 == 0.0:
-            raise ZeroDivisionError("zero quaternion has no inverse")
-        return Quaternion(self.w / n2, -self.x / n2, -self.y / n2, -self.z / n2)
+        return Quaternion(*quat_inverse_vec(self.components()))
 
     def normalized(self) -> "Quaternion":
         n = self.norm()
@@ -184,11 +181,15 @@ class ImaginaryQuaternion:
                 and abs(self.z - other.z) <= tol)
 
 
-def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
-    """Hamilton product p q."""
-    pw, px, py, pz = p.w, p.x, p.y, p.z
-    qw, qx, qy, qz = q.w, q.x, q.y, q.z
-    return Quaternion(
+def quat_mul_vec(p, q) -> tuple[float, float, float, float]:
+    """Hamilton product p q of two (w, x, y, z) sequences, as a tuple.
+
+    :func:`quat_mul` wraps it and the flat maps of the reduction call it;
+    only the vector fields of ``dynamics`` write their products out inline.
+    """
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return (
         pw * qw - px * qx - py * qy - pz * qz,
         pw * qx + px * qw + py * qz - pz * qy,
         pw * qy - px * qz + py * qw + pz * qx,
@@ -196,12 +197,36 @@ def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
     )
 
 
+def quat_inverse_vec(q) -> tuple[float, float, float, float]:
+    """q^{-1} = conj(q) / |q|^2 of a (w, x, y, z) sequence, as a tuple."""
+    w, x, y, z = q
+    n2 = w * w + x * x + y * y + z * z
+    if n2 == 0.0:
+        raise ZeroDivisionError("zero quaternion has no inverse")
+    return w / n2, -x / n2, -y / n2, -z / n2
+
+
+def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
+    """Hamilton product p q."""
+    return Quaternion(*quat_mul_vec((p.w, p.x, p.y, p.z), (q.w, q.x, q.y, q.z)))
+
+
+def quat_dot_vec(p, q) -> float:
+    """Euclidean inner product of two (w, x, y, z) sequences, summed in order.
+
+    It is Re(p q^+) = (p q^+ + q p^+)/2 bit for bit: the real part of the
+    Hamilton product with the conjugate subtracts the products p_x (-q_x),
+    ..., which adds p_x q_x, ... exactly, and the symmetric mean of two
+    equal terms is exact below half the largest double.
+    """
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return pw * qw + px * qx + py * qy + pz * qz
+
+
 def inner_product(p: Quaternion, q: Quaternion) -> float:
-    """Euclidean inner product on R^4, computed as (p q^+ + q p^+)/2."""
-    s = quat_mul(p, q.conjugate())
-    t = quat_mul(q, p.conjugate())
-    # the imaginary parts cancel exactly; the real part is the 4-vector dot
-    return 0.5 * (s.w + t.w)
+    """Euclidean inner product on R^4, Re(p q^+)."""
+    return quat_dot_vec((p.w, p.x, p.y, p.z), (q.w, q.x, q.y, q.z))
 
 
 def adjoint_bracket(omega: ImaginaryQuaternion, q: ImaginaryQuaternion) -> ImaginaryQuaternion:

@@ -13,6 +13,11 @@ r, delta)``, is the one order of the eight invariants: ``as_tuple`` /
 ``from_tuple``, :data:`INVARIANT_CSV_COLUMNS`, ``poisson.GENERATORS``, the
 flat 8-vector of the integrator and the invariant columns of every CSV
 follow it.
+
+The maps and the Casimirs are defined once, on flat vectors (the ``*_vec``
+functions and ``invariant_map``, the 16 -> 8 map); ``left_reduce``,
+``right_reduce``, ``hilbert_map``, the ``casimir_*`` functions,
+``all_casimirs`` and ``stratum_classify`` wrap them for the typed states.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from operator import attrgetter
+from typing import Sequence
 
-from .phase_space import PhaseState
-from .quaternion import ImaginaryQuaternion, Quaternion, quat_mul
+from .phase_space import PhaseState, body_frame_vec, space_frame_vec, state_to_vec
+from .quaternion import ImaginaryQuaternion, Quaternion, quat_mul, quat_mul_vec
 
 SIDE_LEFT = "left"
 SIDE_RIGHT = "right"
@@ -70,14 +76,9 @@ class InvariantPoint:
     def from_tuple(cls, v) -> "InvariantPoint":
         return cls(**dict(zip(INVARIANT_CSV_COLUMNS, v, strict=True)))
 
-    def gram_det(self) -> float:
-        return (self.k11 * (self.k22 * self.k33 - self.k23 * self.k23)
-                - self.k12 * (self.k12 * self.k33 - self.k23 * self.k13)
-                + self.k13 * (self.k12 * self.k23 - self.k22 * self.k13))
-
     def variety_defect(self) -> float:
         """delta^2 - det(k_ij); zero on the image of the invariant map."""
-        return self.delta * self.delta - self.gram_det()
+        return variety_defect_vec(self.as_tuple())
 
     def validate(self, tol: float = 1e-8) -> None:
         scale = max(1.0, self.k11, self.k22, self.k33)
@@ -108,26 +109,109 @@ class CasimirValues:
     C3: float
 
 
+def reduced_to_vec(rs: ReducedState) -> tuple[float, ...]:
+    return rs.A1.components() + rs.A2.components() + rs.gD.components()
+
+
+def vec_to_reduced(v: Sequence[float], side: str = SIDE_LEFT) -> ReducedState:
+    return ReducedState(
+        A1=ImaginaryQuaternion(v[0], v[1], v[2]),
+        A2=ImaginaryQuaternion(v[3], v[4], v[5]),
+        gD=Quaternion(v[6], v[7], v[8], v[9]),
+        side=side,
+    )
+
+
+# ---------------------------------------------------------------------------
+# the reduction maps and the Casimirs on flat vectors; the typed functions
+# below wrap them
+# ---------------------------------------------------------------------------
+
+def hilbert_vec(u: Sequence[float]) -> tuple[float, ...]:
+    """The invariants (k11, k12, k13, k22, k23, k33, r, delta) of a flat
+    reduced vector (A1, A2, gD): k_ij = <v_i, v_j> and delta = <v1 x v2, v3>
+    for (v1, v2, v3) = (A1, A2, Im gD), r = Re gD."""
+    a1x, a1y, a1z, a2x, a2y, a2z, gw, gx, gy, gz = u
+    return (
+        a1x * a1x + a1y * a1y + a1z * a1z,
+        a1x * a2x + a1y * a2y + a1z * a2z,
+        a1x * gx + a1y * gy + a1z * gz,
+        a2x * a2x + a2y * a2y + a2z * a2z,
+        a2x * gx + a2y * gy + a2z * gz,
+        gx * gx + gy * gy + gz * gz,
+        gw,
+        (a1y * a2z - a1z * a2y) * gx + (a1z * a2x - a1x * a2z) * gy
+        + (a1x * a2y - a1y * a2x) * gz,
+    )
+
+
+def invariant_map(v: Sequence[float]) -> tuple[float, ...]:
+    """The 16 -> 8 map of a flat state: left reduction, then the Hilbert map."""
+    return hilbert_vec(body_frame_vec(v))
+
+
+def casimir_C2_direct_vec(u: Sequence[float]) -> float:
+    """|A1 gD + gD A2|^2 of a flat reduced vector."""
+    g = u[6:10]
+    a = quat_mul_vec((0.0, u[0], u[1], u[2]), g)
+    b = quat_mul_vec(g, (0.0, u[3], u[4], u[5]))
+    w, x, y, z = a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]
+    return w * w + x * x + y * y + z * z
+
+
+def casimir_C2_invariant_vec(p: Sequence[float]) -> float:
+    """C2 expressed in the generators of the invariant ring."""
+    k11, k12, k13, k22, k23, k33, r, delta = p
+    return ((k33 + r * r) * (k11 + k22)
+            + 2.0 * k12 * (r * r - k33)
+            + 4.0 * k13 * k23
+            - 4.0 * r * delta)
+
+
+def casimir_C3_vec(p: Sequence[float]) -> float:
+    """|A1 + A2|^2 = k11 + k22 + 2 k12 of a flat invariant vector."""
+    return p[0] + p[3] + 2.0 * p[1]
+
+
+def casimirs_vec(p: Sequence[float]) -> tuple[float, float, float]:
+    """(C1, C2, C3) of a flat invariant vector, C1 = k33 + r^2 = |gD|^2."""
+    return p[5] + p[6] * p[6], casimir_C2_invariant_vec(p), casimir_C3_vec(p)
+
+
+def variety_defect_vec(p: Sequence[float]) -> float:
+    """delta^2 - det(k_ij) of a flat invariant vector."""
+    k11, k12, k13, k22, k23, k33, r, delta = p
+    gram = (k11 * (k22 * k33 - k23 * k23)
+            - k12 * (k12 * k33 - k23 * k13)
+            + k13 * (k12 * k23 - k22 * k13))
+    return delta * delta - gram
+
+
+def stratum_vec(p: Sequence[float], tol: float = 1e-9) -> str:
+    """The isotropy stratum of a flat invariant vector (see :func:`stratum_classify`)."""
+    k11, k12, k13, k22, k23, k33, r, delta = p
+    scale = max(1.0, k11, k22, k33)
+    gens_zero = (max(abs(k11), abs(k12), abs(k13), abs(k22),
+                     abs(k23), abs(k33), abs(delta)) <= tol * scale)
+    if gens_zero:
+        return STRATUM_FULL
+    colinear = (
+        abs(k12 * k12 - k11 * k22) <= tol * scale * scale
+        and abs(k13 * k13 - k11 * k33) <= tol * scale * scale
+        and abs(k23 * k23 - k22 * k33) <= tol * scale * scale
+        and abs(delta) <= tol * scale ** 1.5
+    )
+    return STRATUM_SO2 if colinear else STRATUM_FREE
+
+
 def left_reduce(s: PhaseState) -> ReducedState:
     """Quotient by left translations: (R1, R2, gL)."""
-    g1inv = s.g1.inverse()
-    return ReducedState(
-        A1=quat_mul(g1inv, s.p1).imag(),
-        A2=quat_mul(s.g2.inverse(), s.p2).imag(),
-        gD=quat_mul(g1inv, s.g2),
-        side=SIDE_LEFT,
-    )
+    return vec_to_reduced(body_frame_vec(state_to_vec(s)), SIDE_LEFT)
 
 
 def right_reduce(s: PhaseState) -> ReducedState:
     """Quotient by right translations: (L1, L2, gR)."""
-    g2inv = s.g2.inverse()
-    return ReducedState(
-        A1=quat_mul(s.p1, s.g1.inverse()).imag(),
-        A2=quat_mul(s.p2, g2inv).imag(),
-        gD=quat_mul(s.g1, g2inv),
-        side=SIDE_RIGHT,
-    )
+    return vec_to_reduced(space_frame_vec(state_to_vec(s)), SIDE_RIGHT)
 
 
 def orbit_diffeo(rs: ReducedState) -> tuple[ImaginaryQuaternion, ImaginaryQuaternion, Quaternion]:
@@ -157,16 +241,12 @@ def orbit_diffeo_inverse(
 
 
 def casimir_C2_direct(rs: ReducedState) -> float:
-    return (quat_mul(rs.A1.as_quaternion(), rs.gD)
-            + quat_mul(rs.gD, rs.A2.as_quaternion())).norm2()
+    return casimir_C2_direct_vec(reduced_to_vec(rs))
 
 
 def casimir_C2_invariant(pt: InvariantPoint) -> float:
     """C2 expressed in the generators of the invariant ring."""
-    return ((pt.k33 + pt.r * pt.r) * (pt.k11 + pt.k22)
-            + 2.0 * pt.k12 * (pt.r * pt.r - pt.k33)
-            + 4.0 * pt.k13 * pt.k23
-            - 4.0 * pt.r * pt.delta)
+    return casimir_C2_invariant_vec(pt.as_tuple())
 
 
 def hilbert_map(rs: ReducedState) -> InvariantPoint:
@@ -175,18 +255,7 @@ def hilbert_map(rs: ReducedState) -> InvariantPoint:
     Uses (v1, v2, v3) = (A1, A2, Im gD):  k_ij = <v_i, v_j>,
     delta = <v1 x v2, v3>, r = Re gD.  Constant on conjugation orbits.
     """
-    v1, v2 = rs.A1, rs.A2
-    v3 = rs.gD.imag()
-    return InvariantPoint(
-        k11=v1.dot(v1),
-        k12=v1.dot(v2),
-        k13=v1.dot(v3),
-        k22=v2.dot(v2),
-        k23=v2.dot(v3),
-        k33=v3.dot(v3),
-        r=rs.gD.w,
-        delta=v1.cross(v2).dot(v3),
-    )
+    return InvariantPoint.from_tuple(hilbert_vec(reduced_to_vec(rs)))
 
 
 def casimir_C3(pt: InvariantPoint) -> float:
@@ -194,15 +263,11 @@ def casimir_C3(pt: InvariantPoint) -> float:
 
     On the left-reduced picture this is the squared total right momentum.
     """
-    return pt.k11 + pt.k22 + 2.0 * pt.k12
+    return casimir_C3_vec(pt.as_tuple())
 
 
 def all_casimirs(pt: InvariantPoint) -> CasimirValues:
-    return CasimirValues(
-        C1=pt.k33 + pt.r * pt.r,
-        C2=casimir_C2_invariant(pt),
-        C3=casimir_C3(pt),
-    )
+    return CasimirValues(*casimirs_vec(pt.as_tuple()))
 
 
 def stratum_classify(pt: InvariantPoint, tol: float = 1e-9) -> str:
@@ -213,18 +278,7 @@ def stratum_classify(pt: InvariantPoint, tol: float = 1e-9) -> str:
     isotropy, detected through equality in all three Cauchy-Schwarz relations
     together with delta = 0; everything else is in the free stratum.
     """
-    scale = max(1.0, pt.k11, pt.k22, pt.k33)
-    gens_zero = (max(abs(pt.k11), abs(pt.k12), abs(pt.k13), abs(pt.k22),
-                     abs(pt.k23), abs(pt.k33), abs(pt.delta)) <= tol * scale)
-    if gens_zero:
-        return STRATUM_FULL
-    colinear = (
-        abs(pt.k12 * pt.k12 - pt.k11 * pt.k22) <= tol * scale * scale
-        and abs(pt.k13 * pt.k13 - pt.k11 * pt.k33) <= tol * scale * scale
-        and abs(pt.k23 * pt.k23 - pt.k22 * pt.k33) <= tol * scale * scale
-        and abs(pt.delta) <= tol * scale ** 1.5
-    )
-    return STRATUM_SO2 if colinear else STRATUM_FREE
+    return stratum_vec(pt.as_tuple(), tol)
 
 
 def degenerate_leaf_sample(lam_mag: float, k13: float, theta: float) -> float:

@@ -21,14 +21,14 @@ Families are indexed by the separation angle theta:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import rhs_full_reduced
-from .phase_space import MassParams, PhaseState, Potential
-from .quaternion import ImaginaryQuaternion, Quaternion, quat_mul
-from .reduction import hilbert_map, left_reduce
+from .dynamics import make_invariant_rhs
+from .phase_space import MassParams, PhaseState, Potential, state_to_vec, vec_to_state
+from .quaternion import ImaginaryQuaternion, Quaternion, quat_mul, quat_mul_vec
+from .reduction import invariant_map
 
 KIND_SINGULAR_0 = "singular0"
 KIND_SINGULAR_PI = "singularPi"
@@ -224,13 +224,13 @@ def _planar_re(kind, theta, phi1, eta_mag, m, pot, f) -> RelativeEquilibrium:
     if not (abs(m.m2 * math.sin(2 * phi2) - zeta) <= _CONSISTENCY_TOL * max(m.m1, m.m2)
             and xi > 0):
         raise RuntimeError("the position angles do not balance the relative equilibrium")
-    re = RelativeEquilibrium(
+    return RelativeEquilibrium(
         kind=kind, theta=theta, phi1=phi1, phi2=phi2, xi_mag=xi, eta_mag=eta_mag,
-        x1=x1, x2=x2, y=y, zeta=zeta, masses=m, potential=pot, state=_PLACEHOLDER,
+        x1=x1, x2=x2, y=y, zeta=zeta, masses=m, potential=pot,
+        state=vec_to_state(_re_state_vec(phi1, phi2, xi, eta_mag, m)),
         isosceles=(m.equal or kind == KIND_RIGHT_ANGLED)
         and (abs(phi1 - theta / 2) <= 1e-9 or abs(phi1 - (theta - math.pi) / 2) <= 1e-9),
     )
-    return replace(re, state=reconstruct_re(re))
 
 
 def _planar_rates(f_sin, zeta, eta, cos1, cos2, m: MassParams) -> tuple:
@@ -253,34 +253,40 @@ def _solve_singular(theta, eta_mag, m, pot, xi_mag) -> RelativeEquilibrium:
     at_zero = theta < 1.0
     kind = KIND_SINGULAR_0 if at_zero else KIND_SINGULAR_PI
     phi2 = 0.0 if at_zero else math.pi
-    re = RelativeEquilibrium(
+    return RelativeEquilibrium(
         kind=kind, theta=0.0 if at_zero else math.pi, phi1=0.0, phi2=phi2,
         xi_mag=xi, eta_mag=eta_mag, x1=m.m1 * c, x2=m.m2 * c, y=0.0, zeta=0.0,
-        masses=m, potential=pot, state=_PLACEHOLDER,
+        masses=m, potential=pot, state=vec_to_state(_re_state_vec(0.0, phi2, xi, eta_mag, m)),
         isosceles=m.equal,
     )
-    return replace(re, state=reconstruct_re(re))
+
+
+def _re_state_vec(phi1, phi2, xi_mag, eta_mag, m: MassParams) -> tuple[float, ...]:
+    """The flat phase-space point of an RE from its angles and rates.
+
+    Positions are g1 = exp(-i phi1), g2 = exp(i phi2); momenta come from
+    differentiating the rigid motion exp(t xi j) q exp(-t eta j) at t = 0,
+    p_i = m_i (xi g_i - g_i eta).
+    """
+    xi = (0.0, 0.0, float(xi_mag), 0.0)
+    eta = (0.0, 0.0, float(eta_mag), 0.0)
+    out = ()
+    for g, mi in (((math.cos(phi1), -math.sin(phi1), 0.0, 0.0), m.m1),
+                  ((math.cos(phi2), math.sin(phi2), 0.0, 0.0), m.m2)):
+        a, b = quat_mul_vec(xi, g), quat_mul_vec(g, eta)
+        out += g + ((a[0] - b[0]) * mi, (a[1] - b[1]) * mi, (a[2] - b[2]) * mi, (a[3] - b[3]) * mi)
+    return out
 
 
 def reconstruct_re(re: RelativeEquilibrium) -> PhaseState:
-    """Rebuild the phase-space point of an RE from its angles and rates.
-
-    Positions are g1 = exp(-i phi1), g2 = exp(i phi2); momenta come from
-    differentiating the rigid motion exp(t xi j) q exp(-t eta j) at t = 0.
-    """
-    g1 = Quaternion(math.cos(re.phi1), -math.sin(re.phi1), 0.0, 0.0)
-    g2 = Quaternion(math.cos(re.phi2), math.sin(re.phi2), 0.0, 0.0)
-    xi = Quaternion(0.0, 0.0, re.xi_mag, 0.0)
-    eta = Quaternion(0.0, 0.0, re.eta_mag, 0.0)
-    p1 = re.masses.m1 * (quat_mul(xi, g1) - quat_mul(g1, eta))
-    p2 = re.masses.m2 * (quat_mul(xi, g2) - quat_mul(g2, eta))
-    return PhaseState(g1=g1, p1=p1, g2=g2, p2=p2)
+    """Rebuild the phase-space point of an RE from its angles and rates."""
+    return vec_to_state(_re_state_vec(re.phi1, re.phi2, re.xi_mag, re.eta_mag, re.masses))
 
 
 def verify_re_fixed_point(re: RelativeEquilibrium) -> float:
     """Sup-norm of the fully reduced vector field at the RE's image."""
-    pt = hilbert_map(left_reduce(re.state))
-    return max(abs(c) for c in rhs_full_reduced(pt, re.masses, re.potential))
+    pt = invariant_map(state_to_vec(re.state))
+    return max(abs(c) for c in make_invariant_rhs(re.masses, re.potential)(0.0, pt))
 
 
 def lever_residual(re: RelativeEquilibrium) -> float:
@@ -356,8 +362,3 @@ def tau_row(theta: float, exp_tau: np.ndarray, m: MassParams, pot: Potential, *,
         rates = _planar_rates(pot.f(math.cos(theta)) * math.sin(re.theta), re.zeta, eta,
                               math.cos(2 * re.phi1), math.cos(2 * re.phi2), m)
     return re, eta, *rates
-
-
-_PLACEHOLDER = PhaseState(
-    g1=Quaternion(1.0), p1=Quaternion(), g2=Quaternion(1.0), p2=Quaternion()
-)

@@ -1,5 +1,7 @@
 """Shared helpers: independent mini-oracles and random-state factories."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,148 @@ def oracle_mul(p, q):
 
 def oracle_dot4(p, q):
     return sum(a * b for a, b in zip(p.components(), q.components()))
+
+
+# ---------------------------------------------------------------------------
+# typed oracles for the flat maps of src/: the compositions of Quaternion
+# operations that the flat maps replaced, on test-local arithmetic (the
+# product and the inverse written out as the typed class computed them), so
+# that the flat maps can be held to the same bits, signed zeros included
+# ---------------------------------------------------------------------------
+
+def bits(values):
+    """The exact floats of a sequence: -0.0 and 0.0 differ, NaN equals NaN."""
+    return [float(x).hex() for x in values]
+
+
+def typed_mul(p, q):
+    pw, px, py, pz = p
+    qw, qx, qy, qz = q
+    return (pw * qw - px * qx - py * qy - pz * qz,
+            pw * qx + px * qw + py * qz - pz * qy,
+            pw * qy - px * qz + py * qw + pz * qx,
+            pw * qz + px * qy - py * qx + pz * qw)
+
+
+def typed_inverse(q):
+    w, x, y, z = q
+    n2 = w * w + x * x + y * y + z * z
+    return (w / n2, -x / n2, -y / n2, -z / n2)
+
+
+def _add(p, q):
+    return tuple(a + b for a, b in zip(p, q))
+
+
+def typed_norm2(q):
+    out = q[0] * q[0]
+    for c in q[1:]:
+        out += c * c
+    return out
+
+
+def _dot3(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def typed_inner(p, q):
+    """(p q^+ + q p^+)/2, the real part of the symmetrised product."""
+    s = typed_mul(p, (q[0], -q[1], -q[2], -q[3]))
+    t = typed_mul(q, (p[0], -p[1], -p[2], -p[3]))
+    return 0.5 * (s[0] + t[0])
+
+
+def _split(v):
+    return tuple(v[0:4]), tuple(v[4:8]), tuple(v[8:12]), tuple(v[12:16])
+
+
+def typed_left_reduce(v):
+    """(R1, R2, gL) as ten floats."""
+    g1, p1, g2, p2 = _split(v)
+    g1inv = typed_inverse(g1)
+    return (typed_mul(g1inv, p1)[1:] + typed_mul(typed_inverse(g2), p2)[1:]
+            + typed_mul(g1inv, g2))
+
+
+def typed_right_reduce(v):
+    """(L1, L2, gR) as ten floats."""
+    g1, p1, g2, p2 = _split(v)
+    g2inv = typed_inverse(g2)
+    return (typed_mul(p1, typed_inverse(g1))[1:] + typed_mul(p2, g2inv)[1:]
+            + typed_mul(g1, g2inv))
+
+
+def typed_hilbert(u):
+    v1, v2, v3 = tuple(u[0:3]), tuple(u[3:6]), tuple(u[7:10])
+    return (_dot3(v1, v1), _dot3(v1, v2), _dot3(v1, v3), _dot3(v2, v2), _dot3(v2, v3),
+            _dot3(v3, v3), u[6], _dot3(_cross(v1, v2), v3))
+
+
+def typed_momentum_left(v):
+    g1, p1, g2, p2 = _split(v)
+    return _add(typed_mul(p1, typed_inverse(g1)), typed_mul(p2, typed_inverse(g2)))[1:]
+
+
+def typed_momentum_right(v):
+    g1, p1, g2, p2 = _split(v)
+    return _add(typed_mul(typed_inverse(g1), p1), typed_mul(typed_inverse(g2), p2))[1:]
+
+
+def typed_two_body(a, b, r, m, pot):
+    return a / (2.0 * m.m1) + b / (2.0 * m.m2) + pot.v(r)
+
+
+def typed_hamiltonian_2body(v, m, pot):
+    g1, p1, g2, p2 = _split(v)
+    return typed_two_body(typed_norm2(p1), typed_norm2(p2), typed_inner(g1, g2), m, pot)
+
+
+def typed_casimir_C2_direct(u):
+    g = tuple(u[6:10])
+    a = typed_mul((0.0, *u[0:3]), g)
+    b = typed_mul(g, (0.0, *u[3:6]))
+    return typed_norm2(_add(a, b))
+
+
+def typed_casimirs(p):
+    """(C1, C2, C3) as ``all_casimirs`` computed them on an InvariantPoint."""
+    k11, k12, k13, k22, k23, k33, r, delta = p
+    return (k33 + r * r,
+            ((k33 + r * r) * (k11 + k22) + 2.0 * k12 * (r * r - k33)
+             + 4.0 * k13 * k23 - 4.0 * r * delta),
+            k11 + k22 + 2.0 * k12)
+
+
+def typed_variety_defect(p):
+    k11, k12, k13, k22, k23, k33, r, delta = p
+    return delta * delta - (k11 * (k22 * k33 - k23 * k23) - k12 * (k12 * k33 - k23 * k13)
+                            + k13 * (k12 * k23 - k22 * k13))
+
+
+def typed_re_state(phi1, phi2, xi_mag, eta_mag, m):
+    """g1 = exp(-i phi1), g2 = exp(i phi2), p_i = m_i (xi j g_i - g_i eta j)."""
+    xi, eta = (0.0, 0.0, float(xi_mag), 0.0), (0.0, 0.0, float(eta_mag), 0.0)
+    out = ()
+    for g, mi in (((math.cos(phi1), -math.sin(phi1), 0.0, 0.0), m.m1),
+                  ((math.cos(phi2), math.sin(phi2), 0.0, 0.0), m.m2)):
+        diff = tuple(a - b for a, b in zip(typed_mul(xi, g), typed_mul(g, eta)))
+        out += g + tuple(c * mi for c in diff)
+    return out
+
+
+def random_flat_state(rng):
+    """16 floats over six decades, with some exact zeros of either sign and
+    g1, g2 nonzero; not on the unit sphere."""
+    v = rng.normal(size=16) * rng.choice([1e-3, 1.0, 1e3], size=16)
+    v[rng.random(16) < 0.15] = 0.0
+    v[rng.random(16) < 0.1] *= -1.0
+    v[0] = v[0] or 1.0
+    v[8] = v[8] or -1.0
+    return tuple(float(c) for c in v)
 
 
 def quat(w, x, y, z):
@@ -75,4 +219,9 @@ def rng():
 __all__ = [
     "oracle_mul", "oracle_dot4", "quat", "imag", "random_unit", "random_imag",
     "random_reduced_state", "random_invariant_point", "random_phase_state",
+    "bits", "typed_mul", "typed_inverse", "typed_norm2", "typed_inner",
+    "typed_left_reduce", "typed_right_reduce", "typed_hilbert", "typed_momentum_left",
+    "typed_momentum_right", "typed_two_body", "typed_hamiltonian_2body",
+    "typed_casimir_C2_direct", "typed_casimirs", "typed_variety_defect", "typed_re_state",
+    "random_flat_state",
 ]

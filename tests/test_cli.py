@@ -5,12 +5,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import random_flat_state, typed_casimirs, typed_hilbert, typed_left_reduce
 
 from spheretop import cli
 from spheretop.cli import main
 from spheretop.dynamics import drift_summary, sample_columns, trajectory_csv
 from spheretop.poisson import GENERATORS
-from spheretop.reduction import INVARIANT_CSV_COLUMNS, InvariantPoint
+from spheretop.reduction import INVARIANT_CSV_COLUMNS, InvariantPoint, stratum_classify
 
 
 def run(args):
@@ -349,6 +350,147 @@ class TestReduce:
             assert np.allclose(a[col], b[col], atol=1e-6), col
 
 
+class TestReduceRows:
+    """``reduce`` rows against the typed values, and the inputs it rejects."""
+
+    UNIT = {"g1": [1, 0, 0, 0], "p1": [0, 1, 0, 0], "g2": [0, 0, 1, 0], "p2": [0, 0, 0, 1]}
+
+    def _state(self, tmp_path, **changes):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({**self.UNIT, **changes}))  # NaN is written as NaN
+        return path
+
+    def _trajectory(self, tmp_path, rows):
+        path = tmp_path / "full.csv"
+        lines = [",".join(("t", *cli._STATE_LABELS))]
+        lines += [",".join(map(repr, (t, *v))) for t, v in rows]
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_rows_are_the_typed_values(self, tmp_path):
+        rng = np.random.default_rng(17)
+        rows = [(0.1 * i, random_flat_state(rng)) for i in range(200)]
+        out = tmp_path / "inv.csv"
+        assert run(["reduce", "--trajectory", self._trajectory(tmp_path, rows),
+                    "--out", out]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == len(rows) + 1
+        for line, (t, v) in zip(lines[1:], rows):
+            pt = typed_hilbert(typed_left_reduce(v))
+            stratum = stratum_classify(InvariantPoint.from_tuple(pt))
+            assert line == ",".join((*map(repr, (t, *pt, *typed_casimirs(pt))), stratum))
+
+    def test_manifest_records_the_run(self, tmp_path):
+        unit = tuple(float(c) for part in self.UNIT.values() for c in part)
+        rows = [(0.5 * i, unit) for i in range(3)]
+        out = tmp_path / "inv.csv"
+        assert run(["reduce", "--trajectory", self._trajectory(tmp_path, rows),
+                    "--out", out]) == 0
+        record = json.loads(Path(str(out) + ".manifest.json").read_text())["run"]
+        assert record["rows"] == 3
+        assert set(record["wall_s"]) == {"read", "reduce", "write"}
+        assert all(v >= 0.0 for v in record["wall_s"].values())
+
+    def test_nan_state_is_bad_input_not_a_collision(self, tmp_path, capsys):
+        # simulate used to exit 3, "singularity encountered at t = 0.0"
+        state = self._state(tmp_path, g1=[math.nan, 0, 0, 0])
+        out = tmp_path / "run.csv"
+        assert run(["simulate", "--state", state, "--out", out]) == 4
+        assert "state components must be finite" in capsys.readouterr().err
+        assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+
+    @pytest.mark.parametrize("g1, message", [
+        ([math.nan, 0, 0, 0], "must be finite"),  # wrote a NaN row, exit 0
+        ([0, 0, 0, 0], "unit sphere"),  # a ZeroDivisionError traceback, exit 1
+        ([2, 0, 0, 0], "unit sphere"),  # exit 0, where simulate rejects it
+    ], ids=["nan", "zero", "off-sphere"])
+    def test_reduce_validates_its_state_as_simulate_does(self, tmp_path, capsys, g1, message):
+        state = self._state(tmp_path, g1=g1)
+        out = tmp_path / "inv.csv"
+        assert run(["reduce", "--state", state, "--out", out]) == 4
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["simulate", "--state", state, "--out", tmp_path / "run.csv"]) == 4
+
+    @pytest.mark.parametrize("text", [
+        '{"g1": [1, 0, 0, 0], "p1": [0, 1, 0, 0], "g2": [0, 0, 1, 0]}',
+        '{"g1": [1, 0, 0, 0], "p1": [0, 1, 0, 0], "g2": [0, 0, 1, 0], "p2": 5}',
+        '{"g1": [1, 0, 0], "p1": [0, 1, 0, 0], "g2": [0, 0, 1, 0], "p2": [0, 0, 0, 1]}',
+        '{"g1": [1, 0, 0, null], "p1": [0, 1, 0, 0], "g2": [0, 0, 1, 0], "p2": [0, 0, 0, 1]}',
+        '[1, 2]',
+    ], ids=["missing", "number", "short", "null", "list"])
+    def test_a_malformed_state_file_exits_4(self, tmp_path, capsys, text):
+        # each used to exit 1 with a KeyError or TypeError traceback
+        state = tmp_path / "state.json"
+        state.write_text(text)
+        for cmd in ("simulate", "reduce"):
+            assert run([cmd, "--state", state, "--out", tmp_path / "out.csv"]) == 4, cmd
+            assert "error: " in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("cells, message", [
+        ({"p1y": "nan"}, "non-finite"), ({"t": "nan"}, "non-finite"),
+        ({"g2z": "inf"}, "non-finite"), ({"p2w": "x"}, "not a number"),
+        ({"g1w": "0.0", "g1x": "-0.0", "g1y": "0.0", "g1z": "0.0"}, "g1 or g2 zero"),
+        ({"g2w": "0.0", "g2x": "0.0", "g2y": "0.0", "g2z": "0.0"}, "g1 or g2 zero"),
+    ], ids=["nan", "nan-t", "inf", "text", "zero-g1", "zero-g2"])
+    def test_reduce_trajectory_rejects_a_bad_row_by_its_t(self, tmp_path, capsys, cells,
+                                                          message):
+        full = tmp_path / "full.csv"
+        assert run(["simulate", "--scenario", "random", "--space", "full", "--T", "1",
+                    "--out", full]) == 0
+        lines = full.read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[4].split(",")
+        for name, cell in cells.items():
+            row[header.index(name)] = cell
+        lines[4] = ",".join(row)
+        full.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "inv.csv"
+        assert run(["reduce", "--trajectory", full, "--out", out]) == 4
+        err = capsys.readouterr().err
+        assert f"trajectory row t = {row[0]} has" in err and message in err
+        assert not out.exists()
+
+    def test_trajectory_rows_need_not_be_on_the_sphere(self, tmp_path):
+        # an unprojected run drifts off |g| = 1; only simulate's input is held to it
+        g = (2.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
+        rows = [(0.0, g + (0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 1.0))]
+        out = tmp_path / "inv.csv"
+        assert run(["reduce", "--trajectory", self._trajectory(tmp_path, rows),
+                    "--out", out]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--scenario", "random", "--T", "1"],
+    ["reduce", "--state", "STATE"],
+    ["re", "--theta", "1"],
+    ["stability", "--theta", "1"],
+    ["ec-surface", "--grid", "2", "2"],
+], ids=["simulate", "reduce", "re", "stability", "ec-surface"])
+def test_out_in_a_missing_directory_or_a_directory_fails_before_any_work(tmp_path, capsys,
+                                                                         monkeypatch, argv):
+    # stability used to exit 1 with a FileNotFoundError traceback; simulate and
+    # ec-surface failed that way only after all of their work
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for module, name in ((cli, "integrate"), (cli, "invariant_map"), (cli, "solve_re"),
+                         (cli.ec, "ec_surface")):
+        monkeypatch.setattr(module, name, no_work)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(TestReduceRows.UNIT))
+    out = tmp_path / "missing" / "x.out"
+    argv = [str(state) if a == "STATE" else a for a in argv]
+    assert run([*argv, "--out", out]) == 4
+    err = capsys.readouterr().err
+    assert f"--out {out}" in err and "does not exist" in err
+    assert not out.parent.exists()
+    # a directory as --out failed with IsADirectoryError after the work
+    assert run([*argv, "--out", tmp_path]) == 4
+    assert f"--out {tmp_path} is a directory" in capsys.readouterr().err
+
+
 def test_one_invariant_order(tmp_path):
     order = tuple(f.name for f in dataclasses.fields(InvariantPoint))
     assert order == ("k11", "k12", "k13", "k22", "k23", "k33", "r", "delta")
@@ -410,6 +552,16 @@ class TestClassify:
             assert run([cmd, *(a for kv in flags.items() for a in kv)]) == 4, (cmd, extra)
             captured = capsys.readouterr()
             assert "must be finite" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("cmd", ["re", "stability"])
+    def test_manifest_times_the_solve_and_the_check(self, tmp_path, capsys, cmd):
+        out = tmp_path / "record.json"
+        assert run([cmd, "--theta", 1.0, "--out", out]) == 0
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert manifest["command"] == cmd
+        wall = manifest["run"]["wall_s"]
+        assert set(wall) == {"solve", "check"} and all(v >= 0.0 for v in wall.values())
+        assert "wall_s" not in json.loads(out.read_text())
 
     def test_stability_acute_two_body(self, capsys):
         assert run(["stability", "--theta", 0.9, "--eta", 1.2, "--m1", 3,

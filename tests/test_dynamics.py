@@ -2,7 +2,24 @@ import math
 
 import numpy as np
 import pytest
-from conftest import imag, random_reduced_state
+from conftest import (
+    bits,
+    imag,
+    random_reduced_state,
+    typed_casimir_C2_direct,
+    typed_casimirs,
+    typed_hamiltonian_2body,
+    typed_hilbert,
+    typed_inverse,
+    typed_left_reduce,
+    typed_momentum_left,
+    typed_momentum_right,
+    typed_mul,
+    typed_norm2,
+    typed_right_reduce,
+    typed_two_body,
+    typed_variety_defect,
+)
 
 from spheretop.dynamics import (
     FlowConfig,
@@ -625,24 +642,59 @@ class TestGeneratedStep:
 
 
 class TestInvariantColumns:
-    def test_full_level_columns_equal_the_typed_functions(self, rng):
-        from spheretop.dynamics import Trajectory, invariants_state
-        from spheretop.phase_space import hamiltonian_2body
+    """The sampled invariants of each level equal, bit for bit, the typed
+    quantities they replaced, composed in ``conftest``."""
 
-        m = MassParams(0.8, 1.9)
-        pot = Potential.gravitational(m)
-        states = [random_phase_state(rng, momentum_scale=0.7) for _ in range(50)]
-        traj = Trajectory(ts=list(range(len(states))), ys=[state_to_vec(s) for s in states])
-        cols = sample_columns(traj, invariants_state(m, pot))
-        typed = {"H": lambda s: hamiltonian_2body(s, m, pot),
-                 "C1": lambda s: (s.g1.inverse() * s.g2).norm2(),
-                 "C2": lambda s: momentum_left(s).norm2(),
-                 "C3": lambda s: momentum_right(s).norm2()}
-        assert set(cols) == set(typed)
+    M = MassParams(0.8, 1.9)
+    POT = Potential.gravitational(M)
+
+    def _columns(self, ys, funcs):
+        from spheretop.dynamics import Trajectory
+
+        return sample_columns(Trajectory(ts=list(range(len(ys))), ys=ys), funcs)
+
+    def _states(self, rng):
+        return [state_to_vec(random_phase_state(rng, momentum_scale=0.7)) for _ in range(50)]
+
+    def _assert_equal(self, cols, ys, typed):
+        assert list(cols) == list(typed)
         for name, fn in typed.items():
-            for got, s in zip(cols[name], states):
-                want = fn(s)
-                assert abs(got - want) <= 1e-15 * abs(want), name
+            assert bits(cols[name]) == bits(map(fn, ys)), name
+
+    def test_full_level_columns_equal_the_typed_functions(self, rng):
+        from spheretop.dynamics import invariants_state
+
+        m, pot = self.M, self.POT
+        ys = self._states(rng)
+        typed = {"H": lambda v: typed_hamiltonian_2body(v, m, pot),
+                 "C2": lambda v: typed_norm2(typed_momentum_left(v)),
+                 "C3": lambda v: typed_norm2(typed_momentum_right(v)),
+                 "C1": lambda v: typed_norm2(typed_mul(typed_inverse(v[0:4]), v[8:12]))}
+        self._assert_equal(self._columns(ys, invariants_state(m, pot)), ys, typed)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_reduced_level_columns_equal_the_typed_functions(self, rng, side):
+        m, pot = self.M, self.POT
+        reduce = typed_left_reduce if side == "left" else typed_right_reduce
+        ys = [reduce(v) for v in self._states(rng)]
+        typed = {"H": lambda u: typed_two_body(typed_norm2(u[0:3]), typed_norm2(u[3:6]), u[6],
+                                               m, pot),
+                 "C1": lambda u: u[6] ** 2 + u[7] ** 2 + u[8] ** 2 + u[9] ** 2,
+                 "C2": typed_casimir_C2_direct,
+                 "C3": lambda u: typed_casimirs(typed_hilbert(u))[2]}
+        self._assert_equal(self._columns(ys, invariants_reduced(m, pot)), ys, typed)
+
+    def test_invariant_level_columns_equal_the_typed_functions(self, rng):
+        from spheretop.dynamics import invariants_point
+
+        m, pot = self.M, self.POT
+        ys = [typed_hilbert(typed_left_reduce(v)) for v in self._states(rng)]
+        typed = {"H": lambda p: typed_two_body(p[0], p[3], p[6], m, pot),
+                 "C1": lambda p: p[5] + p[6] ** 2,
+                 "C2": lambda p: typed_casimirs(p)[1],
+                 "C3": lambda p: typed_casimirs(p)[2],
+                 "variety": typed_variety_defect}
+        self._assert_equal(self._columns(ys, invariants_point(m, pot)), ys, typed)
 
 
 class TestTopEquivalence:

@@ -1,0 +1,147 @@
+"""The flat reduction maps against the typed compositions they replaced.
+
+The oracles in ``conftest`` compose the typed operations (the Hamilton
+product, the inverse, the symmetrised inner product, the ImaginaryQuaternion
+dot and cross products) in the order the typed code did, on arithmetic
+written out in the tests.  Every flat map must give the same floats bit for
+bit, signed zeros included.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from conftest import (
+    bits,
+    random_flat_state,
+    typed_casimir_C2_direct,
+    typed_casimirs,
+    typed_hamiltonian_2body,
+    typed_hilbert,
+    typed_inner,
+    typed_inverse,
+    typed_left_reduce,
+    typed_momentum_left,
+    typed_momentum_right,
+    typed_mul,
+    typed_re_state,
+    typed_right_reduce,
+    typed_variety_defect,
+)
+
+from spheretop.phase_space import (
+    MassParams,
+    Potential,
+    body_frame_vec,
+    hamiltonian_2body,
+    hamiltonian_2body_vec,
+    momentum_left,
+    momentum_left_vec,
+    momentum_right,
+    momentum_right_vec,
+    random_phase_state,
+    space_frame_vec,
+    state_to_vec,
+    vec_to_state,
+)
+from spheretop.quaternion import Quaternion, inner_product, quat_dot_vec, quat_inverse_vec, quat_mul_vec
+from spheretop.reduction import (
+    casimir_C2_direct_vec,
+    casimirs_vec,
+    hilbert_map,
+    hilbert_vec,
+    invariant_map,
+    left_reduce,
+    reduced_to_vec,
+    right_reduce,
+    variety_defect_vec,
+)
+from spheretop.relequil import NoSolutionError, reconstruct_re, solve_re
+
+
+@pytest.fixture(scope="module")
+def states():
+    """1000 states: a third on the sphere, the rest raw 16-vectors."""
+    rng = np.random.default_rng(15)
+    return [state_to_vec(random_phase_state(rng, momentum_scale=float(rng.uniform(0.1, 3))))
+            if i % 3 == 0 else random_flat_state(rng) for i in range(1000)]
+
+
+def test_the_states_hold_signed_zeros(states):
+    assert any(math.copysign(1.0, c) < 0 for v in states for c in v if c == 0.0)
+
+
+def test_quaternion_primitives(states):
+    for v in states:
+        p, q = v[4:8], v[0:4]
+        assert bits(quat_mul_vec(p, q)) == bits(typed_mul(p, q))
+        assert bits(quat_inverse_vec(q)) == bits(typed_inverse(q))
+        assert bits([quat_dot_vec(p, q)]) == bits([typed_inner(p, q)])
+        assert inner_product(Quaternion(*p), Quaternion(*q)) == quat_dot_vec(p, q)
+
+
+def test_16_to_8_map_is_the_typed_composition(states):
+    for v in states:
+        left, right = typed_left_reduce(v), typed_right_reduce(v)
+        assert bits(body_frame_vec(v)) == bits(left)
+        assert bits(space_frame_vec(v)) == bits(right)
+        assert bits(hilbert_vec(left)) == bits(typed_hilbert(left))
+        assert bits(invariant_map(v)) == bits(typed_hilbert(left))
+        # the typed functions wrap the flat maps
+        s = vec_to_state(v)
+        assert bits(reduced_to_vec(left_reduce(s))) == bits(left)
+        assert bits(reduced_to_vec(right_reduce(s))) == bits(right)
+        assert bits(hilbert_map(left_reduce(s)).as_tuple()) == bits(typed_hilbert(left))
+
+
+def test_momentum_maps_and_hamiltonian(states):
+    m = MassParams(0.7, 1.9)
+    pot = Potential.linear(0.8)
+    for v in states:
+        s = vec_to_state(v)
+        assert bits(momentum_left_vec(v)) == bits(typed_momentum_left(v))
+        assert bits(momentum_right_vec(v)) == bits(typed_momentum_right(v))
+        assert bits(momentum_left(s).components()) == bits(typed_momentum_left(v))
+        assert bits(momentum_right(s).components()) == bits(typed_momentum_right(v))
+        h = typed_hamiltonian_2body(v, m, pot)
+        assert bits([hamiltonian_2body_vec(v, m, pot), hamiltonian_2body(s, m, pot)]) == bits([h, h])
+
+
+def test_casimirs_and_variety(states):
+    for v in states:
+        for u in (typed_left_reduce(v), typed_right_reduce(v)):
+            p = typed_hilbert(u)
+            assert bits([casimir_C2_direct_vec(u)]) == bits([typed_casimir_C2_direct(u)])
+            assert bits(casimirs_vec(p)) == bits(typed_casimirs(p))
+            assert bits([variety_defect_vec(p)]) == bits([typed_variety_defect(p)])
+
+
+def test_re_state_is_the_typed_reconstruction():
+    """1500 solved REs of every kind, and reconstructions at random angles."""
+    rng = np.random.default_rng(16)
+    kinds = set()
+    for _ in range(1500):
+        m1 = float(rng.uniform(0.3, 3.0))
+        m = MassParams(m1, m1 if rng.random() < 0.4 else float(rng.uniform(0.3, 3.0)))
+        pot = (Potential.gravitational(m) if rng.random() < 0.5
+               else Potential.linear(float(rng.uniform(-2.0, 2.0))))
+        eta, u = float(rng.uniform(0.01, 3.0)), rng.random()
+        try:
+            if u < 0.1:
+                re = solve_re(0.0 if rng.random() < 0.5 else math.pi, eta, m,
+                              Potential.linear(1.0), xi_mag=float(rng.uniform(0.0, 2.0)))
+            elif u < 0.2:
+                re = solve_re(math.pi / 2, eta, m, pot)
+            else:
+                re = solve_re(float(rng.uniform(0.05, math.pi - 0.05)), eta, m, pot)
+        except NoSolutionError:
+            continue
+        kinds.add(re.kind)
+        want = typed_re_state(re.phi1, re.phi2, re.xi_mag, re.eta_mag, m)
+        assert bits(state_to_vec(re.state)) == bits(want)
+        angles = {"phi1": float(rng.uniform(-4, 4)), "phi2": float(rng.uniform(-4, 4)),
+                  "xi_mag": float(rng.uniform(-3, 3)), "eta_mag": float(rng.uniform(-3, 3))}
+        moved = dataclasses.replace(re, **angles)
+        assert bits(state_to_vec(reconstruct_re(moved))) == bits(typed_re_state(*angles.values(), m))
+    assert kinds == {"singular0", "singularPi", "acute", "obtuse", "rightAngled"}

@@ -44,6 +44,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             state(ONE, ONE, J, K).validate()
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_validate_rejects_non_finite_components(self, bad):
+        # NaN fails every comparison, so the norm and tangency checks let it pass
+        for i in range(16):
+            v = list(STANDARD.g1.components() + STANDARD.p1.components()
+                     + STANDARD.g2.components() + STANDARD.p2.components())
+            v[i] = bad
+            s = state(*(Quaternion(*v[k:k + 4]) for k in (0, 4, 8, 12)))
+            with pytest.raises(ValueError, match="must be finite"):
+                s.validate()
+
     def test_masses_positive(self):
         with pytest.raises(ValueError):
             MassParams(1.0, 0.0)
