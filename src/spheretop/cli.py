@@ -55,9 +55,9 @@ from .reduction import (
     INVARIANT_CSV_COLUMNS,
     SIDE_LEFT,
     SIDE_RIGHT,
-    casimirs_vec,
+    all_casimirs,
     invariant_map,
-    stratum_vec,
+    stratum_classify,
 )
 from .relequil import NoSolutionError, lever_residual, solve_re, verify_re_fixed_point
 
@@ -318,8 +318,8 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     lines = [",".join(("t", *INVARIANT_CSV_COLUMNS, "C1", "C2", "C3", "stratum"))]
     for t, vec in rows:
         pt = invariant_map(vec)
-        cells = map(repr, (t, *pt, *casimirs_vec(pt)))
-        lines.append(",".join((*cells, stratum_vec(pt))))
+        cells = map(repr, (t, *pt, *all_casimirs(pt)))
+        lines.append(",".join((*cells, stratum_classify(pt))))
     reduced = time.perf_counter()
     out = cfg["out"]
     Path(out).write_text("\n".join(lines) + "\n")

@@ -8,9 +8,10 @@ Flat vector layouts used by the integrator:
 
 Each equation has one definition.  The flat closures ``make_state_rhs``,
 ``make_reduced_rhs`` (both sides) and ``make_invariant_rhs`` define the vector
-fields; ``rhs_left``, ``rhs_right`` and ``rhs_full_reduced`` are adapters that
-convert a typed state to the flat vector, call the closure and wrap the
-result.  :meth:`HamiltonianKind.reduced_hamiltonian` defines the value and the
+fields; ``rhs_left`` and ``rhs_right`` are adapters that convert a typed
+state to the flat vector, call the closure and wrap the result, and
+``rhs_full_reduced`` calls it on an :class:`InvariantPoint`, which is the flat
+8-vector.  :meth:`HamiltonianKind.reduced_hamiltonian` defines the value and the
 gradient of each reduced Hamiltonian; ``evaluate_reduced_hamiltonian``,
 ``poisson.hamiltonian_gradient`` and the ``"H"`` entries of the
 ``invariants_*`` dicts read it.
@@ -33,7 +34,8 @@ default drift stays a meaningful diagnostic.
 ``sample_columns`` evaluates the conserved quantities once per sample;
 ``trajectory_csv`` and ``drift_summary`` read those columns.  The
 ``invariants_*`` dicts compute them on the flat vector of their level with
-the flat maps of ``phase_space`` and ``reduction``, building no typed state.
+the flat maps of ``phase_space`` and ``reduction``, building no typed state;
+every C1 among them squares as ``x * x``.
 """
 
 from __future__ import annotations
@@ -67,9 +69,10 @@ from .reduction import (
     ReducedState,
     SIDE_LEFT,
     SIDE_RIGHT,
+    casimir_C1,
     casimir_C2_direct_vec,
-    casimir_C2_invariant_vec,
-    casimir_C3_vec,
+    casimir_C2_invariant,
+    casimir_C3,
     hilbert_vec,
     reduced_to_vec,
     variety_defect_vec,
@@ -202,7 +205,7 @@ def rhs_full_reduced(pt: InvariantPoint, m: MassParams, pot: Potential) -> tuple
 
     Returned in the vector order (k11, k12, k13, k22, k23, k33, r, delta).
     """
-    return make_invariant_rhs(m, pot)(0.0, pt.as_tuple())
+    return make_invariant_rhs(m, pot)(0.0, pt)
 
 
 def reconstruct_rhs(g1: Quaternion, R1: ImaginaryQuaternion, m1: float) -> Quaternion:
@@ -213,23 +216,18 @@ def reconstruct_rhs(g1: Quaternion, R1: ImaginaryQuaternion, m1: float) -> Quate
 def evaluate_reduced_hamiltonian(kind: HamiltonianKind, x) -> float:
     """Reduced Hamiltonian of the given kind at a ReducedState or InvariantPoint."""
     if isinstance(x, ReducedState):
-        p = hilbert_vec(reduced_to_vec(x))
-    elif isinstance(x, InvariantPoint):
-        p = x.as_tuple()
-    else:
+        x = hilbert_vec(reduced_to_vec(x))
+    elif not isinstance(x, InvariantPoint):
         raise TypeError("expected ReducedState or InvariantPoint")
-    return kind.reduced_hamiltonian()[0](p[0], p[3], p[1], p[6])
+    return kind.reduced_hamiltonian()[0](x[0], x[3], x[1], x[6])
 
 
 # ---------------------------------------------------------------------------
 # flat-vector encodings and fast closures for the integrator
 # ---------------------------------------------------------------------------
 
-def point_to_vec(pt: InvariantPoint) -> tuple[float, ...]:
-    return pt.as_tuple()
-
-def vec_to_point(v: Sequence[float]) -> InvariantPoint:
-    return InvariantPoint.from_tuple(tuple(v))
+point_to_vec = tuple
+vec_to_point = InvariantPoint.from_tuple
 
 
 def make_reduced_rhs(m: MassParams, pot: Potential, side: str = SIDE_LEFT) -> Callable:
@@ -609,8 +607,8 @@ def drift_summary(columns: dict) -> dict:
 
 
 # The sampled invariants of each level are functions of the flat vector, by
-# name.  The C1 columns keep the spellings of the quantities they sample:
-# ``x ** 2`` (libm's pow) and ``x * x`` differ in the last bit for some x.
+# name.  Every C1 squares as ``x * x``, as ``reduce`` does: ``x ** 2`` (libm's
+# pow) differs from it in the last bit for some x.
 
 def _norm2(x: float, y: float, z: float) -> float:
     return x * x + y * y + z * z
@@ -621,9 +619,9 @@ def invariants_point(m: MassParams, pot: Potential) -> dict:
     ham = HamiltonianKind.two_body(m, pot).reduced_hamiltonian()[0]
     return {
         "H": lambda v: ham(v[0], v[3], v[1], v[6]),
-        "C1": lambda v: v[5] + v[6] ** 2,
-        "C2": casimir_C2_invariant_vec,
-        "C3": casimir_C3_vec,
+        "C1": casimir_C1,
+        "C2": casimir_C2_invariant,
+        "C3": casimir_C3,
         "variety": variety_defect_vec,
     }
 
@@ -636,9 +634,9 @@ def invariants_reduced(m: MassParams, pot: Potential) -> dict:
     point_h = invariants_point(m, pot)["H"]
     return {
         "H": lambda v: point_h(hilbert_vec(v)),
-        "C1": lambda v: v[6] ** 2 + v[7] ** 2 + v[8] ** 2 + v[9] ** 2,
+        "C1": lambda v: quat_dot_vec(v[6:10], v[6:10]),
         "C2": casimir_C2_direct_vec,
-        "C3": lambda v: casimir_C3_vec(hilbert_vec(v)),
+        "C3": lambda v: casimir_C3(hilbert_vec(v)),
     }
 
 

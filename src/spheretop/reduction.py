@@ -8,24 +8,21 @@ the pairwise inner products ``k_ij`` of ``(A1, A2, Im gD)``, the determinant
 ``delta`` and the real part ``r`` of ``gD``.  The variety is cut out by
 ``delta^2 = det(k_ij)`` and the Cauchy-Schwarz inequalities.
 
-The field order of :class:`InvariantPoint`, ``(k11, k12, k13, k22, k23, k33,
-r, delta)``, is the one order of the eight invariants: ``as_tuple`` /
-``from_tuple``, :data:`INVARIANT_CSV_COLUMNS`, ``poisson.GENERATORS``, the
-flat 8-vector of the integrator and the invariant columns of every CSV
-follow it.
+:class:`InvariantPoint` is a tuple in the one order of the eight invariants,
+``(k11, k12, k13, k22, k23, k33, r, delta)``, which :data:`INVARIANT_CSV_COLUMNS`,
+``poisson.GENERATORS``, the integrator and every CSV follow.
 
-The maps and the Casimirs are defined once, on flat vectors (the ``*_vec``
-functions and ``invariant_map``, the 16 -> 8 map); ``left_reduce``,
-``right_reduce``, ``hilbert_map``, the ``casimir_*`` functions,
-``all_casimirs`` and ``stratum_classify`` wrap them for the typed states.
+The maps and the Casimirs are defined once, on flat vectors (``invariant_map``
+is the 16 -> 8 map).  The functions of the invariants take any 8-sequence, an
+:class:`InvariantPoint` included; ``left_reduce``, ``right_reduce``,
+``hilbert_map`` and ``casimir_C2_direct`` wrap the maps for the typed states.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from operator import attrgetter
-from typing import Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 from .phase_space import PhaseState, body_frame_vec, space_frame_vec, state_to_vec
 from .quaternion import ImaginaryQuaternion, Quaternion, quat_mul, quat_mul_vec
@@ -53,13 +50,7 @@ class ReducedState:
     side: str = SIDE_LEFT
 
 
-@dataclass(frozen=True, kw_only=True)
-class InvariantPoint:
-    """A point of the fully reduced semialgebraic variety in R^8.
-
-    Keyword-only, so that no call can depend on the field order.
-    """
-
+class _Invariants(NamedTuple):
     k11: float
     k12: float
     k13: float
@@ -69,16 +60,32 @@ class InvariantPoint:
     r: float
     delta: float
 
+
+class InvariantPoint(_Invariants):
+    """A point of the fully reduced semialgebraic variety in R^8.
+
+    A tuple in the invariant order, so that it is the flat 8-vector itself;
+    built by keyword only, so that no call can depend on the field order.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *, k11, k12, k13, k22, k23, k33, r, delta):
+        return super().__new__(cls, k11, k12, k13, k22, k23, k33, r, delta)
+
+    def __getnewargs_ex__(self):  # copy and pickle call __new__ by keyword
+        return (), self._asdict()
+
     def as_tuple(self) -> tuple[float, ...]:
-        return _invariant_values(self)
+        return tuple(self)
 
     @classmethod
     def from_tuple(cls, v) -> "InvariantPoint":
-        return cls(**dict(zip(INVARIANT_CSV_COLUMNS, v, strict=True)))
+        return cls._make(v)
 
     def variety_defect(self) -> float:
         """delta^2 - det(k_ij); zero on the image of the invariant map."""
-        return variety_defect_vec(self.as_tuple())
+        return variety_defect_vec(self)
 
     def validate(self, tol: float = 1e-8) -> None:
         scale = max(1.0, self.k11, self.k22, self.k33)
@@ -96,12 +103,10 @@ class InvariantPoint:
             raise ValueError("point violates delta^2 = det(k_ij)")
 
 
-INVARIANT_CSV_COLUMNS = tuple(f.name for f in fields(InvariantPoint))
-_invariant_values = attrgetter(*INVARIANT_CSV_COLUMNS)
+INVARIANT_CSV_COLUMNS = InvariantPoint._fields
 
 
-@dataclass(frozen=True)
-class CasimirValues:
+class CasimirValues(NamedTuple):
     """Values of the three Casimirs at a point of the fully reduced space."""
 
     C1: float
@@ -123,8 +128,8 @@ def vec_to_reduced(v: Sequence[float], side: str = SIDE_LEFT) -> ReducedState:
 
 
 # ---------------------------------------------------------------------------
-# the reduction maps and the Casimirs on flat vectors; the typed functions
-# below wrap them
+# the reduction maps and the Casimirs on flat vectors; the typed functions of
+# the 16-d and 10-d states below wrap them
 # ---------------------------------------------------------------------------
 
 def hilbert_vec(u: Sequence[float]) -> tuple[float, ...]:
@@ -159,7 +164,13 @@ def casimir_C2_direct_vec(u: Sequence[float]) -> float:
     return w * w + x * x + y * y + z * z
 
 
-def casimir_C2_invariant_vec(p: Sequence[float]) -> float:
+def casimir_C1(p: Sequence[float]) -> float:
+    """|gD|^2 = k33 + r^2 of an invariant 8-vector, with r^2 spelled r * r
+    as in every other C1."""
+    return p[5] + p[6] * p[6]
+
+
+def casimir_C2_invariant(p: Sequence[float]) -> float:
     """C2 expressed in the generators of the invariant ring."""
     k11, k12, k13, k22, k23, k33, r, delta = p
     return ((k33 + r * r) * (k11 + k22)
@@ -168,18 +179,20 @@ def casimir_C2_invariant_vec(p: Sequence[float]) -> float:
             - 4.0 * r * delta)
 
 
-def casimir_C3_vec(p: Sequence[float]) -> float:
-    """|A1 + A2|^2 = k11 + k22 + 2 k12 of a flat invariant vector."""
+def casimir_C3(p: Sequence[float]) -> float:
+    """The Casimir |A1 + A2|^2 = k11 + k22 + 2 k12 picked up at the second stage.
+
+    On the left-reduced picture this is the squared total right momentum.
+    """
     return p[0] + p[3] + 2.0 * p[1]
 
 
-def casimirs_vec(p: Sequence[float]) -> tuple[float, float, float]:
-    """(C1, C2, C3) of a flat invariant vector, C1 = k33 + r^2 = |gD|^2."""
-    return p[5] + p[6] * p[6], casimir_C2_invariant_vec(p), casimir_C3_vec(p)
+def all_casimirs(p: Sequence[float]) -> CasimirValues:
+    return CasimirValues(casimir_C1(p), casimir_C2_invariant(p), casimir_C3(p))
 
 
 def variety_defect_vec(p: Sequence[float]) -> float:
-    """delta^2 - det(k_ij) of a flat invariant vector."""
+    """delta^2 - det(k_ij) of an invariant 8-vector."""
     k11, k12, k13, k22, k23, k33, r, delta = p
     gram = (k11 * (k22 * k33 - k23 * k23)
             - k12 * (k12 * k33 - k23 * k13)
@@ -187,8 +200,14 @@ def variety_defect_vec(p: Sequence[float]) -> float:
     return delta * delta - gram
 
 
-def stratum_vec(p: Sequence[float], tol: float = 1e-9) -> str:
-    """The isotropy stratum of a flat invariant vector (see :func:`stratum_classify`)."""
+def stratum_classify(p: Sequence[float], tol: float = 1e-9) -> str:
+    """Isotropy stratum of a point of the reduced variety.
+
+    The two poles r = +-1 (all other generators zero) carry the full isotropy
+    group; points with (A1, A2, Im gD) colinear but not all zero have SO(2)
+    isotropy, detected through equality in all three Cauchy-Schwarz relations
+    together with delta = 0; everything else is in the free stratum.
+    """
     k11, k12, k13, k22, k23, k33, r, delta = p
     scale = max(1.0, k11, k22, k33)
     gens_zero = (max(abs(k11), abs(k12), abs(k13), abs(k22),
@@ -244,11 +263,6 @@ def casimir_C2_direct(rs: ReducedState) -> float:
     return casimir_C2_direct_vec(reduced_to_vec(rs))
 
 
-def casimir_C2_invariant(pt: InvariantPoint) -> float:
-    """C2 expressed in the generators of the invariant ring."""
-    return casimir_C2_invariant_vec(pt.as_tuple())
-
-
 def hilbert_map(rs: ReducedState) -> InvariantPoint:
     """Evaluate the generators of the conjugation-invariant ring.
 
@@ -256,29 +270,6 @@ def hilbert_map(rs: ReducedState) -> InvariantPoint:
     delta = <v1 x v2, v3>, r = Re gD.  Constant on conjugation orbits.
     """
     return InvariantPoint.from_tuple(hilbert_vec(reduced_to_vec(rs)))
-
-
-def casimir_C3(pt: InvariantPoint) -> float:
-    """The Casimir |A1 + A2|^2 = k11 + k22 + 2 k12 picked up at the second stage.
-
-    On the left-reduced picture this is the squared total right momentum.
-    """
-    return casimir_C3_vec(pt.as_tuple())
-
-
-def all_casimirs(pt: InvariantPoint) -> CasimirValues:
-    return CasimirValues(*casimirs_vec(pt.as_tuple()))
-
-
-def stratum_classify(pt: InvariantPoint, tol: float = 1e-9) -> str:
-    """Isotropy stratum of a point of the reduced variety.
-
-    The two poles r = +-1 (all other generators zero) carry the full isotropy
-    group; points with (A1, A2, Im gD) colinear but not all zero have SO(2)
-    isotropy, detected through equality in all three Cauchy-Schwarz relations
-    together with delta = 0; everything else is in the free stratum.
-    """
-    return stratum_vec(pt.as_tuple(), tol)
 
 
 def degenerate_leaf_sample(lam_mag: float, k13: float, theta: float) -> float:

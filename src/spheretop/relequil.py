@@ -20,6 +20,7 @@ Families are indexed by the separation angle theta:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,7 +29,7 @@ import numpy as np
 from .dynamics import make_invariant_rhs
 from .phase_space import MassParams, PhaseState, Potential, state_to_vec, vec_to_state
 from .quaternion import ImaginaryQuaternion, Quaternion, quat_mul, quat_mul_vec
-from .reduction import invariant_map
+from .reduction import InvariantPoint, invariant_map
 
 KIND_SINGULAR_0 = "singular0"
 KIND_SINGULAR_PI = "singularPi"
@@ -72,6 +73,11 @@ class RelativeEquilibrium:
             return ()
         f = self.potential.f(math.cos(self.theta))
         return phi_branches(self.theta, self.masses, attractive=f > 0)
+
+    @functools.cached_property
+    def image(self) -> InvariantPoint:
+        """The invariant image of ``state``, mapped on first access only."""
+        return InvariantPoint.from_tuple(invariant_map(state_to_vec(self.state)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -285,8 +291,7 @@ def reconstruct_re(re: RelativeEquilibrium) -> PhaseState:
 
 def verify_re_fixed_point(re: RelativeEquilibrium) -> float:
     """Sup-norm of the fully reduced vector field at the RE's image."""
-    pt = invariant_map(state_to_vec(re.state))
-    return max(abs(c) for c in make_invariant_rhs(re.masses, re.potential)(0.0, pt))
+    return max(abs(c) for c in make_invariant_rhs(re.masses, re.potential)(0.0, re.image))
 
 
 def lever_residual(re: RelativeEquilibrium) -> float:

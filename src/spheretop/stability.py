@@ -41,8 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phase_space import MassParams, Potential, state_to_vec
-from .reduction import InvariantPoint, invariant_map
+from .phase_space import MassParams, Potential
+from .reduction import InvariantPoint
 from .relequil import KIND_RIGHT_ANGLED, RelativeEquilibrium, re_from_tau
 
 ZERO_EIG_TOL = 1e-8
@@ -112,7 +112,7 @@ def quartet_spectrum(pt: InvariantPoint, m: MassParams, f, fp) -> np.ndarray:
 
 def linearize(re: RelativeEquilibrium) -> LinearizationReport:
     """Linearise the fully reduced flow at a relative equilibrium."""
-    pt = InvariantPoint.from_tuple(invariant_map(state_to_vec(re.state)))
+    pt = re.image
     scale = max(1.0, abs(pt.k11), abs(pt.k22), abs(pt.k33))
     if max(abs(pt.k13), abs(pt.k23)) > 1e-8 * scale:
         raise ValueError("not a relative equilibrium: k13, k23 must vanish")

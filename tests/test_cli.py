@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 from pathlib import Path
@@ -492,7 +491,7 @@ def test_out_in_a_missing_directory_or_a_directory_fails_before_any_work(tmp_pat
 
 
 def test_one_invariant_order(tmp_path):
-    order = tuple(f.name for f in dataclasses.fields(InvariantPoint))
+    order = InvariantPoint._fields
     assert order == ("k11", "k12", "k13", "k22", "k23", "k33", "r", "delta")
     assert GENERATORS == cli._POINT_LABELS == INVARIANT_CSV_COLUMNS == order
     with pytest.raises(TypeError):

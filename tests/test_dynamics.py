@@ -58,6 +58,7 @@ from spheretop.quaternion import I, J, K, ONE, Quaternion, inner_product, quat_m
 from spheretop.reduction import (
     InvariantPoint,
     ReducedState,
+    all_casimirs,
     casimir_C3,
     hilbert_map,
     left_reduce,
@@ -679,7 +680,7 @@ class TestInvariantColumns:
         ys = [reduce(v) for v in self._states(rng)]
         typed = {"H": lambda u: typed_two_body(typed_norm2(u[0:3]), typed_norm2(u[3:6]), u[6],
                                                m, pot),
-                 "C1": lambda u: u[6] ** 2 + u[7] ** 2 + u[8] ** 2 + u[9] ** 2,
+                 "C1": lambda u: typed_norm2(u[6:10]),
                  "C2": typed_casimir_C2_direct,
                  "C3": lambda u: typed_casimirs(typed_hilbert(u))[2]}
         self._assert_equal(self._columns(ys, invariants_reduced(m, pot)), ys, typed)
@@ -690,11 +691,26 @@ class TestInvariantColumns:
         m, pot = self.M, self.POT
         ys = [typed_hilbert(typed_left_reduce(v)) for v in self._states(rng)]
         typed = {"H": lambda p: typed_two_body(p[0], p[3], p[6], m, pot),
-                 "C1": lambda p: p[5] + p[6] ** 2,
+                 "C1": lambda p: p[5] + p[6] * p[6],
                  "C2": lambda p: typed_casimirs(p)[1],
                  "C3": lambda p: typed_casimirs(p)[2],
                  "variety": typed_variety_defect}
         self._assert_equal(self._columns(ys, invariants_point(m, pot)), ys, typed)
+
+    def test_sampled_C1_is_the_C1_of_reduce(self):
+        """C1 squares as x * x on every level, as ``reduce`` (``all_casimirs``)
+        does; libm's x ** 2 differs from x * x in the last bit for some x."""
+        from spheretop.dynamics import invariants_point
+
+        rng = np.random.default_rng(16)
+        r = next((x for x in map(float, rng.uniform(-1.0, 1.0, 100_000)) if x ** 2 != x * x),
+                 None)
+        if r is None:
+            pytest.skip("x ** 2 equals x * x for every sampled x on this platform")
+        p = (0.3, 0.1, 0.0, 0.2, 0.0, 1.0 - r * r, r, 0.05)
+        assert bits([invariants_point(self.M, self.POT)["C1"](p)]) == bits([all_casimirs(p).C1])
+        u = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, r, 0.0, 0.0, 0.0)
+        assert bits([invariants_reduced(self.M, self.POT)["C1"](u)]) == bits([r * r])
 
 
 class TestTopEquivalence:

@@ -7,8 +7,10 @@ written out in the tests.  Every flat map must give the same floats bit for
 bit, signed zeros included.
 """
 
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -47,14 +49,21 @@ from spheretop.phase_space import (
 )
 from spheretop.quaternion import Quaternion, inner_product, quat_dot_vec, quat_inverse_vec, quat_mul_vec
 from spheretop.reduction import (
+    STRATUM_FREE,
+    STRATUM_FULL,
+    STRATUM_SO2,
+    InvariantPoint,
+    all_casimirs,
     casimir_C2_direct_vec,
-    casimirs_vec,
+    casimir_C2_invariant,
+    casimir_C3,
     hilbert_map,
     hilbert_vec,
     invariant_map,
     left_reduce,
     reduced_to_vec,
     right_reduce,
+    stratum_classify,
     variety_defect_vec,
 )
 from spheretop.relequil import NoSolutionError, reconstruct_re, solve_re
@@ -113,8 +122,33 @@ def test_casimirs_and_variety(states):
         for u in (typed_left_reduce(v), typed_right_reduce(v)):
             p = typed_hilbert(u)
             assert bits([casimir_C2_direct_vec(u)]) == bits([typed_casimir_C2_direct(u)])
-            assert bits(casimirs_vec(p)) == bits(typed_casimirs(p))
+            assert bits(all_casimirs(p)) == bits(typed_casimirs(p))
             assert bits([variety_defect_vec(p)]) == bits([typed_variety_defect(p)])
+
+
+def test_invariant_functions_take_a_tuple_or_a_point(states):
+    """Each function of the fully reduced space is written once, on any
+    8-sequence: a plain tuple and an InvariantPoint give the same bits."""
+    pole, colinear = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0), (1.0,) * 6 + (0.0, 0.0)
+    strata = set()
+    for p in [invariant_map(v) for v in states] + [pole, colinear]:
+        pt = InvariantPoint.from_tuple(p)
+        for fn in (casimir_C2_invariant, casimir_C3, variety_defect_vec):
+            assert bits([fn(p)]) == bits([fn(pt)])
+        assert bits(all_casimirs(p)) == bits(all_casimirs(pt))
+        assert stratum_classify(p) == stratum_classify(pt)
+        strata.add(stratum_classify(p))
+    assert strata == {STRATUM_FREE, STRATUM_SO2, STRATUM_FULL}
+
+
+def test_invariant_point_is_the_flat_tuple():
+    p = tuple(float(i) for i in range(8))
+    pt = InvariantPoint.from_tuple(p)
+    assert pt == p and pt.as_tuple() == p and (pt.k11, pt.r, pt.delta) == (0.0, 6.0, 7.0)
+    for copied in (copy.copy(pt), copy.deepcopy(pt), pickle.loads(pickle.dumps(pt))):
+        assert type(copied) is InvariantPoint and copied == pt
+    with pytest.raises(TypeError):
+        InvariantPoint.from_tuple(p[:7])
 
 
 def test_re_state_is_the_typed_reconstruction():

@@ -103,6 +103,19 @@ class TestLinearisation:
         with pytest.raises(ValueError):
             linearize(bad)
 
+    def test_one_query_maps_the_state_once(self, monkeypatch):
+        from spheretop import reduction
+        from spheretop.relequil import verify_re_fixed_point
+
+        calls = []
+        body_frame_vec = reduction.body_frame_vec
+        monkeypatch.setattr(reduction, "body_frame_vec",
+                            lambda v: calls.append(v) or body_frame_vec(v))
+        re = solve_re(2.2, 1.0, M32, grav(M32))
+        verify_re_fixed_point(re)
+        linearize(re)
+        assert len(calls) == 1
+
 
 class TestGravitationalSpectra:
     def test_charpoly_matches_eigenvalues(self):
