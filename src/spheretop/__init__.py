@@ -55,8 +55,6 @@ from .dynamics import (
     integrate,
     reconstruct_rhs,
     rhs_full_reduced,
-    rhs_left,
-    rhs_right,
 )
 from .poisson import (
     GradientTriple,

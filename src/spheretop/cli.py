@@ -47,7 +47,6 @@ from .phase_space import (
     body_frame_vec,
     random_phase_state,
     space_frame_vec,
-    state_to_vec,
     tangent_project,
 )
 from .quaternion import Quaternion, quat_dot_vec
@@ -219,18 +218,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if cfg["projection"] and space != "full":
         raise ValueError(f"--projection has no projector on the {space} level; "
                          "only --space full has one")
-    vec = state_to_vec(state)
     if space == "full":
-        y0, rhs, labels = vec, make_state_rhs(m, pot), _STATE_LABELS
+        y0, rhs, labels = state, make_state_rhs(m, pot), _STATE_LABELS
         funcs = invariants_state(m, pot)
     elif space == "left":
-        y0, rhs, labels = body_frame_vec(vec), make_reduced_rhs(m, pot, SIDE_LEFT), _REDUCED_LABELS
+        y0, rhs, labels = body_frame_vec(state), make_reduced_rhs(m, pot, SIDE_LEFT), _REDUCED_LABELS
         funcs = invariants_reduced(m, pot)
     elif space == "right":
-        y0, rhs, labels = space_frame_vec(vec), make_reduced_rhs(m, pot, SIDE_RIGHT), _REDUCED_LABELS
+        y0, rhs, labels = space_frame_vec(state), make_reduced_rhs(m, pot, SIDE_RIGHT), _REDUCED_LABELS
         funcs = invariants_reduced(m, pot)
     else:  # invariants, the last choice of --space
-        y0, rhs, labels = invariant_map(vec), make_invariant_rhs(m, pot), _POINT_LABELS
+        y0, rhs, labels = invariant_map(state), make_invariant_rhs(m, pot), _POINT_LABELS
         funcs = invariants_point(m, pot)
 
     flow_cfg = FlowConfig(rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"])
@@ -308,7 +306,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
         with open(cfg["state"]) as fh:
             state = PhaseState.from_json_dict(json.load(fh))
         state.validate()
-        rows = [(0.0, state_to_vec(state))]
+        rows = [(0.0, state)]
     elif cfg["trajectory"]:
         rows = _trajectory_rows(cfg["trajectory"])
     else:

@@ -8,13 +8,13 @@ Flat vector layouts used by the integrator:
 
 Each equation has one definition.  The flat closures ``make_state_rhs``,
 ``make_reduced_rhs`` (both sides) and ``make_invariant_rhs`` define the vector
-fields; ``rhs_left`` and ``rhs_right`` are adapters that convert a typed
-state to the flat vector, call the closure and wrap the result, and
-``rhs_full_reduced`` calls it on an :class:`InvariantPoint`, which is the flat
-8-vector.  :meth:`HamiltonianKind.reduced_hamiltonian` defines the value and the
-gradient of each reduced Hamiltonian; ``evaluate_reduced_hamiltonian``,
-``poisson.hamiltonian_gradient`` and the ``"H"`` entries of the
-``invariants_*`` dicts read it.
+fields.  The state of each level is its flat vector (``PhaseState``,
+``ReducedState`` and :class:`InvariantPoint` are tuples in these layouts), so
+a closure takes a typed state as it is; ``rhs_full_reduced`` calls the 8-d
+one on an InvariantPoint.  :meth:`HamiltonianKind.reduced_hamiltonian`
+defines the value and the gradient of each reduced Hamiltonian;
+``evaluate_reduced_hamiltonian``, ``poisson.hamiltonian_gradient`` and the
+``"H"`` entries of the ``invariants_*`` dicts read it.
 
 The integrator is the Dormand-Prince 8(5,3) pair DOP853 (Hairer, Norsett &
 Wanner, Solving Ordinary Differential Equations I, 2nd ed., sec. II.10):
@@ -50,7 +50,8 @@ from .phase_space import (
     CollisionError,
     MassParams,
     Potential,
-    hamiltonian_2body_vec,
+    check_alpha,
+    hamiltonian_2body,
     momentum_left_vec,
     momentum_right_vec,
     two_body_energy,
@@ -68,19 +69,17 @@ from .reduction import (
     InvariantPoint,
     ReducedState,
     SIDE_LEFT,
-    SIDE_RIGHT,
     casimir_C1,
-    casimir_C2_direct_vec,
+    casimir_C2_direct,
     casimir_C2_invariant,
     casimir_C3,
     hilbert_vec,
-    reduced_to_vec,
     variety_defect_vec,
 )
 
 # the flat encodings of the 16-d and 10-d levels, imported from here too
 from .phase_space import state_to_vec, vec_to_state  # noqa: F401
-from .reduction import vec_to_reduced  # noqa: F401
+from .reduction import reduced_to_vec, vec_to_reduced  # noqa: F401
 
 KIND_TWO_BODY = "two_body"
 KIND_LAGRANGE = "lagrange"
@@ -121,30 +120,25 @@ class HamiltonianKind:
 
     @classmethod
     def lagrange(cls, alpha: float, gamma: float) -> "HamiltonianKind":
-        cls._check_alpha(alpha)
+        check_alpha(alpha)
         return cls(tag=KIND_LAGRANGE, alpha=alpha, gamma=gamma)
 
     @classmethod
     def lagrange_altered(cls, alpha: float, gamma: float) -> "HamiltonianKind":
-        cls._check_alpha(alpha)
+        check_alpha(alpha)
         return cls(tag=KIND_LAGRANGE_ALTERED, alpha=alpha, gamma=gamma)
-
-    @staticmethod
-    def _check_alpha(alpha: float) -> None:
-        if not (0.0 < alpha <= 2.0):
-            raise ValueError("alpha must lie in (0, 2]")
 
     def reduced_hamiltonian(self) -> tuple[Callable, Callable]:
         """``(value, gradient)`` of the reduced Hamiltonian of this kind.
 
         ``value(a, b, ab, r)`` takes a = |A1|^2, b = |A2|^2, ab = <A1, A2> and
-        r = Re gD; ``gradient(p)`` is dH/dx at an InvariantPoint over the
+        r = Re gD; ``gradient(p)`` is dH/dx at any invariant 8-vector over the
         generators in the order (k11, k12, k13, k22, k23, k33, r, delta).
         """
         if self.tag == KIND_TWO_BODY:
             m, pot = self.masses, self.potential
             return (lambda a, b, ab, r: two_body_energy(a, b, pot.v(r), m),
-                    lambda p: (0.5 / m.m1, 0.0, 0.0, 0.5 / m.m2, 0.0, 0.0, -pot.f(p.r), 0.0))
+                    lambda p: (0.5 / m.m1, 0.0, 0.0, 0.5 / m.m2, 0.0, 0.0, -pot.f(p[6]), 0.0))
         al, g = self.alpha, self.gamma
         if self.tag == KIND_LAGRANGE:
             c, cab = (1.0 + al) / 4.0, (1.0 - al) / 2.0
@@ -166,39 +160,8 @@ class HamiltonianKind:
 
 
 # ---------------------------------------------------------------------------
-# typed adapters over the flat vector fields below
+# typed entry points to the flat vector fields below
 # ---------------------------------------------------------------------------
-
-def _reduced_field(
-    rs: ReducedState, m: MassParams, pot: Potential, side: str
-) -> tuple[ImaginaryQuaternion, ImaginaryQuaternion, Quaternion]:
-    if rs.side != side:
-        raise ValueError(f"rhs_{side} requires a {side}-reduced state")
-    v = make_reduced_rhs(m, pot, side)(0.0, reduced_to_vec(rs))
-    return ImaginaryQuaternion(*v[0:3]), ImaginaryQuaternion(*v[3:6]), Quaternion(*v[6:10])
-
-
-def rhs_left(
-    rs: ReducedState, m: MassParams, pot: Potential
-) -> tuple[ImaginaryQuaternion, ImaginaryQuaternion, Quaternion]:
-    """Hamiltonian vector field on the left-reduced space.
-
-    A1' = +f(r) Im(gD),  A2' = -f(r) Im(gD),
-    gD' = -(A1/m1) gD + gD (A2/m2),  with r = Re gD.
-    """
-    return _reduced_field(rs, m, pot, SIDE_LEFT)
-
-
-def rhs_right(
-    rs: ReducedState, m: MassParams, pot: Potential
-) -> tuple[ImaginaryQuaternion, ImaginaryQuaternion, Quaternion]:
-    """Mirror flow on the right-reduced space (opposite Poisson sign).
-
-    A1' = -f(r) Im(gD),  A2' = +f(r) Im(gD),
-    gD' = +(A1/m1) gD - gD (A2/m2).
-    """
-    return _reduced_field(rs, m, pot, SIDE_RIGHT)
-
 
 def rhs_full_reduced(pt: InvariantPoint, m: MassParams, pot: Potential) -> tuple[float, ...]:
     """The eight equations of motion on the invariant variety.
@@ -216,7 +179,7 @@ def reconstruct_rhs(g1: Quaternion, R1: ImaginaryQuaternion, m1: float) -> Quate
 def evaluate_reduced_hamiltonian(kind: HamiltonianKind, x) -> float:
     """Reduced Hamiltonian of the given kind at a ReducedState or InvariantPoint."""
     if isinstance(x, ReducedState):
-        x = hilbert_vec(reduced_to_vec(x))
+        x = hilbert_vec(x)
     elif not isinstance(x, InvariantPoint):
         raise TypeError("expected ReducedState or InvariantPoint")
     return kind.reduced_hamiltonian()[0](x[0], x[3], x[1], x[6])
@@ -231,7 +194,12 @@ vec_to_point = InvariantPoint.from_tuple
 
 
 def make_reduced_rhs(m: MassParams, pot: Potential, side: str = SIDE_LEFT) -> Callable:
-    """Flat 10-dimensional vector field for either reduced side."""
+    """Flat 10-dimensional vector field for either reduced side, with r = Re gD:
+
+    left:   A1' = +f(r) Im(gD),  A2' = -f(r) Im(gD),  gD' = -(A1/m1) gD + gD (A2/m2);
+    right (the opposite Poisson sign) mirrors it,
+            A1' = -f(r) Im(gD),  A2' = +f(r) Im(gD),  gD' = +(A1/m1) gD - gD (A2/m2).
+    """
     im1, im2 = 1.0 / m.m1, 1.0 / m.m2
     force = pot.f
     sgn = 1.0 if side == SIDE_LEFT else -1.0
@@ -635,7 +603,7 @@ def invariants_reduced(m: MassParams, pot: Potential) -> dict:
     return {
         "H": lambda v: point_h(hilbert_vec(v)),
         "C1": lambda v: quat_dot_vec(v[6:10], v[6:10]),
-        "C2": casimir_C2_direct_vec,
+        "C2": casimir_C2_direct,
         "C3": lambda v: casimir_C3(hilbert_vec(v)),
     }
 
@@ -647,7 +615,7 @@ def invariants_state(m: MassParams, pot: Potential) -> dict:
         return quat_dot_vec(gL, gL)
 
     return {
-        "H": lambda v: hamiltonian_2body_vec(v, m, pot),
+        "H": lambda v: hamiltonian_2body(v, m, pot),
         "C2": lambda v: _norm2(*momentum_left_vec(v)),
         "C3": lambda v: _norm2(*momentum_right_vec(v)),
         "C1": c1,

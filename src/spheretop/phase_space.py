@@ -5,10 +5,9 @@ on the unit sphere and the momenta tangent to it.  The left/right momentum
 maps, the two-body and spinning-top Hamiltonians, and the classification of
 states by the subspace their four vectors span all live here.
 
-The momentum maps and the two-body Hamiltonian are defined once, on the flat
-16-vector of ``state_to_vec`` (the ``*_vec`` functions, with the body- and
-space-frame momenta they are built from); ``momentum_left``,
-``momentum_right`` and ``hamiltonian_2body`` wrap them for a PhaseState.
+A :class:`PhaseState` is the flat 16-vector itself, so each function of a
+state (``hamiltonian_2body``, the body- and space-frame momenta and the
+momentum maps) is written once and takes a state or any flat 16-sequence.
 """
 
 from __future__ import annotations
@@ -119,37 +118,56 @@ def _collision_guard(r: float) -> None:
                              "too close to coincident/antipodal positions")
 
 
-@dataclass(frozen=True)
-class PhaseState:
-    """A point (g1, p1, g2, p2) with |g_i| = 1 and <p_i, g_i> = 0."""
+def flat_floats(cls, parts, sizes):
+    """A ``cls`` tuple of the components of ``parts`` as floats, part i in
+    order and of length ``sizes[i]``; another length raises ValueError."""
+    out = []
+    for part, n in zip(parts, sizes):
+        floats = [float(c) for c in part]
+        if len(floats) != n:
+            raise ValueError(f"expected {n} components, got {len(floats)}")
+        out += floats
+    # from a list, not a generator: tuple.__new__ would grow a generator's
+    # items in a 10-tuple and free a 16-tuple per PhaseState, filling CPython's
+    # free list of 16-tuples (2000 of them, about 0.34 MB until a full gc)
+    return tuple.__new__(cls, out)
 
-    g1: Quaternion
-    p1: Quaternion
-    g2: Quaternion
-    p2: Quaternion
 
-    def validate(self, tol: float = UNIT_NORM_TOL) -> None:
+class PhaseState(tuple):
+    """A point (g1, p1, g2, p2) with |g_i| = 1 and <p_i, g_i> = 0: the tuple
+    of their 16 floats, each in (w, x, y, z) order, built from 4-sequences."""
+
+    __slots__ = ()
+
+    def __new__(cls, g1, p1, g2, p2):
+        return flat_floats(cls, (g1, p1, g2, p2), (4, 4, 4, 4))
+
+    def __getnewargs__(self):  # copy and pickle call __new__ with the four parts
+        return self[0:4], self[4:8], self[8:12], self[12:16]
+
+    g1 = property(lambda self: Quaternion(*self[0:4]))
+    p1 = property(lambda self: Quaternion(*self[4:8]))
+    g2 = property(lambda self: Quaternion(*self[8:12]))
+    p2 = property(lambda self: Quaternion(*self[12:16]))
+
+    def validate(self) -> None:
         # NaN fails no comparison below, so it is rejected first
-        if not all(map(math.isfinite, state_to_vec(self))):
+        if not all(map(math.isfinite, self)):
             raise ValueError("state components must be finite")
         for g in (self.g1, self.g2):
-            if abs(g.norm2() - 1.0) > 2.0 * tol:
+            if abs(g.norm2() - 1.0) > 2.0 * UNIT_NORM_TOL:
                 raise ValueError("positions must lie on the unit sphere")
         for p, g in ((self.p1, self.g1), (self.p2, self.g2)):
-            if abs(inner_product(p, g)) > tol * max(1.0, p.norm()):
+            if abs(inner_product(p, g)) > UNIT_NORM_TOL * max(1.0, p.norm()):
                 raise ValueError("momenta must be tangent to the sphere")
 
     def separation(self) -> float:
         """cos(theta) between the two positions."""
-        return inner_product(self.g1, self.g2)
+        return quat_dot_vec(self[0:4], self[8:12])
 
     def to_json_dict(self) -> dict:
-        return {
-            "g1": list(self.g1.components()),
-            "p1": list(self.p1.components()),
-            "g2": list(self.g2.components()),
-            "p2": list(self.p2.components()),
-        }
+        return {"g1": list(self[0:4]), "p1": list(self[4:8]),
+                "g2": list(self[8:12]), "p2": list(self[12:16])}
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "PhaseState":
@@ -160,28 +178,22 @@ class PhaseState:
         parts = {}
         for key in ("g1", "p1", "g2", "p2"):
             try:
-                parts[key] = Quaternion.from_components(d[key])
+                parts[key] = flat_floats(tuple, (d[key],), (4,))
             except (KeyError, TypeError, ValueError):
                 raise ValueError(f"state entry {key} must be a list of four numbers, "
                                  f"got {d.get(key)!r}") from None
         return cls(**parts)
 
 
-def state_to_vec(s: PhaseState) -> tuple[float, ...]:
-    """The flat 16-vector g1, p1, g2, p2, each in (w, x, y, z) order."""
-    return (s.g1.components() + s.p1.components()
-            + s.g2.components() + s.p2.components())
+state_to_vec = tuple  # a PhaseState is its flat vector
 
 
 def vec_to_state(v: Sequence[float]) -> PhaseState:
-    return PhaseState(
-        g1=Quaternion(*v[0:4]), p1=Quaternion(*v[4:8]),
-        g2=Quaternion(*v[8:12]), p2=Quaternion(*v[12:16]),
-    )
+    return PhaseState(v[0:4], v[4:8], v[8:12], v[12:16])
 
 
 # ---------------------------------------------------------------------------
-# the conserved quantities on flat 16-vectors; the typed functions wrap them
+# the conserved quantities, on a PhaseState or any flat 16-vector
 # ---------------------------------------------------------------------------
 
 def body_frame_vec(v: Sequence[float]) -> tuple[float, ...]:
@@ -222,16 +234,18 @@ def two_body_energy(a, b, v, m: MassParams):
     return a / (2.0 * m.m1) + b / (2.0 * m.m2) + v
 
 
-def hamiltonian_2body_vec(v: Sequence[float], m: MassParams, pot: Potential) -> float:
-    """H of a flat state: |p_i|^2 and V at r = <g1, g2>."""
+def hamiltonian_2body(v: Sequence[float], m: MassParams, pot: Potential) -> float:
+    """Kinetic energy plus the interaction potential, H of the two-body flow:
+    |p_i|^2 and V at r = <g1, g2> of a state or any flat 16-vector."""
     p1, p2 = v[4:8], v[12:16]
     r = quat_dot_vec(v[0:4], v[8:12])
     return two_body_energy(quat_dot_vec(p1, p1), quat_dot_vec(p2, p2), pot.v(r), m)
 
 
-def hamiltonian_2body(s: PhaseState, m: MassParams, pot: Potential) -> float:
-    """Kinetic energy plus the interaction potential, H of the two-body flow."""
-    return hamiltonian_2body_vec(state_to_vec(s), m, pot)
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless the top's alpha = 2/(1 + I4), I4 >= 0, lies in (0, 2]."""
+    if not (0.0 < alpha <= 2.0):
+        raise ValueError("alpha must lie in (0, 2]")
 
 
 def hamiltonian_lagrange(s: PhaseState, alpha: float, gamma: float) -> float:
@@ -239,8 +253,7 @@ def hamiltonian_lagrange(s: PhaseState, alpha: float, gamma: float) -> float:
 
     alpha = 2/(1 + I4) for axial moment of inertia I4 >= 0, so alpha in (0, 2].
     """
-    if not (0.0 < alpha <= 2.0):
-        raise ValueError("alpha must lie in (0, 2]")
+    check_alpha(alpha)
     r1 = quat_mul(s.g1.inverse(), s.p1)
     r2 = quat_mul(s.g2.inverse(), s.p2)
     return ((1.0 + alpha) / 4.0 * (s.p1.norm2() + s.p2.norm2())
@@ -250,29 +263,27 @@ def hamiltonian_lagrange(s: PhaseState, alpha: float, gamma: float) -> float:
 
 def momentum_left(s: PhaseState) -> ImaginaryQuaternion:
     """Total left momentum p1 g1^{-1} + p2 g2^{-1}, conserved along the flow."""
-    return ImaginaryQuaternion(*momentum_left_vec(state_to_vec(s)))
+    return ImaginaryQuaternion(*momentum_left_vec(s))
 
 
 def momentum_right(s: PhaseState) -> ImaginaryQuaternion:
     """Total right momentum g1^{-1} p1 + g2^{-1} p2, conserved along the flow."""
-    return ImaginaryQuaternion(*momentum_right_vec(state_to_vec(s)))
+    return ImaginaryQuaternion(*momentum_right_vec(s))
 
 
-def classify_point(s: PhaseState, tol: float = COPLANARITY_TOL) -> str:
+def classify_point(s: PhaseState) -> str:
     """Classify a state by the dimension of the span of its four vectors.
 
     Rank is decided from the singular values of the 4x4 matrix whose rows are
-    (g1, p1, g2, p2); rank <= 3 means all four fit into a hyperplane
-    (cospherical), rank <= 2 into a plane (cocircular).
+    (g1, p1, g2, p2), relative to ``COPLANARITY_TOL``; rank <= 3 means all
+    four fit into a hyperplane (cospherical), rank <= 2 into a plane
+    (cocircular).
     """
-    rows = np.array([
-        s.g1.components(), s.p1.components(),
-        s.g2.components(), s.p2.components(),
-    ])
+    rows = np.reshape(s, (4, 4))
     norms = np.linalg.norm(rows, axis=1)
     scaled = rows / np.where(norms > 0, norms, 1.0)[:, None]
     sv = np.linalg.svd(scaled, compute_uv=False)
-    cut = tol * max(1.0, sv[0])
+    cut = COPLANARITY_TOL * max(1.0, sv[0])
     if sv[2] < cut:
         return POINT_COCIRCULAR
     if sv[3] < cut:
@@ -281,17 +292,18 @@ def classify_point(s: PhaseState, tol: float = COPLANARITY_TOL) -> str:
 
 
 def sjamaar_slice_check(
-    s: PhaseState, tol: float = UNIT_NORM_TOL
+    s: PhaseState,
 ) -> tuple[ImaginaryQuaternion, ImaginaryQuaternion, ImaginaryQuaternion]:
     """Angular momentum and the two momentum maps on the imaginary slice.
 
     For states with all four vectors purely imaginary (two bodies on the
     2-sphere of imaginary units), returns (Omega, lambda, rho) where
     Omega = g1 x p1 + g2 x p2.  On this slice 2*Omega = lambda - rho and
-    lambda = -rho.
+    lambda = -rho.  Real parts within ``UNIT_NORM_TOL`` of a quaternion's norm
+    count as zero.
     """
     for q in (s.g1, s.p1, s.g2, s.p2):
-        if abs(q.w) > tol * max(1.0, q.norm()):
+        if abs(q.w) > UNIT_NORM_TOL * max(1.0, q.norm()):
             raise ValueError("slice check requires purely imaginary positions and momenta")
     s.validate()
     omega = s.g1.imag().cross(s.p1.imag()) + s.g2.imag().cross(s.p2.imag())
@@ -306,15 +318,15 @@ def tangent_project(p: Quaternion, g: Quaternion) -> Quaternion:
 def random_unit_quaternion(rng: np.random.Generator) -> Quaternion:
     v = rng.normal(size=4)
     v /= np.linalg.norm(v)
-    return Quaternion.from_components(v)
+    return Quaternion(*v)
 
 
 def random_phase_state(rng: np.random.Generator, momentum_scale: float = 1.0) -> PhaseState:
     """A random state with unit positions and tangent momenta."""
     g1 = random_unit_quaternion(rng)
     g2 = random_unit_quaternion(rng)
-    p1 = tangent_project(Quaternion.from_components(rng.normal(scale=momentum_scale, size=4)), g1)
-    p2 = tangent_project(Quaternion.from_components(rng.normal(scale=momentum_scale, size=4)), g2)
+    p1 = tangent_project(Quaternion(*rng.normal(scale=momentum_scale, size=4)), g1)
+    p2 = tangent_project(Quaternion(*rng.normal(scale=momentum_scale, size=4)), g2)
     return PhaseState(g1, p1, g2, p2)
 
 

@@ -104,6 +104,7 @@ def table_bracket(a: str, b: str, at: InvariantPoint) -> float:
         raise KeyError(f"unknown generators {a!r}, {b!r}")
     if a == b:
         return 0.0
+    at = InvariantPoint.from_tuple(at)
     if (a, b) in _TABLE:
         return _TABLE[(a, b)](at)
     return -_TABLE[(b, a)](at)
@@ -122,6 +123,7 @@ def table_flow(
     only on the variety, so off-variety points are rejected unless
     explicitly allowed.
     """
+    at = InvariantPoint.from_tuple(at)
     if not allow_off_variety:
         try:
             at.validate()
@@ -141,13 +143,15 @@ def table_flow(
 def integral_I(pt: InvariantPoint, alpha: float, gamma: float) -> float:
     """The extra conserved quantity of the symmetric top on the reduced space:
     alpha (k12^2 - k11 k22) - 2 gamma delta."""
-    return alpha * (pt.k12 * pt.k12 - pt.k11 * pt.k22) - 2.0 * gamma * pt.delta
+    k11, k12, k13, k22, k23, k33, r, delta = pt
+    return alpha * (k12 * k12 - k11 * k22) - 2.0 * gamma * delta
 
 
 def integral_I_gradient(alpha: float, gamma: float) -> Callable[[InvariantPoint], tuple]:
     def grad(p: InvariantPoint) -> tuple[float, ...]:
-        return (-alpha * p.k22, 2.0 * alpha * p.k12, 0.0,
-                -alpha * p.k11, 0.0, 0.0, 0.0, -2.0 * gamma)
+        k11, k12, k13, k22, k23, k33, r, delta = p
+        return (-alpha * k22, 2.0 * alpha * k12, 0.0,
+                -alpha * k11, 0.0, 0.0, 0.0, -2.0 * gamma)
     return grad
 
 
@@ -159,19 +163,20 @@ def hamiltonian_gradient(kind: HamiltonianKind) -> Callable[[InvariantPoint], tu
 def casimir_gradient(name: str) -> Callable[[InvariantPoint], tuple]:
     """Analytic gradients of the three Casimirs over the generators."""
     if name == "C1":
-        return lambda p: (0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0 * p.r, 0.0)
+        return lambda p: (0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 2.0 * p[6], 0.0)
     if name == "C2":
         def grad(p: InvariantPoint) -> tuple[float, ...]:
-            c1 = p.k33 + p.r * p.r
+            k11, k12, k13, k22, k23, k33, r, delta = p
+            c1 = k33 + r * r
             return (
                 c1,                                   # k11
-                2.0 * (p.r * p.r - p.k33),            # k12
-                4.0 * p.k23,                          # k13
+                2.0 * (r * r - k33),                  # k12
+                4.0 * k23,                            # k13
                 c1,                                   # k22
-                4.0 * p.k13,                          # k23
-                p.k11 + p.k22 - 2.0 * p.k12,          # k33
-                2.0 * p.r * (p.k11 + p.k22 + 2.0 * p.k12) - 4.0 * p.delta,  # r
-                -4.0 * p.r,                           # delta
+                4.0 * k13,                            # k23
+                k11 + k22 - 2.0 * k12,                # k33
+                2.0 * r * (k11 + k22 + 2.0 * k12) - 4.0 * delta,  # r
+                -4.0 * r,                             # delta
             )
         return grad
     if name == "C3":

@@ -20,6 +20,7 @@ import math
 import numpy as np
 
 UNIT_NORM_TOL = 1e-9
+RATE_TOL = 1e-12
 
 SUBGROUP_TRIVIAL = "trivial"
 SUBGROUP_SIMPLE = "simple"
@@ -38,13 +39,11 @@ class Quaternion:
         self.y = float(y)
         self.z = float(z)
 
-    @classmethod
-    def from_components(cls, c) -> "Quaternion":
-        w, x, y, z = c
-        return cls(w, x, y, z)
-
     def components(self) -> tuple[float, float, float, float]:
         return (self.w, self.x, self.y, self.z)
+
+    def __iter__(self):
+        return iter((self.w, self.x, self.y, self.z))
 
     def __repr__(self) -> str:
         return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
@@ -86,7 +85,7 @@ class Quaternion:
         return math.sqrt(self.norm2())
 
     def inverse(self) -> "Quaternion":
-        return Quaternion(*quat_inverse_vec(self.components()))
+        return Quaternion(*quat_inverse_vec(self))
 
     def normalized(self) -> "Quaternion":
         n = self.norm()
@@ -97,8 +96,8 @@ class Quaternion:
     def imag(self) -> "ImaginaryQuaternion":
         return ImaginaryQuaternion(self.x, self.y, self.z)
 
-    def is_unit(self, tol: float = UNIT_NORM_TOL) -> bool:
-        return abs(self.norm2() - 1.0) <= 2.0 * tol
+    def is_unit(self) -> bool:
+        return abs(self.norm2() - 1.0) <= 2.0 * UNIT_NORM_TOL
 
     def allclose(self, other: "Quaternion", tol: float = 1e-12) -> bool:
         return (abs(self.w - other.w) <= tol and abs(self.x - other.x) <= tol
@@ -123,6 +122,9 @@ class ImaginaryQuaternion:
 
     def components(self) -> tuple[float, float, float]:
         return (self.x, self.y, self.z)
+
+    def __iter__(self):
+        return iter((self.x, self.y, self.z))
 
     def __repr__(self) -> str:
         return f"ImaginaryQuaternion({self.x!r}, {self.y!r}, {self.z!r})"
@@ -208,7 +210,7 @@ def quat_inverse_vec(q) -> tuple[float, float, float, float]:
 
 def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:
     """Hamilton product p q."""
-    return Quaternion(*quat_mul_vec((p.w, p.x, p.y, p.z), (q.w, q.x, q.y, q.z)))
+    return Quaternion(*quat_mul_vec(p, q))
 
 
 def quat_dot_vec(p, q) -> float:
@@ -226,7 +228,7 @@ def quat_dot_vec(p, q) -> float:
 
 def inner_product(p: Quaternion, q: Quaternion) -> float:
     """Euclidean inner product on R^4, Re(p q^+)."""
-    return quat_dot_vec((p.w, p.x, p.y, p.z), (q.w, q.x, q.y, q.z))
+    return quat_dot_vec(p, q)
 
 
 def adjoint_bracket(omega: ImaginaryQuaternion, q: ImaginaryQuaternion) -> ImaginaryQuaternion:
@@ -301,20 +303,21 @@ def so4_isom_pullback(L: So4Element) -> tuple[ImaginaryQuaternion, ImaginaryQuat
     return omega + eta, omega - eta
 
 
-def classify_subgroup(xi_mag: float, eta_mag: float, tol: float = 1e-12) -> str:
+def classify_subgroup(xi_mag: float, eta_mag: float) -> str:
     """Sort a one-parameter subgroup with rotation rates (xi, eta) into its type.
 
     Both planes fixed: trivial; equal nonzero rates: a simple rotation;
     exactly one rate zero: isoclinic; two distinct nonzero rates: double.
+    Rates within ``RATE_TOL`` count as zero or equal.
     """
     if xi_mag < 0 or eta_mag < 0:
         raise ValueError("rotation rates must be nonnegative")
-    xi_zero = xi_mag <= tol
-    eta_zero = eta_mag <= tol
+    xi_zero = xi_mag <= RATE_TOL
+    eta_zero = eta_mag <= RATE_TOL
     if xi_zero and eta_zero:
         return SUBGROUP_TRIVIAL
     if xi_zero != eta_zero:
         return SUBGROUP_ISOCLINIC
-    if abs(xi_mag - eta_mag) <= tol * max(1.0, xi_mag, eta_mag):
+    if abs(xi_mag - eta_mag) <= RATE_TOL * max(1.0, xi_mag, eta_mag):
         return SUBGROUP_SIMPLE
     return SUBGROUP_DOUBLE

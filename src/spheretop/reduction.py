@@ -12,42 +12,63 @@ the pairwise inner products ``k_ij`` of ``(A1, A2, Im gD)``, the determinant
 ``(k11, k12, k13, k22, k23, k33, r, delta)``, which :data:`INVARIANT_CSV_COLUMNS`,
 ``poisson.GENERATORS``, the integrator and every CSV follow.
 
-The maps and the Casimirs are defined once, on flat vectors (``invariant_map``
-is the 16 -> 8 map).  The functions of the invariants take any 8-sequence, an
-:class:`InvariantPoint` included; ``left_reduce``, ``right_reduce``,
-``hilbert_map`` and ``casimir_C2_direct`` wrap the maps for the typed states.
+:class:`ReducedState` and ``PhaseState`` are likewise the flat 10- and
+16-vectors, so the maps and the Casimirs are defined once, on flat vectors,
+and take a typed state or a plain sequence alike (``invariant_map`` is the
+16 -> 8 map).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .phase_space import PhaseState, body_frame_vec, space_frame_vec, state_to_vec
+from .phase_space import PhaseState, body_frame_vec, flat_floats, space_frame_vec
 from .quaternion import ImaginaryQuaternion, Quaternion, quat_mul, quat_mul_vec
 
 SIDE_LEFT = "left"
 SIDE_RIGHT = "right"
 
+VARIETY_TOL = 1e-8
 STRATUM_FREE = "free"
 STRATUM_SO2 = "so2_isotropy"
 STRATUM_FULL = "full_isotropy"
 
 
-@dataclass(frozen=True)
-class ReducedState:
+class ReducedState(tuple):
     """Translation-reduced coordinates (A1, A2, gD) on either side.
 
     side="left" carries (R1, R2, gL) with R_i = g_i^{-1} p_i, gL = g1^{-1} g2;
     side="right" carries (L1, L2, gR) with L_i = p_i g_i^{-1}, gR = g1 g2^{-1}.
     The Poisson structures of the two sides differ only by an overall sign.
+
+    The tuple of the 10 floats of A1, A2 and gD.  ``side`` is read-only, in
+    the instance dict; states of two sides are never equal, and a state
+    equals, so hashes as, the plain tuple of its floats.
     """
 
-    A1: ImaginaryQuaternion
-    A2: ImaginaryQuaternion
-    gD: Quaternion
-    side: str = SIDE_LEFT
+    def __new__(cls, A1, A2, gD, side: str = SIDE_LEFT):
+        self = flat_floats(cls, (A1, A2, gD), (3, 3, 4))
+        self.__dict__["side"] = side
+        return self
+
+    def __getnewargs__(self):  # copy and pickle call __new__ with the parts and the side
+        return self[0:3], self[3:6], self[6:10], self.side
+
+    side = property(lambda self: self.__dict__["side"])
+    A1 = property(lambda self: ImaginaryQuaternion(*self[0:3]))
+    A2 = property(lambda self: ImaginaryQuaternion(*self[3:6]))
+    gD = property(lambda self: Quaternion(*self[6:10]))
+
+    def __eq__(self, other):
+        if isinstance(other, ReducedState) and self.side != other.side:
+            return False
+        return tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
 
 
 class _Invariants(NamedTuple):
@@ -87,9 +108,9 @@ class InvariantPoint(_Invariants):
         """delta^2 - det(k_ij); zero on the image of the invariant map."""
         return variety_defect_vec(self)
 
-    def validate(self, tol: float = 1e-8) -> None:
+    def validate(self) -> None:
         scale = max(1.0, self.k11, self.k22, self.k33)
-        if min(self.k11, self.k22, self.k33) < -tol * scale:
+        if min(self.k11, self.k22, self.k33) < -VARIETY_TOL * scale:
             raise ValueError("diagonal invariants must be nonnegative")
         pairs = (
             (self.k12, self.k11, self.k22),
@@ -97,9 +118,9 @@ class InvariantPoint(_Invariants):
             (self.k23, self.k22, self.k33),
         )
         for kij, kii, kjj in pairs:
-            if kij * kij > kii * kjj + tol * scale * scale:
+            if kij * kij > kii * kjj + VARIETY_TOL * scale * scale:
                 raise ValueError("Cauchy-Schwarz inequality violated")
-        if abs(self.variety_defect()) > tol * scale ** 3:
+        if abs(self.variety_defect()) > VARIETY_TOL * scale ** 3:
             raise ValueError("point violates delta^2 = det(k_ij)")
 
 
@@ -114,22 +135,15 @@ class CasimirValues(NamedTuple):
     C3: float
 
 
-def reduced_to_vec(rs: ReducedState) -> tuple[float, ...]:
-    return rs.A1.components() + rs.A2.components() + rs.gD.components()
+reduced_to_vec = tuple  # a ReducedState is its flat vector
 
 
 def vec_to_reduced(v: Sequence[float], side: str = SIDE_LEFT) -> ReducedState:
-    return ReducedState(
-        A1=ImaginaryQuaternion(v[0], v[1], v[2]),
-        A2=ImaginaryQuaternion(v[3], v[4], v[5]),
-        gD=Quaternion(v[6], v[7], v[8], v[9]),
-        side=side,
-    )
+    return ReducedState(v[0:3], v[3:6], v[6:10], side)
 
 
 # ---------------------------------------------------------------------------
-# the reduction maps and the Casimirs on flat vectors; the typed functions of
-# the 16-d and 10-d states below wrap them
+# the reduction maps and the Casimirs, on the states or any flat vectors
 # ---------------------------------------------------------------------------
 
 def hilbert_vec(u: Sequence[float]) -> tuple[float, ...]:
@@ -155,8 +169,8 @@ def invariant_map(v: Sequence[float]) -> tuple[float, ...]:
     return hilbert_vec(body_frame_vec(v))
 
 
-def casimir_C2_direct_vec(u: Sequence[float]) -> float:
-    """|A1 gD + gD A2|^2 of a flat reduced vector."""
+def casimir_C2_direct(u: Sequence[float]) -> float:
+    """|A1 gD + gD A2|^2 of a ReducedState or any flat reduced vector."""
     g = u[6:10]
     a = quat_mul_vec((0.0, u[0], u[1], u[2]), g)
     b = quat_mul_vec(g, (0.0, u[3], u[4], u[5]))
@@ -225,12 +239,12 @@ def stratum_classify(p: Sequence[float], tol: float = 1e-9) -> str:
 
 def left_reduce(s: PhaseState) -> ReducedState:
     """Quotient by left translations: (R1, R2, gL)."""
-    return vec_to_reduced(body_frame_vec(state_to_vec(s)), SIDE_LEFT)
+    return vec_to_reduced(body_frame_vec(s), SIDE_LEFT)
 
 
 def right_reduce(s: PhaseState) -> ReducedState:
     """Quotient by right translations: (L1, L2, gR)."""
-    return vec_to_reduced(space_frame_vec(state_to_vec(s)), SIDE_RIGHT)
+    return vec_to_reduced(space_frame_vec(s), SIDE_RIGHT)
 
 
 def orbit_diffeo(rs: ReducedState) -> tuple[ImaginaryQuaternion, ImaginaryQuaternion, Quaternion]:
@@ -259,17 +273,13 @@ def orbit_diffeo_inverse(
     return ReducedState(A1=a1, A2=a2, gD=gD)
 
 
-def casimir_C2_direct(rs: ReducedState) -> float:
-    return casimir_C2_direct_vec(reduced_to_vec(rs))
-
-
 def hilbert_map(rs: ReducedState) -> InvariantPoint:
     """Evaluate the generators of the conjugation-invariant ring.
 
     Uses (v1, v2, v3) = (A1, A2, Im gD):  k_ij = <v_i, v_j>,
     delta = <v1 x v2, v3>, r = Re gD.  Constant on conjugation orbits.
     """
-    return InvariantPoint.from_tuple(hilbert_vec(reduced_to_vec(rs)))
+    return InvariantPoint.from_tuple(hilbert_vec(rs))
 
 
 def degenerate_leaf_sample(lam_mag: float, k13: float, theta: float) -> float:

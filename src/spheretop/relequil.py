@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import make_invariant_rhs
-from .phase_space import MassParams, PhaseState, Potential, state_to_vec, vec_to_state
+from .phase_space import MassParams, PhaseState, Potential, vec_to_state
 from .quaternion import ImaginaryQuaternion, Quaternion, quat_mul, quat_mul_vec
 from .reduction import InvariantPoint, invariant_map
 
@@ -77,7 +77,7 @@ class RelativeEquilibrium:
     @functools.cached_property
     def image(self) -> InvariantPoint:
         """The invariant image of ``state``, mapped on first access only."""
-        return InvariantPoint.from_tuple(invariant_map(state_to_vec(self.state)))
+        return InvariantPoint.from_tuple(invariant_map(self.state))
 
     def to_json_dict(self) -> dict:
         return {

@@ -32,12 +32,13 @@ from conftest import (
     typed_variety_defect,
 )
 
+from spheretop.dynamics import HamiltonianKind
 from spheretop.phase_space import (
     MassParams,
     Potential,
+    PhaseState,
     body_frame_vec,
     hamiltonian_2body,
-    hamiltonian_2body_vec,
     momentum_left,
     momentum_left_vec,
     momentum_right,
@@ -47,26 +48,37 @@ from spheretop.phase_space import (
     state_to_vec,
     vec_to_state,
 )
+from spheretop.poisson import (
+    GENERATORS,
+    OffVarietyError,
+    casimir_gradient,
+    hamiltonian_gradient,
+    integral_I,
+    integral_I_gradient,
+    table_bracket,
+    table_flow,
+)
 from spheretop.quaternion import Quaternion, inner_product, quat_dot_vec, quat_inverse_vec, quat_mul_vec
 from spheretop.reduction import (
     STRATUM_FREE,
     STRATUM_FULL,
     STRATUM_SO2,
     InvariantPoint,
+    ReducedState,
     all_casimirs,
-    casimir_C2_direct_vec,
+    casimir_C2_direct,
     casimir_C2_invariant,
     casimir_C3,
     hilbert_map,
     hilbert_vec,
     invariant_map,
     left_reduce,
-    reduced_to_vec,
     right_reduce,
     stratum_classify,
     variety_defect_vec,
+    vec_to_reduced,
 )
-from spheretop.relequil import NoSolutionError, reconstruct_re, solve_re
+from spheretop.relequil import NoSolutionError, _re_state_vec, reconstruct_re, solve_re
 
 
 @pytest.fixture(scope="module")
@@ -97,10 +109,10 @@ def test_16_to_8_map_is_the_typed_composition(states):
         assert bits(space_frame_vec(v)) == bits(right)
         assert bits(hilbert_vec(left)) == bits(typed_hilbert(left))
         assert bits(invariant_map(v)) == bits(typed_hilbert(left))
-        # the typed functions wrap the flat maps
+        # the typed states go through the same maps
         s = vec_to_state(v)
-        assert bits(reduced_to_vec(left_reduce(s))) == bits(left)
-        assert bits(reduced_to_vec(right_reduce(s))) == bits(right)
+        assert bits(left_reduce(s)) == bits(left)
+        assert bits(right_reduce(s)) == bits(right)
         assert bits(hilbert_map(left_reduce(s)).as_tuple()) == bits(typed_hilbert(left))
 
 
@@ -114,14 +126,14 @@ def test_momentum_maps_and_hamiltonian(states):
         assert bits(momentum_left(s).components()) == bits(typed_momentum_left(v))
         assert bits(momentum_right(s).components()) == bits(typed_momentum_right(v))
         h = typed_hamiltonian_2body(v, m, pot)
-        assert bits([hamiltonian_2body_vec(v, m, pot), hamiltonian_2body(s, m, pot)]) == bits([h, h])
+        assert bits([hamiltonian_2body(v, m, pot), hamiltonian_2body(s, m, pot)]) == bits([h, h])
 
 
 def test_casimirs_and_variety(states):
     for v in states:
         for u in (typed_left_reduce(v), typed_right_reduce(v)):
             p = typed_hilbert(u)
-            assert bits([casimir_C2_direct_vec(u)]) == bits([typed_casimir_C2_direct(u)])
+            assert bits([casimir_C2_direct(u)]) == bits([typed_casimir_C2_direct(u)])
             assert bits(all_casimirs(p)) == bits(typed_casimirs(p))
             assert bits([variety_defect_vec(p)]) == bits([typed_variety_defect(p)])
 
@@ -139,16 +151,59 @@ def test_invariant_functions_take_a_tuple_or_a_point(states):
         assert stratum_classify(p) == stratum_classify(pt)
         strata.add(stratum_classify(p))
     assert strata == {STRATUM_FREE, STRATUM_SO2, STRATUM_FULL}
+    # the gradients, the integral and the structure table; the first point
+    # is off the variety (delta^2 = 0 != det k = 0.75)
+    grads = (hamiltonian_gradient(HamiltonianKind.two_body(MassParams(0.7, 1.9),
+                                                           Potential.linear(0.8))),
+             casimir_gradient("C1"), casimir_gradient("C2"), integral_I_gradient(0.5, 1.2))
+    for p in ((1.0, 0.0, 0.0, 1.0, 0.0, 0.75, 0.5, 0.0), pole, colinear):
+        pt = InvariantPoint.from_tuple(p)
+        off = p[5] == 0.75
+        for grad in grads:
+            assert bits(grad(p)) == bits(grad(pt))
+            assert bits(table_flow(grad, p, off)) == bits(table_flow(grad, pt, off))
+        assert bits([integral_I(p, 0.5, 1.2)]) == bits([integral_I(pt, 0.5, 1.2)])
+        assert (bits(table_bracket(a, b, p) for a in GENERATORS for b in GENERATORS)
+                == bits(table_bracket(a, b, pt) for a in GENERATORS for b in GENERATORS))
+        if off:
+            with pytest.raises(OffVarietyError):
+                table_flow(grads[0], p)
 
 
 def test_invariant_point_is_the_flat_tuple():
     p = tuple(float(i) for i in range(8))
     pt = InvariantPoint.from_tuple(p)
     assert pt == p and pt.as_tuple() == p and (pt.k11, pt.r, pt.delta) == (0.0, 6.0, 7.0)
-    for copied in (copy.copy(pt), copy.deepcopy(pt), pickle.loads(pickle.dumps(pt))):
-        assert type(copied) is InvariantPoint and copied == pt
     with pytest.raises(TypeError):
         InvariantPoint.from_tuple(p[:7])
+    # the 16-d and 10-d states are their flat vectors too
+    m = MassParams(1.5, 0.5)
+    re = solve_re(1.0, 1.0, m, Potential.gravitational(m))
+    assert re.state == _re_state_vec(re.phi1, re.phi2, re.xi_mag, re.eta_mag, m)
+    v = tuple(float(i) for i in range(1, 17))
+    s = vec_to_state(v)
+    left, right = left_reduce(s), right_reduce(s)
+    assert s == v and left == body_frame_vec(v) and right == space_frame_vec(v)
+    assert (s.g1, s.p2, left.gD) == (Quaternion(*v[0:4]), Quaternion(*v[12:16]),
+                                     Quaternion(*left[6:10]))
+    assert left.A1.components() + left.A2.components() == left[0:6]
+    assert (left.side, right.side) == ("left", "right")
+    flipped = vec_to_reduced(left, "right")
+    assert tuple(flipped) == tuple(left) and flipped != left and not flipped == left
+    for x in (pt, s, re.state, left, right, flipped):
+        for copied in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(copied) is type(x) and copied == x
+            assert getattr(copied, "side", None) == getattr(x, "side", None)
+    # numpy components are stored as floats, so the CSV and JSON reprs hold
+    arr = np.arange(16, dtype=np.float64) / 7.0
+    for x in (PhaseState(arr[0:4], arr[4:8], arr[8:12], arr[12:16]),
+              ReducedState(arr[0:3], arr[3:6], arr[6:10])):
+        assert all(type(c) is float for c in x) and list(map(repr, x)) == [
+            repr(float(c)) for c in arr[:len(x)]]
+    with pytest.raises(ValueError):
+        PhaseState(v[0:3], v[4:8], v[8:12], v[12:16])
+    with pytest.raises(ValueError):
+        ReducedState(v[0:4], v[4:7], v[7:11])
 
 
 def test_re_state_is_the_typed_reconstruction():
