@@ -130,6 +130,15 @@ def _write_manifest(out_path: str, command: str, cfg: dict, run: dict | None = N
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
+def _steps_record(traj) -> dict:
+    """The step and evaluation counts of a run, for its manifest; the step
+    sizes are null when no step was accepted."""
+    steps = traj.n_accepted > 0
+    return {"steps_accepted": traj.n_accepted, "steps_rejected": traj.n_rejected,
+            "step_min": traj.step_min if steps else None,
+            "step_max": traj.step_max if steps else None, "rhs_evals": traj.rhs_evals}
+
+
 def _check_out(cfg: dict) -> None:
     """Fail before any work when ``--out`` names a directory or a file in a
     missing directory."""
@@ -237,8 +246,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         traj = integrate(rhs, y0, cfg["T"], flow_cfg, sample_dt=cfg["sample_dt"],
                          project=project_state if cfg["projection"] else None)
     except SingularityError as exc:
-        _write_manifest(cfg["out"], "simulate", cfg, {"collision": {
-            "time": exc.time, "level": space, "message": str(exc)}})
+        run = {**_steps_record(exc.trajectory),
+               "wall_s": {"integrate": time.perf_counter() - start},
+               "collision": {"time": exc.time, "level": space, "message": str(exc)}}
+        _write_manifest(cfg["out"], "simulate", cfg, run)
         print(f"singularity encountered at t = {exc.time}", file=sys.stderr)
         return 3
     integrated = time.perf_counter()
@@ -249,8 +260,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     Path(out).write_text(trajectory_csv(traj, labels, columns))
     drift = {f"drift_{k}": v for k, v in drift_summary(columns).items()}
     Path(out + ".drift.json").write_text(json.dumps(drift, indent=2, sort_keys=True) + "\n")
-    run = {"steps_accepted": traj.n_accepted, "steps_rejected": traj.n_rejected,
-           "step_min": traj.step_min, "step_max": traj.step_max, "rhs_evals": traj.rhs_evals,
+    run = {**_steps_record(traj),
            "wall_s": {"integrate": integrated - start, "write": time.perf_counter() - integrated}}
     _write_manifest(out, "simulate", cfg, run)
     print(json.dumps(drift, sort_keys=True))

@@ -87,10 +87,12 @@ KIND_LAGRANGE_ALTERED = "lagrange_altered"
 
 
 class SingularityError(RuntimeError):
-    """Integration failed near a potential singularity; carries the time."""
+    """Integration failed near a potential singularity; carries the time and,
+    from ``integrate``, the ``Trajectory`` of the steps made up to it."""
 
-    def __init__(self, time: float, message: str = ""):
+    def __init__(self, time: float, message: str = "", trajectory=None):
         self.time = time
+        self.trajectory = trajectory
         super().__init__(message or f"integration stopped near t = {time!r}")
 
 
@@ -426,12 +428,13 @@ def integrate(
     holds exactly the sample times i * sample_dt and t_end; otherwise every
     accepted step is recorded.  Either way the last step ends at t_end.  The
     ``project`` hook, when given, runs after every accepted step.  Raises
-    :class:`SingularityError` when the step size underflows, the potential
-    reports a collision, or the state, the initial slope or an error
-    estimate is NaN or infinite; raises ``ValueError`` unless ``t_end`` is
-    positive and finite and ``sample_dt`` (when given) finite, at least
-    1e-12 max(1, t_end) and at least t_end / ``MAX_SAMPLE_ROWS``, and when
-    the vector field has another length than the state.
+    :class:`SingularityError`, carrying the trajectory of the steps made so
+    far, when the step size underflows, the potential reports a collision,
+    or the state, the initial slope or an error estimate is NaN or infinite;
+    raises ``ValueError`` unless ``t_end`` is positive and finite and
+    ``sample_dt`` (when given) finite, at least 1e-12 max(1, t_end) and at
+    least t_end / ``MAX_SAMPLE_ROWS``, and when the vector field has another
+    length than the state.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end = {t_end!r} must be positive and finite")
@@ -446,18 +449,18 @@ def integrate(
     y = tuple(float(c) for c in y0)
     n = len(y)
     t = 0.0
-    if not all(math.isfinite(c) for c in y):
-        raise SingularityError(t, f"non-finite initial state at t = {t!r}")
     traj = Trajectory(ts=[t], ys=[y])
+    if not all(math.isfinite(c) for c in y):
+        raise SingularityError(t, f"non-finite initial state at t = {t!r}", traj)
 
     try:
         k1 = rhs(t, y)
     except CollisionError as exc:
-        raise SingularityError(t, f"collision at t = {t!r}: {exc}") from exc
+        raise SingularityError(t, f"collision at t = {t!r}: {exc}", traj) from exc
     if len(k1) != n:
         raise ValueError(f"the vector field has {len(k1)} components for a state of {n}")
     if not all(math.isfinite(c) for c in k1):
-        raise SingularityError(t, f"non-finite vector field at t = {t!r}")
+        raise SingularityError(t, f"non-finite vector field at t = {t!r}", traj)
     h_ctrl = _initial_step(y, k1, atol, rtol)
     step = _dop853_step(n)
     i = 1  # the next sample time is i * sample_dt
@@ -470,16 +473,16 @@ def integrate(
         if t_new >= stop - eps:
             h, t_new = stop - t, stop
         if h < _MIN_STEP_FACTOR * max(1.0, abs(t)):
-            raise SingularityError(t, f"step size underflow at t = {t!r}")
+            raise SingularityError(t, f"step size underflow at t = {t!r}", traj)
         try:
             ynew, e5sq, e3sq = step(rhs, t, h, y, k1, atol, rtol)
         except CollisionError as exc:
-            raise SingularityError(t, f"collision near t = {t!r}: {exc}") from exc
+            raise SingularityError(t, f"collision near t = {t!r}: {exc}", traj) from exc
         # Hairer's estimate: the fifth-order error, damped where the
         # third-order one says the step is far outside its asymptotic range
         err = 0.0 if e5sq == e3sq == 0.0 else h * e5sq / math.sqrt((e5sq + 0.01 * e3sq) * n)
         if err != err:
-            raise SingularityError(t, f"NaN error estimate at t = {t!r}")
+            raise SingularityError(t, f"NaN error estimate at t = {t!r}", traj)
 
         if err <= 1.0:
             t = t_new
@@ -489,7 +492,7 @@ def integrate(
             try:
                 k1 = rhs(t, y)
             except CollisionError as exc:
-                raise SingularityError(t, f"collision at t = {t!r}: {exc}") from exc
+                raise SingularityError(t, f"collision at t = {t!r}: {exc}", traj) from exc
             traj.n_accepted += 1
             traj.step_min = min(traj.step_min, h)
             traj.step_max = max(traj.step_max, h)
@@ -502,7 +505,9 @@ def integrate(
                 h_ctrl = h * (10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125))
         else:
             traj.n_rejected += 1
-            h_ctrl = h * max(0.2, 0.9 * err ** -0.125)
+            # shrink the controller's step, not one stretched to land on a stop:
+            # a stretched step would be stretched again and fail for ever
+            h_ctrl = min(h, h_ctrl) * max(0.2, 0.9 * err ** -0.125)
     return traj
 
 

@@ -6,8 +6,21 @@ couples (k13, k23) only to the other six coordinates: permuted, it is
 [[0, B], [C, 0]], so det(t - J) = t^4 det(t^2 - CB), four exact zeros and the
 quartet t^4 + c2 t^2 + c0 with c0 = det CB, c2 = -tr CB for the 2x2 matrix
 CB.  Sheets are labelled from CB (``quartet_spectrum``); ``linearize`` takes
-the 8x8 ``eigvals``, the independent numerical route.  The quartet factors
-in closed form for the gravitational and constant-force (top) potentials:
+the 8x8 ``eigvals``, the independent numerical route.
+
+A spectrum is labelled on the scale max(1, max |t|): t is zero when |t| is
+below ZERO_EIG_TOL times it, the spectrum is unstable when some Re t exceeds
+REAL_PART_TOL times it (the cut), and stable when exactly four t are zero and
+every other |Re t| is at most the cut; anything else is degenerate.  One
+spectrum (``linearize``, a scalar ``ec_sample``) is labelled in plain Python,
+since numpy's cost per call outweighs the arithmetic on eight numbers; a stack
+(a sheet) is labelled in numpy.  Both read the moduli from ``np.abs``, from
+which Python's ``abs`` of a complex differs in the last bit for about a third
+of random values, so the two paths give the same label and zero count bit
+for bit.  A spectrum holding NaN or inf raises ``ValueError``.
+
+The quartet factors in closed form for the gravitational and constant-force
+(top) potentials:
 
 * gravitational:  t^4 (c0 + c2 t^2 + t^4)  with the quartet
   z^2 = -(sqrt(k11)/m1 + sqrt(k22)/m2)^2 - (m1+m2) cot(th) csc^2(th)
@@ -66,23 +79,18 @@ class LinearizationReport:
 def jacobian_full_reduced(pt: InvariantPoint, m: MassParams, f, fp) -> np.ndarray:
     """Analytic Jacobian of the fully reduced vector field, given f and f' at pt.r."""
     m1, m2 = m.m1, m.m2
-    k11, k12, k13 = pt.k11, pt.k12, pt.k13
-    k22, k23, k33 = pt.k22, pt.k23, pt.k33
-    r = pt.r
-    return np.array([
-        [0, 0, 2 * f, 0, 0, 0, 2 * fp * k13, 0],
-        [0, 0, -f, 0, f, 0, fp * (k23 - k13), 0],
-        [-r / m1, r / m2, 0, 0, 0, f,
-         fp * k33 - (k11 / m1 - k12 / m2), -1 / m2],
-        [0, 0, 0, 0, -2 * f, 0, -2 * fp * k23, 0],
-        [0, -r / m1, 0, r / m2, 0, -f,
-         -fp * k33 - (k12 / m1 - k22 / m2), 1 / m1],
-        [0, 0, -2 * r / m1, 0, 2 * r / m2, 0,
-         2 * (k23 / m2 - k13 / m1), 0],
-        [0, 0, 1 / m1, 0, -1 / m2, 0, 0, 0],
-        [-k23 / m1, k13 / m1 - k23 / m2, k12 / m1 + k22 / m2,
-         k13 / m2, -k11 / m1 - k12 / m2, 0, 0, 0],
-    ], dtype=float)
+    k11, k12, k13, k22, k23, k33, r, _ = pt
+    return np.array((
+        0.0, 0.0, 2 * f, 0.0, 0.0, 0.0, 2 * fp * k13, 0.0,
+        0.0, 0.0, -f, 0.0, f, 0.0, fp * (k23 - k13), 0.0,
+        -r / m1, r / m2, 0.0, 0.0, 0.0, f, fp * k33 - (k11 / m1 - k12 / m2), -1 / m2,
+        0.0, 0.0, 0.0, 0.0, -2 * f, 0.0, -2 * fp * k23, 0.0,
+        0.0, -r / m1, 0.0, r / m2, 0.0, -f, -fp * k33 - (k12 / m1 - k22 / m2), 1 / m1,
+        0.0, 0.0, -2 * r / m1, 0.0, 2 * r / m2, 0.0, 2 * (k23 / m2 - k13 / m1), 0.0,
+        0.0, 0.0, 1 / m1, 0.0, -1 / m2, 0.0, 0.0, 0.0,
+        -k23 / m1, k13 / m1 - k23 / m2, k12 / m1 + k22 / m2, k13 / m2, -k11 / m1 - k12 / m2,
+        0.0, 0.0, 0.0,
+    ), dtype=float).reshape(8, 8)
 
 
 def quartet_spectrum(pt: InvariantPoint, m: MassParams, f, fp) -> np.ndarray:
@@ -128,18 +136,35 @@ def linearize(re: RelativeEquilibrium) -> LinearizationReport:
     )
 
 
-def _classify(eigs: np.ndarray) -> tuple:
-    """``classify_stability_eigs`` and the count of zero eigenvalues."""
+def _classify(eigs) -> tuple:
+    """``classify_stability_eigs`` and the count of zero eigenvalues, by the
+    rule of the module docstring: one spectrum in plain Python, a stack along
+    the last axis in numpy, both on the moduli of ``np.abs``."""
+    eigs = np.asarray(eigs)
+    if eigs.ndim == 1:
+        vals, mods = eigs.tolist(), np.abs(eigs).tolist()
+        if not all(map(math.isfinite, mods)):
+            raise ValueError(f"the spectrum {vals} is not finite")
+        scale = max(1.0, max(mods))
+        tol, cut = ZERO_EIG_TOL * scale, REAL_PART_TOL * scale
+        zeros = [x < tol for x in mods]
+        n_zero = sum(zeros)
+        if any(t.real > cut for t in vals):  # unstable outranks stable
+            return UNSTABLE, n_zero
+        stable = n_zero == 4 and all(z or abs(t.real) <= cut for z, t in zip(zeros, vals))
+        return (STABLE if stable else DEGENERATE), n_zero
     mod = np.abs(eigs)
-    scale = np.maximum(1.0, mod.max(axis=-1, keepdims=True))  # max(1, max |t|)
+    scale = np.maximum(1.0, mod.max(axis=-1, keepdims=True))  # NaN and inf carry through
+    if not np.isfinite(scale).all():
+        i = int(np.argmin(np.isfinite(scale[:, 0])))
+        raise ValueError(f"the spectrum {eigs[i].tolist()} in row {i} is not finite")
     zeros = mod < ZERO_EIG_TOL * scale
     cut = REAL_PART_TOL * scale
     unstable = (eigs.real > cut).any(axis=-1)
     n_zero = zeros.sum(axis=-1)
     stable = (n_zero == 4) & (zeros | (np.abs(eigs.real) <= cut)).all(axis=-1)
-    codes = (2 * unstable + stable).tolist()  # unstable outranks stable
-    labels = (DEGENERATE, STABLE, UNSTABLE, UNSTABLE)
-    return labels[codes] if isinstance(codes, int) else [labels[c] for c in codes], n_zero
+    labels = (DEGENERATE, STABLE, UNSTABLE, UNSTABLE)  # unstable outranks stable
+    return [labels[c] for c in (2 * unstable + stable).tolist()], n_zero
 
 
 def spectrum_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -157,7 +182,8 @@ def classify_stability_eigs(eigs: np.ndarray):
     unstable: any eigenvalue with positive real part; degenerate otherwise.
 
     Classifies along the last axis: one spectrum gives a str, a stack of
-    spectra a list of them.
+    spectra a list of them.  A spectrum that is not finite raises
+    ``ValueError``.
     """
     return _classify(eigs)[0]
 

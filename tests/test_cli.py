@@ -8,7 +8,7 @@ from conftest import random_flat_state, typed_casimirs, typed_hilbert, typed_lef
 
 from spheretop import cli
 from spheretop.cli import main
-from spheretop.dynamics import drift_summary, sample_columns, trajectory_csv
+from spheretop.dynamics import Trajectory, drift_summary, sample_columns, trajectory_csv
 from spheretop.poisson import GENERATORS
 from spheretop.reduction import INVARIANT_CSV_COLUMNS, InvariantPoint, stratum_classify
 
@@ -47,10 +47,21 @@ class TestSimulate:
         assert "singularity encountered at t" in capsys.readouterr().err
         # no trajectory, but the manifest records where and when the run stopped
         assert not out.exists()
-        record = json.loads(Path(str(out) + ".manifest.json").read_text())["run"]["collision"]
+        run_record = json.loads(Path(str(out) + ".manifest.json").read_text())["run"]
+        record = run_record["collision"]
         assert record["level"] == "left"
         assert 0.0 < record["time"] < 50.0
         assert record["message"].startswith("collision")
+        # and what ran up to there
+        assert run_record["steps_accepted"] > 0 and run_record["steps_rejected"] >= 0
+        assert run_record["rhs_evals"] > 12 * run_record["steps_accepted"]
+        assert 0.0 < run_record["step_min"] <= run_record["step_max"]
+        assert run_record["wall_s"]["integrate"] > 0.0
+
+    def test_a_run_without_steps_records_no_step_size(self):
+        record = cli._steps_record(Trajectory(ts=[0.0], ys=[(1.0,)]))
+        assert record == {"steps_accepted": 0, "steps_rejected": 0, "step_min": None,
+                          "step_max": None, "rhs_evals": 1}
 
     def test_negative_horizon_rejected(self, tmp_path, capsys):
         out = tmp_path / "back.csv"

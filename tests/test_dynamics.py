@@ -356,6 +356,33 @@ class TestIntegrator:
         with pytest.raises(SingularityError) as err:
             integrate(make_state_rhs(m, pot), state_to_vec(s), 50.0)
         assert 0.0 < err.value.time < 50.0
+        # the error carries the steps made up to the failure
+        traj = err.value.trajectory
+        assert traj.n_accepted > 0 and traj.n_rejected >= 0
+        assert traj.rhs_evals == 1 + 11 * (traj.n_accepted + traj.n_rejected) + traj.n_accepted
+        assert 0.0 < traj.step_min <= traj.step_max
+        assert traj.ts[-1] == err.value.time and len(traj.ys) == traj.n_accepted + 1
+
+    @pytest.mark.parametrize("sample_dt", [None, 0.25])
+    def test_blow_up_carries_the_steps_made(self, sample_dt):
+        # y' = y^2, y(0) = 1 is 1/(1 - t).  With samples at 0.25 the step that
+        # landed on t = 1 used to be stretched back to it after each rejection,
+        # so integrate looped for ever; the field stops it should that return
+        calls = []
+
+        def field(t, y):
+            calls.append(t)
+            if len(calls) > 10 ** 5:
+                raise RuntimeError("integrate is looping")
+            return (y[0] * y[0],)
+
+        with pytest.raises(SingularityError, match="step size underflow") as err:
+            integrate(field, (1.0,), 2.0, sample_dt=sample_dt)
+        assert 1.0 - 1e-11 < err.value.time < 1.0
+        traj = err.value.trajectory
+        assert traj.rhs_evals == len(calls)
+        assert traj.n_accepted > 0 and 0.0 < traj.step_min <= traj.step_max
+        assert traj.ts[-1] == (err.value.time if sample_dt is None else 0.75)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

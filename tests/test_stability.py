@@ -20,6 +20,8 @@ from spheretop.stability import (
     jacobian_full_reduced,
     linearize,
     quartet_spectrum,
+    REAL_PART_TOL,
+    ZERO_EIG_TOL,
     spectrum_gap,
 )
 
@@ -561,3 +563,73 @@ def test_report_round_trip():
     re = solve_re(0.8, 1.0, M32, grav(M32))
     rep = linearize(re)
     assert classify_stability_eigs(rep.eigenvalues) == rep.classification == "linearly_stable"
+
+
+def _nudge(x, steps):
+    """x moved by ``steps`` (-1, 0 or +1) units in the last place."""
+    return np.where(steps > 0, np.nextafter(x, np.inf),
+                    np.where(steps < 0, np.nextafter(x, -np.inf), x))
+
+
+def _threshold_spectra(rng, n, real):
+    """n spectra whose small moduli and real parts sit on the labelling
+    thresholds or one ulp off them.
+
+    A pair +-t0 sets scale = max(1, |t0|); a pair +-t1 has its real part at
+    REAL_PART_TOL scale or one ulp off it; each of four small values is on
+    ZERO_EIG_TOL scale by ``np.abs``, one ulp off it in its real part, zero,
+    or random below twice it.  Real spectra are float64, as ``eigvals``
+    returns when every imaginary part is zero.
+    """
+    big = rng.uniform(0.2, 30.0, n)
+    if real:  # a real pair is unstable, so half the rows have a zero pair
+        t0 = big * (rng.random(n) < 0.5)
+    else:  # real, imaginary, or at a random angle
+        t0 = big * np.exp(1j * np.where(rng.random(n) < 0.5, rng.choice([0.0, math.pi / 2], n),
+                                        rng.uniform(0.0, 2 * math.pi, n)))
+    scale = np.maximum(1.0, np.abs(t0))
+    t1 = _nudge(REAL_PART_TOL * scale, rng.integers(-1, 2, n)) * rng.choice([-1.0, 1.0], n)
+    if not real:
+        t1 = t1 + 1j * rng.uniform(0.0, 0.5, n) * big
+    thr = ZERO_EIG_TOL * scale[:, None]
+    if real:
+        small = thr * rng.choice([-1.0, 1.0], (n, 4))
+    else:  # |x + iy| = thr by np.abs, where some float y gives it
+        phase = rng.uniform(0.0, 2 * math.pi, (n, 4))
+        x, y = thr * np.cos(phase), thr * np.sin(phase)
+        for _ in range(3):
+            mod = np.abs(x + 1j * y)
+            y = np.where(mod > thr, np.nextafter(y, 0.0),
+                         np.where(mod < thr, np.nextafter(y, np.copysign(np.inf, y)), y))
+        small = x + 1j * y
+    kind = rng.integers(0, 4, (n, 4))
+    off = small + (_nudge(small.real, rng.choice([-1, 1], (n, 4))) - small.real)
+    small = np.select([kind == 1, kind == 2, kind == 3],
+                      [off, 0.0, small * rng.uniform(0.0, 2.0, (n, 4))], small)
+    return np.concatenate([small, np.stack([t0, -t0, t1, -t1], axis=1)], axis=1)
+
+
+class TestClassifyPaths:
+    def test_one_spectrum_and_a_stack_agree_on_the_thresholds(self):
+        rng = np.random.default_rng(18)
+        for real, n in ((False, 80_000), (True, 20_000)):
+            eigs = _threshold_spectra(rng, n, real)
+            assert eigs.dtype == (float if real else complex)
+            labels, zeros = stability._classify(eigs)
+            rows = [stability._classify(row) for row in eigs]
+            assert rows == list(zip(labels, zeros.tolist()))
+            # every label and zero count the thresholds allow occurs
+            assert set(labels) == {"linearly_stable", "linearly_unstable", "degenerate"}
+            assert set(zeros.tolist()) >= {0, 1, 2, 3, 4}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan),
+                                     complex(math.inf, 1)])
+    def test_a_non_finite_spectrum_is_rejected(self, bad):
+        # both used to be labelled degenerate; max over a NaN depends on the order
+        eigs = [0, 0, 0, 0, 1j, -1j, 2j, bad]
+        with pytest.raises(ValueError, match="not finite"):
+            classify_stability_eigs(eigs)
+        with pytest.raises(ValueError, match=r"spectrum .* in row 1 is not finite"):
+            classify_stability_eigs(np.array([[0, 0, 0, 0, 1j, -1j, 2j, -2j], eigs]))
+        with pytest.raises(ValueError, match="not finite"):
+            classify_stability_eigs([math.nan] * 8)
