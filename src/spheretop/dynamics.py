@@ -400,6 +400,7 @@ class Trajectory:
     n_rejected: int = 0
     step_min: float = math.inf
     step_max: float = 0.0
+    failed_step_evals: int = 0
 
     @property
     def final(self):
@@ -408,9 +409,11 @@ class Trajectory:
     @property
     def rhs_evals(self) -> int:
         """Vector-field evaluations the run made: the initial slope, eleven
-        per attempted step, and the slope at the new state (after the
-        projection, when there is one) per accepted step."""
-        return 1 + 11 * (self.n_accepted + self.n_rejected) + self.n_accepted
+        per attempted step, the slope at the new state (after the projection,
+        when there is one) per accepted step, and those of the step that
+        failed, when one did."""
+        attempted = self.n_accepted + self.n_rejected
+        return 1 + 11 * attempted + self.n_accepted + self.failed_step_evals
 
 
 def integrate(
@@ -477,11 +480,13 @@ def integrate(
         try:
             ynew, e5sq, e3sq = step(rhs, t, h, y, k1, atol, rtol)
         except CollisionError as exc:
+            traj.failed_step_evals = _stage_calls(exc, step)
             raise SingularityError(t, f"collision near t = {t!r}: {exc}", traj) from exc
         # Hairer's estimate: the fifth-order error, damped where the
         # third-order one says the step is far outside its asymptotic range
         err = 0.0 if e5sq == e3sq == 0.0 else h * e5sq / math.sqrt((e5sq + 0.01 * e3sq) * n)
         if err != err:
+            traj.failed_step_evals = 11
             raise SingularityError(t, f"NaN error estimate at t = {t!r}", traj)
 
         if err <= 1.0:
@@ -492,6 +497,7 @@ def integrate(
             try:
                 k1 = rhs(t, y)
             except CollisionError as exc:
+                traj.failed_step_evals = 12
                 raise SingularityError(t, f"collision at t = {t!r}: {exc}", traj) from exc
             traj.n_accepted += 1
             traj.step_min = min(traj.step_min, h)
@@ -522,7 +528,7 @@ def _dop853_step(n: int) -> Callable:
     stage input, solution and error component is one expression over locals
     that adds the tableau's terms left to right, with each coefficient as its
     exact repr.  It is compiled once per n, on the first ``integrate`` of
-    that dimension.
+    that dimension.  Stage s calls ``rhs`` on line s + 2 of that source.
     """
     def vec(name):  # the n locals of one vector, as a tuple display
         return "".join(f"{name}_{i}, " for i in range(n))
@@ -550,6 +556,15 @@ def _dop853_step(n: int) -> Callable:
     scope = {}
     exec(compile("\n".join(src), f"<DOP853 step, n = {n}>", "exec"), scope)
     return scope["step"]
+
+
+def _stage_calls(exc: CollisionError, step: Callable) -> int:
+    """The ``rhs`` calls a generated step made up to and including the one
+    that raised ``exc``, read from the line of the step the traceback passes."""
+    tb = exc.__traceback__
+    while tb.tb_frame.f_code is not step.__code__:
+        tb = tb.tb_next
+    return tb.tb_lineno - 3  # stage s, on line s + 2, makes the (s - 1)-th call
 
 
 def _initial_step(y, k1, atol, rtol) -> float:

@@ -131,8 +131,6 @@ def _sample_from_re(
     if classify:
         with np.errstate(all="ignore"):  # a non-finite spectrum raises below
             eigs = _stability.quartet_spectrum(pt, re.masses, pot.f(pt.r), pot.fprime(pt.r))
-        if not np.isfinite(eigs).all():
-            raise ValueError("the spectrum at the image of the RE is not finite")
         label = _stability.classify_stability_eigs(eigs)
     H, lam2, rho2 = _ec_values(pt, re.xi_mag, re.eta_mag, _s_of(re), pot.v(pt.r), re.masses)
     return ECSample(family=family, theta=re.theta, tau=tau, H=H, lam2=lam2, rho2=rho2,

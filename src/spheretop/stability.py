@@ -6,7 +6,12 @@ couples (k13, k23) only to the other six coordinates: permuted, it is
 [[0, B], [C, 0]], so det(t - J) = t^4 det(t^2 - CB), four exact zeros and the
 quartet t^4 + c2 t^2 + c0 with c0 = det CB, c2 = -tr CB for the 2x2 matrix
 CB.  Sheets are labelled from CB (``quartet_spectrum``); ``linearize`` takes
-the 8x8 ``eigvals``, the independent numerical route.
+the 8x8 eigenvalues, the independent numerical route, from the LAPACK dgeev
+gufunc behind ``np.linalg.eigvals``: on one 8x8 matrix that wrapper's Python
+steps cost as much as the solve.  ``_eigvals`` keeps the two that matter, the
+check for NaN and inf before LAPACK runs and the real part when every
+imaginary part is zero, so its result has the wrapper's bytes and dtype;
+where dgeev does not converge it returns NaN, which the labelling rejects.
 
 A spectrum is labelled on the scale max(1, max |t|): t is zero when |t| is
 below ZERO_EIG_TOL times it, the spectrum is unstable when some Re t exceeds
@@ -53,6 +58,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .phase_space import MassParams, Potential
 from .reduction import InvariantPoint
@@ -126,7 +132,7 @@ def linearize(re: RelativeEquilibrium) -> LinearizationReport:
         raise ValueError("not a relative equilibrium: k13, k23 must vanish")
     pot = re.potential
     matrix = jacobian_full_reduced(pt, re.masses, pot.f(pt.r), pot.fprime(pt.r))
-    eigs = np.linalg.eigvals(matrix)
+    eigs = _eigvals(matrix)
     classification, zero_count = _classify(eigs)
     return LinearizationReport(
         matrix=matrix,
@@ -134,6 +140,14 @@ def linearize(re: RelativeEquilibrium) -> LinearizationReport:
         zero_count=int(zero_count),
         classification=classification,
     )
+
+
+def _eigvals(matrix: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvals(matrix)`` for one float64 matrix, bit for bit."""
+    if not np.isfinite(matrix).all():
+        raise LinAlgError("Array must not contain infs or NaNs")
+    eigs = _umath_linalg.eigvals(matrix, signature="d->D")
+    return eigs if np.count_nonzero(eigs.imag) else eigs.real
 
 
 def _classify(eigs) -> tuple:

@@ -699,14 +699,17 @@ class TestSurfaceCommand:
 
 def test_import_loads_no_scipy():
     # a fresh interpreter, so modules other tests imported cannot hide a
-    # dependency that the package itself pulls in at start-up
+    # dependency that the package itself pulls in at start-up: it depends on
+    # numpy alone, and a scipy import once made every start about five times
+    # slower
     import os
     import subprocess
     import sys
 
     code = ("import sys\n"
             "import spheretop, spheretop.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('scipy', 'mpmath', 'sympy')))\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})

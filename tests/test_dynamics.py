@@ -353,13 +353,20 @@ class TestIntegrator:
         s = PhaseState(g1=ONE, p1=I,
                        g2=Quaternion(math.cos(th), math.sin(th), 0, 0),
                        p2=Quaternion())
+        rhs, calls = make_state_rhs(m, pot), [0]
+
+        def counted(t, y):
+            calls[0] += 1
+            return rhs(t, y)
+
         with pytest.raises(SingularityError) as err:
-            integrate(make_state_rhs(m, pot), state_to_vec(s), 50.0)
+            integrate(counted, state_to_vec(s), 50.0)
         assert 0.0 < err.value.time < 50.0
-        # the error carries the steps made up to the failure
+        # the error carries the steps made up to the failure, and every
+        # evaluation, those of the step that failed included
         traj = err.value.trajectory
         assert traj.n_accepted > 0 and traj.n_rejected >= 0
-        assert traj.rhs_evals == 1 + 11 * (traj.n_accepted + traj.n_rejected) + traj.n_accepted
+        assert traj.rhs_evals == calls[0]
         assert 0.0 < traj.step_min <= traj.step_max
         assert traj.ts[-1] == err.value.time and len(traj.ys) == traj.n_accepted + 1
 
@@ -404,6 +411,42 @@ class TestIntegrator:
                          project=(lambda y: y) if projection else None)
         assert traj.n_rejected > 0
         assert traj.rhs_evals == len(calls)
+
+    @pytest.mark.parametrize("fail_at", range(2, 27))
+    def test_rhs_evals_counts_the_step_a_collision_stops(self, fail_at):
+        # y' = -y takes whole steps: call 1 is the initial slope, calls 2-12
+        # are the stages of the first step and call 13 the slope after it,
+        # and so on; the field reports a collision at call fail_at
+        calls = []
+
+        def field(t, y):
+            calls.append(t)
+            if len(calls) == fail_at:
+                raise CollisionError("synthetic collision")
+            return (-y[0],)
+
+        with pytest.raises(SingularityError) as err:
+            integrate(field, (1.0,), 10.0)
+        traj = err.value.trajectory
+        assert traj.n_rejected == 0 and traj.n_accepted == (fail_at - 2) // 12
+        assert traj.rhs_evals == len(calls) == fail_at
+        at_new_slope = (fail_at - 1) % 12 == 0
+        assert str(err.value).startswith("collision at" if at_new_slope else "collision near")
+
+    @pytest.mark.parametrize("nan_at", [13, 14, 19, 24])
+    def test_rhs_evals_counts_the_step_with_a_nan_error(self, nan_at):
+        # a NaN at a stage of the second step (calls 14-24), or in the slope
+        # that starts it (call 13), runs all its stages into the estimate
+        calls = []
+
+        def field(t, y):
+            calls.append(t)
+            return (math.nan if len(calls) == nan_at else -y[0],)
+
+        with pytest.raises(SingularityError, match="NaN error estimate") as err:
+            integrate(field, (1.0,), 10.0)
+        assert err.value.trajectory.n_accepted == 1
+        assert err.value.trajectory.rhs_evals == len(calls) == 24
 
     @pytest.mark.parametrize("t_end, dt", [(100.0, 0.01), (10.05, 0.1), (0.3, 1.0)])
     def test_samples_sit_at_multiples_of_the_step_and_end_at_t_end(self, t_end, dt):

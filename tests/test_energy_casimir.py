@@ -259,10 +259,13 @@ class TestBatchParity:
 
     def test_node_with_a_non_finite_spectrum_is_a_failure(self):
         # at tau = 709 k11 overflows off theta = pi/2; eigvals used to reject
-        # these nodes, and a label read from a NaN spectrum would mean nothing
+        # these nodes, and a label read from a NaN spectrum would mean nothing.
+        # The labelling rule owns the check, so the record names the spectrum
         res = ec_surface("isosceles", (0.5, 2.5), (600.0, 709.0), (3, 6), M11, GRAV11)
         assert res.scalar_nodes == len(res.failures) == 2
-        assert all(tau == 709.0 and msg.endswith("not finite") for _, tau, msg in res.failures)
+        nan_quartet = "[0j, 0j, 0j, 0j, (nan+nanj), (nan+nanj), (nan+nanj), (nan+nanj)]"
+        assert [(tau, msg) for _, tau, msg in res.failures] == [
+            (709.0, f"ValueError: the spectrum {nan_quartet} is not finite")] * 2
         assert all(math.isfinite(s.H) for s in res.samples)
         with pytest.raises(ValueError, match="spectrum .* not finite"):
             ec_sample(0.5, 709.0, M11, GRAV11)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -475,6 +476,9 @@ class TestQuartetSpectrum:
             "acute", "obtuse", "rightAngled", "singular0", "singularPi"}
         for re in acceptance_grid:
             rep, eigs = linearize(re), _image_spectrum(re)
+            ref = np.linalg.eigvals(rep.matrix)  # linearize skips this wrapper
+            assert rep.eigenvalues.dtype == ref.dtype
+            assert rep.eigenvalues.tobytes() == ref.tobytes()
             assert eigs.shape == (8,) and (eigs[:4] == 0).all()
             assert stability._classify(eigs)[1] == rep.zero_count
             assert multiset_distance(rep.eigenvalues, eigs) <= 1e-12 * max(
@@ -534,9 +538,11 @@ class TestQuartetSpectrum:
 
     def test_sheets_need_no_eigvals(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("np.linalg.eigvals called on the sheet path")
+            raise AssertionError("an 8x8 eigen-solve ran on the sheet path")
 
+        # linearize calls the gufunc behind np.linalg.eigvals itself
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
+        monkeypatch.setattr(np.linalg._umath_linalg, "eigvals", refuse)
         half = math.pi / 2
         top = (MassParams(0.5, 0.5), Potential.linear(1.0))
         for family, first, m, pot in (("isosceles", (0.1, math.pi - 0.1), M11, grav(M11)),
@@ -633,3 +639,60 @@ class TestClassifyPaths:
             classify_stability_eigs(np.array([[0, 0, 0, 0, 1j, -1j, 2j, -2j], eigs]))
         with pytest.raises(ValueError, match="not finite"):
             classify_stability_eigs([math.nan] * 8)
+
+
+def _test_matrices(rng, n):
+    """n seeded 8x8 matrices in four equal parts: symmetric and upper
+    triangular ones, whose spectra are real, matrices of rank 1 to 7, and
+    Jacobians at random points with k13 = k23 = 0, where the block structure
+    of an RE image gives four zero eigenvalues."""
+    k = n // 4
+    sym = rng.standard_normal((k, 8, 8))
+    low = [b[:, :r] @ c[:r] for b, c, r in zip(rng.standard_normal((k, 8, 7)),
+                                               rng.standard_normal((k, 7, 8)),
+                                               rng.integers(1, 8, k))]
+    jac = []
+    for v in rng.uniform(-2.0, 2.0, (n - 3 * k, 8)):
+        pt = InvariantPoint(k11=v[0] ** 2, k12=v[1], k13=0.0, k22=v[2] ** 2, k23=0.0,
+                            k33=v[3] ** 2, r=v[4] / 2, delta=v[5])
+        jac.append(jacobian_full_reduced(pt, MassParams(1.0 + v[6] ** 2, 1.0 + v[7] ** 2),
+                                         v[0] * v[7], v[1] * v[6]))
+    return [*(sym + sym.transpose(0, 2, 1)), *np.triu(rng.standard_normal((k, 8, 8))),
+            *low, *jac]
+
+
+class TestEigvalsPath:
+    """``linearize`` calls the gufunc behind ``np.linalg.eigvals`` itself."""
+
+    def test_bytes_and_dtype_are_numpys(self):
+        rng = np.random.default_rng(19)
+        dtypes = set()
+        for a in _test_matrices(rng, 100_000):
+            ours, ref = stability._eigvals(a), np.linalg.eigvals(a)
+            assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes(), a
+            dtypes.add(ours.dtype)
+        assert dtypes == {np.dtype(float), np.dtype(complex)}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_matrix_raises_before_lapack(self, bad, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK ran on a non-finite matrix")
+
+        monkeypatch.setattr(np.linalg._umath_linalg, "eigvals", refuse)
+        a = np.eye(8)
+        a[3, 5] = bad
+        with pytest.raises(np.linalg.LinAlgError, match="must not contain infs or NaNs"):
+            stability._eigvals(a)
+        pot = Potential.custom(lambda r: 0.0, lambda r: bad, lambda r: 0.0)
+        re = solve_re(0.8, 1.0, M32, grav(M32))
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            linearize(dataclasses.replace(re, potential=pot))
+
+    def test_a_spectrum_lapack_failed_on_is_rejected(self, monkeypatch):
+        # where dgeev does not converge the gufunc returns NaN eigenvalues
+        def nan_spectrum(a, signature):
+            return np.full(8, complex(math.nan, math.nan))
+
+        monkeypatch.setattr(np.linalg._umath_linalg, "eigvals", nan_spectrum)
+        with pytest.raises(ValueError, match="not finite"):
+            linearize(solve_re(0.8, 1.0, M32, grav(M32)))
