@@ -58,7 +58,7 @@ from .reduction import (
     invariant_map,
     stratum_classify,
 )
-from .relequil import NoSolutionError, lever_residual, solve_re, verify_re_fixed_point
+from .relequil import NoSolutionError, lever_residual, re_image, solve_re, verify_re_fixed_point
 
 _STATE_LABELS = ("g1w", "g1x", "g1y", "g1z", "p1w", "p1x", "p1y", "p1z",
                  "g2w", "g2x", "g2y", "g2z", "p2w", "p2x", "p2y", "p2z")
@@ -103,10 +103,28 @@ def _check_config(parser: argparse.ArgumentParser, file_cfg: dict, defaults: dic
                              f"{action.option_strings[0]}, got {val!r}")
 
 
+def _open_input(flag: str, path: str, **kw):
+    """``open(path, **kw)``, raising ``ValueError`` that names ``flag`` where it fails."""
+    try:
+        return open(path, **kw)
+    except OSError as exc:
+        raise ValueError(f"{flag} {path}: {exc.strerror}") from None
+
+
+def _source(cfg: dict, command: str, a: str, b: str) -> str:
+    """The one of the flags --a, --b that gives ``command`` its input."""
+    if cfg[a] and cfg[b]:
+        raise ValueError(f"{command} takes its input from --{a} or --{b}, not both: "
+                         f"got --{a} {cfg[a]} and --{b} {cfg[b]}")
+    if not (cfg[a] or cfg[b]):
+        raise ValueError(f"{command} needs --{a} or --{b}")
+    return a if cfg[a] else b
+
+
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     cfg = dict(defaults)
     if getattr(args, "config", None):
-        with open(args.config) as fh:
+        with _open_input("--config", args.config) as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config {args.config} must hold a JSON object")
@@ -201,16 +219,14 @@ _SIMULATE_DEFAULTS = {
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     cfg = _resolve(args, _SIMULATE_DEFAULTS)
-    if cfg["scenario"]:
+    if _source(cfg, "simulate", "state", "scenario") == "scenario":
         # the scenario's parameters are defaults: the config file and the flags
         # override them, and the manifest records what ran
         state, scenario_params = _builtin_scenario(cfg["scenario"], cfg["seed"])
         cfg = _resolve(args, {**_SIMULATE_DEFAULTS, **scenario_params})
-    elif cfg["state"]:
-        with open(cfg["state"]) as fh:
-            state = PhaseState.from_json_dict(json.load(fh))
     else:
-        raise ValueError("simulate needs --state or --scenario")
+        with _open_input("--state", cfg["state"]) as fh:
+            state = PhaseState.from_json_dict(json.load(fh))
     state.validate()
     _check_out(cfg)
     m, pot, _, _ = _masses_potential(cfg)
@@ -285,7 +301,7 @@ def _trajectory_rows(path: str) -> list[tuple[float, list[float]]]:
     unprojected run drifts off it.
     """
     rows = []
-    with open(path, newline="") as fh:
+    with _open_input("--trajectory", path, newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in ("t", *_STATE_LABELS) if c not in (reader.fieldnames or ())]
         if missing:
@@ -312,15 +328,13 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     _masses_potential(cfg)
     _check_out(cfg)
     start = time.perf_counter()
-    if cfg["state"]:
-        with open(cfg["state"]) as fh:
+    if _source(cfg, "reduce", "state", "trajectory") == "state":
+        with _open_input("--state", cfg["state"]) as fh:
             state = PhaseState.from_json_dict(json.load(fh))
         state.validate()
         rows = [(0.0, state)]
-    elif cfg["trajectory"]:
-        rows = _trajectory_rows(cfg["trajectory"])
     else:
-        raise ValueError("reduce needs --state or --trajectory")
+        rows = _trajectory_rows(cfg["trajectory"])
     read = time.perf_counter()
 
     lines = [",".join(("t", *INVARIANT_CSV_COLUMNS, "C1", "C2", "C3", "stratum"))]
@@ -387,7 +401,7 @@ def cmd_stability(args: argparse.Namespace) -> int:
     re, alpha, gamma, solve_s = _solve_from(cfg, "stability")
     start = time.perf_counter()
     report = stab.linearize(re)
-    pt, pot = ec.re_image(re), re.potential
+    pt, pot = re_image(re), re.potential
     quartet = stab.quartet_spectrum(pt, re.masses, pot.f(pt.r), pot.fprime(pt.r))
     record = {
         "kind": re.kind,

@@ -11,10 +11,11 @@ momenta, with M = m1 + m2 and S = m1 cos 2phi1 + m2 cos 2phi2:
 
 the last two since lambda = (M xi - S eta) j and rho = (S xi - M eta) j once
 the balance m1 sin 2phi1 = m2 sin 2phi2 removes their k parts.  A sheet is
-sampled a grid row at a time: what depends on the row's theta (or phi1) comes
-from the scalar RE code once, and everything along tau is numpy arrays.  Every
-label, batched or scalar, comes from ``stability.quartet_spectrum`` at the
-closed-form image, with no 8x8 eigenvalue call.  The resulting point clouds
+sampled a grid row at a time: one ``solve_re`` per row (``relequil.tau_row``)
+fixes what depends on its theta (or phi1), the nodes along tau are numpy
+arrays of ``relequil``'s closed-form image and S, and no 16-d state is built.
+Every label, batched or scalar, comes from ``stability.quartet_spectrum`` at
+that image, with no 8x8 eigenvalue call.  The resulting point clouds
 are the bifurcation surfaces of the problem; a fold shows up where samples
 with equal momentum pairs merge.
 """
@@ -29,7 +30,8 @@ import numpy as np
 
 from .phase_space import MassParams, Potential, two_body_energy
 from .reduction import InvariantPoint
-from .relequil import RelativeEquilibrium, re_from_tau, solve_re, tau_row
+from .relequil import (_RIGHT_ANGLE_TOL, RelativeEquilibrium, planar_image, re_from_tau, re_image,
+                       s_of, solve_re, tau_row)
 from . import stability as _stability
 
 EC_CSV_COLUMNS = ("family", "theta", "tau", "H", "lam2", "rho2", "stability")
@@ -68,11 +70,9 @@ class SurfaceResult:
 def _gauge(theta: float, phi1: float | None, pot: Potential) -> tuple[float | None, bool]:
     """phi1, moved a quarter turn when its zeta has the wrong sign for the
     force on the right-angled family, and whether it was moved."""
-    if (phi1 is not None and abs(theta - math.pi / 2) <= 1e-9
+    if (phi1 is not None and abs(theta - math.pi / 2) <= _RIGHT_ANGLE_TOL
             and pot.f(0.0) * math.sin(2 * phi1) < 0):
-        # reflect the gauge instead of silently flipping a sign: shifting
-        # the position angle by a quarter turn lands on the branch whose
-        # zeta sign matches the force
+        # a flagged quarter turn of the gauge, not a silent flip of zeta's sign
         return phi1 - math.copysign(math.pi / 2, phi1), True
     return phi1, False
 
@@ -98,23 +98,6 @@ def ec_sample(
     return _sample_from_re(re, family, tau, classify, gauge_flipped)
 
 
-def _image(x1, x2, y, cos_th: float, sin_th: float) -> InvariantPoint:
-    """The invariant image of a planar or singular RE, with A1 = x1 j + y k,
-    A2 = x2 j - y k and gD = exp(i theta); floats or arrays alike."""
-    yy = y * y
-    return InvariantPoint(k11=x1 * x1 + yy, k12=x1 * x2 - yy, k13=0.0, k22=x2 * x2 + yy,
-                          k23=0.0, k33=sin_th * sin_th, r=cos_th, delta=-y * (x1 + x2) * sin_th)
-
-
-def re_image(re: RelativeEquilibrium) -> InvariantPoint:
-    """The closed-form invariant image of an RE, where its sheet label is read."""
-    return _image(re.x1, re.x2, re.y, math.cos(re.theta), math.sin(re.theta))
-
-
-def _s_of(re: RelativeEquilibrium) -> float:
-    return re.masses.m1 * math.cos(2 * re.phi1) + re.masses.m2 * math.cos(2 * re.phi2)
-
-
 def _ec_values(pt: InvariantPoint, xi, eta, s: float, v: float, m: MassParams) -> tuple:
     """(H, |lambda|^2, |rho|^2) of the module docstring; floats or arrays alike."""
     big_m = m.m1 + m.m2
@@ -132,7 +115,7 @@ def _sample_from_re(
         with np.errstate(all="ignore"):  # a non-finite spectrum raises below
             eigs = _stability.quartet_spectrum(pt, re.masses, pot.f(pt.r), pot.fprime(pt.r))
         label = _stability.classify_stability_eigs(eigs)
-    H, lam2, rho2 = _ec_values(pt, re.xi_mag, re.eta_mag, _s_of(re), pot.v(pt.r), re.masses)
+    H, lam2, rho2 = _ec_values(pt, re.xi_mag, re.eta_mag, s_of(re), pot.v(pt.r), re.masses)
     return ECSample(family=family, theta=re.theta, tau=tau, H=H, lam2=lam2, rho2=rho2,
                     stability=label, xi_mag=re.xi_mag, eta_mag=re.eta_mag, phi1=re.phi1,
                     gauge_flipped=gauge_flipped)
@@ -153,7 +136,7 @@ def _batch_row(theta, phi1, exp_tau, m, pot, classify) -> tuple:
     re, *rates = tau_row(theta, exp_tau, m, pot, phi1=p1)
     cos_th = math.cos(re.theta)
     force = (pot.f(cos_th), pot.fprime(cos_th)) if classify else (0.0, 0.0)
-    return re, flipped, rates, (cos_th, math.sin(re.theta), pot.v(cos_th), _s_of(re), *force)
+    return re, flipped, rates, (cos_th, math.sin(re.theta), pot.v(cos_th), s_of(re), *force)
 
 
 def _batch_nodes(batch: list, n_b: int, m: MassParams, classify: bool) -> list:
@@ -166,7 +149,7 @@ def _batch_nodes(batch: list, n_b: int, m: MassParams, classify: bool) -> list:
     cos_th, sin_th, v, s, f, fp = np.repeat([b[3] for b in batch], n_b, axis=0).T
     labels = np.full(len(eta), "", dtype=object)
     with np.errstate(all="ignore"):  # such nodes are left to the scalar path
-        pt = _image(x1, x2, y, cos_th, sin_th)
+        pt = planar_image(x1, x2, y, cos_th, sin_th)
         values = _ec_values(pt, xi, eta, s, v, m)
         accept = np.isfinite(eta) & (eta > 0) & (xi > 0)
         if classify:

@@ -16,13 +16,17 @@ Families are indexed by the separation angle theta:
   determined uniquely by theta and eta.
 * ``rightAngled``: theta = pi/2, equal masses only, with a line of solutions
   x1 + x2 = -2 m eta parameterised by the position angle phi1.
+
+``solve_re`` alone decides an RE's branch, phi1 and zeta; ``zeta_of`` and a tau
+row read them from it.  An RE's 16-d ``state`` is built only when read; its
+closed-form image (``planar_image``, ``re_image``) and S (``s_of``) are here.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -62,7 +66,6 @@ class RelativeEquilibrium:
     zeta: float
     masses: MassParams
     potential: Potential
-    state: PhaseState
     isosceles: bool = False
 
     @property
@@ -75,28 +78,21 @@ class RelativeEquilibrium:
         return phi_branches(self.theta, self.masses, attractive=f > 0)
 
     @functools.cached_property
+    def state(self) -> PhaseState:
+        """The phase-space point, built from the angles and rates on first access only."""
+        return vec_to_state(_re_state_vec(self))
+
+    @functools.cached_property
     def image(self) -> InvariantPoint:
-        """The invariant image of ``state``, mapped on first access only."""
-        return InvariantPoint.from_tuple(invariant_map(self.state))
+        """The invariant image of the RE's point, mapped on first access only
+        from its flat vector, so that reading it builds no ``state``."""
+        return InvariantPoint.from_tuple(invariant_map(_re_state_vec(self)))
 
     def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "theta": self.theta,
-            "phi1": self.phi1,
-            "phi2": self.phi2,
-            "xi_mag": self.xi_mag,
-            "eta_mag": self.eta_mag,
-            "x1": self.x1,
-            "x2": self.x2,
-            "y": self.y,
-            "zeta": self.zeta,
-            "isosceles": self.isosceles,
-            "phi1_branches": list(self.phi1_branches),
-            "masses": {"m1": self.masses.m1, "m2": self.masses.m2},
-            "potential": self.potential.kind,
-            "state": self.state.to_json_dict(),
-        }
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "phi1_branches": list(self.phi1_branches),
+                "masses": {"m1": self.masses.m1, "m2": self.masses.m2},
+                "potential": self.potential.kind, "state": self.state.to_json_dict()}
 
 
 def _phi1(theta: float, m: MassParams, attractive: bool) -> float:
@@ -233,7 +229,6 @@ def _planar_re(kind, theta, phi1, eta_mag, m, pot, f) -> RelativeEquilibrium:
     return RelativeEquilibrium(
         kind=kind, theta=theta, phi1=phi1, phi2=phi2, xi_mag=xi, eta_mag=eta_mag,
         x1=x1, x2=x2, y=y, zeta=zeta, masses=m, potential=pot,
-        state=vec_to_state(_re_state_vec(phi1, phi2, xi, eta_mag, m)),
         isosceles=(m.equal or kind == KIND_RIGHT_ANGLED)
         and (abs(phi1 - theta / 2) <= 1e-9 or abs(phi1 - (theta - math.pi) / 2) <= 1e-9),
     )
@@ -250,35 +245,50 @@ def _planar_rates(f_sin, zeta, eta, cos1, cos2, m: MassParams) -> tuple:
     return y, xi, m.m1 * (xi * cos1 - eta), m.m2 * (xi * cos2 - eta)
 
 
+def planar_image(x1, x2, y, cos_th, sin_th) -> InvariantPoint:
+    """The invariant image of a planar or singular RE, with A1 = x1 j + y k,
+    A2 = x2 j - y k and gD = exp(i theta); floats or arrays alike."""
+    yy = y * y
+    return InvariantPoint(k11=x1 * x1 + yy, k12=x1 * x2 - yy, k13=0.0, k22=x2 * x2 + yy,
+                          k23=0.0, k33=sin_th * sin_th, r=cos_th, delta=-y * (x1 + x2) * sin_th)
+
+
+def re_image(re: RelativeEquilibrium) -> InvariantPoint:
+    """The closed-form invariant image of an RE, where its sheet label is read."""
+    return planar_image(re.x1, re.x2, re.y, math.cos(re.theta), math.sin(re.theta))
+
+
+def s_of(re: RelativeEquilibrium) -> float:
+    """S = m1 cos 2phi1 + m2 cos 2phi2, with which |lambda| = |M xi - S eta|."""
+    return re.masses.m1 * math.cos(2 * re.phi1) + re.masses.m2 * math.cos(2 * re.phi2)
+
+
 def _solve_singular(theta, eta_mag, m, pot, xi_mag) -> RelativeEquilibrium:
     pot.f(1.0 if theta < 1.0 else -1.0)  # singular potentials reject these kinds
     if eta_mag < 0:
         raise ValueError("eta_mag must be nonnegative")
     xi = 0.0 if xi_mag is None else float(xi_mag)
     c = xi - eta_mag
-    at_zero = theta < 1.0
-    kind = KIND_SINGULAR_0 if at_zero else KIND_SINGULAR_PI
-    phi2 = 0.0 if at_zero else math.pi
+    kind, theta = (KIND_SINGULAR_0, 0.0) if theta < 1.0 else (KIND_SINGULAR_PI, math.pi)
     return RelativeEquilibrium(
-        kind=kind, theta=0.0 if at_zero else math.pi, phi1=0.0, phi2=phi2,
+        kind=kind, theta=theta, phi1=0.0, phi2=theta,
         xi_mag=xi, eta_mag=eta_mag, x1=m.m1 * c, x2=m.m2 * c, y=0.0, zeta=0.0,
-        masses=m, potential=pot, state=vec_to_state(_re_state_vec(0.0, phi2, xi, eta_mag, m)),
-        isosceles=m.equal,
+        masses=m, potential=pot, isosceles=m.equal,
     )
 
 
-def _re_state_vec(phi1, phi2, xi_mag, eta_mag, m: MassParams) -> tuple[float, ...]:
+def _re_state_vec(re: RelativeEquilibrium) -> tuple[float, ...]:
     """The flat phase-space point of an RE from its angles and rates.
 
     Positions are g1 = exp(-i phi1), g2 = exp(i phi2); momenta come from
     differentiating the rigid motion exp(t xi j) q exp(-t eta j) at t = 0,
     p_i = m_i (xi g_i - g_i eta).
     """
-    xi = (0.0, 0.0, float(xi_mag), 0.0)
-    eta = (0.0, 0.0, float(eta_mag), 0.0)
+    xi = (0.0, 0.0, float(re.xi_mag), 0.0)
+    eta = (0.0, 0.0, float(re.eta_mag), 0.0)
     out = ()
-    for g, mi in (((math.cos(phi1), -math.sin(phi1), 0.0, 0.0), m.m1),
-                  ((math.cos(phi2), math.sin(phi2), 0.0, 0.0), m.m2)):
+    for g, mi in (((math.cos(re.phi1), -math.sin(re.phi1), 0.0, 0.0), re.masses.m1),
+                  ((math.cos(re.phi2), math.sin(re.phi2), 0.0, 0.0), re.masses.m2)):
         a, b = quat_mul_vec(xi, g), quat_mul_vec(g, eta)
         out += g + ((a[0] - b[0]) * mi, (a[1] - b[1]) * mi, (a[2] - b[2]) * mi, (a[3] - b[3]) * mi)
     return out
@@ -286,7 +296,7 @@ def _re_state_vec(phi1, phi2, xi_mag, eta_mag, m: MassParams) -> tuple[float, ..
 
 def reconstruct_re(re: RelativeEquilibrium) -> PhaseState:
     """Rebuild the phase-space point of an RE from its angles and rates."""
-    return vec_to_state(_re_state_vec(re.phi1, re.phi2, re.xi_mag, re.eta_mag, re.masses))
+    return vec_to_state(_re_state_vec(re))
 
 
 def verify_re_fixed_point(re: RelativeEquilibrium) -> float:
@@ -301,35 +311,15 @@ def lever_residual(re: RelativeEquilibrium) -> float:
 
 
 def zeta_of(theta: float, m: MassParams, pot: Potential) -> float:
-    """The branch constant zeta = m1 sin 2phi1, a function of theta only.
-
-    Acute and obtuse thetas take the closed-form phi1 without building the
-    RE; every other case goes through ``solve_re``, so both routes give its
-    value and raise its errors.
-    """
-    if (0 <= theta <= math.pi
-            and min(abs(theta), abs(theta - math.pi)) > _SINGULAR_TOL
-            and abs(theta - math.pi / 2) > _RIGHT_ANGLE_TOL):
-        f = pot.f(math.cos(theta))
-        if f != 0.0:
-            return m.m1 * math.sin(2 * _phi1(theta, m, f > 0))
+    """The branch constant zeta = m1 sin 2phi1 of ``solve_re``, a function of theta only."""
     return solve_re(theta, 1.0, m, pot).zeta
 
 
-def _tau_ratio(theta: float, m: MassParams, pot: Potential, phi1: float | None) -> float:
-    """f sin(theta)/zeta, which equals 2 e^tau eta^2 along the row of ``re_from_tau``."""
-    if abs(theta - math.pi / 2) <= _RIGHT_ANGLE_TOL:
-        f = pot.f(0.0)
-        zeta = zeta_of(theta, m, pot) if phi1 is None else m.m1 * math.sin(2 * phi1)
-    else:
-        f = pot.f(math.cos(theta))
-        zeta = zeta_of(theta, m, pot)
-        if phi1 is not None:
-            raise ValueError("phi1 is determined away from theta = pi/2")
-    ratio = f * math.sin(theta) / zeta
-    if ratio <= 0:
-        raise ValueError("f sin(theta)/zeta must be positive for a real rate")
-    return ratio
+def _row_re(theta: float, m: MassParams, pot: Potential, phi1: float | None) -> tuple:
+    """The RE at eta = 1 of the row at theta (and phi1), and its f sin(theta)/zeta,
+    which equals 2 e^tau eta^2 along the row; at eta = 1, 2y = f sin(theta)."""
+    re = solve_re(theta, 1.0, m, pot, phi1=phi1)
+    return re, 2.0 * re.y / re.zeta
 
 
 def re_from_tau(
@@ -346,7 +336,7 @@ def re_from_tau(
     rotation.  At theta = pi/2 the family coordinate phi1 may be supplied;
     without it the RE is the isosceles one that ``solve_re`` picks.
     """
-    eta = math.sqrt(_tau_ratio(theta, m, pot, phi1) / (2.0 * math.exp(tau)))
+    eta = math.sqrt(_row_re(theta, m, pot, phi1)[1] / (2.0 * math.exp(tau)))
     return solve_re(theta, eta, m, pot, phi1=phi1)
 
 
@@ -360,10 +350,9 @@ def tau_row(theta: float, exp_tau: np.ndarray, m: MassParams, pot: Potential, *,
     Raises what the row raises at every tau; where ``re_from_tau`` raises at
     one tau only, eta is zero or infinite or xi is not positive.
     """
-    ratio = _tau_ratio(theta, m, pot, phi1)
-    re = solve_re(theta, 1.0, m, pot, phi1=phi1)
+    re, ratio = _row_re(theta, m, pot, phi1)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         eta = np.sqrt(ratio / (2.0 * exp_tau))
-        rates = _planar_rates(pot.f(math.cos(theta)) * math.sin(re.theta), re.zeta, eta,
+        rates = _planar_rates(2.0 * re.y, re.zeta, eta,
                               math.cos(2 * re.phi1), math.cos(2 * re.phi2), m)
     return re, eta, *rates

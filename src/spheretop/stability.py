@@ -62,7 +62,7 @@ from numpy.linalg import LinAlgError, _umath_linalg
 
 from .phase_space import MassParams, Potential
 from .reduction import InvariantPoint
-from .relequil import KIND_RIGHT_ANGLED, RelativeEquilibrium, re_from_tau
+from .relequil import KIND_RIGHT_ANGLED, RelativeEquilibrium, re_from_tau, s_of
 
 ZERO_EIG_TOL = 1e-8
 REAL_PART_TOL = 1e-8
@@ -282,8 +282,7 @@ def _momentum_jacobian_det(re: RelativeEquilibrium, tau: float) -> float:
     """Row-normalised exact fold certificate at an acute or obtuse RE."""
     m1, m2 = re.masses.m1, re.masses.m2
     big_m, e, zeta = m1 + m2, math.exp(tau), re.zeta
-    cos1, cos2 = math.cos(2 * re.phi1), math.cos(2 * re.phi2)
-    s = m1 * cos1 + m2 * cos2
+    cos1, cos2, s = math.cos(2 * re.phi1), math.cos(2 * re.phi2), s_of(re)
     r, sin_th = math.cos(re.theta), math.sin(re.theta)
     g = (-sin_th * re.potential.fprime(r) / re.potential.f(r) + r / sin_th
          - 2 * m1 * m2 * cos1 * cos2 / (s * zeta))

@@ -501,6 +501,56 @@ def test_out_in_a_missing_directory_or_a_directory_fails_before_any_work(tmp_pat
     assert f"--out {tmp_path} is a directory" in capsys.readouterr().err
 
 
+_COMMANDS = ("simulate", "reduce", "re", "stability", "ec-surface")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--state"], "--state"),
+    (["reduce", "--state"], "--state"),
+    (["reduce", "--trajectory"], "--trajectory"),
+    *(([cmd, "--config"], "--config") for cmd in _COMMANDS),
+], ids=["simulate-state", "reduce-state", "reduce-trajectory",
+        *(f"{cmd}-config" for cmd in _COMMANDS)])
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_an_input_file_that_cannot_be_read_exits_4_naming_its_flag(tmp_path, capsys, argv,
+                                                                   flag, kind):
+    # these exited 1 with a FileNotFoundError or IsADirectoryError traceback
+    path = tmp_path / "nope.json" if kind == "missing" else tmp_path
+    assert run([*argv, path, "--out", tmp_path / "x.out"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} {path}: ")
+    assert ("No such file or directory" if kind == "missing" else "Is a directory") in err
+
+
+@pytest.mark.parametrize("argv, config, a, b", [
+    (["simulate", "--scenario", "random", "--state", "STATE"], None, "--state", "--scenario"),
+    (["simulate", "--scenario", "random"], {"state": "STATE"}, "--state", "--scenario"),
+    (["simulate", "--state", "STATE"], {"scenario": "random"}, "--state", "--scenario"),
+    (["reduce", "--state", "STATE", "--trajectory", "TRAJ"], None, "--state", "--trajectory"),
+], ids=["simulate-flags", "simulate-config-state", "simulate-config-scenario", "reduce"])
+def test_two_input_sources_exit_4_naming_both(tmp_path, capsys, monkeypatch, argv, config,
+                                              a, b):
+    # simulate ran the scenario and ignored the state; reduce read only the state
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(cli, "integrate", no_work)
+    monkeypatch.setattr(cli, "invariant_map", no_work)
+    paths = {"STATE": tmp_path / "state.json", "TRAJ": tmp_path / "full.csv"}
+    paths["STATE"].write_text(json.dumps(TestReduceRows.UNIT))
+    paths["TRAJ"].write_text("t\n")
+    argv = [str(paths.get(x, x)) for x in argv]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({k: str(paths.get(v, v)) for k, v in config.items()}))
+        argv += ["--config", str(cfg)]
+    assert run([*argv, "--out", tmp_path / "x.out"]) == 4
+    err = capsys.readouterr().err
+    assert "not both" in err
+    assert f"{a} " in err and f"{b} " in err
+    assert not (tmp_path / "x.out").exists()
+
+
 def test_one_invariant_order(tmp_path):
     order = InvariantPoint._fields
     assert order == ("k11", "k12", "k13", "k22", "k23", "k33", "r", "delta")

@@ -19,7 +19,7 @@ from spheretop.phase_space import (
     momentum_right,
 )
 from spheretop.reduction import all_casimirs, hilbert_map, left_reduce
-from spheretop.relequil import solve_re
+from spheretop.relequil import planar_image, solve_re
 from spheretop.stability import closed_form_eigs_lagrange, fold_locus
 
 M11 = MassParams(1.0, 1.0)
@@ -241,7 +241,7 @@ class TestBatchParity:
         # the closed-form invariants the batch linearises at
         for theta in (0.7, 2.2):
             re = solve_re(theta, 0.9, M32, GRAV32)
-            image = energy_casimir._image(re.x1, re.x2, re.y, math.cos(theta), math.sin(theta))
+            image = planar_image(re.x1, re.x2, re.y, math.cos(theta), math.sin(theta))
             pt = hilbert_map(left_reduce(re.state))
             np.testing.assert_allclose(image.as_tuple(), pt.as_tuple(), rtol=1e-12, atol=1e-14)
 
@@ -330,3 +330,48 @@ def test_csv_layout():
     cells = lines[1].split(",")
     assert cells[0] == "generic"
     assert float(cells[1]) == pytest.approx(1.0)
+
+
+class TestOneSolvePerRow:
+    """A sheet reads each RE's closed forms: its row is solved once and no
+    16-d phase-space point is built for it."""
+
+    def test_sheets_threads_and_the_fold_build_no_state(self, monkeypatch):
+        from spheretop import relequil
+
+        def refuse(*args):
+            raise AssertionError("a 16-d RE state was built")
+
+        monkeypatch.setattr(relequil, "_re_state_vec", refuse)
+        for name, sheet in TestBatchParity.SHEETS.items():
+            family, theta_range, tau_range, grid, m, pot, phi1_range = sheet
+            res = ec_surface(family, theta_range, tau_range, grid, m, pot, phi1_range=phi1_range)
+            assert len(res.samples) + len(res.failures) == grid[0] * grid[1], name
+            assert not any("16-d" in msg for _, _, msg in res.failures), name
+        assert len(singular_thread((0.05, 4.0), 6, _top()[0], 1.0)) == 6
+        for theta in np.linspace(1.60, 1.80, 5):
+            assert fold_locus(float(theta), M32) is not None
+
+    def test_tau_row_solves_phi1_once(self, monkeypatch):
+        from spheretop import relequil
+
+        calls = []
+        phi1 = relequil._phi1
+        monkeypatch.setattr(relequil, "_phi1", lambda *a: calls.append(a) or phi1(*a))
+        exp_tau = np.exp(np.linspace(-3.0, 3.0, 9))
+        for theta in (0.7, 2.2):
+            relequil.tau_row(theta, exp_tau, M32, GRAV32)
+        assert len(calls) == 2
+        res = ec_surface("obtuse", (1.65, 3.0), (-3.0, 3.0), (7, 9), M32, GRAV32)
+        assert res.scalar_nodes == 0 and len(calls) == 2 + 7
+
+    def test_right_angled_phi1_zero_fails_with_the_solver_message(self):
+        # the row used to divide by zeta = m1 sin 2phi1 = 0 before solve_re
+        # could reject phi1 = 0, recording ZeroDivisionError
+        m, pot = _top()
+        res = ec_surface("rightAngled", (0, 0), (-1.0, 1.0), (3, 4), m, pot,
+                         phi1_range=(-0.5, 0.0))
+        assert len(res.samples) == 8
+        assert res.failures == tuple(
+            (math.pi / 2, tau, "ValueError: repulsive right-angled REs have phi1 in (-pi/2, 0)")
+            for tau in np.linspace(-1.0, 1.0, 4).tolist())

@@ -179,7 +179,7 @@ def test_invariant_point_is_the_flat_tuple():
     # the 16-d and 10-d states are their flat vectors too
     m = MassParams(1.5, 0.5)
     re = solve_re(1.0, 1.0, m, Potential.gravitational(m))
-    assert re.state == _re_state_vec(re.phi1, re.phi2, re.xi_mag, re.eta_mag, m)
+    assert re.state == _re_state_vec(re)
     v = tuple(float(i) for i in range(1, 17))
     s = vec_to_state(v)
     left, right = left_reduce(s), right_reduce(s)
@@ -229,6 +229,7 @@ def test_re_state_is_the_typed_reconstruction():
         kinds.add(re.kind)
         want = typed_re_state(re.phi1, re.phi2, re.xi_mag, re.eta_mag, m)
         assert bits(state_to_vec(re.state)) == bits(want)
+        assert bits(re.image) == bits(invariant_map(re.state))
         angles = {"phi1": float(rng.uniform(-4, 4)), "phi2": float(rng.uniform(-4, 4)),
                   "xi_mag": float(rng.uniform(-3, 3)), "eta_mag": float(rng.uniform(-3, 3))}
         moved = dataclasses.replace(re, **angles)

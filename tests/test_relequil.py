@@ -18,18 +18,20 @@ from spheretop.phase_space import (
     PhaseState,
     Potential,
     classify_point,
+    hamiltonian_2body,
+    momentum_left,
     momentum_right,
+    two_body_energy,
 )
 from spheretop.quaternion import Quaternion, inner_product
 from spheretop import relequil
 from spheretop.energy_casimir import ec_sample
-from spheretop.reduction import hilbert_map, left_reduce
+from spheretop.reduction import hilbert_map, invariant_map, left_reduce
 from spheretop.relequil import (
     NoSolutionError,
     lever_residual,
     phi_branches,
     re_from_tau,
-    reconstruct_re,
     solve_re,
     solve_re_linear_system,
     verify_re_fixed_point,
@@ -243,10 +245,37 @@ class TestInvariantRelations:
 
 class TestReconstruction:
     def test_round_trip_through_parameters(self):
+        # the state built from (phi1, phi2, xi, eta) carries the momenta and
+        # energy that the closed forms give from the rates: |lambda| =
+        # |M xi - S eta|, |rho| = |M eta - S xi|, H = k11/2m1 + k22/2m2 + V
         for re in sample_res(theta_count=4):
-            rebuilt = reconstruct_re(re)
-            for a, b in zip(state_to_vec(rebuilt), state_to_vec(re.state)):
-                assert a == pytest.approx(b, abs=1e-14)
+            m, s = re.masses, re.state
+            big_m = m.m1 + m.m2
+            big_s = m.m1 * math.cos(2 * re.phi1) + m.m2 * math.cos(2 * re.phi2)
+            k11, k22 = re.x1 ** 2 + re.y ** 2, re.x2 ** 2 + re.y ** 2
+            expect = ((big_m * re.xi_mag - big_s * re.eta_mag) ** 2,
+                      (big_m * re.eta_mag - big_s * re.xi_mag) ** 2,
+                      two_body_energy(k11, k22, re.potential.v(math.cos(re.theta)), m))
+            got = (momentum_left(s).norm2(), momentum_right(s).norm2(),
+                   hamiltonian_2body(s, m, re.potential))
+            scale = max(1.0, k11, k22, *map(abs, expect))
+            for g, e in zip(got, expect):
+                assert g == pytest.approx(e, abs=1e-13 * scale), re
+
+    def test_state_is_built_on_first_read_only(self, monkeypatch):
+        # solving builds no point; the image maps the flat point and builds no
+        # PhaseState; the state is built once, on its first read
+        points, states = [], []
+        flat, typed = relequil._re_state_vec, relequil.vec_to_state
+        monkeypatch.setattr(relequil, "_re_state_vec", lambda re: points.append(re) or flat(re))
+        monkeypatch.setattr(relequil, "vec_to_state", lambda v: states.append(v) or typed(v))
+        res = [solve_re(2.2, 1.0, M32, grav(M32)), re_from_tau(math.pi / 2, 0.5, M11, grav(M11)),
+               solve_re(0.0, 0.8, M11, Potential.linear(1.0), xi_mag=1.5)]
+        assert zeta_of(1.0, M32, grav(M32)) and points == states == []
+        for re in res:
+            assert re.image is re.image and re.image == invariant_map(re.state)
+            assert re.state is re.state
+        assert points == [re for re in res for _ in range(2)] and len(states) == 3
 
     def test_right_angle_without_phi1_is_the_isosceles_re(self):
         for pot, phi1 in ((grav(M11), math.pi / 4), (Potential.linear(1.0), -math.pi / 4)):

@@ -1,4 +1,5 @@
-"""The study scripts under ``scripts/`` import only names the package has.
+"""The study scripts under ``scripts/`` import only names the package has, and
+the figure script runs end to end.
 
 Each script runs its work under a ``__main__`` guard, so loading it as a
 module runs nothing but its imports.
@@ -12,9 +13,27 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-@pytest.mark.parametrize("name", ["conservation_study", "bifurcation_surfaces"])
-def test_script_loads(name):
+def _load(name):
     spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    assert callable(module.main)
+    return module
+
+
+@pytest.mark.parametrize("name", ["conservation_study", "bifurcation_surfaces"])
+def test_script_loads(name):
+    assert callable(_load(name).main)
+
+
+def test_bifurcation_surfaces_runs_end_to_end(tmp_path):
+    # the figure data: six 60 x 60 sheets, two 120-point singular threads and
+    # the fold curve of the obtuse (3, 2) sheet, each with its header row
+    assert _load("bifurcation_surfaces").main(str(tmp_path)) == 0
+    rows = {p.name: len(p.read_text().splitlines()) - 1 for p in tmp_path.glob("*.csv")}
+    sheets = ("equal_mass_isosceles", "equal_mass_right_angled", "mass32_acute",
+              "mass32_obtuse", "top_polar_sheet", "top_horizontal_sheet")
+    assert {f"{name}.csv": rows.get(f"{name}.csv") for name in sheets} == {
+        f"{name}.csv": 60 * 60 for name in sheets}
+    assert rows["top_upright_thread.csv"] == rows["top_hanging_thread.csv"] == 120
+    assert rows["mass32_fold_curve.csv"] >= 1
+    assert len(rows) == 9

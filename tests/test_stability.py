@@ -7,8 +7,8 @@ import pytest
 from spheretop.dynamics import point_to_vec, rhs_full_reduced
 from spheretop.phase_space import MassParams, Potential, momentum_left, momentum_right
 from spheretop.poisson import integral_I_gradient, table_flow
-from spheretop.reduction import InvariantPoint, hilbert_map, left_reduce
-from spheretop.relequil import re_from_tau, solve_re, zeta_of
+from spheretop.reduction import InvariantPoint, hilbert_map, invariant_map, left_reduce
+from spheretop.relequil import re_from_tau, re_image, solve_re, zeta_of
 from spheretop import energy_casimir, stability
 from spheretop.stability import (
     _momentum_jacobian_det,
@@ -96,15 +96,16 @@ class TestLinearisation:
             assert multiset_distance(eigs, -eigs) < 1e-8 * max(1.0, np.abs(eigs).max())
 
     def test_rejects_non_equilibrium_points(self):
-        re = solve_re(1.0, 1.0, M11, grav(M11))
-        from dataclasses import replace
         from spheretop.phase_space import PhaseState
         from spheretop.quaternion import Quaternion
+        re = solve_re(1.0, 1.0, M11, grav(M11))
         s = re.state
-        bad = replace(re, state=PhaseState(
-            g1=s.g1, p1=s.p1 + Quaternion(0, 0.2, 0, 0), g2=s.g2, p2=s.p2))
-        with pytest.raises(ValueError):
-            linearize(bad)
+        bad = PhaseState(g1=s.g1, p1=s.p1 + Quaternion(0, 0.2, 0, 0), g2=s.g2, p2=s.p2)
+        # linearize reads the RE's image; give it that of the perturbed, non-RE state
+        vars(re)["image"] = InvariantPoint.from_tuple(invariant_map(bad))
+        assert max(abs(re.image.k13), abs(re.image.k23)) > 1e-3
+        with pytest.raises(ValueError, match="k13, k23 must vanish"):
+            linearize(re)
 
     def test_one_query_maps_the_state_once(self, monkeypatch):
         from spheretop import reduction
@@ -458,7 +459,7 @@ class TestIndependenceOfTheExtraIntegral:
 
 
 def _image_spectrum(re):
-    pot, pt = re.potential, energy_casimir.re_image(re)
+    pot, pt = re.potential, re_image(re)
     return quartet_spectrum(pt, re.masses, pot.f(pt.r), pot.fprime(pt.r))
 
 
@@ -526,7 +527,7 @@ class TestQuartetSpectrum:
 
     def test_stacks_along_leading_axes(self):
         res = [solve_re(t, 1.1, M32, grav(M32)) for t in (0.5, 1.2, 2.0, 2.6)]
-        pts = [energy_casimir.re_image(re) for re in res]
+        pts = [re_image(re) for re in res]
         stacked = InvariantPoint.from_tuple(
             [np.array(v).reshape(2, 2) for v in zip(*(p.as_tuple() for p in pts))])
         f = np.array([grav(M32).f(p.r) for p in pts]).reshape(2, 2)
