@@ -111,6 +111,15 @@ def _open_input(flag: str, path: str, **kw):
         raise ValueError(f"{flag} {path}: {exc.strerror}") from None
 
 
+def _load_json(flag: str, path: str):
+    """The JSON value in ``path``; ``ValueError`` names ``flag`` where it cannot be read."""
+    with _open_input(flag, path) as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8, or nested too deep
+            raise ValueError(f"{flag} {path}: {exc}") from None
+
+
 def _source(cfg: dict, command: str, a: str, b: str) -> str:
     """The one of the flags --a, --b that gives ``command`` its input."""
     if cfg[a] and cfg[b]:
@@ -124,8 +133,7 @@ def _source(cfg: dict, command: str, a: str, b: str) -> str:
 def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
     cfg = dict(defaults)
     if getattr(args, "config", None):
-        with _open_input("--config", args.config) as fh:
-            file_cfg = json.load(fh)
+        file_cfg = _load_json("--config", args.config)
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config {args.config} must hold a JSON object")
         unknown = set(file_cfg) - set(defaults)
@@ -225,8 +233,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         state, scenario_params = _builtin_scenario(cfg["scenario"], cfg["seed"])
         cfg = _resolve(args, {**_SIMULATE_DEFAULTS, **scenario_params})
     else:
-        with _open_input("--state", cfg["state"]) as fh:
-            state = PhaseState.from_json_dict(json.load(fh))
+        state = PhaseState.from_json_dict(_load_json("--state", cfg["state"]))
     state.validate()
     _check_out(cfg)
     m, pot, _, _ = _masses_potential(cfg)
@@ -329,8 +336,7 @@ def cmd_reduce(args: argparse.Namespace) -> int:
     _check_out(cfg)
     start = time.perf_counter()
     if _source(cfg, "reduce", "state", "trajectory") == "state":
-        with _open_input("--state", cfg["state"]) as fh:
-            state = PhaseState.from_json_dict(json.load(fh))
+        state = PhaseState.from_json_dict(_load_json("--state", cfg["state"]))
         state.validate()
         rows = [(0.0, state)]
     else:

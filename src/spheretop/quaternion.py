@@ -5,7 +5,9 @@ Conventions
 Quaternions are stored scalar-first as ``(w, x, y, z)`` meaning
 ``w + x*i + y*j + z*k``.  Purely imaginary quaternions are identified with
 vectors in R^3 as ``(x, y, z)``; under this identification the commutator
-satisfies ``[a, b] = a*b - b*a = 2 (a x b)``.
+satisfies ``[a, b] = a*b - b*a = 2 (a x b)``.  ``Quaternion`` and
+``ImaginaryQuaternion`` are the tuples of these floats, so each equals, and
+hashes as, the plain tuple; their shared arithmetic is written once.
 
 The double cover of SO(4) is realised by pairs of unit quaternions acting as
 ``q -> l q r^{-1}``; its matrix is taken in the ordered basis ``(1, i, j, k)``.
@@ -16,6 +18,8 @@ axis last, i.e. ordered basis ``(i, j, k, 1)``.
 from __future__ import annotations
 
 import math
+import numbers
+from operator import itemgetter
 
 import numpy as np
 
@@ -28,80 +32,86 @@ SUBGROUP_ISOCLINIC = "isoclinic"
 SUBGROUP_DOUBLE = "double"
 
 
-class Quaternion:
-    """An element of the real quaternion algebra, stored as four floats."""
+class _Quat(tuple):
+    """The arithmetic both quaternion types share; equality and hashing are the tuple's."""
 
-    __slots__ = ("w", "x", "y", "z")
+    __slots__ = ()
+    __array_ufunc__ = None  # numpy defers to these operators: np.float64(2.0) * q scales q
 
-    def __init__(self, w: float = 0.0, x: float = 0.0, y: float = 0.0, z: float = 0.0):
-        self.w = float(w)
-        self.x = float(x)
-        self.y = float(y)
-        self.z = float(z)
+    def components(self) -> tuple[float, ...]:
+        return tuple(self)
 
-    def components(self) -> tuple[float, float, float, float]:
-        return (self.w, self.x, self.y, self.z)
-
-    def __iter__(self):
-        return iter((self.w, self.x, self.y, self.z))
+    __getnewargs__ = components  # copy and pickle call __new__ with the components
 
     def __repr__(self) -> str:
-        return f"Quaternion({self.w!r}, {self.x!r}, {self.y!r}, {self.z!r})"
+        return f"{type(self).__name__}({', '.join(map(repr, self))})"
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Quaternion):
+    # another type is no operand: its components would pair wrongly, a tuple's would concatenate
+    def __add__(self, other):
+        if type(other) is not type(self):
             return NotImplemented
-        return self.components() == other.components()
+        return tuple.__new__(type(self), [a + b for a, b in zip(self, other)])
 
-    def __hash__(self):
-        return hash(self.components())
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return tuple.__new__(type(self), [a - b for a, b in zip(self, other)])
 
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w + other.w, self.x + other.x,
-                          self.y + other.y, self.z + other.z)
+    def __neg__(self):
+        return tuple.__new__(type(self), [-c for c in self])
 
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(self.w - other.w, self.x - other.x,
-                          self.y - other.y, self.z - other.z)
+    def __mul__(self, scalar):
+        if not isinstance(scalar, numbers.Real):
+            return NotImplemented
+        s = float(scalar)
+        return tuple.__new__(type(self), [c * s for c in self])
 
-    def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.w, -self.x, -self.y, -self.z)
-
-    def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            return quat_mul(self, other)
-        return Quaternion(self.w * other, self.x * other, self.y * other, self.z * other)
-
-    def __rmul__(self, scalar: float) -> "Quaternion":
-        return Quaternion(self.w * scalar, self.x * scalar, self.y * scalar, self.z * scalar)
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.w, -self.x, -self.y, -self.z)
+    __rmul__ = __mul__
 
     def norm2(self) -> float:
-        return self.w * self.w + self.x * self.x + self.y * self.y + self.z * self.z
+        n2 = 0.0  # summed in order, as quat_dot_vec does: sum() may compensate
+        for c in self:
+            n2 += c * c
+        return n2
 
     def norm(self) -> float:
         return math.sqrt(self.norm2())
 
+    def allclose(self, other, tol: float = 1e-12) -> bool:
+        return all(abs(a - b) <= tol for a, b in zip(self, other, strict=True))
+
+
+class Quaternion(_Quat):
+    """An element of the real quaternion algebra: the tuple of its floats (w, x, y, z)."""
+
+    __slots__ = ()
+
+    def __new__(cls, w: float = 0.0, x: float = 0.0, y: float = 0.0, z: float = 0.0):
+        return tuple.__new__(cls, (float(w), float(x), float(y), float(z)))
+
+    w, x, y, z = (property(itemgetter(i)) for i in range(4))
+
+    def __mul__(self, other):  # the Hamilton product with a quaternion, else the scalar one
+        return quat_mul(self, other) if type(other) is Quaternion else super().__mul__(other)
+
+    def conjugate(self) -> "Quaternion":
+        w, x, y, z = self
+        return tuple.__new__(Quaternion, (w, -x, -y, -z))
+
     def inverse(self) -> "Quaternion":
-        return Quaternion(*quat_inverse_vec(self))
+        return tuple.__new__(Quaternion, quat_inverse_vec(self))
 
     def normalized(self) -> "Quaternion":
         n = self.norm()
         if n == 0.0:
             raise ZeroDivisionError("cannot normalise the zero quaternion")
-        return Quaternion(self.w / n, self.x / n, self.y / n, self.z / n)
+        return tuple.__new__(Quaternion, [c / n for c in self])
 
     def imag(self) -> "ImaginaryQuaternion":
-        return ImaginaryQuaternion(self.x, self.y, self.z)
+        return ImaginaryQuaternion(*self[1:])
 
     def is_unit(self) -> bool:
         return abs(self.norm2() - 1.0) <= 2.0 * UNIT_NORM_TOL
-
-    def allclose(self, other: "Quaternion", tol: float = 1e-12) -> bool:
-        return (abs(self.w - other.w) <= tol and abs(self.x - other.x) <= tol
-                and abs(self.y - other.y) <= tol and abs(self.z - other.z) <= tol)
 
 
 ONE = Quaternion(1.0, 0.0, 0.0, 0.0)
@@ -110,77 +120,36 @@ J = Quaternion(0.0, 0.0, 1.0, 0.0)
 K = Quaternion(0.0, 0.0, 0.0, 1.0)
 
 
-class ImaginaryQuaternion:
-    """A purely imaginary quaternion, identified with a vector in R^3."""
+class ImaginaryQuaternion(_Quat):
+    """A purely imaginary quaternion, identified with R^3: the tuple of its floats (x, y, z)."""
 
-    __slots__ = ("x", "y", "z")
+    __slots__ = ()
 
-    def __init__(self, x: float = 0.0, y: float = 0.0, z: float = 0.0):
-        self.x = float(x)
-        self.y = float(y)
-        self.z = float(z)
+    def __new__(cls, x: float = 0.0, y: float = 0.0, z: float = 0.0):
+        return tuple.__new__(cls, (float(x), float(y), float(z)))
 
-    def components(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
-    def __iter__(self):
-        return iter((self.x, self.y, self.z))
-
-    def __repr__(self) -> str:
-        return f"ImaginaryQuaternion({self.x!r}, {self.y!r}, {self.z!r})"
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ImaginaryQuaternion):
-            return NotImplemented
-        return self.components() == other.components()
-
-    def __hash__(self):
-        return hash(self.components())
-
-    def __add__(self, other: "ImaginaryQuaternion") -> "ImaginaryQuaternion":
-        return ImaginaryQuaternion(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "ImaginaryQuaternion") -> "ImaginaryQuaternion":
-        return ImaginaryQuaternion(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def __neg__(self) -> "ImaginaryQuaternion":
-        return ImaginaryQuaternion(-self.x, -self.y, -self.z)
-
-    def __mul__(self, scalar: float) -> "ImaginaryQuaternion":
-        return ImaginaryQuaternion(self.x * scalar, self.y * scalar, self.z * scalar)
-
-    __rmul__ = __mul__
+    x, y, z = (property(itemgetter(i)) for i in range(3))
 
     def dot(self, other: "ImaginaryQuaternion") -> float:
-        return self.x * other.x + self.y * other.y + self.z * other.z
+        ax, ay, az = self
+        bx, by, bz = other
+        return ax * bx + ay * by + az * bz
 
     def cross(self, other: "ImaginaryQuaternion") -> "ImaginaryQuaternion":
-        return ImaginaryQuaternion(
-            self.y * other.z - self.z * other.y,
-            self.z * other.x - self.x * other.z,
-            self.x * other.y - self.y * other.x,
-        )
-
-    def norm2(self) -> float:
-        return self.x * self.x + self.y * self.y + self.z * self.z
-
-    def norm(self) -> float:
-        return math.sqrt(self.norm2())
+        ax, ay, az = self
+        bx, by, bz = other
+        return tuple.__new__(ImaginaryQuaternion,
+                             (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx))
 
     def as_quaternion(self) -> Quaternion:
-        return Quaternion(0.0, self.x, self.y, self.z)
+        return Quaternion(0.0, *self)
 
     def exp(self) -> Quaternion:
         """The exponential exp(v) = cos|v| + sin|v| v/|v| on the 3-sphere."""
         a = self.norm()
         if a == 0.0:
-            return Quaternion(1.0, 0.0, 0.0, 0.0)
-        s = math.sin(a) / a
-        return Quaternion(math.cos(a), s * self.x, s * self.y, s * self.z)
-
-    def allclose(self, other: "ImaginaryQuaternion", tol: float = 1e-12) -> bool:
-        return (abs(self.x - other.x) <= tol and abs(self.y - other.y) <= tol
-                and abs(self.z - other.z) <= tol)
+            return ONE
+        return Quaternion(math.cos(a), *(math.sin(a) / a * self))
 
 
 def quat_mul_vec(p, q) -> tuple[float, float, float, float]:
@@ -226,9 +195,7 @@ def quat_dot_vec(p, q) -> float:
     return pw * qw + px * qx + py * qy + pz * qz
 
 
-def inner_product(p: Quaternion, q: Quaternion) -> float:
-    """Euclidean inner product on R^4, Re(p q^+)."""
-    return quat_dot_vec(p, q)
+inner_product = quat_dot_vec
 
 
 def adjoint_bracket(omega: ImaginaryQuaternion, q: ImaginaryQuaternion) -> ImaginaryQuaternion:
@@ -247,10 +214,7 @@ def phi_double_cover(l: Quaternion, r: Quaternion) -> np.ndarray:
     if not l.is_unit() or not r.is_unit():
         raise ValueError("phi_double_cover requires unit quaternions")
     rinv = r.inverse()
-    cols = []
-    for e in (ONE, I, J, K):
-        cols.append(quat_mul(quat_mul(l, e), rinv).components())
-    return np.array(cols, dtype=float).T
+    return np.array([quat_mul(quat_mul(l, e), rinv) for e in (ONE, I, J, K)], dtype=float).T
 
 
 class So4Element:
@@ -273,8 +237,8 @@ class So4Element:
 
     @classmethod
     def from_blocks(cls, omega: ImaginaryQuaternion, eta: ImaginaryQuaternion) -> "So4Element":
-        ox, oy, oz = omega.components()
-        ex, ey, ez = eta.components()
+        ox, oy, oz = omega
+        ex, ey, ez = eta
         m = np.array([
             [0.0, -oz, oy, ex],
             [oz, 0.0, -ox, ey],
@@ -286,9 +250,7 @@ class So4Element:
     @classmethod
     def from_generators(cls, xi: ImaginaryQuaternion, eta: ImaginaryQuaternion) -> "So4Element":
         """Inverse of :func:`so4_isom_pullback`."""
-        omega = 0.5 * (xi + eta)
-        trans = 0.5 * (xi - eta)
-        return cls.from_blocks(omega, trans)
+        return cls.from_blocks(0.5 * (xi + eta), 0.5 * (xi - eta))
 
     def blocks(self) -> tuple[ImaginaryQuaternion, ImaginaryQuaternion]:
         m = self.matrix

@@ -185,7 +185,7 @@ def solve_re(
     if theta < 0 or theta > math.pi:
         raise ValueError("theta must lie in [0, pi]")
     if min(abs(theta), abs(theta - math.pi)) <= _SINGULAR_TOL:
-        return _solve_singular(theta, eta_mag, m, pot, xi_mag)
+        return _solve_singular(theta, eta_mag, m, pot, xi_mag, phi1)
     if xi_mag is not None:
         raise ValueError("xi_mag is determined for non-singular kinds")
     if eta_mag <= 0:
@@ -263,10 +263,12 @@ def s_of(re: RelativeEquilibrium) -> float:
     return re.masses.m1 * math.cos(2 * re.phi1) + re.masses.m2 * math.cos(2 * re.phi2)
 
 
-def _solve_singular(theta, eta_mag, m, pot, xi_mag) -> RelativeEquilibrium:
+def _solve_singular(theta, eta_mag, m, pot, xi_mag, phi1) -> RelativeEquilibrium:
     pot.f(1.0 if theta < 1.0 else -1.0)  # singular potentials reject these kinds
     if eta_mag < 0:
         raise ValueError("eta_mag must be nonnegative")
+    if phi1 is not None:
+        raise ValueError("phi1 is determined away from theta = pi/2")
     xi = 0.0 if xi_mag is None else float(xi_mag)
     c = xi - eta_mag
     kind, theta = (KIND_SINGULAR_0, 0.0) if theta < 1.0 else (KIND_SINGULAR_PI, math.pi)

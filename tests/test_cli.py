@@ -522,6 +522,23 @@ def test_an_input_file_that_cannot_be_read_exits_4_naming_its_flag(tmp_path, cap
     assert ("No such file or directory" if kind == "missing" else "Is a directory") in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", "--state"], "--state"),
+    (["reduce", "--state"], "--state"),
+    (["re", "--theta", "1", "--config"], "--config"),
+], ids=["simulate-state", "reduce-state", "re-config"])
+@pytest.mark.parametrize("text", [b"{bad", b"\xff\xfe{}", b"[" * 10**5 + b"]" * 10**5],
+                         ids=["not-json", "not-utf8", "too-deep"])
+def test_an_input_file_that_is_not_json_exits_4_naming_its_flag(tmp_path, capsys, argv,
+                                                                flag, text):
+    # the parse error was printed without the file it came from
+    path = tmp_path / "bad.json"
+    path.write_bytes(text)
+    assert run([*argv, path, "--out", tmp_path / "x.out"]) == 4
+    assert capsys.readouterr().err.startswith(f"error: {flag} {path}: ")
+    assert not (tmp_path / "x.out").exists()
+
+
 @pytest.mark.parametrize("argv, config, a, b", [
     (["simulate", "--scenario", "random", "--state", "STATE"], None, "--state", "--scenario"),
     (["simulate", "--scenario", "random"], {"state": "STATE"}, "--state", "--scenario"),
@@ -585,6 +602,14 @@ class TestClassify:
     def test_right_angle_needs_equal_masses(self, capsys):
         assert run(["re", "--theta", math.pi / 2, "--eta", 1, "--m1", 3,
                     "--m2", 2, "--potential", "grav"]) == 4
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi])
+    def test_phi1_at_a_singular_theta_exits_4(self, capsys, theta):
+        # phi1 was ignored here: the record said phi1 = 0 and the run exited 0
+        assert run(["re", "--theta", theta, "--phi1", 0.4, "--potential", "linear:1"]) == 4
+        captured = capsys.readouterr()
+        assert "phi1 is determined away from theta = pi/2" in captured.err
+        assert captured.out == ""
 
     def test_stability_upright_top(self, capsys):
         assert run(["stability", "--potential", "lagrange", "--alpha", 2,

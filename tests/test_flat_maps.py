@@ -58,7 +58,14 @@ from spheretop.poisson import (
     table_bracket,
     table_flow,
 )
-from spheretop.quaternion import Quaternion, inner_product, quat_dot_vec, quat_inverse_vec, quat_mul_vec
+from spheretop.quaternion import (
+    ImaginaryQuaternion,
+    Quaternion,
+    inner_product,
+    quat_dot_vec,
+    quat_inverse_vec,
+    quat_mul_vec,
+)
 from spheretop.reduction import (
     STRATUM_FREE,
     STRATUM_FULL,
@@ -190,7 +197,10 @@ def test_invariant_point_is_the_flat_tuple():
     assert (left.side, right.side) == ("left", "right")
     flipped = vec_to_reduced(left, "right")
     assert tuple(flipped) == tuple(left) and flipped != left and not flipped == left
-    for x in (pt, s, re.state, left, right, flipped):
+    # so are the quaternions, with the types' arithmetic
+    q, a1 = Quaternion(*v[0:4]), left.A1
+    assert q == v[0:4] and a1 == ImaginaryQuaternion(*left[0:3]) == left[0:3]
+    for x in (pt, s, re.state, left, right, flipped, q, a1):
         for copied in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
             assert type(copied) is type(x) and copied == x
             assert getattr(copied, "side", None) == getattr(x, "side", None)

@@ -210,3 +210,45 @@ def test_imaginary_exponential():
     step = imag(math.pi / 2, 0, 0).exp()
     assert step.allclose(I, tol=1e-15)
     assert imag(0, 0, 0).exp().allclose(ONE)
+
+
+class TestTupleContract:
+    """The quaternion types are tuples of floats with their own arithmetic."""
+
+    def test_mixed_operands_raise(self):
+        q, v = Quaternion(9, 1, 1, 1), ImaginaryQuaternion(1, 2, 3)
+        # a componentwise zip would pair v's x with q's w; a tuple's + concatenates
+        for a, b in ((v, q), (q, v), (q, (1.0, 2.0, 3.0, 4.0)), (v, (1.0, 2.0, 3.0)), (q, 1.0)):
+            with pytest.raises(TypeError):
+                a + b
+            with pytest.raises(TypeError):
+                a - b
+        for a, b in ((q, v), (v, q), (v, v)):
+            with pytest.raises(TypeError):
+                a * b
+
+    def test_scalar_product_scales(self):
+        q, v = Quaternion(1, 2, 3, 4), ImaginaryQuaternion(1, 2, 3)
+        for scaled in (q * 2, 2 * q, q * 2.0):
+            assert type(scaled) is Quaternion and scaled == (2.0, 4.0, 6.0, 8.0)
+        for scaled in (v * 2, 2 * v):
+            assert type(scaled) is ImaginaryQuaternion and scaled == (2.0, 4.0, 6.0)
+
+    def test_numpy_scalars_scale_to_floats(self):
+        # numpy would broadcast over a tuple subclass that did not defer to it
+        q, v = Quaternion(1, 2, 3, 4), ImaginaryQuaternion(1, 2, 3)
+        for x, want in ((q, "Quaternion(2.0, 4.0, 6.0, 8.0)"),
+                        (v, "ImaginaryQuaternion(2.0, 4.0, 6.0)")):
+            for scaled in (np.float64(2.0) * x, x * np.float64(2.0)):
+                assert type(scaled) is type(x) and repr(scaled) == want
+                assert all(type(c) is float for c in scaled)
+        arr = np.asarray(q)
+        assert arr.dtype == np.float64 and arr.shape == (4,)
+        assert np.asarray(v).shape == (3,)
+
+    def test_components_are_floats_and_equality_is_the_tuples(self):
+        q = Quaternion(1, np.float64(2), 3, 4)
+        assert all(type(c) is float for c in q) and q.components() == (1.0, 2.0, 3.0, 4.0)
+        assert q == (1.0, 2.0, 3.0, 4.0) and hash(q) == hash((1.0, 2.0, 3.0, 4.0))
+        assert (q.w, q.x, q.y, q.z) == (1.0, 2.0, 3.0, 4.0) and q.imag() == (2.0, 3.0, 4.0)
+        assert Quaternion() == (0.0,) * 4 and ImaginaryQuaternion() == (0.0,) * 3

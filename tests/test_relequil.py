@@ -305,6 +305,15 @@ class TestErrors:
         with pytest.raises(ValueError):
             solve_re(1.0, 1.0, M11, grav(M11), xi_mag=0.4)
 
+    @pytest.mark.parametrize("theta", [0.0, math.pi])
+    def test_phi1_is_determined_at_the_singular_thetas(self, theta):
+        # solve_re ignored it there, and re_from_tau divided by zeta = 0
+        lin = Potential.linear(1.0)
+        with pytest.raises(ValueError, match="phi1 is determined away from theta = pi/2"):
+            solve_re(theta, 0.5, M32, lin, phi1=0.3)
+        with pytest.raises(ValueError, match="phi1 is determined away from theta = pi/2"):
+            re_from_tau(theta, 0.3, M11, lin, phi1=0.3)
+
     def test_theta_range(self):
         with pytest.raises(ValueError):
             solve_re(-0.1, 1.0, M11, grav(M11))

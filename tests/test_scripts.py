@@ -1,5 +1,5 @@
 """The study scripts under ``scripts/`` import only names the package has, and
-the figure script runs end to end.
+both run end to end.
 
 Each script runs its work under a ``__main__`` guard, so loading it as a
 module runs nothing but its imports.
@@ -37,3 +37,17 @@ def test_bifurcation_surfaces_runs_end_to_end(tmp_path):
     assert rows["top_upright_thread.csv"] == rows["top_hanging_thread.csv"] == 120
     assert rows["mass32_fold_curve.csv"] >= 1
     assert len(rows) == 9
+
+
+def test_conservation_study_runs_end_to_end(capsys):
+    # three levels at four tolerances; at 1e-12 each drift is within criterion
+    # 01's bound of 1e-7
+    assert _load("conservation_study").main() == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 12
+    assert sorted((float(r[0]), r[1]) for r in rows) == sorted(
+        (tol, level) for tol in (1e-12, 1e-10, 1e-8, 1e-6)
+        for level in ("full", "reduced", "invariant"))
+    drifts = [float(cell.partition("=")[2]) for r in rows if float(r[0]) == 1e-12
+              for cell in r[4:]]
+    assert len(drifts) == 13 and max(drifts) < 1e-7
