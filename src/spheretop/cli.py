@@ -32,10 +32,9 @@ from .dynamics import (
     invariants_point,
     invariants_reduced,
     invariants_state,
+    make_body_rhs,
     make_invariant_rhs,
     make_reduced_rhs,
-    make_state_rhs,
-    project_state,
     sample_columns,
     trajectory_csv,
 )
@@ -45,9 +44,11 @@ from .phase_space import (
     PhaseState,
     Potential,
     body_frame_vec,
+    from_body_coords,
     random_phase_state,
     space_frame_vec,
     tangent_project,
+    to_body_coords,
 )
 from .quaternion import Quaternion, quat_dot_vec
 from .reduction import (
@@ -220,7 +221,7 @@ def _builtin_scenario(name: str, seed: int) -> tuple[PhaseState, dict]:
 _SIMULATE_DEFAULTS = {
     "state": None, "scenario": None, "space": "left", "m1": 1.0, "m2": 1.0,
     "potential": "grav", "alpha": None, "gamma": None, "T": 10.0,
-    "rel_tol": FlowConfig.rel_tol, "abs_tol": FlowConfig.abs_tol, "projection": False,
+    "rel_tol": FlowConfig.rel_tol, "abs_tol": FlowConfig.abs_tol,
     "sample_dt": 0.1, "seed": 0, "out": "trajectory.csv",
 }
 
@@ -245,13 +246,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                                  "a relative equilibrium of m1 = m2 = 1 under grav")
 
     space = cfg["space"]
-    # renormalising gD on the 10-d level moves r = Re gD and so V: H drifted
-    # worse with it than without
-    if cfg["projection"] and space != "full":
-        raise ValueError(f"--projection has no projector on the {space} level; "
-                         "only --space full has one")
     if space == "full":
-        y0, rhs, labels = state, make_state_rhs(m, pot), _STATE_LABELS
+        y0, rhs, labels = to_body_coords(state), make_body_rhs(m, pot), _STATE_LABELS
         funcs = invariants_state(m, pot)
     elif space == "left":
         y0, rhs, labels = body_frame_vec(state), make_reduced_rhs(m, pot, SIDE_LEFT), _REDUCED_LABELS
@@ -266,8 +262,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     flow_cfg = FlowConfig(rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"])
     start = time.perf_counter()
     try:
-        traj = integrate(rhs, y0, cfg["T"], flow_cfg, sample_dt=cfg["sample_dt"],
-                         project=project_state if cfg["projection"] else None)
+        traj = integrate(rhs, y0, cfg["T"], flow_cfg, sample_dt=cfg["sample_dt"])
     except SingularityError as exc:
         run = {**_steps_record(exc.trajectory),
                "wall_s": {"integrate": time.perf_counter() - start},
@@ -275,6 +270,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _write_manifest(cfg["out"], "simulate", cfg, run)
         print(f"singularity encountered at t = {exc.time}", file=sys.stderr)
         return 3
+    if space == "full":  # the samples are written in (g, p)
+        traj.ys = list(map(from_body_coords, traj.ys))
     integrated = time.perf_counter()
 
     # each invariant is evaluated once per row; the CSV and the drift read it
@@ -383,7 +380,7 @@ def _solve_from(cfg: dict, command: str):
 def _write_record(cfg: dict, command: str, record: dict, wall_s: dict) -> None:
     """The JSON record to ``out``, with a manifest whose run record holds
     ``wall_s``, or the record to stdout."""
-    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if cfg["out"]:
         Path(cfg["out"]).write_text(text)
         _write_manifest(cfg["out"], command, cfg, {"wall_s": wall_s})
@@ -508,7 +505,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--T", type=float)
     p.add_argument("--rel-tol", dest="rel_tol", type=float)
     p.add_argument("--abs-tol", dest="abs_tol", type=float)
-    p.add_argument("--projection", action="store_const", const=True)
     p.add_argument("--sample-dt", dest="sample_dt", type=float)
     p.add_argument("--seed", type=int)
     p.set_defaults(fn=cmd_simulate)

@@ -4,9 +4,10 @@ Flat vector layouts used by the integrator:
 
 * translation-reduced (10): ``(A1x, A1y, A1z, A2x, A2y, A2z, gw, gx, gy, gz)``
 * invariant variety (8):    ``(k11, k12, k13, k22, k23, k33, r, delta)``
-* unreduced (16):           ``g1, p1, g2, p2`` components in (w, x, y, z) order
+* unreduced (16):           ``g1, B1, g2, B2`` components in (w, x, y, z) order,
+  with the body momenta B_i = g_i^{-1} p_i (``phase_space.to_body_coords``)
 
-Each equation has one definition.  The flat closures ``make_state_rhs``,
+Each equation has one definition.  The flat closures ``make_body_rhs``,
 ``make_reduced_rhs`` (both sides) and ``make_invariant_rhs`` define the vector
 fields.  The state of each level is its flat vector (``PhaseState``,
 ``ReducedState`` and :class:`InvariantPoint` are tuples in these layouts), so
@@ -28,9 +29,7 @@ written once, as the table ``_DOP853``; from it ``_dop853_step`` generates
 and compiles, once per state dimension and on first use, a straight-line
 step in which every component is an expression over locals, with the
 coefficients as exact literals.  Conservation is monitored, never
-enforced: ``integrate`` runs a projection hook (``project_state`` on the
-16-d level) after accepted steps only when it is given one, so that by
-default drift stays a meaningful diagnostic.
+enforced, so that drift stays a meaningful diagnostic.
 ``sample_columns`` evaluates the conserved quantities once per sample;
 ``trajectory_csv`` and ``drift_summary`` read those columns.  The
 ``invariants_*`` dicts compute them on the flat vector of their level with
@@ -59,7 +58,6 @@ from .phase_space import (
 from .quaternion import (
     ImaginaryQuaternion,
     Quaternion,
-    inner_product,
     quat_dot_vec,
     quat_inverse_vec,
     quat_mul,
@@ -251,76 +249,46 @@ def make_invariant_rhs(m: MassParams, pot: Potential) -> Callable:
     return rhs
 
 
-def make_state_rhs(m: MassParams, pot: Potential) -> Callable:
-    """Flat 16-dimensional vector field for the unreduced two-body flow.
+def make_body_rhs(m: MassParams, pot: Potential) -> Callable:
+    """Flat 16-dimensional vector field for the unreduced two-body flow, in the
+    body coordinates (g1, B1, g2, B2) with B_i = g_i^{-1} p_i (``to_body_coords``).
 
-    Positions move with g_i' = p_i / m_i; the momentum equations follow from
-    p_i = g_i A_i and the reduced flow of the frame momenta A_i.
-
-    With gL = g1^{-1} g2 and r_i = g_i^{-1} p_i:
-    p1' = (p1 r1)/m1 + f(Re gL) g1 Im(gL),  p2' = (p2 r2)/m2 - f(Re gL) g2 Im(gL).
-    Each Hamilton product is written out term by term, including the terms
-    multiplied by the zero real part of Im(gL), so that every component,
-    signed zeros included, is the one the quaternion operations give.
+    With gL = g1^{-1} g2:
+    g_i' = g_i B_i / m_i,  B1' = f(Re gL) Im(gL),  B2' = -f(Re gL) Im(gL).
+    This is the flow g_i' = p_i / m_i of (g, p) for any nonzero g_i, so no
+    state needs projecting, and Re B_i = <g_i, p_i> / |g_i|^2 keeps its value
+    exactly: its rate is 0.0.
     """
     im1, im2 = 1.0 / m.m1, 1.0 / m.m2
     force = pot.f
 
-    def rhs(t, s):
-        g1w, g1x, g1y, g1z, p1w, p1x, p1y, p1z, g2w, g2x, g2y, g2z, p2w, p2x, p2y, p2z = s
+    def rhs(t, u):
+        g1w, g1x, g1y, g1z, b1w, b1x, b1y, b1z, g2w, g2x, g2y, g2z, b2w, b2x, b2y, b2z = u
         # g1^{-1}, gL = g1^{-1} g2 and the force
         n1 = g1w * g1w + g1x * g1x + g1y * g1y + g1z * g1z
         aw, ax, ay, az = g1w / n1, -g1x / n1, -g1y / n1, -g1z / n1
         lw = aw * g2w - ax * g2x - ay * g2y - az * g2z
-        lx = aw * g2x + ax * g2w + ay * g2z - az * g2y
-        ly = aw * g2y - ax * g2z + ay * g2w + az * g2x
-        lz = aw * g2z + ax * g2y - ay * g2x + az * g2w
         f = force(lw)
-        # r1 = g1^{-1} p1 and r2 = g2^{-1} p2
-        r1w = aw * p1w - ax * p1x - ay * p1y - az * p1z
-        r1x = aw * p1x + ax * p1w + ay * p1z - az * p1y
-        r1y = aw * p1y - ax * p1z + ay * p1w + az * p1x
-        r1z = aw * p1z + ax * p1y - ay * p1x + az * p1w
-        n2 = g2w * g2w + g2x * g2x + g2y * g2y + g2z * g2z
-        bw, bx, by, bz = g2w / n2, -g2x / n2, -g2y / n2, -g2z / n2
-        r2w = bw * p2w - bx * p2x - by * p2y - bz * p2z
-        r2x = bw * p2x + bx * p2w + by * p2z - bz * p2y
-        r2y = bw * p2y - bx * p2z + by * p2w + bz * p2x
-        r2z = bw * p2z + bx * p2y - by * p2x + bz * p2w
+        fx = f * (aw * g2x + ax * g2w + ay * g2z - az * g2y)
+        fy = f * (aw * g2y - ax * g2z + ay * g2w + az * g2x)
+        fz = f * (aw * g2z + ax * g2y - ay * g2x + az * g2w)
+        # g_i (B_i / m_i)
+        qw, qx, qy, qz = b1w * im1, b1x * im1, b1y * im1, b1z * im1
+        sw, sx, sy, sz = b2w * im2, b2x * im2, b2y * im2, b2z * im2
         return (
-            p1w * im1, p1x * im1, p1y * im1, p1z * im1,
-            im1 * (p1w * r1w - p1x * r1x - p1y * r1y - p1z * r1z)
-            + f * (g1w * 0.0 - g1x * lx - g1y * ly - g1z * lz),
-            im1 * (p1w * r1x + p1x * r1w + p1y * r1z - p1z * r1y)
-            + f * (g1w * lx + g1x * 0.0 + g1y * lz - g1z * ly),
-            im1 * (p1w * r1y - p1x * r1z + p1y * r1w + p1z * r1x)
-            + f * (g1w * ly - g1x * lz + g1y * 0.0 + g1z * lx),
-            im1 * (p1w * r1z + p1x * r1y - p1y * r1x + p1z * r1w)
-            + f * (g1w * lz + g1x * ly - g1y * lx + g1z * 0.0),
-            p2w * im2, p2x * im2, p2y * im2, p2z * im2,
-            im2 * (p2w * r2w - p2x * r2x - p2y * r2y - p2z * r2z)
-            - f * (g2w * 0.0 - g2x * lx - g2y * ly - g2z * lz),
-            im2 * (p2w * r2x + p2x * r2w + p2y * r2z - p2z * r2y)
-            - f * (g2w * lx + g2x * 0.0 + g2y * lz - g2z * ly),
-            im2 * (p2w * r2y - p2x * r2z + p2y * r2w + p2z * r2x)
-            - f * (g2w * ly - g2x * lz + g2y * 0.0 + g2z * lx),
-            im2 * (p2w * r2z + p2x * r2y - p2y * r2x + p2z * r2w)
-            - f * (g2w * lz + g2x * ly - g2y * lx + g2z * 0.0),
+            g1w * qw - g1x * qx - g1y * qy - g1z * qz,
+            g1w * qx + g1x * qw + g1y * qz - g1z * qy,
+            g1w * qy - g1x * qz + g1y * qw + g1z * qx,
+            g1w * qz + g1x * qy - g1y * qx + g1z * qw,
+            0.0, fx, fy, fz,
+            g2w * sw - g2x * sx - g2y * sy - g2z * sz,
+            g2w * sx + g2x * sw + g2y * sz - g2z * sy,
+            g2w * sy - g2x * sz + g2y * sw + g2z * sx,
+            g2w * sz + g2x * sy - g2y * sx + g2z * sw,
+            0.0, -fx, -fy, -fz,
         )
 
     return rhs
-
-
-def project_state(v: Sequence[float]) -> tuple[float, ...]:
-    """Renormalise positions and re-orthogonalise momenta."""
-    out = []
-    for i in (0, 8):
-        g = Quaternion(*v[i:i + 4]).normalized()
-        p = Quaternion(*v[i + 4:i + 8])
-        p = p - inner_product(p, g) * g
-        out.extend(g.components())
-        out.extend(p.components())
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +377,8 @@ class Trajectory:
     @property
     def rhs_evals(self) -> int:
         """Vector-field evaluations the run made: the initial slope, eleven
-        per attempted step, the slope at the new state (after the projection,
-        when there is one) per accepted step, and those of the step that
-        failed, when one did."""
+        per attempted step, the slope at the new state per accepted step, and
+        those of the step that failed, when one did."""
         attempted = self.n_accepted + self.n_rejected
         return 1 + 11 * attempted + self.n_accepted + self.failed_step_evals
 
@@ -423,24 +390,26 @@ def integrate(
     cfg: FlowConfig = FlowConfig(),
     *,
     sample_dt: float | None = None,
-    project: Callable | None = None,
 ) -> Trajectory:
     """Integrate ``y' = rhs(t, y)`` from 0 to t_end and record samples.
 
     With ``sample_dt`` set, accepted steps are clipped so that the trajectory
     holds exactly the sample times i * sample_dt and t_end; otherwise every
-    accepted step is recorded.  Either way the last step ends at t_end.  The
-    ``project`` hook, when given, runs after every accepted step.  Raises
-    :class:`SingularityError`, carrying the trajectory of the steps made so
-    far, when the step size underflows, the potential reports a collision,
-    or the state, the initial slope or an error estimate is NaN or infinite;
-    raises ``ValueError`` unless ``t_end`` is positive and finite and
-    ``sample_dt`` (when given) finite, at least 1e-12 max(1, t_end) and at
-    least t_end / ``MAX_SAMPLE_ROWS``, and when the vector field has another
-    length than the state.
+    accepted step is recorded.  Either way the last step ends at t_end.
+    Raises :class:`SingularityError`, carrying the trajectory of the steps
+    made so far, when the step size underflows, the potential reports a
+    collision, or the state, the initial slope or an error estimate is NaN or
+    infinite; raises ``ValueError`` unless ``t_end`` is finite and at least
+    the smallest step ``_MIN_STEP_FACTOR`` and ``sample_dt`` (when given)
+    finite, at least 1e-12 max(1, t_end) and at least t_end /
+    ``MAX_SAMPLE_ROWS``, and when the vector field has another length than
+    the state.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end = {t_end!r} must be positive and finite")
+    if t_end < _MIN_STEP_FACTOR:  # the first step would underflow
+        raise ValueError(f"t_end = {t_end!r} is shorter than the smallest step, "
+                         f"{_MIN_STEP_FACTOR!r}")
     eps = 1e-12 * max(1.0, t_end)  # a step ending within eps of a stop ends on it
     if sample_dt is not None and not eps <= sample_dt < math.inf:
         raise ValueError(f"sample_dt = {sample_dt!r} must be positive and finite, and at "
@@ -492,8 +461,6 @@ def integrate(
         if err <= 1.0:
             t = t_new
             y = ynew
-            if project is not None:
-                y = project(y)
             try:
                 k1 = rhs(t, y)
             except CollisionError as exc:

@@ -205,6 +205,19 @@ def body_frame_vec(v: Sequence[float]) -> tuple[float, ...]:
     return r1[1:] + r2[1:] + quat_mul_vec(g1inv, v[8:12])
 
 
+def to_body_coords(v: Sequence[float]) -> tuple[float, ...]:
+    """(g1, B1, g2, B2) of a flat state (g1, p1, g2, p2), with the body momenta
+    B_i = g_i^{-1} p_i: the coordinates in which the unreduced flow is integrated."""
+    return (*v[0:4], *quat_mul_vec(quat_inverse_vec(v[0:4]), v[4:8]),
+            *v[8:12], *quat_mul_vec(quat_inverse_vec(v[8:12]), v[12:16]))
+
+
+def from_body_coords(u: Sequence[float]) -> tuple[float, ...]:
+    """The flat state (g1, p1, g2, p2) of body coordinates (g1, B1, g2, B2):
+    p_i = g_i B_i, the inverse of :func:`to_body_coords`."""
+    return (*u[0:4], *quat_mul_vec(u[0:4], u[4:8]), *u[8:12], *quat_mul_vec(u[8:12], u[12:16]))
+
+
 def space_frame_vec(v: Sequence[float]) -> tuple[float, ...]:
     """(L1, L2, gR) of a flat state as ten floats: L_i = Im(p_i g_i^{-1}),
     gR = g1 g2^{-1}.  Right reduction and the left momentum read it."""

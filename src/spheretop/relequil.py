@@ -222,6 +222,9 @@ def _planar_re(kind, theta, phi1, eta_mag, m, pot, f) -> RelativeEquilibrium:
     zeta = m.m1 * math.sin(2 * phi1)
     y, xi, x1, x2 = _planar_rates(f * math.sin(theta), zeta, eta_mag,
                                   math.cos(2 * phi1), math.cos(2 * phi2), m)
+    if not all(map(math.isfinite, (y, xi, x1, x2))):  # y = f sin(theta)/(2 eta) overflowed
+        raise ValueError(f"eta_mag = {eta_mag!r} is too small: the rates of the "
+                         "relative equilibrium are not finite")
     # xi > 0 rejects the branch of the wrong sign, which also balances
     if not (abs(m.m2 * math.sin(2 * phi2) - zeta) <= _CONSISTENCY_TOL * max(m.m1, m.m2)
             and xi > 0):

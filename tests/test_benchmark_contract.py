@@ -4,7 +4,8 @@
 pass at its ``tiny`` size.  A flag, a name or a call form that the benchmark
 uses and the package no longer has fails here, as does any of the
 workloads' own correctness checks.  ``perfbench/spans.py`` is imported as it
-is too, and its tracer must find and restore every function it traces.
+is too: its tracer must find and restore every function it traces, and each
+workload's tiny pass must also run clean under it.
 """
 
 import importlib.util
@@ -33,6 +34,25 @@ def test_tiny_pass_runs_clean(name, tmp_path):
     result = wl.run_pass(0, workloads.Recorder())
     assert result["attempted"] >= 1
     assert result["failed"] == 0
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_traced_tiny_pass_runs_clean(name, tmp_path):
+    # the tracer names a flow's level by its state length, so a level whose
+    # state changed length would fail every traced run
+    wl = workloads.WORKLOADS[name](7, tmp_path, workloads.SIZES[name]["tiny"])
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        result = wl.run_pass(0, workloads.Recorder(tracer))
+    finally:
+        tracer.uninstall()
+    assert result["attempted"] >= 1
+    assert result["failed"] == 0
+    if name == "flow_levels":
+        calls = dict(zip(tracer.names, tracer.calls))
+        for level in ("full", "reduced", "invariants"):
+            assert calls.get(f"dynamics.rhs.{level}", 0) > 0, level
 
 
 def test_tracer_patches_and_restores_every_target():

@@ -70,20 +70,36 @@ class TestSimulate:
         assert "t_end" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_projection_on_the_invariants_level_exits_4(self, tmp_path, capsys):
-        # only the 16-d level has a projector; on the 8-d level the flag used
-        # to be ignored and recorded as on in the manifest, and on the 10-d
-        # level renormalising gD made H drift worse
-        out = tmp_path / "inv.csv"
+    def test_horizon_below_the_smallest_step_exits_4(self, tmp_path, capsys):
+        # it used to exit 3, its manifest recording a collision at t = 0.0
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--scenario", "random", "--T", "1e-14", "--out", out]) == 4
+        err = capsys.readouterr().err
+        assert "t_end = 1e-14 is shorter than the smallest step" in err
+        assert "singularity" not in err
+        assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+
+    def test_projection_is_no_longer_an_option(self, tmp_path, capsys):
+        # the unreduced level keeps <g_i, p_i> by construction, so a config
+        # that still asks for the projection fails instead of running without it
+        out = tmp_path / "x.csv"
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"projection": True}))
-        for space in ("invariants", "left", "right"):
-            for extra in (["--projection"], ["--config", cfg]):
-                assert run(["simulate", "--scenario", "random", "--space", space,
-                            "--T", "1", "--out", out, *extra]) == 4
-                err = capsys.readouterr().err
-                assert "--projection" in err and f"{space} level" in err
-                assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+        assert run(["simulate", "--scenario", "random", "--space", "full", "--T", "1",
+                    "--config", cfg, "--out", out]) == 4
+        assert "unknown config keys: ['projection']" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:  # argparse: an unrecognised argument
+            run(["simulate", "--scenario", "random", "--projection", "--out", out])
+        assert exc.value.code == 2
+        assert not out.exists()
+
+    def test_full_level_drifts_little(self, tmp_path):
+        # integrating (g, p) drifted 3.9e-10 in H here; (g, B) keeps <g_i, p_i>
+        out = tmp_path / "full.csv"
+        assert run(["simulate", "--scenario", "random", "--seed", "1", "--space", "full",
+                    "--T", "100", "--out", out]) == 0
+        drift = json.loads(Path(str(out) + ".drift.json").read_text())
+        assert drift["drift_H"] < 1e-10, drift
 
     def test_non_finite_horizon_or_sample_step_rejected(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
@@ -165,7 +181,7 @@ class TestSimulate:
         ({"T": None}, "config T must be a number"),
         ({"seed": 1.5}, "config seed must be an integer"),
         ({"sample_dt": True}, "config sample_dt must be a number"),
-        ({"projection": 1}, "config projection must be true or false"),
+        ({"scenario": 3}, "config scenario must be a string"),
         ({"space": "top"}, "config space must be one of"),
         ({"potential": 1.0}, "config potential must be a string"),
     ])
@@ -181,8 +197,8 @@ class TestSimulate:
     def test_config_values_of_the_flag_types_run(self, tmp_path):
         # an integer where a float flag is, and null where the default is unset
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"T": 1, "m1": 2, "alpha": None, "projection": True,
-                                   "space": "full", "seed": 4}))
+        cfg.write_text(json.dumps({"T": 1, "m1": 2, "alpha": None, "space": "full",
+                                   "seed": 4}))
         out = tmp_path / "x.csv"
         assert run(["simulate", "--scenario", "random", "--config", cfg, "--out", out]) == 0
         assert json.loads(Path(str(out) + ".manifest.json").read_text())["config"]["T"] == 1
@@ -247,13 +263,19 @@ class TestSimulate:
         assert drift == {f"drift_{k}": v
                          for k, v in drift_summary(sample_columns(traj, funcs)).items()}
 
-    @pytest.mark.parametrize("space, projection", [
+    @pytest.mark.parametrize("space, state_file", [
         ("full", False), ("full", True), ("left", False), ("invariants", False)])
-    def test_manifest_counts_the_run(self, tmp_path, monkeypatch, space, projection):
+    def test_manifest_counts_the_run(self, tmp_path, monkeypatch, space, state_file):
+        # state_file: the scenario's state read from a --state file, as the
+        # benchmark gives it
+        source = ["--scenario", "random", "--seed", "5"]
+        if state_file:
+            state = tmp_path / "state.json"
+            state.write_text(json.dumps(cli._builtin_scenario("random", 5)[0].to_json_dict()))
+            source = ["--state", state, "--potential", "linear:1.0"]
         seen = self._record_run(monkeypatch)
         out = tmp_path / "run.csv"
-        assert run(["simulate", "--scenario", "random", "--seed", "5", "--space", space,
-                    "--T", "2", "--out", out, *(["--projection"] if projection else [])]) == 0
+        assert run(["simulate", *source, "--space", space, "--T", "2", "--out", out]) == 0
         record = json.loads(Path(str(out) + ".manifest.json").read_text())["run"]
         traj = seen["traj"]
         assert (record["steps_accepted"], record["steps_rejected"]) == \
@@ -637,6 +659,24 @@ class TestClassify:
             assert run([cmd, *(a for kv in flags.items() for a in kv)]) == 4, (cmd, extra)
             captured = capsys.readouterr()
             assert "must be finite" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("cmd", ["re", "stability"])
+    def test_subnormal_rate_exits_4(self, tmp_path, capsys, cmd):
+        # y = f sin(theta) / (2 eta) overflowed, and re wrote Infinity and NaN,
+        # which are not JSON, and exited 0
+        out = tmp_path / "record.json"
+        for extra in ([], ["--out", out]):
+            assert run([cmd, "--theta", 1.0, "--eta", 1e-310, *extra]) == 4
+            captured = capsys.readouterr()
+            assert "eta_mag = 1e-310" in captured.err and captured.out == ""
+        assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+
+    def test_a_record_that_is_not_json_is_not_written(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "record.json"
+        monkeypatch.setattr(cli, "lever_residual", lambda re: math.inf)
+        assert run(["re", "--theta", 1.0, "--out", out]) == 4
+        assert "JSON" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("cmd", ["re", "stability"])
     def test_manifest_times_the_solve_and_the_check(self, tmp_path, capsys, cmd):

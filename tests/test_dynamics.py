@@ -29,11 +29,10 @@ from spheretop.dynamics import (
     evaluate_reduced_hamiltonian,
     integrate,
     invariants_reduced,
+    make_body_rhs,
     make_invariant_rhs,
     make_reduced_rhs,
-    make_state_rhs,
     point_to_vec,
-    project_state,
     reconstruct_rhs,
     reduced_to_vec,
     rhs_full_reduced,
@@ -48,11 +47,13 @@ from spheretop.phase_space import (
     MassParams,
     PhaseState,
     Potential,
+    from_body_coords,
     momentum_left,
     momentum_right,
     random_phase_state,
+    to_body_coords,
 )
-from spheretop.quaternion import I, J, K, ONE, Quaternion, inner_product, quat_mul
+from spheretop.quaternion import I, J, K, ONE, Quaternion, inner_product, quat_mul, quat_mul_vec
 from spheretop.reduction import (
     InvariantPoint,
     ReducedState,
@@ -143,8 +144,9 @@ def test_typed_fields_are_the_flat_closures(rng):
 
 
 def quaternion_state_rhs(m, pot):
-    """The unreduced field composed from Quaternion operations: the oracle
-    for the flat closure, which must give the same floats bit for bit."""
+    """The unreduced field of (g1, p1, g2, p2), composed from Quaternion
+    operations: g_i' = p_i / m_i and p_i' = (p_i r_i) / m_i +- f g_i Im(gL),
+    with r_i = g_i^{-1} p_i."""
     im1, im2 = 1.0 / m.m1, 1.0 / m.m2
     force = pot.f
 
@@ -162,6 +164,25 @@ def quaternion_state_rhs(m, pot):
         p2dot = im2 * quat_mul(p2, r2) - f * quat_mul(g2, gbar)
         return ((im1 * p1).components() + p1dot.components()
                 + (im2 * p2).components() + p2dot.components())
+
+    return rhs
+
+
+def quaternion_body_rhs(m, pot):
+    """The unreduced field of the body coordinates (g1, B1, g2, B2), composed
+    from Quaternion operations: the oracle for the flat closure, which must
+    give the same floats bit for bit."""
+    im1, im2 = 1.0 / m.m1, 1.0 / m.m2
+    force = pot.f
+
+    def rhs(t, u):
+        g1, b1, g2, b2 = (Quaternion(*u[i:i + 4]) for i in (0, 4, 8, 12))
+        gL = quat_mul(g1.inverse(), g2)
+        f = force(gL.w)
+        return (quat_mul(g1, im1 * b1).components()
+                + (f * gL.imag()).as_quaternion().components()
+                + quat_mul(g2, im2 * b2).components()
+                + (-f * gL.imag()).as_quaternion().components())
 
     return rhs
 
@@ -199,9 +220,10 @@ class TestUnreducedVectorField:
     @pytest.mark.parametrize("name", sorted(POTENTIALS))
     def test_flat_field_matches_the_quaternion_oracle(self, rng, name):
         pot = self.POTENTIALS[name]
-        flat, oracle = make_state_rhs(self.M, pot), quaternion_state_rhs(self.M, pot)
+        flat, oracle = make_body_rhs(self.M, pot), quaternion_body_rhs(self.M, pot)
         compared = 0
-        for s in (*self._states(rng, 1200), *self._signed_zero_states(rng, 2000)):
+        body = map(to_body_coords, self._states(rng, 1200))
+        for s in (*body, *self._signed_zero_states(rng, 2000)):
             try:
                 want = oracle(0.0, s)
             except CollisionError:
@@ -220,19 +242,66 @@ class TestUnreducedVectorField:
         pot = self.POTENTIALS["grav"]
         g2 = Quaternion(math.cos(1e-6), math.sin(1e-6), 0.0, 0.0)
         s = state_to_vec(PhaseState(g1=ONE, p1=J, g2=g2, p2=Quaternion(0.0, 0.0, 0.0, 1.0)))
-        for field in (make_state_rhs(self.M, pot), quaternion_state_rhs(self.M, pot)):
+        for field in (make_body_rhs(self.M, pot), quaternion_body_rhs(self.M, pot),
+                      quaternion_state_rhs(self.M, pot)):
             with pytest.raises(CollisionError):
                 field(0.0, s)
 
     @pytest.mark.parametrize("name", ["grav", "linear"])
     def test_integrate_gives_the_same_trajectory(self, rng, name):
         pot = self.POTENTIALS[name]
-        y0 = state_to_vec(random_phase_state(rng, momentum_scale=0.6))
-        a = integrate(make_state_rhs(self.M, pot), y0, 5.0, sample_dt=0.5)
-        b = integrate(quaternion_state_rhs(self.M, pot), y0, 5.0, sample_dt=0.5)
+        u0 = to_body_coords(random_phase_state(rng, momentum_scale=0.6))
+        a = integrate(make_body_rhs(self.M, pot), u0, 5.0, sample_dt=0.5)
+        b = integrate(quaternion_body_rhs(self.M, pot), u0, 5.0, sample_dt=0.5)
         assert a.ts == b.ts and a.ys == b.ys
         assert (a.n_accepted, a.n_rejected) == (b.n_accepted, b.n_rejected)
         assert a.n_accepted > 0
+
+    @pytest.mark.parametrize("name", sorted(POTENTIALS))
+    def test_pushforward_is_the_field_of_g_and_p(self, rng, name):
+        """With p = g B, (g', g' B + g B') is the (g, p) field, on and off the
+        phase space, to rounding."""
+        pot = self.POTENTIALS[name]
+        flat, oracle = make_body_rhs(self.M, pot), quaternion_state_rhs(self.M, pot)
+        compared = 0
+        for s in self._states(rng, 1200):
+            try:
+                want = oracle(0.0, s)
+            except CollisionError:
+                continue
+            u = to_body_coords(s)
+            du = flat(0.0, u)
+            got = []
+            for i in (0, 8):
+                g, b, gdot, bdot = u[i:i + 4], u[i + 4:i + 8], du[i:i + 4], du[i + 4:i + 8]
+                pdot = [x + y for x, y in zip(quat_mul_vec(gdot, b), quat_mul_vec(g, bdot))]
+                got += [*gdot, *pdot]
+            scale = max(1.0, *map(abs, want))
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 16 * 2.0 ** -52 * scale, s
+            compared += 1
+        assert compared >= 1000
+
+    @pytest.mark.parametrize("name", ["grav", "linear"])
+    def test_mapped_out_run_follows_the_field_of_g_and_p(self, rng, name):
+        pot = self.POTENTIALS[name]
+        y0 = state_to_vec(random_phase_state(rng, momentum_scale=0.6))
+        body = integrate(make_body_rhs(self.M, pot), to_body_coords(y0), 5.0, sample_dt=0.5)
+        ambient = integrate(quaternion_state_rhs(self.M, pot), y0, 5.0, sample_dt=0.5)
+        assert body.ts == ambient.ts
+        gap = max(abs(a - b) for u, y in zip(body.ys, ambient.ys)
+                  for a, b in zip(from_body_coords(u), y))
+        assert gap <= 1e-6
+
+    def test_real_parts_of_the_body_momenta_never_move(self, rng):
+        """Re B_i = <g_i, p_i> / |g_i|^2 has the rate 0.0, so it is the same
+        float at every sample, here off the phase space."""
+        s = random_phase_state(rng)
+        y0 = (*s.g1, *(s.p1 + 0.3 * s.g1), *s.g2, *(s.p2 - 0.2 * s.g2))
+        traj = integrate(make_body_rhs(self.M, self.POTENTIALS["linear"]),
+                         to_body_coords(y0), 20.0, sample_dt=2.0)
+        assert traj.n_accepted > 0
+        assert {(u[4], u[12]) for u in traj.ys} == {(traj.ys[0][4], traj.ys[0][12])}
+        assert traj.ys[0][4] == pytest.approx(0.3) and traj.ys[0][12] == pytest.approx(-0.2)
 
 
 class TestReconstruction:
@@ -314,37 +383,24 @@ class TestIntegrator:
     def test_commuting_square_short(self, rng):
         m = MassParams(1.0, 1.7)
         s = random_phase_state(rng, momentum_scale=0.6)
-        full = integrate(make_state_rhs(m, LIN), state_to_vec(s), 10.0, sample_dt=2.0)
+        full = integrate(make_body_rhs(m, LIN), to_body_coords(s), 10.0, sample_dt=2.0)
         inv = integrate(make_invariant_rhs(m, LIN),
                         point_to_vec(hilbert_map(left_reduce(s))), 10.0, sample_dt=2.0)
         assert full.ts == pytest.approx(inv.ts)
         for yf, yi in zip(full.ys, inv.ys):
-            pushed = point_to_vec(hilbert_map(left_reduce(vec_to_state(yf))))
+            pushed = point_to_vec(hilbert_map(left_reduce(vec_to_state(from_body_coords(yf)))))
             assert np.allclose(pushed, yi, atol=1e-6)
 
     def test_momentum_maps_conserved_on_full_flow(self, rng):
         m = MassParams(0.8, 1.9)
         s = random_phase_state(rng, momentum_scale=0.5)
-        traj = integrate(make_state_rhs(m, LIN), state_to_vec(s), 10.0, sample_dt=1.0)
+        traj = integrate(make_body_rhs(m, LIN), to_body_coords(s), 10.0, sample_dt=1.0)
         lam0 = momentum_left(s).components()
         rho0 = momentum_right(s).components()
         for y in traj.ys:
-            st = vec_to_state(y)
+            st = vec_to_state(from_body_coords(y))
             assert np.allclose(momentum_left(st).components(), lam0, atol=1e-9)
             assert np.allclose(momentum_right(st).components(), rho0, atol=1e-9)
-
-    def test_projection_keeps_unit_norm(self, rng):
-        # a loose tolerance lets |g_i| and <g_i, p_i> drift where unprojected
-        m = MassParams(1.0, 1.0)
-        s = random_phase_state(rng)
-        cfg = FlowConfig(rel_tol=1e-6, abs_tol=1e-6)
-        traj = integrate(make_state_rhs(m, LIN), state_to_vec(s), 20.0, cfg, sample_dt=2.0,
-                         project=project_state)
-        for y in traj.ys:
-            st = vec_to_state(y)
-            for g, p in ((st.g1, st.p1), (st.g2, st.p2)):
-                assert g.norm() == pytest.approx(1.0, abs=1e-14)
-                assert abs(inner_product(g, p)) <= 1e-14 * max(1.0, p.norm())
 
     def test_singularity_reported_with_time(self):
         m = MassParams(1.0, 1.0)
@@ -353,15 +409,17 @@ class TestIntegrator:
         s = PhaseState(g1=ONE, p1=I,
                        g2=Quaternion(math.cos(th), math.sin(th), 0, 0),
                        p2=Quaternion())
-        rhs, calls = make_state_rhs(m, pot), [0]
+        rhs, calls = make_body_rhs(m, pot), [0]
 
         def counted(t, y):
             calls[0] += 1
             return rhs(t, y)
 
         with pytest.raises(SingularityError) as err:
-            integrate(counted, state_to_vec(s), 50.0)
+            integrate(counted, to_body_coords(s), 50.0)
         assert 0.0 < err.value.time < 50.0
+        # the (g, p) field took 666 375 evaluations to get here
+        assert calls[0] < 500_000
         # the error carries the steps made up to the failure, and every
         # evaluation, those of the step that failed included
         traj = err.value.trajectory
@@ -398,8 +456,8 @@ class TestIntegrator:
             with pytest.raises(ValueError, match="must be finite"):
                 FlowConfig(**bad)
 
-    @pytest.mark.parametrize("projection", [False, True])
-    def test_rhs_evals_counts_every_evaluation(self, projection):
+    @pytest.mark.parametrize("sampled", [False, True])
+    def test_rhs_evals_counts_every_evaluation(self, sampled):
         calls = []
 
         def pulse(t, y):  # sharp enough to make the controller reject a step
@@ -407,8 +465,7 @@ class TestIntegrator:
             return (1.0 / (0.01 + (t - 3.0) ** 2),)
 
         cfg = FlowConfig(rel_tol=1e-8, abs_tol=1e-8)
-        traj = integrate(pulse, (0.0,), 10.0, cfg,
-                         project=(lambda y: y) if projection else None)
+        traj = integrate(pulse, (0.0,), 10.0, cfg, sample_dt=0.7 if sampled else None)
         assert traj.n_rejected > 0
         assert traj.rhs_evals == len(calls)
 
@@ -463,6 +520,21 @@ class TestIntegrator:
         for t_end in (-5.0, 0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 integrate(lambda t, y: (1.0,), (0.0,), t_end)
+
+    @pytest.mark.parametrize("t_end", [1e-14, 9.9e-14, 5e-324])
+    def test_horizon_below_the_smallest_step_is_rejected(self, t_end):
+        # its first step used to underflow at t = 0, reported as a singularity
+        calls = []
+
+        def field(t, y):
+            calls.append(t)
+            return (1.0,)
+
+        with pytest.raises(ValueError, match=f"t_end = {t_end!r} is shorter than the "
+                                             "smallest step, 1e-13"):
+            integrate(field, (0.0,), t_end)
+        assert not calls
+        assert integrate(field, (0.0,), 1e-13).ts == [0.0, 1e-13]
 
     def test_sample_step_must_be_positive_and_finite(self):
         for dt in (-1.0, 0.0, float("nan"), float("inf")):

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from spheretop.dynamics import (
     integrate,
-    make_state_rhs,
+    make_body_rhs,
     rhs_full_reduced,
-    state_to_vec,
     vec_to_state,
 )
 from spheretop.phase_space import (
@@ -18,9 +17,11 @@ from spheretop.phase_space import (
     PhaseState,
     Potential,
     classify_point,
+    from_body_coords,
     hamiltonian_2body,
     momentum_left,
     momentum_right,
+    to_body_coords,
     two_body_energy,
 )
 from spheretop.quaternion import Quaternion, inner_product
@@ -193,10 +194,10 @@ class TestFixedPoints:
         assert classify_point(re.state) == "cospherical"
         # the whole motion stays on the 2-sphere spanned by (1, i, k)
         m, pot = re.masses, re.potential
-        traj = integrate(make_state_rhs(m, pot), state_to_vec(re.state), 5.0,
+        traj = integrate(make_body_rhs(m, pot), to_body_coords(re.state), 5.0,
                          sample_dt=0.5)
         for y in traj.ys:
-            st = vec_to_state(y)
+            st = vec_to_state(from_body_coords(y))
             assert abs(st.g1.y) < 1e-8 and abs(st.g2.y) < 1e-8
 
 
@@ -224,10 +225,10 @@ class TestInvariantRelations:
 
     def test_separation_angle_is_constant_along_the_flow(self):
         re = solve_re(1.0, 1.2, M11, grav(M11))
-        traj = integrate(make_state_rhs(M11, grav(M11)),
-                         state_to_vec(re.state), 10.0, sample_dt=1.0)
+        traj = integrate(make_body_rhs(M11, grav(M11)),
+                         to_body_coords(re.state), 10.0, sample_dt=1.0)
         for y in traj.ys:
-            st = vec_to_state(y)
+            st = vec_to_state(from_body_coords(y))
             assert inner_product(st.g1, st.g2) == pytest.approx(
                 math.cos(1.0), abs=1e-8)
 
@@ -236,10 +237,10 @@ class TestInvariantRelations:
         # its 1e-10 default; the integrator and its default tolerance may
         # change only together, and never to a less accurate pair
         re = solve_re(1.0, 1.2, M11, grav(M11))
-        traj = integrate(make_state_rhs(M11, grav(M11)),
-                         state_to_vec(re.state), 10.0, sample_dt=1.0)
+        traj = integrate(make_body_rhs(M11, grav(M11)),
+                         to_body_coords(re.state), 10.0, sample_dt=1.0)
         err = max(abs(inner_product(st.g1, st.g2) - math.cos(1.0))
-                  for st in map(vec_to_state, traj.ys))
+                  for st in (vec_to_state(from_body_coords(y)) for y in traj.ys))
         assert err < 4.2e-10
 
 
