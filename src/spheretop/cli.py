@@ -17,6 +17,7 @@ import sys
 import time
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,31 +78,53 @@ def _parse_potential(spec: str, masses: MassParams) -> Potential:
     raise ValueError(f"unknown potential {spec!r} (use grav or linear:<gamma>)")
 
 
-_KIND_NAMES = {float: "a number", int: "an integer", str: "a string", bool: "true or false"}
+class Opt(NamedTuple):
+    """One option of a command: its config key, its kind and its default.
 
+    The kind is a type (float, int or str), a tuple of the allowed strings, a
+    tuple of types for a flag taking one value of each (``--grid``), or the
+    bool a switch stores; a switch storing False is spelt ``--no-<dest>``."""
 
-def _check_config(parser: argparse.ArgumentParser, file_cfg: dict, defaults: dict) -> None:
-    """Reject a config-file value that its own flag could not have parsed to.
+    dest: str
+    kind: object
+    default: object = None
+    help: str | None = None
 
-    The kind, arity and choices of each key come from its flag's definition.
-    A float flag takes any JSON number, only a true/false flag takes a bool,
-    and null is accepted where the default is unset.
-    """
-    for action in parser._actions:
-        key, val = action.dest, file_cfg.get(action.dest)
-        if key not in file_cfg or (val is None and defaults[key] is None):
-            continue
-        kind = action.type or (str if action.const is None else type(action.const))
-        n = action.nargs if isinstance(action.nargs, int) and action.nargs else None
+    @property
+    def flag(self) -> str:
+        return ("--no-" if self.kind is False else "--") + self.dest.replace("_", "-")
+
+    def shape(self) -> tuple[type, tuple | None, int | None]:
+        """(type of each value, allowed values, number of values or None for one)."""
+        kind = self.kind
+        if isinstance(kind, tuple):
+            return (kind[0], None, len(kind)) if isinstance(kind[0], type) else (str, kind, None)
+        return (bool if isinstance(kind, bool) else kind), None, None
+
+    def check(self, val) -> None:
+        """Reject a config-file value that the flag could not have parsed to.
+
+        A float option takes any JSON number, only a switch takes a bool, and
+        null is accepted where the default is unset."""
+        if val is None and self.default is None:
+            return
+        kind, choices, n = self.shape()
         items = [val] if n is None else val if isinstance(val, list) and len(val) == n else [None]
         if not all((kind is bool) == isinstance(v, bool)
                    and isinstance(v, (int, float) if kind is float else kind)
-                   and (action.choices is None or v in action.choices) for v in items):
-            want = _KIND_NAMES[kind] if action.choices is None else f"one of {list(action.choices)}"
+                   and (choices is None or v in choices) for v in items):
+            want = _KIND_NAMES[kind] if choices is None else f"one of {list(choices)}"
             if n is not None:
                 want = f"a list of {n} values, each {want}"
-            raise ValueError(f"config {key} must be {want}, as for "
-                             f"{action.option_strings[0]}, got {val!r}")
+            raise ValueError(f"config {self.dest} must be {want}, as for {self.flag}, "
+                             f"got {val!r}")
+
+
+_KIND_NAMES = {float: "a number", int: "an integer", str: "a string", bool: "true or false"}
+# the masses and the potential, which every command takes
+_MODEL = (Opt("m1", float, 1.0), Opt("m2", float, 1.0),
+          Opt("potential", str, "grav", "grav | linear:<gamma> | lagrange"),
+          Opt("alpha", float), Opt("gamma", float))
 
 
 def _open_input(flag: str, path: str, **kw):
@@ -131,22 +154,25 @@ def _source(cfg: dict, command: str, a: str, b: str) -> str:
     return a if cfg[a] else b
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    cfg = dict(defaults)
-    if getattr(args, "config", None):
+def _resolve(args: argparse.Namespace, options: tuple[Opt, ...]) -> tuple[dict, set]:
+    """A run's config, each option's default overridden by its config-file
+    entry and then by its flag, and the keys so set (a null entry sets none)."""
+    cfg = {o.dest: o.default for o in options}
+    given = {o.dest: getattr(args, o.dest) for o in options if getattr(args, o.dest) is not None}
+    if args.config:
         file_cfg = _load_json("--config", args.config)
         if not isinstance(file_cfg, dict):
             raise ValueError(f"config {args.config} must hold a JSON object")
-        unknown = set(file_cfg) - set(defaults)
+        unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        _check_config(args.parser, file_cfg, defaults)
+        for o in options:
+            if o.dest in file_cfg:
+                o.check(file_cfg[o.dest])
         cfg.update(file_cfg)
-    for key in defaults:
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    return cfg
+        given = {k: v for k, v in file_cfg.items() if v is not None} | given
+    cfg.update(given)
+    return cfg, set(given)
 
 
 def _write_manifest(out_path: str, command: str, cfg: dict, run: dict | None = None) -> None:
@@ -176,10 +202,17 @@ def _check_out(cfg: dict) -> None:
         raise ValueError(f"--out {out} is a directory, not a file")
 
 
-def _masses_potential(cfg: dict) -> tuple[MassParams, Potential, float | None, float | None]:
+def _masses_potential(cfg: dict, given: set) -> tuple[MassParams, Potential,
+                                                      float | None, float | None]:
     """Resolve masses and potential; 'lagrange' maps to the top's equivalent
-    two-body problem, returning (alpha, gamma) as well."""
-    if cfg["potential"] == "lagrange":
+    two-body problem, returning (alpha, gamma) as well.  Its masses are
+    1/alpha, so a set --m1 or --m2 contradicts it, as a set --alpha or
+    --gamma contradicts any other potential."""
+    lagrange = cfg["potential"] == "lagrange"
+    for key in ("m1", "m2") if lagrange else ("alpha", "gamma"):
+        if key in given:
+            raise ValueError(f"--{key} contradicts --potential {cfg['potential']}")
+    if lagrange:
         alpha, gamma = cfg["alpha"], cfg["gamma"]
         if alpha is None or gamma is None:
             raise ValueError("potential 'lagrange' requires --alpha and --gamma")
@@ -193,51 +226,56 @@ def _masses_potential(cfg: dict) -> tuple[MassParams, Potential, float | None, f
 # simulate
 # ---------------------------------------------------------------------------
 
-def _builtin_scenario(name: str, seed: int) -> tuple[PhaseState, dict]:
+def _builtin_scenario(name: str, seed: int) -> tuple[PhaseState, str]:
+    """A scenario's start state and potential; its masses are the defaults, 1 and 1."""
     if name == "re-acute-demo":
         m = MassParams(1.0, 1.0)
-        pot = Potential.gravitational(m)
-        s = solve_re(1.0, 1.0, m, pot).state
+        s = solve_re(1.0, 1.0, m, Potential.gravitational(m)).state
         p1 = tangent_project(s.p1 + 1e-3 * Quaternion(0.0, 0.0, 0.0, 1.0), s.g1)
-        s = PhaseState(s.g1, p1, s.g2, s.p2)
-        return s, {"m1": 1.0, "m2": 1.0, "potential": "grav"}
+        return PhaseState(s.g1, p1, s.g2, s.p2), "grav"
     if name == "antipodal-rest":
-        s = PhaseState(g1=Quaternion(1.0), p1=Quaternion(),
-                       g2=Quaternion(-1.0), p2=Quaternion())
-        return s, {"m1": 1.0, "m2": 1.0, "potential": "linear:1.0"}
+        s = PhaseState(Quaternion(1.0), Quaternion(), Quaternion(-1.0), Quaternion())
+        return s, "linear:1.0"
     if name == "collision-course":
-        th = 1.0
-        s = PhaseState(
-            g1=Quaternion(1.0), p1=Quaternion(0.0, 1.0, 0.0, 0.0),
-            g2=Quaternion(math.cos(th), math.sin(th), 0.0, 0.0), p2=Quaternion(),
-        )
-        return s, {"m1": 1.0, "m2": 1.0, "potential": "grav"}
+        g2 = Quaternion(math.cos(1.0), math.sin(1.0), 0.0, 0.0)
+        return PhaseState(Quaternion(1.0), Quaternion(0.0, 1.0), g2, Quaternion()), "grav"
     if name == "random":
-        rng = np.random.default_rng(seed)
-        return random_phase_state(rng), {"m1": 1.0, "m2": 1.0, "potential": "linear:1.0"}
+        return random_phase_state(np.random.default_rng(seed)), "linear:1.0"
     raise ValueError(f"unknown scenario {name!r}")
 
 
-_SIMULATE_DEFAULTS = {
-    "state": None, "scenario": None, "space": "left", "m1": 1.0, "m2": 1.0,
-    "potential": "grav", "alpha": None, "gamma": None, "T": 10.0,
-    "rel_tol": FlowConfig.rel_tol, "abs_tol": FlowConfig.abs_tol,
-    "sample_dt": 0.1, "seed": 0, "out": "trajectory.csv",
+# --space: a level's map of the start state, its vector field and invariants
+# (each of the masses and potential), CSV labels and map of a sample to (g, p)
+_SPACES = {
+    "full": (to_body_coords, make_body_rhs, invariants_state, _STATE_LABELS, from_body_coords),
+    "left": (body_frame_vec, functools.partial(make_reduced_rhs, side=SIDE_LEFT),
+             invariants_reduced, _REDUCED_LABELS, None),
+    "right": (space_frame_vec, functools.partial(make_reduced_rhs, side=SIDE_RIGHT),
+              invariants_reduced, _REDUCED_LABELS, None),
+    "invariants": (invariant_map, make_invariant_rhs, invariants_point, _POINT_LABELS, None),
 }
 
+_SIMULATE = (
+    *_MODEL, Opt("out", str, "trajectory.csv"),
+    Opt("state", str, help="JSON file with g1, p1, g2, p2"),
+    Opt("scenario", str, help="re-acute-demo | antipodal-rest | collision-course | random"),
+    Opt("space", tuple(_SPACES), "left"), Opt("T", float, 10.0),
+    Opt("rel_tol", float, FlowConfig.rel_tol), Opt("abs_tol", float, FlowConfig.abs_tol),
+    Opt("sample_dt", float, 0.1), Opt("seed", int, 0),
+)
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _SIMULATE_DEFAULTS)
+
+def cmd_simulate(cfg: dict, given: set) -> int:
     if _source(cfg, "simulate", "state", "scenario") == "scenario":
-        # the scenario's parameters are defaults: the config file and the flags
-        # override them, and the manifest records what ran
-        state, scenario_params = _builtin_scenario(cfg["scenario"], cfg["seed"])
-        cfg = _resolve(args, {**_SIMULATE_DEFAULTS, **scenario_params})
+        # the scenario's potential is a default: the config file and the flag
+        # override it, and the manifest records what ran
+        state, potential = _builtin_scenario(cfg["scenario"], cfg["seed"])
+        if "potential" not in given:
+            cfg["potential"] = potential
     else:
         state = PhaseState.from_json_dict(_load_json("--state", cfg["state"]))
     state.validate()
-    _check_out(cfg)
-    m, pot, _, _ = _masses_potential(cfg)
+    m, pot, _, _ = _masses_potential(cfg, given)
     if cfg["scenario"] == "re-acute-demo":
         for key, agrees in (("m1", m.m1 == 1.0), ("m2", m.m2 == 1.0),
                             ("potential", pot.kind == "gravitational")):
@@ -245,20 +283,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 raise ValueError(f"--{key} contradicts scenario 're-acute-demo', "
                                  "a relative equilibrium of m1 = m2 = 1 under grav")
 
-    space = cfg["space"]
-    if space == "full":
-        y0, rhs, labels = to_body_coords(state), make_body_rhs(m, pot), _STATE_LABELS
-        funcs = invariants_state(m, pot)
-    elif space == "left":
-        y0, rhs, labels = body_frame_vec(state), make_reduced_rhs(m, pot, SIDE_LEFT), _REDUCED_LABELS
-        funcs = invariants_reduced(m, pot)
-    elif space == "right":
-        y0, rhs, labels = space_frame_vec(state), make_reduced_rhs(m, pot, SIDE_RIGHT), _REDUCED_LABELS
-        funcs = invariants_reduced(m, pot)
-    else:  # invariants, the last choice of --space
-        y0, rhs, labels = invariant_map(state), make_invariant_rhs(m, pot), _POINT_LABELS
-        funcs = invariants_point(m, pot)
-
+    enter, make_rhs, make_funcs, labels, leave = _SPACES[cfg["space"]]
+    y0, rhs, funcs = enter(state), make_rhs(m, pot), make_funcs(m, pot)
     flow_cfg = FlowConfig(rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"])
     start = time.perf_counter()
     try:
@@ -266,12 +292,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except SingularityError as exc:
         run = {**_steps_record(exc.trajectory),
                "wall_s": {"integrate": time.perf_counter() - start},
-               "collision": {"time": exc.time, "level": space, "message": str(exc)}}
+               "collision": {"time": exc.time, "level": cfg["space"], "message": str(exc)}}
         _write_manifest(cfg["out"], "simulate", cfg, run)
         print(f"singularity encountered at t = {exc.time}", file=sys.stderr)
         return 3
-    if space == "full":  # the samples are written in (g, p)
-        traj.ys = list(map(from_body_coords, traj.ys))
+    if leave is not None:
+        traj.ys = list(map(leave, traj.ys))
     integrated = time.perf_counter()
 
     # each invariant is evaluated once per row; the CSV and the drift read it
@@ -291,10 +317,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 # reduce
 # ---------------------------------------------------------------------------
 
-_REDUCE_DEFAULTS = {
-    "state": None, "trajectory": None, "m1": 1.0, "m2": 1.0,
-    "potential": "grav", "alpha": None, "gamma": None, "out": "invariants.csv",
-}
+_REDUCE = (*_MODEL, Opt("out", str, "invariants.csv"), Opt("state", str), Opt("trajectory", str))
 
 
 def _trajectory_rows(path: str) -> list[tuple[float, list[float]]]:
@@ -325,12 +348,10 @@ def _trajectory_rows(path: str) -> list[tuple[float, list[float]]]:
     return rows
 
 
-def cmd_reduce(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _REDUCE_DEFAULTS)
+def cmd_reduce(cfg: dict, given: set) -> int:
     # the invariants, Casimirs and strata do not depend on the masses or the
     # potential; those flags are resolved only so that bad values fail
-    _masses_potential(cfg)
-    _check_out(cfg)
+    _masses_potential(cfg, given)
     start = time.perf_counter()
     if _source(cfg, "reduce", "state", "trajectory") == "state":
         state = PhaseState.from_json_dict(_load_json("--state", cfg["state"]))
@@ -358,19 +379,16 @@ def cmd_reduce(args: argparse.Namespace) -> int:
 # re / stability / ec-surface
 # ---------------------------------------------------------------------------
 
-_RE_DEFAULTS = {
-    "theta": None, "eta": 1.0, "phi1": None, "xi": None, "m1": 1.0, "m2": 1.0,
-    "potential": "grav", "alpha": None, "gamma": None, "out": None,
-}
+_RE = (*_MODEL, Opt("out", str), Opt("theta", float), Opt("eta", float, 1.0),
+       Opt("phi1", float), Opt("xi", float))
 
 
-def _solve_from(cfg: dict, command: str):
+def _solve_from(cfg: dict, given: set, command: str):
     """The RE the config names, with the top's (alpha, gamma) or Nones, and
     the time the solve took."""
     if cfg["theta"] is None:
         raise ValueError(f"{command} needs --theta")
-    m, pot, alpha, gamma = _masses_potential(cfg)
-    _check_out(cfg)
+    m, pot, alpha, gamma = _masses_potential(cfg, given)
     start = time.perf_counter()
     re = solve_re(cfg["theta"], cfg["eta"], m, pot,
                   phi1=cfg["phi1"], xi_mag=cfg["xi"])
@@ -388,9 +406,8 @@ def _write_record(cfg: dict, command: str, record: dict, wall_s: dict) -> None:
         sys.stdout.write(text)
 
 
-def cmd_re(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _RE_DEFAULTS)
-    re, _, _, solve_s = _solve_from(cfg, "re")
+def cmd_re(cfg: dict, given: set) -> int:
+    re, _, _, solve_s = _solve_from(cfg, given, "re")
     start = time.perf_counter()
     record = re.to_json_dict()
     record["lever_residual"] = lever_residual(re)
@@ -399,9 +416,8 @@ def cmd_re(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_stability(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _RE_DEFAULTS)
-    re, alpha, gamma, solve_s = _solve_from(cfg, "stability")
+def cmd_stability(cfg: dict, given: set) -> int:
+    re, alpha, gamma, solve_s = _solve_from(cfg, given, "stability")
     start = time.perf_counter()
     report = stab.linearize(re)
     pt, pot = re_image(re), re.potential
@@ -423,40 +439,36 @@ def cmd_stability(args: argparse.Namespace) -> int:
     return 0
 
 
-_EC_DEFAULTS = {
-    "family": "isosceles", "m1": 1.0, "m2": 1.0, "potential": "grav",
-    "alpha": None, "gamma": None,
-    "theta_min": 0.05, "theta_max": math.pi - 0.05,
-    "tau_min": -3.0, "tau_max": 3.0, "grid": (100, 100),
-    "phi1_min": None, "phi1_max": None,
-    "workers": None, "plot_script": False, "classify": True,
-    "out": "ec_surface.csv",
-}
+_EC = (
+    *_MODEL, Opt("out", str, "ec_surface.csv"),
+    Opt("family", (ec.FAMILY_GENERIC, ec.FAMILY_ISOSCELES, ec.FAMILY_ACUTE, ec.FAMILY_OBTUSE,
+                   ec.FAMILY_RIGHT_ANGLED), ec.FAMILY_ISOSCELES),
+    Opt("theta_min", float, 0.05), Opt("theta_max", float, math.pi - 0.05),
+    Opt("tau_min", float, -3.0), Opt("tau_max", float, 3.0), Opt("grid", (int, int), (100, 100)),
+    Opt("phi1_min", float), Opt("phi1_max", float), Opt("workers", int),
+    Opt("plot_script", True, False), Opt("classify", False, True),
+)
 
 
-def cmd_ec_surface(args: argparse.Namespace) -> int:
-    cfg = _resolve(args, _EC_DEFAULTS)
-    _check_out(cfg)
+def cmd_ec_surface(cfg: dict, given: set) -> int:
     # --workers stays only because the benchmark passes --workers 1
     if cfg["workers"] not in (None, 1):
         raise ValueError(f"workers = {cfg['workers']!r}: ec-surface samples its sheets "
                          "serially, so workers must be 1 or unset")
-    m, pot, _, _ = _masses_potential(cfg)
+    m, pot, _, _ = _masses_potential(cfg, given)
     family = cfg["family"]
-    theta_range = (cfg["theta_min"], cfg["theta_max"])
-    if family == ec.FAMILY_ACUTE:
-        theta_range = (cfg["theta_min"], min(cfg["theta_max"], math.pi / 2 - 0.05))
-    elif family == ec.FAMILY_OBTUSE:
-        theta_range = (max(cfg["theta_min"], math.pi / 2 + 0.05), cfg["theta_max"])
+    # an unset endpoint of an acute or obtuse range stops 0.05 short of pi/2
+    margin = {ec.FAMILY_ACUTE: {"theta_max": math.pi / 2 - 0.05},
+              ec.FAMILY_OBTUSE: {"theta_min": math.pi / 2 + 0.05}}.get(family, {})
+    cfg.update((k, v) for k, v in margin.items() if k not in given)
     phi1 = (cfg["phi1_min"], cfg["phi1_max"])
     if phi1.count(None) == 1:
         raise ValueError("--phi1-min and --phi1-max go together: set both or neither")
     start = time.perf_counter()
     result = ec.ec_surface(
-        family, theta_range, (cfg["tau_min"], cfg["tau_max"]),
-        tuple(cfg["grid"]), m, pot,
-        phi1_range=None if None in phi1 else phi1, classify=cfg["classify"],
-    )
+        family, (cfg["theta_min"], cfg["theta_max"]), (cfg["tau_min"], cfg["tau_max"]),
+        tuple(cfg["grid"]), m, pot, phi1_range=None if None in phi1 else phi1,
+        classify=cfg["classify"])
     sampled = time.perf_counter()
     out = cfg["out"]
     Path(out).write_text(ec.ec_csv(result.samples))
@@ -480,15 +492,13 @@ def cmd_ec_surface(args: argparse.Namespace) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.set_defaults(parser=p)  # whose flag definitions type the config file
-    p.add_argument("--config", help="JSON config file; flags override its entries")
-    p.add_argument("--m1", type=float)
-    p.add_argument("--m2", type=float)
-    p.add_argument("--potential", help="grav | linear:<gamma> | lagrange")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--out")
+_COMMANDS = {
+    "simulate": (cmd_simulate, "integrate a flow and write a trajectory CSV", _SIMULATE),
+    "reduce": (cmd_reduce, "map states or a full trajectory to the invariants", _REDUCE),
+    "re": (cmd_re, "classify a relative equilibrium", _RE),
+    "stability": (cmd_stability, "linearise at an RE and classify", _RE),
+    "ec-surface": (cmd_ec_surface, "sample an energy-Casimir bifurcation surface", _EC),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -496,49 +506,14 @@ def build_parser() -> argparse.ArgumentParser:
                                  description="two bodies on the 3-sphere / 4-d spinning top")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("simulate", help="integrate a flow and write a trajectory CSV")
-    _add_common(p)
-    p.add_argument("--state", help="JSON file with g1, p1, g2, p2")
-    p.add_argument("--scenario", help="re-acute-demo | antipodal-rest | collision-course | random")
-    p.add_argument("--space", choices=("full", "left", "right", "invariants"))
-    p.add_argument("--T", type=float)
-    p.add_argument("--rel-tol", dest="rel_tol", type=float)
-    p.add_argument("--abs-tol", dest="abs_tol", type=float)
-    p.add_argument("--sample-dt", dest="sample_dt", type=float)
-    p.add_argument("--seed", type=int)
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("reduce", help="map states or a full trajectory to the invariants")
-    _add_common(p)
-    p.add_argument("--state")
-    p.add_argument("--trajectory")
-    p.set_defaults(fn=cmd_reduce)
-
-    for name, fn, help_ in (("re", cmd_re, "classify a relative equilibrium"),
-                            ("stability", cmd_stability, "linearise at an RE and classify")):
+    for name, (_, help_, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_)
-        _add_common(p)
-        for flag in ("--theta", "--eta", "--phi1", "--xi"):
-            p.add_argument(flag, type=float)
-        p.set_defaults(fn=fn)
-
-    p = sub.add_parser("ec-surface", help="sample an energy-Casimir bifurcation surface")
-    _add_common(p)
-    p.add_argument("--family", choices=(ec.FAMILY_GENERIC, ec.FAMILY_ISOSCELES,
-                                        ec.FAMILY_ACUTE, ec.FAMILY_OBTUSE,
-                                        ec.FAMILY_RIGHT_ANGLED))
-    p.add_argument("--theta-min", dest="theta_min", type=float)
-    p.add_argument("--theta-max", dest="theta_max", type=float)
-    p.add_argument("--tau-min", dest="tau_min", type=float)
-    p.add_argument("--tau-max", dest="tau_max", type=float)
-    p.add_argument("--grid", type=int, nargs=2)
-    p.add_argument("--phi1-min", dest="phi1_min", type=float)
-    p.add_argument("--phi1-max", dest="phi1_max", type=float)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--plot-script", dest="plot_script", action="store_const", const=True)
-    p.add_argument("--no-classify", dest="classify", action="store_const", const=False)
-    p.set_defaults(fn=cmd_ec_surface)
+        p.add_argument("--config", help="JSON config file; flags override its entries")
+        for opt in options:
+            kind, choices, n = opt.shape()
+            kw = ({"action": "store_const", "const": opt.kind} if kind is bool
+                  else {"type": kind, "choices": choices, "nargs": n})
+            p.add_argument(opt.flag, dest=opt.dest, help=opt.help, **kw)
     return ap
 
 
@@ -548,8 +523,11 @@ _parser = functools.cache(build_parser)
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    fn, _, options = _COMMANDS[args.cmd]
     try:
-        return args.fn(args)
+        cfg, given = _resolve(args, options)
+        _check_out(cfg)  # before any work
+        return fn(cfg, given)
     except SingularityError as exc:
         print(f"singularity encountered at t = {exc.time}", file=sys.stderr)
         return 3

@@ -222,9 +222,9 @@ def _planar_re(kind, theta, phi1, eta_mag, m, pot, f) -> RelativeEquilibrium:
     zeta = m.m1 * math.sin(2 * phi1)
     y, xi, x1, x2 = _planar_rates(f * math.sin(theta), zeta, eta_mag,
                                   math.cos(2 * phi1), math.cos(2 * phi2), m)
-    if not all(map(math.isfinite, (y, xi, x1, x2))):  # y = f sin(theta)/(2 eta) overflowed
-        raise ValueError(f"eta_mag = {eta_mag!r} is too small: the rates of the "
-                         "relative equilibrium are not finite")
+    if not all(map(math.isfinite, (y, xi, x1 * x1 + y * y, x2 * x2 + y * y))):  # k11, k22
+        raise ValueError(f"eta_mag = {eta_mag!r} is too {'small' if eta_mag < 1 else 'large'}: "
+                         "the rates of the relative equilibrium or their squares are not finite")
     # xi > 0 rejects the branch of the wrong sign, which also balances
     if not (abs(m.m2 * math.sin(2 * phi2) - zeta) <= _CONSISTENCY_TOL * max(m.m1, m.m2)
             and xi > 0):
@@ -305,8 +305,10 @@ def reconstruct_re(re: RelativeEquilibrium) -> PhaseState:
 
 
 def verify_re_fixed_point(re: RelativeEquilibrium) -> float:
-    """Sup-norm of the fully reduced vector field at the RE's image."""
-    return max(abs(c) for c in make_invariant_rhs(re.masses, re.potential)(0.0, re.image))
+    """Sup-norm of the fully reduced vector field at the RE's image; NaN where
+    a component is NaN, which ``max`` alone would pass over."""
+    field = make_invariant_rhs(re.masses, re.potential)(0.0, re.image)
+    return math.nan if any(map(math.isnan, field)) else max(map(abs, field))
 
 
 def lever_residual(re: RelativeEquilibrium) -> float:

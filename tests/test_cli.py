@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -243,8 +245,8 @@ class TestSimulate:
             return make
 
         monkeypatch.setattr(cli, "integrate", integrate)
-        for name in ("invariants_state", "invariants_reduced", "invariants_point"):
-            monkeypatch.setattr(cli, name, counting(getattr(cli, name)))
+        for space, (enter, make_rhs, make_funcs, *rest) in list(cli._SPACES.items()):
+            monkeypatch.setitem(cli._SPACES, space, (enter, make_rhs, counting(make_funcs), *rest))
         return seen
 
     @pytest.mark.parametrize("space", ["full", "left", "right", "invariants"])
@@ -590,6 +592,109 @@ def test_two_input_sources_exit_4_naming_both(tmp_path, capsys, monkeypatch, arg
     assert not (tmp_path / "x.out").exists()
 
 
+# a short run of each command, which the option-table tests vary by one option
+_QUICK = {"simulate": ["--state", "STATE", "--T", "0.5"], "reduce": ["--state", "STATE"],
+          "re": ["--theta", "1.0"], "stability": ["--theta", "1.0"],
+          "ec-surface": ["--grid", "2", "2"]}
+
+
+def _quick_run(tmp_path, cmd, *extra):
+    """The exit code of the quick run of ``cmd`` with ``extra`` flags, and its --out."""
+    state, out = tmp_path / "state.json", tmp_path / "x.out"
+    state.write_text(json.dumps(TestReduceRows.UNIT))
+    argv = [str(state) if a == "STATE" else a for a in _QUICK[cmd]]
+    return run([cmd, *argv, *extra, "--out", out]), out
+
+
+def _config(tmp_path, entries: dict) -> Path:
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(entries))
+    return path
+
+
+@pytest.mark.parametrize("cmd", _COMMANDS)
+def test_a_config_holding_a_default_resolves_as_none(tmp_path, cmd):
+    assert _quick_run(tmp_path, cmd)[0] == 0
+    manifest = Path(str(tmp_path / "x.out") + ".manifest.json")
+    plain = json.loads(manifest.read_text())["config"]
+    for opt in cli._COMMANDS[cmd][2]:
+        default = list(opt.default) if isinstance(opt.default, tuple) else opt.default
+        assert _quick_run(tmp_path, cmd, "--config",
+                          _config(tmp_path, {opt.dest: default}))[0] == 0, opt.dest
+        assert json.loads(manifest.read_text())["config"] == plain, opt.dest
+
+
+def _wrong_value(kind):
+    """A JSON value that no option of this kind takes."""
+    if isinstance(kind, bool):
+        return 1
+    if isinstance(kind, tuple):
+        return [0.5] * len(kind) if isinstance(kind[0], type) else "none-such"
+    return {float: "1.0", int: 1.5, str: 1}[kind]
+
+
+@pytest.mark.parametrize("cmd", _COMMANDS)
+def test_a_config_value_of_the_wrong_kind_exits_4_naming_key_and_flag(tmp_path, capsys, cmd):
+    for opt in cli._COMMANDS[cmd][2]:
+        code, out = _quick_run(tmp_path, cmd, "--config",
+                               _config(tmp_path, {opt.dest: _wrong_value(opt.kind)}))
+        assert code == 4, opt.dest
+        err = capsys.readouterr().err
+        assert f"config {opt.dest} must be " in err and f", as for {opt.flag}, " in err, err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", _COMMANDS)
+def test_help_lists_exactly_the_declared_flags(capsys, cmd):
+    with pytest.raises(SystemExit) as exc:
+        run([cmd, "--help"])
+    assert exc.value.code == 0
+    listed = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", capsys.readouterr().out))
+    assert listed == {"--help", "--config", *(opt.flag for opt in cli._COMMANDS[cmd][2])}
+
+
+@pytest.mark.parametrize("cmd", _COMMANDS)
+@pytest.mark.parametrize("flags, named", [
+    (["--alpha", "0.5", "--gamma", "2"], "--alpha"),
+    (["--potential", "linear:1", "--gamma", "2"], "--gamma"),
+    (["--m1", "3", "--potential", "lagrange", "--alpha", "0.5", "--gamma", "1"], "--m1"),
+    (["--m2", "3", "--potential", "lagrange", "--alpha", "0.5", "--gamma", "1"], "--m2"),
+], ids=["alpha-grav", "gamma-linear", "m1-lagrange", "m2-lagrange"])
+def test_a_flag_that_contradicts_the_potential_exits_4_naming_both(tmp_path, capsys, cmd,
+                                                                   flags, named):
+    # re ran under grav without alpha and gamma, and under lagrange with
+    # m1 = 1/alpha in place of the m1 given
+    code, out = _quick_run(tmp_path, cmd, *flags)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert f"{named} contradicts --potential " in err
+    assert not out.exists()
+
+
+def test_a_config_entry_contradicts_the_potential_as_a_flag_does(tmp_path, capsys):
+    code, out = _quick_run(tmp_path, "re", "--potential", "lagrange", "--alpha", "0.5",
+                           "--gamma", "1", "--config", _config(tmp_path, {"m1": 2.0}))
+    assert code == 4
+    assert "--m1 contradicts --potential lagrange" in capsys.readouterr().err
+    # a scenario's masses are defaults, which the top replaces
+    out = tmp_path / "top.csv"
+    assert run(["simulate", "--scenario", "random", "--potential", "lagrange", "--alpha", 1,
+                "--gamma", 1, "--T", 0.5, "--out", out]) == 0
+
+
+def test_readme_command_lines_parse():
+    # a flag renamed or dropped in an option table fails here, not in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
+    lines = [line.strip() for b in blocks for line in b.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line, comments=True) for line in lines
+                if line.startswith("spheretop ")]
+    assert len(commands) >= 6
+    parser = cli.build_parser()
+    for argv in commands:
+        parser.parse_args(argv[1:])  # exits 2 on an unknown flag or a bad value
+
+
 def test_one_invariant_order(tmp_path):
     order = InvariantPoint._fields
     assert order == ("k11", "k12", "k13", "k22", "k23", "k33", "r", "delta")
@@ -669,6 +774,15 @@ class TestClassify:
             assert run([cmd, "--theta", 1.0, "--eta", 1e-310, *extra]) == 4
             captured = capsys.readouterr()
             assert "eta_mag = 1e-310" in captured.err and captured.out == ""
+        assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+
+    @pytest.mark.parametrize("cmd", ["re", "stability"])
+    def test_an_image_that_overflows_exits_4(self, tmp_path, capsys, cmd):
+        # the rates are finite but k11 = x1^2 + y^2 is not: re exited 0 with
+        # fixed_point_residual 0.0, and stability exited 4 naming no flag
+        out = tmp_path / "record.json"
+        assert run([cmd, "--theta", 1.0, "--eta", 1e-300, "--out", out]) == 4
+        assert "eta_mag = 1e-300" in capsys.readouterr().err
         assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
 
     def test_a_record_that_is_not_json_is_not_written(self, tmp_path, monkeypatch, capsys):
@@ -761,6 +875,33 @@ class TestSurfaceCommand:
         assert run(["ec-surface", "--config", cfg, "--out", out]) == 4
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_a_set_acute_endpoint_runs_as_given(self, tmp_path, capsys):
+        # --theta-max was narrowed to pi/2 - 0.05 without a word, and the
+        # manifest recorded the range that did not run
+        out = tmp_path / "surf.csv"
+        argv = ["ec-surface", "--family", "acute", "--theta-min", 0.5, "--grid", 3, 2,
+                "--no-classify", "--out", out]
+        assert run([*argv, "--theta-max", 2.5]) == 4
+        assert "acute surfaces need theta" in capsys.readouterr().err
+        assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+        assert run([*argv, "--theta-max", 1.55]) == 0
+        thetas = [float(r.split(",")[1]) for r in out.read_text().splitlines()[1:]]
+        assert (min(thetas), max(thetas)) == (0.5, 1.55)
+        config = json.loads(Path(str(out) + ".manifest.json").read_text())["config"]
+        assert (config["theta_min"], config["theta_max"]) == (0.5, 1.55)
+
+    @pytest.mark.parametrize("family, key, edge", [
+        ("acute", "theta_max", math.pi / 2 - 0.05), ("obtuse", "theta_min", math.pi / 2 + 0.05)])
+    def test_an_unset_endpoint_stops_short_of_a_right_angle(self, tmp_path, family, key, edge):
+        # the manifest records the endpoint that ran, not the default
+        out = tmp_path / "surf.csv"
+        assert run(["ec-surface", "--family", family, "--grid", 3, 2, "--no-classify",
+                    "--out", out]) == 0
+        thetas = [float(r.split(",")[1]) for r in out.read_text().splitlines()[1:]]
+        assert (max if key == "theta_max" else min)(thetas) == edge
+        config = json.loads(Path(str(out) + ".manifest.json").read_text())["config"]
+        assert config[key] == edge
 
     def test_workers_1_runs_the_sheet(self, tmp_path):
         for workers in (["--workers", 1], []):

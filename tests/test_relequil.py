@@ -187,6 +187,24 @@ class TestFixedPoints:
         residual = max(abs(c) for c in rhs_full_reduced(pt, M11, grav(M11)))
         assert residual > 1e-3
 
+    @pytest.mark.parametrize("field", [(1e-3, math.nan), (math.nan, 1e-3), (0.0, math.nan)])
+    def test_a_nan_component_is_no_fixed_point(self, monkeypatch, field):
+        # max kept an earlier finite component over a later NaN, and an RE
+        # whose image overflowed was reported with residual 0.0
+        re = solve_re(1.0, 1.0, M11, grav(M11))
+        monkeypatch.setattr(relequil, "make_invariant_rhs",
+                            lambda m, pot: lambda t, s: (*field, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0))
+        assert not math.isfinite(verify_re_fixed_point(re))
+
+    @pytest.mark.parametrize("theta, eta, message", [
+        (1.0, 1e-300, "eta_mag = 1e-300 is too small"),
+        (2.2, 1e160, "eta_mag = 1e+160 is too large")])
+    def test_rates_whose_squares_overflow_are_refused(self, theta, eta, message):
+        # y and x_i are finite, but k11 = x1^2 + y^2 of the image is not
+        with pytest.raises(ValueError) as exc:
+            solve_re(theta, eta, M11, grav(M11))
+        assert str(exc.value).startswith(message)
+
     def test_simple_rotation_is_cospherical(self):
         re = re_from_tau(1.1, 0.0, M11, grav(M11))
         assert re.xi_mag == pytest.approx(re.eta_mag, rel=1e-12)
