@@ -13,6 +13,8 @@ import csv
 import functools
 import json
 import math
+import os
+import stat
 import sys
 import time
 from collections import Counter
@@ -175,12 +177,50 @@ def _resolve(args: argparse.Namespace, options: tuple[Opt, ...]) -> tuple[dict, 
     return cfg, set(given)
 
 
-def _write_manifest(out_path: str, command: str, cfg: dict, run: dict | None = None) -> None:
+def _write_output(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` in place: open without truncating, write,
+    then cut a regular file to the bytes written.
+
+    A file truncated to zero on open is written back when it is closed on
+    some file systems (ext4's ``auto_da_alloc``), which makes each rewrite
+    several times slower; writing first also keeps the inode, its links and
+    its mode.  The cut runs even when a write fails, so the file then holds
+    the new text's head and never an older run's tail; ``/dev/null`` and
+    pipes are left uncut.
+    """
+    data = memoryview(text.encode())
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    done = 0
+    try:
+        while done < len(data):
+            done += os.write(fd, data[done:])
+    finally:
+        try:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                os.ftruncate(fd, done)
+        finally:
+            os.close(fd)
+
+
+# the files beside the manifest that a run may leave, by their suffix to --out
+_OUTPUTS = ("", ".drift.json", ".failures.json", ".plot.py")
+
+
+def _write_outputs(out: str, files: dict[str, str]) -> None:
+    """Write ``out + suffix`` for each (suffix, text) of ``files``, and remove
+    the other ``_OUTPUTS`` an earlier run may have left beside ``out``."""
+    for suffix in _OUTPUTS:
+        if suffix in files:
+            _write_output(out + suffix, files[suffix])
+        else:
+            Path(out + suffix).unlink(missing_ok=True)
+
+
+def _write_manifest(out: str, command: str, cfg: dict, run: dict | None = None) -> None:
     manifest = {"command": command, "version": __version__, "config": cfg}
     if run is not None:
         manifest["run"] = run
-    path = Path(str(out_path) + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _write_output(out + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _steps_record(traj) -> dict:
@@ -293,6 +333,7 @@ def cmd_simulate(cfg: dict, given: set) -> int:
         run = {**_steps_record(exc.trajectory),
                "wall_s": {"integrate": time.perf_counter() - start},
                "collision": {"time": exc.time, "level": cfg["space"], "message": str(exc)}}
+        _write_outputs(cfg["out"], {})  # no trajectory, and none an earlier run left
         _write_manifest(cfg["out"], "simulate", cfg, run)
         print(f"singularity encountered at t = {exc.time}", file=sys.stderr)
         return 3
@@ -303,9 +344,9 @@ def cmd_simulate(cfg: dict, given: set) -> int:
     # each invariant is evaluated once per row; the CSV and the drift read it
     out = cfg["out"]
     columns = sample_columns(traj, funcs)
-    Path(out).write_text(trajectory_csv(traj, labels, columns))
     drift = {f"drift_{k}": v for k, v in drift_summary(columns).items()}
-    Path(out + ".drift.json").write_text(json.dumps(drift, indent=2, sort_keys=True) + "\n")
+    _write_outputs(out, {"": trajectory_csv(traj, labels, columns),
+                         ".drift.json": json.dumps(drift, indent=2, sort_keys=True) + "\n"})
     run = {**_steps_record(traj),
            "wall_s": {"integrate": integrated - start, "write": time.perf_counter() - integrated}}
     _write_manifest(out, "simulate", cfg, run)
@@ -368,7 +409,7 @@ def cmd_reduce(cfg: dict, given: set) -> int:
         lines.append(",".join((*cells, stratum_classify(pt))))
     reduced = time.perf_counter()
     out = cfg["out"]
-    Path(out).write_text("\n".join(lines) + "\n")
+    _write_outputs(out, {"": "\n".join(lines) + "\n"})
     run = {"rows": len(rows), "wall_s": {"read": read - start, "reduce": reduced - read,
                                          "write": time.perf_counter() - reduced}}
     _write_manifest(out, "reduce", cfg, run)
@@ -400,7 +441,7 @@ def _write_record(cfg: dict, command: str, record: dict, wall_s: dict) -> None:
     ``wall_s``, or the record to stdout."""
     text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if cfg["out"]:
-        Path(cfg["out"]).write_text(text)
+        _write_outputs(cfg["out"], {"": text})
         _write_manifest(cfg["out"], command, cfg, {"wall_s": wall_s})
     else:
         sys.stdout.write(text)
@@ -471,12 +512,12 @@ def cmd_ec_surface(cfg: dict, given: set) -> int:
         classify=cfg["classify"])
     sampled = time.perf_counter()
     out = cfg["out"]
-    Path(out).write_text(ec.ec_csv(result.samples))
+    files = {"": ec.ec_csv(result.samples)}
     if result.failures:
-        Path(out + ".failures.json").write_text(
-            json.dumps([list(f) for f in result.failures], indent=2) + "\n")
+        files[".failures.json"] = json.dumps([list(f) for f in result.failures], indent=2) + "\n"
     if cfg["plot_script"]:
-        Path(out + ".plot.py").write_text(ec.PLOT_SCRIPT)
+        files[".plot.py"] = ec.PLOT_SCRIPT
+    _write_outputs(out, files)
     # each failure record's message starts with its exception type
     n_nodes = len(result.samples) + len(result.failures)
     run = {"samples": len(result.samples),

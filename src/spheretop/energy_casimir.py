@@ -25,6 +25,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,8 +46,9 @@ FAMILY_SINGULAR_0 = "singular0"
 FAMILY_SINGULAR_PI = "singularPi"
 
 
-@dataclass(frozen=True)
-class ECSample:
+class ECSample(NamedTuple):
+    """One node of a sheet: the CSV's columns, then the RE's rates and phi1."""
+
     family: str
     theta: float
     tau: float
@@ -115,10 +117,11 @@ def _sample_from_re(
         with np.errstate(all="ignore"):  # a non-finite spectrum raises below
             eigs = _stability.quartet_spectrum(pt, re.masses, pot.f(pt.r), pot.fprime(pt.r))
         label = _stability.classify_stability_eigs(eigs)
-    H, lam2, rho2 = _ec_values(pt, re.xi_mag, re.eta_mag, s_of(re), pot.v(pt.r), re.masses)
-    return ECSample(family=family, theta=re.theta, tau=tau, H=H, lam2=lam2, rho2=rho2,
-                    stability=label, xi_mag=re.xi_mag, eta_mag=re.eta_mag, phi1=re.phi1,
-                    gauge_flipped=gauge_flipped)
+    values = _ec_values(pt, re.xi_mag, re.eta_mag, s_of(re), pot.v(pt.r), re.masses)
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"(H, lam2, rho2) = {values!r} is not finite")
+    return ECSample(family, re.theta, tau, *values, label, re.xi_mag, re.eta_mag, re.phi1,
+                    gauge_flipped)
 
 
 def _try_sample(theta, tau, m, pot, family, phi1, classify) -> tuple:
@@ -139,10 +142,11 @@ def _batch_row(theta, phi1, exp_tau, m, pot, classify) -> tuple:
     return re, flipped, rates, (cos_th, math.sin(re.theta), pot.v(cos_th), s_of(re), *force)
 
 
-def _batch_nodes(batch: list, n_b: int, m: MassParams, classify: bool) -> list:
-    """(H, lam2, rho2, xi, eta, label) of every node of the batched rows, in
-    order, or None for a node the scalar path must sample: one where
-    ``re_from_tau`` raises (eta not positive and finite, xi not positive), or
+def _batch_nodes(batch: list, n_b: int, m: MassParams, classify: bool) -> tuple[list, ...]:
+    """The columns (H, lam2, rho2, label, xi, eta, accept) over every node of
+    the batched rows, in order.  ``accept`` is False for a node the scalar
+    path must sample: one where ``re_from_tau`` raises (eta not positive and
+    finite, xi not positive), one whose (H, lam2, rho2) is not finite, or
     when classifying one whose ``quartet_spectrum`` is not finite.
     """
     eta, y, xi, x1, x2 = (np.concatenate(a) for a in zip(*(b[2] for b in batch)))
@@ -151,13 +155,12 @@ def _batch_nodes(batch: list, n_b: int, m: MassParams, classify: bool) -> list:
     with np.errstate(all="ignore"):  # such nodes are left to the scalar path
         pt = planar_image(x1, x2, y, cos_th, sin_th)
         values = _ec_values(pt, xi, eta, s, v, m)
-        accept = np.isfinite(eta) & (eta > 0) & (xi > 0)
+        accept = np.isfinite(eta) & (eta > 0) & (xi > 0) & np.isfinite(values).all(axis=0)
         if classify:
             eigs = _stability.quartet_spectrum(pt, m, f, fp)
             accept &= np.isfinite(eigs).all(axis=-1)
             labels[accept] = _stability.classify_stability_eigs(eigs[accept])
-    columns = (a.tolist() for a in (*values, xi, eta, labels, accept))
-    return [node if ok else None for *node, ok in zip(*columns)]
+    return tuple(a.tolist() for a in (*values, labels, xi, eta, accept))
 
 
 def _sample_block(rows, taus, exp_tau, m, pot, family, classify) -> tuple[list, int]:
@@ -173,20 +176,24 @@ def _sample_block(rows, taus, exp_tau, m, pot, family, classify) -> tuple[list, 
             batched[i] = _batch_row(theta, phi1, exp_tau, m, pot, classify)
         except Exception:  # the scalar path records the row's failures
             pass
-    nodes = iter(_batch_nodes(list(batched.values()), len(taus), m, classify) if batched else ())
-    out, n_scalar = [], 0
+    n_b = len(taus)
+    columns = _batch_nodes(list(batched.values()), n_b, m, classify) if batched else ()
+    out, n_scalar, start = [], 0, 0
     for i, (theta, phi1) in enumerate(rows):
-        for tau in taus:
-            node = next(nodes) if i in batched else None
-            if node is None:
+        if i not in batched:
+            out.extend(_try_sample(theta, tau, m, pot, family, phi1, classify) for tau in taus)
+            n_scalar += n_b
+            continue
+        re, flipped = batched[i][:2]
+        row = (c[start:start + n_b] for c in columns)
+        for tau, H, lam2, rho2, label, xi, eta, ok in zip(taus, *row):
+            if ok:
+                out.append((ECSample(family, re.theta, tau, H, lam2, rho2, label, xi, eta,
+                                     re.phi1, flipped), None))
+            else:
                 out.append(_try_sample(theta, tau, m, pot, family, phi1, classify))
                 n_scalar += 1
-                continue
-            H, lam2, rho2, xi, eta, label = node
-            re, flipped = batched[i][:2]
-            out.append((ECSample(family=family, theta=re.theta, tau=tau, H=H, lam2=lam2,
-                                 rho2=rho2, stability=label, xi_mag=xi, eta_mag=eta,
-                                 phi1=re.phi1, gauge_flipped=flipped), None))
+        start += n_b
     return out, n_scalar
 
 

@@ -990,3 +990,119 @@ def test_parser_is_built_on_first_use_and_reused():
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "0 [0, 0, 0] 1"
+
+
+class TestOutputFiles:
+    """Every file a command leaves is rewritten in place by ``cli._write_output``,
+    and a run removes the ``<out>`` siblings an earlier run left that it does
+    not write itself."""
+
+    def test_a_shorter_rewrite_leaves_exactly_the_new_bytes(self, tmp_path):
+        path = tmp_path / "f.txt"
+        cli._write_output(str(path), "an older and longer text\n")
+        inode = path.stat().st_ino
+        cli._write_output(str(path), "new\n")
+        assert path.read_bytes() == b"new\n" and path.stat().st_ino == inode
+        # and through a command: a smaller sheet over a larger one
+        out, fresh = tmp_path / "s.csv", tmp_path / "fresh.csv"
+        for grid, path in (((6, 7), out), ((3, 3), out), ((3, 3), fresh)):
+            assert run(["ec-surface", "--grid", *grid, "--no-classify", "--out", path]) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    def test_a_symlinked_out_updates_its_target_and_stays_a_link(self, tmp_path):
+        target, link, fresh = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "x.csv"
+        target.write_text("an older run's row\n" * 1000)
+        link.symlink_to(target)
+        for path in (link, fresh):
+            assert run(["ec-surface", "--grid", 3, 3, "--no-classify", "--out", path]) == 0
+        assert link.is_symlink() and link.resolve() == target.resolve()
+        assert target.read_bytes() == fresh.read_bytes()
+
+    def test_an_existing_file_keeps_its_mode(self, tmp_path):
+        out = tmp_path / "r.json"
+        out.write_text("{}\n")
+        out.chmod(0o640)
+        assert run(["re", "--theta", 1.0, "--out", out]) == 0
+        assert out.stat().st_mode & 0o777 == 0o640
+        assert "lever_residual" in json.loads(out.read_text())
+
+    def test_dev_null_is_written_without_a_cut(self):
+        # ftruncate on a character device fails; the writer does not try
+        cli._write_output("/dev/null", "x" * 100_000)
+
+    def test_a_write_that_fails_partway_leaves_no_old_tail(self, tmp_path, monkeypatch):
+        path = tmp_path / "f.csv"
+        path.write_text("o" * 100)
+        real_write = cli.os.write
+
+        def short_then_full(fd, data):  # 10 bytes land, then the disk is full
+            if short_then_full.calls:
+                raise OSError(28, "No space left on device")
+            short_then_full.calls += 1
+            return real_write(fd, data[:10])
+
+        short_then_full.calls = 0
+        monkeypatch.setattr(cli.os, "write", short_then_full)
+        with pytest.raises(OSError, match="No space left"):
+            cli._write_output(str(path), "n" * 40)
+        monkeypatch.undo()
+        assert path.read_text() == "n" * 10
+
+    def test_a_clean_rerun_removes_the_siblings_it_does_not_write(self, tmp_path, capsys):
+        # the earlier run's 81 failure records used to stay beside a manifest
+        # that counts none
+        out = tmp_path / "s.csv"
+        failures, plot = Path(f"{out}.failures.json"), Path(f"{out}.plot.py")
+        assert run(["ec-surface", "--family", "obtuse", "--m1", 3, "--m2", 2,
+                    "--theta-min", 1.7, "--theta-max", 3.0, "--tau-min", 690, "--tau-max", 712,
+                    "--grid", 5, 45, "--plot-script", "--out", out]) == 0
+        assert len(json.loads(failures.read_text())) == 81 and plot.exists()
+        assert run(["ec-surface", "--grid", 4, 4, "--out", out]) == 0
+        assert json.loads(Path(f"{out}.manifest.json").read_text())["run"]["failures"] == {}
+        assert not failures.exists() and not plot.exists()
+        assert len(out.read_text().splitlines()) == 17
+
+    def test_a_simulate_that_exits_3_removes_an_earlier_trajectory(self, tmp_path, capsys):
+        # the random run's rows and drift used to stay beside the collision manifest
+        out = tmp_path / "t.csv"
+        assert run(["simulate", "--scenario", "random", "--T", 1, "--out", out]) == 0
+        assert run(["simulate", "--scenario", "collision-course", "--space", "left", "--T", 1,
+                    "--out", out]) == 3
+        assert not out.exists() and not Path(f"{out}.drift.json").exists()
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["config"]["scenario"] == "collision-course"
+        assert "collision" in manifest["run"]
+
+    def test_every_file_is_written_through_write_output(self):
+        # Path.write_text or open(..., "w") truncates on open, which is the
+        # slow rewrite, and skips the removal of stale siblings.  Only the
+        # package is held to this; scripts/ are studies that write their own
+        # files.
+        import ast
+
+        writer, bad = set(), []
+        for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.FunctionDef) and node.name == "_write_output":
+                    writer |= {id(n) for n in ast.walk(node)}
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                owner = getattr(getattr(func, "value", None), "id", None)
+                if name in ("write_text", "write_bytes"):
+                    bad.append(f"{path.name}:{node.lineno} {name}")
+                elif name == "open" and owner == "os":
+                    if id(node) not in writer:
+                        bad.append(f"{path.name}:{node.lineno} os.open")
+                elif name == "open":
+                    # open(file, mode) or a path's .open(mode)
+                    at = 0 if isinstance(func, ast.Attribute) else 1
+                    mode = (node.args[at] if len(node.args) > at else
+                            next((k.value for k in node.keywords if k.arg == "mode"), None))
+                    if mode is not None and not (isinstance(mode, ast.Constant)
+                                                 and not set(mode.value) & set("wax+")):
+                        bad.append(f"{path.name}:{node.lineno} open")
+        assert writer and not bad, bad

@@ -73,6 +73,16 @@ class TestSample:
         gap2 = abs(closer.H - right.H) + abs(closer.lam2 - right.lam2)
         assert gap2 < gap1 and gap2 < 1e-4
 
+    def test_a_sample_is_its_tuple(self):
+        # a NamedTuple, as InvariantPoint is: the fields in CSV order, then
+        # the RE's rates and phi1, and the flip that defaults to False
+        s = ec_sample(1.1, 0.2, M11, GRAV11)
+        assert isinstance(s, tuple) and s._fields == (*EC_CSV_COLUMNS, "xi_mag", "eta_mag",
+                                                      "phi1", "gauge_flipped")
+        assert energy_casimir.ECSample(*s[:10]) == s and not s.gauge_flipped
+        with pytest.raises(AttributeError):
+            s.H = 0.0
+
     def test_gauge_reflection_is_flagged(self):
         s = ec_sample(math.pi / 2, 0.3, M11, GRAV11, phi1=-0.4, classify=False)
         assert s.gauge_flipped
@@ -204,23 +214,20 @@ class TestBatchParity:
     }
 
     @staticmethod
-    def _node_by_node(family, theta_range, tau_range, grid, m, pot, phi1_range):
+    def _node_by_node(family, theta_range, tau_range, grid, m, pot, phi1_range, classify=True):
         samples, failures = [], []
         for first in np.linspace(*(phi1_range or theta_range), grid[0]):
             theta, phi1 = (math.pi / 2, float(first)) if phi1_range else (float(first), None)
             for tau in np.linspace(*tau_range, grid[1]):
                 try:
                     samples.append(ec_sample(theta, float(tau), m, pot, family=family,
-                                             phi1=phi1))
+                                             phi1=phi1, classify=classify))
                 except Exception as exc:
                     failures.append((theta, float(tau), f"{type(exc).__name__}: {exc}"))
         return samples, tuple(failures)
 
-    @pytest.mark.parametrize("name", sorted(SHEETS))
-    def test_batch_matches_ec_sample(self, name):
-        family, theta_range, tau_range, grid, m, pot, phi1_range = self.SHEETS[name]
-        got = ec_surface(family, theta_range, tau_range, grid, m, pot, phi1_range=phi1_range)
-        samples, failures = self._node_by_node(*self.SHEETS[name])
+    @staticmethod
+    def _assert_agree(got, samples, failures):
         assert got.failures == failures
         assert len(got.samples) == len(samples)
         for a, b in zip(got.samples, samples):
@@ -229,6 +236,12 @@ class TestBatchParity:
             for key in ("H", "lam2", "rho2", "xi_mag", "eta_mag", "phi1"):
                 x, y = getattr(a, key), getattr(b, key)
                 assert abs(x - y) <= 1e-12 * abs(y), (key, a, b)
+
+    @pytest.mark.parametrize("name", sorted(SHEETS))
+    def test_batch_matches_ec_sample(self, name):
+        family, theta_range, tau_range, grid, m, pot, phi1_range = self.SHEETS[name]
+        got = ec_surface(family, theta_range, tau_range, grid, m, pot, phi1_range=phi1_range)
+        self._assert_agree(got, *self._node_by_node(*self.SHEETS[name]))
         if name in ("mass32_generic", "extreme_tau"):
             assert got.failures and got.scalar_nodes == len(got.failures)
         if name == "extreme_tau":  # tau = +-400 keeps a finite spectrum
@@ -268,6 +281,21 @@ class TestBatchParity:
         assert all(msg.startswith("ValueError: eta_mag = ") and "is too small" in msg
                    for _, _, msg in res.failures)
         assert all(math.isfinite(s.H) for s in res.samples)
+
+    @pytest.mark.parametrize("classify", [True, False], ids=["classify", "no-classify"])
+    def test_a_node_whose_values_overflow_is_a_failure(self, classify):
+        # near tau = 706 H or lam2 overflows while eta stays positive and the
+        # spectrum finite: both paths returned such nodes, and the sheet CSV
+        # held inf in 10 rows (51 unclassified, where the batch checks no
+        # spectrum)
+        sheet = ("obtuse", (1.7, 3.0), (690.0, 712.0), (5, 45), M32, GRAV32)
+        got = ec_surface(*sheet, classify=classify)
+        assert "inf" not in ec_csv(got.samples)
+        overflowed = [msg for *_, msg in got.failures if "(H, lam2, rho2) = (" in msg]
+        assert len(overflowed) == 10
+        assert all(msg.startswith("ValueError: ") and msg.endswith(") is not finite")
+                   for msg in overflowed)
+        self._assert_agree(got, *self._node_by_node(*sheet, None, classify))
         with pytest.raises(ValueError, match="eta_mag = .* is too small"):
             ec_sample(0.5, 709.0, M11, GRAV11)
 
