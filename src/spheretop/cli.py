@@ -202,18 +202,29 @@ def _write_output(path: str, text: str) -> None:
             os.close(fd)
 
 
-# the files beside the manifest that a run may leave, by their suffix to --out
-_OUTPUTS = ("", ".drift.json", ".failures.json", ".plot.py")
+def _remove_output(path: str) -> None:
+    """Leave no earlier run's text at ``path``: remove a regular file, and cut
+    a symlink's regular-file target to zero bytes, so the link stays.  Anything
+    else (a device such as ``/dev/null``, a pipe, a directory) is left alone."""
+    try:
+        mode = os.lstat(path).st_mode
+    except FileNotFoundError:
+        return
+    if stat.S_ISREG(mode):
+        os.unlink(path)
+    elif stat.S_ISLNK(mode) and os.path.isfile(path):
+        _write_output(path, "")
 
 
-def _write_outputs(out: str, files: dict[str, str]) -> None:
-    """Write ``out + suffix`` for each (suffix, text) of ``files``, and remove
-    the other ``_OUTPUTS`` an earlier run may have left beside ``out``."""
-    for suffix in _OUTPUTS:
-        if suffix in files:
-            _write_output(out + suffix, files[suffix])
-        else:
-            Path(out + suffix).unlink(missing_ok=True)
+def _drop_manifest(out: str) -> None:
+    """Remove ``<out>.manifest.json`` before a run rewrites its first output.
+
+    ``_write_manifest`` writes it again after the last, so a run that is cut
+    (killed, or failing on a full disk) leaves outputs with no manifest (an
+    empty one where it is a symlink): whatever is beside them may hold parts
+    of two runs.
+    """
+    _remove_output(out + ".manifest.json")
 
 
 def _write_manifest(out: str, command: str, cfg: dict, run: dict | None = None) -> None:
@@ -285,14 +296,18 @@ def _builtin_scenario(name: str, seed: int) -> tuple[PhaseState, str]:
 
 
 # --space: a level's map of the start state, its vector field and invariants
-# (each of the masses and potential), CSV labels and map of a sample to (g, p)
+# (each of the masses and potential), CSV labels and map of a sample to (g, p);
+# each vector field is looked up when a run starts, so the module's binding
+# (patched, say, by a check that perturbs the flow) is the one that runs
 _SPACES = {
-    "full": (to_body_coords, make_body_rhs, invariants_state, _STATE_LABELS, from_body_coords),
-    "left": (body_frame_vec, functools.partial(make_reduced_rhs, side=SIDE_LEFT),
+    "full": (to_body_coords, lambda m, pot: make_body_rhs(m, pot), invariants_state,
+             _STATE_LABELS, from_body_coords),
+    "left": (body_frame_vec, lambda m, pot: make_reduced_rhs(m, pot, SIDE_LEFT),
              invariants_reduced, _REDUCED_LABELS, None),
-    "right": (space_frame_vec, functools.partial(make_reduced_rhs, side=SIDE_RIGHT),
+    "right": (space_frame_vec, lambda m, pot: make_reduced_rhs(m, pot, SIDE_RIGHT),
               invariants_reduced, _REDUCED_LABELS, None),
-    "invariants": (invariant_map, make_invariant_rhs, invariants_point, _POINT_LABELS, None),
+    "invariants": (invariant_map, lambda m, pot: make_invariant_rhs(m, pot), invariants_point,
+                   _POINT_LABELS, None),
 }
 
 _SIMULATE = (
@@ -333,7 +348,9 @@ def cmd_simulate(cfg: dict, given: set) -> int:
         run = {**_steps_record(exc.trajectory),
                "wall_s": {"integrate": time.perf_counter() - start},
                "collision": {"time": exc.time, "level": cfg["space"], "message": str(exc)}}
-        _write_outputs(cfg["out"], {})  # no trajectory, and none an earlier run left
+        _drop_manifest(cfg["out"])
+        for path in (cfg["out"], cfg["out"] + ".drift.json"):
+            _remove_output(path)  # no trajectory, and none an earlier run left
         _write_manifest(cfg["out"], "simulate", cfg, run)
         print(f"singularity encountered at t = {exc.time}", file=sys.stderr)
         return 3
@@ -345,8 +362,9 @@ def cmd_simulate(cfg: dict, given: set) -> int:
     out = cfg["out"]
     columns = sample_columns(traj, funcs)
     drift = {f"drift_{k}": v for k, v in drift_summary(columns).items()}
-    _write_outputs(out, {"": trajectory_csv(traj, labels, columns),
-                         ".drift.json": json.dumps(drift, indent=2, sort_keys=True) + "\n"})
+    _drop_manifest(out)
+    _write_output(out, trajectory_csv(traj, labels, columns))
+    _write_output(out + ".drift.json", json.dumps(drift, indent=2, sort_keys=True) + "\n")
     run = {**_steps_record(traj),
            "wall_s": {"integrate": integrated - start, "write": time.perf_counter() - integrated}}
     _write_manifest(out, "simulate", cfg, run)
@@ -409,7 +427,8 @@ def cmd_reduce(cfg: dict, given: set) -> int:
         lines.append(",".join((*cells, stratum_classify(pt))))
     reduced = time.perf_counter()
     out = cfg["out"]
-    _write_outputs(out, {"": "\n".join(lines) + "\n"})
+    _drop_manifest(out)
+    _write_output(out, "\n".join(lines) + "\n")
     run = {"rows": len(rows), "wall_s": {"read": read - start, "reduce": reduced - read,
                                          "write": time.perf_counter() - reduced}}
     _write_manifest(out, "reduce", cfg, run)
@@ -441,7 +460,8 @@ def _write_record(cfg: dict, command: str, record: dict, wall_s: dict) -> None:
     ``wall_s``, or the record to stdout."""
     text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if cfg["out"]:
-        _write_outputs(cfg["out"], {"": text})
+        _drop_manifest(cfg["out"])
+        _write_output(cfg["out"], text)
         _write_manifest(cfg["out"], command, cfg, {"wall_s": wall_s})
     else:
         sys.stdout.write(text)
@@ -512,12 +532,15 @@ def cmd_ec_surface(cfg: dict, given: set) -> int:
         classify=cfg["classify"])
     sampled = time.perf_counter()
     out = cfg["out"]
-    files = {"": ec.ec_csv(result.samples)}
+    _drop_manifest(out)
+    _write_output(out, ec.ec_csv(result.samples))
     if result.failures:
-        files[".failures.json"] = json.dumps([list(f) for f in result.failures], indent=2) + "\n"
+        _write_output(out + ".failures.json",
+                      json.dumps([list(f) for f in result.failures], indent=2) + "\n")
+    else:
+        _remove_output(out + ".failures.json")  # an earlier sheet's records
     if cfg["plot_script"]:
-        files[".plot.py"] = ec.PLOT_SCRIPT
-    _write_outputs(out, files)
+        _write_output(out + ".plot.py", ec.PLOT_SCRIPT)
     # each failure record's message starts with its exception type
     n_nodes = len(result.samples) + len(result.failures)
     run = {"samples": len(result.samples),

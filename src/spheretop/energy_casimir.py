@@ -25,7 +25,6 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +45,8 @@ FAMILY_SINGULAR_0 = "singular0"
 FAMILY_SINGULAR_PI = "singularPi"
 
 
-class ECSample(NamedTuple):
+@dataclass(frozen=True)
+class ECSample:
     """One node of a sheet: the CSV's columns, then the RE's rates and phi1."""
 
     family: str

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import re
 import shlex
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +266,24 @@ class TestSimulate:
         drift = json.loads(Path(str(out) + ".drift.json").read_text())
         assert drift == {f"drift_{k}": v
                          for k, v in drift_summary(sample_columns(traj, funcs)).items()}
+
+    @pytest.mark.parametrize("space, name", [
+        ("full", "make_body_rhs"), ("left", "make_reduced_rhs"),
+        ("right", "make_reduced_rhs"), ("invariants", "make_invariant_rhs")])
+    def test_each_level_runs_the_modules_vector_field(self, tmp_path, monkeypatch, space, name):
+        # a vector field patched on the module is the one that runs, as a
+        # check that perturbs the flow relies on
+        real, built = getattr(cli, name), []
+
+        def recording(*args):
+            built.append(args[2:])
+            return real(*args)
+
+        monkeypatch.setattr(cli, name, recording)
+        assert run(["simulate", "--scenario", "random", "--space", space, "--T", 0.5,
+                    "--out", tmp_path / "t.csv"]) == 0
+        assert built == [(cli.SIDE_RIGHT,) if space == "right" else
+                         (cli.SIDE_LEFT,) if space == "left" else ()]
 
     @pytest.mark.parametrize("space, state_file", [
         ("full", False), ("full", True), ("left", False), ("invariants", False)])
@@ -994,8 +1014,9 @@ def test_parser_is_built_on_first_use_and_reused():
 
 class TestOutputFiles:
     """Every file a command leaves is rewritten in place by ``cli._write_output``,
-    and a run removes the ``<out>`` siblings an earlier run left that it does
-    not write itself."""
+    its manifest removed before the first output and written after the last;
+    a clean sheet removes an earlier ``.failures.json``, and a ``simulate``
+    that exits 3 an earlier trajectory and drift."""
 
     def test_a_shorter_rewrite_leaves_exactly_the_new_bytes(self, tmp_path):
         path = tmp_path / "f.txt"
@@ -1048,18 +1069,20 @@ class TestOutputFiles:
         monkeypatch.undo()
         assert path.read_text() == "n" * 10
 
-    def test_a_clean_rerun_removes_the_siblings_it_does_not_write(self, tmp_path, capsys):
+    def test_a_clean_rerun_removes_the_earlier_failures(self, tmp_path, capsys):
         # the earlier run's 81 failure records used to stay beside a manifest
-        # that counts none
+        # that counts none; the plot script is a template to edit, so a run
+        # without --plot-script leaves it
         out = tmp_path / "s.csv"
         failures, plot = Path(f"{out}.failures.json"), Path(f"{out}.plot.py")
         assert run(["ec-surface", "--family", "obtuse", "--m1", 3, "--m2", 2,
                     "--theta-min", 1.7, "--theta-max", 3.0, "--tau-min", 690, "--tau-max", 712,
                     "--grid", 5, 45, "--plot-script", "--out", out]) == 0
         assert len(json.loads(failures.read_text())) == 81 and plot.exists()
+        plot.write_text("# edited\n")
         assert run(["ec-surface", "--grid", 4, 4, "--out", out]) == 0
         assert json.loads(Path(f"{out}.manifest.json").read_text())["run"]["failures"] == {}
-        assert not failures.exists() and not plot.exists()
+        assert not failures.exists() and plot.read_text() == "# edited\n"
         assert len(out.read_text().splitlines()) == 17
 
     def test_a_simulate_that_exits_3_removes_an_earlier_trajectory(self, tmp_path, capsys):
@@ -1073,11 +1096,56 @@ class TestOutputFiles:
         assert manifest["config"]["scenario"] == "collision-course"
         assert "collision" in manifest["run"]
 
+    def test_a_simulate_that_exits_3_empties_a_symlinked_out(self, tmp_path, capsys):
+        # the link stays a link, and its target holds no earlier row
+        target, link = tmp_path / "target.csv", tmp_path / "t.csv"
+        link.symlink_to(target)
+        assert run(["simulate", "--scenario", "random", "--T", 1, "--out", link]) == 0
+        assert target.stat().st_size > 0
+        assert run(["simulate", "--scenario", "collision-course", "--space", "left", "--T", 1,
+                    "--out", link]) == 3
+        assert link.is_symlink() and target.read_bytes() == b""
+        assert not Path(f"{link}.drift.json").exists()
+
+    def test_only_regular_files_are_removed(self, tmp_path):
+        fifo, dangling, plain = tmp_path / "fifo", tmp_path / "dangling", tmp_path / "plain"
+        os.mkfifo(fifo)
+        dangling.symlink_to(tmp_path / "missing")
+        plain.write_text("x\n")
+        for path in (fifo, dangling, plain, tmp_path / "absent"):
+            cli._remove_output(str(path))
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and dangling.is_symlink()
+        assert not (tmp_path / "missing").exists() and not plain.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "reduce", "re", "ec-surface"])
+    def test_a_run_cut_while_writing_leaves_no_manifest(self, tmp_path, monkeypatch, command):
+        # the manifest is removed before the first output is rewritten and
+        # written after the last, so outputs beside none may be mixed
+        out, traj = tmp_path / "o", tmp_path / "t.csv"
+        assert run(["simulate", "--scenario", "random", "--space", "full", "--T", 0.5,
+                    "--out", traj]) == 0
+        argv = {"simulate": ["simulate", "--scenario", "random", "--T", 0.5],
+                "reduce": ["reduce", "--trajectory", traj],
+                "re": ["re", "--theta", 1.0],
+                "ec-surface": ["ec-surface", "--grid", 3, 3, "--no-classify"]}[command]
+        manifest = Path(f"{out}.manifest.json")
+        assert run([*argv, "--out", out]) == 0 and manifest.exists()
+        written = []
+
+        def full(path, text):  # the first output lands, then the disk is full
+            if written:
+                raise OSError(28, "No space left on device")
+            written.append(path)
+
+        monkeypatch.setattr(cli, "_write_output", full)
+        with pytest.raises(OSError, match="No space left"):
+            run([*argv, "--out", out])
+        assert written == [str(out)] and not manifest.exists()
+
     def test_every_file_is_written_through_write_output(self):
         # Path.write_text or open(..., "w") truncates on open, which is the
-        # slow rewrite, and skips the removal of stale siblings.  Only the
-        # package is held to this; scripts/ are studies that write their own
-        # files.
+        # slow rewrite.  Only the package is held to this; scripts/ are
+        # studies that write their own files.
         import ast
 
         writer, bad = set(), []

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -73,14 +74,16 @@ class TestSample:
         gap2 = abs(closer.H - right.H) + abs(closer.lam2 - right.lam2)
         assert gap2 < gap1 and gap2 < 1e-4
 
-    def test_a_sample_is_its_tuple(self):
-        # a NamedTuple, as InvariantPoint is: the fields in CSV order, then
-        # the RE's rates and phi1, and the flip that defaults to False
+    def test_a_sample_is_a_frozen_record(self):
+        # a frozen dataclass whose fields follow the CSV's columns; one field
+        # is changed by dataclasses.replace, as a perturbation check does
         s = ec_sample(1.1, 0.2, M11, GRAV11)
-        assert isinstance(s, tuple) and s._fields == (*EC_CSV_COLUMNS, "xi_mag", "eta_mag",
-                                                      "phi1", "gauge_flipped")
-        assert energy_casimir.ECSample(*s[:10]) == s and not s.gauge_flipped
-        with pytest.raises(AttributeError):
+        names = tuple(f.name for f in dataclasses.fields(s))
+        assert names == (*EC_CSV_COLUMNS, "xi_mag", "eta_mag", "phi1", "gauge_flipped")
+        moved = dataclasses.replace(s, H=s.H * (1 + 1e-7))
+        assert moved.H != s.H and dataclasses.replace(moved, H=s.H) == s
+        assert not s.gauge_flipped
+        with pytest.raises(dataclasses.FrozenInstanceError):
             s.H = 0.0
 
     def test_gauge_reflection_is_flagged(self):
