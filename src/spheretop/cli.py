@@ -73,11 +73,17 @@ _POINT_LABELS = INVARIANT_CSV_COLUMNS
 def _parse_potential(spec: str, masses: MassParams) -> Potential:
     if spec in ("grav", "gravitational"):
         return Potential.gravitational(masses)
-    if spec.startswith("linear:"):
-        return Potential.linear(float(spec.split(":", 1)[1]))
     if spec == "linear":
         return Potential.linear(1.0)
-    raise ValueError(f"unknown potential {spec!r} (use grav or linear:<gamma>)")
+    if spec.startswith("linear:"):
+        try:
+            gamma = float(spec.removeprefix("linear:"))
+        except ValueError:  # not a number; a number that is not finite fails below
+            pass
+        else:
+            return Potential.linear(gamma)
+    raise ValueError(f"--potential {spec!r}: use grav, linear:<gamma> with gamma a number, "
+                     "or lagrange")
 
 
 class Opt(NamedTuple):
@@ -216,22 +222,27 @@ def _remove_output(path: str) -> None:
         _write_output(path, "")
 
 
-def _drop_manifest(out: str) -> None:
-    """Remove ``<out>.manifest.json`` before a run rewrites its first output.
+def _leave(out: str, command: str, cfg: dict, run: dict, files: dict[str, str | None],
+           since: float) -> None:
+    """Leave a run's files, then its manifest; every command writes through here.
 
-    ``_write_manifest`` writes it again after the last, so a run that is cut
-    (killed, or failing on a full disk) leaves outputs with no manifest (an
-    empty one where it is a symlink): whatever is beside them may hold parts
-    of two runs.
-    """
-    _remove_output(out + ".manifest.json")
-
-
-def _write_manifest(out: str, command: str, cfg: dict, run: dict | None = None) -> None:
-    manifest = {"command": command, "version": __version__, "config": cfg}
-    if run is not None:
-        manifest["run"] = run
-    _write_output(out + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    Removes ``<out>.manifest.json``, rewrites each of ``files`` in order
+    (``<out>`` first) or removes it where its text is None (a sibling an
+    earlier run may have left), sets ``run["wall_s"]["write"]`` to the time
+    since ``since`` and writes the manifest last.  A run cut on the way
+    (killed, or on a full disk) leaves no manifest, or an empty one where it
+    is a symlink: the outputs beside none may hold parts of two runs."""
+    manifest = out + ".manifest.json"
+    _remove_output(manifest)
+    for path, text in files.items():
+        if text is None:
+            _remove_output(path)
+        else:
+            _write_output(path, text)
+    run["wall_s"]["write"] = time.perf_counter() - since
+    text = json.dumps({"command": command, "version": __version__, "config": cfg, "run": run},
+                      indent=2, sort_keys=True)
+    _write_output(manifest, text + "\n")
 
 
 def _steps_record(traj) -> dict:
@@ -291,6 +302,8 @@ def _builtin_scenario(name: str, seed: int) -> tuple[PhaseState, str]:
         g2 = Quaternion(math.cos(1.0), math.sin(1.0), 0.0, 0.0)
         return PhaseState(Quaternion(1.0), Quaternion(0.0, 1.0), g2, Quaternion()), "grav"
     if name == "random":
+        if seed < 0:
+            raise ValueError(f"--seed {seed}: the seed must be a non-negative integer")
         return random_phase_state(np.random.default_rng(seed)), "linear:1.0"
     raise ValueError(f"unknown scenario {name!r}")
 
@@ -341,17 +354,16 @@ def cmd_simulate(cfg: dict, given: set) -> int:
     enter, make_rhs, make_funcs, labels, leave = _SPACES[cfg["space"]]
     y0, rhs, funcs = enter(state), make_rhs(m, pot), make_funcs(m, pot)
     flow_cfg = FlowConfig(rel_tol=cfg["rel_tol"], abs_tol=cfg["abs_tol"])
+    out = cfg["out"]
     start = time.perf_counter()
     try:
         traj = integrate(rhs, y0, cfg["T"], flow_cfg, sample_dt=cfg["sample_dt"])
     except SingularityError as exc:
-        run = {**_steps_record(exc.trajectory),
-               "wall_s": {"integrate": time.perf_counter() - start},
+        failed = time.perf_counter()
+        run = {**_steps_record(exc.trajectory), "wall_s": {"integrate": failed - start},
                "collision": {"time": exc.time, "level": cfg["space"], "message": str(exc)}}
-        _drop_manifest(cfg["out"])
-        for path in (cfg["out"], cfg["out"] + ".drift.json"):
-            _remove_output(path)  # no trajectory, and none an earlier run left
-        _write_manifest(cfg["out"], "simulate", cfg, run)
+        # no trajectory, and none an earlier run left
+        _leave(out, "simulate", cfg, run, {out: None, out + ".drift.json": None}, failed)
         print(f"singularity encountered at t = {exc.time}", file=sys.stderr)
         return 3
     if leave is not None:
@@ -359,15 +371,12 @@ def cmd_simulate(cfg: dict, given: set) -> int:
     integrated = time.perf_counter()
 
     # each invariant is evaluated once per row; the CSV and the drift read it
-    out = cfg["out"]
     columns = sample_columns(traj, funcs)
     drift = {f"drift_{k}": v for k, v in drift_summary(columns).items()}
-    _drop_manifest(out)
-    _write_output(out, trajectory_csv(traj, labels, columns))
-    _write_output(out + ".drift.json", json.dumps(drift, indent=2, sort_keys=True) + "\n")
-    run = {**_steps_record(traj),
-           "wall_s": {"integrate": integrated - start, "write": time.perf_counter() - integrated}}
-    _write_manifest(out, "simulate", cfg, run)
+    files = {out: trajectory_csv(traj, labels, columns),
+             out + ".drift.json": json.dumps(drift, indent=2, sort_keys=True) + "\n"}
+    run = {**_steps_record(traj), "wall_s": {"integrate": integrated - start}}
+    _leave(out, "simulate", cfg, run, files, integrated)
     print(json.dumps(drift, sort_keys=True))
     return 0
 
@@ -426,12 +435,8 @@ def cmd_reduce(cfg: dict, given: set) -> int:
         cells = map(repr, (t, *pt, *all_casimirs(pt)))
         lines.append(",".join((*cells, stratum_classify(pt))))
     reduced = time.perf_counter()
-    out = cfg["out"]
-    _drop_manifest(out)
-    _write_output(out, "\n".join(lines) + "\n")
-    run = {"rows": len(rows), "wall_s": {"read": read - start, "reduce": reduced - read,
-                                         "write": time.perf_counter() - reduced}}
-    _write_manifest(out, "reduce", cfg, run)
+    run = {"rows": len(rows), "wall_s": {"read": read - start, "reduce": reduced - read}}
+    _leave(cfg["out"], "reduce", cfg, run, {cfg["out"]: "\n".join(lines) + "\n"}, reduced)
     return 0
 
 
@@ -457,12 +462,11 @@ def _solve_from(cfg: dict, given: set, command: str):
 
 def _write_record(cfg: dict, command: str, record: dict, wall_s: dict) -> None:
     """The JSON record to ``out``, with a manifest whose run record holds
-    ``wall_s``, or the record to stdout."""
+    ``wall_s`` and the write that follows, or the record to stdout."""
+    since = time.perf_counter()
     text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if cfg["out"]:
-        _drop_manifest(cfg["out"])
-        _write_output(cfg["out"], text)
-        _write_manifest(cfg["out"], command, cfg, {"wall_s": wall_s})
+        _leave(cfg["out"], command, cfg, {"wall_s": wall_s}, {cfg["out"]: text}, since)
     else:
         sys.stdout.write(text)
 
@@ -532,22 +536,20 @@ def cmd_ec_surface(cfg: dict, given: set) -> int:
         classify=cfg["classify"])
     sampled = time.perf_counter()
     out = cfg["out"]
-    _drop_manifest(out)
-    _write_output(out, ec.ec_csv(result.samples))
-    if result.failures:
-        _write_output(out + ".failures.json",
-                      json.dumps([list(f) for f in result.failures], indent=2) + "\n")
-    else:
-        _remove_output(out + ".failures.json")  # an earlier sheet's records
+    # a clean sheet removes an earlier sheet's failures; the plot script, a
+    # template to edit, is written only under --plot-script and never removed
+    failures = [list(f) for f in result.failures]
+    files = {out: ec.ec_csv(result.samples),
+             out + ".failures.json": json.dumps(failures, indent=2) + "\n" if failures else None}
     if cfg["plot_script"]:
-        _write_output(out + ".plot.py", ec.PLOT_SCRIPT)
+        files[out + ".plot.py"] = ec.PLOT_SCRIPT
     # each failure record's message starts with its exception type
     n_nodes = len(result.samples) + len(result.failures)
     run = {"samples": len(result.samples),
            "batch_nodes": n_nodes - result.scalar_nodes, "scalar_nodes": result.scalar_nodes,
            "failures": dict(Counter(msg.partition(":")[0] for _, _, msg in result.failures)),
-           "wall_s": {"sample": sampled - start, "write": time.perf_counter() - sampled}}
-    _write_manifest(out, "ec-surface", cfg, run)
+           "wall_s": {"sample": sampled - start}}
+    _leave(out, "ec-surface", cfg, run, files, sampled)
     print(f"wrote {len(result.samples)} samples, {len(result.failures)} failures")
     return 0
 
@@ -592,9 +594,6 @@ def main(argv: list[str] | None = None) -> int:
         cfg, given = _resolve(args, options)
         _check_out(cfg)  # before any work
         return fn(cfg, given)
-    except SingularityError as exc:
-        print(f"singularity encountered at t = {exc.time}", file=sys.stderr)
-        return 3
     except (NoSolutionError, CollisionError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -356,7 +356,9 @@ _DOP853 = {
 }
 
 _MIN_STEP_FACTOR = 1e-13
-# the most sample rows one run may ask for: every row is held in memory
+# the most rows one run may ask for, the sample rows of a trajectory or the
+# nodes of an energy-Casimir sheet: every row is held in memory (a sheet node
+# about 0.6 KB)
 MAX_SAMPLE_ROWS = 10 ** 6
 
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dynamics import MAX_SAMPLE_ROWS
 from .phase_space import MassParams, Potential, two_body_energy
 from .reduction import InvariantPoint
 from .relequil import (_RIGHT_ANGLE_TOL, RelativeEquilibrium, planar_image, re_from_tau, re_image,
@@ -227,9 +228,11 @@ def ec_surface(
     theta (supply ``phi1_range``; no other family takes one).  Failures of
     individual samples are collected, not raised.  Grid rows are sampled in
     order, in batches of whole rows (``_sample_block``).  A non-finite range
-    endpoint, a grid dimension below 1, a ``phi1_range`` on another family,
-    or an acute or obtuse theta range that leaves its family's half of
-    (0, pi) raises ``ValueError`` before any node is sampled.
+    endpoint, a grid dimension below 1, more nodes than
+    ``dynamics.MAX_SAMPLE_ROWS`` (every sample is held in memory), a
+    ``phi1_range`` on another family, or an acute or obtuse theta range that
+    leaves its family's half of (0, pi) raises ``ValueError`` before any node
+    is sampled.
     """
     ends = (*theta_range, *tau_range, *(phi1_range or ()))
     if not all(math.isfinite(v) for v in ends):
@@ -237,6 +240,9 @@ def ec_surface(
     n_a, n_b = grid
     if min(n_a, n_b) < 1:
         raise ValueError(f"grid dimensions must be at least 1, got {tuple(grid)!r}")
+    if n_a * n_b > MAX_SAMPLE_ROWS:
+        raise ValueError(f"grid {n_a} x {n_b} asks for {n_a * n_b} nodes, more than the cap "
+                         f"of {MAX_SAMPLE_ROWS}")
     half = {FAMILY_ACUTE: (0.0, math.pi / 2), FAMILY_OBTUSE: (math.pi / 2, math.pi)}.get(family)
     if half is not None and not all(half[0] < t < half[1] for t in theta_range):
         raise ValueError(f"{family} surfaces need theta in ({half[0]!r}, {half[1]!r}), "

@@ -702,6 +702,29 @@ def test_a_config_entry_contradicts_the_potential_as_a_flag_does(tmp_path, capsy
                 "--gamma", 1, "--T", 0.5, "--out", out]) == 0
 
 
+_POTENTIALS = "use grav, linear:<gamma> with gamma a number, or lagrange"
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("argv, dest, value, message", [
+    (["simulate", "--scenario", "random", "--T", 0.5], "seed", -1,
+     "--seed -1: the seed must be a non-negative integer"),
+    (["re", "--theta", 1.0], "potential", "linear:abc", f"--potential 'linear:abc': {_POTENTIALS}"),
+    (["re", "--theta", 1.0], "potential", "linear:", f"--potential 'linear:': {_POTENTIALS}"),
+    (["re", "--theta", 1.0], "potential", "bogus", f"--potential 'bogus': {_POTENTIALS}"),
+], ids=["seed", "linear-abc", "linear-empty", "bogus"])
+def test_a_bad_seed_or_potential_exits_4_naming_flag_and_value(tmp_path, capsys, via, argv,
+                                                              dest, value, message):
+    # numpy's "expected non-negative integer", float's "could not convert
+    # string to float: 'abc'", and a list of potentials without lagrange
+    given = ([f"--{dest}", value] if via == "flag"
+             else ["--config", _config(tmp_path, {dest: value})])
+    out = tmp_path / "x.out"
+    assert run([*argv, *given, "--out", out]) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_readme_command_lines_parse():
     # a flag renamed or dropped in an option table fails here, not in the docs
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -819,7 +842,7 @@ class TestClassify:
         manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
         assert manifest["command"] == cmd
         wall = manifest["run"]["wall_s"]
-        assert set(wall) == {"solve", "check"} and all(v >= 0.0 for v in wall.values())
+        assert set(wall) == {"solve", "check", "write"} and all(v >= 0.0 for v in wall.values())
         assert "wall_s" not in json.loads(out.read_text())
 
     def test_stability_acute_two_body(self, capsys):
@@ -866,6 +889,23 @@ class TestSurfaceCommand:
         out = tmp_path / "surf.csv"
         assert run(["ec-surface", "--m1", 3, "--m2", 2, *flags, "--out", out]) == 4
         assert message in capsys.readouterr().err
+        assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_a_grid_over_the_sample_cap_exits_4_before_sampling(self, tmp_path, capsys,
+                                                                  monkeypatch, via):
+        # every node is held in memory, about 0.6 KB each: a 10000 x 10000
+        # grid grew until the host ran out
+        def no_work(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(cli.ec, "_sample_block", no_work)
+        grid = (["--grid", 1001, 1000] if via == "flag"
+                else ["--config", _config(tmp_path, {"grid": [1001, 1000]})])
+        out = tmp_path / "surf.csv"
+        assert run(["ec-surface", *grid, "--out", out]) == 4
+        assert capsys.readouterr().err == ("error: grid 1001 x 1000 asks for 1001000 nodes, "
+                                           "more than the cap of 1000000\n")
         assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
 
     @pytest.mark.parametrize("workers", [2.5, True])
@@ -1014,9 +1054,28 @@ def test_parser_is_built_on_first_use_and_reused():
 
 class TestOutputFiles:
     """Every file a command leaves is rewritten in place by ``cli._write_output``,
-    its manifest removed before the first output and written after the last;
-    a clean sheet removes an earlier ``.failures.json``, and a ``simulate``
-    that exits 3 an earlier trajectory and drift."""
+    through ``cli._leave``: its manifest removed before the first output and
+    written after the last; a clean sheet removes an earlier ``.failures.json``,
+    and a ``simulate`` that exits 3 an earlier trajectory and drift."""
+
+    # a run of each command, and the code it exits with
+    _RUNS = {"simulate": (["simulate", "--scenario", "random", "--T", 0.5], 0),
+             "collision": (["simulate", "--scenario", "collision-course", "--space", "left",
+                            "--T", 1], 3),
+             "reduce": (["reduce", "--trajectory", "TRAJ"], 0),
+             "re": (["re", "--theta", 1.0], 0),
+             "stability": (["stability", "--theta", 1.0], 0),
+             "ec-surface": (["ec-surface", "--grid", 3, 3, "--no-classify"], 0)}
+
+    def _argv(self, tmp_path, command):
+        """The argv of ``command``'s run into ``tmp_path / "o"``, and its exit code."""
+        argv, code = self._RUNS[command]
+        if command == "reduce":
+            traj = tmp_path / "t.csv"
+            assert run(["simulate", "--scenario", "random", "--space", "full", "--T", 0.5,
+                        "--out", traj]) == 0
+            argv = [traj if a == "TRAJ" else a for a in argv]
+        return [*argv, "--out", tmp_path / "o"], code
 
     def test_a_shorter_rewrite_leaves_exactly_the_new_bytes(self, tmp_path):
         path = tmp_path / "f.txt"
@@ -1117,60 +1176,82 @@ class TestOutputFiles:
         assert stat.S_ISFIFO(os.lstat(fifo).st_mode) and dangling.is_symlink()
         assert not (tmp_path / "missing").exists() and not plain.exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "reduce", "re", "ec-surface"])
+    @pytest.mark.parametrize("command", _RUNS)
     def test_a_run_cut_while_writing_leaves_no_manifest(self, tmp_path, monkeypatch, command):
         # the manifest is removed before the first output is rewritten and
-        # written after the last, so outputs beside none may be mixed
-        out, traj = tmp_path / "o", tmp_path / "t.csv"
-        assert run(["simulate", "--scenario", "random", "--space", "full", "--T", 0.5,
-                    "--out", traj]) == 0
-        argv = {"simulate": ["simulate", "--scenario", "random", "--T", 0.5],
-                "reduce": ["reduce", "--trajectory", traj],
-                "re": ["re", "--theta", 1.0],
-                "ec-surface": ["ec-surface", "--grid", 3, 3, "--no-classify"]}[command]
-        manifest = Path(f"{out}.manifest.json")
-        assert run([*argv, "--out", out]) == 0 and manifest.exists()
-        written = []
+        # written after the last, so outputs beside none may be mixed; a
+        # simulate that exits 3 writes no output, so its manifest is the first
+        argv, code = self._argv(tmp_path, command)
+        manifest = Path(f"{tmp_path / 'o'}.manifest.json")
+        assert run(argv) == code and manifest.exists()
+        lands, written = (0 if code == 3 else 1), []
 
-        def full(path, text):  # the first output lands, then the disk is full
-            if written:
+        def full(path, text):  # ``lands`` outputs land, then the disk is full
+            if len(written) == lands:
                 raise OSError(28, "No space left on device")
             written.append(path)
 
         monkeypatch.setattr(cli, "_write_output", full)
         with pytest.raises(OSError, match="No space left"):
-            run([*argv, "--out", out])
-        assert written == [str(out)] and not manifest.exists()
+            run(argv)
+        assert written == [str(tmp_path / "o")][:lands] and not manifest.exists()
+
+    @pytest.mark.parametrize("command", _RUNS)
+    def test_every_manifest_times_its_write(self, tmp_path, capsys, command):
+        argv, code = self._argv(tmp_path, command)
+        assert run(argv) == code
+        wall = json.loads(Path(f"{tmp_path / 'o'}.manifest.json").read_text())["run"]["wall_s"]
+        assert wall["write"] >= 0.0
+
+    def test_a_run_that_fails_while_formatting_leaves_the_previous_run_whole(
+            self, tmp_path, monkeypatch, capsys):
+        # every text is built before the manifest is removed
+        out = tmp_path / "s.csv"
+        assert run(["ec-surface", "--grid", 3, 3, "--no-classify", "--out", out]) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def fails(samples):
+            raise RuntimeError("formatting failed")
+
+        monkeypatch.setattr(cli.ec, "ec_csv", fails)
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            run(["ec-surface", "--grid", 4, 4, "--no-classify", "--out", out])
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_every_file_is_written_through_write_output(self):
         # Path.write_text or open(..., "w") truncates on open, which is the
-        # slow rewrite.  Only the package is held to this; scripts/ are
+        # slow rewrite.  Only _leave calls the writer and the remover (the
+        # remover's cut of a symlink aside), so no output skips the order of
+        # the manifest.  Only the package is held to this; scripts/ are
         # studies that write their own files.
         import ast
 
-        writer, bad = set(), []
+        callers = {"_write_output": {"_leave", "_remove_output"}, "_remove_output": {"_leave"},
+                   "os.open": {"_write_output"}}
+        seen, bad = set(), []
         for path in sorted(Path(cli.__file__).resolve().parent.glob("*.py")):
-            tree = ast.parse(path.read_text(), str(path))
-            for node in ast.walk(tree):
-                if isinstance(node, ast.FunctionDef) and node.name == "_write_output":
-                    writer |= {id(n) for n in ast.walk(node)}
-            for node in ast.walk(tree):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                owner = getattr(getattr(func, "value", None), "id", None)
-                if name in ("write_text", "write_bytes"):
-                    bad.append(f"{path.name}:{node.lineno} {name}")
-                elif name == "open" and owner == "os":
-                    if id(node) not in writer:
-                        bad.append(f"{path.name}:{node.lineno} os.open")
-                elif name == "open":
-                    # open(file, mode) or a path's .open(mode)
-                    at = 0 if isinstance(func, ast.Attribute) else 1
-                    mode = (node.args[at] if len(node.args) > at else
-                            next((k.value for k in node.keywords if k.arg == "mode"), None))
-                    if mode is not None and not (isinstance(mode, ast.Constant)
-                                                 and not set(mode.value) & set("wax+")):
-                        bad.append(f"{path.name}:{node.lineno} open")
-        assert writer and not bad, bad
+            for top in ast.parse(path.read_text(), str(path)).body:
+                owner = top.name if isinstance(top, ast.FunctionDef) else None
+                for node in ast.walk(top):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                    owner_id = getattr(getattr(func, "value", None), "id", None)
+                    key = "os.open" if (name, owner_id) == ("open", "os") else name
+                    where = f"{path.name}:{node.lineno} {key}"
+                    if key in callers:
+                        seen.add(key)
+                        if owner not in callers[key]:
+                            bad.append(f"{where} outside {sorted(callers[key])}")
+                    elif name in ("write_text", "write_bytes"):
+                        bad.append(where)
+                    elif name == "open":
+                        # open(file, mode) or a path's .open(mode)
+                        at = 0 if isinstance(func, ast.Attribute) else 1
+                        mode = (node.args[at] if len(node.args) > at else
+                                next((k.value for k in node.keywords if k.arg == "mode"), None))
+                        if mode is not None and not (isinstance(mode, ast.Constant)
+                                                     and not set(mode.value) & set("wax+")):
+                            bad.append(where)
+        assert seen == set(callers) and not bad, bad

@@ -152,7 +152,8 @@ class TestSurface:
                 (theta, (nan, 0.5), (3, 3), "must be finite"),
                 (theta, (-0.5, float("inf")), (3, 3), "must be finite"),
                 (theta, tau, (0, 5), "at least 1"),
-                (theta, tau, (3, -3), "at least 1")):
+                (theta, tau, (3, -3), "at least 1"),
+                (theta, tau, (1001, 1000), "1001000 nodes, more than the cap of 1000000")):
             with pytest.raises(ValueError, match=match):
                 ec_surface("isosceles", theta_range, tau_range, grid, M11, GRAV11)
         with pytest.raises(ValueError, match="must be finite"):
