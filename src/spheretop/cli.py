@@ -78,9 +78,11 @@ def _parse_potential(spec: str, masses: MassParams) -> Potential:
     if spec.startswith("linear:"):
         try:
             gamma = float(spec.removeprefix("linear:"))
-        except ValueError:  # not a number; a number that is not finite fails below
+        except ValueError:  # not a number
             pass
         else:
+            if not math.isfinite(gamma):  # which Potential.linear refuses without the flag
+                raise ValueError(f"--potential {spec!r}: gamma must be finite")
             return Potential.linear(gamma)
     raise ValueError(f"--potential {spec!r}: use grav, linear:<gamma> with gamma a number, "
                      "or lagrange")
@@ -568,12 +570,14 @@ _COMMANDS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The top-level parser; ``commands`` maps each command to its own parser."""
     ap = argparse.ArgumentParser(prog="spheretop",
                                  description="two bodies on the 3-sphere / 4-d spinning top")
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="cmd", required=True)
+    ap.commands = {}
     for name, (_, help_, options) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_)
+        p = ap.commands[name] = sub.add_parser(name, help=help_)
         p.add_argument("--config", help="JSON config file; flags override its entries")
         for opt in options:
             kind, choices, n = opt.shape()
@@ -588,8 +592,16 @@ _parser = functools.cache(build_parser)
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
-    fn, _, options = _COMMANDS[args.cmd]
+    # a command's argv goes straight to its own parser, skipping the top-level
+    # pass; that one serves help, --version and an unknown command
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _parser()
+    if argv and argv[0] in parser.commands:
+        name, args = argv[0], parser.commands[argv[0]].parse_args(argv[1:])
+    else:
+        args = parser.parse_args(argv)
+        name = args.cmd
+    fn, _, options = _COMMANDS[name]
     try:
         cfg, given = _resolve(args, options)
         _check_out(cfg)  # before any work

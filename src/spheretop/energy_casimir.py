@@ -11,9 +11,11 @@ momenta, with M = m1 + m2 and S = m1 cos 2phi1 + m2 cos 2phi2:
 
 the last two since lambda = (M xi - S eta) j and rho = (S xi - M eta) j once
 the balance m1 sin 2phi1 = m2 sin 2phi2 removes their k parts.  A sheet is
-sampled a grid row at a time: one ``solve_re`` per row (``relequil.tau_row``)
-fixes what depends on its theta (or phi1), the nodes along tau are numpy
-arrays of ``relequil``'s closed-form image and S, and no 16-d state is built.
+sampled a block of grid rows at a time: one ``solve_re`` per row fixes what
+depends on its theta (or phi1), and one broadcast pass over the block
+(``relequil.tau_row``, each row's constants against the row of e^tau) gives
+every node's rates, closed-form image, values and label as numpy arrays; no
+16-d state is built.
 Every label, batched or scalar, comes from ``stability.quartet_spectrum`` at
 that image, with no 8x8 eigenvalue call.  The resulting point clouds
 are the bifurcation surfaces of the problem; a fold shows up where samples
@@ -46,9 +48,14 @@ FAMILY_SINGULAR_0 = "singular0"
 FAMILY_SINGULAR_PI = "singularPi"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ECSample:
-    """One node of a sheet: the CSV's columns, then the RE's rates and phi1."""
+    """One node of a sheet: the CSV's columns, then the RE's rates and phi1.
+
+    Built in one step, its ``__dict__`` set at once: the generated frozen
+    ``__init__`` sets each field through ``object.__setattr__``, which took
+    about twice as long per node.
+    """
 
     family: str
     theta: float
@@ -61,6 +68,13 @@ class ECSample:
     eta_mag: float
     phi1: float
     gauge_flipped: bool = False
+
+    def __init__(self, family, theta, tau, H, lam2, rho2, stability, xi_mag, eta_mag, phi1,
+                 gauge_flipped=False):
+        object.__setattr__(self, "__dict__", {
+            "family": family, "theta": theta, "tau": tau, "H": H, "lam2": lam2, "rho2": rho2,
+            "stability": stability, "xi_mag": xi_mag, "eta_mag": eta_mag, "phi1": phi1,
+            "gauge_flipped": gauge_flipped})
 
 
 @dataclass(frozen=True)
@@ -133,26 +147,28 @@ def _try_sample(theta, tau, m, pot, family, phi1, classify) -> tuple:
         return None, (theta, tau, f"{type(exc).__name__}: {exc}")
 
 
-def _batch_row(theta, phi1, exp_tau, m, pot, classify) -> tuple:
+def _batch_row(theta, phi1, m, pot, classify) -> tuple:
     """The scalar part of one grid row, which raises whatever the row raises:
-    (its RE at eta = 1, gauge flip, (eta, y, xi, x1, x2), row constants)."""
+    (its RE at eta = 1, gauge flip, row constants)."""
     p1, flipped = _gauge(theta, phi1, pot)
-    re, *rates = tau_row(theta, exp_tau, m, pot, phi1=p1)
+    re = solve_re(theta, 1.0, m, pot, phi1=p1)
     cos_th = math.cos(re.theta)
     force = (pot.f(cos_th), pot.fprime(cos_th)) if classify else (0.0, 0.0)
-    return re, flipped, rates, (cos_th, math.sin(re.theta), pot.v(cos_th), s_of(re), *force)
+    return re, flipped, (cos_th, math.sin(re.theta), pot.v(cos_th), s_of(re), *force)
 
 
-def _batch_nodes(batch: list, n_b: int, m: MassParams, classify: bool) -> tuple[list, ...]:
-    """The columns (H, lam2, rho2, label, xi, eta, accept) over every node of
-    the batched rows, in order.  ``accept`` is False for a node the scalar
-    path must sample: one where ``re_from_tau`` raises (eta not positive and
-    finite, xi not positive), one whose (H, lam2, rho2) is not finite, or
-    when classifying one whose ``quartet_spectrum`` is not finite.
+def _block_nodes(batch: list, exp_tau: np.ndarray, m: MassParams, classify: bool) -> tuple:
+    """The columns (H, lam2, rho2, label, xi, eta, accept) of every node of
+    the batched rows, as lists of rows, in one broadcast pass: each row's
+    constants are a (rows, 1) column against the (1, n_b) e^tau.  ``accept``
+    is False for a node the scalar path must sample: one where
+    ``re_from_tau`` raises (eta not positive and finite, xi not positive),
+    one whose (H, lam2, rho2) is not finite, or when classifying one whose
+    ``quartet_spectrum`` is not finite.
     """
-    eta, y, xi, x1, x2 = (np.concatenate(a) for a in zip(*(b[2] for b in batch)))
-    cos_th, sin_th, v, s, f, fp = np.repeat([b[3] for b in batch], n_b, axis=0).T
-    labels = np.full(len(eta), "", dtype=object)
+    eta, y, xi, x1, x2 = tau_row([b[0] for b in batch], exp_tau, m)
+    cos_th, sin_th, v, s, f, fp = np.array([b[2] for b in batch]).T[..., None]
+    labels = np.full(eta.shape, "", dtype=object)
     with np.errstate(all="ignore"):  # such nodes are left to the scalar path
         pt = planar_image(x1, x2, y, cos_th, sin_th)
         values = _ec_values(pt, xi, eta, s, v, m)
@@ -165,36 +181,34 @@ def _batch_nodes(batch: list, n_b: int, m: MassParams, classify: bool) -> tuple[
 
 
 def _sample_block(rows, taus, exp_tau, m, pot, family, classify) -> tuple[list, int]:
-    """Sample whole grid rows as one batch (``_batch_nodes``).
+    """Sample whole grid rows as one batch (``_block_nodes``).
 
     Returns the (sample, failure) pair of every node in grid order and the
     number of nodes sampled by the scalar ``ec_sample``: those of a row whose
-    scalar part raises, and those ``_batch_nodes`` leaves to it.
+    scalar part raises, and those ``_block_nodes`` leaves to it.
     """
     batched = {}
     for i, (theta, phi1) in enumerate(rows):
         try:
-            batched[i] = _batch_row(theta, phi1, exp_tau, m, pot, classify)
+            batched[i] = _batch_row(theta, phi1, m, pot, classify)
         except Exception:  # the scalar path records the row's failures
             pass
-    n_b = len(taus)
-    columns = _batch_nodes(list(batched.values()), n_b, m, classify) if batched else ()
-    out, n_scalar, start = [], 0, 0
+    columns = _block_nodes(list(batched.values()), exp_tau, m, classify) if batched else ()
+    block_rows = zip(*columns)
+    out, n_scalar, n_b = [], 0, len(taus)
     for i, (theta, phi1) in enumerate(rows):
         if i not in batched:
             out.extend(_try_sample(theta, tau, m, pot, family, phi1, classify) for tau in taus)
             n_scalar += n_b
             continue
         re, flipped = batched[i][:2]
-        row = (c[start:start + n_b] for c in columns)
-        for tau, H, lam2, rho2, label, xi, eta, ok in zip(taus, *row):
+        for tau, H, lam2, rho2, label, xi, eta, ok in zip(taus, *next(block_rows)):
             if ok:
                 out.append((ECSample(family, re.theta, tau, H, lam2, rho2, label, xi, eta,
                                      re.phi1, flipped), None))
             else:
                 out.append(_try_sample(theta, tau, m, pot, family, phi1, classify))
                 n_scalar += 1
-        start += n_b
     return out, n_scalar
 
 
@@ -294,12 +308,28 @@ def singular_thread(
     return out
 
 
+class _Reprs(dict):
+    """``repr`` of each float looked up, formatted on first use only."""
+
+    def __missing__(self, x):
+        text = self[x] = repr(x)
+        return text
+
+
 def ec_csv(samples) -> str:
-    """CSV text for energy-Casimir samples; fixed column order."""
+    """CSV text for energy-Casimir samples; fixed column order.
+
+    theta repeats along a sheet's row and tau down its column, so each
+    distinct nonzero value of either is formatted once per call; a zero is
+    formatted each time, since -0.0 == 0.0 would share one text.
+    """
+    cell = _Reprs()
     buf = io.StringIO()
     buf.write(",".join(EC_CSV_COLUMNS) + "\n")
     for s in samples:
-        buf.write(f"{s.family},{s.theta!r},{s.tau!r},{s.H!r},"
+        theta, tau = s.theta, s.tau
+        buf.write(f"{s.family},{cell[theta] if theta else repr(theta)},"
+                  f"{cell[tau] if tau else repr(tau)},{s.H!r},"
                   f"{s.lam2!r},{s.rho2!r},{s.stability}\n")
     return buf.getvalue()
 

@@ -17,9 +17,11 @@ Families are indexed by the separation angle theta:
 * ``rightAngled``: theta = pi/2, equal masses only, with a line of solutions
   x1 + x2 = -2 m eta parameterised by the position angle phi1.
 
-``solve_re`` alone decides an RE's branch, phi1 and zeta; ``zeta_of`` and a tau
-row read them from it.  An RE's 16-d ``state`` is built only when read; its
-closed-form image (``planar_image``, ``re_image``) and S (``s_of``) are here.
+``solve_re`` alone decides an RE's branch, phi1 and zeta; ``zeta_of`` and
+``tau_row`` read them from it, the latter for a block of sheet rows in one
+broadcast pass over their nodes.  An RE's 16-d ``state`` is built only when
+read; its closed-form image (``planar_image``, ``re_image``) and S
+(``s_of``) are here.
 """
 
 from __future__ import annotations
@@ -322,13 +324,6 @@ def zeta_of(theta: float, m: MassParams, pot: Potential) -> float:
     return solve_re(theta, 1.0, m, pot).zeta
 
 
-def _row_re(theta: float, m: MassParams, pot: Potential, phi1: float | None) -> tuple:
-    """The RE at eta = 1 of the row at theta (and phi1), and its f sin(theta)/zeta,
-    which equals 2 e^tau eta^2 along the row; at eta = 1, 2y = f sin(theta)."""
-    re = solve_re(theta, 1.0, m, pot, phi1=phi1)
-    return re, 2.0 * re.y / re.zeta
-
-
 def re_from_tau(
     theta: float,
     tau: float,
@@ -341,25 +336,28 @@ def re_from_tau(
 
     Under this reparameterisation xi = e^tau eta, so tau = 0 is the simple
     rotation.  At theta = pi/2 the family coordinate phi1 may be supplied;
-    without it the RE is the isosceles one that ``solve_re`` picks.
+    without it the RE is the isosceles one that ``solve_re`` picks.  The
+    row's RE at eta = 1 gives f sin(theta)/zeta = 2y/zeta.
     """
-    eta = math.sqrt(_row_re(theta, m, pot, phi1)[1] / (2.0 * math.exp(tau)))
+    row = solve_re(theta, 1.0, m, pot, phi1=phi1)
+    eta = math.sqrt(2.0 * row.y / row.zeta / (2.0 * math.exp(tau)))
     return solve_re(theta, eta, m, pot, phi1=phi1)
 
 
-def tau_row(theta: float, exp_tau: np.ndarray, m: MassParams, pot: Potential, *,
-            phi1: float | None = None) -> tuple:
-    """``re_from_tau`` along one row of a family sheet, with e^tau = ``exp_tau``.
+def tau_row(rows: list[RelativeEquilibrium], exp_tau: np.ndarray, m: MassParams) -> tuple:
+    """``re_from_tau`` over a block of sheet rows in one broadcast pass, with
+    e^tau = ``exp_tau``.
 
-    Returns the row's RE at eta = 1, which fixes its angles and zeta, and the
-    arrays (eta, y, xi, x1, x2); entry k takes the IEEE operations of
-    ``re_from_tau`` at tau_k when ``exp_tau`` holds ``math.exp`` values.
-    Raises what the row raises at every tau; where ``re_from_tau`` raises at
-    one tau only, eta is zero or infinite or xi is not positive.
+    ``rows`` holds each row's RE at eta = 1, which fixes its angles and zeta.
+    Returns the (len(rows), len(exp_tau)) arrays (eta, y, xi, x1, x2): each
+    row's constants are a (rows, 1) column against the (1, n_b) e^tau, and
+    entry (i, k) takes the IEEE operations of ``re_from_tau`` at row i and
+    tau_k when ``exp_tau`` holds ``math.exp`` values.  Where ``re_from_tau``
+    raises at one node only, eta is zero or infinite or xi is not positive.
     """
-    re, ratio = _row_re(theta, m, pot, phi1)
+    f_sin, zeta, cos1, cos2 = np.array(
+        [(2.0 * re.y, re.zeta, math.cos(2 * re.phi1), math.cos(2 * re.phi2)) for re in rows]
+    ).T[..., None]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        eta = np.sqrt(ratio / (2.0 * exp_tau))
-        rates = _planar_rates(2.0 * re.y, re.zeta, eta,
-                              math.cos(2 * re.phi1), math.cos(2 * re.phi2), m)
-    return re, eta, *rates
+        eta = np.sqrt(f_sin / zeta / (2.0 * exp_tau))
+        return (eta, *_planar_rates(f_sin, zeta, eta, cos1, cos2, m))

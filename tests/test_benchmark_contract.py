@@ -5,7 +5,10 @@ pass at its ``tiny`` size.  A flag, a name or a call form that the benchmark
 uses and the package no longer has fails here, as does any of the
 workloads' own correctness checks.  ``perfbench/spans.py`` is imported as it
 is too: its tracer must find and restore every function it traces, and each
-workload's tiny pass must also run clean under it.
+workload's tiny pass must also run clean under it.  So is
+``perfbench/selftest.py``, whose corruption check perturbs one output of each
+workload (a sheet sample on its way through ``energy_casimir.ec_csv``) and
+must see the pass count it as a failure.
 """
 
 import importlib.util
@@ -26,6 +29,7 @@ def _load(name):
 
 workloads = _load("workloads")
 spans = _load("spans")
+selftest = _load("selftest")
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -72,3 +76,16 @@ def test_tracer_patches_and_restores_every_target():
              for attr, value in vars(mod).items()}
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def test_a_corrupted_output_counts_as_a_failure(tmp_path, monkeypatch):
+    # the check puts src/ and perfbench/ on sys.path and imports the
+    # workloads as a top-level module; both are undone here
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(selftest, "SCRATCH", tmp_path)
+    had_workloads = "workloads" in sys.modules
+    try:
+        selftest.check_corruption()
+    finally:
+        if not had_workloads:
+            sys.modules.pop("workloads", None)

@@ -725,17 +725,88 @@ def test_a_bad_seed_or_potential_exits_4_naming_flag_and_value(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_readme_command_lines_parse():
-    # a flag renamed or dropped in an option table fails here, not in the docs
+@pytest.mark.parametrize("cmd", ["re", "simulate", "ec-surface"])
+@pytest.mark.parametrize("gamma", ["nan", "inf", "1e400"])
+def test_a_non_finite_linear_gamma_exits_4_naming_flag_and_value(tmp_path, capsys, cmd, gamma):
+    # Potential.linear's own message named neither the flag nor the value
+    code, out = _quick_run(tmp_path, cmd, "--potential", f"linear:{gamma}")
+    assert code == 4
+    assert capsys.readouterr().err == (f"error: --potential 'linear:{gamma}': "
+                                       "gamma must be finite\n")
+    assert not out.exists()
+
+
+def _readme_commands() -> list[list[str]]:
+    """The argv of each ``spheretop`` line in the README's shell blocks."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```sh\n(.*?)```", readme, flags=re.S)
     lines = [line.strip() for b in blocks for line in b.replace("\\\n", " ").splitlines()]
-    commands = [shlex.split(line, comments=True) for line in lines
-                if line.startswith("spheretop ")]
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.startswith("spheretop ")]
+
+
+def test_readme_command_lines_parse():
+    # a flag renamed or dropped in an option table fails here, not in the docs
+    commands = _readme_commands()
     assert len(commands) >= 6
     parser = cli.build_parser()
     for argv in commands:
-        parser.parse_args(argv[1:])  # exits 2 on an unknown flag or a bad value
+        parser.parse_args(argv)  # exits 2 on an unknown flag or a bad value
+
+
+class TestDispatch:
+    """``main`` hands a command's argv to that command's own parser; the
+    top-level parser serves only an argv whose first word is not a command."""
+
+    @pytest.mark.parametrize("argv", [[cmd] for cmd in _COMMANDS] + _readme_commands(),
+                             ids=lambda argv: " ".join(argv))
+    def test_a_commands_parser_resolves_the_config_of_the_top_level_one(self, argv):
+        parser = cli.build_parser()
+        top = vars(parser.parse_args(argv))
+        assert top.pop("cmd") == argv[0]
+        own = parser.commands[argv[0]].parse_args(argv[1:])
+        assert vars(own) == top
+        options = cli._COMMANDS[argv[0]][2]
+        assert cli._resolve(own, options) == cli._resolve(parser.parse_args(argv), options)
+
+    def test_a_command_never_reaches_the_top_level_parser(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the top-level parser ran")
+
+        monkeypatch.setattr(cli._parser(), "parse_args", refuse)
+        for cmd in _COMMANDS:
+            assert _quick_run(tmp_path, cmd)[0] == 0, cmd
+        with pytest.raises(AssertionError, match="top-level"):
+            run(["nosuch"])
+
+    @pytest.mark.parametrize("argv, code", [
+        ([], 2), (["-h"], 0), (["--version"], 0), (["nosuch"], 2), (["ec-surface", "--help"], 0),
+    ], ids=["bare", "help", "version", "nosuch", "ec-surface-help"])
+    def test_help_version_and_bad_commands_keep_their_text(self, capsys, argv, code):
+        # each as the top-level parser alone prints it
+        texts = []
+        for parse in (main, cli.build_parser().parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == code
+            texts.append(capsys.readouterr())
+        assert texts[0] == texts[1]
+        if argv == ["--version"]:
+            assert texts[0].out == f"{cli.__version__}\n"
+
+    def test_main_without_argv_reads_sys_argv(self, tmp_path, monkeypatch):
+        out = tmp_path / "re.json"
+        monkeypatch.setattr("sys.argv", ["spheretop", "re", "--theta", "1.0", "--out", str(out)])
+        assert main() == 0
+        assert json.loads(out.read_text())["kind"] == "acute"
+
+    def test_an_unknown_flag_is_reported_under_the_commands_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["re", "--theta", "1.0", "--bogus", "1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: spheretop re [-h] [--config CONFIG]")
+        assert err.endswith("\nspheretop re: error: unrecognized arguments: --bogus 1\n")
 
 
 def test_one_invariant_order(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 from spheretop import energy_casimir
 from spheretop.energy_casimir import (
     EC_CSV_COLUMNS,
+    ECSample,
     ec_csv,
     ec_sample,
     ec_surface,
@@ -85,6 +86,17 @@ class TestSample:
         assert not s.gauge_flipped
         with pytest.raises(dataclasses.FrozenInstanceError):
             s.H = 0.0
+        # the one-step constructor sets every field, by keyword as replace
+        # calls it, and nothing else
+        values = {f.name: f"value of {f.name}" for f in dataclasses.fields(ECSample)}
+        built = ECSample(**values)
+        assert vars(built) == values
+        assert dataclasses.astuple(built) == tuple(values.values())
+        twin = ECSample(*values.values())
+        assert built == twin and hash(built) == hash(twin)
+        for name in values:
+            moved = dataclasses.replace(built, **{name: "moved"})
+            assert moved != built and dataclasses.replace(moved, **{name: values[name]}) == built
 
     def test_gauge_reflection_is_flagged(self):
         s = ec_sample(math.pi / 2, 0.3, M11, GRAV11, phi1=-0.4, classify=False)
@@ -365,6 +377,39 @@ def test_csv_layout():
     assert float(cells[1]) == pytest.approx(1.0)
 
 
+def _csv_row_by_row(samples) -> str:
+    """``ec_csv`` as it was before it formatted a repeated theta or tau once:
+    every cell of every row formatted afresh."""
+    rows = (f"{s.family},{s.theta!r},{s.tau!r},{s.H!r},{s.lam2!r},{s.rho2!r},{s.stability}\n"
+            for s in samples)
+    return ",".join(EC_CSV_COLUMNS) + "\n" + "".join(rows)
+
+
+def test_csv_keeps_the_sign_of_each_zero():
+    # -0.0 == 0.0, so one formatted text shared between them would lose a sign
+    samples = [ECSample("generic", theta, tau, 1.0, 2.0, 3.0, "linearly_stable", 1.0, 1.0, 0.5)
+               for theta in (1.0, -0.0, 0.0) for tau in (-0.0, 0.0, 0.5, -0.0)]
+    rows = [line.split(",")[1:3] for line in ec_csv(samples).splitlines()[1:]]
+    assert rows == [[repr(s.theta), repr(s.tau)] for s in samples]
+    assert rows[:4] == [["1.0", "-0.0"], ["1.0", "0.0"], ["1.0", "0.5"], ["1.0", "-0.0"]]
+    assert [r[0] for r in rows[4:]] == ["-0.0"] * 4 + ["0.0"] * 4
+
+
+@pytest.mark.parametrize("sheet", [
+    ("generic", (0.3, 2.8), (-2.0, 2.0), (4, 5), M32, GRAV32, None),
+    ("isosceles", (0.1, math.pi - 0.1), (-3.0, 3.0), (5, 6), M11, GRAV11, None),
+    ("acute", (0.2, 1.4), (-1.0, 1.0), (3, 4), M32, GRAV32, None),
+    ("obtuse", (1.65, 3.0), (-3.0, 3.0), (4, 5), M32, GRAV32, None),
+    ("isosceles", (0.1, math.pi - 0.1), (-3.0, 3.0), (5, 6), *_top(), None),
+    ("rightAngled", (0, 0), (-3.0, 3.0), (6, 5), M11, GRAV11, (-1.2, 1.2)),
+], ids=["generic", "isosceles", "acute", "obtuse", "top_polar", "rightAngled"])
+def test_csv_text_is_each_rows_own_format(sheet):
+    family, theta_range, tau_range, grid, m, pot, phi1_range = sheet
+    res = ec_surface(family, theta_range, tau_range, grid, m, pot, phi1_range=phi1_range)
+    assert len(res.samples) == grid[0] * grid[1]
+    assert ec_csv(res.samples) == _csv_row_by_row(res.samples)
+
+
 class TestOneSolvePerRow:
     """A sheet reads each RE's closed forms: its row is solved once and no
     16-d phase-space point is built for it."""
@@ -392,11 +437,25 @@ class TestOneSolvePerRow:
         phi1 = relequil._phi1
         monkeypatch.setattr(relequil, "_phi1", lambda *a: calls.append(a) or phi1(*a))
         exp_tau = np.exp(np.linspace(-3.0, 3.0, 9))
-        for theta in (0.7, 2.2):
-            relequil.tau_row(theta, exp_tau, M32, GRAV32)
+        rows = [relequil.solve_re(theta, 1.0, M32, GRAV32) for theta in (0.7, 2.2)]
+        assert all(a.shape == (2, 9) for a in relequil.tau_row(rows, exp_tau, M32))
         assert len(calls) == 2
         res = ec_surface("obtuse", (1.65, 3.0), (-3.0, 3.0), (7, 9), M32, GRAV32)
         assert res.scalar_nodes == 0 and len(calls) == 2 + 7
+
+    def test_tau_row_takes_the_operations_of_re_from_tau(self):
+        # one broadcast pass over a block of rows, bit for bit node by node
+        from spheretop import relequil
+
+        taus = np.linspace(-3.0, 3.0, 7).tolist()
+        exp_tau = np.array([math.exp(t) for t in taus])
+        rows = [(0.7, None), (2.2, None), (math.pi / 2, 0.3), (math.pi / 2, 1.2)]
+        block = relequil.tau_row([relequil.solve_re(theta, 1.0, M11, GRAV11, phi1=phi1)
+                                  for theta, phi1 in rows], exp_tau, M11)
+        for i, (theta, phi1) in enumerate(rows):
+            for k, tau in enumerate(taus):
+                re = relequil.re_from_tau(theta, tau, M11, GRAV11, phi1=phi1)
+                assert [a[i, k] for a in block] == [re.eta_mag, re.y, re.xi_mag, re.x1, re.x2]
 
     def test_right_angled_phi1_zero_fails_with_the_solver_message(self):
         # the row used to divide by zeta = m1 sin 2phi1 = 0 before solve_re
