@@ -18,7 +18,6 @@ import stat
 import sys
 import time
 from collections import Counter
-from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
@@ -260,9 +259,12 @@ def _check_out(cfg: dict) -> None:
     """Fail before any work when ``--out`` names a directory or a file in a
     missing directory."""
     out = cfg["out"]
-    if out is not None and not Path(out).parent.is_dir():
-        raise ValueError(f"--out {out}: the directory {str(Path(out).parent)!r} does not exist")
-    if out is not None and Path(out).is_dir():
+    if out is None:
+        return
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"--out {out}: the directory {parent!r} does not exist")
+    if os.path.isdir(out or "."):  # an empty --out names the working directory
         raise ValueError(f"--out {out} is a directory, not a file")
 
 
@@ -531,6 +533,12 @@ def cmd_ec_surface(cfg: dict, given: set) -> int:
     phi1 = (cfg["phi1_min"], cfg["phi1_max"])
     if phi1.count(None) == 1:
         raise ValueError("--phi1-min and --phi1-max go together: set both or neither")
+    # ec_surface's messages name its phi1_range, not these flags
+    if family == ec.FAMILY_RIGHT_ANGLED and None in phi1:
+        raise ValueError(f"--family {family} needs --phi1-min/--phi1-max")
+    if family != ec.FAMILY_RIGHT_ANGLED and None not in phi1:
+        raise ValueError(f"--phi1-min/--phi1-max are for --family {ec.FAMILY_RIGHT_ANGLED} "
+                         f"only, not {family}")
     start = time.perf_counter()
     result = ec.ec_surface(
         family, (cfg["theta_min"], cfg["theta_max"]), (cfg["tau_min"], cfg["tau_max"]),

@@ -16,10 +16,10 @@ depends on its theta (or phi1), and one broadcast pass over the block
 (``relequil.tau_row``, each row's constants against the row of e^tau) gives
 every node's rates, closed-form image, values and label as numpy arrays; no
 16-d state is built.
-Every label, batched or scalar, comes from ``stability.quartet_spectrum`` at
-that image, with no 8x8 eigenvalue call.  The resulting point clouds
-are the bifurcation surfaces of the problem; a fold shows up where samples
-with equal momentum pairs merge.
+Every label, batched or scalar, comes from ``stability.classify_roots`` on the
+two ``stability.quartet_roots`` at that image, with no 8x8 eigenvalue call.
+The resulting point clouds are the bifurcation surfaces of the problem; a
+fold shows up where samples with equal momentum pairs merge.
 """
 
 from __future__ import annotations
@@ -106,11 +106,14 @@ def ec_sample(
 ) -> ECSample:
     """One point of the energy-Casimir surface at family coordinates (theta, tau).
 
-    The RE comes from ``re_from_tau``.  On the right-angled family a phi1
-    whose zeta has the wrong sign for the force is first moved a quarter
-    turn, and the sample is marked ``gauge_flipped``.
+    The RE comes from ``re_from_tau``, with theta, tau and phi1 taken as
+    Python floats.  On the right-angled family a phi1 whose zeta has the
+    wrong sign for the force is first moved a quarter turn, and the sample is
+    marked ``gauge_flipped``.
     """
-    phi1, gauge_flipped = _gauge(theta, phi1, pot)
+    # a numpy float would carry its repr into ``ec_csv``'s cells
+    theta, tau = float(theta), float(tau)
+    phi1, gauge_flipped = _gauge(theta, None if phi1 is None else float(phi1), pot)
     re = re_from_tau(theta, tau, m, pot, phi1=phi1)
     return _sample_from_re(re, family, tau, classify, gauge_flipped)
 
@@ -129,9 +132,9 @@ def _sample_from_re(
     pt, pot = re_image(re), re.potential
     label = ""
     if classify:
-        with np.errstate(all="ignore"):  # a non-finite spectrum raises below
-            eigs = _stability.quartet_spectrum(pt, re.masses, pot.f(pt.r), pot.fprime(pt.r))
-        label = _stability.classify_stability_eigs(eigs)
+        with np.errstate(all="ignore"):  # non-finite roots raise below
+            t = _stability.quartet_roots(pt, re.masses, pot.f(pt.r), pot.fprime(pt.r))
+        label = _stability.classify_roots(t)[0]
     values = _ec_values(pt, re.xi_mag, re.eta_mag, s_of(re), pot.v(pt.r), re.masses)
     if not all(map(math.isfinite, values)):
         raise ValueError(f"(H, lam2, rho2) = {values!r} is not finite")
@@ -164,19 +167,21 @@ def _block_nodes(batch: list, exp_tau: np.ndarray, m: MassParams, classify: bool
     is False for a node the scalar path must sample: one where
     ``re_from_tau`` raises (eta not positive and finite, xi not positive),
     one whose (H, lam2, rho2) is not finite, or when classifying one whose
-    ``quartet_spectrum`` is not finite.
+    ``quartet_roots`` are not finite.
     """
     eta, y, xi, x1, x2 = tau_row([b[0] for b in batch], exp_tau, m)
     cos_th, sin_th, v, s, f, fp = np.array([b[2] for b in batch]).T[..., None]
-    labels = np.full(eta.shape, "", dtype=object)
     with np.errstate(all="ignore"):  # such nodes are left to the scalar path
         pt = planar_image(x1, x2, y, cos_th, sin_th)
         values = _ec_values(pt, xi, eta, s, v, m)
         accept = np.isfinite(eta) & (eta > 0) & (xi > 0) & np.isfinite(values).all(axis=0)
         if classify:
-            eigs = _stability.quartet_spectrum(pt, m, f, fp)
-            accept &= np.isfinite(eigs).all(axis=-1)
-            labels[accept] = _stability.classify_stability_eigs(eigs[accept])
+            t = _stability.quartet_roots(pt, m, f, fp)
+            accept &= np.isfinite(t[..., 0]) & np.isfinite(t[..., 1])
+            # a node not accepted is labelled as zeros here and sampled again
+            labels = _stability.classify_roots(np.where(accept[..., None], t, 0.0))[0]
+        else:
+            labels = np.full(eta.shape, "", dtype=object)
     return tuple(a.tolist() for a in (*values, labels, xi, eta, accept))
 
 
@@ -221,7 +226,8 @@ def _exp(t: float) -> float:
         return math.inf
 
 
-# the most grid nodes one batch holds, each under a kilobyte of temporary arrays
+# the most grid nodes one batch holds; a full block peaks at about 320 bytes a
+# node under tracemalloc, 180 of them the lists it returns
 _BLOCK_NODES = 16384
 
 

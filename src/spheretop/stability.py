@@ -5,7 +5,7 @@ orthogonal to the relative position (k13 = k23 = 0).  There the Jacobian J
 couples (k13, k23) only to the other six coordinates: permuted, it is
 [[0, B], [C, 0]], so det(t - J) = t^4 det(t^2 - CB), four exact zeros and the
 quartet t^4 + c2 t^2 + c0 with c0 = det CB, c2 = -tr CB for the 2x2 matrix
-CB.  Sheets are labelled from CB (``quartet_spectrum``); ``linearize`` takes
+CB.  Sheets are labelled from CB (``quartet_roots``); ``linearize`` takes
 the 8x8 eigenvalues, the independent numerical route, from the LAPACK dgeev
 gufunc behind ``np.linalg.eigvals``: on one 8x8 matrix that wrapper's Python
 steps cost as much as the solve.  ``_eigvals`` keeps the two that matter, the
@@ -16,13 +16,16 @@ where dgeev does not converge it returns NaN, which the labelling rejects.
 A spectrum is labelled on the scale max(1, max |t|): t is zero when |t| is
 below ZERO_EIG_TOL times it, the spectrum is unstable when some Re t exceeds
 REAL_PART_TOL times it (the cut), and stable when exactly four t are zero and
-every other |Re t| is at most the cut; anything else is degenerate.  One
-spectrum (``linearize``, a scalar ``ec_sample``) is labelled in plain Python,
-since numpy's cost per call outweighs the arithmetic on eight numbers; a stack
-(a sheet) is labelled in numpy.  Both read the moduli from ``np.abs``, from
-which Python's ``abs`` of a complex differs in the last bit for about a third
-of random values, so the two paths give the same label and zero count bit
-for bit.  A spectrum holding NaN or inf raises ``ValueError``.
+every other |Re t| is at most the cut; anything else is degenerate.  A
+numerical spectrum (``linearize``) is labelled in plain Python, since numpy's
+cost per call outweighs the arithmetic on eight numbers, on the moduli of
+``np.abs``, from which Python's ``abs`` of a complex differs in the last bit
+for about a third of random values.  The closed-form quartet is labelled on
+its two roots t (``classify_roots``), one pair or a stack of them: the
+spectrum (0, 0, 0, 0, t, -t) has the moduli of t and the real parts +-Re t,
+so the rule reads scale = max(1, max |t|), 4 + 2 #{|t| < ZERO_EIG_TOL scale}
+zeros and max |Re t| against the cut, and gives that spectrum's label and
+zero count bit for bit.  A spectrum holding NaN or inf raises ``ValueError``.
 
 The quartet factors in closed form for the gravitational and constant-force
 (top) potentials:
@@ -99,16 +102,16 @@ def jacobian_full_reduced(pt: InvariantPoint, m: MassParams, f, fp) -> np.ndarra
     ), dtype=float).reshape(8, 8)
 
 
-def quartet_spectrum(pt: InvariantPoint, m: MassParams, f, fp) -> np.ndarray:
-    """The eight eigenvalues of ``jacobian_full_reduced`` at an RE image along
-    the last axis: four exact zeros, then +-sqrt(mu) for the roots mu of
-    mu^2 + c2 mu + c0 (pt.k13, pt.k23 unread).  With A = k11/m1^2, B = k22/m2^2,
+def quartet_roots(pt: InvariantPoint, m: MassParams, f, fp) -> np.ndarray:
+    """The roots t = +sqrt(mu) of the quartet of ``jacobian_full_reduced`` at an
+    RE image along the last axis, for the roots mu of mu^2 + c2 mu + c0
+    (pt.k13, pt.k23 unread).  With A = k11/m1^2, B = k22/m2^2,
     M = 1/m1 + 1/m2, g = f r M, h = f' k33 M and e = 3g - h, CB gives
     c2 = 5g - h + 2(A + B), c0 = (B - A)(B - A + e (m1 - m2)/(m1 + m2))
     + g (4g - h + 2(A + B)) and c2^2 - 4 c0 = e^2 + 8 e (m1 A + m2 B)/(m1 + m2)
     + 16 A B, free of the k^2 terms that cancel in its entries.  Scaled by
     max(A + B, |g|, |h|), the larger root comes first, the other is c0/big.
-    Floats, or arrays of one shape S for a result of shape S + (8,).
+    Floats, or arrays of one shape S for a complex result of shape S + (2,).
     """
     m1, m2, big_m = m.m1, m.m2, 1 / m.m1 + 1 / m.m2
     a, b, g, h = pt.k11 / m1 ** 2, pt.k22 / m2 ** 2, f * pt.r * big_m, fp * pt.k33 * big_m
@@ -120,8 +123,21 @@ def quartet_spectrum(pt: InvariantPoint, m: MassParams, f, fp) -> np.ndarray:
     root = np.sqrt(np.asarray(e * e + 8 * e * (m1 * a + m2 * b) / (m1 + m2) + 16 * a * b, complex))
     big = -0.5 * (c2 + np.where(c2 < 0, -root, root))
     small = c0 / np.where(big != 0, big, 1.0)
-    t = np.sqrt(np.asarray(s))[..., None] * np.sqrt(np.stack([big, small], axis=-1))
+    return np.sqrt(np.asarray(s))[..., None] * np.sqrt(np.stack([big, small], axis=-1))
+
+
+def _spectrum(t) -> np.ndarray:
+    """The spectrum (0, 0, 0, 0, t, -t) of roots t along the last axis."""
     return np.concatenate([np.zeros(t.shape[:-1] + (4,)), t, -t], axis=-1)
+
+
+def quartet_spectrum(pt: InvariantPoint, m: MassParams, f, fp) -> np.ndarray:
+    """The eight eigenvalues of ``jacobian_full_reduced`` at an RE image along
+    the last axis: four exact zeros, then t and -t for the two
+    ``quartet_roots`` t.  Floats, or arrays of one shape S for a result of
+    shape S + (8,).
+    """
+    return _spectrum(quartet_roots(pt, m, f, fp))
 
 
 def linearize(re: RelativeEquilibrium) -> LinearizationReport:
@@ -151,34 +167,46 @@ def _eigvals(matrix: np.ndarray) -> np.ndarray:
 
 
 def _classify(eigs) -> tuple:
-    """``classify_stability_eigs`` and the count of zero eigenvalues, by the
-    rule of the module docstring: one spectrum in plain Python, a stack along
-    the last axis in numpy, both on the moduli of ``np.abs``."""
+    """The label and count of zero eigenvalues of one spectrum, by the rule of
+    the module docstring, in plain Python on the moduli of ``np.abs``."""
     eigs = np.asarray(eigs)
-    if eigs.ndim == 1:
-        vals, mods = eigs.tolist(), np.abs(eigs).tolist()
-        if not all(map(math.isfinite, mods)):
-            raise ValueError(f"the spectrum {vals} is not finite")
-        scale = max(1.0, max(mods))
-        tol, cut = ZERO_EIG_TOL * scale, REAL_PART_TOL * scale
-        zeros = [x < tol for x in mods]
-        n_zero = sum(zeros)
-        if any(t.real > cut for t in vals):  # unstable outranks stable
-            return UNSTABLE, n_zero
-        stable = n_zero == 4 and all(z or abs(t.real) <= cut for z, t in zip(zeros, vals))
-        return (STABLE if stable else DEGENERATE), n_zero
-    mod = np.abs(eigs)
-    scale = np.maximum(1.0, mod.max(axis=-1, keepdims=True))  # NaN and inf carry through
+    vals, mods = eigs.tolist(), np.abs(eigs).tolist()
+    if not all(map(math.isfinite, mods)):
+        raise ValueError(f"the spectrum {vals} is not finite")
+    scale = max(1.0, max(mods))
+    tol, cut = ZERO_EIG_TOL * scale, REAL_PART_TOL * scale
+    zeros = [x < tol for x in mods]
+    n_zero = sum(zeros)
+    if any(t.real > cut for t in vals):  # unstable outranks stable
+        return UNSTABLE, n_zero
+    stable = n_zero == 4 and all(z or abs(t.real) <= cut for z, t in zip(zeros, vals))
+    return (STABLE if stable else DEGENERATE), n_zero
+
+
+_LABELS = np.array((DEGENERATE, STABLE, UNSTABLE), dtype=object)
+
+
+def classify_roots(t) -> tuple:
+    """The label and zero count that ``_classify`` gives the spectrum
+    (0, 0, 0, 0, t, -t) of quartet roots t along the last axis, bit for bit,
+    read on t alone (module docstring).  A pair gives (str, int), a stack an
+    object array of labels and an int array of counts.  Roots that are not
+    finite raise ``ValueError``, naming their spectrum.
+    """
+    t = np.asarray(t)
+    # the pair's columns, since numpy reduces a length-2 axis slowly
+    mod, re = np.abs(t), np.abs(t.real)
+    scale = np.maximum(np.maximum(mod[..., 0], mod[..., 1]), 1.0)  # NaN and inf carry through
     if not np.isfinite(scale).all():
-        i = int(np.argmin(np.isfinite(scale[:, 0])))
-        raise ValueError(f"the spectrum {eigs[i].tolist()} in row {i} is not finite")
-    zeros = mod < ZERO_EIG_TOL * scale
-    cut = REAL_PART_TOL * scale
-    unstable = (eigs.real > cut).any(axis=-1)
-    n_zero = zeros.sum(axis=-1)
-    stable = (n_zero == 4) & (zeros | (np.abs(eigs.real) <= cut)).all(axis=-1)
-    labels = (DEGENERATE, STABLE, UNSTABLE, UNSTABLE)  # unstable outranks stable
-    return [labels[c] for c in (2 * unstable + stable).tolist()], n_zero
+        if t.ndim == 1:
+            raise ValueError(f"the spectrum {_spectrum(t).tolist()} is not finite")
+        i = int(np.argmin(np.isfinite(scale).ravel()))
+        row = _spectrum(t.reshape(-1, 2)[i])
+        raise ValueError(f"the spectrum {row.tolist()} in row {i} is not finite")
+    n_zero = 4 + 2 * (mod < (ZERO_EIG_TOL * scale)[..., None]).sum(axis=-1)
+    unstable = np.maximum(re[..., 0], re[..., 1]) > REAL_PART_TOL * scale
+    labels = _LABELS[np.where(unstable, 2, n_zero == 4)]  # unstable outranks stable
+    return (labels, n_zero) if t.ndim > 1 else (labels, int(n_zero))
 
 
 def spectrum_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -196,10 +224,13 @@ def classify_stability_eigs(eigs: np.ndarray):
     unstable: any eigenvalue with positive real part; degenerate otherwise.
 
     Classifies along the last axis: one spectrum gives a str, a stack of
-    spectra a list of them.  A spectrum that is not finite raises
+    spectra a list of them, row by row.  A spectrum that is not finite raises
     ``ValueError``.
     """
-    return _classify(eigs)[0]
+    eigs = np.asarray(eigs)
+    if eigs.ndim == 1:
+        return _classify(eigs)[0]
+    return [classify_stability_eigs(row) for row in eigs]
 
 
 def _k_diag(re: RelativeEquilibrium) -> tuple[float, float]:

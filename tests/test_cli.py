@@ -952,9 +952,10 @@ class TestSurfaceCommand:
         (["--workers", -3], "samples its sheets serially"),
         (["--workers", 2], "samples its sheets serially"),
         (["--family", "isosceles", "--phi1-min", 0.1, "--phi1-max", 0.5],
-         "phi1_range is for rightAngled surfaces only"),
+         "--phi1-min/--phi1-max are for --family rightAngled only, not isosceles"),
         (["--family", "rightAngled", "--phi1-min", 0.1], "set both or neither"),
         (["--family", "rightAngled", "--phi1-max", 0.5], "set both or neither"),
+        (["--family", "rightAngled"], "--family rightAngled needs --phi1-min/--phi1-max"),
     ])
     def test_bad_range_or_grid_exits_4(self, tmp_path, capsys, flags, message):
         out = tmp_path / "surf.csv"

@@ -377,6 +377,21 @@ def test_csv_layout():
     assert float(cells[1]) == pytest.approx(1.0)
 
 
+def test_numpy_float_coordinates_are_written_as_plain_floats():
+    # ec_sample kept a numpy float's type, so ec_csv wrote np.float64(1.0) in
+    # that row's cells and, its cells keyed by value, in every equal one after
+    mixed = [ec_sample(np.float64(1.0), np.float64(0.2), M11, GRAV11),
+             ec_sample(1.0, 0.2, M11, GRAV11)]
+    text = ec_csv(mixed)
+    assert [row.split(",")[1:3] for row in text.splitlines()[1:]] == [["1.0", "0.2"]] * 2
+    assert text == ec_csv([ec_sample(1.0, 0.2, M11, GRAV11)] * 2)
+    s = mixed[0]
+    assert type(s.theta) is type(s.tau) is float
+    right = ec_sample(np.float64(math.pi / 2), np.float64(0.2), M11, GRAV11,
+                      family="rightAngled", phi1=np.float64(0.5))
+    assert type(right.theta) is type(right.tau) is type(right.phi1) is float
+
+
 def _csv_row_by_row(samples) -> str:
     """``ec_csv`` as it was before it formatted a repeated theta or tau once:
     every cell of every row formatted afresh."""

@@ -14,12 +14,14 @@ from spheretop.stability import (
     _momentum_jacobian_det,
     charpoly_2body,
     charpoly_lagrange,
+    classify_roots,
     classify_stability_eigs,
     closed_form_eigs_2body,
     closed_form_eigs_lagrange,
     fold_locus,
     jacobian_full_reduced,
     linearize,
+    quartet_roots,
     quartet_spectrum,
     REAL_PART_TOL,
     ZERO_EIG_TOL,
@@ -482,6 +484,7 @@ class TestQuartetSpectrum:
             assert rep.eigenvalues.tobytes() == ref.tobytes()
             assert eigs.shape == (8,) and (eigs[:4] == 0).all()
             assert stability._classify(eigs)[1] == rep.zero_count
+            assert classify_roots(eigs[4:6]) == (rep.classification, rep.zero_count)
             assert multiset_distance(rep.eigenvalues, eigs) <= 1e-12 * max(
                 1.0, np.abs(rep.eigenvalues).max())
             assert spectrum_gap(rep.eigenvalues, eigs) <= 1e-12
@@ -536,14 +539,20 @@ class TestQuartetSpectrum:
         assert eigs.shape == (2, 2, 8)
         np.testing.assert_array_equal(eigs.reshape(4, 8),
                                       [_image_spectrum(re) for re in res])
+        t = quartet_roots(stacked, M32, f, fp)
+        assert t.shape == (2, 2, 2) and t.dtype == complex
+        assert eigs.tobytes() == _eight_wide(t).tobytes()
 
     def test_sheets_need_no_eigvals(self, monkeypatch):
         def refuse(*args, **kwargs):
-            raise AssertionError("an 8x8 eigen-solve ran on the sheet path")
+            raise AssertionError("an 8x8 eigen-solve or spectrum ran on the sheet path")
 
-        # linearize calls the gufunc behind np.linalg.eigvals itself
+        # linearize calls the gufunc behind np.linalg.eigvals itself; sheets
+        # label the two roots, never the eight-wide spectrum
         monkeypatch.setattr(np.linalg, "eigvals", refuse)
         monkeypatch.setattr(np.linalg._umath_linalg, "eigvals", refuse)
+        monkeypatch.setattr(stability, "quartet_spectrum", refuse)
+        monkeypatch.setattr(stability, "_classify", refuse)
         half = math.pi / 2
         top = (MassParams(0.5, 0.5), Potential.linear(1.0))
         for family, first, m, pot in (("isosceles", (0.1, math.pi - 0.1), M11, grav(M11)),
@@ -578,66 +587,133 @@ def _nudge(x, steps):
                     np.where(steps < 0, np.nextafter(x, -np.inf), x))
 
 
-def _threshold_spectra(rng, n, real):
-    """n spectra whose small moduli and real parts sit on the labelling
-    thresholds or one ulp off them.
+def _threshold_root(rng, scale, real):
+    """One quartet root per row, on a labelling threshold of its row's scale
+    or one ulp off it.
 
-    A pair +-t0 sets scale = max(1, |t0|); a pair +-t1 has its real part at
-    REAL_PART_TOL scale or one ulp off it; each of four small values is on
-    ZERO_EIG_TOL scale by ``np.abs``, one ulp off it in its real part, zero,
-    or random below twice it.  Real spectra are float64, as ``eigvals``
-    returns when every imaginary part is zero.
+    Of six kinds: |t| on ZERO_EIG_TOL scale by ``np.abs``, that root one ulp
+    off in its real part, Re t on +-REAL_PART_TOL scale or one ulp off it
+    (with a random imaginary part when complex), zero, random below twice the
+    zero threshold, or random with |t| at most scale / 2 (imaginary when
+    complex).  Real roots are float64.
     """
-    big = rng.uniform(0.2, 30.0, n)
-    if real:  # a real pair is unstable, so half the rows have a zero pair
-        t0 = big * (rng.random(n) < 0.5)
-    else:  # real, imaginary, or at a random angle
-        t0 = big * np.exp(1j * np.where(rng.random(n) < 0.5, rng.choice([0.0, math.pi / 2], n),
-                                        rng.uniform(0.0, 2 * math.pi, n)))
-    scale = np.maximum(1.0, np.abs(t0))
-    t1 = _nudge(REAL_PART_TOL * scale, rng.integers(-1, 2, n)) * rng.choice([-1.0, 1.0], n)
-    if not real:
-        t1 = t1 + 1j * rng.uniform(0.0, 0.5, n) * big
-    thr = ZERO_EIG_TOL * scale[:, None]
+    n = len(scale)
+    sign = rng.choice([-1.0, 1.0], n)
+    thr = ZERO_EIG_TOL * scale
+    cut = _nudge(REAL_PART_TOL * scale, rng.integers(-1, 2, n)) * sign
     if real:
-        small = thr * rng.choice([-1.0, 1.0], (n, 4))
+        on_zero = thr * sign
+        off = _nudge(on_zero, rng.choice([-1, 1], n))
+        free = rng.uniform(-0.5, 0.5, n) * scale
     else:  # |x + iy| = thr by np.abs, where some float y gives it
-        phase = rng.uniform(0.0, 2 * math.pi, (n, 4))
+        phase = rng.uniform(0.0, 2 * math.pi, n)
         x, y = thr * np.cos(phase), thr * np.sin(phase)
         for _ in range(3):
             mod = np.abs(x + 1j * y)
             y = np.where(mod > thr, np.nextafter(y, 0.0),
                          np.where(mod < thr, np.nextafter(y, np.copysign(np.inf, y)), y))
-        small = x + 1j * y
-    kind = rng.integers(0, 4, (n, 4))
-    off = small + (_nudge(small.real, rng.choice([-1, 1], (n, 4))) - small.real)
-    small = np.select([kind == 1, kind == 2, kind == 3],
-                      [off, 0.0, small * rng.uniform(0.0, 2.0, (n, 4))], small)
-    return np.concatenate([small, np.stack([t0, -t0, t1, -t1], axis=1)], axis=1)
+        on_zero = x + 1j * y
+        off = _nudge(x, rng.choice([-1, 1], n)) + 1j * y
+        cut = cut + 1j * rng.uniform(0.0, 0.5, n) * scale
+        free = 1j * rng.uniform(0.01, 0.5, n) * scale
+    kind = rng.integers(0, 6, n)
+    return np.select([kind == k for k in range(1, 6)],
+                     [off, cut, 0.0, on_zero * rng.uniform(0.0, 2.0, n), free], on_zero)
+
+
+def _threshold_roots(rng, n, real):
+    """n pairs of quartet roots whose moduli and real parts sit on the
+    labelling thresholds or one ulp off them.
+
+    Half the pairs lead with an anchor root of modulus 0.2 to 30 (real,
+    imaginary or at a random angle when complex), which sets
+    scale = max(1, |t|); the other pairs have scale 1.  Every other root is a
+    ``_threshold_root`` of its pair's scale, at most half of it in modulus.
+    """
+    big = rng.uniform(0.2, 30.0, n)
+    if real:
+        anchor = big * rng.choice([-1.0, 1.0], n)
+    else:
+        anchor = big * np.exp(1j * np.where(rng.random(n) < 0.5,
+                                            rng.choice([0.0, math.pi / 2], n),
+                                            rng.uniform(0.0, 2 * math.pi, n)))
+    anchored = rng.random(n) < 0.5
+    scale = np.where(anchored, np.maximum(1.0, np.abs(anchor)), 1.0)
+    first = np.where(anchored, anchor, _threshold_root(rng, scale, real))
+    return np.stack([first, _threshold_root(rng, scale, real)], axis=1)
+
+
+def _eight_wide(t):
+    """The spectrum (0, 0, 0, 0, t, -t) of roots t, row by row."""
+    return np.concatenate([np.zeros(t.shape[:-1] + (4,)), t, -t], axis=-1)
+
+
+class TestClassifyRoots:
+    """``classify_roots`` against ``_classify`` on the eight-wide spectrum."""
+
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    def test_matches_the_eight_wide_rule_on_thresholds(self, real):
+        rng = np.random.default_rng(18)
+        n = 20_000 if real else 60_000
+        t = _threshold_roots(rng, n, real)
+        assert t.dtype == (float if real else complex)
+        want = [stability._classify(row) for row in _eight_wide(t)]
+        labels, zeros = classify_roots(t)
+        assert list(zip(labels.tolist(), zeros.tolist())) == want
+        # along more leading axes, and one pair at a time
+        labels4, zeros4 = classify_roots(t.reshape(-1, 4, 2))
+        assert labels4.shape == zeros4.shape == (n // 4, 4)
+        assert labels4.ravel().tolist() == labels.tolist()
+        assert zeros4.ravel().tolist() == zeros.tolist()
+        assert [classify_roots(pair) for pair in t[:2000]] == want[:2000]
+        # every label and zero count occurs
+        assert set(labels.tolist()) == {"linearly_stable", "linearly_unstable", "degenerate"}
+        assert set(zeros.tolist()) == {4, 6, 8}
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan),
+                                     complex(math.inf, 1)])
+    def test_non_finite_roots_are_rejected_with_their_spectrum(self, bad):
+        t = np.array([1j, bad])
+        with pytest.raises(ValueError, match="not finite") as got:
+            classify_roots(t)
+        with pytest.raises(ValueError) as want:
+            stability._classify(_eight_wide(t))
+        assert str(got.value) == str(want.value)
+        with pytest.raises(ValueError, match=r"spectrum .* in row 3 is not finite"):
+            classify_roots(np.array([[1j, 2j]] * 3 + [t]).reshape(2, 2, 2))
+
+    def test_a_node_with_non_finite_roots_is_sampled_alone_and_fails(self):
+        # f' is NaN where cos(theta) > 0.5, on the first three rows, so their
+        # roots are while (H, lam2, rho2) stays finite: the batch leaves those
+        # nodes to ec_sample, which records the spectrum as not finite
+        pot = Potential.custom(lambda r: -0.7 * r ** 3, lambda r: 2.1 * r * r,
+                               lambda r: math.nan if r > 0.5 else 4.2 * r)
+        sheet = ("generic", (0.6, 1.4), (-1.0, 1.0), (5, 4), M32, pot)
+        res = energy_casimir.ec_surface(*sheet)
+        assert res.scalar_nodes == len(res.failures) == 12
+        assert all(msg.startswith("ValueError: the spectrum [0j, 0j, 0j, 0j, (nan")
+                   and msg.endswith("is not finite") for *_, msg in res.failures)
+        assert {s.theta for s in res.samples} == {1.2, 1.4}
+        for s in res.samples:
+            assert s.stability == energy_casimir.ec_sample(s.theta, s.tau, M32, pot).stability
+        with pytest.raises(ValueError, match="not finite"):
+            energy_casimir.ec_sample(0.6, 0.0, M32, pot)
+        unlabelled = energy_casimir.ec_surface(*sheet, classify=False)
+        assert unlabelled.scalar_nodes == 0 and len(unlabelled.samples) == 20
 
 
 class TestClassifyPaths:
-    def test_one_spectrum_and_a_stack_agree_on_the_thresholds(self):
-        rng = np.random.default_rng(18)
-        for real, n in ((False, 80_000), (True, 20_000)):
-            eigs = _threshold_spectra(rng, n, real)
-            assert eigs.dtype == (float if real else complex)
-            labels, zeros = stability._classify(eigs)
-            rows = [stability._classify(row) for row in eigs]
-            assert rows == list(zip(labels, zeros.tolist()))
-            # every label and zero count the thresholds allow occurs
-            assert set(labels) == {"linearly_stable", "linearly_unstable", "degenerate"}
-            assert set(zeros.tolist()) >= {0, 1, 2, 3, 4}
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan),
                                      complex(math.inf, 1)])
     def test_a_non_finite_spectrum_is_rejected(self, bad):
         # both used to be labelled degenerate; max over a NaN depends on the order
         eigs = [0, 0, 0, 0, 1j, -1j, 2j, bad]
-        with pytest.raises(ValueError, match="not finite"):
+        with pytest.raises(ValueError, match="not finite") as one:
             classify_stability_eigs(eigs)
-        with pytest.raises(ValueError, match=r"spectrum .* in row 1 is not finite"):
+        # a stack is classified row by row
+        with pytest.raises(ValueError) as stack:
             classify_stability_eigs(np.array([[0, 0, 0, 0, 1j, -1j, 2j, -2j], eigs]))
+        assert str(stack.value) == str(one.value)
         with pytest.raises(ValueError, match="not finite"):
             classify_stability_eigs([math.nan] * 8)
 
