@@ -19,9 +19,9 @@ Families are indexed by the separation angle theta:
 
 ``solve_re`` alone decides an RE's branch, phi1 and zeta; ``zeta_of`` and
 ``tau_row`` read them from it, the latter for a block of sheet rows in one
-broadcast pass over their nodes.  An RE's 16-d ``state`` is built only when
-read; its closed-form image (``planar_image``, ``re_image``) and S
-(``s_of``) are here.
+broadcast pass over their nodes.  An RE's 16-d ``state`` and mapped ``image``
+are built on first read and kept, lock-free; its closed-form image
+(``planar_image``, ``re_image``) and S (``s_of``) are here.
 """
 
 from __future__ import annotations
@@ -52,9 +52,20 @@ class NoSolutionError(ValueError):
     """No relative equilibrium exists for the requested parameters."""
 
 
-@dataclass(frozen=True)
+class _cached(functools.cached_property):
+    """``functools.cached_property`` without the lock Python 3.11 takes on a first read."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        return instance.__dict__.setdefault(self.attrname, self.func(instance))
+
+
+@dataclass(frozen=True, init=False)
 class RelativeEquilibrium:
-    """A classified relative equilibrium in the standard conjugacy gauge."""
+    """A classified relative equilibrium in the standard conjugacy gauge, built
+    in one step as ``energy_casimir.ECSample`` is; ``state`` and ``image`` are
+    kept in its ``__dict__`` on first read, outside what eq and hash compare."""
 
     kind: str
     theta: float
@@ -70,6 +81,13 @@ class RelativeEquilibrium:
     potential: Potential
     isosceles: bool = False
 
+    def __init__(self, kind, theta, phi1, phi2, xi_mag, eta_mag, x1, x2, y, zeta, masses,
+                 potential, isosceles=False):
+        object.__setattr__(self, "__dict__", {
+            "kind": kind, "theta": theta, "phi1": phi1, "phi2": phi2, "xi_mag": xi_mag,
+            "eta_mag": eta_mag, "x1": x1, "x2": x2, "y": y, "zeta": zeta, "masses": masses,
+            "potential": potential, "isosceles": isosceles})
+
     @property
     def phi1_branches(self) -> tuple[float, ...]:
         """Every position-angle branch at this theta; a diagnostic computed on
@@ -79,12 +97,12 @@ class RelativeEquilibrium:
         f = self.potential.f(math.cos(self.theta))
         return phi_branches(self.theta, self.masses, attractive=f > 0)
 
-    @functools.cached_property
+    @_cached
     def state(self) -> PhaseState:
         """The phase-space point, built from the angles and rates on first access only."""
         return vec_to_state(_re_state_vec(self))
 
-    @functools.cached_property
+    @_cached
     def image(self) -> InvariantPoint:
         """The invariant image of the RE's point, mapped on first access only
         from its flat vector, so that reading it builds no ``state``."""
@@ -177,8 +195,8 @@ def solve_re(
     """Classify the relative equilibrium at separation angle theta.
 
     ``eta_mag`` must be positive except for the singular families, where both
-    rates are free (``xi_mag`` defaults to zero there).  At theta = pi/2 the
-    masses must be equal and the free line parameter is exposed as ``phi1``;
+    rates are free and nonnegative (``xi_mag`` defaults to zero).  At theta =
+    pi/2 the masses must be equal and the free line parameter is ``phi1``;
     elsewhere ``phi1``/``xi_mag`` must be left unset, as they are determined.
     A NaN or infinite theta or rate raises ``ValueError``.
     """
@@ -272,6 +290,8 @@ def _solve_singular(theta, eta_mag, m, pot, xi_mag, phi1) -> RelativeEquilibrium
     pot.f(1.0 if theta < 1.0 else -1.0)  # singular potentials reject these kinds
     if eta_mag < 0:
         raise ValueError("eta_mag must be nonnegative")
+    if xi_mag is not None and xi_mag < 0:
+        raise ValueError(f"xi_mag = {xi_mag!r} must be nonnegative")
     if phi1 is not None:
         raise ValueError("phi1 is determined away from theta = pi/2")
     xi = 0.0 if xi_mag is None else float(xi_mag)

@@ -17,9 +17,9 @@ A spectrum is labelled on the scale max(1, max |t|): t is zero when |t| is
 below ZERO_EIG_TOL times it, the spectrum is unstable when some Re t exceeds
 REAL_PART_TOL times it (the cut), and stable when exactly four t are zero and
 every other |Re t| is at most the cut; anything else is degenerate.  A
-numerical spectrum (``linearize``) is labelled in plain Python, since numpy's
-cost per call outweighs the arithmetic on eight numbers, on the moduli of
-``np.abs``, from which Python's ``abs`` of a complex differs in the last bit
+numerical spectrum (``linearize``) is labelled in one plain-Python pass, since
+numpy's cost per call outweighs the arithmetic on eight numbers, on the moduli
+of ``np.abs``, from which Python's ``abs`` of a complex differs in the last bit
 for about a third of random values.  The closed-form quartet is labelled on
 its two roots t (``classify_roots``), one pair or a stack of them: the
 spectrum (0, 0, 0, 0, t, -t) has the moduli of t and the real parts +-Re t,
@@ -75,7 +75,7 @@ UNSTABLE = "linearly_unstable"
 DEGENERATE = "degenerate"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinearizationReport:
     """Jacobian at an RE in coordinates (k11, k12, k13, k22, k23, k33, r, delta)."""
 
@@ -83,6 +83,11 @@ class LinearizationReport:
     eigenvalues: np.ndarray
     zero_count: int
     classification: str
+
+    def __init__(self, matrix, eigenvalues, zero_count, classification):  # one step, as ECSample
+        object.__setattr__(self, "__dict__", {
+            "matrix": matrix, "eigenvalues": eigenvalues, "zero_count": zero_count,
+            "classification": classification})
 
 
 def jacobian_full_reduced(pt: InvariantPoint, m: MassParams, f, fp) -> np.ndarray:
@@ -150,17 +155,13 @@ def linearize(re: RelativeEquilibrium) -> LinearizationReport:
     matrix = jacobian_full_reduced(pt, re.masses, pot.f(pt.r), pot.fprime(pt.r))
     eigs = _eigvals(matrix)
     classification, zero_count = _classify(eigs)
-    return LinearizationReport(
-        matrix=matrix,
-        eigenvalues=eigs,
-        zero_count=int(zero_count),
-        classification=classification,
-    )
+    return LinearizationReport(matrix, eigs, zero_count, classification)
 
 
 def _eigvals(matrix: np.ndarray) -> np.ndarray:
     """``np.linalg.eigvals(matrix)`` for one float64 matrix, bit for bit."""
-    if not np.isfinite(matrix).all():
+    # count_nonzero skips the Python steps of ``.all()``; a sum would warn on overflow
+    if np.count_nonzero(np.isfinite(matrix)) != matrix.size:
         raise LinAlgError("Array must not contain infs or NaNs")
     eigs = _umath_linalg.eigvals(matrix, signature="d->D")
     return eigs if np.count_nonzero(eigs.imag) else eigs.real
@@ -168,19 +169,21 @@ def _eigvals(matrix: np.ndarray) -> np.ndarray:
 
 def _classify(eigs) -> tuple:
     """The label and count of zero eigenvalues of one spectrum, by the rule of
-    the module docstring, in plain Python on the moduli of ``np.abs``."""
+    the module docstring, in one plain-Python pass over the moduli of ``np.abs``."""
     eigs = np.asarray(eigs)
     vals, mods = eigs.tolist(), np.abs(eigs).tolist()
     if not all(map(math.isfinite, mods)):
         raise ValueError(f"the spectrum {vals} is not finite")
     scale = max(1.0, max(mods))
     tol, cut = ZERO_EIG_TOL * scale, REAL_PART_TOL * scale
-    zeros = [x < tol for x in mods]
-    n_zero = sum(zeros)
-    if any(t.real > cut for t in vals):  # unstable outranks stable
+    n_zero, unstable, settled = 0, False, True  # settled: |Re t| <= cut off the zeros
+    for t, x in zip(vals, mods):
+        unstable = unstable or t.real > cut
+        n_zero += x < tol
+        settled = settled and (x < tol or abs(t.real) <= cut)
+    if unstable:  # unstable outranks stable
         return UNSTABLE, n_zero
-    stable = n_zero == 4 and all(z or abs(t.real) <= cut for z, t in zip(zeros, vals))
-    return (STABLE if stable else DEGENERATE), n_zero
+    return (STABLE if n_zero == 4 and settled else DEGENERATE), n_zero
 
 
 _LABELS = np.array((DEGENERATE, STABLE, UNSTABLE), dtype=object)

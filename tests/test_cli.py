@@ -852,6 +852,17 @@ class TestClassify:
         assert "phi1 is determined away from theta = pi/2" in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("theta", [0.0, math.pi])
+    def test_a_negative_xi_at_a_singular_theta_exits_4(self, tmp_path, capsys, theta):
+        # the record said "xi_mag": -1.0 and the run exited 0
+        out = tmp_path / "record.json"
+        for cmd, extra in (("re", []), ("stability", []), ("re", ["--out", out])):
+            assert run([cmd, "--theta", theta, "--eta", 0.5, "--xi", -1,
+                        "--potential", "linear:1", *extra]) == 4
+            captured = capsys.readouterr()
+            assert "xi_mag = -1.0 must be nonnegative" in captured.err and captured.out == ""
+        assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
+
     def test_stability_upright_top(self, capsys):
         assert run(["stability", "--potential", "lagrange", "--alpha", 2,
                     "--gamma", 1, "--theta", 0.3]) == 0

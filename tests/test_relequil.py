@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -27,7 +30,7 @@ from spheretop.phase_space import (
 from spheretop.quaternion import Quaternion, inner_product
 from spheretop import relequil
 from spheretop.energy_casimir import ec_sample
-from spheretop.reduction import hilbert_map, invariant_map, left_reduce
+from spheretop.reduction import InvariantPoint, hilbert_map, invariant_map, left_reduce
 from spheretop.relequil import (
     NoSolutionError,
     lever_residual,
@@ -333,6 +336,17 @@ class TestErrors:
         with pytest.raises(ValueError, match="phi1 is determined away from theta = pi/2"):
             re_from_tau(theta, 0.3, M11, lin, phi1=0.3)
 
+    @pytest.mark.parametrize("theta", [0.0, math.pi])
+    def test_a_negative_xi_is_refused_at_the_singular_thetas(self, theta):
+        # the gauge has nonnegative rates; xi_mag = -1 was recorded as the
+        # RE's magnitude
+        lin = Potential.linear(1.0)
+        with pytest.raises(ValueError, match=r"xi_mag = -1\.0 must be nonnegative"):
+            solve_re(theta, 0.5, M32, lin, xi_mag=-1.0)
+        with pytest.raises(ValueError, match="xi_mag = -1e-300 must be nonnegative"):
+            solve_re(theta, 0.5, M32, lin, xi_mag=-1e-300)
+        assert solve_re(theta, 0.5, M32, lin, xi_mag=0.0).xi_mag == 0.0
+
     def test_theta_range(self):
         with pytest.raises(ValueError):
             solve_re(-0.1, 1.0, M11, grav(M11))
@@ -471,3 +485,69 @@ class TestHotPath:
         assert re.phi1_branches == (re.phi1,)
         assert re.to_json_dict()["phi1_branches"] == [re.phi1]
         assert solve_re(math.pi / 2, 1.0, M11, grav(M11)).phi1_branches == ()
+
+
+def _v(r):
+    return 0.7 * r
+
+
+def _f(r):
+    return -0.7
+
+
+def _fprime(r):
+    return 0.0
+
+
+class TestOneStepRE:
+    """An RE is built in one step and caches its state and image in its
+    instance dict; it keeps the semantics of a frozen dataclass."""
+
+    @pytest.fixture
+    def res(self):
+        # a potential of module-level functions, so that pickle can name them
+        pot = Potential.custom(_v, _f, _fprime)
+        return [solve_re(1.1, 0.8, M11, pot), solve_re(math.pi / 2, 0.8, M11, pot, phi1=-0.4),
+                solve_re(math.pi, 0.3, M32, pot, xi_mag=0.6)]
+
+    def test_fields_are_frozen(self, res):
+        re = res[0]
+        for name in ("theta", "image", "state"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(re, name, 1.0)
+        assert re.theta == 1.1
+
+    def test_eq_and_hash_compare_the_fields_alone(self, res):
+        for re in res:
+            twin = dataclasses.replace(re)
+            re.image, re.state  # cached in re, not in twin
+            assert "image" in vars(re) and "image" not in vars(twin)
+            assert re == twin and hash(re) == hash(twin)
+            other = dataclasses.replace(re, eta_mag=re.eta_mag * 2)
+            assert other != re
+
+    def test_replace_round_trips_every_field_with_a_fresh_image(self, res):
+        for re in res:
+            re.image
+            twin = dataclasses.replace(re)
+            names = [f.name for f in dataclasses.fields(re)]
+            assert [getattr(twin, n) for n in names] == [getattr(re, n) for n in names]
+            moved = dataclasses.replace(re, eta_mag=re.eta_mag + 0.1)
+            assert "image" not in vars(moved)
+            assert moved.image == InvariantPoint.from_tuple(invariant_map(moved.state))
+            assert moved.image != re.image
+
+    def test_copy_and_pickle(self, res):
+        for re in res:
+            for fresh in (copy.copy(re), copy.deepcopy(re), pickle.loads(pickle.dumps(re))):
+                assert fresh == re and hash(fresh) == hash(re)
+                assert fresh.image == re.image and fresh.state == re.state
+                assert fresh.to_json_dict() == re.to_json_dict()
+            re.image  # a cached image travels with the instance
+            assert pickle.loads(pickle.dumps(re)).__dict__ == re.__dict__
+
+    def test_fields_keep_their_order(self, res):
+        order = ["kind", "theta", "phi1", "phi2", "xi_mag", "eta_mag", "x1", "x2", "y", "zeta",
+                 "masses", "potential", "isosceles"]
+        assert [f.name for f in dataclasses.fields(res[0])] == order
+        assert list(res[0].to_json_dict()) == [*order, "phi1_branches", "state"]

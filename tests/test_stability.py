@@ -110,17 +110,30 @@ class TestLinearisation:
             linearize(re)
 
     def test_one_query_maps_the_state_once(self, monkeypatch):
-        from spheretop import reduction
+        # one query builds its state vector, maps it and runs LAPACK once each
+        from spheretop import reduction, relequil
         from spheretop.relequil import verify_re_fixed_point
 
-        calls = []
-        body_frame_vec = reduction.body_frame_vec
-        monkeypatch.setattr(reduction, "body_frame_vec",
-                            lambda v: calls.append(v) or body_frame_vec(v))
-        re = solve_re(2.2, 1.0, M32, grav(M32))
-        verify_re_fixed_point(re)
-        linearize(re)
-        assert len(calls) == 1
+        calls = {}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(reduction, "body_frame_vec")
+        counted(relequil, "_re_state_vec")
+        counted(np.linalg._umath_linalg, "eigvals")
+        lin = Potential.linear(1.0)
+        for re in (solve_re(2.2, 1.0, M32, grav(M32)), solve_re(0.0, 0.4, M32, lin, xi_mag=1.0),
+                   solve_re(math.pi / 2, 0.8, M11, lin, phi1=-0.3)):
+            calls.clear()
+            verify_re_fixed_point(re)
+            linearize(re)
+            assert calls == {"body_frame_vec": 1, "_re_state_vec": 1, "eigvals": 1}, re.kind
 
 
 class TestGravitationalSpectra:
@@ -738,8 +751,94 @@ def _test_matrices(rng, n):
             *low, *jac]
 
 
+def _reference_label(eigs):
+    """The labelling rule of the module docstring, written out on its own:
+    a list of zero flags, then separate passes for unstable and stable."""
+    vals, mods = eigs.tolist(), np.abs(eigs).tolist()
+    scale = max(1.0, max(mods))
+    tol, cut = ZERO_EIG_TOL * scale, REAL_PART_TOL * scale
+    zeros = [x < tol for x in mods]
+    n_zero = sum(zeros)
+    if any(t.real > cut for t in vals):
+        return "linearly_unstable", n_zero
+    stable = n_zero == 4 and all(z or abs(t.real) <= cut for z, t in zip(zeros, vals))
+    return ("linearly_stable" if stable else "degenerate"), n_zero
+
+
+def _seeded_queries(rng, reps):
+    """(potential name, RE) pairs: acute and obtuse REs under every potential,
+    right-angled ones for equal masses and singular ones for the regular
+    potentials, with seeded angles and rates."""
+    half = math.pi / 2
+    custom = Potential.custom(lambda r: -0.7 * r ** 3, lambda r: 2.1 * r * r,
+                              lambda r: 4.2 * r)
+    for _ in range(reps):
+        gamma, alpha, eta = rng.uniform(0.5, 1.5), rng.uniform(0.5, 2.0), rng.uniform(0.6, 2.1)
+        unequal = MassParams(1.0, rng.uniform(1.2, 3.0))
+        equal, top = MassParams(*[rng.uniform(0.5, 2.0)] * 2), MassParams(1 / alpha, 1 / alpha)
+        for name, m, pot in (("grav", unequal, grav(unequal)), ("grav", equal, grav(equal)),
+                             ("linear", equal, Potential.linear(gamma)),
+                             ("lagrange", top, Potential.linear(gamma)),
+                             ("custom", unequal, custom)):
+            yield name, solve_re(rng.uniform(0.45, half - 0.12), eta, m, pot)
+            yield name, solve_re(rng.uniform(half + 0.12, 2.7), eta, m, pot)
+            if m.equal:
+                phi1 = math.copysign(rng.uniform(0.2, half - 0.2), pot.f(0.0))
+                yield name, solve_re(half, eta, m, pot, phi1=phi1)
+            if name != "grav":
+                theta = float(rng.choice([0.0, math.pi]))
+                yield name, solve_re(theta, rng.uniform(0.0, 1.0), m, pot,
+                                     xi_mag=rng.uniform(0.0, 2.0))
+
+
 class TestEigvalsPath:
     """``linearize`` calls the gufunc behind ``np.linalg.eigvals`` itself."""
+
+    def test_linearize_matches_numpy_and_the_reference_rule(self):
+        kinds, names, labels = set(), set(), set()
+        for name, re in _seeded_queries(np.random.default_rng(28), 30):
+            rep, pt, pot = linearize(re), re.image, re.potential
+            matrix = jacobian_full_reduced(pt, re.masses, pot.f(pt.r), pot.fprime(pt.r))
+            ref = np.linalg.eigvals(matrix)
+            assert rep.matrix.tobytes() == matrix.tobytes()
+            assert rep.eigenvalues.dtype == ref.dtype
+            assert rep.eigenvalues.tobytes() == ref.tobytes()
+            assert (rep.classification, rep.zero_count) == _reference_label(ref)
+            assert type(rep.zero_count) is int
+            kinds.add(re.kind), names.add(name), labels.add(rep.classification)
+        assert kinds == {"acute", "obtuse", "rightAngled", "singular0", "singularPi"}
+        assert names == {"grav", "linear", "lagrange", "custom"}
+        assert labels == {"linearly_stable", "linearly_unstable"}
+        # the rule at its thresholds, where every label and zero count occurs
+        labels.clear()
+        for real in (False, True):
+            for row in _eight_wide(_threshold_roots(np.random.default_rng(28), 4000, real)):
+                want = _reference_label(row)
+                assert stability._classify(row) == want
+                labels.add(want)
+        assert labels == {("linearly_stable", 4), ("linearly_unstable", 4),
+                          ("linearly_unstable", 6), ("degenerate", 6), ("degenerate", 8)}
+
+    @pytest.mark.parametrize("big", [1e308, -1e308])
+    def test_finite_entries_whose_sum_overflows_are_solved_without_a_warning(self, big):
+        a = np.eye(8)
+        a[0, 1] = a[2, 3] = big
+        with np.errstate(over="ignore"):
+            assert not math.isfinite(a.sum())
+        with np.errstate(all="raise"):
+            ours = stability._eigvals(a)
+        ref = np.linalg.eigvals(a)
+        assert ours.dtype == ref.dtype and ours.tobytes() == ref.tobytes()
+
+    def test_infinities_of_both_signs_raise_before_lapack(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK ran on a non-finite matrix")
+
+        monkeypatch.setattr(np.linalg._umath_linalg, "eigvals", refuse)
+        a = np.eye(8)
+        a[3, 5], a[4, 6] = math.inf, -math.inf
+        with pytest.raises(np.linalg.LinAlgError, match="must not contain infs or NaNs"):
+            stability._eigvals(a)
 
     def test_bytes_and_dtype_are_numpys(self):
         rng = np.random.default_rng(19)
