@@ -58,6 +58,7 @@ from .dynamics import (
 )
 from .poisson import (
     GradientTriple,
+    bracket_matrix,
     integral_I,
     lie_poisson_bracket,
     table_bracket,

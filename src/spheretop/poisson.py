@@ -7,9 +7,11 @@ triples (d1, d2, d3) is
          + <gD, (d1 f * d3 g - d3 g * d2 f) - (d1 g * d3 f - d3 f * d2 g)> ]
 
 with the sign + on the left-reduced side and - on the right.  On the fully
-reduced variety the bracket of the eight generators is tabulated below; it
-closes into a Lie algebra only where the variety relations hold, so flows
-assembled from the structure table refuse off-variety points by default.
+reduced variety the brackets of the eight generators form one antisymmetric
+8x8 tensor, ``bracket_matrix``.  Its symplectic leaves are the fully reduced
+spaces; its rank is 4 on the free stratum, 2 on the SO(2)-isotropy stratum
+and 0 at the poles.  It closes into a Lie algebra only where the variety
+relations hold, so ``table_flow`` refuses off-variety points by default.
 
 The equations of motion use the convention  df/dt = {H, f}.
 """
@@ -17,7 +19,9 @@ The equations of motion use the convention  df/dt = {H, f}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
+
+import numpy as np
 
 from .dynamics import HamiltonianKind
 from .quaternion import ImaginaryQuaternion, Quaternion, inner_product, quat_mul
@@ -27,7 +31,7 @@ GENERATORS = INVARIANT_CSV_COLUMNS
 
 
 class OffVarietyError(ValueError):
-    """The structure table was asked to generate a flow off the variety."""
+    """``table_flow`` was asked for a flow at a non-finite or off-variety point."""
 
 
 @dataclass(frozen=True)
@@ -61,67 +65,44 @@ def lie_poisson_bracket(
     return sign * (term1 + term2 + term3)
 
 
-# ---------------------------------------------------------------------------
-# structure table of the fully reduced bracket (upper triangle; the rest by
-# antisymmetry)
-# ---------------------------------------------------------------------------
-
-_TABLE: dict[tuple[str, str], Callable[[InvariantPoint], float]] = {
-    ("k11", "k12"): lambda p: 0.0,
-    ("k11", "k13"): lambda p: -2.0 * p.r * p.k11,
-    ("k11", "k22"): lambda p: 0.0,
-    ("k11", "k23"): lambda p: 2.0 * p.delta - 2.0 * p.r * p.k12,
-    ("k11", "k33"): lambda p: -4.0 * p.r * p.k13,
-    ("k12", "k13"): lambda p: p.r * (p.k11 - p.k12) + p.delta,
-    ("k12", "k22"): lambda p: 0.0,
-    ("k12", "k23"): lambda p: p.r * (p.k12 - p.k22) - p.delta,
-    ("k12", "k33"): lambda p: 2.0 * p.r * (p.k13 - p.k23),
-    ("k13", "k22"): lambda p: 2.0 * p.delta - 2.0 * p.r * p.k12,
-    ("k13", "k23"): lambda p: -p.r * (p.k13 + p.k23),
-    ("k13", "k33"): lambda p: -2.0 * p.r * p.k33,
-    ("k22", "k23"): lambda p: 2.0 * p.r * p.k22,
-    ("k22", "k33"): lambda p: 4.0 * p.r * p.k23,
-    ("k23", "k33"): lambda p: 2.0 * p.r * p.k33,
-    ("k11", "r"): lambda p: 2.0 * p.k13,
-    ("k12", "r"): lambda p: p.k23 - p.k13,
-    ("k13", "r"): lambda p: p.k33,
-    ("k22", "r"): lambda p: -2.0 * p.k23,
-    ("k23", "r"): lambda p: -p.k33,
-    ("k33", "r"): lambda p: 0.0,
-    ("k11", "delta"): lambda p: 2.0 * (p.k12 * p.k13 - p.k11 * p.k23),
-    ("k12", "delta"): lambda p: (p.k11 + p.k12) * p.k23 - (p.k12 + p.k22) * p.k13,
-    ("k13", "delta"): lambda p: (p.k11 + p.k12) * p.k33 - (p.k13 + p.k23) * p.k13,
-    ("k22", "delta"): lambda p: 2.0 * (p.k13 * p.k22 - p.k12 * p.k23),
-    ("k23", "delta"): lambda p: (p.k13 + p.k23) * p.k23 - (p.k12 + p.k22) * p.k33,
-    ("k33", "delta"): lambda p: 0.0,
-    ("r", "delta"): lambda p: 0.0,
-}
+def bracket_matrix(x: Sequence[float]) -> np.ndarray:
+    """The 8x8 Poisson tensor Pi_ab = {x_a, x_b} at a flat invariant vector,
+    in the order of :data:`GENERATORS`: the upper triangle written once, the
+    rest by antisymmetry."""
+    k11, k12, k13, k22, k23, k33, r, de = x
+    w = 2.0 * de - 2.0 * r * k12  # {k11, k23} = {k13, k22}
+    up = np.array((
+        0.0, 0.0, -2.0 * r * k11, 0.0, w, -4.0 * r * k13, 2.0 * k13,  # k11
+        2.0 * (k12 * k13 - k11 * k23),
+        0.0, 0.0, r * (k11 - k12) + de, 0.0, r * (k12 - k22) - de,  # k12
+        2.0 * r * (k13 - k23), k23 - k13, (k11 + k12) * k23 - (k12 + k22) * k13,
+        0.0, 0.0, 0.0, w, -r * (k13 + k23), -2.0 * r * k33, k33,  # k13
+        (k11 + k12) * k33 - (k13 + k23) * k13,
+        0.0, 0.0, 0.0, 0.0, 2.0 * r * k22, 4.0 * r * k23, -2.0 * k23,  # k22
+        2.0 * (k13 * k22 - k12 * k23),
+        0.0, 0.0, 0.0, 0.0, 0.0, 2.0 * r * k33, -k33,  # k23
+        (k13 + k23) * k23 - (k12 + k22) * k33,
+    ) + (0.0,) * 24).reshape(8, 8)  # the rows of k33, r and delta
+    return up - up.T
 
 
 def table_bracket(a: str, b: str, at: InvariantPoint) -> float:
     """{a, b} between two generators, evaluated at a point of the variety."""
     if a not in GENERATORS or b not in GENERATORS:
         raise KeyError(f"unknown generators {a!r}, {b!r}")
-    if a == b:
-        return 0.0
-    at = InvariantPoint.from_tuple(at)
-    if (a, b) in _TABLE:
-        return _TABLE[(a, b)](at)
-    return -_TABLE[(b, a)](at)
+    return float(bracket_matrix(at)[GENERATORS.index(a), GENERATORS.index(b)])
 
 
 def table_flow(
-    h_grad: Callable[[InvariantPoint], tuple[float, ...]] | tuple[float, ...],
+    h_grad: Callable[[InvariantPoint], tuple[float, ...]],
     at: InvariantPoint,
     allow_off_variety: bool = False,
 ) -> tuple[float, ...]:
-    """Hamiltonian flow assembled from the structure table.
+    """Hamiltonian flow x' = {H, x} = grad H . Pi of ``bracket_matrix``.
 
     ``h_grad`` gives dH/dx over the generators in the order of
-    :data:`GENERATORS`.  Returns the tangent (x_a)' = {H, x_a} = sum_b
-    dH/dx_b {x_b, x_a}.  The table represents the reduced Poisson structure
-    only on the variety, so off-variety points are rejected unless
-    explicitly allowed.
+    :data:`GENERATORS`.  Pi is the reduced Poisson structure only on the
+    variety, so off-variety points are rejected unless explicitly allowed.
     """
     at = InvariantPoint.from_tuple(at)
     if not allow_off_variety:
@@ -129,15 +110,7 @@ def table_flow(
             at.validate()
         except ValueError as exc:
             raise OffVarietyError(str(exc)) from exc
-    grads = h_grad(at) if callable(h_grad) else h_grad
-    out = []
-    for a in GENERATORS:
-        acc = 0.0
-        for gb, b in zip(grads, GENERATORS):
-            if gb != 0.0:
-                acc += gb * table_bracket(b, a, at)
-        out.append(acc)
-    return tuple(out)
+    return tuple((np.array(h_grad(at)) @ bracket_matrix(at)).tolist())
 
 
 def integral_I(pt: InvariantPoint, alpha: float, gamma: float) -> float:
@@ -185,7 +158,7 @@ def casimir_gradient(name: str) -> Callable[[InvariantPoint], tuple]:
 
 
 # gradient fields of the invariant-ring generators as functions on the
-# translation-reduced space, for cross-checking the table against the
+# translation-reduced space, for cross-checking the tensor against the
 # Lie-Poisson bracket upstairs
 
 def generator_gradient(name: str) -> Callable[[ReducedState], GradientTriple]:

@@ -101,12 +101,6 @@ class Quaternion(_Quat):
     def inverse(self) -> "Quaternion":
         return tuple.__new__(Quaternion, quat_inverse_vec(self))
 
-    def normalized(self) -> "Quaternion":
-        n = self.norm()
-        if n == 0.0:
-            raise ZeroDivisionError("cannot normalise the zero quaternion")
-        return tuple.__new__(Quaternion, [c / n for c in self])
-
     def imag(self) -> "ImaginaryQuaternion":
         return ImaginaryQuaternion(*self[1:])
 

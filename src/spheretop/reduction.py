@@ -109,6 +109,10 @@ class InvariantPoint(_Invariants):
         return variety_defect_vec(self)
 
     def validate(self) -> None:
+        # NaN fails no comparison below and inf makes the scale inf, so both
+        # are rejected first
+        if not all(map(math.isfinite, self)):
+            raise ValueError("invariants must be finite")
         scale = max(1.0, self.k11, self.k22, self.k33)
         if min(self.k11, self.k22, self.k33) < -VARIETY_TOL * scale:
             raise ValueError("diagonal invariants must be nonnegative")

@@ -458,7 +458,7 @@ def test_criterion_10_bracket_suite():
                 worst_cas = max(worst_cas, val / max(1.0, *map(abs, cg)))
     assert worst_cas < 1e-10
 
-    # the structure-table flow reproduces the hand-written equations
+    # the flow grad H . Pi reproduces the hand-written equations
     m, pot = CONS_MASSES, Potential.linear(0.8)
     grad = hamiltonian_gradient(HamiltonianKind.two_body(m, pot))
     worst_flow = 0.0

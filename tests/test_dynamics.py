@@ -860,8 +860,8 @@ class TestTopEquivalence:
         assert m_eq.m1 == pytest.approx(0.5) and pot_eq.kind == "linear"
         pt0 = point_to_vec(hilbert_map(random_reduced_state(rng)))
         a = integrate(make_invariant_rhs(m_eq, pot_eq), pt0, 10.0, sample_dt=1.0)
-        # the altered-top flow is assembled through the Poisson structure
-        # table in test_poisson; here the equivalence is at the field level
+        # the altered-top flow is grad H . Pi of the Poisson tensor
+        # (poisson.bracket_matrix); here the equivalence is at the field level
         from spheretop.poisson import hamiltonian_gradient, table_flow
         grad = hamiltonian_gradient(kind)
         for y in a.ys:

@@ -158,7 +158,7 @@ def test_invariant_functions_take_a_tuple_or_a_point(states):
         assert stratum_classify(p) == stratum_classify(pt)
         strata.add(stratum_classify(p))
     assert strata == {STRATUM_FREE, STRATUM_SO2, STRATUM_FULL}
-    # the gradients, the integral and the structure table; the first point
+    # the gradients, the integral and the Poisson tensor; the first point
     # is off the variety (delta^2 = 0 != det k = 0.75)
     grads = (hamiltonian_gradient(HamiltonianKind.two_body(MassParams(0.7, 1.9),
                                                            Potential.linear(0.8))),

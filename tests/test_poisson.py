@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import imag, random_reduced_state
+from conftest import imag, random_invariant_point, random_reduced_state
 
 from spheretop.dynamics import (
     HamiltonianKind,
@@ -17,6 +17,7 @@ from spheretop.poisson import (
     GENERATORS,
     GradientTriple,
     OffVarietyError,
+    bracket_matrix,
     casimir_gradient,
     generator_gradient,
     hamiltonian_gradient,
@@ -27,7 +28,15 @@ from spheretop.poisson import (
     table_flow,
 )
 from spheretop.quaternion import ImaginaryQuaternion, Quaternion
-from spheretop.reduction import InvariantPoint, ReducedState, hilbert_map
+from spheretop.reduction import (
+    STRATUM_FREE,
+    STRATUM_FULL,
+    STRATUM_SO2,
+    InvariantPoint,
+    ReducedState,
+    hilbert_map,
+    stratum_classify,
+)
 
 M = MassParams(1.2, 0.7)
 LIN = Potential.linear(0.9)
@@ -119,7 +128,7 @@ class TestStructureTable:
                 -table_bracket(b, a, pt), abs=1e-14)
 
     def test_every_entry_descends_from_the_lie_poisson_bracket(self, rng):
-        # the decisive consistency check: the table must equal the bracket of
+        # the decisive consistency check: the tensor must equal the bracket of
         # the invariant generators computed upstairs
         for _ in range(50):
             rs = random_reduced_state(rng)
@@ -130,6 +139,22 @@ class TestStructureTable:
                     generator_gradient(a), generator_gradient(b), rs)
                 downstairs = table_bracket(a, b, pt)
                 assert abs(upstairs - downstairs) < 1e-10 * scale, (a, b)
+
+    def test_leaf_dimension_on_each_stratum(self, rng):
+        # the fully reduced spaces are the symplectic leaves of Pi: generically
+        # 4-dimensional, 2-dimensional on the SO(2)-isotropy stratum, and a
+        # point at each pole
+        for _ in range(200):
+            pt = random_invariant_point(rng)
+            assert stratum_classify(pt) == STRATUM_FREE
+            assert np.linalg.matrix_rank(bracket_matrix(pt)) == 4
+        for p in ((1.0,) * 6 + (0.0, 0.0), (4.0, 2.0, 2.0, 1.0, 1.0, 1.0, 0.2, 0.0)):
+            assert stratum_classify(p) == STRATUM_SO2
+            assert np.linalg.matrix_rank(bracket_matrix(p)) == 2
+        for r in (1.0, -1.0):
+            pole = (0.0,) * 6 + (r, 0.0)
+            assert stratum_classify(pole) == STRATUM_FULL
+            assert np.linalg.matrix_rank(bracket_matrix(pole)) == 0
 
 
 class TestTableFlow:
@@ -146,12 +171,15 @@ class TestTableFlow:
         pot = Potential.gravitational(mg)
         kind = HamiltonianKind.two_body(mg, pot)
         grad = hamiltonian_gradient(kind)
-        for _ in range(100):
+        checked = 0
+        while checked < 200:
             pt = hilbert_map(random_reduced_state(rng))
             if 1.0 - abs(pt.r) < 1e-3:
                 continue
-            assert np.allclose(table_flow(grad, pt),
-                               rhs_full_reduced(pt, mg, pot), atol=1e-9)
+            checked += 1
+            want = np.array(rhs_full_reduced(pt, mg, pot))
+            gap = np.max(np.abs(np.array(table_flow(grad, pt)) - want))
+            assert gap < 1e-15 * max(1.0, np.max(np.abs(want)))
 
     def test_casimirs_generate_no_flow(self, rng):
         for name in ("C1", "C2", "C3"):
@@ -178,8 +206,10 @@ class TestTableFlow:
     def test_off_variety_points_flagged(self, rng):
         pt = InvariantPoint(k11=1.0, k12=0.0, k13=0.0, k22=1.0, k23=0.0,
                             k33=1.0, delta=0.9, r=0.1)
-        with pytest.raises(OffVarietyError):
-            table_flow(casimir_gradient("C1"), pt)
+        nan, inf = (float("nan"),) * 8, (float("inf"), 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 0.0)
+        for p in (pt, nan, inf):
+            with pytest.raises(OffVarietyError):
+                table_flow(casimir_gradient("C1"), p)
         assert np.allclose(
             table_flow(casimir_gradient("C1"), pt, allow_off_variety=True),
             np.zeros(8), atol=1e-12)
