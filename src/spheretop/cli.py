@@ -91,8 +91,8 @@ class Opt(NamedTuple):
     """One option of a command: its config key, its kind and its default.
 
     The kind is a type (float, int or str), a tuple of the allowed strings, a
-    tuple of types for a flag taking one value of each (``--grid``), or the
-    bool a switch stores; a switch storing False is spelt ``--no-<dest>``."""
+    tuple of types for a flag taking one value of each (``--grid``), or True
+    for a switch (``--plot-script``)."""
 
     dest: str
     kind: object
@@ -101,7 +101,7 @@ class Opt(NamedTuple):
 
     @property
     def flag(self) -> str:
-        return ("--no-" if self.kind is False else "--") + self.dest.replace("_", "-")
+        return "--" + self.dest.replace("_", "-")
 
     def shape(self) -> tuple[type, tuple | None, int | None]:
         """(type of each value, allowed values, number of values or None for one)."""
@@ -305,11 +305,10 @@ def _builtin_scenario(name: str, seed: int) -> tuple[PhaseState, str]:
     if name == "collision-course":
         g2 = Quaternion(math.cos(1.0), math.sin(1.0), 0.0, 0.0)
         return PhaseState(Quaternion(1.0), Quaternion(0.0, 1.0), g2, Quaternion()), "grav"
-    if name == "random":
-        if seed < 0:
-            raise ValueError(f"--seed {seed}: the seed must be a non-negative integer")
-        return random_phase_state(np.random.default_rng(seed)), "linear:1.0"
-    raise ValueError(f"unknown scenario {name!r}")
+    # "random", the last of the choices of --scenario
+    if seed < 0:
+        raise ValueError(f"--seed {seed}: the seed must be a non-negative integer")
+    return random_phase_state(np.random.default_rng(seed)), "linear:1.0"
 
 
 # --space: a level's map of the start state, its vector field and invariants
@@ -330,7 +329,7 @@ _SPACES = {
 _SIMULATE = (
     *_MODEL, Opt("out", str, "trajectory.csv"),
     Opt("state", str, help="JSON file with g1, p1, g2, p2"),
-    Opt("scenario", str, help="re-acute-demo | antipodal-rest | collision-course | random"),
+    Opt("scenario", ("re-acute-demo", "antipodal-rest", "collision-course", "random")),
     Opt("space", tuple(_SPACES), "left"), Opt("T", float, 10.0),
     Opt("rel_tol", float, FlowConfig.rel_tol), Opt("abs_tol", float, FlowConfig.abs_tol),
     Opt("sample_dt", float, 0.1), Opt("seed", int, 0),
@@ -425,7 +424,8 @@ def cmd_reduce(cfg: dict, given: set) -> int:
     # potential; those flags are resolved only so that bad values fail
     _masses_potential(cfg, given)
     start = time.perf_counter()
-    if _source(cfg, "reduce", "state", "trajectory") == "state":
+    source = _source(cfg, "reduce", "state", "trajectory")
+    if source == "state":
         state = PhaseState.from_json_dict(_load_json("--state", cfg["state"]))
         state.validate()
         rows = [(0.0, state)]
@@ -436,8 +436,11 @@ def cmd_reduce(cfg: dict, given: set) -> int:
     lines = [",".join(("t", *INVARIANT_CSV_COLUMNS, "C1", "C2", "C3", "stratum"))]
     for t, vec in rows:
         pt = invariant_map(vec)
-        cells = map(repr, (t, *pt, *all_casimirs(pt)))
-        lines.append(",".join((*cells, stratum_classify(pt))))
+        values = (*pt, *all_casimirs(pt))
+        if not all(map(math.isfinite, values)):  # a finite state can overflow here
+            where = "--state" if source == "state" else f"trajectory row t = {t!r}"
+            raise ValueError(f"{where}: the invariants or Casimirs are not finite")
+        lines.append(",".join((*map(repr, (t, *values)), stratum_classify(pt))))
     reduced = time.perf_counter()
     run = {"rows": len(rows), "wall_s": {"read": read - start, "reduce": reduced - read}}
     _leave(cfg["out"], "reduce", cfg, run, {cfg["out"]: "\n".join(lines) + "\n"}, reduced)
@@ -515,7 +518,7 @@ _EC = (
     Opt("theta_min", float, 0.05), Opt("theta_max", float, math.pi - 0.05),
     Opt("tau_min", float, -3.0), Opt("tau_max", float, 3.0), Opt("grid", (int, int), (100, 100)),
     Opt("phi1_min", float), Opt("phi1_max", float), Opt("workers", int),
-    Opt("plot_script", True, False), Opt("classify", False, True),
+    Opt("plot_script", True, False),
 )
 
 
@@ -542,8 +545,7 @@ def cmd_ec_surface(cfg: dict, given: set) -> int:
     start = time.perf_counter()
     result = ec.ec_surface(
         family, (cfg["theta_min"], cfg["theta_max"]), (cfg["tau_min"], cfg["tau_max"]),
-        tuple(cfg["grid"]), m, pot, phi1_range=None if None in phi1 else phi1,
-        classify=cfg["classify"])
+        tuple(cfg["grid"]), m, pot, phi1_range=None if None in phi1 else phi1)
     sampled = time.perf_counter()
     out = cfg["out"]
     # a clean sheet removes an earlier sheet's failures; the plot script, a

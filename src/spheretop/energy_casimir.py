@@ -102,20 +102,19 @@ def ec_sample(
     *,
     family: str = FAMILY_GENERIC,
     phi1: float | None = None,
-    classify: bool = True,
 ) -> ECSample:
     """One point of the energy-Casimir surface at family coordinates (theta, tau).
 
     The RE comes from ``re_from_tau``, with theta, tau and phi1 taken as
     Python floats.  On the right-angled family a phi1 whose zeta has the
     wrong sign for the force is first moved a quarter turn, and the sample is
-    marked ``gauge_flipped``.
+    marked ``gauge_flipped``.  Non-finite quartet roots or values raise ValueError.
     """
     # a numpy float would carry its repr into ``ec_csv``'s cells
     theta, tau = float(theta), float(tau)
     phi1, gauge_flipped = _gauge(theta, None if phi1 is None else float(phi1), pot)
     re = re_from_tau(theta, tau, m, pot, phi1=phi1)
-    return _sample_from_re(re, family, tau, classify, gauge_flipped)
+    return _sample_from_re(re, family, tau, gauge_flipped)
 
 
 def _ec_values(pt: InvariantPoint, xi, eta, s: float, v: float, m: MassParams) -> tuple:
@@ -127,14 +126,12 @@ def _ec_values(pt: InvariantPoint, xi, eta, s: float, v: float, m: MassParams) -
 
 
 def _sample_from_re(
-    re: RelativeEquilibrium, family: str, tau: float, classify: bool, gauge_flipped: bool = False
+    re: RelativeEquilibrium, family: str, tau: float, gauge_flipped: bool = False
 ) -> ECSample:
     pt, pot = re_image(re), re.potential
-    label = ""
-    if classify:
-        with np.errstate(all="ignore"):  # non-finite roots raise below
-            t = _stability.quartet_roots(pt, re.masses, pot.f(pt.r), pot.fprime(pt.r))
-        label = _stability.classify_roots(t)[0]
+    with np.errstate(all="ignore"):  # non-finite roots raise below
+        t = _stability.quartet_roots(pt, re.masses, pot.f(pt.r), pot.fprime(pt.r))
+    label = _stability.classify_roots(t)[0]
     values = _ec_values(pt, re.xi_mag, re.eta_mag, s_of(re), pot.v(pt.r), re.masses)
     if not all(map(math.isfinite, values)):
         raise ValueError(f"(H, lam2, rho2) = {values!r} is not finite")
@@ -142,79 +139,71 @@ def _sample_from_re(
                     gauge_flipped)
 
 
-def _try_sample(theta, tau, m, pot, family, phi1, classify) -> tuple:
-    """(sample, None), or (None, failure record) when the sample raises."""
-    try:
-        return ec_sample(theta, tau, m, pot, family=family, phi1=phi1, classify=classify), None
-    except Exception as exc:  # per-sample failures are data, not fatal
-        return None, (theta, tau, f"{type(exc).__name__}: {exc}")
-
-
-def _batch_row(theta, phi1, m, pot, classify) -> tuple:
+def _batch_row(theta, phi1, m, pot) -> tuple:
     """The scalar part of one grid row, which raises whatever the row raises:
     (its RE at eta = 1, gauge flip, row constants)."""
     p1, flipped = _gauge(theta, phi1, pot)
     re = solve_re(theta, 1.0, m, pot, phi1=p1)
     cos_th = math.cos(re.theta)
-    force = (pot.f(cos_th), pot.fprime(cos_th)) if classify else (0.0, 0.0)
-    return re, flipped, (cos_th, math.sin(re.theta), pot.v(cos_th), s_of(re), *force)
+    return re, flipped, (cos_th, math.sin(re.theta), pot.v(cos_th), s_of(re), pot.f(cos_th),
+                         pot.fprime(cos_th))
 
 
-def _block_nodes(batch: list, exp_tau: np.ndarray, m: MassParams, classify: bool) -> tuple:
+def _block_nodes(batch: list, exp_tau: np.ndarray, m: MassParams) -> tuple:
     """The columns (H, lam2, rho2, label, xi, eta, accept) of every node of
     the batched rows, as lists of rows, in one broadcast pass: each row's
     constants are a (rows, 1) column against the (1, n_b) e^tau.  ``accept``
     is False for a node the scalar path must sample: one where
     ``re_from_tau`` raises (eta not positive and finite, xi not positive),
-    one whose (H, lam2, rho2) is not finite, or when classifying one whose
-    ``quartet_roots`` are not finite.
+    one whose (H, lam2, rho2) is not finite, or one whose ``quartet_roots``
+    are not finite.
     """
     eta, y, xi, x1, x2 = tau_row([b[0] for b in batch], exp_tau, m)
     cos_th, sin_th, v, s, f, fp = np.array([b[2] for b in batch]).T[..., None]
     with np.errstate(all="ignore"):  # such nodes are left to the scalar path
         pt = planar_image(x1, x2, y, cos_th, sin_th)
         values = _ec_values(pt, xi, eta, s, v, m)
-        accept = np.isfinite(eta) & (eta > 0) & (xi > 0) & np.isfinite(values).all(axis=0)
-        if classify:
-            t = _stability.quartet_roots(pt, m, f, fp)
-            accept &= np.isfinite(t[..., 0]) & np.isfinite(t[..., 1])
-            # a node not accepted is labelled as zeros here and sampled again
-            labels = _stability.classify_roots(np.where(accept[..., None], t, 0.0))[0]
-        else:
-            labels = np.full(eta.shape, "", dtype=object)
+        t = _stability.quartet_roots(pt, m, f, fp)
+        accept = (np.isfinite(eta) & (eta > 0) & (xi > 0) & np.isfinite(values).all(axis=0)
+                  & np.isfinite(t[..., 0]) & np.isfinite(t[..., 1]))
+        # a node not accepted is labelled as zeros here and sampled again
+        labels = _stability.classify_roots(np.where(accept[..., None], t, 0.0))[0]
     return tuple(a.tolist() for a in (*values, labels, xi, eta, accept))
 
 
-def _sample_block(rows, taus, exp_tau, m, pot, family, classify) -> tuple[list, int]:
+def _sample_block(rows, taus, exp_tau, m, pot, family, samples, failures) -> int:
     """Sample whole grid rows as one batch (``_block_nodes``).
 
-    Returns the (sample, failure) pair of every node in grid order and the
-    number of nodes sampled by the scalar ``ec_sample``: those of a row whose
-    scalar part raises, and those ``_block_nodes`` leaves to it.
+    Appends each node's ``ECSample`` to ``samples``, or its (theta, tau,
+    message) record to ``failures``, in grid order.  Returns the number of
+    nodes sampled by the scalar ``ec_sample``: those of a row whose scalar
+    part raises, and those ``_block_nodes`` leaves to it.
     """
     batched = {}
     for i, (theta, phi1) in enumerate(rows):
         try:
-            batched[i] = _batch_row(theta, phi1, m, pot, classify)
+            batched[i] = _batch_row(theta, phi1, m, pot)
         except Exception:  # the scalar path records the row's failures
             pass
-    columns = _block_nodes(list(batched.values()), exp_tau, m, classify) if batched else ()
-    block_rows = zip(*columns)
-    out, n_scalar, n_b = [], 0, len(taus)
+    block_rows = zip(*_block_nodes(list(batched.values()), exp_tau, m)) if batched else None
+    n_scalar = 0
     for i, (theta, phi1) in enumerate(rows):
-        if i not in batched:
-            out.extend(_try_sample(theta, tau, m, pot, family, phi1, classify) for tau in taus)
-            n_scalar += n_b
-            continue
-        re, flipped = batched[i][:2]
-        for tau, H, lam2, rho2, label, xi, eta, ok in zip(taus, *next(block_rows)):
+        if i in batched:
+            re, flipped = batched[i][:2]
+            nodes = zip(taus, *next(block_rows))
+        else:
+            nodes = [(tau, *[None] * 6, False) for tau in taus]
+        for tau, H, lam2, rho2, label, xi, eta, ok in nodes:
             if ok:
-                out.append((ECSample(family, re.theta, tau, H, lam2, rho2, label, xi, eta,
-                                     re.phi1, flipped), None))
-            else:
-                out.append(_try_sample(theta, tau, m, pot, family, phi1, classify))
-                n_scalar += 1
-    return out, n_scalar
+                samples.append(ECSample(family, re.theta, tau, H, lam2, rho2, label, xi, eta,
+                                        re.phi1, flipped))
+                continue
+            n_scalar += 1
+            try:
+                samples.append(ec_sample(theta, tau, m, pot, family=family, phi1=phi1))
+            except Exception as exc:  # per-sample failures are data, not fatal
+                failures.append((theta, tau, f"{type(exc).__name__}: {exc}"))
+    return n_scalar
 
 
 def _exp(t: float) -> float:
@@ -240,7 +229,6 @@ def ec_surface(
     pot: Potential,
     *,
     phi1_range: tuple[float, float] | None = None,
-    classify: bool = True,
 ) -> SurfaceResult:
     """Rectangular sweep of the energy-Casimir map over a family.
 
@@ -278,15 +266,9 @@ def ec_surface(
         rows = [(t, None) for t in np.linspace(theta_range[0], theta_range[1], n_a).tolist()]
     exp_tau = np.array([_exp(t) for t in taus])
     per_block = max(1, _BLOCK_NODES // n_b)
-    samples, failures, n_scalar = [], [], 0
-    for i in range(0, n_a, per_block):
-        results, n = _sample_block(rows[i:i + per_block], taus, exp_tau, m, pot, family, classify)
-        n_scalar += n
-        for s, err in results:
-            if s is not None:
-                samples.append(s)
-            else:
-                failures.append(err)
+    samples, failures = [], []
+    n_scalar = sum(_sample_block(rows[i:i + per_block], taus, exp_tau, m, pot, family, samples,
+                                 failures) for i in range(0, n_a, per_block))
     return SurfaceResult(samples=tuple(samples), failures=tuple(failures), scalar_nodes=n_scalar)
 
 
@@ -297,7 +279,6 @@ def singular_thread(
     gamma: float,
     *,
     antipodal: bool = False,
-    classify: bool = True,
 ) -> list[ECSample]:
     """Sample the coincident/antipodal thread of the constant-force problem.
 
@@ -310,7 +291,7 @@ def singular_thread(
     out = []
     for c in np.linspace(rate_range[0], rate_range[1], n):
         re = solve_re(theta, 0.0, m, pot, xi_mag=float(c))
-        out.append(_sample_from_re(re, family, 0.0, classify))
+        out.append(_sample_from_re(re, family, 0.0))
     return out
 
 

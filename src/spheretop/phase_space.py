@@ -105,10 +105,7 @@ class Potential:
         )
 
     @classmethod
-    def custom(cls, v, f, fprime=None) -> "Potential":
-        if fprime is None:
-            def fprime(r: float, _f=f, h: float = 1e-6) -> float:
-                return (_f(r + h) - _f(r - h)) / (2.0 * h)
+    def custom(cls, v, f, fprime) -> "Potential":
         return cls(kind="custom", v=v, f=f, fprime=fprime)
 
 

@@ -124,11 +124,6 @@ class ImaginaryQuaternion(_Quat):
 
     x, y, z = (property(itemgetter(i)) for i in range(3))
 
-    def dot(self, other: "ImaginaryQuaternion") -> float:
-        ax, ay, az = self
-        bx, by, bz = other
-        return ax * bx + ay * by + az * bz
-
     def cross(self, other: "ImaginaryQuaternion") -> "ImaginaryQuaternion":
         ax, ay, az = self
         bx, by, bz = other

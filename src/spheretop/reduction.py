@@ -224,8 +224,11 @@ def stratum_classify(p: Sequence[float], tol: float = 1e-9) -> str:
     The two poles r = +-1 (all other generators zero) carry the full isotropy
     group; points with (A1, A2, Im gD) colinear but not all zero have SO(2)
     isotropy, detected through equality in all three Cauchy-Schwarz relations
-    together with delta = 0; everything else is in the free stratum.
+    together with delta = 0; everything else is in the free stratum.  A
+    non-finite point raises ``ValueError``, as ``InvariantPoint.validate`` does.
     """
+    if not all(map(math.isfinite, p)):
+        raise ValueError("invariants must be finite")
     k11, k12, k13, k22, k23, k33, r, delta = p
     scale = max(1.0, k11, k22, k33)
     gens_zero = (max(abs(k11), abs(k12), abs(k13), abs(k22),

@@ -62,6 +62,32 @@ class TestSimulate:
         assert 0.0 < run_record["step_min"] <= run_record["step_max"]
         assert run_record["wall_s"]["integrate"] > 0.0
 
+    @pytest.mark.parametrize("space", ["full", "left", "invariants"])
+    def test_a_collision_at_the_start_takes_no_step(self, tmp_path, capsys, space):
+        # g1 = g2 under grav: the first slope of integrate raises
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"g1": [1, 0, 0, 0], "p1": [0, 1, 0, 0],
+                                     "g2": [1, 0, 0, 0], "p2": [0, 0, 1, 0]}))
+        out = tmp_path / "crash.csv"
+        assert run(["simulate", "--state", state, "--space", space, "--out", out]) == 3
+        assert "singularity encountered at t = 0.0" in capsys.readouterr().err
+        assert not out.exists()
+        record = json.loads(Path(str(out) + ".manifest.json").read_text())["run"]
+        assert (record["collision"]["time"], record["collision"]["level"]) == (0.0, space)
+        assert (record["steps_accepted"], record["steps_rejected"], record["rhs_evals"]) == (
+            0, 0, 1)
+        assert record["step_min"] is None and record["step_max"] is None
+
+    def test_an_unknown_scenario_exits_2_naming_flag_and_choices(self, tmp_path, capsys):
+        # it exited 4 with "unknown scenario 'bogus'"
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exc:
+            run(["simulate", "--scenario", "bogus", "--out", out])
+        assert exc.value.code == 2
+        assert ("argument --scenario: invalid choice: 'bogus' (choose from 're-acute-demo', "
+                "'antipodal-rest', 'collision-course', 'random')") in capsys.readouterr().err
+        assert not out.exists()
+
     def test_a_run_without_steps_records_no_step_size(self):
         record = cli._steps_record(Trajectory(ts=[0.0], ys=[(1.0,)]))
         assert record == {"steps_accepted": 0, "steps_rejected": 0, "step_min": None,
@@ -185,9 +211,12 @@ class TestSimulate:
         ({"T": None}, "config T must be a number"),
         ({"seed": 1.5}, "config seed must be an integer"),
         ({"sample_dt": True}, "config sample_dt must be a number"),
-        ({"scenario": 3}, "config scenario must be a string"),
+        ({"scenario": 3}, "config scenario must be one of"),
         ({"space": "top"}, "config space must be one of"),
         ({"potential": 1.0}, "config potential must be a string"),
+        ({"scenario": "bogus"}, "config scenario must be one of ['re-acute-demo', "
+                                "'antipodal-rest', 'collision-course', 'random'], as for "
+                                "--scenario, got 'bogus'"),
     ])
     def test_config_value_of_the_wrong_type_exits_4(self, tmp_path, capsys, entries, message):
         # a string T used to end in a TypeError traceback and exit 1
@@ -506,6 +535,30 @@ class TestReduceRows:
         assert f"trajectory row t = {row[0]} has" in err and message in err
         assert not out.exists()
 
+    # |p1|^2 overflows: k11 is inf and C1, C2 NaN
+    OVERFLOW = {"g1": [1, 0, 0, 0], "p1": [0, 1e308, 0, 1e308], "g2": [0, 1, 0, 0],
+                "p2": [0, 0, 1, 0]}
+
+    @pytest.mark.parametrize("source", ["state", "trajectory"])
+    def test_invariants_that_overflow_exit_4_and_keep_the_previous_run(self, tmp_path, capsys,
+                                                                        source):
+        # the row was written, full_isotropy, with exit 0
+        out = tmp_path / "inv.csv"
+        assert run(["reduce", "--state", self._state(tmp_path), "--out", out]) == 0
+        outputs = (out, Path(str(out) + ".manifest.json"))
+        before = [p.read_bytes() for p in outputs]
+        if source == "state":
+            argv, where = ["--state", self._state(tmp_path, **self.OVERFLOW)], "--state"
+        else:
+            flat = [tuple(float(c) for part in s.values() for c in part)
+                    for s in (self.UNIT, self.OVERFLOW)]
+            traj = self._trajectory(tmp_path, [(0.0, flat[0]), (0.5, flat[1])])
+            argv, where = ["--trajectory", traj], "trajectory row t = 0.5"
+        assert run(["reduce", *argv, "--out", out]) == 4
+        assert (f"error: {where}: the invariants or Casimirs are not finite"
+                in capsys.readouterr().err)
+        assert [p.read_bytes() for p in outputs] == before
+
     def test_trajectory_rows_need_not_be_on_the_sphere(self, tmp_path):
         # an unprojected run drifts off |g| = 1; only simulate's input is held to it
         g = (2.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
@@ -609,6 +662,18 @@ def test_two_input_sources_exit_4_naming_both(tmp_path, capsys, monkeypatch, arg
     err = capsys.readouterr().err
     assert "not both" in err
     assert f"{a} " in err and f"{b} " in err
+    assert not (tmp_path / "x.out").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate"], "simulate needs --state or --scenario"),
+    (["reduce"], "reduce needs --state or --trajectory"),
+    (["re"], "re needs --theta"),
+    (["stability"], "stability needs --theta"),
+], ids=["simulate", "reduce", "re", "stability"])
+def test_a_missing_input_exits_4_naming_its_flags(tmp_path, capsys, argv, message):
+    assert run([*argv, "--out", tmp_path / "x.out"]) == 4
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "x.out").exists()
 
 
@@ -1007,7 +1072,7 @@ class TestSurfaceCommand:
         ({"grid": 3}, "config grid must be a list of 2 values"),
         ({"theta_min": "0.1"}, "config theta_min must be a number"),
         ({"family": "cone"}, "config family must be one of"),
-        ({"classify": "no"}, "config classify must be true or false"),
+        ({"plot_script": "no"}, "config plot_script must be true or false"),
         ({"out": None}, "config out must be a string"),
     ])
     def test_config_value_of_the_wrong_type_exits_4(self, tmp_path, capsys, entries, message):
@@ -1023,8 +1088,7 @@ class TestSurfaceCommand:
         # --theta-max was narrowed to pi/2 - 0.05 without a word, and the
         # manifest recorded the range that did not run
         out = tmp_path / "surf.csv"
-        argv = ["ec-surface", "--family", "acute", "--theta-min", 0.5, "--grid", 3, 2,
-                "--no-classify", "--out", out]
+        argv = ["ec-surface", "--family", "acute", "--theta-min", 0.5, "--grid", 3, 2, "--out", out]
         assert run([*argv, "--theta-max", 2.5]) == 4
         assert "acute surfaces need theta" in capsys.readouterr().err
         assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
@@ -1039,12 +1103,24 @@ class TestSurfaceCommand:
     def test_an_unset_endpoint_stops_short_of_a_right_angle(self, tmp_path, family, key, edge):
         # the manifest records the endpoint that ran, not the default
         out = tmp_path / "surf.csv"
-        assert run(["ec-surface", "--family", family, "--grid", 3, 2, "--no-classify",
-                    "--out", out]) == 0
+        assert run(["ec-surface", "--family", family, "--grid", 3, 2, "--out", out]) == 0
         thetas = [float(r.split(",")[1]) for r in out.read_text().splitlines()[1:]]
         assert (max if key == "theta_max" else min)(thetas) == edge
         config = json.loads(Path(str(out) + ".manifest.json").read_text())["config"]
         assert config[key] == edge
+
+    def test_classify_is_no_longer_an_option(self, tmp_path, capsys):
+        # every node is labelled, so a config that still sets the switch fails
+        # instead of running labelled
+        out = tmp_path / "surf.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"classify": True}))
+        assert run(["ec-surface", "--grid", 2, 2, "--config", cfg, "--out", out]) == 4
+        assert "unknown config keys: ['classify']" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:  # argparse: an unrecognised argument
+            run(["ec-surface", "--grid", 2, 2, "--no-classify", "--out", out])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_workers_1_runs_the_sheet(self, tmp_path):
         for workers in (["--workers", 1], []):
@@ -1055,7 +1131,7 @@ class TestSurfaceCommand:
     def test_manifest_counts_samples_and_failures(self, tmp_path):
         out = tmp_path / "clean.csv"
         assert run(["ec-surface", "--theta-min", 0.4, "--theta-max", 2.6, "--grid", 4, 3,
-                    "--no-classify", "--out", out]) == 0
+                    "--out", out]) == 0
         record = json.loads(Path(str(out) + ".manifest.json").read_text())["run"]
         assert (record["samples"], record["failures"]) == (12, {})
         assert (record["batch_nodes"], record["scalar_nodes"]) == (12, 0)
@@ -1079,7 +1155,7 @@ class TestSurfaceCommand:
         assert run(["ec-surface", "--family", "isosceles", "--m1", 1, "--m2", 1,
                     "--potential", "grav", "--grid", 10, 10,
                     "--theta-min", 0.4, "--theta-max", 2.6,
-                    "--no-classify", "--plot-script", "--out", out]) == 0
+                    "--plot-script", "--out", out]) == 0
         rows = out.read_text().strip().splitlines()
         assert rows[0] == "family,theta,tau,H,lam2,rho2,stability"
         assert len(rows) == 101
@@ -1089,7 +1165,7 @@ class TestSurfaceCommand:
     def test_isosceles_sheet_takes_the_isosceles_re_at_a_right_angle(self, tmp_path, capsys):
         # the middle row of this grid is theta = pi/2
         out = tmp_path / "surf.csv"
-        assert run(["ec-surface", "--grid", 3, 4, "--no-classify", "--out", out]) == 0
+        assert run(["ec-surface", "--grid", 3, 4, "--out", out]) == 0
         assert "wrote 12 samples, 0 failures" in capsys.readouterr().out
         rows = out.read_text().strip().splitlines()[1:]
         assert sum(float(r.split(",")[1]) == math.pi / 2 for r in rows) == 4
@@ -1148,7 +1224,7 @@ class TestOutputFiles:
              "reduce": (["reduce", "--trajectory", "TRAJ"], 0),
              "re": (["re", "--theta", 1.0], 0),
              "stability": (["stability", "--theta", 1.0], 0),
-             "ec-surface": (["ec-surface", "--grid", 3, 3, "--no-classify"], 0)}
+             "ec-surface": (["ec-surface", "--grid", 3, 3], 0)}
 
     def _argv(self, tmp_path, command):
         """The argv of ``command``'s run into ``tmp_path / "o"``, and its exit code."""
@@ -1169,7 +1245,7 @@ class TestOutputFiles:
         # and through a command: a smaller sheet over a larger one
         out, fresh = tmp_path / "s.csv", tmp_path / "fresh.csv"
         for grid, path in (((6, 7), out), ((3, 3), out), ((3, 3), fresh)):
-            assert run(["ec-surface", "--grid", *grid, "--no-classify", "--out", path]) == 0
+            assert run(["ec-surface", "--grid", *grid, "--out", path]) == 0
         assert out.read_bytes() == fresh.read_bytes()
 
     def test_a_symlinked_out_updates_its_target_and_stays_a_link(self, tmp_path):
@@ -1177,7 +1253,7 @@ class TestOutputFiles:
         target.write_text("an older run's row\n" * 1000)
         link.symlink_to(target)
         for path in (link, fresh):
-            assert run(["ec-surface", "--grid", 3, 3, "--no-classify", "--out", path]) == 0
+            assert run(["ec-surface", "--grid", 3, 3, "--out", path]) == 0
         assert link.is_symlink() and link.resolve() == target.resolve()
         assert target.read_bytes() == fresh.read_bytes()
 
@@ -1290,7 +1366,7 @@ class TestOutputFiles:
             self, tmp_path, monkeypatch, capsys):
         # every text is built before the manifest is removed
         out = tmp_path / "s.csv"
-        assert run(["ec-surface", "--grid", 3, 3, "--no-classify", "--out", out]) == 0
+        assert run(["ec-surface", "--grid", 3, 3, "--out", out]) == 0
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
         def fails(samples):
@@ -1298,7 +1374,7 @@ class TestOutputFiles:
 
         monkeypatch.setattr(cli.ec, "ec_csv", fails)
         with pytest.raises(RuntimeError, match="formatting failed"):
-            run(["ec-surface", "--grid", 4, 4, "--no-classify", "--out", out])
+            run(["ec-surface", "--grid", 4, 4, "--out", out])
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_every_file_is_written_through_write_output(self):

@@ -100,7 +100,7 @@ class TestInvariantVectorField:
         assert rhs_full_reduced(pt, M11, LIN) == pytest.approx((0,) * 8)
 
     def test_force_free_drift(self):
-        free = Potential.custom(v=lambda r: 0.0, f=lambda r: 0.0)
+        free = Potential.custom(v=lambda r: 0.0, f=lambda r: 0.0, fprime=lambda r: 0.0)
         pt = InvariantPoint(k11=0, k12=0, k13=1.0, k22=0, k23=0, k33=0, delta=0, r=0)
         out = rhs_full_reduced(pt, MassParams(2.0, 1.0), free)
         assert out[0] == pytest.approx(0.0)       # k11' = 2 f k13 = 0
@@ -192,7 +192,8 @@ class TestUnreducedVectorField:
     POTENTIALS = {
         "grav": Potential.gravitational(M),
         "linear": Potential.linear(0.8),
-        "custom": Potential.custom(v=lambda r: r ** 3, f=lambda r: -3.0 * r * r),
+        "custom": Potential.custom(v=lambda r: r ** 3, f=lambda r: -3.0 * r * r,
+                                   fprime=lambda r: -6.0 * r),
     }
 
     @staticmethod

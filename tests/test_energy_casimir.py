@@ -32,13 +32,13 @@ GRAV32 = Potential.gravitational(M32)
 
 class TestSample:
     def test_simple_rotation_slice(self):
-        s = ec_sample(1.1, 0.0, M11, GRAV11, classify=False)
+        s = ec_sample(1.1, 0.0, M11, GRAV11)
         assert s.xi_mag == pytest.approx(s.eta_mag, rel=1e-12)
         assert s.lam2 == pytest.approx(s.rho2, rel=1e-10)
 
     def test_pipeline_oracle(self):
         # the stored momenta must equal the Casimirs of the reduced pipeline
-        s = ec_sample(2.0, 0.7, M32, GRAV32, classify=False)
+        s = ec_sample(2.0, 0.7, M32, GRAV32)
         re = solve_re(2.0, s.eta_mag, M32, GRAV32)
         pt = hilbert_map(left_reduce(re.state))
         cas = all_casimirs(pt)
@@ -47,7 +47,7 @@ class TestSample:
         assert s.H == pytest.approx(hamiltonian_2body(re.state, M32, GRAV32), rel=1e-12)
 
     def test_reproducible_from_stored_rates(self):
-        s = ec_sample(0.9, 1.3, M11, GRAV11, classify=False)
+        s = ec_sample(0.9, 1.3, M11, GRAV11)
         re = solve_re(0.9, s.eta_mag, M11, GRAV11)
         assert re.xi_mag == pytest.approx(s.xi_mag, rel=1e-12)
         assert hamiltonian_2body(re.state, M11, GRAV11) == pytest.approx(s.H, abs=1e-10)
@@ -56,21 +56,20 @@ class TestSample:
 
     def test_momentum_gap_changes_sign_at_zero(self):
         for theta in (0.8, 2.1):
-            gaps = {tau: ec_sample(theta, tau, M11, GRAV11, classify=False).lam2
-                    - ec_sample(theta, tau, M11, GRAV11, classify=False).rho2
+            gaps = {tau: ec_sample(theta, tau, M11, GRAV11).lam2
+                    - ec_sample(theta, tau, M11, GRAV11).rho2
                     for tau in (-1.5, -0.4, 0.4, 1.5)}
             for tau, gap in gaps.items():
                 assert math.copysign(1.0, gap) == math.copysign(1.0, tau)
-        zero = ec_sample(0.8, 0.0, M11, GRAV11, classify=False)
+        zero = ec_sample(0.8, 0.0, M11, GRAV11)
         assert abs(zero.lam2 - zero.rho2) < 1e-10
 
     def test_right_angled_family_and_attachment(self):
         tau = 0.6
         # the isosceles line theta -> pi/2 attaches to the right-angled sheet
-        right = ec_sample(math.pi / 2, tau, M11, GRAV11, phi1=math.pi / 4,
-                          classify=False)
-        close = ec_sample(math.pi / 2 - 1e-5, tau, M11, GRAV11, classify=False)
-        closer = ec_sample(math.pi / 2 - 1e-6, tau, M11, GRAV11, classify=False)
+        right = ec_sample(math.pi / 2, tau, M11, GRAV11, phi1=math.pi / 4)
+        close = ec_sample(math.pi / 2 - 1e-5, tau, M11, GRAV11)
+        closer = ec_sample(math.pi / 2 - 1e-6, tau, M11, GRAV11)
         gap1 = abs(close.H - right.H) + abs(close.lam2 - right.lam2)
         gap2 = abs(closer.H - right.H) + abs(closer.lam2 - right.lam2)
         assert gap2 < gap1 and gap2 < 1e-4
@@ -99,7 +98,7 @@ class TestSample:
             assert moved != built and dataclasses.replace(moved, **{name: values[name]}) == built
 
     def test_gauge_reflection_is_flagged(self):
-        s = ec_sample(math.pi / 2, 0.3, M11, GRAV11, phi1=-0.4, classify=False)
+        s = ec_sample(math.pi / 2, 0.3, M11, GRAV11, phi1=-0.4)
         assert s.gauge_flipped
         assert s.phi1 == pytest.approx(-0.4 + math.pi / 2)
 
@@ -107,7 +106,7 @@ class TestSample:
 class TestSurface:
     def test_grid_size_contract(self):
         res = ec_surface("isosceles", (0.4, 2.6), (-1.0, 1.0), (10, 10),
-                         M11, GRAV11, classify=False)
+                         M11, GRAV11)
         assert len(res.samples) == 100
         assert not res.failures
 
@@ -115,14 +114,14 @@ class TestSurface:
         # theta = pi/2 is right-angled, which masses (3, 2) do not allow:
         # recorded as a failure
         res = ec_surface("generic", (math.pi / 2, 2.5), (-0.5, 0.5), (3, 2),
-                         M32, GRAV32, classify=False)
+                         M32, GRAV32)
         assert len(res.failures) == 2
         assert all(msg.startswith("NoSolutionError") for _, _, msg in res.failures)
         assert len(res.samples) == 4
 
     def test_tau_zero_slice_is_equal_momentum(self):
         res = ec_surface("isosceles", (0.4, 2.6), (0.0, 0.0), (12, 1),
-                         M11, GRAV11, classify=False)
+                         M11, GRAV11)
         for s in res.samples:
             assert s.lam2 == pytest.approx(s.rho2, rel=1e-9)
 
@@ -154,7 +153,7 @@ class TestSurface:
             raise AssertionError("a node was sampled")
 
         monkeypatch.setattr(energy_casimir, "_sample_block", refuse)
-        monkeypatch.setattr(energy_casimir, "_try_sample", refuse)
+        monkeypatch.setattr(energy_casimir, "ec_sample", refuse)
 
     def test_non_finite_range_rejected_before_sampling(self, no_sampling):
         nan = float("nan")
@@ -193,13 +192,12 @@ class TestSurface:
 
     def test_family_theta_range_inside_its_half_is_sampled(self):
         for family, theta_range in (("obtuse", (2.0, 1.7)), ("acute", (0.5, 1.2))):
-            res = ec_surface(family, theta_range, (-0.5, 0.5), (3, 3), M32, GRAV32,
-                             classify=False)
+            res = ec_surface(family, theta_range, (-0.5, 0.5), (3, 3), M32, GRAV32)
             assert len(res.samples) == 9 and not res.failures
 
     def test_right_angled_surface(self):
         res = ec_surface("rightAngled", (0, 0), (-0.4, 0.4), (5, 3), M11, GRAV11,
-                         phi1_range=(0.3, 1.2), classify=False)
+                         phi1_range=(0.3, 1.2))
         assert len(res.samples) == 15
         assert all(s.theta == pytest.approx(math.pi / 2) for s in res.samples)
 
@@ -230,14 +228,14 @@ class TestBatchParity:
     }
 
     @staticmethod
-    def _node_by_node(family, theta_range, tau_range, grid, m, pot, phi1_range, classify=True):
+    def _node_by_node(family, theta_range, tau_range, grid, m, pot, phi1_range):
         samples, failures = [], []
         for first in np.linspace(*(phi1_range or theta_range), grid[0]):
             theta, phi1 = (math.pi / 2, float(first)) if phi1_range else (float(first), None)
             for tau in np.linspace(*tau_range, grid[1]):
                 try:
                     samples.append(ec_sample(theta, float(tau), m, pot, family=family,
-                                             phi1=phi1, classify=classify))
+                                             phi1=phi1))
                 except Exception as exc:
                     failures.append((theta, float(tau), f"{type(exc).__name__}: {exc}"))
         return samples, tuple(failures)
@@ -298,20 +296,18 @@ class TestBatchParity:
                    for _, _, msg in res.failures)
         assert all(math.isfinite(s.H) for s in res.samples)
 
-    @pytest.mark.parametrize("classify", [True, False], ids=["classify", "no-classify"])
-    def test_a_node_whose_values_overflow_is_a_failure(self, classify):
+    def test_a_node_whose_values_overflow_is_a_failure(self):
         # near tau = 706 H or lam2 overflows while eta stays positive and the
         # spectrum finite: both paths returned such nodes, and the sheet CSV
-        # held inf in 10 rows (51 unclassified, where the batch checks no
-        # spectrum)
+        # held inf in 10 rows
         sheet = ("obtuse", (1.7, 3.0), (690.0, 712.0), (5, 45), M32, GRAV32)
-        got = ec_surface(*sheet, classify=classify)
+        got = ec_surface(*sheet)
         assert "inf" not in ec_csv(got.samples)
         overflowed = [msg for *_, msg in got.failures if "(H, lam2, rho2) = (" in msg]
         assert len(overflowed) == 10
         assert all(msg.startswith("ValueError: ") and msg.endswith(") is not finite")
                    for msg in overflowed)
-        self._assert_agree(got, *self._node_by_node(*sheet, None, classify))
+        self._assert_agree(got, *self._node_by_node(*sheet, None))
         with pytest.raises(ValueError, match="eta_mag = .* is too small"):
             ec_sample(0.5, 709.0, M11, GRAV11)
 
@@ -332,12 +328,12 @@ class TestLagrangeThreads:
         m = MassParams(1 / alpha, 1 / alpha)
         pot = Potential.linear(gamma)
         tau = 0.8
-        tiny = ec_sample(1e-4, tau, m, pot, classify=False)
+        tiny = ec_sample(1e-4, tau, m, pot)
         # at theta -> 0 the positions merge a quarter turn away from the
         # identity, where the limiting circulation rate is the SUM of the two
         # rotation rates
         c = tiny.xi_mag + tiny.eta_mag
-        thread = singular_thread((c, c), 1, m, gamma, classify=False)[0]
+        thread = singular_thread((c, c), 1, m, gamma)[0]
         assert thread.H == pytest.approx(tiny.H, abs=1e-3)
         assert thread.lam2 == pytest.approx(tiny.lam2, abs=1e-3)
         assert thread.rho2 == pytest.approx(tiny.rho2, abs=1e-3)
@@ -362,13 +358,13 @@ class TestLagrangeThreads:
     def test_thread_residuals(self):
         from spheretop.relequil import verify_re_fixed_point
         m = MassParams(0.5, 0.5)
-        for s in singular_thread((0.3, 2.0), 5, m, 1.0, classify=False):
+        for s in singular_thread((0.3, 2.0), 5, m, 1.0):
             re = solve_re(0.0, 0.0, m, Potential.linear(1.0), xi_mag=s.xi_mag)
             assert verify_re_fixed_point(re) < 1e-10
 
 
 def test_csv_layout():
-    samples = [ec_sample(1.0, 0.2, M11, GRAV11, classify=False)]
+    samples = [ec_sample(1.0, 0.2, M11, GRAV11)]
     text = ec_csv(samples)
     lines = text.strip().splitlines()
     assert lines[0] == ",".join(EC_CSV_COLUMNS)

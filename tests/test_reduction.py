@@ -191,6 +191,14 @@ class TestHilbertMap:
                 1.0, pt.k11, pt.k22, pt.k33) ** 3
             pt.validate()
 
+    @pytest.mark.parametrize("point, message", [
+        ((-1.0, 0, 0, 1.0, 0, 1.0, 0, 0), "diagonal invariants must be nonnegative"),
+        ((1.0, 2.0, 0, 1.0, 0, 1.0, 0, 0), "Cauchy-Schwarz inequality violated"),
+    ], ids=["negative-diagonal", "cauchy-schwarz"])
+    def test_validate_rejects_a_point_off_the_variety(self, point, message):
+        with pytest.raises(ValueError, match=message):
+            InvariantPoint.from_tuple(point).validate()
+
 
 class TestThirdCasimir:
     def test_zero_point(self):
@@ -234,6 +242,13 @@ class TestStrata:
     def test_single_nonzero_vector_is_so2(self):
         pt = hilbert_map(ReducedState(A1=imag(0.7, 0, 0), A2=imag(0, 0, 0), gD=ONE))
         assert stratum_classify(pt) == "so2_isotropy"
+
+    @pytest.mark.parametrize("point", [(math.nan,) * 8, (math.inf, 1, 0, 1, 0, 1, 0, 0)],
+                             ids=["nan", "inf"])
+    def test_a_non_finite_point_is_rejected(self, point):
+        # they were labelled free and full_isotropy
+        with pytest.raises(ValueError, match="invariants must be finite"):
+            stratum_classify(point)
 
     def test_random_cocircular_agreement(self, rng):
         # states whose four vectors share a random plane classify consistently

@@ -317,7 +317,7 @@ class TestReconstruction:
 
 class TestErrors:
     def test_force_free_potential_rejected(self):
-        dead = Potential.custom(v=lambda r: 1.0, f=lambda r: 0.0)
+        dead = Potential.custom(v=lambda r: 1.0, f=lambda r: 0.0, fprime=lambda r: 0.0)
         with pytest.raises(NoSolutionError):
             solve_re(1.0, 1.0, M11, dead)
 
@@ -339,8 +339,10 @@ class TestErrors:
     @pytest.mark.parametrize("theta", [0.0, math.pi])
     def test_a_negative_xi_is_refused_at_the_singular_thetas(self, theta):
         # the gauge has nonnegative rates; xi_mag = -1 was recorded as the
-        # RE's magnitude
+        # RE's magnitude.  A negative eta_mag is refused there too
         lin = Potential.linear(1.0)
+        with pytest.raises(ValueError, match="eta_mag must be nonnegative"):
+            solve_re(theta, -1.0, M32, lin)
         with pytest.raises(ValueError, match=r"xi_mag = -1\.0 must be nonnegative"):
             solve_re(theta, 0.5, M32, lin, xi_mag=-1.0)
         with pytest.raises(ValueError, match="xi_mag = -1e-300 must be nonnegative"):
@@ -458,7 +460,7 @@ class TestHotPath:
         assert zeta_of(0.0, M11, lin) == solve_re(0.0, 1.0, M11, lin).zeta == 0.0
 
     def test_zeta_of_keeps_the_solver_errors(self):
-        dead = Potential.custom(v=lambda r: 1.0, f=lambda r: 0.0)
+        dead = Potential.custom(v=lambda r: 1.0, f=lambda r: 0.0, fprime=lambda r: 0.0)
         for args, exc in (((math.pi / 2, M32, grav(M32)), NoSolutionError),
                           ((1.0, M11, dead), NoSolutionError),
                           ((-0.1, M11, grav(M11)), ValueError),

@@ -205,7 +205,18 @@ class TestGravitationalSpectra:
         assert linearize(re).classification == "degenerate"
 
 
+    def test_charpoly_2body_refuses_another_potential(self):
+        re = solve_re(1.0, 1.0, M11, Potential.linear(1.0))
+        with pytest.raises(ValueError, match="applies to the gravitational potential"):
+            charpoly_2body(re)
+
+
 class TestLagrangeSpectra:
+    def test_charpoly_lagrange_refuses_unequal_masses_off_the_right_angle(self):
+        re = solve_re(1.0, 1.0, MassParams(1.0, 2.0), Potential.linear(1.0))
+        with pytest.raises(ValueError, match=r"needs \|A1\| = \|A2\| \(equal masses\)"):
+            charpoly_lagrange(re, 1.0, 1.0)
+
     def test_charpoly_matches_eigenvalues(self):
         alpha, gamma = 2.0, 1.0
         m = MassParams(1 / alpha, 1 / alpha)
@@ -711,8 +722,6 @@ class TestClassifyRoots:
             assert s.stability == energy_casimir.ec_sample(s.theta, s.tau, M32, pot).stability
         with pytest.raises(ValueError, match="not finite"):
             energy_casimir.ec_sample(0.6, 0.0, M32, pot)
-        unlabelled = energy_casimir.ec_surface(*sheet, classify=False)
-        assert unlabelled.scalar_nodes == 0 and len(unlabelled.samples) == 20
 
 
 class TestClassifyPaths:
