@@ -26,10 +26,15 @@ abs_tol + rel_tol max(|y|, |y_new|).  A step is accepted when err <= 1,
 and the next step is h 0.9 err^(-1/8), clamped to [0.2 h, 10 h].  Both
 tolerances default to 1e-12 (:class:`FlowConfig`).  The tableau is
 written once, as the table ``_DOP853``; from it ``_dop853_step`` generates
-and compiles, once per state dimension and on first use, a straight-line
-step in which every component is an expression over locals, with the
-coefficients as exact literals.  Conservation is monitored, never
-enforced, so that drift stays a meaningful diagnostic.
+and compiles, on first use, a straight-line step in which every component
+is an expression over locals, with the coefficients as exact literals.
+For the three flat fields the step is generated from the field too, read
+from the field's own source: Re B1 and Re B2 (rate 0.0) need no sums, B2
+and A2 (the negated rate of B1 and A1) take their partner's, and the 10-d
+and 8-d fields are inlined into every stage.  Any other callable, a
+wrapped field included, takes the generic step, which gives the same bits.
+Conservation is monitored, never enforced, so that drift stays a
+meaningful diagnostic.
 ``sample_columns`` evaluates the conserved quantities once per sample;
 ``trajectory_csv`` and ``drift_summary`` read those columns.  The
 ``invariants_*`` dicts compute them on the flat vector of their level with
@@ -39,9 +44,13 @@ every C1 among them squares as ``x * x``.
 
 from __future__ import annotations
 
+import ast
 import functools
 import io
+import itertools
 import math
+import operator
+import textwrap
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -404,8 +413,9 @@ def integrate(
     infinite; raises ``ValueError`` unless ``t_end`` is finite and at least
     the smallest step ``_MIN_STEP_FACTOR`` and ``sample_dt`` (when given)
     finite, at least 1e-12 max(1, t_end) and at least t_end /
-    ``MAX_SAMPLE_ROWS``, and when the vector field has another length than
-    the state.
+    ``MAX_SAMPLE_ROWS``, when the vector field has another length than
+    the state, and when the tolerances are so small against the initial
+    state that its error norm overflows.
     """
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end = {t_end!r} must be positive and finite")
@@ -436,7 +446,7 @@ def integrate(
     if not all(math.isfinite(c) for c in k1):
         raise SingularityError(t, f"non-finite vector field at t = {t!r}", traj)
     h_ctrl = _initial_step(y, k1, atol, rtol)
-    step = _dop853_step(n)
+    step = _dop853_step(n, _field_code(rhs))
     i = 1  # the next sample time is i * sample_dt
 
     while t < t_end:
@@ -487,59 +497,241 @@ def integrate(
 
 
 @functools.cache
-def _dop853_step(n: int) -> Callable:
+def _dop853_step(n: int, field) -> Callable:
     """The DOP853 step for states of n components, generated from ``_DOP853``.
 
     ``step(rhs, t, h, y, k1, atol, rtol)`` evaluates stages 2 to 12 and
     returns the eighth-order solution and the sums of squares of the fifth-
     and third-order error estimates, each component weighted by
-    atol + rtol max(|y|, |y_new|).  Its source is straight-line code: every
-    stage input, solution and error component is one expression over locals
-    that adds the tableau's terms left to right, with each coefficient as its
-    exact repr.  It is compiled once per n, on the first ``integrate`` of
-    that dimension.  Stage s calls ``rhs`` on line s + 2 of that source.
+    atol + rtol max(|y|, |y_new|).  Its source (``_step_source``) is
+    straight-line code, compiled once per n and ``field``, on the first
+    ``integrate`` that needs it.  ``field`` is None, or the code object of
+    the flat field the step is for (``_field_code``): such a step must be
+    called with a closure of that code, and gives the bits of the generic
+    step called with it, up to the sign of a NaN.  Stage s runs on line
+    s + 2 of the source.
     """
+    scope = {"_negated_sum": _negated_sum}
+    exec(compile("\n".join(_step_source(n, field)), f"<DOP853 step, n = {n}>", "exec"), scope)
+    return scope["step"]
+
+
+def _field_code(rhs: Callable):
+    """The code object of ``rhs`` when it is a closure of ``make_body_rhs``,
+    ``make_reduced_rhs`` or ``make_invariant_rhs``, else None."""
+    code = getattr(rhs, "__code__", None)
+    makers = (make_body_rhs, make_reduced_rhs, make_invariant_rhs)
+    return code if any(code is c for mk in makers for c in mk.__code__.co_consts) else None
+
+
+def _step_source(n: int, field) -> list[str]:
+    """The lines of the step ``_dop853_step(n, field)`` compiles.
+
+    Every stage input, solution and error component is one expression over
+    locals that adds the tableau's terms left to right, with each
+    coefficient as its exact repr.  With no field the stage calls ``rhs``.
+    With one, the step uses its structure (``_field_structure``):
+
+    * a component whose rate is the literal 0.0 gets y + h z, z the signed
+      zero its sum of zero terms gives, and no error terms (each is +0.0);
+    * a component whose rate mirrors another's, -x of x, gets its partner's
+      sums negated: a sum of negated terms is the negated sum, bit for bit,
+      unless it is zero, when the sum is redone over the negated terms.
+      Its error terms are its partner's numerators over its own scale, as
+      squaring drops the sign;
+    * the field's body replaces the call in each stage, its locals renamed
+      ``L_<name>`` (each stage assigns them all before it reads one) and its
+      free variables ``F_<name>``, read from ``rhs``.  The 16-d field keeps
+      its call: inlined, its step would have 16 495 AST nodes, more than the
+      11 597 of the generic 16-d step, whose compile sets the peak memory of
+      a run (tier-1 holds every step to that count).
+    """
+    constants, mirrors, fn = _field_structure(field) if field is not None else (set(), {}, None)
+    partners = set(mirrors.values())
+
     def vec(name):  # the n locals of one vector, as a tuple display
         return "".join(f"{name}_{i}, " for i in range(n))
 
     def dot(w, i, sep=" + "):  # component i of sum_j w_j k_j
         return sep.join(f"{wj!r} * k{j}_{i}" for j, wj in w.items())
 
-    src = ["def step(rhs, t, h, y, k1, atol, rtol):", f"    {vec('y')}= y", f"    {vec('k1')}= k1"]
-    for s, (c, a) in _DOP853["stages"].items():
+    def update(i, key, z):  # y_i + h sum_j w_j k_j over _weights(key), z_p each partner's sum
+        w = _weights(key)
+        if i in constants:  # the sum of zero terms, left to right
+            zero = functools.reduce(operator.add, [wj * 0.0 for wj in w.values()])
+            return f"y_{i} + h * {zero!r}"
+        if i in mirrors:
+            p = mirrors[i]
+            ks = ", ".join(f"k{j}_{p}" for j in w)
+            return f"y_{i} - h * {z}_{p} if {z}_{p} else y_{i} + h * _negated_sum({key!r}, {ks})"
+        return f"y_{i} + h * {z}_{i}" if i in partners else f"y_{i} + h * ({dot(w, i)})"
+
+    def stage(s, c, a, inline):  # z_p is partner p's stage sum
         at = "t + h" if c == 1.0 else f"t + {c!r} * h"
-        args = ", ".join(f"y_{i} + h * ({dot(a, i)})" for i in range(n))
-        src.append(f"    {vec(f'k{s}')}= rhs({at}, [{args}])")
-    # d = sum_j b_j k_j, n = y_new, s the error scale, e and f the weighted
-    # fifth- and third-order errors
-    for i in range(n):
-        src += [f"    d_{i} = {dot(_DOP853['b'], i)}",
-                f"    n_{i} = y_{i} + h * d_{i}",
-                f"    u_{i}, v_{i} = abs(y_{i}), abs(n_{i})",
-                f"    s_{i} = atol + rtol * (u_{i} if u_{i} > v_{i} else v_{i})",
-                f"    e_{i} = ({dot(_DOP853['e'], i)}) / s_{i}",
-                f"    f_{i} = (d_{i} - {dot(_DOP853['bh'], i, ' - ')}) / s_{i}"]
-    # each sum of squares starts at its first term: 0.0 + x is x for a square
-    src.append(f"    return ({vec('n')}), {' + '.join(f'e_{i} * e_{i}' for i in range(n))}, "
-               f"{' + '.join(f'f_{i} * f_{i}' for i in range(n))}")
-    scope = {}
-    exec(compile("\n".join(src), f"<DOP853 step, n = {n}>", "exec"), scope)
-    return scope["step"]
+        sums = [f"z_{p} = {dot(a, p)}" for p in sorted(partners)]
+        if not inline:
+            args = ", ".join(update(i, s, "z") for i in range(n))
+            return "; ".join([*sums, f"{vec(f'k{s}')}= rhs({at}, [{args}])"])
+        names, body, rates = fn
+        return "; ".join([*sums, *(f"{x} = {update(i, s, 'z')}" for i, x in enumerate(names)),
+                          *body, *(f"k{s}_{i} = {r}" for i, r in enumerate(rates)
+                                   if i not in constants and i not in mirrors)])
+
+    def source(inline):
+        head = f"    {vec('y')}= y"
+        if inline:
+            head += "".join(f"; F_{v} = rhs.__closure__[{i}].cell_contents"
+                            for i, v in enumerate(field.co_freevars))
+        src = ["def step(rhs, t, h, y, k1, atol, rtol):", head, f"    {vec('k1')}= k1"]
+        src += [f"    {stage(s, c, a, inline)}" for s, (c, a) in _DOP853["stages"].items()]
+        # d = sum_j b_j k_j, n = y_new, s the error scale, e and f the weighted
+        # fifth- and third-order errors, x and w their numerators on a partner
+        for i in range(n):
+            p = mirrors.get(i, i)
+            if i in constants or i in mirrors:
+                src.append(f"    n_{i} = {update(i, 'b', 'd')}")
+                if i in constants:
+                    continue
+            else:
+                src += [f"    d_{i} = {dot(_DOP853['b'], i)}", f"    n_{i} = y_{i} + h * d_{i}"]
+            src += [f"    u_{i}, v_{i} = abs(y_{i}), abs(n_{i})",
+                    f"    s_{i} = atol + rtol * (u_{i} if u_{i} > v_{i} else v_{i})"]
+            if i in mirrors:
+                src += [f"    e_{i} = x_{p} / s_{i}", f"    f_{i} = w_{p} / s_{i}"]
+            elif i in partners:
+                src += [f"    x_{i} = {dot(_DOP853['e'], i)}", f"    e_{i} = x_{i} / s_{i}",
+                        f"    w_{i} = d_{i} - {dot(_DOP853['bh'], i, ' - ')}",
+                        f"    f_{i} = w_{i} / s_{i}"]
+            else:
+                src += [f"    e_{i} = ({dot(_DOP853['e'], i)}) / s_{i}",
+                        f"    f_{i} = (d_{i} - {dot(_DOP853['bh'], i, ' - ')}) / s_{i}"]
+        # each sum of squares starts at its first term: 0.0 + x is x for a square
+        live = [i for i in range(n) if i not in constants]
+        src.append(f"    return ({vec('n')}), {' + '.join(f'e_{i} * e_{i}' for i in live)}, "
+                   f"{' + '.join(f'f_{i} * f_{i}' for i in live)}")
+        return src
+
+    body_field = any(field is c for c in make_body_rhs.__code__.co_consts)
+    return source(fn is not None and not body_field)
+
+
+def _weights(key) -> dict:
+    """The weights {j: w_j} of stage ``key`` of ``_DOP853``, or of its row ``key``."""
+    return _DOP853[key] if isinstance(key, str) else _DOP853["stages"][key][1]
+
+
+def _negated_sum(key, *k) -> float:
+    """sum_j w_j (-k_j) over ``_weights(key)``, left to right: the sum of a
+    mirrored component, where its partner's is a zero of either sign."""
+    return functools.reduce(operator.add, [wj * -kj for wj, kj in zip(_weights(key).values(), k)])
+
+
+# the nodes an expression of a mirrored rate may hold: no call, so that two
+# evaluations of one expression in one scope agree
+_ARITHMETIC = (ast.Name, ast.Constant, ast.BinOp, ast.UnaryOp, ast.operator, ast.unaryop,
+               ast.expr_context)
+# the nodes a field's body may hold for the step to inline it
+_INLINABLE = (*_ARITHMETIC, ast.Assign, ast.Tuple, ast.Call)
+
+
+def _field_structure(code) -> tuple[set, dict, tuple | None]:
+    """``(constants, mirrors, inline)`` of a flat field, read from its source.
+
+    ``constants`` holds the components whose rate is the literal 0.0, and
+    ``mirrors`` maps j to its partner i < j when rate j is, bit for bit, the
+    negation of rate i (``_negates``).  ``inline`` is the source of (state
+    names, body statements, rates), with each local renamed ``L_<name>`` and
+    each free variable ``F_<name>``, when the body is assignments over the
+    state it unpacks and the closure's variables, else None.  A source that
+    cannot be read, or that is not the code that runs, gives no structure.
+    """
+    try:
+        with open(code.co_filename, encoding="utf-8") as fh:  # its lines indented past the def
+            head, *rest = fh.readlines()[code.co_firstlineno - 1:]
+        depth = len(head) - len(head.lstrip())
+        block = itertools.takewhile(lambda x: not x.strip() or len(x) - len(x.lstrip()) > depth,
+                                    rest)
+        fn = ast.parse(textwrap.dedent("".join([head, *block]))).body[0]
+        ran = compile(ast.Module([fn], []), code.co_filename, "exec").co_consts[0]
+    except (OSError, SyntaxError, ValueError, IndexError):  # no source to read there
+        return set(), {}, None
+    # the source read must be the code that runs, not a file edited since
+    if getattr(ran, "co_varnames", None) != code.co_varnames or ran.co_consts != code.co_consts:
+        return set(), {}, None
+    first, *body, ret = fn.body
+    if not (isinstance(ret, ast.Return) and isinstance(ret.value, ast.Tuple)):
+        return set(), {}, None
+    rates = ret.value.elts
+    constants = {i for i, r in enumerate(rates)
+                 if isinstance(r, ast.Constant) and type(r.value) is float and r.value == 0.0}
+    mirrors = {}
+    for j, r in enumerate(rates):
+        for i in range(j):
+            if i not in constants and i not in mirrors and _negates(r, rates[i]):
+                mirrors[j] = i
+                break
+    state = fn.args.args[1].arg
+    if not (isinstance(first, ast.Assign) and isinstance(first.targets[0], ast.Tuple)
+            and all(isinstance(x, ast.Name) for x in first.targets[0].elts)
+            and isinstance(first.value, ast.Name) and first.value.id == state):
+        return constants, mirrors, None
+    names = [x.id for x in first.targets[0].elts]
+    known = {*names, *code.co_freevars}
+    for stmt in [*body, ret.value]:
+        value = stmt if isinstance(stmt, ast.expr) else stmt.value
+        if not (all(isinstance(x, _INLINABLE) for x in ast.walk(stmt))
+                and all(x.id in known for x in ast.walk(value) if isinstance(x, ast.Name))):
+            return constants, mirrors, None
+        if isinstance(stmt, ast.Assign):
+            known |= {x.id for x in ast.walk(stmt.targets[0]) if isinstance(x, ast.Name)}
+    for x in ast.walk(fn):
+        if isinstance(x, ast.Name):
+            x.id = f"F_{x.id}" if x.id in code.co_freevars else f"L_{x.id}"
+    return constants, mirrors, ([f"L_{x}" for x in names], [*map(ast.unparse, body)],
+                                [*map(ast.unparse, rates)])
+
+
+def _negates(a: ast.expr, b: ast.expr) -> bool:
+    """Whether expression a gives -b bit for bit, NaNs aside, wherever the
+    two are evaluated in one scope: one is -x of the other, x, or each is
+    a product or quotient of the same factors but one, where one factor
+    negates the other.  Rounding to nearest is symmetric in sign, so each
+    of these is an exact negation; ``-a - b`` of ``a - b`` is not one."""
+    if not all(isinstance(x, _ARITHMETIC) for e in (a, b) for x in ast.walk(e)):
+        return False
+    same = lambda x, y: ast.dump(x) == ast.dump(y)  # noqa: E731
+    if any(isinstance(x, ast.UnaryOp) and isinstance(x.op, ast.USub) and same(x.operand, y)
+           for x, y in ((a, b), (b, a))):
+        return True
+    return (isinstance(a, ast.BinOp) and isinstance(b, ast.BinOp)
+            and isinstance(a.op, (ast.Mult, ast.Div)) and type(a.op) is type(b.op)
+            and (_negates(a.left, b.left) and same(a.right, b.right)
+                 or same(a.left, b.left) and _negates(a.right, b.right)))
 
 
 def _stage_calls(exc: CollisionError, step: Callable) -> int:
-    """The ``rhs`` calls a generated step made up to and including the one
-    that raised ``exc``, read from the line of the step the traceback passes."""
+    """The field evaluations a generated step made up to and including the
+    one that raised ``exc``, read from the line of the step the traceback
+    passes."""
     tb = exc.__traceback__
     while tb.tb_frame.f_code is not step.__code__:
         tb = tb.tb_next
-    return tb.tb_lineno - 3  # stage s, on line s + 2, makes the (s - 1)-th call
+    return tb.tb_lineno - 3  # stage s, on line s + 2, makes the (s - 1)-th evaluation
 
 
 def _initial_step(y, k1, atol, rtol) -> float:
+    """Hairer's first step, 0.01 |y| / |y'| in the weighted norm, or 1e-6
+    when either is small; ``ValueError`` when the tolerances are so small
+    against the state that either norm leaves the float range."""
     sc = [atol + rtol * abs(yi) for yi in y]
-    d0 = math.sqrt(sum((yi / s) ** 2 for yi, s in zip(y, sc)) / len(y))
-    d1 = math.sqrt(sum((ki / s) ** 2 for ki, s in zip(k1, sc)) / len(y))
+    try:
+        d0 = math.sqrt(sum((yi / s) ** 2 for yi, s in zip(y, sc)) / len(y))
+        d1 = math.sqrt(sum((ki / s) ** 2 for ki, s in zip(k1, sc)) / len(y))
+    except OverflowError:  # a square past the float range
+        d0 = d1 = math.inf
+    if math.inf in (d0, d1):
+        raise ValueError(f"abs_tol = {atol!r} with rel_tol = {rtol!r} is too small for this "
+                         "state: the error norm of the state or its slope overflows")
     return 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
 
 

@@ -282,15 +282,17 @@ def singular_thread(
 ) -> list[ECSample]:
     """Sample the coincident/antipodal thread of the constant-force problem.
 
-    The thread is parameterised by the common circulation rate c = xi - eta;
-    here it is swept with eta = 0, xi = c.
+    The thread is parameterised by the common circulation rate c = xi - eta,
+    both rates nonnegative; here it is swept with eta = 0, xi = c where
+    c >= 0, and with xi = 0, eta = -c where c < 0.
     """
     pot = Potential.linear(gamma)
     theta = math.pi if antipodal else 0.0
     family = FAMILY_SINGULAR_PI if antipodal else FAMILY_SINGULAR_0
     out = []
-    for c in np.linspace(rate_range[0], rate_range[1], n):
-        re = solve_re(theta, 0.0, m, pot, xi_mag=float(c))
+    for c in np.linspace(rate_range[0], rate_range[1], n).tolist():
+        re = (solve_re(theta, -c, m, pot, xi_mag=0.0) if c < 0.0
+              else solve_re(theta, 0.0, m, pot, xi_mag=c))
         out.append(_sample_from_re(re, family, 0.0))
     return out
 

@@ -10,8 +10,10 @@ with the sign + on the left-reduced side and - on the right.  On the fully
 reduced variety the brackets of the eight generators form one antisymmetric
 8x8 tensor, ``bracket_matrix``.  Its symplectic leaves are the fully reduced
 spaces; its rank is 4 on the free stratum, 2 on the SO(2)-isotropy stratum
-and 0 at the poles.  It closes into a Lie algebra only where the variety
-relations hold, so ``table_flow`` refuses off-variety points by default.
+and 0 at the poles.  It satisfies the Jacobi identity on all of R^8 (each of
+the 56 triples of generators, checked symbolically), but only points of the
+variety are states of the reduced system, so ``table_flow`` refuses
+off-variety points by default.
 
 The equations of motion use the convention  df/dt = {H, f}.
 """
@@ -101,8 +103,8 @@ def table_flow(
     """Hamiltonian flow x' = {H, x} = grad H . Pi of ``bracket_matrix``.
 
     ``h_grad`` gives dH/dx over the generators in the order of
-    :data:`GENERATORS`.  Pi is the reduced Poisson structure only on the
-    variety, so off-variety points are rejected unless explicitly allowed.
+    :data:`GENERATORS`.  Only points of the variety are states, so
+    off-variety points are rejected unless explicitly allowed.
     """
     at = InvariantPoint.from_tuple(at)
     if not allow_off_variety:

@@ -357,9 +357,14 @@ def re_from_tau(
     Under this reparameterisation xi = e^tau eta, so tau = 0 is the simple
     rotation.  At theta = pi/2 the family coordinate phi1 may be supplied;
     without it the RE is the isosceles one that ``solve_re`` picks.  The
-    row's RE at eta = 1 gives f sin(theta)/zeta = 2y/zeta.
+    row's RE at eta = 1 gives f sin(theta)/zeta = 2y/zeta.  At theta = 0 and
+    pi, the singular thread, zeta is zero and tau names no RE: ``ValueError``
+    points to ``energy_casimir.singular_thread``, which samples the thread.
     """
     row = solve_re(theta, 1.0, m, pot, phi1=phi1)
+    if row.kind in (KIND_SINGULAR_0, KIND_SINGULAR_PI):
+        raise ValueError(f"theta = {theta!r} is on the singular thread, where tau names no "
+                         "relative equilibrium: sample it with singular_thread")
     eta = math.sqrt(2.0 * row.y / row.zeta / (2.0 * math.exp(tau)))
     return solve_re(theta, eta, m, pot, phi1=phi1)
 

@@ -61,6 +61,9 @@ class TestSimulate:
         assert run_record["rhs_evals"] > 12 * run_record["steps_accepted"]
         assert 0.0 < run_record["step_min"] <= run_record["step_max"]
         assert run_record["wall_s"]["integrate"] > 0.0
+        # the generic step's time and count, which the inlined 10-d field
+        # keeps: a stage that raises counts as the call it replaced
+        assert (record["time"], run_record["rhs_evals"]) == (0.4465812560134314, 148_735)
 
     @pytest.mark.parametrize("space", ["full", "left", "invariants"])
     def test_a_collision_at_the_start_takes_no_step(self, tmp_path, capsys, space):
@@ -130,6 +133,20 @@ class TestSimulate:
                     "--T", "100", "--out", out]) == 0
         drift = json.loads(Path(str(out) + ".drift.json").read_text())
         assert drift["drift_H"] < 1e-10, drift
+
+    @pytest.mark.parametrize("argv", [
+        ["--scenario", "random", "--T", 1, "--space", "invariants", "--abs-tol", "1e-300",
+         "--rel-tol", "1e-300"],
+        ["--potential", "linear:-2.1362455609637445", "--scenario", "collision-course",
+         "--space", "full", "--T", 0.1, "--rel-tol", "1e-9", "--abs-tol", "1e-300"],
+    ])
+    def test_tolerances_whose_error_norm_overflows_exit_4(self, tmp_path, capsys, argv):
+        # the first step's norm squared a weighted component past the float
+        # range, and both ended in an OverflowError traceback
+        out = tmp_path / "x.csv"
+        assert run(["simulate", *argv, "--out", out]) == 4
+        assert "error: abs_tol = 1e-300 with rel_tol = " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_horizon_or_sample_step_rejected(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

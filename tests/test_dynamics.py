@@ -1,3 +1,5 @@
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -770,8 +772,8 @@ class TestGeneratedStep:
             y = (rng.normal(size=n) * 10.0 ** rng.uniform(-2.0, 1.0, size=n)).tolist()
             k1 = self._field(n, [])(t, y)
             got_calls, want_calls = [], []
-            ynew, e5sq, e3sq = _dop853_step(n)(self._field(n, got_calls), t, h, tuple(y),
-                                               k1, atol, rtol)
+            ynew, e5sq, e3sq = _dop853_step(n, None)(self._field(n, got_calls), t, h,
+                                                     tuple(y), k1, atol, rtol)
             want = _comprehension_step(self._field(n, want_calls), t, h, y, k1, atol, rtol)
             assert bits(*ynew, e5sq, e3sq) == bits(*want[0], *want[1:])
             assert len(got_calls) == 11
@@ -781,6 +783,191 @@ class TestGeneratedStep:
         # the controller would accept the shortest step and reject the longest
         assert errs[0] <= 1.0 < errs[-1]
 
+
+
+def _decoy_rhs():
+    """A field whose rates 0 and 1, a - b and -a - b, look alike as text but
+    are no negation of each other."""
+    scale = 1.5
+
+    def rhs(t, s):
+        a, b = s
+        return (scale * a - b, -a - b)
+
+    return rhs
+
+
+class TestStructuredStep:
+    """The step generated from a flat field gives the generic step's bits."""
+
+    M = MassParams(0.8, 1.9)
+
+    @classmethod
+    def _fields(cls):  # (field, state length)
+        for pot in (Potential.gravitational(cls.M), Potential.linear(-1.3)):
+            yield make_body_rhs(cls.M, pot), 16
+            yield make_reduced_rhs(cls.M, pot, "left"), 10
+            yield make_reduced_rhs(cls.M, pot, "right"), 10
+            yield make_invariant_rhs(cls.M, pot), 8
+
+    @staticmethod
+    def _outcome(step, rhs, t, h, y, k1, atol, rtol):
+        """How a step ends: its result, new state, e5sq and e3sq as bits, or
+        the exception, with the evaluations ``integrate`` counts for a
+        collision."""
+        from spheretop.dynamics import _stage_calls
+
+        try:
+            ynew, e5sq, e3sq = step(rhs, t, h, y, k1, atol, rtol)
+        except CollisionError as exc:
+            return "collision", _stage_calls(exc, step), str(exc)
+        except ArithmeticError as exc:
+            return type(exc).__name__, str(exc)
+        return ("nan" if math.isnan(e5sq) else "ok"), bits(ynew), bits((e5sq, e3sq))
+
+    @staticmethod
+    def _states(n, rng, count):
+        """Random states, a third with components set to 0.0 and -0.0, some
+        of zeros and units only, some too large for the error norm, and some
+        near a collision of the gravitational force."""
+        for i in range(count):
+            y = rng.normal(size=n) * 10.0 ** rng.uniform(-2.0, 0.5, size=n)
+            if i % 3 == 0:
+                zeros = rng.random(n) < 0.4
+                y[zeros] = rng.choice([0.0, -0.0], size=int(zeros.sum()))
+            if i % 7 == 0:
+                y = rng.choice([0.0, -0.0, 1.0, -1.0], size=n)
+            if i % 11 == 0:
+                y *= 1e160
+            if i % 5 == 1:  # r = Re gL, Re gD or r within about 1e-7 of 1
+                r = 1.0 - 10.0 ** rng.uniform(-8.5, -6.5)
+                if n == 16:
+                    y[8:12] = y[0:4] * r + rng.normal(size=4) * 1e-9
+                elif n > 6:
+                    y[6] = r
+            yield tuple(float(v) for v in y)
+
+    def test_bit_equal_to_the_generic_step(self, rng):
+        from spheretop.dynamics import _dop853_step, _field_code
+
+        seen = set()
+        for rhs, n in self._fields():
+            code = _field_code(rhs)
+            assert code is rhs.__code__
+            structured, generic = _dop853_step(n, code), _dop853_step(n, None)
+            for y in self._states(n, rng, 200):
+                try:
+                    k1 = rhs(0.0, y)
+                except (CollisionError, ArithmeticError):  # integrate stops first
+                    continue
+                h = float(10.0 ** rng.uniform(-4.0, 0.3))
+                atol, rtol = (float(10.0 ** rng.uniform(-12.0, -4.0)) for _ in "ar")
+                got = self._outcome(structured, rhs, 0.3, h, y, k1, atol, rtol)
+                want = self._outcome(generic, rhs, 0.3, h, y, k1, atol, rtol)
+                assert got == want, (n, y, h)
+                seen.add(got[0])
+        assert {"ok", "nan", "collision"} <= seen
+
+    def test_each_field_structure_is_pinned(self):
+        from spheretop.dynamics import _field_structure
+
+        pot = Potential.gravitational(self.M)
+        for rhs, constants, mirrors in (
+                (make_body_rhs(self.M, pot), {4, 12}, {13: 5, 14: 6, 15: 7}),
+                (make_reduced_rhs(self.M, pot, "left"), set(), {3: 0, 4: 1, 5: 2}),
+                (make_reduced_rhs(self.M, pot, "right"), set(), {3: 0, 4: 1, 5: 2}),
+                (make_invariant_rhs(self.M, pot), set(), {})):
+            got = _field_structure(rhs.__code__)
+            assert got[:2] == (constants, mirrors)
+            assert got[2] is not None  # each body can be inlined
+
+    def test_a_source_that_is_not_the_running_code_gives_no_structure(self):
+        # a field read from a file that is gone, or whose lines hold other
+        # code, takes the generic step
+        from spheretop.dynamics import _field_structure, _step_source
+
+        body = make_body_rhs(M11, LIN).__code__
+        reduced = make_reduced_rhs(M11, LIN).__code__
+        for stale, n in ((body.replace(co_filename=body.co_filename + ".gone"), 16),
+                         (body.replace(co_firstlineno=body.co_firstlineno + 1), 16),
+                         (reduced.replace(co_firstlineno=body.co_firstlineno), 10)):
+            assert _field_structure(stale) == (set(), {}, None)
+            assert _step_source(n, stale) == _step_source(n, None)
+
+    def test_a_text_match_is_no_negation(self, rng):
+        import ast
+
+        from spheretop.dynamics import _dop853_step, _field_structure, _negates
+
+        def neg(a, b):
+            return _negates(ast.parse(a, mode="eval").body, ast.parse(b, mode="eval").body)
+
+        assert neg("-x", "x") and neg("x", "-x") and neg("-f * gx", "f * gx")
+        assert neg("f * -gx", "f * gx") and neg("-a / b", "a / b") and neg("-(a - b)", "a - b")
+        assert not neg("-a - b", "a - b") and not neg("-a + b", "a - b")
+        assert not neg("-f * gx", "f * gy") and not neg("-a * b", "a / b")
+        assert not neg("-g(x)", "g(x)")  # a call may not repeat its value
+        rhs = _decoy_rhs()
+        assert _field_structure(rhs.__code__)[:2] == (set(), {})
+        structured, generic = _dop853_step(2, rhs.__code__), _dop853_step(2, None)
+        for y in self._states(2, rng, 50):
+            k1 = rhs(0.0, y)
+            assert (self._outcome(structured, rhs, 0.0, 0.1, y, k1, 1e-9, 1e-9)
+                    == self._outcome(generic, rhs, 0.0, 0.1, y, k1, 1e-9, 1e-9))
+
+    def test_no_step_outgrows_the_generic_16d_step(self):
+        # the compile of the largest step sets the peak memory of a run, and
+        # its AST nodes are a deterministic proxy for that memory
+        import ast
+
+        from spheretop.dynamics import _step_source
+
+        def nodes(src):
+            return sum(1 for _ in ast.walk(ast.parse("\n".join(src))))
+
+        budget = nodes(_step_source(16, None))
+        assert budget == 11_597
+        for n in (1, 2, 8, 10):
+            assert nodes(_step_source(n, None)) <= budget
+        # the 10-d and 8-d fields are inlined into each stage, the 16-d one not
+        for (rhs, n), inlined in zip(self._fields(), (False, True, True, True)):
+            src = _step_source(n, rhs.__code__)
+            assert nodes(src) <= budget
+            assert ("rhs(" not in "\n".join(src[3:])) == inlined
+
+    def test_only_an_unwrapped_field_takes_the_structured_step(self):
+        from spheretop.dynamics import _field_code
+
+        rhs = make_reduced_rhs(M11, LIN)
+        assert _field_code(rhs) is rhs.__code__
+        assert _field_code(lambda t, y: rhs(t, y)) is None
+        assert _field_code(functools.partial(rhs)) is None
+        traced = functools.wraps(rhs)(lambda t, y: rhs(t, y))
+        assert traced.__wrapped__ is rhs and _field_code(traced) is None
+
+    @pytest.mark.parametrize("space", ["full", "left", "invariants"])
+    def test_collision_course_counts_as_the_generic_step(self, space):
+        # a collision raised inside a stage of an inlined field counts that
+        # stage's evaluations, as one raised inside the generic step's call;
+        # the tolerances make each run short (1e-12 takes 1.1-3.5 s a level,
+        # and simulate's default run on the left level is pinned in test_cli)
+        from spheretop import cli
+
+        state, _ = cli._builtin_scenario("collision-course", 0)
+        enter, make_rhs = cli._SPACES[space][:2]
+        rhs = make_rhs(M11, Potential.gravitational(M11))
+        stages = set()
+        for tol, dt in itertools.product((1e-8, 1e-9, 1e-10), (None, 0.1)):
+            runs = []
+            for field in (rhs, lambda t, y: rhs(t, y)):  # the wrapper takes the generic step
+                with pytest.raises(SingularityError) as err:
+                    integrate(field, enter(state), 50.0, FlowConfig(tol, tol), sample_dt=dt)
+                traj = err.value.trajectory
+                runs.append((err.value.time, traj.rhs_evals, traj.n_accepted, traj.n_rejected,
+                             traj.failed_step_evals, bits(traj.final)))
+            assert runs[0] == runs[1]
+            stages.add(runs[0][4])
+        assert len(stages) > 1 and all(0 < k < 12 for k in stages)
 
 class TestInvariantColumns:
     """The sampled invariants of each level equal, bit for bit, the typed

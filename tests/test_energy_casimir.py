@@ -355,6 +355,22 @@ class TestLagrangeThreads:
         for k11, is_real in zip(cs, reality):
             assert is_real == (k11 < kstar - 1e-9) or abs(k11 - kstar) < 1e-2
 
+    def test_a_negative_rate_is_swept_with_xi_zero(self):
+        # c = xi - eta below zero is the thread point xi = 0, eta = -c, where
+        # solve_re refuses a negative xi
+        from spheretop.relequil import verify_re_fixed_point
+        m, gamma = MassParams(1.0, 1.0), -1.3
+        rates = np.linspace(-3.0, 3.0, 25).tolist()
+        thread = singular_thread((-3.0, 3.0), 25, m, gamma)
+        for s, c in zip(thread, rates):
+            assert (s.xi_mag, s.eta_mag) == ((0.0, -c) if c < 0 else (c, 0.0))
+            re = solve_re(0.0, s.eta_mag, m, Potential.linear(gamma), xi_mag=s.xi_mag)
+            assert verify_re_fixed_point(re) < 1e-10
+        # the thread is even in c
+        for s, mirror in zip(thread, reversed(thread)):
+            assert (s.H, s.lam2, s.rho2) == pytest.approx((mirror.H, mirror.lam2, mirror.rho2),
+                                                          rel=1e-12)
+
     def test_thread_residuals(self):
         from spheretop.relequil import verify_re_fixed_point
         m = MassParams(0.5, 0.5)
@@ -362,6 +378,21 @@ class TestLagrangeThreads:
             re = solve_re(0.0, 0.0, m, Potential.linear(1.0), xi_mag=s.xi_mag)
             assert verify_re_fixed_point(re) < 1e-10
 
+
+
+def test_the_singular_thetas_point_to_the_thread():
+    # zeta = 0 there: re_from_tau divided by it, and each node of those rows
+    # failed with a bare ZeroDivisionError
+    pot = Potential.linear(-1.3)
+    for theta in (0.0, math.pi):
+        with pytest.raises(ValueError, match="singular thread.*singular_thread"):
+            ec_sample(theta, 0.5, M11, pot)
+    res = ec_surface("generic", (0.0, math.pi), (0.0, 1.0), (3, 2), M11, pot)
+    assert [f[:2] for f in res.failures] == [(0.0, 0.0), (0.0, 1.0), (math.pi, 0.0),
+                                             (math.pi, 1.0)]
+    assert all(f[2].startswith("ValueError: theta = ") and f[2].endswith("singular_thread")
+               for f in res.failures)
+    assert [s.theta for s in res.samples] == [math.pi / 2] * 2
 
 def test_csv_layout():
     samples = [ec_sample(1.0, 0.2, M11, GRAV11)]
