@@ -13,6 +13,7 @@ import csv
 import functools
 import json
 import math
+import operator
 import os
 import stat
 import sys
@@ -23,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
+from . import dynamics
 from . import energy_casimir as ec
 from . import stability as stab
 from .dynamics import (
@@ -37,7 +39,7 @@ from .dynamics import (
     make_body_rhs,
     make_invariant_rhs,
     make_reduced_rhs,
-    sample_columns,
+    sample_blocks,
     trajectory_csv,
 )
 from .phase_space import (
@@ -80,9 +82,10 @@ def _parse_potential(spec: str, masses: MassParams) -> Potential:
         except ValueError:  # not a number
             pass
         else:
-            if not math.isfinite(gamma):  # which Potential.linear refuses without the flag
-                raise ValueError(f"--potential {spec!r}: gamma must be finite")
-            return Potential.linear(gamma)
+            try:
+                return Potential.linear(gamma)
+            except ValueError as exc:  # whose message names no flag
+                raise ValueError(f"--potential {spec!r}: {exc}") from None
     raise ValueError(f"--potential {spec!r}: use grav, linear:<gamma> with gamma a number, "
                      "or lagrange")
 
@@ -284,7 +287,10 @@ def _masses_potential(cfg: dict, given: set) -> tuple[MassParams, Potential,
             raise ValueError("potential 'lagrange' requires --alpha and --gamma")
         m, pot = HamiltonianKind.lagrange(alpha, gamma).equivalent_two_body()
         return m, pot, alpha, gamma
-    m = MassParams(cfg["m1"], cfg["m2"])
+    try:
+        m = MassParams(cfg["m1"], cfg["m2"])
+    except ValueError as exc:  # whose message names no flag
+        raise ValueError(f"--m1/--m2: {exc}") from None
     return m, _parse_potential(cfg["potential"], m), None, None
 
 
@@ -369,12 +375,11 @@ def cmd_simulate(cfg: dict, given: set) -> int:
         _leave(out, "simulate", cfg, run, {out: None, out + ".drift.json": None}, failed)
         print(f"singularity encountered at t = {exc.time}", file=sys.stderr)
         return 3
-    if leave is not None:
-        traj.ys = list(map(leave, traj.ys))
     integrated = time.perf_counter()
 
-    # each invariant is evaluated once per row; the CSV and the drift read it
-    columns = sample_columns(traj, funcs)
+    # the map to (g, p) and each invariant run once per block of rows; the
+    # CSV and the drift read the columns
+    columns = sample_blocks(traj, funcs, leave)
     drift = {f"drift_{k}": v for k, v in drift_summary(columns).items()}
     files = {out: trajectory_csv(traj, labels, columns),
              out + ".drift.json": json.dumps(drift, indent=2, sort_keys=True) + "\n"}
@@ -391,32 +396,60 @@ def cmd_simulate(cfg: dict, given: set) -> int:
 _REDUCE = (*_MODEL, Opt("out", str, "invariants.csv"), Opt("state", str), Opt("trajectory", str))
 
 
-def _trajectory_rows(path: str) -> list[tuple[float, list[float]]]:
-    """(t, state vector) of each row of a ``--space full`` trajectory CSV.
+def _trajectory_blocks(path: str) -> list[np.ndarray]:
+    """The rows of a ``--space full`` trajectory CSV as (17, n) blocks of at
+    most ``SAMPLE_BLOCK_ROWS`` rows, each column t and then the state.
 
-    A row is rejected, by its t, when a cell is not a finite number or g1 or
-    g2 is zero; rows are not held to the unit-norm tolerance, since an
-    unprojected run drifts off it.
+    Blank lines are skipped, a column is found by the last header cell of its
+    name, and cells past the header's are ignored.  A row is rejected, by its
+    t cell, when a cell is missing or not a finite number or g1 or g2 is
+    zero, the first bad row in the file first; rows are not held to the
+    unit-norm tolerance, since an unprojected run drifts off it.
     """
-    rows = []
+    labels = ("t", *_STATE_LABELS)
     with _open_input("--trajectory", path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in ("t", *_STATE_LABELS) if c not in (reader.fieldnames or ())]
+        reader = csv.reader(fh)
+        index = {name: i for i, name in enumerate(next(reader, []))}
+        missing = [c for c in labels if c not in index]
         if missing:
             raise ValueError(f"trajectory {path} lacks the columns {missing}; "
                              "reduce needs a --space full trajectory")
+        it, pick = index["t"], operator.itemgetter(*map(index.get, labels))
+        n = dynamics.SAMPLE_BLOCK_ROWS
+        blocks, cells, rows = [], [], []  # the t cells and values of the block so far
         for row in reader:
-            where = f"trajectory row t = {row['t']}"
+            if not row:
+                continue
+            cells.append(row[it] if it < len(row) else None)
             try:
-                t, vec = float(row["t"]), [float(row[label]) for label in _STATE_LABELS]
-            except (TypeError, ValueError):  # a short row reads None
-                raise ValueError(f"{where} has a cell that is not a number") from None
-            if not all(map(math.isfinite, (t, *vec))):
-                raise ValueError(f"{where} has a non-finite cell")
-            if quat_dot_vec(vec[0:4], vec[0:4]) == 0.0 or quat_dot_vec(vec[8:12], vec[8:12]) == 0.0:
-                raise ValueError(f"{where} has g1 or g2 zero")
-            rows.append((t, vec))
-    return rows
+                rows.append(list(map(float, pick(row))))
+            except (IndexError, ValueError):  # a short row, or a cell that is no number
+                if rows:  # an earlier row of the block may be bad first
+                    _check_rows(cells, rows)
+                raise ValueError(f"trajectory row t = {cells[-1]} has a cell that is not "
+                                 "a number") from None
+            if len(rows) == n:
+                blocks.append(_check_rows(cells, rows))
+                cells, rows = [], []
+        if rows:
+            blocks.append(_check_rows(cells, rows))
+    return blocks
+
+
+def _check_rows(cells: list, rows: list[list[float]]) -> np.ndarray:
+    """The (17, n) block of ``rows`` (t, then a state), or ``ValueError``
+    naming, by its t cell, the first row with a non-finite value or g1 or g2
+    zero."""
+    block = np.array(rows).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        bad = ~np.isfinite(block).all(axis=0)
+        zero = (quat_dot_vec(block[1:5], block[1:5]) == 0.0) | (
+            quat_dot_vec(block[9:13], block[9:13]) == 0.0)
+    if bad.any() or zero.any():
+        k = int((bad | zero).argmax())
+        what = "a non-finite cell" if bad[k] else "g1 or g2 zero"
+        raise ValueError(f"trajectory row t = {cells[k]} has {what}")
+    return block
 
 
 def cmd_reduce(cfg: dict, given: set) -> int:
@@ -428,21 +461,26 @@ def cmd_reduce(cfg: dict, given: set) -> int:
     if source == "state":
         state = PhaseState.from_json_dict(_load_json("--state", cfg["state"]))
         state.validate()
-        rows = [(0.0, state)]
+        blocks = [np.array((0.0, *state))[:, None]]
     else:
-        rows = _trajectory_rows(cfg["trajectory"])
+        blocks = _trajectory_blocks(cfg["trajectory"])
     read = time.perf_counter()
 
+    # the invariants, Casimirs and strata of each block of rows at once
     lines = [",".join(("t", *INVARIANT_CSV_COLUMNS, "C1", "C2", "C3", "stratum"))]
-    for t, vec in rows:
-        pt = invariant_map(vec)
-        values = (*pt, *all_casimirs(pt))
-        if not all(map(math.isfinite, values)):  # a finite state can overflow here
+    for block in blocks:
+        with np.errstate(over="ignore", invalid="ignore"):
+            pt = invariant_map(block[1:])
+            values = np.array((block[0], *pt, *all_casimirs(pt)))
+            finite = np.isfinite(values).all(axis=0)
+        if not finite.all():  # a finite state can overflow here
+            t = values[0, finite.argmin()].item()
             where = "--state" if source == "state" else f"trajectory row t = {t!r}"
             raise ValueError(f"{where}: the invariants or Casimirs are not finite")
-        lines.append(",".join((*map(repr, (t, *values)), stratum_classify(pt))))
+        lines += [",".join(map(repr, row)) + "," + label
+                  for row, label in zip(values.T.tolist(), stratum_classify(values[1:9]))]
     reduced = time.perf_counter()
-    run = {"rows": len(rows), "wall_s": {"read": read - start, "reduce": reduced - read}}
+    run = {"rows": len(lines) - 1, "wall_s": {"read": read - start, "reduce": reduced - read}}
     _leave(cfg["out"], "reduce", cfg, run, {cfg["out"]: "\n".join(lines) + "\n"}, reduced)
     return 0
 

@@ -50,9 +50,12 @@ import io
 import itertools
 import math
 import operator
+import sys
 import textwrap
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .phase_space import (
     CollisionError,
@@ -103,6 +106,12 @@ class SingularityError(RuntimeError):
         super().__init__(message or f"integration stopped near t = {time!r}")
 
 
+# the smallest relative tolerance taken, ten unit roundoffs as in Hairer's
+# dop853.f: below it the error estimate cannot fall under the rounding of the
+# state, and the step shrinks until it underflows
+REL_TOL_MIN = 10.0 * sys.float_info.epsilon
+
+
 @dataclass(frozen=True)
 class FlowConfig:
     rel_tol: float = 1e-12
@@ -111,6 +120,10 @@ class FlowConfig:
     def __post_init__(self):
         if not (0 < self.rel_tol < math.inf and 0 < self.abs_tol < math.inf):
             raise ValueError("tolerances must be finite and positive")
+        if self.rel_tol <= REL_TOL_MIN:
+            raise ValueError(f"abs_tol = {self.abs_tol!r} with rel_tol = {self.rel_tol!r}: "
+                             f"rel_tol must exceed {REL_TOL_MIN!r}, ten unit roundoffs, "
+                             "for a double to resolve the error estimate")
 
 
 @dataclass(frozen=True)
@@ -369,6 +382,9 @@ _MIN_STEP_FACTOR = 1e-13
 # nodes of an energy-Casimir sheet: every row is held in memory (a sheet node
 # about 0.6 KB)
 MAX_SAMPLE_ROWS = 10 ** 6
+# the most sample rows mapped and evaluated together (``sample_blocks``, and
+# ``reduce``'s rows), which bounds the arrays a long run holds besides its rows
+SAMPLE_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -743,16 +759,51 @@ def sample_columns(traj: Trajectory, funcs: dict) -> dict:
     """Each function evaluated once at every recorded sample, by name.
 
     The functions run row by row, so those of one row can share work on it.
+    :func:`sample_blocks` gives the same columns a block of rows at a time.
     """
     rows = [[fn(y) for fn in funcs.values()] for y in traj.ys]
     return dict(zip(funcs, map(list, zip(*rows))))
 
 
+def sample_blocks(traj: Trajectory, funcs: dict, leave: Callable | None = None) -> dict:
+    """The columns of :func:`sample_columns`, each function evaluated once per
+    block of at most ``SAMPLE_BLOCK_ROWS`` rows.
+
+    A block is the tuple of the state's components, each an array over the
+    block's rows, so ``leave`` (a map of each state, such as
+    ``from_body_coords``) and the functions must be plain arithmetic over
+    flat vectors, as the flat maps and the ``invariants_*`` entries are: each
+    row then takes the IEEE operations of a float, and the columns hold the
+    bits that row by row gives, as floats.  With ``leave`` the recorded
+    states are replaced by their images, before the functions read them.
+    Float overflow is silent, as it is for floats.
+    """
+    columns = {name: [] for name in funcs}
+    ys = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(0, len(traj.ys), SAMPLE_BLOCK_ROWS):
+            block = tuple(np.array(traj.ys[i:i + SAMPLE_BLOCK_ROWS]).T)
+            if leave is not None:
+                block = leave(block)
+                ys += zip(*(c.tolist() for c in block))
+            for name, fn in funcs.items():
+                columns[name] += fn(block).tolist()
+    if leave is not None:
+        traj.ys = ys
+    return columns
+
+
 def drift_summary(columns: dict) -> dict:
     """max_t |Q(t) - Q(0)| / max(1, |Q(0)|) for each of the
-    :func:`sample_columns`, by name."""
-    return {name: max(abs(v - vals[0]) for v in vals) / max(1.0, abs(vals[0]))
-            for name, vals in columns.items()}
+    :func:`sample_columns`, by name.
+
+    Every column's maximum is taken at once; a NaN |Q(t) - Q(0)| is passed
+    over as ``max`` passes it, and the drift is NaN when Q(0) is not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.array(list(columns.values()), dtype=float)
+        top = np.fmax.reduce(np.abs(q - q[:, :1]), axis=1)
+    return {name: (t if math.isfinite(q0) else math.nan) / max(1.0, abs(q0))
+            for name, t, q0 in zip(columns, top.tolist(), q[:, 0].tolist())}
 
 
 # The sampled invariants of each level are functions of the flat vector, by

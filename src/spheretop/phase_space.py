@@ -31,6 +31,11 @@ from .quaternion import (
 
 COLLISION_MARGIN = 1e-9
 COPLANARITY_TOL = 1e-9
+# the masses, and the magnitudes of a nonzero linear force, that the model
+# takes: squares and products of two such values, which the RE rates, their
+# squares and the quartet's k_ii / m_i^2 form, stay far inside the normal
+# float range, where they neither underflow to zero nor overflow
+MODEL_RANGE = (1e-100, 1e100)
 
 POINT_COCIRCULAR = "cocircular"
 POINT_COSPHERICAL = "cospherical"
@@ -50,8 +55,11 @@ class MassParams:
     m2: float
 
     def __post_init__(self):
-        if not (0 < self.m1 < math.inf and 0 < self.m2 < math.inf):
-            raise ValueError("masses must be finite and strictly positive")
+        lo, hi = MODEL_RANGE
+        for name, mass in (("m1", self.m1), ("m2", self.m2)):
+            if not lo <= mass <= hi:  # NaN too
+                raise ValueError(f"mass {name} = {mass!r} must be finite and lie in "
+                                 f"[{lo!r}, {hi!r}]")
 
     @property
     def equal(self) -> bool:
@@ -65,7 +73,9 @@ class Potential:
     ``v`` evaluates V(r), ``f`` the force f(r) = -dV/dr and ``fprime`` its
     derivative df/dr.  The gravitational kind carries the m1*m2 factor
     internally and guards the r -> +-1 singularities; the linear kind is
-    V = gamma*r with constant force -gamma.
+    V = gamma*r with constant force -gamma, gamma zero or of a magnitude in
+    ``MODEL_RANGE``.  ``v`` of either kind also takes a block of rows (an
+    array of r), with the IEEE operations of a float for each entry.
     """
 
     kind: str
@@ -80,7 +90,10 @@ class Potential:
 
         def v(r: float) -> float:
             _collision_guard(r)
-            return -mm * r / math.sqrt(1.0 - r * r)
+            try:
+                return -mm * r / math.sqrt(1.0 - r * r)
+            except TypeError:  # a block of rows, which math.sqrt does not take
+                return -mm * r / np.sqrt(1.0 - r * r)
 
         def f(r: float) -> float:
             _collision_guard(r)
@@ -96,6 +109,10 @@ class Potential:
     def linear(cls, gamma: float) -> "Potential":
         if not math.isfinite(gamma):
             raise ValueError("gamma must be finite")
+        lo, hi = MODEL_RANGE
+        if gamma != 0.0 and not lo <= abs(gamma) <= hi:
+            raise ValueError(f"the force gamma = {gamma!r} must be zero or of a magnitude "
+                             f"in [{lo!r}, {hi!r}]")
         return cls(
             kind="linear",
             v=lambda r: gamma * r,
@@ -110,9 +127,21 @@ class Potential:
 
 
 def _collision_guard(r: float) -> None:
-    if 1.0 - abs(r) <= COLLISION_MARGIN:
-        raise CollisionError(f"potential evaluated at cos(theta) = {r!r}, "
-                             "too close to coincident/antipodal positions")
+    """Raise CollisionError where r lies within ``COLLISION_MARGIN`` of +-1.
+
+    r is a float, or a block of them (an array), for which the first such
+    entry is named; a float pays for nothing but its comparison."""
+    near = 1.0 - abs(r) <= COLLISION_MARGIN
+    try:
+        if not near:
+            return
+    except ValueError:  # a block of several rows has no single truth value
+        if not near.any():
+            return
+    if isinstance(r, np.ndarray) and r.ndim:
+        r = r[near.argmax()].item()
+    raise CollisionError(f"potential evaluated at cos(theta) = {r!r}, "
+                         "too close to coincident/antipodal positions")
 
 
 def flat_floats(cls, parts, sizes):
@@ -253,9 +282,11 @@ def hamiltonian_2body(v: Sequence[float], m: MassParams, pot: Potential) -> floa
 
 
 def check_alpha(alpha: float) -> None:
-    """Raise ValueError unless the top's alpha = 2/(1 + I4), I4 >= 0, lies in (0, 2]."""
-    if not (0.0 < alpha <= 2.0):
-        raise ValueError("alpha must lie in (0, 2]")
+    """Raise ValueError unless the top's alpha = 2/(1 + I4), I4 >= 0, lies in
+    (0, 2], and its masses 1/alpha in ``MODEL_RANGE``."""
+    if not (0.0 < alpha <= 2.0 and 1.0 / alpha <= MODEL_RANGE[1]):
+        raise ValueError(f"alpha = {alpha!r} must lie in (0, 2], with its masses 1/alpha "
+                         f"at most {MODEL_RANGE[1]!r}")
 
 
 def hamiltonian_lagrange(s: PhaseState, alpha: float, gamma: float) -> float:

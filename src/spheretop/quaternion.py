@@ -158,12 +158,16 @@ def quat_mul_vec(p, q) -> tuple[float, float, float, float]:
 
 
 def quat_inverse_vec(q) -> tuple[float, float, float, float]:
-    """q^{-1} = conj(q) / |q|^2 of a (w, x, y, z) sequence, as a tuple."""
+    """q^{-1} = conj(q) / |q|^2 of a (w, x, y, z) sequence, as a tuple.
+
+    The components may be blocks of rows (arrays), for which a zero
+    quaternion gives inf or NaN, as numpy divides; floats raise."""
     w, x, y, z = q
     n2 = w * w + x * x + y * y + z * z
-    if n2 == 0.0:
-        raise ZeroDivisionError("zero quaternion has no inverse")
-    return w / n2, -x / n2, -y / n2, -z / n2
+    try:
+        return w / n2, -x / n2, -y / n2, -z / n2
+    except ZeroDivisionError:  # a float n2 of zero
+        raise ZeroDivisionError("zero quaternion has no inverse") from None
 
 
 def quat_mul(p: Quaternion, q: Quaternion) -> Quaternion:

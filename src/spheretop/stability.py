@@ -247,12 +247,16 @@ def charpoly_2body(re: RelativeEquilibrium) -> tuple[float, float]:
     k11, k22 = _k_diag(re)
     m1, m2 = re.masses.m1, re.masses.m2
     th = re.theta
-    q = (m1 + m2) * math.cos(th) / math.sin(th) ** 3
-    c2 = 2.0 * (k11 / m1 ** 2 + k22 / m2 ** 2 + q)
-    c0 = ((k11 / m1 ** 2 - k22 / m2 ** 2) ** 2
-          + 2.0 * (math.cos(th) / math.sin(th) ** 3)
-          * ((k11 / m1) * (1 + m2 / m1) + (k22 / m2) * (1 + m1 / m2))
-          + q * q)
+    try:  # a float ** raises where its result leaves the float range
+        q = (m1 + m2) * math.cos(th) / math.sin(th) ** 3
+        c2 = 2.0 * (k11 / m1 ** 2 + k22 / m2 ** 2 + q)
+        c0 = ((k11 / m1 ** 2 - k22 / m2 ** 2) ** 2
+              + 2.0 * (math.cos(th) / math.sin(th) ** 3)
+              * ((k11 / m1) * (1 + m2 / m1) + (k22 / m2) * (1 + m1 / m2))
+              + q * q)
+    except OverflowError:
+        raise ValueError(f"eta_mag = {re.eta_mag!r} with masses {m1!r}, {m2!r}: the "
+                         "quartet's characteristic polynomial overflows") from None
     return c0, c2
 
 

@@ -4,15 +4,23 @@ import os
 import re
 import shlex
 import stat
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_flat_state, typed_casimirs, typed_hilbert, typed_left_reduce
+from conftest import (
+    bits,
+    random_flat_state,
+    typed_casimirs,
+    typed_hilbert,
+    typed_left_reduce,
+)
 
-from spheretop import cli
+from spheretop import cli, dynamics
 from spheretop.cli import main
 from spheretop.dynamics import Trajectory, drift_summary, sample_columns, trajectory_csv
+from spheretop.phase_space import random_phase_state
 from spheretop.poisson import GENERATORS
 from spheretop.reduction import INVARIANT_CSV_COLUMNS, InvariantPoint, stratum_classify
 
@@ -281,11 +289,11 @@ class TestSimulate:
         def counting(factory):
             def make(m, pot):
                 seen["funcs"] = factory(m, pot)
-                seen["calls"] = dict.fromkeys(seen["funcs"], 0)
+                seen["calls"] = {name: [] for name in seen["funcs"]}
 
                 def wrap(name, fn):
-                    def counted(y):
-                        seen["calls"][name] += 1
+                    def counted(y):  # a block of rows: record how many
+                        seen["calls"][name].append(len(y[0]))
                         return fn(y)
                     return counted
 
@@ -299,14 +307,17 @@ class TestSimulate:
 
     @pytest.mark.parametrize("space", ["full", "left", "right", "invariants"])
     def test_each_invariant_is_evaluated_once_per_row(self, tmp_path, monkeypatch, space):
+        # once per block of rows, each row in one block: 21 rows in blocks of
+        # 8 are three calls
+        monkeypatch.setattr(dynamics, "SAMPLE_BLOCK_ROWS", 8)
         seen = self._record_run(monkeypatch)
         out = tmp_path / "run.csv"
         assert run(["simulate", "--scenario", "random", "--seed", "5", "--space", space,
                     "--T", "2", "--out", out]) == 0
         traj, funcs = seen["traj"], seen["funcs"]
         assert len(traj.ys) == 21
-        assert seen["calls"] == {name: len(traj.ys) for name in funcs}
-        # the one-pass output is what evaluating twice used to give
+        assert seen["calls"] == {name: [8, 8, 5] for name in funcs}
+        # the one-pass output is what evaluating row by row gives
         assert out.read_text() == trajectory_csv(traj, self.LABELS[space],
                                                  sample_columns(traj, funcs))
         drift = json.loads(Path(str(out) + ".drift.json").read_text())
@@ -450,6 +461,55 @@ class TestReduce:
             assert np.allclose(a[col], b[col], atol=1e-6), col
 
 
+def _python_drift(columns):
+    """``drift_summary`` as it was written row by row, with Python's ``max``."""
+    return {name: max(abs(v - vals[0]) for v in vals) / max(1.0, abs(vals[0]))
+            for name, vals in columns.items()}
+
+
+class TestSampleBlocks:
+    """``simulate``'s block path gives, bit for bit, the states, columns, CSV
+    and drift of mapping and evaluating each row alone (``sample_columns``)."""
+
+    STATES = {"grav": lambda rng: cli._builtin_scenario("re-acute-demo", 0)[0],
+              "linear:-0.7": random_phase_state, "lagrange": random_phase_state}
+
+    @pytest.mark.parametrize("block_rows", [7, 10])  # 31 rows: a last block of 3, or of 1
+    @pytest.mark.parametrize("potential", list(STATES))
+    @pytest.mark.parametrize("space", ["full", "left", "right", "invariants"])
+    def test_blocks_give_the_rows_bits(self, monkeypatch, space, potential, block_rows):
+        monkeypatch.setattr(dynamics, "SAMPLE_BLOCK_ROWS", block_rows)
+        cfg = {"m1": 0.8, "m2": 1.9, "potential": potential, "alpha": 1.5, "gamma": 1.0}
+        given = {"alpha", "gamma"} if potential == "lagrange" else {"m1", "m2"}
+        if potential == "grav":
+            cfg.update(m1=1.0, m2=1.0)
+        m, pot, _, _ = cli._masses_potential(cfg, given)
+        enter, make_rhs, make_funcs, labels, leave = cli._SPACES[space]
+        state = self.STATES[potential](np.random.default_rng(8))
+        traj = dynamics.integrate(make_rhs(m, pot), enter(state), 3.0, dynamics.FlowConfig(),
+                                  sample_dt=0.1)
+        assert len(traj.ys) == 31
+        funcs = make_funcs(m, pot)
+        rows = Trajectory(ts=traj.ts, ys=[leave(y) for y in traj.ys] if leave else traj.ys)
+        want = sample_columns(rows, funcs)
+        got = dynamics.sample_blocks(traj, funcs, leave)
+        assert [bits(y) for y in traj.ys] == [bits(y) for y in rows.ys]
+        assert all(type(y) is tuple and all(type(c) is float for c in y) for y in traj.ys)
+        assert {k: bits(v) for k, v in got.items()} == {k: bits(v) for k, v in want.items()}
+        assert all(type(c) is float for col in got.values() for c in col)
+        assert trajectory_csv(traj, labels, got) == trajectory_csv(rows, labels, want)
+        assert ({k: v.hex() for k, v in drift_summary(got).items()}
+                == {k: v.hex() for k, v in _python_drift(want).items()})
+
+    @pytest.mark.parametrize("vals", [
+        [1.0, 2.0, math.nan, 0.5], [math.nan, 1.0, 2.0], [math.inf, 1.0, math.inf],
+        [1.0, math.inf, math.nan, -math.inf], [-0.0, 0.0, -0.0], [1e308, -1e308, 0.0],
+        [-3.0, -3.0 + 1e-15, -2.5], [0.25]])
+    def test_drift_passes_over_nan_as_max_does(self, vals):
+        got, want = drift_summary({"Q": vals})["Q"], _python_drift({"Q": vals})["Q"]
+        assert got.hex() == want.hex()
+
+
 class TestReduceRows:
     """``reduce`` rows against the typed values, and the inputs it rejects."""
 
@@ -583,6 +643,69 @@ class TestReduceRows:
         out = tmp_path / "inv.csv"
         assert run(["reduce", "--trajectory", self._trajectory(tmp_path, rows),
                     "--out", out]) == 0
+
+    # the reader's contract, which csv.DictReader set: blank lines skipped, a
+    # bad row named by its t cell, the first bad row of the file first
+    GOOD = "0.5," + ",".join(["1.0", "0.0", "0.0", "0.0"] * 4)
+
+    @pytest.mark.parametrize("bad, message", [
+        ("0.7,1.0,0.0", "trajectory row t = 0.7 has a cell that is not a number"),
+        (",", "trajectory row t =  has a cell that is not a number"),
+        ("0.7," + ",".join(["1.0", "0.0", "x", "0.0"] * 4),
+         "trajectory row t = 0.7 has a cell that is not a number"),
+        ("0.7," + ",".join(["1.0", "0.0", "nan", "0.0"] * 4),
+         "trajectory row t = 0.7 has a non-finite cell"),
+        ("inf," + ",".join(["1.0", "0.0", "0.0", "0.0"] * 4),
+         "trajectory row t = inf has a non-finite cell"),
+        ("0.7," + ",".join(["0.0", "-0.0", "0.0", "1e-200"] + ["1.0", "0.0", "0.0", "0.0"] * 3),
+         "trajectory row t = 0.7 has g1 or g2 zero"),
+        ("0.7," + ",".join(["1.0", "0.0", "0.0", "0.0"] * 2 + ["0"] * 4 + ["1", "0", "0", "0"]),
+         "trajectory row t = 0.7 has g1 or g2 zero"),
+    ], ids=["short", "short-no-t", "word", "nan", "inf-t", "g1", "g2"])
+    @pytest.mark.parametrize("at", [0, 2, 3, 7])
+    def test_a_bad_row_is_named_in_any_block(self, tmp_path, capsys, monkeypatch, bad, message,
+                                            at):
+        monkeypatch.setattr(dynamics, "SAMPLE_BLOCK_ROWS", 3)
+        lines = [",".join(("t", *cli._STATE_LABELS)), *[self.GOOD] * 9]
+        lines[1 + at] = bad
+        path = tmp_path / "full.csv"
+        path.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "inv.csv"
+        assert run(["reduce", "--trajectory", path, "--out", out]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_the_first_bad_row_is_named_whatever_its_fault(self, tmp_path, capsys,
+                                                           monkeypatch):
+        # a non-finite row before a short one in the same block, and a short
+        # row before one whose invariants overflow
+        monkeypatch.setattr(dynamics, "SAMPLE_BLOCK_ROWS", 4)
+        nan = "0.2," + ",".join(["1.0", "0.0", "nan", "0.0"] * 4)
+        big = "0.1," + ",".join(["1.0", "0.0", "0.0", "0.0", "0", "1e308", "0", "1e308"] * 2)
+        path, out = tmp_path / "full.csv", tmp_path / "inv.csv"
+        for rows, message in (([self.GOOD, nan, "0.3,1"], "t = 0.2 has a non-finite cell"),
+                              ([big, self.GOOD, "0.3,1"], "t = 0.3 has a cell that is not"),
+                              ([big, nan], "t = 0.2 has a non-finite cell"),
+                              ([self.GOOD] * 5 + [big], "t = 0.1: the invariants or")):
+            path.write_text("\n".join([",".join(("t", *cli._STATE_LABELS)), *rows]) + "\n")
+            assert run(["reduce", "--trajectory", path, "--out", out]) == 4
+            assert f"error: trajectory row {message}" in capsys.readouterr().err
+
+    def test_blank_lines_are_skipped_and_blocks_join_up(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(29)
+        rows = [(0.1 * i, random_flat_state(rng)) for i in range(11)]
+        path, out = self._trajectory(tmp_path, rows), tmp_path / "inv.csv"
+        assert run(["reduce", "--trajectory", path, "--out", out]) == 0
+        whole = out.read_bytes()
+        lines = path.read_text().splitlines()
+        path.write_text("\n\n".join(lines[:4]) + "\n\n" + "\n".join(lines[4:]) + "\n\n")
+        for block_rows in (1, 3, 11, 1024):
+            monkeypatch.setattr(dynamics, "SAMPLE_BLOCK_ROWS", block_rows)
+            assert run(["reduce", "--trajectory", path, "--out", out]) == 0
+            assert out.read_bytes() == whole
+            manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+            assert manifest["run"]["rows"] == 11
+
 
 
 @pytest.mark.parametrize("argv", [
@@ -1431,3 +1554,93 @@ class TestOutputFiles:
                                                      and not set(mode.value) & set("wax+")):
                             bad.append(where)
         assert seen == set(callers) and not bad, bad
+
+
+class TestExtremeValues:
+    """Extreme and invalid numbers end in a named exit, never a traceback."""
+
+    @pytest.mark.parametrize("argv, named", [
+        (["stability", "--m2", "5e-324", "--potential", "grav", "--theta", "0.5"],
+         "--m1/--m2: mass m2 = 5e-324"),
+        (["re", "--m1", "5e-324", "--potential", "grav", "--theta", "2",
+          "--eta", "4.796148485423895"], "--m1/--m2: mass m1 = 5e-324"),
+        (["stability", "--m2", "3.141592653589793", "--potential", "linear:5e-324",
+          "--theta", "1"], "--potential 'linear:5e-324': the force gamma = 5e-324"),
+        (["re", "--potential", "lagrange", "--alpha", "1.5", "--gamma", "5e-324",
+          "--theta", "1.0"], "the force gamma = 5e-324"),
+        (["re", "--m2", "1e-300", "--theta", "1.0"], "--m1/--m2: mass m2 = 1e-300"),
+        (["re", "--potential", "lagrange", "--alpha", "1e-300", "--gamma", "1",
+          "--theta", "1.0"], "alpha = 1e-300"),
+    ])
+    def test_tiny_masses_and_forces_exit_4_naming_them(self, capsys, argv, named):
+        # a ZeroDivisionError, or the RuntimeError "the position angles do
+        # not balance the relative equilibrium", and exit 1
+        assert run(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {named} must ") and captured.out == ""
+
+    @pytest.mark.parametrize("m1, m2, theta, eta", [("1e-100", "1e-50", "0.5", "1e100"),
+                                                    ("1e100", "3.7", "2.5", "1"),
+                                                    ("3.7", "1", "0.5", "1e-100")])
+    def test_a_charpoly_that_overflows_exits_4_naming_the_rate(self, capsys, m1, m2, theta,
+                                                                eta):
+        # masses in range with an extreme rate: charpoly_2body's float **
+        # raised an OverflowError
+        assert run(["stability", "--m1", m1, "--m2", m2, "--theta", theta, "--eta", eta]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: eta_mag = {float(eta)!r} with masses ")
+        assert "characteristic polynomial overflows" in captured.err and captured.out == ""
+
+    def test_a_huge_mass_on_a_sheet_exits_4_naming_it(self, tmp_path, capsys):
+        # quartet_roots' Python-float m1 ** 2 overflowed in _block_nodes
+        out = tmp_path / "sheet.csv"
+        assert run(["ec-surface", "--m1", "1e308", "--potential", "linear:0.5",
+                    "--family", "generic", "--grid", "3", "2", "--theta-min", "1e-300",
+                    "--tau-max", "-3.4924801448901768", "--out", out]) == 4
+        assert capsys.readouterr().err.startswith("error: --m1/--m2: mass m1 = 1e+308 must be")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rel_tol", ["1e-100", "1e-150", "2.220446049250313e-15"])
+    def test_a_relative_tolerance_a_double_cannot_resolve_exits_4(self, tmp_path, capsys,
+                                                                 rel_tol):
+        # it exited 3, "singularity encountered at t = 0.0", after 16
+        # rejected steps
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--scenario", "random", "--T", 1, "--space", "invariants",
+                    "--abs-tol", rel_tol, "--rel-tol", rel_tol, "--out", out]) == 4
+        err = capsys.readouterr().err
+        assert f"rel_tol = {rel_tol}: rel_tol must exceed 2.220446049250313e-15" in err
+        assert not out.exists()
+
+    def test_the_smallest_relative_tolerance_taken_runs(self, tmp_path):
+        out = tmp_path / "x.csv"
+        assert run(["simulate", "--scenario", "random", "--T", 0.1, "--space", "invariants",
+                    "--rel-tol", "2.2204460492503136e-15", "--out", out]) == 0
+
+    VALUES = ("0", "-0.0", "5e-324", "1e-300", "1e308", "nan", "inf", "-inf", "-1", "700",
+              "710")
+
+    def test_extreme_values_of_re_and_stability_never_raise(self, capsys):
+        # each of the masses (or alpha, gamma), theta and eta at each extreme
+        # value, one at a time, under each potential at three thetas
+        potentials = (["--potential", "grav"], ["--potential", "linear:1.0"],
+                      ["--potential", "lagrange", "--alpha", "1.5", "--gamma", "1.0"])
+        codes, raised = Counter(), []
+        for cmd in ("re", "stability"):
+            for pot in potentials:
+                model = ["--alpha", "--gamma"] if "lagrange" in pot else ["--m1", "--m2"]
+                for theta in ("1.0", "2.0", repr(math.pi / 2)):
+                    for flag in (*model, "--theta", "--eta"):
+                        for value in self.VALUES:
+                            flags = dict(zip(pot[::2], pot[1::2])) | {"--theta": theta}
+                            argv = [cmd, *(a for kv in (flags | {flag: value}).items()
+                                           for a in kv)]
+                            try:
+                                codes[run(argv)] += 1
+                            except SystemExit as exc:  # argparse refuses the value
+                                codes[exc.code] += 1
+                            except Exception as exc:  # noqa: BLE001 - the fault to find
+                                raised.append((argv, repr(exc)))
+                            capsys.readouterr()
+        assert raised == []
+        assert sum(codes.values()) == 792 and set(codes) <= {0, 2, 4}, codes

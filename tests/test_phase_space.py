@@ -1,9 +1,12 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from conftest import oracle_mul, quat, random_unit
 
 from spheretop.phase_space import (
+    MODEL_RANGE,
     CollisionError,
     MassParams,
     PhaseState,
@@ -17,7 +20,16 @@ from spheretop.phase_space import (
     random_phase_state,
     sjamaar_slice_check,
 )
-from spheretop.quaternion import I, J, K, ONE, Quaternion, inner_product, quat_mul
+from spheretop.quaternion import (
+    I,
+    J,
+    K,
+    ONE,
+    Quaternion,
+    inner_product,
+    quat_inverse_vec,
+    quat_mul,
+)
 
 
 def state(g1, p1, g2, p2):
@@ -239,3 +251,63 @@ class TestSjamaarSlice:
         s = state(I, J, J, K)
         omega, lam, rho = sjamaar_slice_check(s)
         assert (2.0 * omega).allclose(lam - rho, tol=1e-15)
+
+
+class TestBlocks:
+    """``v`` of either potential, the collision guard and ``quat_inverse_vec``
+    take a block of rows (arrays) with each row's IEEE operations."""
+
+    M = MassParams(0.8, 1.9)
+
+    @pytest.mark.parametrize("pot", [Potential.gravitational(M), Potential.linear(-0.7)],
+                             ids=["grav", "linear"])
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_potential_value_of_a_block_is_each_rows(self, rng, pot, n):
+        r = rng.uniform(-0.999, 0.999, n)
+        r[rng.random(n) < 0.2] *= 1e-7
+        got = pot.v(r)
+        assert isinstance(got, np.ndarray) and got.shape == (n,)
+        assert [float(x).hex() for x in got] == [pot.v(float(x)).hex() for x in r]
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_a_block_too_close_to_a_collision_names_its_first_such_row(self, n):
+        pot = Potential.gravitational(self.M)
+        near = 1.0 - 1e-10
+        r = np.array([-near] if n == 1 else [0.5, -near, 0.2, near])
+        with pytest.raises(CollisionError) as scalar:
+            pot.v(-near)
+        with pytest.raises(CollisionError) as block:
+            pot.v(r)
+        assert str(block.value) == str(scalar.value)
+        pot.v(np.array([0.5, -0.5]))  # a clear block passes
+
+    def test_inverse_of_a_block_is_each_rows(self, rng):
+        q = rng.normal(size=(4, 30))
+        got = quat_inverse_vec(tuple(q))
+        for i in range(30):
+            want = quat_inverse_vec(tuple(map(float, q[:, i])))
+            assert [float(c[i]).hex() for c in got] == [w.hex() for w in want]
+        with pytest.raises(ZeroDivisionError, match="zero quaternion has no inverse"):
+            quat_inverse_vec((0.0, -0.0, 1e-200, 0.0))
+
+
+class TestModelRange:
+    """Masses and a nonzero linear force are held to ``MODEL_RANGE``, where
+    the arithmetic of the RE rates neither underflows nor overflows."""
+
+    @pytest.mark.parametrize("mass", [0.0, -1.0, 5e-324, 1e-300, 9.9e-101, 1.01e100, 1e308,
+                                      math.inf, math.nan])
+    def test_masses_outside_the_range_are_refused_by_name(self, mass):
+        with pytest.raises(ValueError, match=f"mass m2 = {re.escape(repr(mass))} must be"):
+            MassParams(1.0, mass)
+
+    @pytest.mark.parametrize("gamma", [5e-324, -1e-300, 9.9e-101, 1.01e100, -1e308])
+    def test_forces_outside_the_range_are_refused_by_name(self, gamma):
+        with pytest.raises(ValueError, match=f"gamma = {re.escape(repr(gamma))} must be zero"):
+            Potential.linear(gamma)
+
+    def test_the_range_itself_and_zero_are_taken(self):
+        lo, hi = MODEL_RANGE
+        MassParams(lo, hi)
+        for gamma in (0.0, -0.0, lo, -lo, hi, -hi):
+            Potential.linear(gamma)
