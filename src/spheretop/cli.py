@@ -251,10 +251,11 @@ def _leave(out: str, command: str, cfg: dict, run: dict, files: dict[str, str | 
 
 def _steps_record(traj) -> dict:
     """The step and evaluation counts of a run, for its manifest; the step
-    sizes are null when no step was accepted."""
+    sizes are null when no step was accepted.  ``steps_clipped`` counts the
+    accepted steps cut below the controller's step to land on a stop."""
     steps = traj.n_accepted > 0
     return {"steps_accepted": traj.n_accepted, "steps_rejected": traj.n_rejected,
-            "step_min": traj.step_min if steps else None,
+            "steps_clipped": traj.n_clipped, "step_min": traj.step_min if steps else None,
             "step_max": traj.step_max if steps else None, "rhs_evals": traj.rhs_evals}
 
 

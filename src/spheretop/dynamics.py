@@ -23,7 +23,8 @@ twelve stages, an eighth-order solution, and Hairer's error estimate
 err = h sum(e5^2) / sqrt((sum(e5^2) + 0.01 sum(e3^2)) n) from the
 fifth- and third-order embedded solutions, weighted per component by
 abs_tol + rel_tol max(|y|, |y_new|).  A step is accepted when err <= 1,
-and the next step is h 0.9 err^(-1/8), clamped to [0.2 h, 10 h].  Both
+and the next step is h 0.9 err^(-1/8), clamped to [0.2 h, 10 h]; a
+sample time or t_end within 1/0.9 of that step is reached in one step.  Both
 tolerances default to 1e-12 (:class:`FlowConfig`).  The tableau is
 written once, as the table ``_DOP853``; from it ``_dop853_step`` generates
 and compiles, on first use, a straight-line step in which every component
@@ -378,6 +379,9 @@ _DOP853 = {
 }
 
 _MIN_STEP_FACTOR = 1e-13
+# the step-size controller's safety factor: the next step is h _SAFETY
+# err^(-1/8), and a stop within h_ctrl / _SAFETY is reached in one step
+_SAFETY = 0.9
 # the most rows one run may ask for, the sample rows of a trajectory or the
 # nodes of an energy-Casimir sheet: every row is held in memory (a sheet node
 # about 0.6 KB)
@@ -393,6 +397,7 @@ class Trajectory:
     ys: list = field(default_factory=list)
     n_accepted: int = 0
     n_rejected: int = 0
+    n_clipped: int = 0
     step_min: float = math.inf
     step_max: float = 0.0
     failed_step_evals: int = 0
@@ -420,9 +425,18 @@ def integrate(
 ) -> Trajectory:
     """Integrate ``y' = rhs(t, y)`` from 0 to t_end and record samples.
 
-    With ``sample_dt`` set, accepted steps are clipped so that the trajectory
-    holds exactly the sample times i * sample_dt and t_end; otherwise every
-    accepted step is recorded.  Either way the last step ends at t_end.
+    With ``sample_dt`` set, steps land on the stops i * sample_dt and t_end,
+    so that the trajectory holds exactly those times; otherwise every
+    accepted step is recorded and t_end is the one stop.  A stop within
+    h_ctrl / ``_SAFETY`` of t, h_ctrl the controller's step, is reached in
+    one step, stretched up to 1/0.9 of h_ctrl (as in Hairer's ``dop853.f``)
+    or clipped below it, so that no sliver step follows one that ends just
+    short of the stop; under the controller's err ~ h^8 model a stretched
+    step's predicted error is at most 1.  A stretched step that fails
+    shrinks h_ctrl as any rejected step does, and one that passes sets
+    h_ctrl from itself; a clipped step leaves h_ctrl as it was and counts in
+    ``n_clipped``.
+
     Raises :class:`SingularityError`, carrying the trajectory of the steps
     made so far, when the step size underflows, the potential reports a
     collision, or the state, the initial slope or an error estimate is NaN or
@@ -470,7 +484,7 @@ def integrate(
         # also stands for a sample time within eps of it
         stop = t_end if sample_dt is None or i * sample_dt >= t_end - eps else i * sample_dt
         h, t_new = h_ctrl, t + h_ctrl
-        if t_new >= stop - eps:
+        if t + h_ctrl / _SAFETY >= stop - eps:  # stretched or clipped to land on the stop
             h, t_new = stop - t, stop
         if h < _MIN_STEP_FACTOR * max(1.0, abs(t)):
             raise SingularityError(t, f"step size underflow at t = {t!r}", traj)
@@ -503,12 +517,14 @@ def integrate(
                 traj.ts.append(t)
                 traj.ys.append(y)
             if h >= h_ctrl:  # keep the controller's step when this one was clipped
-                h_ctrl = h * (10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125))
+                h_ctrl = h * (10.0 if err == 0.0 else min(10.0, _SAFETY * err ** -0.125))
+            else:
+                traj.n_clipped += 1
         else:
             traj.n_rejected += 1
             # shrink the controller's step, not one stretched to land on a stop:
             # a stretched step would be stretched again and fail for ever
-            h_ctrl = min(h, h_ctrl) * max(0.2, 0.9 * err ** -0.125)
+            h_ctrl = min(h, h_ctrl) * max(0.2, _SAFETY * err ** -0.125)
     return traj
 
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from conftest import (
     bits,
     imag,
@@ -49,6 +51,7 @@ from spheretop.phase_space import (
     MassParams,
     PhaseState,
     Potential,
+    body_frame_vec,
     from_body_coords,
     momentum_left,
     momentum_right,
@@ -62,8 +65,10 @@ from spheretop.reduction import (
     all_casimirs,
     casimir_C3,
     hilbert_map,
+    invariant_map,
     left_reduce,
 )
+from spheretop.relequil import solve_re
 
 M11 = MassParams(1.0, 1.0)
 LIN = Potential.linear(1.0)
@@ -620,6 +625,114 @@ class TestIntegrator:
                               env={**os.environ, "PYTHONPATH": src})
         assert done.returncode == 0, done.stderr
         assert "non-finite vector field" in done.stdout
+
+
+# y' = -y weighted by rel_tol alone: the error of a step is the same
+# fraction of the state at every t, so the controller's free step settles
+LANDING_CFG = FlowConfig(rel_tol=1e-12, abs_tol=1e-300)
+
+
+def _counted_decay(calls):
+    def field(t, y):
+        calls.append(t)
+        return (-y[0],)
+
+    return field
+
+
+def _settled_step():
+    """The free step of y' = -y under ``LANDING_CFG`` once it has settled."""
+    free = integrate(_counted_decay([]), (1.0,), 20.0, LANDING_CFG)
+    steps = [b - a for a, b in zip(free.ts[-6:-1], free.ts[-5:-1])]
+    assert max(steps) - min(steps) < 1e-6 * steps[-1]  # t_end's step left out
+    return steps[-1]
+
+
+class TestLanding:
+    """A stop (a sample time, or t_end) within 1/0.9 of the controller's step
+    is reached in one step, stretched or clipped to land on it exactly."""
+
+    @pytest.mark.parametrize("ratio, per_sample", [(1.05, 1), (1.25, 2)])
+    def test_steps_per_sample_after_the_warm_up(self, ratio, per_sample):
+        # at 1.05 h a sample interval took the free step and a sliver of
+        # 0.05 h, which costs the same 12 evaluations; at 1.25 h it takes the
+        # free step and a clipped one, as it did
+        dt = ratio * _settled_step()
+        runs = []
+        for n in (10, 30):
+            calls = []
+            traj = integrate(_counted_decay(calls), (1.0,), n * dt, LANDING_CFG, sample_dt=dt)
+            assert traj.ts == [i * dt for i in range(n + 1)]
+            assert traj.rhs_evals == len(calls)
+            assert all(abs(y - math.exp(-t)) < 1e-12 for t, (y,) in zip(traj.ts, traj.ys))
+            runs.append(traj)
+        short, long = runs
+        # the 20 sample intervals the longer run adds, all past the warm-up
+        assert long.n_rejected == short.n_rejected
+        assert long.n_accepted - short.n_accepted == 20 * per_sample
+        assert long.n_clipped - short.n_clipped == 20 * (per_sample - 1)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(st.floats(1e-3, 5.0), st.floats(0.05, 10.0))
+    @example(0.5 + 4e-13, 0.25)  # sample time 0.5 within 1e-12 of t_end: t_end stands for it
+    @example(0.5 + 2e-12, 0.25)  # just outside: 0.5 is a sample, then a sliver to t_end
+    @example(0.3, 1.0)  # sample_dt past t_end: one interval, [0, t_end]
+    def test_rows_sit_on_the_stops(self, t_end, sample_dt):
+        calls = []
+        traj = integrate(_counted_decay(calls), (1.0,), t_end, sample_dt=sample_dt)
+        eps = 1e-12 * max(1.0, t_end)
+        stops = itertools.takewhile(lambda s: s < t_end - eps,
+                                    (i * sample_dt for i in itertools.count()))
+        assert traj.ts == [*stops, t_end]
+        assert traj.rhs_evals == len(calls)
+        assert 0 <= traj.n_clipped <= traj.n_accepted
+        assert all(abs(y - math.exp(-t)) < 1e-11 for t, (y,) in zip(traj.ts, traj.ys))
+
+
+def _rigid_motion(re, t):
+    """The 16-d (g, p) point at t of the RE's motion
+    g_i(t) = exp(t xi j) g_i(0) exp(-t eta j), with p_i = m_i g_i'."""
+    xi, eta = (0.0, 0.0, re.xi_mag, 0.0), (0.0, 0.0, re.eta_mag, 0.0)
+    left = (math.cos(t * re.xi_mag), 0.0, math.sin(t * re.xi_mag), 0.0)
+    right = (math.cos(t * re.eta_mag), 0.0, -math.sin(t * re.eta_mag), 0.0)
+    v, out = tuple(re.state), ()
+    for g0, m in ((v[:4], re.masses.m1), (v[8:12], re.masses.m2)):
+        g = quat_mul_vec(quat_mul_vec(left, g0), right)
+        a, b = quat_mul_vec(xi, g), quat_mul_vec(g, eta)
+        out += g + tuple(m * (x - y) for x, y in zip(a, b))
+    return out
+
+
+class TestExactRelativeEquilibrium:
+    """A run started on an RE has an exact value at every sample: the rigid
+    motion on the 16-d level, its body-frame image on the 10-d level and the
+    fixed image on the 8-d level."""
+
+    RE = solve_re(1.0, 1.0, M11, Potential.gravitational(M11))  # linearly stable
+
+    def test_the_rigid_motion_starts_at_the_re(self):
+        assert _rigid_motion(self.RE, 0.0) == tuple(self.RE.state)
+
+    # each bound is about four times the global error DOP853 makes at the
+    # default tolerance to T = 10: 5.0e-12 (16-d, over g and p), 2.6e-12
+    # (10-d) and 1.2e-15 (8-d)
+    @pytest.mark.parametrize("level, bound", [("full", 2e-11), ("left", 1e-11),
+                                              ("invariants", 1e-14)])
+    def test_every_sample_follows_the_rigid_motion(self, level, bound):
+        re, v0 = self.RE, tuple(self.RE.state)
+        enter, rhs, leave, exact = {
+            "full": (to_body_coords, make_body_rhs, from_body_coords,
+                     lambda t: _rigid_motion(re, t)),
+            "left": (body_frame_vec, make_reduced_rhs, tuple,
+                     lambda t: body_frame_vec(_rigid_motion(re, t))),
+            "invariants": (invariant_map, make_invariant_rhs, tuple,
+                           lambda t: invariant_map(v0)),
+        }[level]
+        traj = integrate(rhs(re.masses, re.potential), enter(v0), 10.0, sample_dt=0.1)
+        assert len(traj.ts) == 101
+        err = max(abs(a - b) for t, y in zip(traj.ts, traj.ys)
+                  for a, b in zip(leave(y), exact(t)))
+        assert err < bound
 
 
 def _dop853_tableau():
