@@ -31,6 +31,7 @@ from .dynamics import (
     FlowConfig,
     HamiltonianKind,
     SingularityError,
+    csv_rows,
     drift_summary,
     integrate,
     invariants_point,
@@ -478,8 +479,7 @@ def cmd_reduce(cfg: dict, given: set) -> int:
             t = values[0, finite.argmin()].item()
             where = "--state" if source == "state" else f"trajectory row t = {t!r}"
             raise ValueError(f"{where}: the invariants or Casimirs are not finite")
-        lines += [",".join(map(repr, row)) + "," + label
-                  for row, label in zip(values.T.tolist(), stratum_classify(values[1:9]))]
+        lines += csv_rows(values.tolist(), stratum_classify(values[1:9]))
     reduced = time.perf_counter()
     run = {"rows": len(lines) - 1, "wall_s": {"read": read - start, "reduce": reduced - read}}
     _leave(cfg["out"], "reduce", cfg, run, {cfg["out"]: "\n".join(lines) + "\n"}, reduced)

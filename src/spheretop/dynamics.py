@@ -47,14 +47,13 @@ from __future__ import annotations
 
 import ast
 import functools
-import io
 import itertools
 import math
 import operator
 import sys
 import textwrap
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -410,7 +409,8 @@ class Trajectory:
     def rhs_evals(self) -> int:
         """Vector-field evaluations the run made: the initial slope, eleven
         per attempted step, the slope at the new state per accepted step, and
-        those of the step that failed, when one did."""
+        those of the step that failed, when one did; none for a start that is
+        not finite."""
         attempted = self.n_accepted + self.n_rejected
         return 1 + 11 * attempted + self.n_accepted + self.failed_step_evals
 
@@ -433,9 +433,13 @@ def integrate(
     or clipped below it, so that no sliver step follows one that ends just
     short of the stop; under the controller's err ~ h^8 model a stretched
     step's predicted error is at most 1.  A stretched step that fails
-    shrinks h_ctrl as any rejected step does, and one that passes sets
-    h_ctrl from itself; a clipped step leaves h_ctrl as it was and counts in
-    ``n_clipped``.
+    shrinks h_ctrl as any rejected step does, and from then on a step is
+    stretched only to less than the ratio h / h_ctrl of the shortest one
+    that failed, so that a sample interval just over h_ctrl does not fail
+    again each time the controller restores its step; a stretched step that
+    passes sets h_ctrl from itself; a clipped step leaves h_ctrl as it was
+    and counts in ``n_clipped``.  The counts go back to the trajectory on
+    every way out, an exception included.
 
     Raises :class:`SingularityError`, carrying the trajectory of the steps
     made so far, when the step size underflows, the potential reports a
@@ -465,6 +469,7 @@ def integrate(
     t = 0.0
     traj = Trajectory(ts=[t], ys=[y])
     if not all(math.isfinite(c) for c in y):
+        traj.failed_step_evals = -1  # not even the initial slope was evaluated
         raise SingularityError(t, f"non-finite initial state at t = {t!r}", traj)
 
     try:
@@ -477,54 +482,85 @@ def integrate(
         raise SingularityError(t, f"non-finite vector field at t = {t!r}", traj)
     h_ctrl = _initial_step(y, k1, atol, rtol)
     step = _dop853_step(n, _field_code(rhs))
+    # the loop keeps its state, its counts and what it calls in locals; the
+    # counts go back to traj on every way out
+    record_t, record_y = traj.ts.append, traj.ys.append
+    safety, min_step, sqrt = _SAFETY, _MIN_STEP_FACTOR, math.sqrt
+    every = sample_dt is None
+    end = t_end - eps  # a sample time at or past it is t_end
     i = 1  # the next sample time is i * sample_dt
-
-    while t < t_end:
-        # the next time to land on exactly: sample time i, or t_end, which
-        # also stands for a sample time within eps of it
-        stop = t_end if sample_dt is None or i * sample_dt >= t_end - eps else i * sample_dt
-        h, t_new = h_ctrl, t + h_ctrl
-        if t + h_ctrl / _SAFETY >= stop - eps:  # stretched or clipped to land on the stop
-            h, t_new = stop - t, stop
-        if h < _MIN_STEP_FACTOR * max(1.0, abs(t)):
-            raise SingularityError(t, f"step size underflow at t = {t!r}", traj)
-        try:
-            ynew, e5sq, e3sq = step(rhs, t, h, y, k1, atol, rtol)
-        except CollisionError as exc:
-            traj.failed_step_evals = _stage_calls(exc, step)
-            raise SingularityError(t, f"collision near t = {t!r}: {exc}", traj) from exc
-        # Hairer's estimate: the fifth-order error, damped where the
-        # third-order one says the step is far outside its asymptotic range
-        err = 0.0 if e5sq == e3sq == 0.0 else h * e5sq / math.sqrt((e5sq + 0.01 * e3sq) * n)
-        if err != err:
-            traj.failed_step_evals = 11
-            raise SingularityError(t, f"NaN error estimate at t = {t!r}", traj)
-
-        if err <= 1.0:
-            t = t_new
-            y = ynew
+    # the next time to land on exactly: sample time i, or t_end, which also
+    # stands for a sample time within eps of it
+    stop = t_end if every or i * sample_dt >= end else i * sample_dt
+    near = stop - eps
+    # a step is stretched to less than reach h_ctrl only: the shortest ratio
+    # h / h_ctrl of a stretched step that failed
+    reach = math.inf
+    accepted = rejected = clipped = failed = 0
+    step_min, step_max = math.inf, 0.0
+    try:
+        while t < t_end:
+            h, t_new = h_ctrl, t + h_ctrl
+            # clipped to land on the stop, or stretched up to 1/0.9 of h_ctrl
+            if t + h_ctrl / safety >= near and (t_new >= near or stop - t < reach * h_ctrl):
+                h, t_new = stop - t, stop
+            if h < min_step * (t if t > 1.0 else 1.0):  # t is never negative
+                raise SingularityError(t, f"step size underflow at t = {t!r}", traj)
             try:
-                k1 = rhs(t, y)
+                ynew, e5sq, e3sq = step(rhs, t, h, y, k1, atol, rtol)
             except CollisionError as exc:
-                traj.failed_step_evals = 12
-                raise SingularityError(t, f"collision at t = {t!r}: {exc}", traj) from exc
-            traj.n_accepted += 1
-            traj.step_min = min(traj.step_min, h)
-            traj.step_max = max(traj.step_max, h)
-            if t == stop:
-                i += 1
-            if t == stop or sample_dt is None:
-                traj.ts.append(t)
-                traj.ys.append(y)
-            if h >= h_ctrl:  # keep the controller's step when this one was clipped
-                h_ctrl = h * (10.0 if err == 0.0 else min(10.0, _SAFETY * err ** -0.125))
+                failed = _stage_calls(exc, step)
+                raise SingularityError(t, f"collision near t = {t!r}: {exc}", traj) from exc
+            # Hairer's estimate: the fifth-order error, damped where the
+            # third-order one says the step is far outside its asymptotic range
+            err = 0.0 if e5sq == e3sq == 0.0 else h * e5sq / sqrt((e5sq + 0.01 * e3sq) * n)
+            if err != err:
+                failed = 11
+                raise SingularityError(t, f"NaN error estimate at t = {t!r}", traj)
+
+            if err <= 1.0:
+                t = t_new
+                y = ynew
+                try:
+                    k1 = rhs(t, y)
+                except CollisionError as exc:
+                    failed = 12
+                    raise SingularityError(t, f"collision at t = {t!r}: {exc}", traj) from exc
+                accepted += 1
+                if h < step_min:
+                    step_min = h
+                if h > step_max:
+                    step_max = h
+                if t == stop:
+                    i += 1
+                    stop = t_end if every or i * sample_dt >= end else i * sample_dt
+                    near = stop - eps
+                    record_t(t)
+                    record_y(y)
+                elif every:
+                    record_t(t)
+                    record_y(y)
+                if h < h_ctrl:  # keep the controller's step when this one was clipped
+                    clipped += 1
+                elif err == 0.0:
+                    h_ctrl = h * 10.0
+                else:
+                    grow = safety * err ** -0.125
+                    h_ctrl = h * (grow if grow < 10.0 else 10.0)
             else:
-                traj.n_clipped += 1
-        else:
-            traj.n_rejected += 1
-            # shrink the controller's step, not one stretched to land on a stop:
-            # a stretched step would be stretched again and fail for ever
-            h_ctrl = min(h, h_ctrl) * max(0.2, _SAFETY * err ** -0.125)
+                rejected += 1
+                if h > h_ctrl:
+                    # a stretched step failed: stretch from now on only below its
+                    # ratio to h_ctrl, and shrink the controller's step, not this
+                    # one, which would be stretched again and fail for ever
+                    if h / h_ctrl < reach:
+                        reach = h / h_ctrl
+                    h = h_ctrl
+                shrink = safety * err ** -0.125
+                h_ctrl = h * (shrink if shrink > 0.2 else 0.2)
+    finally:
+        traj.n_accepted, traj.n_rejected, traj.n_clipped = accepted, rejected, clipped
+        traj.step_min, traj.step_max, traj.failed_step_evals = step_min, step_max, failed
     return traj
 
 
@@ -870,11 +906,16 @@ def invariants_state(m: MassParams, pot: Potential) -> dict:
     }
 
 
+def csv_rows(columns: Sequence, *labels) -> Iterator[str]:
+    """The CSV lines of a table given by its columns: each cell of
+    ``columns`` (sequences of floats) is its ``repr``, formatted one column
+    at a time, and each of ``labels`` (sequences of strings) follows them
+    as it is."""
+    return map(",".join, zip(*(map(repr, column) for column in columns), *labels))
+
+
 def trajectory_csv(traj: Trajectory, labels: Sequence[str], columns: dict) -> str:
     """CSV text with time, state components and the :func:`sample_columns`
     of ``traj``."""
-    buf = io.StringIO()
-    buf.write(",".join(["t", *labels, *columns]) + "\n")
-    for t, y, *extra in zip(traj.ts, traj.ys, *columns.values()):
-        buf.write(",".join(map(repr, (t, *y, *extra))) + "\n")
-    return buf.getvalue()
+    rows = csv_rows([traj.ts, *zip(*traj.ys), *columns.values()])
+    return "\n".join([",".join(["t", *labels, *columns]), *rows]) + "\n"

@@ -95,12 +95,16 @@ class Potential:
             except TypeError:  # a block of rows, which math.sqrt does not take
                 return -mm * r / np.sqrt(1.0 - r * r)
 
+        # f and fprime take a float and test the guard's condition inline,
+        # calling it only where r is within the margin or NaN, to name r
         def f(r: float) -> float:
-            _collision_guard(r)
+            if not 1.0 - abs(r) > COLLISION_MARGIN:
+                _collision_guard(r)
             return mm * (1.0 - r * r) ** -1.5
 
         def fprime(r: float) -> float:
-            _collision_guard(r)
+            if not 1.0 - abs(r) > COLLISION_MARGIN:
+                _collision_guard(r)
             return 3.0 * mm * r * (1.0 - r * r) ** -2.5
 
         return cls(kind="gravitational", v=v, f=f, fprime=fprime)

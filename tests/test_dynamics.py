@@ -29,6 +29,8 @@ from spheretop.dynamics import (
     FlowConfig,
     HamiltonianKind,
     SingularityError,
+    Trajectory,
+    csv_rows,
     drift_summary,
     evaluate_reduced_hamiltonian,
     integrate,
@@ -652,11 +654,14 @@ class TestLanding:
     """A stop (a sample time, or t_end) within 1/0.9 of the controller's step
     is reached in one step, stretched or clipped to land on it exactly."""
 
-    @pytest.mark.parametrize("ratio, per_sample", [(1.05, 1), (1.25, 2)])
+    @pytest.mark.parametrize("ratio, per_sample", [(1.05, 1), (1.110, 2), (1.111, 2), (1.25, 2)])
     def test_steps_per_sample_after_the_warm_up(self, ratio, per_sample):
         # at 1.05 h a sample interval took the free step and a sliver of
         # 0.05 h, which costs the same 12 evaluations; at 1.25 h it takes the
-        # free step and a clipped one, as it did
+        # free step and a clipped one, as it did.  At 1.110 h and 1.111 h the
+        # stretched step fails: each interval then took a rejected step, a
+        # free one and a clipped one, as the free step restored h_ctrl for
+        # the next; now the first failure stops the stretching
         dt = ratio * _settled_step()
         runs = []
         for n in (10, 30):
@@ -687,6 +692,89 @@ class TestLanding:
         assert traj.rhs_evals == len(calls)
         assert 0 <= traj.n_clipped <= traj.n_accepted
         assert all(abs(y - math.exp(-t)) < 1e-11 for t, (y,) in zip(traj.ts, traj.ys))
+
+
+def _logged(field, calls, fail_at=None, value=None):
+    """``field`` logging each evaluation in ``calls`` as (t, slope, returned):
+    ``integrate`` passes a recorded state as a tuple, and a step's stages a
+    list.  Evaluation ``fail_at`` raises a collision, or returns ``value``."""
+    def logged(t, y):
+        calls.append([t, isinstance(y, tuple), False])
+        if len(calls) == fail_at and value is None:
+            raise CollisionError("synthetic collision")
+        out = (value,) if len(calls) == fail_at else field(t, y)
+        calls[-1][2] = True
+        return out
+
+    return logged
+
+
+def _pulse(t, y):  # sharp enough to make the controller reject steps
+    return (1.0 / (0.01 + (t - 3.0) ** 2),)
+
+
+PULSE_CFG = FlowConfig(rel_tol=1e-8, abs_tol=1e-8)
+
+
+class TestExits:
+    """Every way ``integrate`` ends leaves the trajectory the counts of what
+    it did, as a log of the field's evaluations gives them."""
+
+    # (field, y0, t_end, sample_dt, evaluation that fails and its value, the
+    # message, whether the last step was cut short, and (n_accepted,
+    # n_rejected, n_clipped, step_min, step_max, rhs_evals)); the pulse's
+    # first rejected step makes evaluations 86-96, its next step 97-108
+    CASES = {
+        "end, sampled": (_pulse, 0.0, 10.0, 0.7, None, None, None, False,
+                         (46, 14, 15, 1e-06, 0.7000000000000011, 707)),
+        "end, every step": (_pulse, 0.0, 10.0, None, None, None, None, False,
+                            (40, 14, 1, 1e-06, 1.7305160654877312, 635)),
+        "step underflow": (lambda t, y: (y[0] * y[0],), 1.0, 2.0, 0.25, None, None,
+                           "step size underflow", False,
+                           (387, 4, 3, 1.633156473059221e-13, 0.06824309455794932, 4689)),
+        "collision in a stage": (_pulse, 0.0, 10.0, 0.7, 113, None, "collision near", True,
+                                 (8, 1, 1, 1e-06, 0.588889, 113)),
+        "collision at the new state": (_pulse, 0.0, 10.0, 0.7, 108, None, "collision at",
+                                       True, (7, 1, 1, 1e-06, 0.588889, 108)),
+        "NaN estimate": (_pulse, 0.0, 10.0, 0.7, 113, math.nan, "NaN error estimate", True,
+                         (8, 1, 1, 1e-06, 0.588889, 119)),
+        "collision at the start": (_pulse, 0.0, 10.0, 0.7, 1, None, "collision at", False,
+                                   (0, 0, 0, math.inf, 0.0, 1)),
+        "non-finite slope": (_pulse, 0.0, 10.0, 0.7, 1, math.inf, "non-finite vector field",
+                             False, (0, 0, 0, math.inf, 0.0, 1)),
+        # it reported the initial slope as evaluated
+        "non-finite start": (_pulse, math.nan, 10.0, 0.7, None, None, "non-finite initial",
+                             False, (0, 0, 0, math.inf, 0.0, 0)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_the_counts_match_the_evaluations(self, case):
+        field, y0, t_end, dt, fail_at, value, message, cut, pinned = self.CASES[case]
+        calls = []
+        rhs = _logged(field, calls, fail_at, value)
+        if message is None:
+            traj = integrate(rhs, (y0,), t_end, PULSE_CFG if field is _pulse else FlowConfig(),
+                             sample_dt=dt)
+        else:
+            with pytest.raises(SingularityError, match=message) as err:
+                integrate(rhs, (y0,), t_end,
+                           PULSE_CFG if field is _pulse else FlowConfig(), sample_dt=dt)
+            traj = err.value.trajectory
+        counts = (traj.n_accepted, traj.n_rejected, traj.n_clipped, traj.step_min,
+                  traj.step_max, traj.rhs_evals)
+        assert counts == pinned
+        # the log: each accepted step ends in a slope that returned, each
+        # attempted step makes 11 stage evaluations (fewer where one raised)
+        slopes = [t for t, slope, returned in calls if slope and returned]
+        attempted = -(-sum(not slope for _, slope, _ in calls) // 11)
+        accepted = max(len(slopes) - 1, 0)
+        assert traj.rhs_evals == len(calls)
+        assert (traj.n_accepted, traj.n_rejected) == (accepted, attempted - accepted - cut)
+        if accepted:
+            gaps = [b - a for a, b in zip(slopes, slopes[1:])]
+            ulp = 2.0 * math.ulp(slopes[-1])  # t_new - t is h up to the rounding of t_new
+            assert traj.step_min == pytest.approx(min(gaps), abs=ulp, rel=0)
+            assert traj.step_max == pytest.approx(max(gaps), abs=ulp, rel=0)
 
 
 def _rigid_motion(re, t):
@@ -1170,6 +1258,57 @@ class TestTopEquivalence:
             assert np.allclose(
                 table_flow(grad, pt, allow_off_variety=True),
                 rhs_full_reduced(pt, m_eq, pot_eq), atol=1e-10)
+
+
+# cells a writer must keep byte for byte: signed zeros, the smallest
+# subnormal, repr's switches to exponent form, infinities and NaN
+_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-5, 0.1, 1e16, math.inf, -math.inf,
+                     math.nan]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@st.composite
+def _tables(draw):
+    """Columns of one length, some of them the ``.tolist()`` floats of a
+    numpy block computed from the drawn cells."""
+    n_rows = draw(st.integers(1, 6))
+    columns = []
+    for _ in range(draw(st.integers(1, 5))):
+        column = draw(st.lists(_CELLS, min_size=n_rows, max_size=n_rows))
+        if draw(st.booleans()):
+            with np.errstate(all="ignore"):
+                column = (np.array(column) / 3.0 * draw(_CELLS)).tolist()
+        columns.append(column)
+    return columns
+
+
+class TestWriters:
+    """The writers format one column at a time and give the bytes of
+    ``",".join(map(repr, row))`` row by row."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_tables(), st.booleans())
+    def test_csv_rows_are_the_rows_joined(self, columns, labelled):
+        labels = [[f"s{i}" for i in range(len(columns[0]))]] if labelled else []
+        rows = [",".join(map(repr, row)) for row in zip(*columns)]
+        if labelled:
+            rows = [f"{row},{label}" for row, label in zip(rows, labels[0])]
+        assert list(csv_rows(columns, *labels)) == rows
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_tables(), st.integers(0, 2))
+    def test_trajectory_csv_is_the_rows_joined(self, columns, n_extra):
+        t, *state = columns
+        state = state or [t]  # at least one component
+        extra = {f"q{j}": list(reversed(t)) for j in range(n_extra)}
+        traj = Trajectory(ts=t, ys=list(zip(*state)))
+        labels = [f"x{i}" for i in range(len(state))]
+        want = [",".join(["t", *labels, *extra])]
+        want += [",".join(map(repr, (ti, *y, *e)))
+                 for ti, y, *e in zip(traj.ts, traj.ys, *extra.values())]
+        assert trajectory_csv(traj, labels, extra) == "\n".join(want) + "\n"
 
 
 def test_trajectory_csv_layout(rng):

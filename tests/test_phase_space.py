@@ -3,9 +3,10 @@ import re
 
 import numpy as np
 import pytest
-from conftest import oracle_mul, quat, random_unit
+from conftest import bits, oracle_mul, quat, random_unit
 
 from spheretop.phase_space import (
+    COLLISION_MARGIN,
     MODEL_RANGE,
     CollisionError,
     MassParams,
@@ -18,6 +19,7 @@ from spheretop.phase_space import (
     momentum_right,
     random_cospherical_state,
     random_phase_state,
+    _collision_guard,
     sjamaar_slice_check,
 )
 from spheretop.quaternion import (
@@ -289,6 +291,41 @@ class TestBlocks:
             assert [float(c[i]).hex() for c in got] == [w.hex() for w in want]
         with pytest.raises(ZeroDivisionError, match="zero quaternion has no inverse"):
             quat_inverse_vec((0.0, -0.0, 1e-200, 0.0))
+
+
+def _outcome(fn, r):
+    """The bits fn(r) returns, or its exception's type and text."""
+    try:
+        return bits((fn(r),))
+    except Exception as exc:  # noqa: BLE001
+        return type(exc), str(exc)
+
+
+class TestGuardFastPath:
+    """The gravitational f and fprime test the guard's condition inline: they
+    give what the guard and the formula give, bit for bit and error for error."""
+
+    M = MassParams(0.8, 1.9)
+    EDGE = 1.0 - COLLISION_MARGIN
+    POINTS = [1.0, EDGE, math.nextafter(EDGE, 0.0), math.nextafter(EDGE, 2.0), 0.0, 5e-324,
+              2.2250738585072014e-308 / 3, 0.5, 2.0, math.inf, math.nan]
+
+    @pytest.mark.parametrize("r", [s * r for r in POINTS for s in (1.0, -1.0)])
+    def test_f_and_fprime_are_the_guard_and_the_formula(self, r):
+        pot, mm = Potential.gravitational(self.M), self.M.m1 * self.M.m2
+
+        def f(r):
+            _collision_guard(r)
+            return mm * (1.0 - r * r) ** -1.5
+
+        def fprime(r):
+            _collision_guard(r)
+            return 3.0 * mm * r * (1.0 - r * r) ** -2.5
+
+        assert _outcome(pot.f, r) == _outcome(f, r)
+        assert _outcome(pot.fprime, r) == _outcome(fprime, r)
+        near = 1.0 - abs(r) <= COLLISION_MARGIN  # False for NaN, which the guard lets by
+        assert (_outcome(pot.f, r)[0] is CollisionError) == near
 
 
 class TestModelRange:
