@@ -12,6 +12,7 @@ from spheretop.phase_space import (
     MassParams,
     PhaseState,
     Potential,
+    _collision_guard,
     classify_point,
     hamiltonian_2body,
     hamiltonian_lagrange,
@@ -19,7 +20,6 @@ from spheretop.phase_space import (
     momentum_right,
     random_cospherical_state,
     random_phase_state,
-    _collision_guard,
     sjamaar_slice_check,
 )
 from spheretop.quaternion import (
@@ -297,7 +297,7 @@ def _outcome(fn, r):
     """The bits fn(r) returns, or its exception's type and text."""
     try:
         return bits((fn(r),))
-    except Exception as exc:  # noqa: BLE001
+    except (ArithmeticError, ValueError) as exc:  # CollisionError is a ValueError
         return type(exc), str(exc)
 
 
