@@ -23,8 +23,6 @@ from spheretop.dynamics import (
     make_body_rhs,
     make_invariant_rhs,
     make_reduced_rhs,
-    point_to_vec,
-    reduced_to_vec,
     sample_columns,
 )
 from spheretop.phase_space import (
@@ -45,8 +43,8 @@ def main(seed: str = "3") -> int:
     rs = left_reduce(state)
     levels = (
         ("full", make_body_rhs(m, pot), to_body_coords(state), invariants_state(m, pot)),
-        ("reduced", make_reduced_rhs(m, pot), reduced_to_vec(rs), invariants_reduced(m, pot)),
-        ("invariant", make_invariant_rhs(m, pot), point_to_vec(hilbert_map(rs)),
+        ("reduced", make_reduced_rhs(m, pot), tuple(rs), invariants_reduced(m, pot)),
+        ("invariant", make_invariant_rhs(m, pot), tuple(hilbert_map(rs)),
          invariants_point(m, pot)),
     )
 

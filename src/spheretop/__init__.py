@@ -17,7 +17,6 @@ from .quaternion import (
     So4Element,
     adjoint_bracket,
     classify_subgroup,
-    inner_product,
     phi_double_cover,
     quat_mul,
     so4_isom_pullback,

@@ -18,20 +18,19 @@ import os
 import stat
 import sys
 import time
+from array import array
 from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from . import dynamics
 from . import energy_casimir as ec
 from . import stability as stab
 from .dynamics import (
     FlowConfig,
     HamiltonianKind,
     SingularityError,
-    csv_rows,
     drift_summary,
     integrate,
     invariants_point,
@@ -398,9 +397,9 @@ def cmd_simulate(cfg: dict, given: set) -> int:
 _REDUCE = (*_MODEL, Opt("out", str, "invariants.csv"), Opt("state", str), Opt("trajectory", str))
 
 
-def _trajectory_blocks(path: str) -> list[np.ndarray]:
-    """The rows of a ``--space full`` trajectory CSV as (17, n) blocks of at
-    most ``SAMPLE_BLOCK_ROWS`` rows, each column t and then the state.
+def _trajectory_rows(path: str) -> array:
+    """The rows of a ``--space full`` trajectory CSV, 17 doubles each: t and
+    then the state.
 
     Blank lines are skipped, a column is found by the last header cell of its
     name, and cells past the header's are ignored.  A row is rejected, by its
@@ -417,41 +416,26 @@ def _trajectory_blocks(path: str) -> list[np.ndarray]:
             raise ValueError(f"trajectory {path} lacks the columns {missing}; "
                              "reduce needs a --space full trajectory")
         it, pick = index["t"], operator.itemgetter(*map(index.get, labels))
-        n = dynamics.SAMPLE_BLOCK_ROWS
-        blocks, cells, rows = [], [], []  # the t cells and values of the block so far
+        rows = array("d")
         for row in reader:
             if not row:
                 continue
-            cells.append(row[it] if it < len(row) else None)
             try:
-                rows.append(list(map(float, pick(row))))
+                vals = list(map(float, pick(row)))
             except (IndexError, ValueError):  # a short row, or a cell that is no number
-                if rows:  # an earlier row of the block may be bad first
-                    _check_rows(cells, rows)
-                raise ValueError(f"trajectory row t = {cells[-1]} has a cell that is not "
-                                 "a number") from None
-            if len(rows) == n:
-                blocks.append(_check_rows(cells, rows))
-                cells, rows = [], []
-        if rows:
-            blocks.append(_check_rows(cells, rows))
-    return blocks
-
-
-def _check_rows(cells: list, rows: list[list[float]]) -> np.ndarray:
-    """The (17, n) block of ``rows`` (t, then a state), or ``ValueError``
-    naming, by its t cell, the first row with a non-finite value or g1 or g2
-    zero."""
-    block = np.array(rows).T
-    with np.errstate(over="ignore", invalid="ignore"):
-        bad = ~np.isfinite(block).all(axis=0)
-        zero = (quat_dot_vec(block[1:5], block[1:5]) == 0.0) | (
-            quat_dot_vec(block[9:13], block[9:13]) == 0.0)
-    if bad.any() or zero.any():
-        k = int((bad | zero).argmax())
-        what = "a non-finite cell" if bad[k] else "g1 or g2 zero"
-        raise ValueError(f"trajectory row t = {cells[k]} has {what}")
-    return block
+                what = "a cell that is not a number"
+            else:
+                if not all(map(math.isfinite, vals)):
+                    what = "a non-finite cell"
+                elif quat_dot_vec(vals[1:5], vals[1:5]) == 0.0 or (
+                        quat_dot_vec(vals[9:13], vals[9:13]) == 0.0):
+                    what = "g1 or g2 zero"
+                else:
+                    rows.extend(vals)
+                    continue
+            raise ValueError(f"trajectory row t = {row[it] if it < len(row) else None} "
+                             f"has {what}")
+    return rows
 
 
 def cmd_reduce(cfg: dict, given: set) -> int:
@@ -463,23 +447,20 @@ def cmd_reduce(cfg: dict, given: set) -> int:
     if source == "state":
         state = PhaseState.from_json_dict(_load_json("--state", cfg["state"]))
         state.validate()
-        blocks = [np.array((0.0, *state))[:, None]]
+        rows = array("d", (0.0, *state))
     else:
-        blocks = _trajectory_blocks(cfg["trajectory"])
+        rows = _trajectory_rows(cfg["trajectory"])
     read = time.perf_counter()
 
-    # the invariants, Casimirs and strata of each block of rows at once
     lines = [",".join(("t", *INVARIANT_CSV_COLUMNS, "C1", "C2", "C3", "stratum"))]
-    for block in blocks:
-        with np.errstate(over="ignore", invalid="ignore"):
-            pt = invariant_map(block[1:])
-            values = np.array((block[0], *pt, *all_casimirs(pt)))
-            finite = np.isfinite(values).all(axis=0)
-        if not finite.all():  # a finite state can overflow here
-            t = values[0, finite.argmin()].item()
+    for i in range(0, len(rows), 17):
+        t = rows[i]
+        pt = invariant_map(rows[i + 1:i + 17])
+        values = (t, *pt, *all_casimirs(pt))
+        if not all(map(math.isfinite, values)):  # a finite state can overflow here
             where = "--state" if source == "state" else f"trajectory row t = {t!r}"
             raise ValueError(f"{where}: the invariants or Casimirs are not finite")
-        lines += csv_rows(values.tolist(), stratum_classify(values[1:9]))
+        lines.append(",".join((*map(repr, values), stratum_classify(pt))))
     reduced = time.perf_counter()
     run = {"rows": len(lines) - 1, "wall_s": {"read": read - start, "reduce": reduced - read}}
     _leave(cfg["out"], "reduce", cfg, run, {cfg["out"]: "\n".join(lines) + "\n"}, reduced)

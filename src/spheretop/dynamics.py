@@ -87,9 +87,9 @@ from .reduction import (
     variety_defect_vec,
 )
 
-# the flat encodings of the 16-d and 10-d levels, imported from here too
-from .phase_space import state_to_vec, vec_to_state  # noqa: F401
-from .reduction import reduced_to_vec, vec_to_reduced  # noqa: F401
+# the maps of a flat 16-d and 10-d vector to its state, imported from here too
+from .phase_space import vec_to_state  # noqa: F401
+from .reduction import vec_to_reduced  # noqa: F401
 
 KIND_TWO_BODY = "two_body"
 KIND_LAGRANGE = "lagrange"
@@ -208,12 +208,8 @@ def evaluate_reduced_hamiltonian(kind: HamiltonianKind, x) -> float:
 
 
 # ---------------------------------------------------------------------------
-# flat-vector encodings and fast closures for the integrator
+# the flat vector fields for the integrator
 # ---------------------------------------------------------------------------
-
-point_to_vec = tuple
-vec_to_point = InvariantPoint.from_tuple
-
 
 def make_reduced_rhs(m: MassParams, pot: Potential, side: str = SIDE_LEFT) -> Callable:
     """Flat 10-dimensional vector field for either reduced side, with r = Re gD:
@@ -385,8 +381,8 @@ _SAFETY = 0.9
 # nodes of an energy-Casimir sheet: every row is held in memory (a sheet node
 # about 0.6 KB)
 MAX_SAMPLE_ROWS = 10 ** 6
-# the most sample rows mapped and evaluated together (``sample_blocks``, and
-# ``reduce``'s rows), which bounds the arrays a long run holds besides its rows
+# the most sample rows ``sample_blocks`` maps and evaluates together, which
+# bounds the arrays a long run of ``simulate`` holds besides its rows
 SAMPLE_BLOCK_ROWS = 1024
 
 

@@ -22,7 +22,6 @@ from .quaternion import (
     ImaginaryQuaternion,
     Quaternion,
     UNIT_NORM_TOL,
-    inner_product,
     quat_dot_vec,
     quat_inverse_vec,
     quat_mul,
@@ -72,10 +71,11 @@ class Potential:
 
     ``v`` evaluates V(r), ``f`` the force f(r) = -dV/dr and ``fprime`` its
     derivative df/dr.  The gravitational kind carries the m1*m2 factor
-    internally and guards the r -> +-1 singularities; the linear kind is
-    V = gamma*r with constant force -gamma, gamma zero or of a magnitude in
-    ``MODEL_RANGE``.  ``v`` of either kind also takes a block of rows (an
-    array of r), with the IEEE operations of a float for each entry.
+    internally, and each of its ``v``, ``f`` and ``fprime`` calls
+    ``_collision_guard`` on r, which guards the r -> +-1 singularities; the
+    linear kind is V = gamma*r with constant force -gamma, gamma zero or of a
+    magnitude in ``MODEL_RANGE``.  ``v`` of either kind also takes a block of
+    rows (an array of r), with the IEEE operations of a float for each entry.
     """
 
     kind: str
@@ -95,16 +95,12 @@ class Potential:
             except TypeError:  # a block of rows, which math.sqrt does not take
                 return -mm * r / np.sqrt(1.0 - r * r)
 
-        # f and fprime take a float and test the guard's condition inline,
-        # calling it only where r is within the margin or NaN, to name r
         def f(r: float) -> float:
-            if not 1.0 - abs(r) > COLLISION_MARGIN:
-                _collision_guard(r)
+            _collision_guard(r)
             return mm * (1.0 - r * r) ** -1.5
 
         def fprime(r: float) -> float:
-            if not 1.0 - abs(r) > COLLISION_MARGIN:
-                _collision_guard(r)
+            _collision_guard(r)
             return 3.0 * mm * r * (1.0 - r * r) ** -2.5
 
         return cls(kind="gravitational", v=v, f=f, fprime=fprime)
@@ -188,7 +184,7 @@ class PhaseState(tuple):
             if abs(g.norm2() - 1.0) > 2.0 * UNIT_NORM_TOL:
                 raise ValueError("positions must lie on the unit sphere")
         for p, g in ((self.p1, self.g1), (self.p2, self.g2)):
-            if abs(inner_product(p, g)) > UNIT_NORM_TOL * max(1.0, p.norm()):
+            if abs(quat_dot_vec(p, g)) > UNIT_NORM_TOL * max(1.0, p.norm()):
                 raise ValueError("momenta must be tangent to the sphere")
 
     def separation(self) -> float:
@@ -213,9 +209,6 @@ class PhaseState(tuple):
                 raise ValueError(f"state entry {key} must be a list of four numbers, "
                                  f"got {d.get(key)!r}") from None
         return cls(**parts)
-
-
-state_to_vec = tuple  # a PhaseState is its flat vector
 
 
 def vec_to_state(v: Sequence[float]) -> PhaseState:
@@ -302,7 +295,7 @@ def hamiltonian_lagrange(s: PhaseState, alpha: float, gamma: float) -> float:
     r1 = quat_mul(s.g1.inverse(), s.p1)
     r2 = quat_mul(s.g2.inverse(), s.p2)
     return ((1.0 + alpha) / 4.0 * (s.p1.norm2() + s.p2.norm2())
-            + (1.0 - alpha) / 2.0 * inner_product(r1, r2)
+            + (1.0 - alpha) / 2.0 * quat_dot_vec(r1, r2)
             + gamma * s.separation())
 
 
@@ -357,7 +350,7 @@ def sjamaar_slice_check(
 
 def tangent_project(p: Quaternion, g: Quaternion) -> Quaternion:
     """Remove the component of p along g (orthogonal projection)."""
-    return p - (inner_product(p, g) / g.norm2()) * g
+    return p - (quat_dot_vec(p, g) / g.norm2()) * g
 
 
 def random_unit_quaternion(rng: np.random.Generator) -> Quaternion:

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dynamics import HamiltonianKind
-from .quaternion import ImaginaryQuaternion, Quaternion, inner_product, quat_mul
+from .quaternion import ImaginaryQuaternion, Quaternion, quat_dot_vec, quat_mul
 from .reduction import INVARIANT_CSV_COLUMNS, InvariantPoint, ReducedState, SIDE_LEFT
 
 GENERATORS = INVARIANT_CSV_COLUMNS
@@ -59,11 +59,11 @@ def lie_poisson_bracket(
     a2 = at.A2.as_quaternion()
     d1f, d1g = df.d1.as_quaternion(), dg.d1.as_quaternion()
     d2f, d2g = df.d2.as_quaternion(), dg.d2.as_quaternion()
-    term1 = inner_product(a1, quat_mul(d1f, d1g) - quat_mul(d1g, d1f))
-    term2 = inner_product(a2, quat_mul(d2f, d2g) - quat_mul(d2g, d2f))
+    term1 = quat_dot_vec(a1, quat_mul(d1f, d1g) - quat_mul(d1g, d1f))
+    term2 = quat_dot_vec(a2, quat_mul(d2f, d2g) - quat_mul(d2g, d2f))
     mixed = (quat_mul(d1f, dg.d3) - quat_mul(dg.d3, d2f)
              - quat_mul(d1g, df.d3) + quat_mul(df.d3, d2g))
-    term3 = inner_product(at.gD, mixed)
+    term3 = quat_dot_vec(at.gD, mixed)
     return sign * (term1 + term2 + term3)
 
 

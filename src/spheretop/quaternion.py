@@ -188,9 +188,6 @@ def quat_dot_vec(p, q) -> float:
     return pw * qw + px * qx + py * qy + pz * qz
 
 
-inner_product = quat_dot_vec
-
-
 def adjoint_bracket(omega: ImaginaryQuaternion, q: ImaginaryQuaternion) -> ImaginaryQuaternion:
     """Commutator [omega, q] = omega q - q omega, equal to 2 (omega x q)."""
     a = quat_mul(omega.as_quaternion(), q.as_quaternion())

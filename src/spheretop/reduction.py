@@ -23,8 +23,6 @@ from __future__ import annotations
 import math
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
 from .phase_space import PhaseState, body_frame_vec, flat_floats, space_frame_vec
 from .quaternion import ImaginaryQuaternion, Quaternion, quat_mul, quat_mul_vec
 
@@ -141,9 +139,6 @@ class CasimirValues(NamedTuple):
     C3: float
 
 
-reduced_to_vec = tuple  # a ReducedState is its flat vector
-
-
 def vec_to_reduced(v: Sequence[float], side: str = SIDE_LEFT) -> ReducedState:
     return ReducedState(v[0:3], v[3:6], v[6:10], side)
 
@@ -228,13 +223,8 @@ def stratum_classify(p: Sequence[float], tol: float = 1e-9) -> str:
     isotropy, detected through equality in all three Cauchy-Schwarz relations
     together with delta = 0; everything else is in the free stratum.  A
     non-finite point raises ``ValueError``, as ``InvariantPoint.validate`` does.
-
-    ``p`` may also be a block of points, an (8, n) array of their invariants,
-    for which the list of the n labels is returned, each the one its point
-    gets alone.
+    ``reduce`` labels each row of its CSV with it, one point at a time.
     """
-    if isinstance(p, np.ndarray) and p.ndim == 2:
-        return _strata(p, tol)
     if not all(map(math.isfinite, p)):
         raise ValueError("invariants must be finite")
     k11, k12, k13, k22, k23, k33, r, delta = p
@@ -250,25 +240,6 @@ def stratum_classify(p: Sequence[float], tol: float = 1e-9) -> str:
         and abs(delta) <= tol * scale ** 1.5
     )
     return STRATUM_SO2 if colinear else STRATUM_FREE
-
-
-def _strata(p: np.ndarray, tol: float) -> list[str]:
-    """``stratum_classify`` of each column of an (8, n) block, with its
-    comparisons; the delta bound, a power, is taken as a float on the rows
-    that reach it, so that it has the bits of ``**``."""
-    if not np.isfinite(p).all():
-        raise ValueError("invariants must be finite")
-    k11, k12, k13, k22, k23, k33, r, delta = p
-    scale = np.maximum(np.maximum(np.maximum(1.0, k11), k22), k33)
-    gens = np.abs(p[[0, 1, 2, 3, 4, 5, 7]]).max(axis=0)
-    cut = tol * scale * scale
-    colinear = ((abs(k12 * k12 - k11 * k22) <= cut) & (abs(k13 * k13 - k11 * k33) <= cut)
-                & (abs(k23 * k23 - k22 * k33) <= cut))
-    labels = np.where(gens <= tol * scale, STRATUM_FULL, STRATUM_FREE).tolist()
-    for i in np.flatnonzero(colinear & (gens > tol * scale)).tolist():
-        if abs(delta[i].item()) <= tol * scale[i].item() ** 1.5:
-            labels[i] = STRATUM_SO2
-    return labels
 
 
 def left_reduce(s: PhaseState) -> ReducedState:

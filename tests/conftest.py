@@ -1,6 +1,7 @@
 """Shared helpers: independent mini-oracles and random-state factories."""
 
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -8,6 +9,40 @@ import pytest
 from spheretop.phase_space import random_phase_state
 from spheretop.quaternion import ImaginaryQuaternion, Quaternion
 from spheretop.reduction import ReducedState, hilbert_map, left_reduce
+
+# Every test's call runs under this wall-clock limit, far above the slowest
+# test (3.6-5.1 s on a 2-core host): a step-size controller that never
+# accepts a step loops without end, and the alarm fails its test by its id.
+# Past the limit the alarm repeats each second: a handler that runs inside
+# a callback which swallows exceptions (hypothesis's gc callback) is lost.
+TEST_TIME_LIMIT_S = 60.0
+
+
+class TimeLimitExceeded(BaseException):
+    """Raised by the alarm: not an ``Exception``, nor pytest's ``Failed``, so
+    that neither a test's ``except Exception`` nor hypothesis, which shrinks
+    a failing example by running it again, catches it."""
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"{item.nodeid} ran past the {TEST_TIME_LIMIT_S:g} s limit")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S, 1.0)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0.0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def pytest_collection_modifyitems(items):
+    # the DOP853 tableau's own checks run first, so that a wrong coefficient
+    # fails by name before any flow test integrates with it
+    items.sort(key=lambda item: "::TestDOP853Tableau::" not in item.nodeid)
+
 
 # Basis multiplication table for the oracle product, independent of the
 # library implementation: (a, b) -> (result basis element, sign).

@@ -20,11 +20,8 @@ from spheretop.dynamics import (
     make_body_rhs,
     make_invariant_rhs,
     make_reduced_rhs,
-    point_to_vec,
-    reduced_to_vec,
     rhs_full_reduced,
     sample_columns,
-    vec_to_point,
     vec_to_reduced,
     vec_to_state,
     HamiltonianKind,
@@ -93,7 +90,7 @@ def _conservation_states(seed: int = 42):
         theta = rng.uniform(0.9, 1.5)
         eta = rng.uniform(1.0, 1.7)
         re = solve_re(theta, eta, CONS_MASSES, pot)
-        v = np.array(reduced_to_vec(left_reduce(re.state)))
+        v = np.array(left_reduce(re.state))
         v += 0.01 * rng.normal(size=10)
         grav_states.append(tuple(v))
     linear_states = []
@@ -115,7 +112,7 @@ def _conservation_worker(args):
     traj_l = integrate(make_reduced_rhs(CONS_MASSES, pot), y0, 100.0, sample_dt=5.0)
     drifts = drift_summary(sample_columns(traj_l, funcs))
 
-    pt0 = point_to_vec(hilbert_map(vec_to_reduced(y0)))
+    pt0 = tuple(hilbert_map(vec_to_reduced(y0)))
     traj_p = integrate(make_invariant_rhs(CONS_MASSES, pot), pt0, 100.0, sample_dt=5.0)
     drifts_p = drift_summary(sample_columns(traj_p, invariants_point(CONS_MASSES, pot)))
     return max(*drifts.values(), *drifts_p.values())
@@ -186,10 +183,10 @@ def test_criterion_03_commuting_square():
         s = random_phase_state(rng, momentum_scale=0.5)
         full = integrate(make_body_rhs(m, pot), to_body_coords(s), 10.0, sample_dt=1.0)
         inv = integrate(make_invariant_rhs(m, pot),
-                        point_to_vec(hilbert_map(left_reduce(s))), 10.0, sample_dt=1.0)
+                        tuple(hilbert_map(left_reduce(s))), 10.0, sample_dt=1.0)
         assert full.ts == pytest.approx(inv.ts)
         for yf, yi in zip(full.ys, inv.ys):
-            pushed = point_to_vec(hilbert_map(left_reduce(vec_to_state(from_body_coords(yf)))))
+            pushed = tuple(hilbert_map(left_reduce(vec_to_state(from_body_coords(yf)))))
             worst = max(worst, float(np.max(np.abs(np.array(pushed) - np.array(yi)))))
     ok = worst < 1e-6
     report(3, "commuting-square", ok, f"worst gap {worst:.2e}")
@@ -361,12 +358,12 @@ def test_criterion_08_top_equivalence():
     grad = hamiltonian_gradient(kind)
 
     def bracket_rhs(t, y):
-        return table_flow(grad, vec_to_point(y), allow_off_variety=True)
+        return table_flow(grad, InvariantPoint.from_tuple(y), allow_off_variety=True)
 
     rng = np.random.default_rng(5)
     worst_traj = 0.0
     for _ in range(5):
-        pt0 = point_to_vec(hilbert_map(left_reduce(
+        pt0 = tuple(hilbert_map(left_reduce(
             random_phase_state(rng, momentum_scale=0.5))))
         a = integrate(make_invariant_rhs(m_eq, pot_eq), pt0, 10.0, sample_dt=1.0)
         b = integrate(bracket_rhs, pt0, 10.0, sample_dt=1.0)
@@ -376,10 +373,10 @@ def test_criterion_08_top_equivalence():
 
     # the extra integral barely drifts over a long run of the same flow
     pt0 = hilbert_map(left_reduce(random_phase_state(rng, momentum_scale=0.5)))
-    traj = integrate(make_invariant_rhs(m_eq, pot_eq), point_to_vec(pt0),
+    traj = integrate(make_invariant_rhs(m_eq, pot_eq), tuple(pt0),
                      100.0, sample_dt=5.0)
     i0 = integral_I(pt0, alpha, gamma)
-    drift = max(abs(integral_I(vec_to_point(y), alpha, gamma) - i0)
+    drift = max(abs(integral_I(InvariantPoint.from_tuple(y), alpha, gamma) - i0)
                 for y in traj.ys) / max(1.0, abs(i0))
     ok = worst_traj < 1e-6 and drift < 1e-8
     report(8, "top-equivalence", ok,
@@ -408,10 +405,10 @@ def test_criterion_09_slice_states():
         if k < 25:
             pt0 = hilbert_map(left_reduce(s))
             label0 = stratum_classify(pt0)
-            traj = integrate(make_invariant_rhs(m, pot), point_to_vec(pt0),
+            traj = integrate(make_invariant_rhs(m, pot), tuple(pt0),
                              10.0, sample_dt=1.0)
             for y in traj.ys:
-                pt = vec_to_point(y)
+                pt = InvariantPoint.from_tuple(y)
                 gap = abs((casimir_C2_invariant(pt))
                           - (pt.k11 + pt.k22 + 2 * pt.k12))
                 assert gap < 1e-8 * max(1.0, casimir_C2_invariant(pt))
@@ -471,7 +468,7 @@ def test_criterion_10_bracket_suite():
 
     # Jacobi identity where the variety relations hold
     def fd_grad(fn, pt, h=1e-4):
-        base = np.array(point_to_vec(pt))
+        base = np.array(pt)
         out = []
         for i in range(8):
             up, dn = base.copy(), base.copy()

@@ -668,9 +668,8 @@ class TestReduceRows:
          "trajectory row t = 0.7 has g1 or g2 zero"),
     ], ids=["short", "short-no-t", "word", "nan", "inf-t", "g1", "g2"])
     @pytest.mark.parametrize("at", [0, 2, 3, 7])
-    def test_a_bad_row_is_named_in_any_block(self, tmp_path, capsys, monkeypatch, bad, message,
-                                            at):
-        monkeypatch.setattr(dynamics, "SAMPLE_BLOCK_ROWS", 3)
+    def test_a_bad_row_is_named_in_any_block(self, tmp_path, capsys, bad, message, at):
+        # the bad row first, or after two, three or seven good rows
         lines = [",".join(("t", *cli._STATE_LABELS)), *[self.GOOD] * 9]
         lines[1 + at] = bad
         path = tmp_path / "full.csv"
@@ -680,11 +679,9 @@ class TestReduceRows:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_the_first_bad_row_is_named_whatever_its_fault(self, tmp_path, capsys,
-                                                           monkeypatch):
-        # a non-finite row before a short one in the same block, and a short
-        # row before one whose invariants overflow
-        monkeypatch.setattr(dynamics, "SAMPLE_BLOCK_ROWS", 4)
+    def test_the_first_bad_row_is_named_whatever_its_fault(self, tmp_path, capsys):
+        # a non-finite row before a short one, and a short row after one whose
+        # invariants overflow: every row is read and checked before any is reduced
         nan = "0.2," + ",".join(["1.0", "0.0", "nan", "0.0"] * 4)
         big = "0.1," + ",".join(["1.0", "0.0", "0.0", "0.0", "0", "1e308", "0", "1e308"] * 2)
         path, out = tmp_path / "full.csv", tmp_path / "inv.csv"
@@ -696,7 +693,7 @@ class TestReduceRows:
             assert run(["reduce", "--trajectory", path, "--out", out]) == 4
             assert f"error: trajectory row {message}" in capsys.readouterr().err
 
-    def test_blank_lines_are_skipped_and_blocks_join_up(self, tmp_path, monkeypatch):
+    def test_blank_lines_are_skipped_and_blocks_join_up(self, tmp_path):
         rng = np.random.default_rng(29)
         rows = [(0.1 * i, random_flat_state(rng)) for i in range(11)]
         path, out = self._trajectory(tmp_path, rows), tmp_path / "inv.csv"
@@ -704,12 +701,10 @@ class TestReduceRows:
         whole = out.read_bytes()
         lines = path.read_text().splitlines()
         path.write_text("\n\n".join(lines[:4]) + "\n\n" + "\n".join(lines[4:]) + "\n\n")
-        for block_rows in (1, 3, 11, 1024):
-            monkeypatch.setattr(dynamics, "SAMPLE_BLOCK_ROWS", block_rows)
-            assert run(["reduce", "--trajectory", path, "--out", out]) == 0
-            assert out.read_bytes() == whole
-            manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
-            assert manifest["run"]["rows"] == 11
+        assert run(["reduce", "--trajectory", path, "--out", out]) == 0
+        assert out.read_bytes() == whole
+        manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+        assert manifest["run"]["rows"] == 11
 
 
 

@@ -38,12 +38,9 @@ from spheretop.dynamics import (
     make_body_rhs,
     make_invariant_rhs,
     make_reduced_rhs,
-    point_to_vec,
     reconstruct_rhs,
-    reduced_to_vec,
     rhs_full_reduced,
     sample_columns,
-    state_to_vec,
     trajectory_csv,
     vec_to_reduced,
     vec_to_state,
@@ -60,7 +57,7 @@ from spheretop.phase_space import (
     random_phase_state,
     to_body_coords,
 )
-from spheretop.quaternion import I, J, K, ONE, Quaternion, inner_product, quat_mul, quat_mul_vec
+from spheretop.quaternion import I, J, K, ONE, Quaternion, quat_dot_vec, quat_mul, quat_mul_vec
 from spheretop.reduction import (
     InvariantPoint,
     ReducedState,
@@ -93,7 +90,7 @@ class TestReducedVectorField:
         for _ in range(100):
             rs = random_reduced_state(rng)
             gdot = make_reduced_rhs(MassParams(1.3, 0.7), LIN)(0.0, rs)[6:10]
-            assert abs(inner_product(gdot, rs.gD)) < 1e-12
+            assert abs(quat_dot_vec(gdot, rs.gD)) < 1e-12
 
     def test_right_flow_mirrors_left(self, rng):
         rs = random_reduced_state(rng)
@@ -121,7 +118,7 @@ class TestInvariantVectorField:
         m = MassParams(1.4, 0.6)
         for _ in range(50):
             rs = random_reduced_state(rng)
-            v = reduced_to_vec(rs)
+            v = tuple(rs)
             rhs_r = make_reduced_rhs(m, LIN)
             h = 1e-6
             vdot = rhs_r(0.0, v)
@@ -149,7 +146,7 @@ def test_typed_fields_are_the_flat_closures(rng):
             assert make_reduced_rhs(m, pot, side)(0.0, sided) == pytest.approx(typed, rel=1e-14,
                                                                                abs=1e-14)
         pt = hilbert_map(rs)
-        assert rhs_full_reduced(pt, m, pot) == make_invariant_rhs(m, pot)(0.0, point_to_vec(pt))
+        assert rhs_full_reduced(pt, m, pot) == make_invariant_rhs(m, pot)(0.0, tuple(pt))
 
 
 def quaternion_state_rhs(m, pot):
@@ -210,7 +207,7 @@ class TestUnreducedVectorField:
         """Unit-sphere states and, like the integrator's stage vectors,
         states pushed off the sphere and off the tangent spaces."""
         for i in range(n):
-            v = state_to_vec(random_phase_state(rng, momentum_scale=1.5))
+            v = tuple(random_phase_state(rng, momentum_scale=1.5))
             if i % 2:
                 v = tuple(c * (1.0 + 1e-3 * e) for c, e in zip(v, rng.normal(size=16)))
             yield v
@@ -251,7 +248,7 @@ class TestUnreducedVectorField:
     def test_both_fields_name_a_collision(self):
         pot = self.POTENTIALS["grav"]
         g2 = Quaternion(math.cos(1e-6), math.sin(1e-6), 0.0, 0.0)
-        s = state_to_vec(PhaseState(g1=ONE, p1=J, g2=g2, p2=Quaternion(0.0, 0.0, 0.0, 1.0)))
+        s = tuple(PhaseState(g1=ONE, p1=J, g2=g2, p2=Quaternion(0.0, 0.0, 0.0, 1.0)))
         for field in (make_body_rhs(self.M, pot), quaternion_body_rhs(self.M, pot),
                       quaternion_state_rhs(self.M, pot)):
             with pytest.raises(CollisionError):
@@ -294,7 +291,7 @@ class TestUnreducedVectorField:
     @pytest.mark.parametrize("name", ["grav", "linear"])
     def test_mapped_out_run_follows_the_field_of_g_and_p(self, rng, name):
         pot = self.POTENTIALS[name]
-        y0 = state_to_vec(random_phase_state(rng, momentum_scale=0.6))
+        y0 = tuple(random_phase_state(rng, momentum_scale=0.6))
         body = integrate(make_body_rhs(self.M, pot), to_body_coords(y0), 5.0, sample_dt=0.5)
         ambient = integrate(quaternion_state_rhs(self.M, pot), y0, 5.0, sample_dt=0.5)
         assert body.ts == ambient.ts
@@ -329,7 +326,7 @@ class TestReconstruction:
         for _ in range(50):
             g = random_reduced_state(rng).gD
             out = reconstruct_rhs(g, imag(*rng.normal(size=3)), 1.7)
-            assert abs(inner_product(out, g)) < 1e-12
+            assert abs(quat_dot_vec(out, g)) < 1e-12
 
 
 class TestReducedHamiltonians:
@@ -380,13 +377,13 @@ class TestIntegrator:
         m = MassParams(1.0, 1.3)
         rs = random_reduced_state(rng)
         funcs = invariants_reduced(m, LIN)
-        traj = integrate(make_reduced_rhs(m, LIN), reduced_to_vec(rs), 10.0,
+        traj = integrate(make_reduced_rhs(m, LIN), tuple(rs), 10.0,
                          sample_dt=1.0)
         drift = drift_summary(sample_columns(traj, funcs))
         assert drift["C1"] < 1e-8
         assert drift["C2"] < 1e-8
         # tightened-tolerance rerun agrees with the nominal run
-        tight = integrate(make_reduced_rhs(m, LIN), reduced_to_vec(rs), 10.0,
+        tight = integrate(make_reduced_rhs(m, LIN), tuple(rs), 10.0,
                           FlowConfig(rel_tol=1e-13, abs_tol=1e-13))
         assert np.allclose(traj.final, tight.final, atol=1e-8)
 
@@ -395,10 +392,10 @@ class TestIntegrator:
         s = random_phase_state(rng, momentum_scale=0.6)
         full = integrate(make_body_rhs(m, LIN), to_body_coords(s), 10.0, sample_dt=2.0)
         inv = integrate(make_invariant_rhs(m, LIN),
-                        point_to_vec(hilbert_map(left_reduce(s))), 10.0, sample_dt=2.0)
+                        tuple(hilbert_map(left_reduce(s))), 10.0, sample_dt=2.0)
         assert full.ts == pytest.approx(inv.ts)
         for yf, yi in zip(full.ys, inv.ys):
-            pushed = point_to_vec(hilbert_map(left_reduce(vec_to_state(from_body_coords(yf)))))
+            pushed = tuple(hilbert_map(left_reduce(vec_to_state(from_body_coords(yf)))))
             assert np.allclose(pushed, yi, atol=1e-6)
 
     def test_momentum_maps_conserved_on_full_flow(self, rng):
@@ -1183,7 +1180,7 @@ class TestInvariantColumns:
         return sample_columns(Trajectory(ts=list(range(len(ys))), ys=ys), funcs)
 
     def _states(self, rng):
-        return [state_to_vec(random_phase_state(rng, momentum_scale=0.7)) for _ in range(50)]
+        return [tuple(random_phase_state(rng, momentum_scale=0.7)) for _ in range(50)]
 
     def _assert_equal(self, cols, ys, typed):
         assert list(cols) == list(typed)
@@ -1247,7 +1244,7 @@ class TestTopEquivalence:
         kind = HamiltonianKind.lagrange_altered(alpha, gamma)
         m_eq, pot_eq = kind.equivalent_two_body()
         assert m_eq.m1 == pytest.approx(0.5) and pot_eq.kind == "linear"
-        pt0 = point_to_vec(hilbert_map(random_reduced_state(rng)))
+        pt0 = tuple(hilbert_map(random_reduced_state(rng)))
         a = integrate(make_invariant_rhs(m_eq, pot_eq), pt0, 10.0, sample_dt=1.0)
         # the altered-top flow is grad H . Pi of the Poisson tensor
         # (poisson.bracket_matrix); here the equivalence is at the field level

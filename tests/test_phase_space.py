@@ -28,7 +28,7 @@ from spheretop.quaternion import (
     K,
     ONE,
     Quaternion,
-    inner_product,
+    quat_dot_vec,
     quat_inverse_vec,
     quat_mul,
 )
@@ -201,7 +201,7 @@ def cospherical_sides(s):
     lhs = momentum_left(s).norm2() - momentum_right(s).norm2()
     l1, l2 = quat_mul(s.p1, s.g1.inverse()), quat_mul(s.p2, s.g2.inverse())
     r1, r2 = quat_mul(s.g1.inverse(), s.p1), quat_mul(s.g2.inverse(), s.p2)
-    return lhs, 2.0 * inner_product(l1, l2) - 2.0 * inner_product(r1, r2)
+    return lhs, 2.0 * quat_dot_vec(l1, l2) - 2.0 * quat_dot_vec(r1, r2)
 
 
 class TestCosphericalIdentity:
@@ -302,8 +302,9 @@ def _outcome(fn, r):
 
 
 class TestGuardFastPath:
-    """The gravitational f and fprime test the guard's condition inline: they
-    give what the guard and the formula give, bit for bit and error for error."""
+    """The gravitational f and fprime call the collision guard and then their
+    formula, bit for bit and error for error, at the margin's edge, zeros,
+    subnormals, infinities and NaN."""
 
     M = MassParams(0.8, 1.9)
     EDGE = 1.0 - COLLISION_MARGIN

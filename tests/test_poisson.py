@@ -9,7 +9,6 @@ from spheretop.dynamics import (
     integrate,
     make_invariant_rhs,
     make_reduced_rhs,
-    point_to_vec,
     rhs_full_reduced,
 )
 from spheretop.phase_space import MassParams, Potential
@@ -224,7 +223,7 @@ class TestJacobiIdentity:
 
     @staticmethod
     def _fd_gradient(fn, pt, h=1e-4):
-        base = np.array(point_to_vec(pt))
+        base = np.array(pt)
         out = []
         for i in range(8):
             up, dn = base.copy(), base.copy()
@@ -290,7 +289,7 @@ class TestExtraIntegral:
         kind = HamiltonianKind.lagrange_altered(alpha, gamma)
         m_eq, pot_eq = kind.equivalent_two_body()
         pt0 = hilbert_map(random_reduced_state(rng, scale=0.7))
-        traj = integrate(make_invariant_rhs(m_eq, pot_eq), point_to_vec(pt0),
+        traj = integrate(make_invariant_rhs(m_eq, pot_eq), tuple(pt0),
                          50.0, sample_dt=5.0)
         i0 = integral_I(pt0, alpha, gamma)
         for y in traj.ys:

@@ -16,8 +16,8 @@ from spheretop.quaternion import (
     So4Element,
     adjoint_bracket,
     classify_subgroup,
-    inner_product,
     phi_double_cover,
+    quat_dot_vec,
     quat_mul,
     so4_isom_pullback,
 )
@@ -65,18 +65,18 @@ class TestProduct:
 
 class TestInnerProduct:
     def test_examples(self):
-        assert inner_product(ONE, ONE) == pytest.approx(1.0)
-        assert inner_product(ONE, I) == pytest.approx(0.0)
+        assert quat_dot_vec(ONE, ONE) == pytest.approx(1.0)
+        assert quat_dot_vec(ONE, I) == pytest.approx(0.0)
         # componentwise dot-product oracle: 2*4 + 3*5
         p, q = quat(2, 0, 3, 0), quat(4, 0, 5, 0)
         assert oracle_dot4(p, q) == pytest.approx(23.0)
-        assert inner_product(p, q) == pytest.approx(23.0)
+        assert quat_dot_vec(p, q) == pytest.approx(23.0)
 
     def test_agrees_with_dot_on_random_pairs(self, rng):
         for _ in range(1000):
             p = Quaternion(*rng.normal(size=4))
             q = Quaternion(*rng.normal(size=4))
-            assert abs(inner_product(p, q) - oracle_dot4(p, q)) < 1e-14 * max(
+            assert abs(quat_dot_vec(p, q) - oracle_dot4(p, q)) < 1e-14 * max(
                 1.0, abs(oracle_dot4(p, q)))
 
 

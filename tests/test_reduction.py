@@ -273,35 +273,36 @@ class TestStrata:
 
     @pytest.mark.parametrize("tol", [1e-9, 1e-7])
     def test_a_block_gets_each_points_label(self, rng, tol):
-        points = [hilbert_map(left_reduce(STANDARD)),
-                  InvariantPoint(k11=0, k12=0, k13=0, k22=0, k23=0, k33=0, r=-1.0, delta=0)]
+        # each bound of the rule, labelled one point at a time: a point on the
+        # bound is inside it, the next double past it outside
+        def label(**kw):
+            return stratum_classify(InvariantPoint(**{**zero, "r": 0.3, **kw}), tol)
+
+        zero = dict.fromkeys(("k11", "k12", "k13", "k22", "k23", "k33", "delta"), 0.0)
+        past, at_bound = math.nextafter(tol, 1.0), dict.fromkeys(zero, tol)
+        assert label(**at_bound) == "full_isotropy"  # every generator on its bound
+        assert label(**{**at_bound, "k13": past}) == "so2_isotropy"
+        for cut, want in ((tol, "so2_isotropy"), (past, "free")):  # each Cauchy-Schwarz cut
+            assert label(k11=cut, k22=1.0) == want
+            assert label(k11=cut, k33=1.0) == want
+            assert label(k22=cut, k33=1.0) == want
+        points = [InvariantPoint(k11=4.0, k12=2.0, k13=0, k22=1.0, k23=0, k33=0, r=0.3, delta=0)]
         for _ in range(40):
             a, b, c = rng.normal(size=3) * rng.choice([1e-6, 1.0, 1e3], size=3)
             x, w = rng.normal(size=3), rng.normal()
-            p = hilbert_map(ReducedState(A1=imag(*(a * x)), A2=imag(*(b * x)),
-                                         gD=Quaternion(w, *(c * x))))
-            points.append(p)
-            scale = max(1.0, p.k11, p.k22, p.k33)
-            for d in (tol * scale ** 1.5, -tol * scale ** 1.5):  # the delta bound and past it
-                points += [p._replace(delta=d), p._replace(delta=math.nextafter(d, 2 * d))]
-            g = tol * scale  # every generator at the full-isotropy bound, then past it
-            points.append(InvariantPoint(k11=g, k12=g, k13=g, k22=g, k23=g, k33=g, r=w,
-                                         delta=g))
-            points.append(InvariantPoint(k11=g, k12=g, k13=math.nextafter(g, 1.0), k22=g,
-                                         k23=g, k33=g, r=w, delta=g))
-            points.append(hilbert_map(left_reduce(random_phase_state(rng))))
-        for cut in (tol, math.nextafter(tol, 1.0)):  # each Cauchy-Schwarz cut, then past it
-            zero = dict.fromkeys(("k11", "k12", "k13", "k22", "k23", "k33", "delta"), 0.0)
-            points += [InvariantPoint(**{**zero, "k11": cut, "k22": 1.0}, r=0.3),
-                       InvariantPoint(**{**zero, "k11": cut, "k33": 1.0}, r=0.3),
-                       InvariantPoint(**{**zero, "k22": cut, "k33": 1.0}, r=0.3)]
-        want = [stratum_classify(p, tol) for p in points]
-        assert stratum_classify(np.array(points).T, tol) == want
-        assert set(want) == {"free", "so2_isotropy", "full_isotropy"}
-        block = np.array(points).T
-        block[3, 7] = math.inf
-        with pytest.raises(ValueError, match="invariants must be finite"):
-            stratum_classify(block, tol)
+            points.append(hilbert_map(ReducedState(A1=imag(*(a * x)), A2=imag(*(b * x)),
+                                                   gD=Quaternion(w, *(c * x)))))
+        for p in points:  # the delta bound of a colinear point
+            if stratum_classify(p._replace(delta=0.0), tol) != "so2_isotropy":
+                continue
+            bound = tol * max(1.0, p.k11, p.k22, p.k33) ** 1.5
+            for d in (bound, -bound):
+                assert stratum_classify(p._replace(delta=d), tol) == "so2_isotropy"
+                assert stratum_classify(p._replace(delta=math.nextafter(d, 2 * d)), tol) == "free"
+        assert stratum_classify(hilbert_map(left_reduce(STANDARD)), tol) == "free"
+        for _ in range(40):
+            assert stratum_classify(hilbert_map(left_reduce(random_phase_state(rng))),
+                                    tol) == "free"
 
 
 class TestDegenerateLeaves:

@@ -27,7 +27,7 @@ from spheretop.phase_space import (
     to_body_coords,
     two_body_energy,
 )
-from spheretop.quaternion import Quaternion, inner_product
+from spheretop.quaternion import Quaternion, quat_dot_vec
 from spheretop import relequil
 from spheretop.energy_casimir import ec_sample
 from spheretop.reduction import InvariantPoint, hilbert_map, invariant_map, left_reduce
@@ -250,7 +250,7 @@ class TestInvariantRelations:
                          to_body_coords(re.state), 10.0, sample_dt=1.0)
         for y in traj.ys:
             st = vec_to_state(from_body_coords(y))
-            assert inner_product(st.g1, st.g2) == pytest.approx(
+            assert quat_dot_vec(st.g1, st.g2) == pytest.approx(
                 math.cos(1.0), abs=1e-8)
 
     def test_separation_angle_error_at_default_tolerances(self):
@@ -260,7 +260,7 @@ class TestInvariantRelations:
         re = solve_re(1.0, 1.2, M11, grav(M11))
         traj = integrate(make_body_rhs(M11, grav(M11)),
                          to_body_coords(re.state), 10.0, sample_dt=1.0)
-        err = max(abs(inner_product(st.g1, st.g2) - math.cos(1.0))
+        err = max(abs(quat_dot_vec(st.g1, st.g2) - math.cos(1.0))
                   for st in (vec_to_state(from_body_coords(y)) for y in traj.ys))
         assert err < 4.2e-10
 

@@ -4,8 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from spheretop.dynamics import point_to_vec, rhs_full_reduced
-from spheretop.phase_space import MassParams, Potential, momentum_left, momentum_right
+from spheretop.dynamics import make_invariant_rhs, rhs_full_reduced
+from spheretop.phase_space import (
+    MassParams,
+    Potential,
+    momentum_left,
+    momentum_right,
+    random_phase_state,
+)
 from spheretop.poisson import integral_I_gradient, table_flow
 from spheretop.reduction import InvariantPoint, hilbert_map, invariant_map, left_reduce
 from spheretop.relequil import re_from_tau, re_image, solve_re, zeta_of
@@ -82,7 +88,7 @@ class TestLinearisation:
             pt = hilbert_map(left_reduce(re.state))
             analytic = jacobian_full_reduced(pt, m, pot.f(pt.r), pot.fprime(pt.r))
             h = 1e-6
-            base = np.array(point_to_vec(pt))
+            base = np.array(pt)
             fd = np.zeros((8, 8))
             for j in range(8):
                 up, dn = base.copy(), base.copy()
@@ -91,6 +97,30 @@ class TestLinearisation:
                 fd[:, j] = (np.array(rhs_full_reduced(InvariantPoint.from_tuple(up), m, pot))
                             - np.array(rhs_full_reduced(InvariantPoint.from_tuple(dn), m, pot))) / (2 * h)
             assert np.allclose(analytic, fd, atol=1e-6)
+
+    @pytest.mark.parametrize("masses", [(0.8, 1.9), (3.0, 2.0)], ids=["0.8-1.9", "3-2"])
+    @pytest.mark.parametrize("kind", ["grav", "linear"])
+    def test_jacobian_matches_central_differences_off_the_res(self, rng, masses, kind):
+        # at an RE k13 = k23 = 0, which hides every entry they multiply; the
+        # field's Jacobian is the same on all of R^8, so generic images test it
+        m = MassParams(*masses)
+        pot = grav(m) if kind == "grav" else Potential.linear(0.7)
+        rhs, h = make_invariant_rhs(m, pot), 1e-6
+        worst, points = 0.0, 0
+        while points < 100:
+            pt = hilbert_map(left_reduce(random_phase_state(rng)))
+            if abs(pt.r) > 0.9 or min(abs(pt.k13), abs(pt.k23)) < 1e-3:
+                continue
+            points += 1
+            analytic = jacobian_full_reduced(pt, m, pot.f(pt.r), pot.fprime(pt.r))
+            fd = np.empty((8, 8))
+            for j in range(8):
+                up, dn = list(pt), list(pt)
+                up[j] += h
+                dn[j] -= h
+                fd[:, j] = (np.array(rhs(0.0, up)) - np.array(rhs(0.0, dn))) / (2 * h)
+            worst = max(worst, np.abs(analytic - fd).max() / max(1.0, np.abs(analytic).max()))
+        assert worst < 1e-7
 
     def test_spectrum_symmetric_under_negation(self):
         for re in re_grid()[::4]:
@@ -461,7 +491,7 @@ class TestIndependenceOfTheExtraIntegral:
         # linearise the extra integral's flow rows by finite differences
         grad = integral_I_gradient(alpha, gamma)
         h = 1e-6
-        base = np.array(point_to_vec(pt))
+        base = np.array(pt)
         i_rows = np.zeros((2, 8))
         for j in range(8):
             up, dn = base.copy(), base.copy()
