@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import itertools
 import json
 import math
 import operator
 import os
+import re
 import stat
 import sys
 import time
@@ -617,20 +619,78 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# built by the first main call, not at import, and reused by every later one
+# built by the first argv that the option table declines, not at import, and
+# reused by every later one
 _parser = functools.cache(build_parser)
+
+# argparse's test for a token that is a negative number rather than a flag
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+@functools.cache
+def _flags(name: str) -> dict[str, tuple]:
+    """Each flag of command ``name``, as ``build_parser`` declares it, to
+    (dest, type, choices, number of values or None for one, const)."""
+    flags = {"--config": ("config", str, None, None, None)}
+    for opt in _COMMANDS[name][2]:
+        kind, choices, n = opt.shape()
+        flags[opt.flag] = (opt.dest, kind, choices, n, opt.kind if kind is bool else None)
+    return flags
+
+
+def _table_args(name: str, argv: list[str]) -> argparse.Namespace | None:
+    """The namespace that command ``name``'s parser returns for ``argv``, read
+    in one pass over the command's option table, or None where argparse must
+    read it.
+
+    Only exact flags, each followed by its values, are taken.  An abbreviation,
+    ``--flag=value``, ``--``, help, an unknown flag, a missing value, a value
+    that fails its type or choices, and a value that starts with ``-`` but is
+    no negative number to argparse are declined, so argparse gives every
+    usage error and help text.
+    """
+    flags = _flags(name)
+    args = dict.fromkeys(row[0] for row in flags.values())
+    tokens = iter(argv)
+    for token in tokens:
+        row = flags.get(token)
+        if row is None:
+            return None
+        dest, kind, choices, n, const = row
+        if kind is bool:
+            args[dest] = const
+            continue
+        values = []
+        for text in itertools.islice(tokens, n or 1):
+            if text and text[0] == "-" and not _NEGATIVE_NUMBER.match(text):
+                return None
+            try:
+                value = kind(text)
+            except ValueError:
+                return None
+            if choices is not None and value not in choices:
+                return None
+            values.append(value)
+        if len(values) < (n or 1):
+            return None
+        args[dest] = values if n else values[0]
+    return argparse.Namespace(**args)
 
 
 def main(argv: list[str] | None = None) -> int:
-    # a command's argv goes straight to its own parser, skipping the top-level
-    # pass; that one serves help, --version and an unknown command
+    # a plain argv is read from the command's option table; any other goes to
+    # the command's own parser, skipping the top-level pass, which serves
+    # help, --version and an unknown command
     argv = sys.argv[1:] if argv is None else argv
-    parser = _parser()
-    if argv and argv[0] in parser.commands:
-        name, args = argv[0], parser.commands[argv[0]].parse_args(argv[1:])
-    else:
-        args = parser.parse_args(argv)
-        name = args.cmd
+    name = argv[0] if argv else None
+    args = _table_args(name, argv[1:]) if name in _COMMANDS else None
+    if args is None:
+        parser = _parser()
+        if name in parser.commands:
+            args = parser.commands[name].parse_args(argv[1:])
+        else:
+            args = parser.parse_args(argv)
+            name = args.cmd
     fn, _, options = _COMMANDS[name]
     try:
         cfg, given = _resolve(args, options)

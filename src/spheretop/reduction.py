@@ -237,7 +237,7 @@ def stratum_classify(p: Sequence[float], tol: float = 1e-9) -> str:
         abs(k12 * k12 - k11 * k22) <= tol * scale * scale
         and abs(k13 * k13 - k11 * k33) <= tol * scale * scale
         and abs(k23 * k23 - k22 * k33) <= tol * scale * scale
-        and abs(delta) <= tol * scale ** 1.5
+        and abs(delta) <= tol * scale * math.sqrt(scale)  # a float ** raises on overflow
     )
     return STRATUM_SO2 if colinear else STRATUM_FREE
 

@@ -1,21 +1,28 @@
+import contextlib
+import io
 import json
 import math
 import os
 import re
 import shlex
+import signal
 import stat
+import time
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import (
+    TimeLimitExceeded,
     bits,
     random_flat_state,
     typed_casimirs,
     typed_hilbert,
     typed_left_reduce,
 )
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spheretop import cli, dynamics
 from spheretop.cli import main
@@ -641,6 +648,15 @@ class TestReduceRows:
                 in capsys.readouterr().err)
         assert [p.read_bytes() for p in outputs] == before
 
+    def test_a_state_whose_scale_overflows_the_stratum_bound_gets_a_label(self, tmp_path):
+        # k11 = 1e250 and every Casimir finite: the stratum's delta bound
+        # raised OverflowError, a traceback with exit 1
+        state = self._state(tmp_path, p1=[0, 1e125, 0, 0], g2=[1, 0, 0, 0], p2=[0, 0, 0, 0])
+        out = tmp_path / "inv.csv"
+        assert run(["reduce", "--state", state, "--out", out]) == 0
+        assert out.read_text().splitlines()[1] == (
+            "0.0,1e+250,0.0,0.0,0.0,0.0,0.0,1.0,0.0,1.0,1e+250,1e+250,so2_isotropy")
+
     def test_trajectory_rows_need_not_be_on_the_sphere(self, tmp_path):
         # an unprojected run drifts off |g| = 1; only simulate's input is held to it
         g = (2.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
@@ -960,8 +976,9 @@ def test_readme_command_lines_parse():
 
 
 class TestDispatch:
-    """``main`` hands a command's argv to that command's own parser; the
-    top-level parser serves only an argv whose first word is not a command."""
+    """``main`` reads a plain argv from the command's option table and hands
+    any other to that command's own parser; the top-level parser serves only
+    an argv whose first word is not a command."""
 
     @pytest.mark.parametrize("argv", [[cmd] for cmd in _COMMANDS] + _readme_commands(),
                              ids=lambda argv: " ".join(argv))
@@ -1012,6 +1029,90 @@ class TestDispatch:
         err = capsys.readouterr().err
         assert err.startswith("usage: spheretop re [-h] [--config CONFIG]")
         assert err.endswith("\nspheretop re: error: unrecognized arguments: --bogus 1\n")
+
+
+# value tokens: edge numbers, spellings that float and int take, and tokens
+# that argparse reads as a flag or as a value
+_EDGE_TOKENS = ("0", "-0.0", "5e-324", "1e308", "nan", "inf", "-inf", "-1", "-2.5", "-1e-3",
+                "1_0", " 2", "", "-", "bogus")
+
+
+def _flag_tokens(opt: cli.Opt):
+    """Strategy: ``opt``'s flag and values of its kind, or edge tokens."""
+    kind, choices, n = opt.shape()
+    if kind is bool:
+        return st.just([opt.flag])
+    typed = (st.sampled_from(choices) if choices else
+             (st.floats() | st.floats(-100.0, 100.0)).map(repr) if kind is float else
+             st.integers(-3, 300).map(str) if kind is int else
+             st.sampled_from(["grav", "lagrange", "linear:-1.5", "x.csv"]) | st.text(max_size=3))
+    values = st.lists(typed | st.sampled_from(_EDGE_TOKENS), min_size=n or 1, max_size=n or 1)
+    return values.map(lambda vals: [opt.flag, *vals])
+
+
+# each command's options, --config first as build_parser adds it, and the
+# strategy of one of them with its values
+_OPTIONS = {name: (cli.Opt("config", str), *options)
+            for name, (_, _, options) in cli._COMMANDS.items()}
+_FLAG_ITEMS = {name: st.one_of(*map(_flag_tokens, options)) for name, options in _OPTIONS.items()}
+
+
+@st.composite
+def _command_argvs(draw):
+    """A command and an argv drawn from its option table, flags repeated; half
+    of them hold one token that argparse alone reads (an abbreviation,
+    ``--flag=value``, ``--``, help or a stray word), and a quarter lose their
+    last token."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    items = draw(st.lists(_FLAG_ITEMS[name], max_size=6))
+    argv = [token for item in items for token in item]
+    if draw(st.booleans()):
+        flag = draw(st.sampled_from(_OPTIONS[name])).flag
+        odd = draw(st.sampled_from([flag[:-1], flag[:4], f"{flag}=3", "--grid=3", "--",
+                                    "--help", "-h", "bogus"]))
+        argv.insert(draw(st.integers(0, len(argv))), odd)
+    if argv and draw(st.integers(0, 3)) == 0:
+        argv.pop()
+    return name, argv
+
+
+class TestTableArgs:
+    """``cli._table_args`` gives the namespace of the command's own parser or
+    declines; argparse reads every argv it declines."""
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(_command_argvs())
+    @example(("ec-surface", ["--tau-min", "-2.9", "--grid", "3", "-1"]))
+    @example(("ec-surface", ["--tau-min", "-inf"]))
+    @example(("re", ["--theta", "-1e-3"]))
+    @example(("simulate", ["--out", "-"]))
+    @example(("re", ["--potential", "-1", "--theta", "1", "--theta", "2"]))
+    def test_the_table_gives_argparses_namespace_or_declines(self, drawn):
+        name, argv = drawn
+        table = cli._table_args(name, argv)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                parsed = cli._parser().commands[name].parse_args(argv)
+            except SystemExit:  # help, or a usage error
+                parsed = None
+        if table is not None:
+            # repr tells NaN from NaN as equal and -0.0 from 0.0 as different
+            assert parsed is not None
+            assert repr(sorted(vars(table).items())) == repr(sorted(vars(parsed).items()))
+
+    @pytest.mark.parametrize("argv", _readme_commands() + [
+        ["ec-surface", "--tau-min", "-2.9", "--tau-max", "-.5", "--grid", "3", "24",
+         "--workers", "1", "--plot-script", "--out", "x.csv"]], ids=" ".join)
+    def test_a_plain_argv_is_read_from_the_table(self, argv):
+        table = cli._table_args(argv[0], argv[1:])
+        assert table is not None
+        assert table == cli._parser().commands[argv[0]].parse_args(argv[1:])
+
+    @pytest.mark.parametrize("argv", [["re", "--thet", "1.0"], ["re", "--theta=1.0"],
+                                      ["re", "--theta", "-inf"], ["re", "--"], ["re", "-h"],
+                                      ["ec-surface", "--grid", "3"], ["ec-surface", "--family"]])
+    def test_an_argv_the_table_declines_goes_to_argparse(self, argv):
+        assert cli._table_args(argv[0], argv[1:]) is None
 
 
 def test_one_invariant_order(tmp_path):
@@ -1196,6 +1297,23 @@ class TestSurfaceCommand:
                                            "more than the cap of 1000000\n")
         assert not out.exists() and not Path(str(out) + ".manifest.json").exists()
 
+    def test_a_grid_of_the_cap_is_sampled_and_one_node_more_is_refused(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        monkeypatch.setattr(cli.ec, "MAX_SAMPLE_ROWS", 6)
+        out = tmp_path / "surf.csv"
+        assert run(["ec-surface", "--grid", 3, 2, "--out", out]) == 0
+        record = json.loads(Path(str(out) + ".manifest.json").read_text())["run"]
+        assert record["samples"] + sum(record["failures"].values()) == 6
+        capsys.readouterr()
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(cli.ec, "_sample_block", no_work)
+        assert run(["ec-surface", "--grid", 7, 1, "--out", out]) == 4
+        assert capsys.readouterr().err == ("error: grid 7 x 1 asks for 7 nodes, "
+                                           "more than the cap of 6\n")
+
     @pytest.mark.parametrize("workers", [2.5, True])
     def test_non_integer_workers_in_config_exits_4(self, tmp_path, capsys, workers):
         # the flag is typed int; only a config file can carry another type
@@ -1333,22 +1451,27 @@ def test_import_loads_no_scipy():
 
 
 def test_parser_is_built_on_first_use_and_reused():
-    # a fresh interpreter, so that no earlier test has built the parser
+    # a fresh interpreter, so that no earlier test has built the parser: a
+    # plain argv is read from the option table and builds none; the first
+    # argv that argparse must read (an abbreviation) builds it, and later
+    # ones reuse it
     import os
     import subprocess
     import sys
 
     code = ("import contextlib, io\n"
             "from spheretop import cli\n"
-            "built = cli._parser.cache_info().currsize\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    codes = [cli.main(['re', '--theta', '1.0']) for _ in range(3)]\n"
-            "print(built, codes, cli._parser.cache_info().misses)\n")
+            "def built(argv):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        codes = [cli.main(argv) for _ in range(3)]\n"
+            "    info = cli._parser.cache_info()\n"
+            "    return codes, info.currsize, info.misses\n"
+            "print(built(['re', '--theta', '1.0']), built(['re', '--thet', '1.0']))\n")
     src = str(Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "0 [0, 0, 0] 1"
+    assert done.stdout.strip() == "([0, 0, 0], 0, 0) ([0, 0, 0], 1, 1)"
 
 
 class TestOutputFiles:
@@ -1644,3 +1767,92 @@ class TestExtremeValues:
                             capsys.readouterr()
         assert raised == []
         assert sum(codes.values()) == 792 and set(codes) <= {0, 2, 4}, codes
+
+    # zeros, the smallest and largest doubles, nan and the infinities, and
+    # each family's ends: theta, the acute and obtuse halves, tau near the
+    # overflow of exp, and the ends of MODEL_RANGE
+    SHEET_VALUES = (0.0, -0.0, 5e-324, 1e-300, 1e308, math.nan, math.inf, -math.inf, -1.0,
+                    1e-100, 1e100, 0.05, math.pi / 2 - 0.05, math.pi / 2, math.pi / 2 + 0.05,
+                    math.pi - 0.05, math.pi, -3.0, 3.0, 700.0, 709.78, 710.0)
+    RUN_LIMIT_S = 10.0
+
+    @staticmethod
+    @st.composite
+    def _sheet_flags(draw):
+        """``ec-surface`` flags: the model flags that the drawn potential
+        takes, the ranges, the phi1 bounds on the right-angled family, and at
+        most one flag that contradicts them; each number from SHEET_VALUES,
+        [-4, 4] or (0, 4]."""
+        number = (st.sampled_from(TestExtremeValues.SHEET_VALUES) | st.floats(-4.0, 4.0)
+                  | st.floats(0.0, 4.0, exclude_min=True))
+        family = draw(st.sampled_from(next(o.kind for o in cli._EC if o.dest == "family")))
+        potential = draw(st.sampled_from(["grav", "lagrange", "linear"])
+                         | number.map(lambda g: f"linear:{g!r}"))
+        flags = {"family": family, "potential": potential}
+        wanted = [*(("alpha", "gamma") if potential == "lagrange" else ("m1", "m2")),
+                  "theta_min", "theta_max", "tau_min", "tau_max",
+                  *(("phi1_min", "phi1_max") if family == "rightAngled" else ())]
+        floats = [o.dest for o in cli._EC if o.kind is float]
+        odd = draw(st.sets(st.sampled_from([*floats, "workers"]), max_size=1))
+        for dest in draw(st.sets(st.sampled_from(wanted))) | odd:
+            flags[dest] = draw(st.sampled_from([1, 2]) if dest == "workers" else number)
+        if draw(st.booleans()):
+            flags["grid"] = draw(st.tuples(st.integers(0, 3), st.integers(0, 3)))
+        if draw(st.booleans()):
+            flags["plot_script"] = True
+        return flags
+
+    @contextlib.contextmanager
+    def _run_limit(self, argv):
+        """Fail the run of ``argv`` by name past ``RUN_LIMIT_S``; the test's
+        own limit then resumes with the time it had left."""
+        def expire(signum, frame):
+            raise TimeLimitExceeded(f"{argv} ran past {self.RUN_LIMIT_S:g} s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        left, interval = signal.setitimer(signal.ITIMER_REAL, self.RUN_LIMIT_S, 1.0)
+        start = time.monotonic()
+        try:
+            yield
+        finally:
+            left = max(left - (time.monotonic() - start), 1e-3) if left else 0.0
+            signal.setitimer(signal.ITIMER_REAL, left, interval)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_sheets_at_extreme_values_exit_0_2_or_4_and_a_refusal_keeps_the_last_run(
+            self, tmp_path):
+        out = tmp_path / "sheet.csv"
+        kept = (out, Path(str(out) + ".manifest.json"))
+        codes = Counter()
+
+        @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+        @given(self._sheet_flags())
+        def check(flags):
+            argv = ["ec-surface"]
+            for dest, value in flags.items():
+                argv.append("--" + dest.replace("_", "-"))
+                if dest == "grid":
+                    argv += map(str, value)
+                elif dest != "plot_script":
+                    argv.append(value if isinstance(value, str) else repr(value))
+            argv += ["--out", str(out)]
+            before = [p.read_bytes() if p.exists() else None for p in kept]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()), self._run_limit(argv):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse refuses a value
+                    code = exc.code
+            codes[code] += 1
+            assert code in (0, 2, 4), argv
+            if code:
+                assert [p.read_bytes() if p.exists() else None for p in kept] == before, argv
+                return
+            cells = [c for line in out.read_text().splitlines()[1:] for c in line.split(",")]
+            assert not {"nan", "inf", "-inf"} & set(cells), argv
+            constants = []  # NaN, Infinity or -Infinity, which JSON has not
+            json.loads(kept[1].read_text(), parse_constant=constants.append)
+            assert constants == [], argv
+
+        check()
+        assert codes[0] and codes[4], codes

@@ -250,6 +250,10 @@ class TestStrata:
         with pytest.raises(ValueError, match="invariants must be finite"):
             stratum_classify(point)
 
+    def test_a_scale_whose_delta_bound_overflows_is_labelled(self):
+        # tol * scale ** 1.5 raised OverflowError past a scale of about 1e205
+        assert stratum_classify((1e250, 0, 0, 0, 0, 0, 0.5, 0.0)) == "so2_isotropy"
+
     def test_random_cocircular_agreement(self, rng):
         # states whose four vectors share a random plane classify consistently
         # at both levels
@@ -295,7 +299,8 @@ class TestStrata:
         for p in points:  # the delta bound of a colinear point
             if stratum_classify(p._replace(delta=0.0), tol) != "so2_isotropy":
                 continue
-            bound = tol * max(1.0, p.k11, p.k22, p.k33) ** 1.5
+            scale = max(1.0, p.k11, p.k22, p.k33)
+            bound = tol * scale * math.sqrt(scale)
             for d in (bound, -bound):
                 assert stratum_classify(p._replace(delta=d), tol) == "so2_isotropy"
                 assert stratum_classify(p._replace(delta=math.nextafter(d, 2 * d)), tol) == "free"
