@@ -638,16 +638,46 @@ def _flags(name: str) -> dict[str, tuple]:
     return flags
 
 
+def _one_number(row: tuple) -> bool:
+    """Whether a ``_flags`` row takes one int or float."""
+    return row[1] in (int, float) and row[3] is None
+
+
+def _attach_numbers(name: str, argv: list[str]) -> list[str]:
+    """``argv`` with each ``--flag -1e-3`` of command ``name`` spelled
+    ``--flag=-1e-3``, where the flag takes one int or float and its type
+    converts the value: argparse reads a token that starts with ``-`` as a
+    flag unless it matches ``_NEGATIVE_NUMBER``, which -1e-3, -1e+16 and -inf
+    do not.  Tokens from ``--`` on are left as they are."""
+    flags, out, i = _flags(name), [], 0
+    while i < len(argv):
+        token = argv[i]
+        if token == "--":
+            return out + argv[i:]
+        row = flags.get(token)
+        value = argv[i + 1] if i + 1 < len(argv) else ""
+        if row is not None and _one_number(row) and value[:1] == "-":
+            try:
+                row[1](value)
+            except ValueError:
+                pass
+            else:
+                token, i = f"{token}={value}", i + 1
+        out.append(token)
+        i += 1
+    return out
+
+
 def _table_args(name: str, argv: list[str]) -> argparse.Namespace | None:
-    """The namespace that command ``name``'s parser returns for ``argv``, read
-    in one pass over the command's option table, or None where argparse must
-    read it.
+    """The namespace that command ``name``'s parser returns for
+    ``_attach_numbers(name, argv)``, read in one pass over the command's
+    option table, or None where argparse must read it.
 
     Only exact flags, each followed by its values, are taken.  An abbreviation,
     ``--flag=value``, ``--``, help, an unknown flag, a missing value, a value
     that fails its type or choices, and a value that starts with ``-`` but is
-    no negative number to argparse are declined, so argparse gives every
-    usage error and help text.
+    no negative number to argparse, unless its flag takes one int or float,
+    are declined, so argparse gives every usage error and help text.
     """
     flags = _flags(name)
     args = dict.fromkeys(row[0] for row in flags.values())
@@ -660,9 +690,10 @@ def _table_args(name: str, argv: list[str]) -> argparse.Namespace | None:
         if kind is bool:
             args[dest] = const
             continue
+        attached = _one_number(row)
         values = []
         for text in itertools.islice(tokens, n or 1):
-            if text and text[0] == "-" and not _NEGATIVE_NUMBER.match(text):
+            if text[:1] == "-" and not attached and not _NEGATIVE_NUMBER.match(text):
                 return None
             try:
                 value = kind(text)
@@ -687,7 +718,7 @@ def main(argv: list[str] | None = None) -> int:
     if args is None:
         parser = _parser()
         if name in parser.commands:
-            args = parser.commands[name].parse_args(argv[1:])
+            args = parser.commands[name].parse_args(_attach_numbers(name, argv[1:]))
         else:
             args = parser.parse_args(argv)
             name = args.cmd

@@ -15,7 +15,9 @@ sampled a block of grid rows at a time: one ``solve_re`` per row fixes what
 depends on its theta (or phi1), and one broadcast pass over the block
 (``relequil.tau_row``, each row's constants against the row of e^tau) gives
 every node's rates, closed-form image, values and label as numpy arrays; no
-16-d state is built.
+16-d state is built.  The sheet is held as columns, one list per ``ECSample``
+field, which ``ec_csv`` formats directly; ``SurfaceResult.samples`` builds an
+``ECSample`` only for a node that is read.
 Every label, batched or scalar, comes from ``stability.classify_roots`` on the
 two ``stability.quartet_roots`` at that image, with no 8x8 eigenvalue call.
 The resulting point clouds are the bifurcation surfaces of the problem; a
@@ -24,9 +26,10 @@ fold shows up where samples with equal momentum pairs merge.
 
 from __future__ import annotations
 
-import io
 import math
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from operator import attrgetter
 
 import numpy as np
 
@@ -77,9 +80,45 @@ class ECSample:
             "gauge_flipped": gauge_flipped})
 
 
+_FIELDS = tuple(f.name for f in fields(ECSample))
+_fields_of = attrgetter(*_FIELDS)
+
+
+class Sheet(Sequence):
+    """A sheet's nodes, read-only, held as one list per ``ECSample`` field in
+    field order (``columns``).  An ``ECSample`` is built only for an element
+    that is read; ``len`` and ``==`` between sheets work on the columns.  As
+    the tuple of samples it stands for, a sheet equals a tuple of the same
+    nodes and hashes as one."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: tuple[list, ...]):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(ECSample, *(c[i] for c in self.columns)))
+        return ECSample(*(c[i] for c in self.columns))
+
+    def __iter__(self):
+        return map(ECSample, *self.columns)
+
+    def __eq__(self, other):
+        if isinstance(other, Sheet):
+            return self.columns == other.columns
+        return tuple(self) == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class SurfaceResult:
-    samples: tuple[ECSample, ...]
+    samples: Sheet
     failures: tuple[tuple[float, float, str], ...]
     scalar_nodes: int  # grid nodes sampled one at a time by ``ec_sample``
 
@@ -171,13 +210,14 @@ def _block_nodes(batch: list, exp_tau: np.ndarray, m: MassParams) -> tuple:
     return tuple(a.tolist() for a in (*values, labels, xi, eta, accept))
 
 
-def _sample_block(rows, taus, exp_tau, m, pot, family, samples, failures) -> int:
+def _sample_block(rows, taus, exp_tau, m, pot, family, columns, failures) -> int:
     """Sample whole grid rows as one batch (``_block_nodes``).
 
-    Appends each node's ``ECSample`` to ``samples``, or its (theta, tau,
-    message) record to ``failures``, in grid order.  Returns the number of
-    nodes sampled by the scalar ``ec_sample``: those of a row whose scalar
-    part raises, and those ``_block_nodes`` leaves to it.
+    Appends each node's fields to ``columns``, one list per ``ECSample``
+    field, or its (theta, tau, message) record to ``failures``, in grid
+    order.  Returns the number of nodes sampled by the scalar ``ec_sample``:
+    those of a row whose scalar part raises, and those ``_block_nodes``
+    leaves to it.
     """
     batched = {}
     for i, (theta, phi1) in enumerate(rows):
@@ -186,23 +226,32 @@ def _sample_block(rows, taus, exp_tau, m, pot, family, samples, failures) -> int
         except Exception:  # the scalar path records the row's failures
             pass
     block_rows = zip(*_block_nodes(list(batched.values()), exp_tau, m)) if batched else None
+    n_b = len(taus)
     n_scalar = 0
     for i, (theta, phi1) in enumerate(rows):
         if i in batched:
             re, flipped = batched[i][:2]
-            nodes = zip(taus, *next(block_rows))
-        else:
-            nodes = [(tau, *[None] * 6, False) for tau in taus]
-        for tau, H, lam2, rho2, label, xi, eta, ok in nodes:
-            if ok:
-                samples.append(ECSample(family, re.theta, tau, H, lam2, rho2, label, xi, eta,
-                                        re.phi1, flipped))
+            H, lam2, rho2, labels, xi, eta, accept = next(block_rows)
+            row = ([family] * n_b, [re.theta] * n_b, taus, H, lam2, rho2, labels, xi, eta,
+                   [re.phi1] * n_b, [flipped] * n_b)
+            if all(accept):
+                for column, values in zip(columns, row):
+                    column.extend(values)
                 continue
-            n_scalar += 1
-            try:
-                samples.append(ec_sample(theta, tau, m, pot, family=family, phi1=phi1))
-            except Exception as exc:  # per-sample failures are data, not fatal
-                failures.append((theta, tau, f"{type(exc).__name__}: {exc}"))
+        else:
+            accept = [False] * n_b
+        for k, tau in enumerate(taus):
+            if accept[k]:
+                node = [values[k] for values in row]
+            else:
+                n_scalar += 1
+                try:
+                    node = _fields_of(ec_sample(theta, tau, m, pot, family=family, phi1=phi1))
+                except Exception as exc:  # per-sample failures are data, not fatal
+                    failures.append((theta, tau, f"{type(exc).__name__}: {exc}"))
+                    continue
+            for column, value in zip(columns, node):
+                column.append(value)
     return n_scalar
 
 
@@ -266,10 +315,10 @@ def ec_surface(
         rows = [(t, None) for t in np.linspace(theta_range[0], theta_range[1], n_a).tolist()]
     exp_tau = np.array([_exp(t) for t in taus])
     per_block = max(1, _BLOCK_NODES // n_b)
-    samples, failures = [], []
-    n_scalar = sum(_sample_block(rows[i:i + per_block], taus, exp_tau, m, pot, family, samples,
+    columns, failures = tuple([] for _ in _FIELDS), []
+    n_scalar = sum(_sample_block(rows[i:i + per_block], taus, exp_tau, m, pot, family, columns,
                                  failures) for i in range(0, n_a, per_block))
-    return SurfaceResult(samples=tuple(samples), failures=tuple(failures), scalar_nodes=n_scalar)
+    return SurfaceResult(samples=Sheet(columns), failures=tuple(failures), scalar_nodes=n_scalar)
 
 
 def singular_thread(
@@ -297,30 +346,29 @@ def singular_thread(
     return out
 
 
-class _Reprs(dict):
-    """``repr`` of each float looked up, formatted on first use only."""
-
-    def __missing__(self, x):
-        text = self[x] = repr(x)
-        return text
+def _texts(values) -> list[str]:
+    """``repr`` of each value: each distinct nonzero one formatted once, and a
+    zero each time, since -0.0 == 0.0 would share one text."""
+    known = {x: repr(x) for x in set(values) if x}
+    return [known[x] if x else repr(x) for x in values]
 
 
 def ec_csv(samples) -> str:
     """CSV text for energy-Casimir samples; fixed column order.
 
-    theta repeats along a sheet's row and tau down its column, so each
-    distinct nonzero value of either is formatted once per call; a zero is
-    formatted each time, since -0.0 == 0.0 would share one text.
+    Written from the columns: a ``Sheet`` hands over its own, and any other
+    iterable of ``ECSample`` is transposed first.  theta repeats along a
+    sheet's row and tau down its column, so each is formatted by ``_texts``.
     """
-    cell = _Reprs()
-    buf = io.StringIO()
-    buf.write(",".join(EC_CSV_COLUMNS) + "\n")
-    for s in samples:
-        theta, tau = s.theta, s.tau
-        buf.write(f"{s.family},{cell[theta] if theta else repr(theta)},"
-                  f"{cell[tau] if tau else repr(tau)},{s.H!r},"
-                  f"{s.lam2!r},{s.rho2!r},{s.stability}\n")
-    return buf.getvalue()
+    if isinstance(samples, Sheet):
+        columns = samples.columns
+    else:
+        nodes = list(samples)
+        columns = [[getattr(s, name) for s in nodes] for name in EC_CSV_COLUMNS]
+    family, theta, tau, H, lam2, rho2, stability = columns[:len(EC_CSV_COLUMNS)]
+    rows = map(",".join, zip(family, _texts(theta), _texts(tau), map(repr, H), map(repr, lam2),
+                             map(repr, rho2), stability))
+    return "\n".join((",".join(EC_CSV_COLUMNS), *rows, ""))
 
 
 PLOT_SCRIPT = """\

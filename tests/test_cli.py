@@ -1034,7 +1034,8 @@ class TestDispatch:
 # value tokens: edge numbers, spellings that float and int take, and tokens
 # that argparse reads as a flag or as a value
 _EDGE_TOKENS = ("0", "-0.0", "5e-324", "1e308", "nan", "inf", "-inf", "-1", "-2.5", "-1e-3",
-                "1_0", " 2", "", "-", "bogus")
+                "1_0", " 2", "", "-", "bogus", "-1e+16", "-1e3", "-x", "-nan", "-Infinity",
+                "-1_0", "-1 ")
 
 
 def _flag_tokens(opt: cli.Opt):
@@ -1087,12 +1088,16 @@ class TestTableArgs:
     @example(("re", ["--theta", "-1e-3"]))
     @example(("simulate", ["--out", "-"]))
     @example(("re", ["--potential", "-1", "--theta", "1", "--theta", "2"]))
+    @example(("ec-surface", ["--grid", "2", "-1e3", "--m1", "-1e+16"]))
+    @example(("ec-surface", ["--out", "--tau-min", "-1e-3"]))
+    @example(("re", ["--theta", "-x", "--eta", "-"]))
+    @example(("re", ["--theta", "-1e-3", "--", "--eta", "-1e-3"]))
     def test_the_table_gives_argparses_namespace_or_declines(self, drawn):
         name, argv = drawn
         table = cli._table_args(name, argv)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:
-                parsed = cli._parser().commands[name].parse_args(argv)
+                parsed = cli._parser().commands[name].parse_args(cli._attach_numbers(name, argv))
             except SystemExit:  # help, or a usage error
                 parsed = None
         if table is not None:
@@ -1108,8 +1113,30 @@ class TestTableArgs:
         assert table is not None
         assert table == cli._parser().commands[argv[0]].parse_args(argv[1:])
 
+    @pytest.mark.parametrize("flag, value", [("--tau-min", "-1e-3"), ("--m1", "-1e+16"),
+                                             ("--theta-min", "-inf")])
+    def test_a_negative_value_argparse_takes_for_a_flag_reads_as_its_equals_form(
+            self, tmp_path, monkeypatch, capsys, flag, value):
+        # argparse read each value as a flag and exited 2, where the = form
+        # ran (exit 0) or was refused by name (exit 4)
+        seen = []
+        for i, spelled in enumerate(([flag, value], [f"{flag}={value}"])):
+            (tmp_path / str(i)).mkdir()
+            monkeypatch.chdir(tmp_path / str(i))
+            code = main(["ec-surface", "--grid", "2", "2", *spelled, "--out", "s.csv"])
+            files = {}
+            for path in sorted(Path().iterdir()):
+                files[path.name] = path.read_text()
+                if path.name.endswith(".manifest.json"):
+                    record = json.loads(files[path.name])
+                    del record["run"]["wall_s"]
+                    files[path.name] = record
+            seen.append((code, capsys.readouterr(), files))
+        assert seen[0] == seen[1]
+        assert seen[0][0] == (0 if flag == "--tau-min" else 4)
+
     @pytest.mark.parametrize("argv", [["re", "--thet", "1.0"], ["re", "--theta=1.0"],
-                                      ["re", "--theta", "-inf"], ["re", "--"], ["re", "-h"],
+                                      ["re", "--theta", "-x"], ["re", "--"], ["re", "-h"],
                                       ["ec-surface", "--grid", "3"], ["ec-surface", "--family"]])
     def test_an_argv_the_table_declines_goes_to_argparse(self, argv):
         assert cli._table_args(argv[0], argv[1:]) is None

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -437,19 +438,76 @@ def test_csv_keeps_the_sign_of_each_zero():
     assert [r[0] for r in rows[4:]] == ["-0.0"] * 4 + ["0.0"] * 4
 
 
-@pytest.mark.parametrize("sheet", [
-    ("generic", (0.3, 2.8), (-2.0, 2.0), (4, 5), M32, GRAV32, None),
-    ("isosceles", (0.1, math.pi - 0.1), (-3.0, 3.0), (5, 6), M11, GRAV11, None),
-    ("acute", (0.2, 1.4), (-1.0, 1.0), (3, 4), M32, GRAV32, None),
-    ("obtuse", (1.65, 3.0), (-3.0, 3.0), (4, 5), M32, GRAV32, None),
-    ("isosceles", (0.1, math.pi - 0.1), (-3.0, 3.0), (5, 6), *_top(), None),
-    ("rightAngled", (0, 0), (-3.0, 3.0), (6, 5), M11, GRAV11, (-1.2, 1.2)),
-], ids=["generic", "isosceles", "acute", "obtuse", "top_polar", "rightAngled"])
-def test_csv_text_is_each_rows_own_format(sheet):
+@pytest.mark.parametrize("sheet, n_failed", [
+    (("generic", (0.3, 2.8), (-2.0, 2.0), (4, 5), M32, GRAV32, None), 0),
+    (("isosceles", (0.1, math.pi - 0.1), (-3.0, 3.0), (5, 6), M11, GRAV11, None), 0),
+    (("acute", (0.2, 1.4), (-1.0, 1.0), (3, 4), M32, GRAV32, None), 0),
+    (("obtuse", (1.65, 3.0), (-3.0, 3.0), (4, 5), M32, GRAV32, None), 0),
+    (("isosceles", (0.1, math.pi - 0.1), (-3.0, 3.0), (5, 6), *_top(), None), 0),
+    (("rightAngled", (0, 0), (-3.0, 3.0), (6, 5), M11, GRAV11, (-1.2, 1.2)), 0),
+    (TestBatchParity.SHEETS["extreme_tau"], 6),
+    (TestBatchParity.SHEETS["mass32_generic"], 4),
+    # linspace gives the taus 0.0, 0.0 and -0.0
+    (("isosceles", (0.5, 2.5), (-0.0, -0.0), (3, 3), M11, GRAV11, None), 0),
+], ids=["generic", "isosceles", "acute", "obtuse", "top_polar", "rightAngled", "extreme_tau",
+        "mass32_generic", "negative_zero"])
+def test_csv_text_is_each_rows_own_format(sheet, n_failed):
+    # the columns a sheet hands over, and the same nodes read back one
+    # ECSample at a time, each written row by row
     family, theta_range, tau_range, grid, m, pot, phi1_range = sheet
     res = ec_surface(family, theta_range, tau_range, grid, m, pot, phi1_range=phi1_range)
-    assert len(res.samples) == grid[0] * grid[1]
-    assert ec_csv(res.samples) == _csv_row_by_row(res.samples)
+    assert len(res.failures) == n_failed
+    assert len(res.samples) + n_failed == grid[0] * grid[1]
+    nodes = tuple(res.samples)
+    assert ec_csv(res.samples) == ec_csv(nodes) == _csv_row_by_row(nodes)
+
+
+class TestSheet:
+    """``SurfaceResult.samples`` is a read-only sequence over the sheet's
+    columns, building an ``ECSample`` only for a node that is read."""
+
+    ARGS = ("rightAngled", (0, 0), (-3.0, 3.0), (4, 3), M11, GRAV11)
+
+    def test_the_sequence_contract(self):
+        res = ec_surface(*self.ARGS, phi1_range=(-1.2, 1.2))
+        sheet = res.samples
+        assert isinstance(sheet, Sequence) and len(sheet) == 12
+        nodes = list(sheet)
+        assert all(type(s) is ECSample for s in nodes)
+        fields = [f.name for f in dataclasses.fields(ECSample)]
+        for i, s in enumerate(nodes):
+            assert [getattr(s, name) for name in fields] == [c[i] for c in sheet.columns]
+        assert any(s.gauge_flipped for s in nodes) and not all(s.gauge_flipped for s in nodes)
+        assert sheet[0] == nodes[0] and sheet[-1] == nodes[-1] == sheet[11]
+        assert sheet[1:3] == tuple(nodes[1:3]) and sheet[::-5] == tuple(nodes[::-5])
+        with pytest.raises(IndexError):
+            sheet[12]
+        with pytest.raises(TypeError):
+            sheet[0] = nodes[1]
+        again = ec_surface(*self.ARGS, phi1_range=(-1.2, 1.2))
+        assert res == again and sheet == again.samples
+        # as the tuple of samples it replaces: equal to one, hashed as one
+        assert sheet == tuple(nodes) and tuple(nodes) == sheet and sheet != tuple(nodes[:-1])
+        assert sheet != nodes and hash(sheet) == hash(tuple(nodes)) == hash(again.samples)
+        assert hash(res) == hash(again)
+        assert sheet != ec_surface(*self.ARGS, phi1_range=(-1.2, 1.1)).samples
+        bumped = dataclasses.replace(sheet[0], H=sheet[0].H * 2.0)
+        assert bumped.H == 2.0 * nodes[0].H
+        assert dataclasses.replace(bumped, H=nodes[0].H) == nodes[0]
+
+    def test_an_all_batch_sheet_builds_no_sample(self, monkeypatch, tmp_path, capsys):
+        from spheretop.cli import main
+
+        built = []
+        init = ECSample.__init__
+        monkeypatch.setattr(ECSample, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+        res = ec_surface("isosceles", (0.1, math.pi - 0.1), (-3.0, 3.0), (3, 24), M11, GRAV11)
+        text = ec_csv(res.samples)
+        assert res.scalar_nodes == 0 and len(text.splitlines()) == 73
+        assert main(["ec-surface", "--grid", "3", "24", "--out", str(tmp_path / "s.csv")]) == 0
+        assert built == []
+        assert res.samples[5].tau == res.samples.columns[2][5] and len(built) == 1
 
 
 class TestOneSolvePerRow:

@@ -20,7 +20,7 @@ def _load(name):
     return module
 
 
-@pytest.mark.parametrize("name", ["conservation_study", "bifurcation_surfaces"])
+@pytest.mark.parametrize("name", ["conservation_study", "bifurcation_surfaces", "bench_pairs"])
 def test_script_loads(name):
     assert callable(_load(name).main)
 
@@ -51,3 +51,31 @@ def test_conservation_study_runs_end_to_end(capsys):
     drifts = [float(cell.partition("=")[2]) for r in rows if float(r[0]) == 1e-12
               for cell in r[4:]]
     assert len(drifts) == 13 and max(drifts) < 1e-7
+
+
+def test_bench_pairs_summary_arithmetic():
+    # synthetic result lines, not runs: each side's median and inclusive
+    # quartiles, and the pairs the change won in the metric's direction, a
+    # tie counting for neither side
+    def line(work, rss, failed=0):
+        return {"correct": not failed, "attempted": 10, "failed": failed,
+                "metrics": {"work_per_s": {"value": work, "unit": "1/s"},
+                            "peak_rss_mb": {"value": rss, "unit": "MB"}}}
+
+    pairs = [{"parent": line(100, 40.0), "change": line(110, 40.0)},
+             {"parent": line(102, 41.0), "change": line(101, 40.5)},
+             {"parent": line(98, 40.0), "change": line(98, 40.2, failed=1)},
+             {"parent": line(104, 42.0), "change": line(120, 39.0)}]
+    metrics = [{"name": "work_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+               {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1}]
+    got = _load("bench_pairs").summarize(pairs, metrics)
+    assert got["work_per_s"] == {
+        "unit": "1/s", "better": "higher", "won": 2, "pairs": 4,
+        "parent": {"q1": 99.5, "median": 101.0, "q3": 102.5},
+        "change": {"q1": 100.25, "median": 105.5, "q3": 112.5}}
+    assert got["peak_rss_mb"]["won"] == 2
+    assert got["peak_rss_mb"]["parent"] == {"q1": 40.0, "median": 40.5, "q3": 41.25}
+    assert got["failed"] == {"parent": 0, "change": 1}
+    assert got["attempted"] == {"parent": 40, "change": 40}
+    one = _load("bench_pairs").summarize(pairs[:1], metrics)["work_per_s"]
+    assert one["change"] == {"q1": 110, "median": 110, "q3": 110} and one["won"] == 1
