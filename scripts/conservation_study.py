@@ -23,7 +23,7 @@ from spheretop.dynamics import (
     make_body_rhs,
     make_invariant_rhs,
     make_reduced_rhs,
-    sample_columns,
+    sample_blocks,
 )
 from spheretop.phase_space import (
     MassParams,
@@ -42,22 +42,22 @@ def main(seed: str = "3") -> int:
     state = random_phase_state(rng, momentum_scale=0.5)
     rs = left_reduce(state)
     levels = (
-        ("full", make_body_rhs(m, pot), to_body_coords(state), invariants_state(m, pot)),
-        ("reduced", make_reduced_rhs(m, pot), tuple(rs), invariants_reduced(m, pot)),
+        # integrated in (g, B), measured in (g, p)
+        ("full", make_body_rhs(m, pot), to_body_coords(state), invariants_state(m, pot),
+         from_body_coords),
+        ("reduced", make_reduced_rhs(m, pot), tuple(rs), invariants_reduced(m, pot), None),
         ("invariant", make_invariant_rhs(m, pot), tuple(hilbert_map(rs)),
-         invariants_point(m, pot)),
+         invariants_point(m, pot), None),
     )
 
     print(f"{'tol':>8} {'space':>10} {'steps':>7} {'sec':>6}  drift per invariant")
     for tol in (1e-6, 1e-8, 1e-10, 1e-12):
         cfg = FlowConfig(rel_tol=tol, abs_tol=tol)
-        for label, rhs, start, funcs in levels:
+        for label, rhs, start, funcs, leave in levels:
             t0 = time.perf_counter()
             traj = integrate(rhs, start, 100.0, cfg, sample_dt=5.0)
             dt = time.perf_counter() - t0
-            if label == "full":  # integrated in (g, B), measured in (g, p)
-                traj.ys = list(map(from_body_coords, traj.ys))
-            drifts = drift_summary(sample_columns(traj, funcs))
+            drifts = drift_summary(sample_blocks(traj, funcs, leave)[1])
             pretty = "  ".join(f"{k}={v:.1e}" for k, v in drifts.items())
             print(f"{tol:8.0e} {label:>10} {traj.n_accepted:7d} {dt:6.2f}  {pretty}")
     return 0

@@ -382,9 +382,9 @@ def cmd_simulate(cfg: dict, given: set) -> int:
 
     # the map to (g, p) and each invariant run once per block of rows; the
     # CSV and the drift read the columns
-    columns = sample_blocks(traj, funcs, leave)
+    states, columns = sample_blocks(traj, funcs, leave)
     drift = {f"drift_{k}": v for k, v in drift_summary(columns).items()}
-    files = {out: trajectory_csv(traj, labels, columns),
+    files = {out: trajectory_csv(traj.ts, labels, states, columns),
              out + ".drift.json": json.dumps(drift, indent=2, sort_keys=True) + "\n"}
     run = {**_steps_record(traj), "wall_s": {"integrate": integrated - start}}
     _leave(out, "simulate", cfg, run, files, integrated)

@@ -36,8 +36,9 @@ and 8-d fields are inlined into every stage.  Any other callable, a
 wrapped field included, takes the generic step, which gives the same bits.
 Conservation is monitored, never enforced, so that drift stays a
 meaningful diagnostic.
-``sample_columns`` evaluates the conserved quantities once per sample;
-``trajectory_csv`` and ``drift_summary`` read those columns.  The
+``sample_blocks`` gives the columns of the written state and of the conserved
+quantities, each evaluated once per sample; ``trajectory_csv`` and
+``drift_summary`` read those columns.  The
 ``invariants_*`` dicts compute them on the flat vector of their level with
 the flat maps of ``phase_space`` and ``reduction``, building no typed state;
 every C1 among them squares as ``x * x``.
@@ -53,7 +54,7 @@ import operator
 import sys
 import textwrap
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -803,47 +804,40 @@ def _initial_step(y, k1, atol, rtol) -> float:
 # drift diagnostics and trajectory output
 # ---------------------------------------------------------------------------
 
-def sample_columns(traj: Trajectory, funcs: dict) -> dict:
-    """Each function evaluated once at every recorded sample, by name.
-
-    The functions run row by row, so those of one row can share work on it.
-    :func:`sample_blocks` gives the same columns a block of rows at a time.
-    """
-    rows = [[fn(y) for fn in funcs.values()] for y in traj.ys]
-    return dict(zip(funcs, map(list, zip(*rows))))
-
-
-def sample_blocks(traj: Trajectory, funcs: dict, leave: Callable | None = None) -> dict:
-    """The columns of :func:`sample_columns`, each function evaluated once per
-    block of at most ``SAMPLE_BLOCK_ROWS`` rows.
+def sample_blocks(traj: Trajectory, funcs: dict, leave: Callable | None = None) -> tuple:
+    """``(states, columns)`` of the recorded samples: the state's columns,
+    and each function's column by name, evaluated once per block of at most
+    ``SAMPLE_BLOCK_ROWS`` rows.
 
     A block is the tuple of the state's components, each an array over the
     block's rows, so ``leave`` (a map of each state, such as
     ``from_body_coords``) and the functions must be plain arithmetic over
     flat vectors, as the flat maps and the ``invariants_*`` entries are: each
     row then takes the IEEE operations of a float, and the columns hold the
-    bits that row by row gives, as floats.  With ``leave`` the recorded
-    states are replaced by their images, before the functions read them.
+    bits that row by row gives, as floats.  With ``leave`` the functions read
+    the images and ``states`` holds their components; without it ``states``
+    is the recorded rows transposed.  ``traj`` keeps the integrator's record.
     Float overflow is silent, as it is for floats.
     """
+    states = list(zip(*traj.ys)) if leave is None else None
     columns = {name: [] for name in funcs}
-    ys = []
     with np.errstate(over="ignore", invalid="ignore"):
         for i in range(0, len(traj.ys), SAMPLE_BLOCK_ROWS):
             block = tuple(np.array(traj.ys[i:i + SAMPLE_BLOCK_ROWS]).T)
             if leave is not None:
                 block = leave(block)
-                ys += zip(*(c.tolist() for c in block))
+                if states is None:
+                    states = [[] for _ in block]
+                for column, images in zip(states, block):
+                    column += images.tolist()
             for name, fn in funcs.items():
                 columns[name] += fn(block).tolist()
-    if leave is not None:
-        traj.ys = ys
-    return columns
+    return states, columns
 
 
 def drift_summary(columns: dict) -> dict:
-    """max_t |Q(t) - Q(0)| / max(1, |Q(0)|) for each of the
-    :func:`sample_columns`, by name.
+    """max_t |Q(t) - Q(0)| / max(1, |Q(0)|) for each column of
+    :func:`sample_blocks`, by name.
 
     Every column's maximum is taken at once; a NaN |Q(t) - Q(0)| is passed
     over as ``max`` passes it, and the drift is NaN when Q(0) is not finite."""
@@ -902,16 +896,11 @@ def invariants_state(m: MassParams, pot: Potential) -> dict:
     }
 
 
-def csv_rows(columns: Sequence, *labels) -> Iterator[str]:
-    """The CSV lines of a table given by its columns: each cell of
-    ``columns`` (sequences of floats) is its ``repr``, formatted one column
-    at a time, and each of ``labels`` (sequences of strings) follows them
-    as it is."""
-    return map(",".join, zip(*(map(repr, column) for column in columns), *labels))
-
-
-def trajectory_csv(traj: Trajectory, labels: Sequence[str], columns: dict) -> str:
-    """CSV text with time, state components and the :func:`sample_columns`
-    of ``traj``."""
-    rows = csv_rows([traj.ts, *zip(*traj.ys), *columns.values()])
-    return "\n".join([",".join(["t", *labels, *columns]), *rows]) + "\n"
+def trajectory_csv(ts: Sequence[float], labels: Sequence[str], states: Sequence,
+                   columns: dict) -> str:
+    """CSV text of the times ``ts``, the state's columns and the named
+    ``columns`` of :func:`sample_blocks`: a header, then one line per sample
+    in which each cell is its float's ``repr``, formatted one column at a
+    time."""
+    cells = (map(repr, column) for column in (ts, *states, *columns.values()))
+    return "\n".join([",".join(["t", *labels, *columns]), *map(",".join, zip(*cells))]) + "\n"

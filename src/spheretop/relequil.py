@@ -360,12 +360,20 @@ def re_from_tau(
     row's RE at eta = 1 gives f sin(theta)/zeta = 2y/zeta.  At theta = 0 and
     pi, the singular thread, zeta is zero and tau names no RE: ``ValueError``
     points to ``energy_casimir.singular_thread``, which samples the thread.
+    A tau whose 2 e^tau or eta is zero, infinite or NaN (|tau| past about
+    709) raises a ``ValueError`` that names it.
     """
     row = solve_re(theta, 1.0, m, pot, phi1=phi1)
     if row.kind in (KIND_SINGULAR_0, KIND_SINGULAR_PI):
         raise ValueError(f"theta = {theta!r} is on the singular thread, where tau names no "
                          "relative equilibrium: sample it with singular_thread")
-    eta = math.sqrt(2.0 * row.y / row.zeta / (2.0 * math.exp(tau)))
+    try:
+        eta = math.sqrt(2.0 * row.y / row.zeta / (2.0 * math.exp(tau)))
+    except (OverflowError, ZeroDivisionError):  # 2 e^tau past the float range
+        eta = math.nan
+    if not 0.0 < eta < math.inf:
+        raise ValueError(f"tau = {tau!r} at theta = {theta!r} leaves the float range: 2 e^tau "
+                         "or the eta it gives is zero, infinite or NaN")
     return solve_re(theta, eta, m, pot, phi1=phi1)
 
 

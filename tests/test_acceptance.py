@@ -21,7 +21,6 @@ from spheretop.dynamics import (
     make_invariant_rhs,
     make_reduced_rhs,
     rhs_full_reduced,
-    sample_columns,
     vec_to_reduced,
     vec_to_state,
     HamiltonianKind,
@@ -110,11 +109,12 @@ def _conservation_worker(args):
                              + (y[2] + y[5]) ** 2)
     funcs["variety"] = lambda y: hilbert_map(vec_to_reduced(y)).variety_defect()
     traj_l = integrate(make_reduced_rhs(CONS_MASSES, pot), y0, 100.0, sample_dt=5.0)
-    drifts = drift_summary(sample_columns(traj_l, funcs))
+    drifts = drift_summary({name: [fn(y) for y in traj_l.ys] for name, fn in funcs.items()})
 
     pt0 = tuple(hilbert_map(vec_to_reduced(y0)))
     traj_p = integrate(make_invariant_rhs(CONS_MASSES, pot), pt0, 100.0, sample_dt=5.0)
-    drifts_p = drift_summary(sample_columns(traj_p, invariants_point(CONS_MASSES, pot)))
+    drifts_p = drift_summary({name: [fn(y) for y in traj_p.ys]
+                              for name, fn in invariants_point(CONS_MASSES, pot).items()})
     return max(*drifts.values(), *drifts_p.values())
 
 

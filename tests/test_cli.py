@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import operator
 import os
 import re
 import shlex
@@ -26,8 +27,15 @@ from hypothesis import strategies as st
 
 from spheretop import cli, dynamics
 from spheretop.cli import main
-from spheretop.dynamics import Trajectory, drift_summary, sample_columns, trajectory_csv
-from spheretop.phase_space import random_phase_state
+from spheretop.dynamics import Trajectory, drift_summary, trajectory_csv
+from spheretop.phase_space import (
+    MODEL_RANGE,
+    MassParams,
+    Potential,
+    from_body_coords,
+    random_phase_state,
+    to_body_coords,
+)
 from spheretop.poisson import GENERATORS
 from spheretop.reduction import INVARIANT_CSV_COLUMNS, InvariantPoint, stratum_classify
 
@@ -329,12 +337,25 @@ class TestSimulate:
         traj, funcs = seen["traj"], seen["funcs"]
         assert len(traj.ys) == 21
         assert seen["calls"] == {name: [8, 8, 5] for name in funcs}
-        # the one-pass output is what evaluating row by row gives
-        assert out.read_text() == trajectory_csv(traj, self.LABELS[space],
-                                                 sample_columns(traj, funcs))
+        # the one-pass output is what mapping and evaluating row by row gives
+        leave = cli._SPACES[space][4]
+        assert out.read_text() == _csv_row_by_row(traj, self.LABELS[space], funcs, leave)
+        rows = [leave(y) for y in traj.ys] if leave else traj.ys
         drift = json.loads(Path(str(out) + ".drift.json").read_text())
-        assert drift == {f"drift_{k}": v
-                         for k, v in drift_summary(sample_columns(traj, funcs)).items()}
+        assert drift == {f"drift_{k}": v for k, v in drift_summary(
+            {name: [fn(y) for y in rows] for name, fn in funcs.items()}).items()}
+
+    def test_a_full_run_of_two_blocks_is_its_rows_csv(self, tmp_path, monkeypatch):
+        # more rows than SAMPLE_BLOCK_ROWS: the second block's images and
+        # invariants follow the first's in every column
+        seen = self._record_run(monkeypatch)
+        out = tmp_path / "run.csv"
+        assert run(["simulate", "--scenario", "random", "--seed", "2", "--space", "full",
+                    "--T", "1.1", "--sample-dt", "0.001", "--out", out]) == 0
+        traj = seen["traj"]
+        assert dynamics.SAMPLE_BLOCK_ROWS < len(traj.ys) <= 2 * dynamics.SAMPLE_BLOCK_ROWS
+        assert out.read_text() == _csv_row_by_row(traj, cli._STATE_LABELS, seen["funcs"],
+                                                  from_body_coords)
 
     @pytest.mark.parametrize("space, name", [
         ("full", "make_body_rhs"), ("left", "make_reduced_rhs"),
@@ -473,6 +494,17 @@ class TestReduce:
             assert np.allclose(a[col], b[col], atol=1e-6), col
 
 
+def _csv_row_by_row(traj, labels, funcs, leave):
+    """The CSV of a run built one row at a time: each recorded state mapped
+    by ``leave`` (when given), each function evaluated on that row, and the
+    row joined from the ``repr`` of its floats."""
+    lines = [",".join(["t", *labels, *funcs])]
+    for t, y in zip(traj.ts, traj.ys):
+        row = leave(y) if leave else y
+        lines.append(",".join(map(repr, (t, *row, *(fn(row) for fn in funcs.values())))))
+    return "\n".join(lines) + "\n"
+
+
 def _python_drift(columns):
     """``drift_summary`` as it was written row by row, with Python's ``max``."""
     return {name: max(abs(v - vals[0]) for v in vals) / max(1.0, abs(vals[0]))
@@ -481,7 +513,8 @@ def _python_drift(columns):
 
 class TestSampleBlocks:
     """``simulate``'s block path gives, bit for bit, the states, columns, CSV
-    and drift of mapping and evaluating each row alone (``sample_columns``)."""
+    and drift of mapping and evaluating each row alone, and leaves the
+    trajectory as the integrator recorded it."""
 
     STATES = {"grav": lambda rng: cli._builtin_scenario("re-acute-demo", 0)[0],
               "linear:-0.7": random_phase_state, "lagrange": random_phase_state}
@@ -502,16 +535,33 @@ class TestSampleBlocks:
                                   sample_dt=0.1)
         assert len(traj.ys) == 31
         funcs = make_funcs(m, pot)
-        rows = Trajectory(ts=traj.ts, ys=[leave(y) for y in traj.ys] if leave else traj.ys)
-        want = sample_columns(rows, funcs)
-        got = dynamics.sample_blocks(traj, funcs, leave)
-        assert [bits(y) for y in traj.ys] == [bits(y) for y in rows.ys]
-        assert all(type(y) is tuple and all(type(c) is float for c in y) for y in traj.ys)
+        record = [bits(y) for y in traj.ys]
+        rows = [leave(y) for y in traj.ys] if leave else traj.ys
+        want = {name: [fn(y) for y in rows] for name, fn in funcs.items()}
+        states, got = dynamics.sample_blocks(traj, funcs, leave)
+        assert [bits(y) for y in traj.ys] == record  # the integrator's record is kept
+        assert [bits(c) for c in states] == [bits(c) for c in zip(*rows)]
+        assert all(type(c) is float for col in states for c in col)
         assert {k: bits(v) for k, v in got.items()} == {k: bits(v) for k, v in want.items()}
         assert all(type(c) is float for col in got.values() for c in col)
-        assert trajectory_csv(traj, labels, got) == trajectory_csv(rows, labels, want)
+        assert (trajectory_csv(traj.ts, labels, states, got)
+                == _csv_row_by_row(traj, labels, funcs, leave))
         assert ({k: v.hex() for k, v in drift_summary(got).items()}
                 == {k: v.hex() for k, v in _python_drift(want).items()})
+
+    def test_a_full_trajectory_keeps_its_body_coordinates(self):
+        # sampling maps each row to (g, p) for the CSV, but the trajectory
+        # stays in the integrator's (g, B): its rows, and the very tuples
+        m, pot = MassParams(1.0, 1.3), Potential.linear(0.9)
+        y0 = to_body_coords(random_phase_state(np.random.default_rng(3), momentum_scale=0.5))
+        traj = dynamics.integrate(dynamics.make_body_rhs(m, pot), y0, 2.0, sample_dt=0.25)
+        ys, record = list(traj.ys), [bits(y) for y in traj.ys]
+        states, _ = dynamics.sample_blocks(traj, dynamics.invariants_state(m, pot),
+                                           from_body_coords)
+        assert [bits(y) for y in traj.ys] == record and all(map(operator.is_, traj.ys, ys))
+        assert bits(traj.ys[0]) == bits(y0)
+        assert traj.ys[0][4:8] != tuple(c[0] for c in states[4:8])  # B1 is not p1
+        assert [bits(c) for c in states] == [bits(c) for c in zip(*map(from_body_coords, ys))]
 
     @pytest.mark.parametrize("vals", [
         [1.0, 2.0, math.nan, 0.5], [math.nan, 1.0, 2.0], [math.inf, 1.0, math.inf],
@@ -1413,6 +1463,21 @@ class TestSurfaceCommand:
             assert run(["ec-surface", "--grid", 3, 3, *workers, "--out", out]) == 0
         assert (tmp_path / "surf0.csv").read_bytes() == (tmp_path / "surf2.csv").read_bytes()
 
+    def test_a_tau_past_the_float_range_is_a_failure_that_names_it(self, tmp_path):
+        # each node at tau = -800 or 800 was recorded as the bare
+        # "ZeroDivisionError: float division by zero" or "OverflowError: math
+        # range error", and counted under those names
+        out = tmp_path / "wide.csv"
+        assert run(["ec-surface", "--tau-min=-800", "--tau-max", 800, "--grid", 7, 9,
+                    "--out", out]) == 0
+        failures = json.loads(Path(str(out) + ".failures.json").read_text())
+        assert sorted(tau for _, tau, _ in failures) == [-800.0] * 7 + [800.0] * 7
+        assert [text for *_, text in failures] == [
+            f"ValueError: tau = {tau!r} at theta = {theta!r} leaves the float range: 2 e^tau "
+            "or the eta it gives is zero, infinite or NaN" for theta, tau, _ in failures]
+        record = json.loads(Path(str(out) + ".manifest.json").read_text())["run"]
+        assert (record["samples"], record["failures"]) == (49, {"ValueError": 14})
+
     def test_manifest_counts_samples_and_failures(self, tmp_path):
         out = tmp_path / "clean.csv"
         assert run(["ec-surface", "--theta-min", 0.4, "--theta-max", 2.6, "--grid", 4, 3,
@@ -1883,3 +1948,117 @@ class TestExtremeValues:
 
         check()
         assert codes[0] and codes[4], codes
+
+    # T's values and the ends of MODEL_RANGE, for every float flag of simulate
+    SIMULATE_VALUES = (0.0, -0.0, 5e-324, 1e-300, 1e308, math.nan, math.inf, -math.inf, -1.0,
+                       *MODEL_RANGE, 700.0, 710.0)
+    # a run's horizon and its most sample rows, so that every run stays short;
+    # collision-course meets its collision at t = 0.4466 within the horizon
+    SIMULATE_T_MAX = 1.0
+    SIMULATE_ROWS_MAX = 1000
+
+    @staticmethod
+    @st.composite
+    def _simulate_flags(draw):
+        """``simulate`` flags from its ``Opt`` rows: the model flags that the
+        drawn potential takes and any of the others, each float from (0, 4]
+        or the positive values of SIMULATE_VALUES, each choice from its
+        choices, plus at most one flag given any of SIMULATE_VALUES, [-4, 4]
+        or a bad choice; and the start from ``--scenario``, ``--state`` (a
+        drawn state, ``_state_json``), or now and then both or neither.  T
+        and ``--sample-dt`` are capped where they would run: T at
+        SIMULATE_T_MAX, the rows at SIMULATE_ROWS_MAX."""
+        cls = TestExtremeValues
+        rows = {o.dest: o for o in cli._COMMANDS["simulate"][2]}
+        positive = (st.floats(0.0, 4.0, exclude_min=True)
+                    | st.sampled_from([v for v in cls.SIMULATE_VALUES if v > 0.0]))
+        number = st.sampled_from(cls.SIMULATE_VALUES) | st.floats(-4.0, 4.0)
+        potential = draw(st.sampled_from(["grav", "lagrange", "linear"])
+                         | number.map(lambda g: f"linear:{g!r}"))
+        flags = {"potential": potential} if draw(st.booleans()) else {}
+        model = ("alpha", "gamma") if potential == "lagrange" else ("m1", "m2")
+        wanted = [*model, "space", "T", "rel_tol", "abs_tol", "sample_dt", "seed"]
+        odd = draw(st.sets(st.sampled_from(wanted), max_size=1))
+        for dest in draw(st.sets(st.sampled_from(wanted))) | odd:
+            kind, choices, _ = rows[dest].shape()
+            if choices is not None:
+                flags[dest] = "bogus" if dest in odd else draw(st.sampled_from(choices))
+            elif kind is int:
+                flags[dest] = -1 if dest in odd else draw(st.integers(0, 9))
+            else:
+                flags[dest] = draw(number if dest in odd else positive)
+        source = draw(st.sampled_from(["scenario"] * 9 + ["state"] * 9 + ["both", "neither"]))
+        if source in ("scenario", "both"):
+            flags["scenario"] = draw(st.sampled_from(rows["scenario"].kind))
+        if source in ("state", "both"):
+            flags["state"] = draw(cls._state_json())
+        t = flags.get("T", rows["T"].default)
+        if 0.0 < t < math.inf:
+            t = flags["T"] = min(t, cls.SIMULATE_T_MAX)
+            dt = flags.get("sample_dt", rows["sample_dt"].default)
+            if 0.0 < dt and cls.SIMULATE_ROWS_MAX < t / dt <= dynamics.MAX_SAMPLE_ROWS:
+                flags["sample_dt"] = t / cls.SIMULATE_ROWS_MAX
+        return flags
+
+    @staticmethod
+    @st.composite
+    def _state_json(draw):
+        """The JSON text of a drawn state: unit positions and tangent momenta
+        of a drawn scale, or one position off the sphere or one momentum not
+        tangent to it."""
+        scale = draw(st.sampled_from([0.0, 1e-300, 1e-100, 1e100, 1e308])
+                     | st.floats(0.0, 4.0))
+        state = dict(random_phase_state(np.random.default_rng(draw(st.integers(0, 99))),
+                                        momentum_scale=scale).to_json_dict())
+        fault = draw(st.sampled_from([None, "off_sphere", "not_tangent"]))
+        if fault == "off_sphere":
+            state["g2"] = [1.001 * c for c in state["g2"]]
+        elif fault == "not_tangent":
+            state["p1"] = [c + 0.5 * g for c, g in zip(state["p1"], state["g1"])]
+        return json.dumps(state)
+
+    def test_simulate_at_extreme_values_exits_0_2_3_or_4_and_a_refusal_keeps_the_last_run(
+            self, tmp_path):
+        out = tmp_path / "run.csv"
+        drift, manifest = Path(f"{out}.drift.json"), Path(f"{out}.manifest.json")
+        kept = (out, drift, manifest)
+        state_file = tmp_path / "state.json"
+        codes = Counter()
+
+        def no_constants(path):  # NaN, Infinity or -Infinity, which JSON has not
+            constants = []
+            json.loads(path.read_text(), parse_constant=constants.append)
+            return constants == []
+
+        @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @given(self._simulate_flags())
+        def check(flags):
+            argv = ["simulate"]
+            for dest, value in flags.items():
+                if dest == "state":
+                    state_file.write_text(value)
+                    value = str(state_file)
+                argv += ["--" + dest.replace("_", "-"),
+                         value if isinstance(value, str) else repr(value)]
+            argv += ["--out", str(out)]
+            before = [p.read_bytes() if p.exists() else None for p in kept]
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()), self._run_limit(argv):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse refuses a value
+                    code = exc.code
+            codes[code] += 1
+            assert code in (0, 2, 3, 4), argv
+            if code in (2, 4):
+                assert [p.read_bytes() if p.exists() else None for p in kept] == before, argv
+            elif code == 3:
+                assert not out.exists() and not drift.exists() and no_constants(manifest), argv
+            else:
+                cells = [c for line in out.read_text().splitlines()[1:] for c in line.split(",")]
+                assert not {"nan", "inf", "-inf"} & set(cells), argv
+                assert no_constants(drift) and no_constants(manifest), argv
+
+        check()
+        assert codes[0] and codes[3] and codes[4], codes
+

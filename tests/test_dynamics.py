@@ -29,8 +29,6 @@ from spheretop.dynamics import (
     FlowConfig,
     HamiltonianKind,
     SingularityError,
-    Trajectory,
-    csv_rows,
     drift_summary,
     evaluate_reduced_hamiltonian,
     integrate,
@@ -40,7 +38,7 @@ from spheretop.dynamics import (
     make_reduced_rhs,
     reconstruct_rhs,
     rhs_full_reduced,
-    sample_columns,
+    sample_blocks,
     trajectory_csv,
     vec_to_reduced,
     vec_to_state,
@@ -379,7 +377,7 @@ class TestIntegrator:
         funcs = invariants_reduced(m, LIN)
         traj = integrate(make_reduced_rhs(m, LIN), tuple(rs), 10.0,
                          sample_dt=1.0)
-        drift = drift_summary(sample_columns(traj, funcs))
+        drift = drift_summary({name: [fn(y) for y in traj.ys] for name, fn in funcs.items()})
         assert drift["C1"] < 1e-8
         assert drift["C2"] < 1e-8
         # tightened-tolerance rerun agrees with the nominal run
@@ -1175,9 +1173,7 @@ class TestInvariantColumns:
     POT = Potential.gravitational(M)
 
     def _columns(self, ys, funcs):
-        from spheretop.dynamics import Trajectory
-
-        return sample_columns(Trajectory(ts=list(range(len(ys))), ys=ys), funcs)
+        return {name: [fn(y) for y in ys] for name, fn in funcs.items()}
 
     def _states(self, rng):
         return [tuple(random_phase_state(rng, momentum_scale=0.7)) for _ in range(50)]
@@ -1285,32 +1281,23 @@ class TestWriters:
     """The writers format one column at a time and give the bytes of
     ``",".join(map(repr, row))`` row by row."""
 
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(_tables(), st.booleans())
-    def test_csv_rows_are_the_rows_joined(self, columns, labelled):
-        labels = [[f"s{i}" for i in range(len(columns[0]))]] if labelled else []
-        rows = [",".join(map(repr, row)) for row in zip(*columns)]
-        if labelled:
-            rows = [f"{row},{label}" for row, label in zip(rows, labels[0])]
-        assert list(csv_rows(columns, *labels)) == rows
-
     @settings(max_examples=100, deadline=None, derandomize=True)
     @given(_tables(), st.integers(0, 2))
     def test_trajectory_csv_is_the_rows_joined(self, columns, n_extra):
         t, *state = columns
         state = state or [t]  # at least one component
         extra = {f"q{j}": list(reversed(t)) for j in range(n_extra)}
-        traj = Trajectory(ts=t, ys=list(zip(*state)))
         labels = [f"x{i}" for i in range(len(state))]
         want = [",".join(["t", *labels, *extra])]
         want += [",".join(map(repr, (ti, *y, *e)))
-                 for ti, y, *e in zip(traj.ts, traj.ys, *extra.values())]
-        assert trajectory_csv(traj, labels, extra) == "\n".join(want) + "\n"
+                 for ti, y, *e in zip(t, zip(*state), *extra.values())]
+        assert trajectory_csv(t, labels, state, extra) == "\n".join(want) + "\n"
 
 
 def test_trajectory_csv_layout(rng):
     traj = integrate(lambda t, y: (1.0,), (0.0,), 1.0, sample_dt=0.5)
-    text = trajectory_csv(traj, ("x",), sample_columns(traj, {"twice": lambda y: 2 * y[0]}))
+    states, columns = sample_blocks(traj, {"twice": lambda y: 2 * y[0]})
+    text = trajectory_csv(traj.ts, ("x",), states, columns)
     lines = text.strip().splitlines()
     assert lines[0] == "t,x,twice"
     assert len(lines) == 4  # t = 0, 0.5, 1.0

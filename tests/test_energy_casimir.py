@@ -395,6 +395,16 @@ def test_the_singular_thetas_point_to_the_thread():
                for f in res.failures)
     assert [s.theta for s in res.samples] == [math.pi / 2] * 2
 
+
+@pytest.mark.parametrize("tau", [-800.0, -746.0, -744.0, -710.0, 709.7, 710.0, 800.0])
+def test_a_tau_past_the_float_range_is_named(tau):
+    # 2 e^tau underflowed or overflowed on the way to eta: ZeroDivisionError
+    # (-800, -746), an infinite eta (-744, -710), a zero one (709.7) and
+    # OverflowError (710, 800), none of them naming tau
+    with pytest.raises(ValueError, match=f"^tau = {tau!r} at theta = 1.0 leaves the float range"):
+        ec_sample(1.0, tau, M11, GRAV11)
+
+
 def test_csv_layout():
     samples = [ec_sample(1.0, 0.2, M11, GRAV11)]
     text = ec_csv(samples)

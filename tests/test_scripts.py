@@ -6,6 +6,7 @@ module runs nothing but its imports.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -20,7 +21,8 @@ def _load(name):
     return module
 
 
-@pytest.mark.parametrize("name", ["conservation_study", "bifurcation_surfaces", "bench_pairs"])
+@pytest.mark.parametrize("name", [
+    "conservation_study", "bifurcation_surfaces", "bench_pairs", "output_check"])
 def test_script_loads(name):
     assert callable(_load(name).main)
 
@@ -79,3 +81,34 @@ def test_bench_pairs_summary_arithmetic():
     assert got["attempted"] == {"parent": 40, "change": 40}
     one = _load("bench_pairs").summarize(pairs[:1], metrics)["work_per_s"]
     assert one["change"] == {"q1": 110, "median": 110, "q3": 110} and one["won"] == 1
+
+
+def test_output_check_compares_bytes_and_manifests_without_wall_s(tmp_path):
+    # synthetic trees, not runs: equal files, a byte that differs, a file one
+    # side lacks, and manifests that differ in wall_s alone or elsewhere too
+    compare = _load("output_check").compare
+    a, b = tmp_path / "parent", tmp_path / "change"
+    manifest = {"command": "simulate", "run": {"steps_accepted": 12,
+                                               "wall_s": {"integrate": 0.5, "write": 0.1}}}
+    files = {
+        "run/same.csv": (b"t,x\n0.0,1.0\n", b"t,x\n0.0,1.0\n"),
+        "run/byte.csv": (b"t,x\n0.0,1.0\n", b"t,x\n0.0,1.5\n"),
+        "run/only_parent.json": (b"{}\n", None),
+        "streams/00.txt": (b"0 simulate\n", b"0 simulate\n"),
+        "run/timed.csv.manifest.json": (
+            json.dumps(manifest, indent=2).encode(),
+            json.dumps({**manifest, "run": {**manifest["run"],
+                                            "wall_s": {"integrate": 0.7}}}).encode()),
+        "run/counted.csv.manifest.json": (
+            json.dumps(manifest).encode(),
+            json.dumps({**manifest, "run": {**manifest["run"], "steps_accepted": 13}}).encode()),
+        "run/cut.csv.manifest.json": (b'{"run": {"wall_s"', b'{"run": {"wall_s" '),
+    }
+    for name, sides in files.items():
+        for root, data in zip((a, b), sides):
+            if data is not None:
+                (root / name).parent.mkdir(parents=True, exist_ok=True)
+                (root / name).write_bytes(data)
+    assert compare(a, b) == (7, ["run/byte.csv", "run/counted.csv.manifest.json",
+                                 "run/cut.csv.manifest.json", "run/only_parent.json"])
+    assert compare(a, a) == (7, [])
