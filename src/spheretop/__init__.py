@@ -50,16 +50,12 @@ from .dynamics import (
     HamiltonianKind,
     SingularityError,
     Trajectory,
-    evaluate_reduced_hamiltonian,
     integrate,
-    reconstruct_rhs,
     rhs_full_reduced,
 )
 from .poisson import (
-    GradientTriple,
     bracket_matrix,
     integral_I,
-    lie_poisson_bracket,
     table_bracket,
     table_flow,
 )

@@ -315,8 +315,6 @@ def _builtin_scenario(name: str, seed: int) -> tuple[PhaseState, str]:
         g2 = Quaternion(math.cos(1.0), math.sin(1.0), 0.0, 0.0)
         return PhaseState(Quaternion(1.0), Quaternion(0.0, 1.0), g2, Quaternion()), "grav"
     # "random", the last of the choices of --scenario
-    if seed < 0:
-        raise ValueError(f"--seed {seed}: the seed must be a non-negative integer")
     return random_phase_state(np.random.default_rng(seed)), "linear:1.0"
 
 
@@ -346,6 +344,8 @@ _SIMULATE = (
 
 
 def cmd_simulate(cfg: dict, given: set) -> int:
+    if cfg["seed"] < 0:
+        raise ValueError(f"--seed {cfg['seed']}: the seed must be a non-negative integer")
     if _source(cfg, "simulate", "state", "scenario") == "scenario":
         # the scenario's potential is a default: the config file and the flag
         # override it, and the manifest records what ran

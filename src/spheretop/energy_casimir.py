@@ -51,14 +51,9 @@ FAMILY_SINGULAR_0 = "singular0"
 FAMILY_SINGULAR_PI = "singularPi"
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ECSample:
-    """One node of a sheet: the CSV's columns, then the RE's rates and phi1.
-
-    Built in one step, its ``__dict__`` set at once: the generated frozen
-    ``__init__`` sets each field through ``object.__setattr__``, which took
-    about twice as long per node.
-    """
+    """One node of a sheet: the CSV's columns, then the RE's rates and phi1."""
 
     family: str
     theta: float
@@ -71,13 +66,6 @@ class ECSample:
     eta_mag: float
     phi1: float
     gauge_flipped: bool = False
-
-    def __init__(self, family, theta, tau, H, lam2, rho2, stability, xi_mag, eta_mag, phi1,
-                 gauge_flipped=False):
-        object.__setattr__(self, "__dict__", {
-            "family": family, "theta": theta, "tau": tau, "H": H, "lam2": lam2, "rho2": rho2,
-            "stability": stability, "xi_mag": xi_mag, "eta_mag": eta_mag, "phi1": phi1,
-            "gauge_flipped": gauge_flipped})
 
 
 _FIELDS = tuple(f.name for f in fields(ECSample))

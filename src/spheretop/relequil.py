@@ -64,8 +64,9 @@ class _cached(functools.cached_property):
 @dataclass(frozen=True, init=False)
 class RelativeEquilibrium:
     """A classified relative equilibrium in the standard conjugacy gauge, built
-    in one step as ``energy_casimir.ECSample`` is; ``state`` and ``image`` are
-    kept in its ``__dict__`` on first read, outside what eq and hash compare."""
+    in one step, its ``__dict__`` set at once, as every RE query builds one;
+    ``state`` and ``image`` are kept in its ``__dict__`` on first read,
+    outside what eq and hash compare."""
 
     kind: str
     theta: float

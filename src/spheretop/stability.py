@@ -84,7 +84,7 @@ class LinearizationReport:
     zero_count: int
     classification: str
 
-    def __init__(self, matrix, eigenvalues, zero_count, classification):  # one step, as ECSample
+    def __init__(self, matrix, eigenvalues, zero_count, classification):  # one step, per RE query
         object.__setattr__(self, "__dict__", {
             "matrix": matrix, "eigenvalues": eigenvalues, "zero_count": zero_count,
             "classification": classification})

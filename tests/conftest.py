@@ -55,16 +55,19 @@ _MUL = {
 }
 
 
-def oracle_mul(p, q):
-    """Bilinear expansion of the product over the basis table."""
-    pc = dict(zip(_BASIS, p.components()))
-    qc = dict(zip(_BASIS, q.components()))
+def oracle_product(p, q):
+    """Bilinear expansion over the basis table of the product of two
+    (w, x, y, z) sequences, of floats or of sympy expressions."""
     out = {b: 0.0 for b in _BASIS}
-    for a, ca in pc.items():
-        for b, cb in qc.items():
+    for a, ca in zip(_BASIS, p):
+        for b, cb in zip(_BASIS, q):
             basis, sign = _MUL[(a, b)]
             out[basis] += sign * ca * cb
-    return Quaternion(out["1"], out["i"], out["j"], out["k"])
+    return tuple(out.values())
+
+
+def oracle_mul(p, q):
+    return Quaternion(*oracle_product(p.components(), q.components()))
 
 
 def oracle_dot4(p, q):

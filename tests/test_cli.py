@@ -996,6 +996,29 @@ def test_a_bad_seed_or_potential_exits_4_naming_flag_and_value(tmp_path, capsys,
     assert not out.exists()
 
 
+_SCENARIOS = next(opt.kind for opt in cli._SIMULATE if opt.dest == "scenario")
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("start", [*_SCENARIOS, "state"])
+def test_a_negative_seed_is_refused_for_every_start_and_keeps_the_last_run(tmp_path, capsys,
+                                                                          via, start):
+    # only --scenario random drew from the seed, and only it refused -1
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(TestReduceRows.UNIT))
+    out = tmp_path / "x.csv"
+    argv = ["simulate", *(["--state", state] if start == "state" else ["--scenario", start]),
+            "--T", 0.2, "--out", out]
+    assert run(argv) == 0
+    files = [out, Path(f"{out}.drift.json"), Path(f"{out}.manifest.json")]
+    before = [f.read_bytes() for f in files]
+    capsys.readouterr()
+    given = ["--seed", -1] if via == "flag" else ["--config", _config(tmp_path, {"seed": -1})]
+    assert run([*argv, *given]) == 4
+    assert capsys.readouterr().err == "error: --seed -1: the seed must be a non-negative integer\n"
+    assert [f.read_bytes() for f in files] == before
+
+
 @pytest.mark.parametrize("cmd", ["re", "simulate", "ec-surface"])
 @pytest.mark.parametrize("gamma", ["nan", "inf", "1e400"])
 def test_a_non_finite_linear_gamma_exits_4_naming_flag_and_value(tmp_path, capsys, cmd, gamma):

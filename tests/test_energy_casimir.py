@@ -86,8 +86,8 @@ class TestSample:
         assert not s.gauge_flipped
         with pytest.raises(dataclasses.FrozenInstanceError):
             s.H = 0.0
-        # the one-step constructor sets every field, by keyword as replace
-        # calls it, and nothing else
+        # the constructor sets every field, by keyword as replace calls it,
+        # and nothing else
         values = {f.name: f"value of {f.name}" for f in dataclasses.fields(ECSample)}
         built = ECSample(**values)
         assert vars(built) == values

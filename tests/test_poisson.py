@@ -2,112 +2,37 @@ import itertools
 
 import numpy as np
 import pytest
-from conftest import imag, random_invariant_point, random_reduced_state
+from conftest import random_invariant_point, random_reduced_state
 
 from spheretop.dynamics import (
     HamiltonianKind,
     integrate,
     make_invariant_rhs,
-    make_reduced_rhs,
     rhs_full_reduced,
 )
 from spheretop.phase_space import MassParams, Potential
 from spheretop.poisson import (
     GENERATORS,
-    GradientTriple,
     OffVarietyError,
     bracket_matrix,
     casimir_gradient,
-    generator_gradient,
     hamiltonian_gradient,
     integral_I,
     integral_I_gradient,
-    lie_poisson_bracket,
     table_bracket,
     table_flow,
 )
-from spheretop.quaternion import ImaginaryQuaternion, Quaternion
 from spheretop.reduction import (
     STRATUM_FREE,
     STRATUM_FULL,
     STRATUM_SO2,
     InvariantPoint,
-    ReducedState,
     hilbert_map,
     stratum_classify,
 )
 
 M = MassParams(1.2, 0.7)
 LIN = Potential.linear(0.9)
-
-
-def ham_gradient_field(m, pot):
-    def grad(rs: ReducedState) -> GradientTriple:
-        return GradientTriple(
-            d1=(1.0 / m.m1) * rs.A1,
-            d2=(1.0 / m.m2) * rs.A2,
-            d3=Quaternion(-pot.f(rs.gD.w)),
-        )
-    return grad
-
-
-def coordinate_field(slot: int, direction):
-    """Gradient field of the linear function <component_slot, direction>."""
-    zero_i = ImaginaryQuaternion()
-
-    def grad(rs: ReducedState) -> GradientTriple:
-        d1 = direction if slot == 0 else zero_i
-        d2 = direction if slot == 1 else zero_i
-        d3 = direction.as_quaternion() if slot == 2 else Quaternion()
-        return GradientTriple(d1=d1, d2=d2, d3=d3)
-    return grad
-
-
-class TestLiePoissonBracket:
-    def test_antisymmetry_and_self(self, rng):
-        f = generator_gradient("k13")
-        g = generator_gradient("delta")
-        for _ in range(50):
-            rs = random_reduced_state(rng)
-            assert lie_poisson_bracket(f, f, rs) == pytest.approx(0.0, abs=1e-14)
-            ab = lie_poisson_bracket(f, g, rs)
-            ba = lie_poisson_bracket(g, f, rs)
-            assert ab == pytest.approx(-ba, abs=1e-14 * max(1.0, abs(ab)))
-
-    def test_C1_is_casimir(self, rng):
-        def c1_grad(rs):
-            return GradientTriple(ImaginaryQuaternion(), ImaginaryQuaternion(),
-                                  2.0 * rs.gD)
-        for name in GENERATORS:
-            g = generator_gradient(name)
-            for _ in range(20):
-                rs = random_reduced_state(rng)
-                assert lie_poisson_bracket(c1_grad, g, rs) == pytest.approx(0.0, abs=1e-12)
-
-    def test_hamiltonian_flow_matches_reduced_equations(self, rng):
-        # {H, coordinate} with the convention df/dt = {H, f}
-        hg = ham_gradient_field(M, LIN)
-        basis = [imag(1, 0, 0), imag(0, 1, 0), imag(0, 0, 1)]
-        for _ in range(1000):
-            rs = random_reduced_state(rng)
-            v = make_reduced_rhs(M, LIN)(0.0, rs)
-            for k, e in enumerate(basis):
-                got1 = lie_poisson_bracket(hg, coordinate_field(0, e), rs)
-                got2 = lie_poisson_bracket(hg, coordinate_field(1, e), rs)
-                assert abs(got1 - v[k]) < 1e-10
-                assert abs(got2 - v[3 + k]) < 1e-10
-            for e in basis:
-                got3 = lie_poisson_bracket(hg, coordinate_field(2, e), rs)
-                want = sum(a * b for a, b in zip(v[7:10], e.components()))
-                assert abs(got3 - want) < 1e-10
-
-    def test_right_side_flips_sign(self, rng):
-        hg = ham_gradient_field(M, LIN)
-        e = imag(1, 0, 0)
-        rs = random_reduced_state(rng)
-        right = ReducedState(A1=rs.A1, A2=rs.A2, gD=rs.gD, side="right")
-        assert lie_poisson_bracket(hg, coordinate_field(0, e), right) == pytest.approx(
-            -lie_poisson_bracket(hg, coordinate_field(0, e), rs), abs=1e-14)
 
 
 class TestStructureTable:
@@ -125,19 +50,6 @@ class TestStructureTable:
         for a, b in itertools.product(GENERATORS, repeat=2):
             assert table_bracket(a, b, pt) == pytest.approx(
                 -table_bracket(b, a, pt), abs=1e-14)
-
-    def test_every_entry_descends_from_the_lie_poisson_bracket(self, rng):
-        # the decisive consistency check: the tensor must equal the bracket of
-        # the invariant generators computed upstairs
-        for _ in range(50):
-            rs = random_reduced_state(rng)
-            pt = hilbert_map(rs)
-            scale = max(1.0, pt.k11, pt.k22, pt.k33) ** 2
-            for a, b in itertools.combinations(GENERATORS, 2):
-                upstairs = lie_poisson_bracket(
-                    generator_gradient(a), generator_gradient(b), rs)
-                downstairs = table_bracket(a, b, pt)
-                assert abs(upstairs - downstairs) < 1e-10 * scale, (a, b)
 
     def test_leaf_dimension_on_each_stratum(self, rng):
         # the fully reduced spaces are the symplectic leaves of Pi: generically
